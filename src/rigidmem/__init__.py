@@ -13,10 +13,9 @@ from .errors import ConfigError, DivergenceError, HistoryCoverageError
 from .fraccalc import (SampledFunction, bracket_rhs_check, caputo_l1,
                        caputo_partial_monomial, mittag_leffler, rl_integral)
 from .integrators import (DIVERGENCE_NORM, FracConfig, HistorySpec,
-                          Trajectory, dense_eval, integrate_chain,
-                          integrate_dde, integrate_frac_abm,
-                          integrate_frac_dde, integrate_rk4,
-                          write_trajectory_csv)
+                          Trajectory, integrate_chain, integrate_dde,
+                          integrate_frac_abm, integrate_frac_dde,
+                          integrate_rk4, write_trajectory_csv)
 from .kernels import (ChainSpec, DelayKernel, DiracKernel, ErlangKernel,
                       ExponentialKernel, UniformKernel, chain_reduce,
                       convolve_history, density, effective_support, laplace)
@@ -28,9 +27,10 @@ from .models import (InertiaSetup, RigidBodyParams, as_state3, casimir,
 from .stability import (MARGINAL, STABLE, UNSTABLE, CharQuadratic,
                         StabilityReport, char_ep_eval,
                         char_frac_equilibrium, count_rhp_roots,
-                        critical_delay_scan, frac_delay_char_eval,
-                        matignon_classify, planar_frac_delay_check,
-                        scalar_frac_delay_check, tau_c_formula)
+                        critical_delay_scan, ep_delayed_check,
+                        frac_delay_char_eval, matignon_classify,
+                        planar_frac_delay_check, scalar_frac_delay_check,
+                        tau_c_formula)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "SampledFunction", "bracket_rhs_check", "caputo_l1",
     "caputo_partial_monomial", "mittag_leffler", "rl_integral",
     "DIVERGENCE_NORM", "FracConfig", "HistorySpec", "Trajectory",
-    "dense_eval", "integrate_chain", "integrate_dde", "integrate_frac_abm",
+    "integrate_chain", "integrate_dde", "integrate_frac_abm",
     "integrate_frac_dde", "integrate_rk4", "write_trajectory_csv",
     "ChainSpec", "DelayKernel", "DiracKernel", "ErlangKernel",
     "ExponentialKernel", "UniformKernel", "chain_reduce",
@@ -51,6 +51,7 @@ __all__ = [
     "rhs_revised_delayed",
     "MARGINAL", "STABLE", "UNSTABLE", "CharQuadratic", "StabilityReport",
     "char_ep_eval", "char_frac_equilibrium", "count_rhp_roots",
-    "critical_delay_scan", "frac_delay_char_eval", "matignon_classify",
+    "critical_delay_scan", "ep_delayed_check", "frac_delay_char_eval",
+    "matignon_classify",
     "planar_frac_delay_check", "scalar_frac_delay_check", "tau_c_formula",
 ]

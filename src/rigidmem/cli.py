@@ -31,6 +31,9 @@ blocks (full-line ``#`` comments allowed).  Sections:
 Values can be overridden with ``--set section.key=value``.  Summaries go
 to standard output; data goes only to files.  Exit codes: 0 success,
 2 validation error, 3 integrator divergence.
+
+A system kind is defined by its ``_KINDS`` entry alone: parse, simulate,
+stability and scan read everything they know about a kind from it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import argparse
 import dataclasses
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +51,7 @@ from . import kernels as _kern
 from . import models as _models
 from . import stability as _stab
 from .errors import ConfigError, DivergenceError
-from .integrators import (FracConfig, HistorySpec, integrate_chain,
+from .integrators import (FracConfig, HistorySpec, _fmt, integrate_chain,
                           integrate_dde, integrate_frac_abm,
                           integrate_frac_dde, integrate_rk4,
                           write_trajectory_csv)
@@ -55,13 +59,6 @@ from .integrators import (FracConfig, HistorySpec, integrate_chain,
 __all__ = ["RunConfig", "ScanSpec", "parse_config", "cmd_simulate",
            "cmd_stability", "cmd_scan", "main"]
 
-_RIGID_KINDS = ("classical", "revised", "delayed", "revised-delayed",
-                "fractional", "fractional-revised")
-_ALL_KINDS = _RIGID_KINDS + ("ep-delayed", "scalar-18", "planar-19")
-_NEEDS_KERNEL = {"delayed", "revised-delayed", "ep-delayed",
-                 "scalar-18", "planar-19"}
-_NEEDS_FRAC = {"fractional", "fractional-revised", "scalar-18", "planar-19"}
-_DIM = {"scalar-18": 1, "planar-19": 2}
 _KNOWN_SECTIONS = ("system", "kernel", "fractional", "run", "output",
                    "stability", "scan")
 
@@ -77,10 +74,7 @@ class ScanSpec:
 @dataclass(frozen=True)
 class RunConfig:
     kind: str
-    body: _models.RigidBodyParams | None
-    inertia: _models.InertiaSetup | None
-    scalar_a: float | None
-    planar_k: tuple[float, float] | None
+    params: object  # built by the kind's ``_Kind.params``
     kernel: object | None
     frac: FracConfig | None
     x0: np.ndarray
@@ -91,6 +85,123 @@ class RunConfig:
     equilibrium: str
     eq_m: float
     scan: ScanSpec | None
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the CLI knows about one system kind.
+
+    ``params(*values)`` builds the parameters from the ``[system]`` values
+    of ``keys``.  A kind has either ``rhs(params)``, a field x -> dx/dt (or
+    the Caputo derivative when ``fractional``), or ``pair(params)``, a
+    delayed field (x, xd) -> dx/dt.  A kind with a ``pair`` needs a
+    ``[kernel]``, a dirac one if it is also fractional.  ``report(cfg)``
+    gives the stability verdict that scans also use, ``details(cfg,
+    report)`` adds what only the stability command reports, and
+    ``set_m(cfg, m)`` moves the scan's m axis.
+    """
+
+    keys: tuple[str, ...]
+    params: Callable
+    rhs: Callable | None = None
+    pair: Callable | None = None
+    fractional: bool = False
+    dim: int = 3
+    diagnostics: Callable = lambda params: {}
+    report: Callable | None = None
+    details: Callable | None = None
+    set_m: Callable | None = None
+
+
+def _rigid_diagnostics(p):
+    return {"h": lambda x: _models.hamiltonian(p, x), "c": _models.casimir}
+
+
+def _inertia_diagnostics(s):
+    inertia = np.array([s.I1, s.I2, s.I3])
+
+    def energy(x):
+        return 0.5 * float(np.dot(inertia * x, x))
+
+    def momentum_c(x):
+        return 0.5 * float(np.dot(inertia * x, inertia * x))
+
+    return {"h": energy, "c": momentum_c}
+
+
+def _lagged_cross_pair(k):
+    k1, k2 = k
+    return lambda x, xd: np.array([x[1] - k1 * x[0],
+                                   -(k1 + k2) * x[1] + xd[0]])
+
+
+def _sector_report(cfg: RunConfig, revised: bool) -> _stab.StabilityReport:
+    q = _stab.char_frac_equilibrium(cfg.params, cfg.equilibrium, cfg.eq_m,
+                                    revised=revised)
+    rep = _stab.matignon_classify(q, cfg.frac.order)
+    rep.metadata["char_poly"] = f"w^2 + ({_fmt(q.c1)})*w + ({_fmt(q.c0)})"
+    rep.metadata["equilibrium"] = cfg.equilibrium
+    return rep
+
+
+def _crossing_details(cfg: RunConfig, rep: _stab.StabilityReport) -> None:
+    rep.metadata["tau_c_formula"] = repr(_stab.tau_c_formula(cfg.params))
+    rep.critical_delay = _stab.critical_delay_scan(cfg.params)
+    if isinstance(cfg.kernel, _kern.DiracKernel):
+        rep.metadata["kernel_lag"] = repr(cfg.kernel.lag)
+
+
+def _rigid(**fields) -> _Kind:
+    return _Kind(keys=("a1", "a2", "a3"), params=_models.RigidBodyParams,
+                 diagnostics=_rigid_diagnostics, **fields)
+
+
+# Fields reach _models.rhs_* through the module at call time, so that a
+# function replaced on the module (for tracing) is the one that runs.
+_KINDS = {
+    "classical": _rigid(rhs=lambda p: lambda x: _models.rhs_classical(p, x)),
+    "revised": _rigid(rhs=lambda p: lambda x: _models.rhs_revised(p, x)),
+    "delayed": _rigid(
+        pair=lambda p: lambda x, xd: _models.rhs_delayed(p, x, xd)),
+    "revised-delayed": _rigid(
+        pair=lambda p: lambda x, xd: _models.rhs_revised_delayed(p, x, xd)),
+    "fractional": _rigid(
+        rhs=lambda p: lambda x: _models.rhs_classical(p, x), fractional=True,
+        report=lambda cfg: _sector_report(cfg, revised=False),
+        set_m=lambda cfg, m: dataclasses.replace(cfg, eq_m=m)),
+    "fractional-revised": _rigid(
+        rhs=lambda p: lambda x: _models.rhs_revised(p, x), fractional=True,
+        report=lambda cfg: _sector_report(cfg, revised=True),
+        set_m=lambda cfg, m: dataclasses.replace(cfg, eq_m=m)),
+    "ep-delayed": _Kind(
+        keys=("I1", "I2", "I3", "coupling", "m"),
+        params=_models.InertiaSetup,
+        pair=lambda s: lambda x, xd: _models.rhs_ep_delayed(s, x, xd),
+        diagnostics=_inertia_diagnostics,
+        report=lambda cfg: _stab.ep_delayed_check(cfg.params, cfg.kernel),
+        details=_crossing_details,
+        set_m=lambda cfg, m: dataclasses.replace(
+            cfg, params=dataclasses.replace(cfg.params, m=m))),
+    "scalar-18": _Kind(
+        keys=("a",), params=float, pair=lambda a: lambda x, xd: a * xd,
+        fractional=True, dim=1,
+        report=lambda cfg: _stab.scalar_frac_delay_check(
+            cfg.params, cfg.frac.order, cfg.kernel.lag)),
+    "planar-19": _Kind(
+        keys=("k1", "k2"), params=lambda k1, k2: (k1, k2),
+        pair=_lagged_cross_pair, fractional=True, dim=2,
+        report=lambda cfg: _stab.planar_frac_delay_check(
+            *cfg.params, cfg.frac.order, cfg.kernel.lag)),
+}
+
+#: [kernel] kind -> (class, its keys as (name, required, default))
+_KERNELS = {
+    "uniform": (_kern.UniformKernel,
+                (("offset", False, 0.0), ("width", True, 1.0))),
+    "exponential": (_kern.ExponentialKernel, (("rate", True, 1.0),)),
+    "erlang": (_kern.ErlangKernel, (("rate", True, 1.0),)),
+    "dirac": (_kern.DiracKernel, (("lag", True, 0.0),)),
+}
 
 
 def _parse_raw(text: str):
@@ -203,72 +314,47 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
     kind = g.get("system", "kind", conv=str, required=True)
     kind_line = g.line_of("system", "kind")
-    if kind is not None and kind not in _ALL_KINDS:
+    spec = _KINDS.get(kind)
+    if kind is not None and spec is None:
         errors.append(f"{_loc(kind_line)}: [system] kind = {kind!r}: "
-                      f"must be one of {', '.join(_ALL_KINDS)}")
+                      f"must be one of {', '.join(_KINDS)}")
         kind = None
+    delayed = spec is not None and spec.pair is not None
+    fractional = spec is not None and spec.fractional
 
-    body = inertia = scalar_a = planar_k = None
-    if kind in _RIGID_KINDS:
-        a1 = g.get("system", "a1", required=True)
-        a2 = g.get("system", "a2", required=True)
-        a3 = g.get("system", "a3", required=True)
-        if None not in (a1, a2, a3):
-            try:
-                body = _models.RigidBodyParams(a1, a2, a3)
-            except ValueError as exc:
-                errors.append(
-                    f"{_loc(g.line_of('system', 'a1', kind_line))}: "
-                    f"[system] {exc}")
-    elif kind == "ep-delayed":
-        vals = [g.get("system", k, required=True)
-                for k in ("I1", "I2", "I3", "coupling", "m")]
+    params = None
+    if spec is not None:
+        vals = [g.get("system", key, required=True) for key in spec.keys]
         if None not in vals:
             try:
-                inertia = _models.InertiaSetup(*vals)
+                params = spec.params(*vals)
             except ValueError as exc:
                 errors.append(
-                    f"{_loc(g.line_of('system', 'I1', kind_line))}: "
+                    f"{_loc(g.line_of('system', spec.keys[0], kind_line))}: "
                     f"[system] {exc}")
-    elif kind == "scalar-18":
-        scalar_a = g.get("system", "a", required=True)
-    elif kind == "planar-19":
-        k1 = g.get("system", "k1", required=True)
-        k2 = g.get("system", "k2", required=True)
-        if None not in (k1, k2):
-            planar_k = (k1, k2)
 
     kernel = None
     if kind is not None:
-        if kind in _NEEDS_KERNEL and not g.has_section("kernel"):
+        if delayed and not g.has_section("kernel"):
             errors.append(f"{_loc(kind_line)}: kind = {kind} requires a "
                           f"[kernel] section")
-        if kind not in _NEEDS_KERNEL and g.has_section("kernel"):
+        if not delayed and g.has_section("kernel"):
             errors.append(f"line {g.section_line('kernel')}: [kernel] "
                           f"section is not allowed for kind = {kind}")
-    if g.has_section("kernel") and (kind in _NEEDS_KERNEL):
+    if g.has_section("kernel") and delayed:
         kkind = g.get("kernel", "kind", conv=str, required=True)
         kline = g.line_of("kernel", "kind", g.section_line("kernel"))
         try:
-            if kkind == "uniform":
-                kernel = _kern.UniformKernel(
-                    g.get("kernel", "offset", default=0.0),
-                    g.get("kernel", "width", required=True, default=1.0))
-            elif kkind == "exponential":
-                kernel = _kern.ExponentialKernel(
-                    g.get("kernel", "rate", required=True, default=1.0))
-            elif kkind == "erlang":
-                kernel = _kern.ErlangKernel(
-                    g.get("kernel", "rate", required=True, default=1.0))
-            elif kkind == "dirac":
-                kernel = _kern.DiracKernel(
-                    g.get("kernel", "lag", required=True, default=0.0))
+            if kkind in _KERNELS:
+                cls, keys = _KERNELS[kkind]
+                kernel = cls(*[g.get("kernel", key, required=req, default=dflt)
+                               for key, req, dflt in keys])
             elif kkind is not None:
                 errors.append(f"{_loc(kline)}: [kernel] kind = {kkind!r}: "
                               f"must be uniform, exponential, erlang or dirac")
         except ValueError as exc:
             errors.append(f"{_loc(kline)}: [kernel] {exc}")
-        if kind in ("scalar-18", "planar-19") and kkind not in (None, "dirac"):
+        if fractional and kkind not in (None, "dirac"):
             errors.append(f"{_loc(kline)}: kind = {kind} requires a dirac "
                           f"kernel")
 
@@ -285,14 +371,14 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
     frac = None
     if kind is not None:
-        if kind in _NEEDS_FRAC and not g.has_section("fractional"):
+        if fractional and not g.has_section("fractional"):
             errors.append(f"{_loc(kind_line)}: kind = {kind} requires a "
                           f"[fractional] section")
-        if kind not in _NEEDS_FRAC and g.has_section("fractional"):
+        if not fractional and g.has_section("fractional"):
             errors.append(f"line {g.section_line('fractional')}: "
                           f"[fractional] section is not allowed for "
                           f"kind = {kind}")
-    if g.has_section("fractional") and kind in _NEEDS_FRAC:
+    if g.has_section("fractional") and fractional:
         order = g.get("fractional", "order", required=True, default=0.5)
         iters = g.get("fractional", "corrector_iterations", conv=int,
                       default=1)
@@ -316,7 +402,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
                     f"{_loc(g.line_of('fractional', 'order', mem_line))}: "
                     f"[fractional] {exc}")
 
-    dim = _DIM.get(kind, 3)
+    dim = spec.dim if spec is not None else 3
     x0_list = g.get("run", "x0", conv=_floats_csv, required=True)
     x0 = np.zeros(dim)
     if x0_list is not None:
@@ -348,11 +434,10 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         elif axis == "tau" and not isinstance(kernel, _kern.DiracKernel):
             errors.append(f"{_loc(axis_line)}: [scan] axis = tau requires "
                           f"a dirac kernel")
-        elif axis == "alpha" and kind not in _NEEDS_FRAC:
+        elif axis == "alpha" and not fractional:
             errors.append(f"{_loc(axis_line)}: [scan] axis = alpha requires "
                           f"a fractional kind")
-        elif axis == "m" and kind not in ("fractional", "fractional-revised",
-                                          "ep-delayed"):
+        elif axis == "m" and (spec is None or spec.set_m is None):
             errors.append(f"{_loc(axis_line)}: [scan] axis = m is not "
                           f"defined for kind = {kind}")
         if steps is not None and steps < 0:
@@ -364,95 +449,32 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     g.sweep_unknown()
     if errors:
         raise ConfigError(errors)
-    return RunConfig(kind=kind, body=body, inertia=inertia,
-                     scalar_a=scalar_a, planar_k=planar_k, kernel=kernel,
-                     frac=frac, x0=x0, t_end=t_end, step=step,
-                     quad_step=quad_step, out=out, equilibrium=equilibrium,
-                     eq_m=eq_m, scan=scan)
-
-
-def _diagnostics_for(cfg: RunConfig):
-    if cfg.kind in _RIGID_KINDS:
-        p = cfg.body
-        return {"h": lambda x: _models.hamiltonian(p, x),
-                "c": _models.casimir}
-    if cfg.kind == "ep-delayed":
-        s = cfg.inertia
-        inertia = np.array([s.I1, s.I2, s.I3])
-
-        def energy(x):
-            return 0.5 * float(np.dot(inertia * x, x))
-
-        def momentum_c(x):
-            return 0.5 * float(np.dot(inertia * x, inertia * x))
-
-        return {"h": energy, "c": momentum_c}
-    return {}
-
-
-def _rhs_pair_for(cfg: RunConfig):
-    if cfg.kind == "delayed":
-        p = cfg.body
-        return lambda x, xd: _models.rhs_delayed(p, x, xd)
-    if cfg.kind == "revised-delayed":
-        p = cfg.body
-        return lambda x, xd: _models.rhs_revised_delayed(p, x, xd)
-    if cfg.kind == "ep-delayed":
-        s = cfg.inertia
-        return lambda x, xd: _models.rhs_ep_delayed(s, x, xd)
-    if cfg.kind == "scalar-18":
-        a = cfg.scalar_a
-        return lambda x, xd: a * xd
-    if cfg.kind == "planar-19":
-        k1, k2 = cfg.planar_k
-        return lambda x, xd: np.array([x[1] - k1 * x[0],
-                                       -(k1 + k2) * x[1] + xd[0]])
-    raise ConfigError([f"kind = {cfg.kind} has no delayed right-hand side"])
+    return RunConfig(kind=kind, params=params, kernel=kernel, frac=frac,
+                     x0=x0, t_end=t_end, step=step, quad_step=quad_step,
+                     out=out, equilibrium=equilibrium, eq_m=eq_m, scan=scan)
 
 
 def _run_simulation(cfg: RunConfig):
-    diag = _diagnostics_for(cfg)
-    if cfg.kind == "classical":
-        p = cfg.body
-        return integrate_rk4(lambda x: _models.rhs_classical(p, x), cfg.x0,
-                             cfg.t_end, cfg.step, diagnostics=diag)
-    if cfg.kind == "revised":
-        p = cfg.body
-        return integrate_rk4(lambda x: _models.rhs_revised(p, x), cfg.x0,
-                             cfg.t_end, cfg.step, diagnostics=diag)
-    if cfg.kind in ("delayed", "revised-delayed", "ep-delayed"):
-        pair = _rhs_pair_for(cfg)
-        phi = HistorySpec.constant(cfg.x0)
-        chain = _kern.chain_reduce(cfg.kernel)
-        if chain is not None:
-            return integrate_chain(pair, chain, phi, cfg.t_end, cfg.step,
-                                   quad_step=cfg.quad_step, diagnostics=diag)
-        return integrate_dde(pair, cfg.kernel, phi, cfg.t_end, cfg.step,
-                             quad_step=cfg.quad_step, diagnostics=diag)
-    if cfg.kind in ("fractional", "fractional-revised"):
-        p = cfg.body
-        rhs = (lambda x: _models.rhs_classical(p, x)) \
-            if cfg.kind == "fractional" \
-            else (lambda x: _models.rhs_revised(p, x))
-        return integrate_frac_abm(rhs, cfg.frac, cfg.x0, cfg.t_end,
-                                  diagnostics=diag)
-    if cfg.kind in ("scalar-18", "planar-19"):
-        pair = _rhs_pair_for(cfg)
-        phi = HistorySpec.constant(cfg.x0)
+    kind = _KINDS[cfg.kind]
+    diag = kind.diagnostics(cfg.params)
+    if kind.rhs is not None:
+        rhs = kind.rhs(cfg.params)
+        if kind.fractional:
+            return integrate_frac_abm(rhs, cfg.frac, cfg.x0, cfg.t_end,
+                                      diagnostics=diag)
+        return integrate_rk4(rhs, cfg.x0, cfg.t_end, cfg.step,
+                             diagnostics=diag)
+    pair = kind.pair(cfg.params)
+    phi = HistorySpec.constant(cfg.x0)
+    if kind.fractional:
         return integrate_frac_dde(pair, cfg.frac, cfg.kernel, phi, cfg.t_end,
-                                  quad_step=cfg.quad_step)
-    raise ConfigError([f"cannot simulate kind = {cfg.kind}"])
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
-
-
-def _header_only_columns(cfg: RunConfig) -> list[str]:
-    dim = _DIM.get(cfg.kind, 3)
-    cols = ["t"] + [f"x{i + 1}" for i in range(dim)]
-    cols += list(_diagnostics_for(cfg).keys())
-    return cols
+                                  quad_step=cfg.quad_step, diagnostics=diag)
+    chain = _kern.chain_reduce(cfg.kernel)
+    if chain is not None:
+        return integrate_chain(pair, chain, phi, cfg.t_end, cfg.step,
+                               quad_step=cfg.quad_step, diagnostics=diag)
+    return integrate_dde(pair, cfg.kernel, phi, cfg.t_end, cfg.step,
+                         quad_step=cfg.quad_step, diagnostics=diag)
 
 
 def _rel_drift(series: np.ndarray) -> float:
@@ -463,8 +485,10 @@ def _rel_drift(series: np.ndarray) -> float:
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     """Run the configured system and write the trajectory CSV."""
     if cfg.t_end == 0:
+        cols = ["t"] + [f"x{i + 1}" for i in range(cfg.x0.size)]
+        cols += _KINDS[cfg.kind].diagnostics(cfg.params)
         with open(out_path, "w", newline="") as fh:
-            fh.write(",".join(_header_only_columns(cfg)) + "\n")
+            fh.write(",".join(cols) + "\n")
         print(f"kind = {cfg.kind}")
         print("samples = 0")
         print(f"wrote = {out_path}")
@@ -486,44 +510,12 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     return 0
 
 
-def _basic_report(cfg: RunConfig) -> _stab.StabilityReport:
-    if cfg.kind in ("fractional", "fractional-revised"):
-        q = _stab.char_frac_equilibrium(cfg.body, cfg.equilibrium, cfg.eq_m,
-                                        revised=cfg.kind.endswith("revised"))
-        rep = _stab.matignon_classify(q, cfg.frac.order)
-        rep.metadata["char_poly"] = (f"w^2 + ({_fmt(q.c1)})*w "
-                                     f"+ ({_fmt(q.c0)})")
-        rep.metadata["equilibrium"] = cfg.equilibrium
-        return rep
-    if cfg.kind == "ep-delayed":
-        s = cfg.inertia
-        kernel = cfg.kernel
-        count, boundary = _stab.count_rhp_roots(
-            lambda lam: _stab.char_ep_eval(s, kernel, lam))
-        if boundary < 1e-9 or count < 0:
-            verdict = _stab.MARGINAL
-        else:
-            verdict = _stab.STABLE if count == 0 else _stab.UNSTABLE
-        rep = _stab.StabilityReport(verdict=verdict, structural_zero_roots=1,
-                                    metadata={"rhp_root_count": count})
-        return rep
-    if cfg.kind == "scalar-18":
-        return _stab.scalar_frac_delay_check(cfg.scalar_a, cfg.frac.order,
-                                             cfg.kernel.lag)
-    if cfg.kind == "planar-19":
-        return _stab.planar_frac_delay_check(*cfg.planar_k, cfg.frac.order,
-                                             cfg.kernel.lag)
-    raise ConfigError([f"stability analysis is not defined for "
-                       f"kind = {cfg.kind}"])
-
-
-def _report_param(cfg: RunConfig) -> float:
-    if cfg.kind in ("fractional", "fractional-revised", "scalar-18",
-                    "planar-19") and cfg.frac is not None:
-        return cfg.frac.order
-    if isinstance(cfg.kernel, _kern.DiracKernel):
-        return cfg.kernel.lag
-    return float("nan")
+def _report(cfg: RunConfig) -> _stab.StabilityReport:
+    report = _KINDS[cfg.kind].report
+    if report is None:
+        raise ConfigError([f"stability analysis is not defined for "
+                           f"kind = {cfg.kind}"])
+    return report(cfg)
 
 
 def _report_row(param: float, rep: _stab.StabilityReport) -> str:
@@ -540,24 +532,26 @@ _SCAN_HEADER = "param,root_re,root_im,margin,verdict"
 
 def cmd_stability(cfg: RunConfig, out_path: str) -> int:
     """Analyze the configured equilibrium; write a text block plus CSV rows."""
+    kind = _KINDS[cfg.kind]
     try:
-        rep = _basic_report(cfg)
-        if cfg.kind == "ep-delayed":
-            rep.metadata["tau_c_formula"] = repr(
-                _stab.tau_c_formula(cfg.inertia))
-            crossing = _stab.critical_delay_scan(cfg.inertia)
-            rep.critical_delay = crossing
-            if isinstance(cfg.kernel, _kern.DiracKernel):
-                rep.metadata["kernel_lag"] = repr(cfg.kernel.lag)
+        rep = _report(cfg)
+        if kind.details is not None:
+            kind.details(cfg, rep)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
     text = f"kind = {cfg.kind}\n" + rep.to_text()
     with open(out_path, "w", newline="") as fh:
         fh.write(text)
+    if kind.fractional:
+        param = cfg.frac.order
+    elif isinstance(cfg.kernel, _kern.DiracKernel):
+        param = cfg.kernel.lag
+    else:
+        param = float("nan")
     rows_path = out_path + ".rows.csv"
     with open(rows_path, "w", newline="") as fh:
         fh.write(_SCAN_HEADER + "\n")
-        fh.write(_report_row(_report_param(cfg), rep) + "\n")
+        fh.write(_report_row(param, rep) + "\n")
     print(f"kind = {cfg.kind}")
     print(f"verdict = {rep.verdict}")
     if rep.critical_delay is not None:
@@ -571,14 +565,10 @@ def _cfg_with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "tau":
         return dataclasses.replace(cfg, kernel=_kern.DiracKernel(value))
     if axis == "alpha":
-        frac = cfg.frac or FracConfig(order=0.5, h=cfg.step)
         return dataclasses.replace(
-            cfg, frac=dataclasses.replace(frac, order=value))
+            cfg, frac=dataclasses.replace(cfg.frac, order=value))
     if axis == "m":
-        if cfg.kind == "ep-delayed":
-            return dataclasses.replace(
-                cfg, inertia=dataclasses.replace(cfg.inertia, m=value))
-        return dataclasses.replace(cfg, eq_m=value)
+        return _KINDS[cfg.kind].set_m(cfg, value)
     raise ConfigError([f"unknown scan axis {axis!r}"])
 
 
@@ -593,7 +583,7 @@ def cmd_scan(cfg: RunConfig, out_path: str) -> int:
     for value in grid:
         try:
             point = _cfg_with_axis(cfg, sweep.axis, float(value))
-            rep = _basic_report(point)
+            rep = _report(point)
             rows.append(_report_row(float(value), rep))
         except Exception as exc:  # per-point failure: record and continue
             msg = str(exc).replace(",", ";").replace("\n", " ")

@@ -35,7 +35,6 @@ __all__ = [
     "integrate_chain",
     "integrate_frac_abm",
     "integrate_frac_dde",
-    "dense_eval",
     "write_trajectory_csv",
 ]
 
@@ -143,12 +142,8 @@ class Trajectory:
                              self.n_samples, ts)
 
     def eval(self, t: float) -> np.ndarray:
+        """Cubic Hermite interpolation at time ``t`` (exact at nodes)."""
         return self.eval_many(np.array([float(t)]))[0]
-
-
-def dense_eval(traj: Trajectory, t: float) -> np.ndarray:
-    """Cubic Hermite interpolation of ``traj`` at time ``t`` (exact at nodes)."""
-    return traj.eval(t)
 
 
 class HistorySpec:
@@ -310,6 +305,23 @@ def _default_quad_step(kernel, h: float) -> float:
     return min(h, span / 16.0)
 
 
+def _delayed_argument(kernel, grid: _RunningGrid, quad_step):
+    """The delayed argument xd(t, stage_state) over ``grid``, chosen once.
+
+    A zero-lag Dirac kernel returns the stage state itself, so the run
+    reduces bitwise to the delay-free scheme; a Dirac kernel samples the
+    lagged time; any other kernel averages the history by quadrature
+    with ``quad_step`` (a default step from the kernel support if None).
+    """
+    if isinstance(kernel, _kern.DiracKernel):
+        if kernel.lag == 0.0:
+            return lambda t, x: x
+        return lambda t, x: grid.eval_many(np.array([t - kernel.lag]))[0]
+    if quad_step is None:
+        quad_step = _default_quad_step(kernel, grid.h)
+    return lambda t, x: _kern.convolve_history(kernel, grid, t, quad_step)
+
+
 def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
                   quad_step=None, diagnostics=None) -> Trajectory:
     """Method-of-steps RK4 for dx/dt = rhs_pair(x, xd) with delayed xd.
@@ -319,21 +331,10 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     exactly, and a zero-lag Dirac kernel substitutes the stage state itself
     so the run reduces bitwise to the ordinary RK4 path.
     """
-    dirac = isinstance(kernel, _kern.DiracKernel)
-    if not dirac and quad_step is None:
-        quad_step = _default_quad_step(kernel, h)
     x0 = phi(0.0)
     n = _n_steps(t_end, h)
     grid = _RunningGrid(phi, 0.0, h, n, x0.size)
-    dirac_zero = dirac and kernel.lag == 0.0
-
-    def delayed_state(tq, stage_state):
-        if dirac_zero:
-            return stage_state
-        if dirac:
-            return grid.eval_many(np.array([tq - kernel.lag]))[0]
-        return _kern.convolve_history(kernel, grid, tq, quad_step)
-
+    delayed_state = _delayed_argument(kernel, grid, quad_step)
     f0 = rhs_pair(x0, delayed_state(0.0, x0))
     grid.append(x0, f0)
     half = 0.5 * h
@@ -530,20 +531,10 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     consistent sliver.  A zero-lag Dirac kernel reduces the scheme bitwise
     to :func:`integrate_frac_abm`.
     """
-    dirac = isinstance(kernel, _kern.DiracKernel)
-    if not dirac and quad_step is None:
-        quad_step = _default_quad_step(kernel, cfg.h)
     x0 = phi(0.0)
     n = _n_steps(t_end, cfg.h)
     grid = _RunningGrid(phi, 0.0, cfg.h, n, x0.size)
-    dirac_zero = dirac and kernel.lag == 0.0
-
-    def delayed_state(tq, cur):
-        if dirac_zero:
-            return cur
-        if dirac:
-            return grid.eval_many(np.array([tq - kernel.lag]))[0]
-        return _kern.convolve_history(kernel, grid, tq, quad_step)
+    delayed_state = _delayed_argument(kernel, grid, quad_step)
 
     def eval_g(step, phase, x):
         t_next = (step + 1) * cfg.h

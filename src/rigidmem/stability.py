@@ -33,6 +33,7 @@ __all__ = [
     "critical_delay_scan",
     "frac_delay_char_eval",
     "count_rhp_roots",
+    "ep_delayed_check",
     "scalar_frac_delay_check",
     "planar_frac_delay_check",
 ]
@@ -392,6 +393,20 @@ def _count_verdict(count: int, boundary_ratio: float) -> str:
     if boundary_ratio < _BOUNDARY_TOL or count < 0:
         return MARGINAL
     return STABLE if count == 0 else UNSTABLE
+
+
+def ep_delayed_check(s: InertiaSetup, kernel) -> StabilityReport:
+    """Verdict for the delayed Euler-Poincare equilibrium under ``kernel``.
+
+    Counts right-half-plane zeros of the reduced bracket of
+    :func:`char_ep_eval` by the argument principle; the structural lambda
+    factor of the full characteristic equation is reported as one zero
+    root.
+    """
+    count, boundary = count_rhp_roots(lambda lam: char_ep_eval(s, kernel, lam))
+    return StabilityReport(verdict=_count_verdict(count, boundary),
+                           structural_zero_roots=1,
+                           metadata={"rhp_root_count": count})
 
 
 def scalar_frac_delay_check(a: float, order: float,

@@ -20,6 +20,8 @@ REPO = Path(__file__).resolve().parents[1]
 P321 = models.RigidBodyParams(3, 2, 1)
 S321 = models.InertiaSetup(3, 2, 1, coupling=1.0, m=1.0)
 X111 = np.array([1.0, 1.0, 1.0])
+#: a start off the separatrix h = a2*c that X111 lies on
+X_GENERIC = np.array([1.0, 0.5, 0.2])
 DIAG = {"h": lambda x: models.hamiltonian(P321, x), "c": models.casimir}
 
 
@@ -33,25 +35,27 @@ def _drift(series):
 
 
 def test_c01_conservation_suite():
-    start = time.perf_counter()
-    traj = integrate_rk4(lambda x: models.rhs_classical(P321, x), X111,
-                         50.0, 1e-3, diagnostics=DIAG)
-    runtime = time.perf_counter() - start
-    hd = _drift(traj.diagnostics["h"])
-    cd = _drift(traj.diagnostics["c"])
-    _report("C1 conservation",
-            hd < 1e-8 and cd < 1e-8 and runtime < 5.0,
-            f"h drift {hd:.2e}, c drift {cd:.2e}, runtime {runtime:.2f}s")
+    for x0 in (X111, X_GENERIC):
+        start = time.perf_counter()
+        traj = integrate_rk4(lambda x: models.rhs_classical(P321, x), x0,
+                             50.0, 1e-3, diagnostics=DIAG)
+        runtime = time.perf_counter() - start
+        hd = _drift(traj.diagnostics["h"])
+        cd = _drift(traj.diagnostics["c"])
+        _report(f"C1 conservation, x0 = {x0}",
+                hd < 1e-8 and cd < 1e-8 and runtime < 5.0,
+                f"h drift {hd:.2e}, c drift {cd:.2e}, runtime {runtime:.2f}s")
 
 
 def test_c02_metriplectic_suite():
-    traj = integrate_rk4(lambda x: models.rhs_revised(P321, x), X111,
-                         50.0, 1e-3, diagnostics=DIAG)
-    hd = _drift(traj.diagnostics["h"])
-    worst_increase = float(np.max(np.diff(traj.diagnostics["c"])))
-    _report("C2 metriplectic",
-            hd < 1e-8 and worst_increase <= 1e-12,
-            f"h drift {hd:.2e}, worst c increase {worst_increase:.2e}")
+    for x0 in (X111, X_GENERIC):
+        traj = integrate_rk4(lambda x: models.rhs_revised(P321, x), x0,
+                             50.0, 1e-3, diagnostics=DIAG)
+        hd = _drift(traj.diagnostics["h"])
+        worst_increase = float(np.max(np.diff(traj.diagnostics["c"])))
+        _report(f"C2 metriplectic, x0 = {x0}",
+                hd < 1e-8 and worst_increase <= 1e-12,
+                f"h drift {hd:.2e}, worst c increase {worst_increase:.2e}")
 
 
 def test_c03_reduction_identities():

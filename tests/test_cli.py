@@ -78,7 +78,7 @@ class TestParseConfig:
     def test_minimal_classical(self):
         cfg = cli.parse_config(CLASSICAL)
         assert cfg.kind == "classical"
-        assert isinstance(cfg.body, models.RigidBodyParams)
+        assert isinstance(cfg.params, models.RigidBodyParams)
         assert np.array_equal(cfg.x0, [1.0, 1.0, 1.0])
         assert cfg.t_end == 0.5 and cfg.step == 0.01
 

@@ -7,7 +7,7 @@ from rigidmem import kernels, models
 from rigidmem.errors import DivergenceError, HistoryCoverageError
 from rigidmem.fraccalc import mittag_leffler
 from rigidmem.integrators import (FracConfig, HistorySpec, Trajectory,
-                                  dense_eval, integrate_chain, integrate_dde,
+                                  integrate_chain, integrate_dde,
                                   integrate_frac_abm, integrate_frac_dde,
                                   integrate_rk4, write_trajectory_csv)
 
@@ -83,24 +83,24 @@ class TestDenseEval:
         traj, poly = self._cubic_traj()
         for k in (0, 3, 8):
             t = traj.times[k]
-            assert np.array_equal(dense_eval(traj, t), traj.states[k])
+            assert np.array_equal(traj.eval(t), traj.states[k])
 
     def test_cubic_reproduced(self):
         traj, poly = self._cubic_traj()
         for t in np.linspace(0.01, 1.99, 37):
-            assert np.max(np.abs(dense_eval(traj, t) - poly(t))) < 1e-13
+            assert np.max(np.abs(traj.eval(t) - poly(t))) < 1e-13
 
     def test_linear_interpolation(self):
         traj = Trajectory(0.0, 1.0, np.array([[0.0], [2.0]]),
                           np.array([[2.0], [2.0]]))
-        assert dense_eval(traj, 0.25)[0] == pytest.approx(0.5)
+        assert traj.eval(0.25)[0] == pytest.approx(0.5)
 
     def test_out_of_range(self):
         traj, _ = self._cubic_traj()
         with pytest.raises(ValueError):
-            dense_eval(traj, 2.5)
+            traj.eval(2.5)
         with pytest.raises(ValueError):
-            dense_eval(traj, -0.1)
+            traj.eval(-0.1)
 
 
 class TestHistorySpec:
