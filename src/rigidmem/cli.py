@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -54,7 +55,7 @@ from .errors import ConfigError, DivergenceError
 from .integrators import (FracConfig, HistorySpec, _fmt, integrate_chain,
                           integrate_dde, integrate_frac_abm,
                           integrate_frac_dde, integrate_rk4,
-                          write_trajectory_csv)
+                          trajectory_columns, write_trajectory_csv)
 
 __all__ = ["RunConfig", "ScanSpec", "parse_config", "cmd_simulate",
            "cmd_stability", "cmd_scan", "main"]
@@ -362,12 +363,16 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     step = g.get("run", "step", required=True, default=1e-3)
     quad_step = g.get("run", "quad_step")
     run_line = g.section_line("run")
-    if t_end is not None and t_end < 0:
-        errors.append(f"{_loc(g.line_of('run', 't_end', run_line))}: "
-                      f"[run] t_end must be >= 0")
-    if step is not None and step <= 0:
-        errors.append(f"{_loc(g.line_of('run', 'step', run_line))}: "
-                      f"[run] step must be > 0")
+    for key, value, zero_ok in (("t_end", t_end, True), ("step", step, False),
+                                ("quad_step", quad_step, False)):
+        if value is not None and not math.isfinite(value):
+            problem = "must be finite"
+        elif value is not None and (value < 0 or value == 0 and not zero_ok):
+            problem = "must be >= 0" if zero_ok else "must be > 0"
+        else:
+            continue
+        errors.append(f"{_loc(g.line_of('run', key, run_line))}: "
+                      f"[run] {key} {problem}")
 
     frac = None
     if kind is not None:
@@ -392,7 +397,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             except ValueError:
                 errors.append(f"{_loc(mem_line)}: [fractional] memory must "
                               f"be 'full' or an integer window")
-        if order is not None and step is not None and step > 0:
+        if order is not None and step is not None and 0 < step < math.inf:
             try:
                 frac = FracConfig(order=order, h=step,
                                   corrector_iters=iters,
@@ -485,8 +490,11 @@ def _rel_drift(series: np.ndarray) -> float:
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     """Run the configured system and write the trajectory CSV."""
     if cfg.t_end == 0:
-        cols = ["t"] + [f"x{i + 1}" for i in range(cfg.x0.size)]
-        cols += _KINDS[cfg.kind].diagnostics(cfg.params)
+        # chain_reduce(kernel) is None on every route but the chain's
+        chain = _kern.chain_reduce(cfg.kernel)
+        dim = cfg.x0.size
+        cols = trajectory_columns(dim, _KINDS[cfg.kind].diagnostics(
+            cfg.params), chain.stages * dim if chain else 0)
         with open(out_path, "w", newline="") as fh:
             fh.write(",".join(cols) + "\n")
         print(f"kind = {cfg.kind}")

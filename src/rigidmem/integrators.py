@@ -147,50 +147,43 @@ class Trajectory:
 
 
 class HistorySpec:
-    """Initial function phi on (-inf, 0]: constant, callable, or a trajectory."""
+    """Initial function phi on (-inf, 0]: constant, callable, or a trajectory.
 
-    def __init__(self, kind, payload, dim):
-        self._kind = kind
-        self._payload = payload
+    ``eval_many(ss)`` returns phi at the times ``ss`` as a (len(ss), dim)
+    array; each constructor classmethod builds it for its kind of phi.
+    """
+
+    def __init__(self, eval_many, dim: int, is_constant: bool = False):
+        self.eval_many = eval_many
         self.dim = dim
+        self.is_constant = is_constant
 
     @classmethod
     def constant(cls, value) -> "HistorySpec":
         arr = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls("constant", arr, arr.size)
+        return cls(lambda ss: np.broadcast_to(arr, (np.size(ss), arr.size)),
+                   arr.size, is_constant=True)
 
     @classmethod
     def from_callable(cls, fn) -> "HistorySpec":
+        def eval_many(ss):
+            return np.stack([np.atleast_1d(np.asarray(fn(s), dtype=float))
+                             for s in np.asarray(ss, dtype=float)])
+
         probe = np.atleast_1d(np.asarray(fn(0.0), dtype=float))
-        return cls("callable", fn, probe.size)
+        return cls(eval_many, probe.size)
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory) -> "HistorySpec":
-        return cls("trajectory", traj, traj.states.shape[1])
-
-    @property
-    def is_constant(self) -> bool:
-        return self._kind == "constant"
-
-    @property
-    def constant_value(self) -> np.ndarray:
-        if not self.is_constant:
-            raise ValueError("history is not constant")
-        return self._payload
-
-    def eval_many(self, ss) -> np.ndarray:
-        ss = np.asarray(ss, dtype=float)
-        if self._kind == "constant":
-            return np.broadcast_to(self._payload, (ss.size, self.dim))
-        if self._kind == "trajectory":
+        def eval_many(ss):
             try:
-                return self._payload.eval_many(ss)
+                return traj.eval_many(ss)
             except ValueError as exc:
                 raise HistoryCoverageError(
                     f"history segment does not cover requested times: {exc}"
                 ) from exc
-        return np.stack([np.atleast_1d(np.asarray(self._payload(s), dtype=float))
-                         for s in ss])
+
+        return cls(eval_many, traj.states.shape[1])
 
     def __call__(self, s: float) -> np.ndarray:
         return self.eval_many(np.array([float(s)]))[0]
@@ -199,13 +192,13 @@ class HistorySpec:
 class _RunningGrid:
     """Partially built trajectory spliced with phi, for delayed lookups.
 
-    Evaluation below t0 defers to phi; within the accepted nodes it uses
+    Evaluation below t0 defers to phi; within the written nodes it uses
     cubic Hermite; up to one step past the last node it extrapolates the
     final cubic piece (stage evaluations during the current step).
     """
 
-    def __init__(self, phi: HistorySpec, t0: float, h: float, n_steps: int,
-                 dim: int):
+    def __init__(self, phi: HistorySpec | None, t0: float, h: float,
+                 n_steps: int, dim: int):
         self.phi = phi
         self.t0 = t0
         self.h = h
@@ -213,33 +206,23 @@ class _RunningGrid:
         self.derivs = np.zeros((n_steps + 1, dim))
         self.count = 0
 
-    def append(self, x, f=None) -> None:
-        k = self.count
-        self.states[k] = x
-        if f is not None:
-            self.derivs[k] = f
-        else:
-            self._refresh_fd(k)
+    def put(self, k: int, x, f=None) -> None:
+        """Write node ``k``: the next node, or the newest node again.
+
+        Without a slope ``f`` the slopes are finite differences: one-sided
+        at node k and centred at node k - 1 (node 0 copies node 1's).
+        """
+        states, derivs = self.states, self.derivs
+        states[k] = x
         self.count = k + 1
-
-    def set_last_deriv(self, f) -> None:
-        self.derivs[self.count - 1] = f
-
-    def replace_last(self, x) -> None:
-        k = self.count - 1
-        self.states[k] = x
-        if k >= 1:
-            self._refresh_fd(k)
-
-    def _refresh_fd(self, k: int) -> None:
-        # finite-difference slopes; the newest node gets a one-sided estimate
-        h = self.h
-        if k >= 1:
-            self.derivs[k] = (self.states[k] - self.states[k - 1]) / h
+        if f is not None:
+            derivs[k] = f
+        elif k >= 1:
+            derivs[k] = (states[k] - states[k - 1]) / self.h
             if k == 1:
-                self.derivs[0] = self.derivs[1]
-        if k >= 2:
-            self.derivs[k - 1] = (self.states[k] - self.states[k - 2]) / (2 * h)
+                derivs[0] = derivs[1]
+            else:
+                derivs[k - 1] = (states[k] - states[k - 2]) / (2 * self.h)
 
     def eval_many(self, us) -> np.ndarray:
         us = np.asarray(us, dtype=float)
@@ -260,11 +243,32 @@ class _RunningGrid:
 
 
 def _compute_diagnostics(states, core_dim, diagnostics):
-    if not diagnostics:
-        return {}
     core = states[:, :core_dim]
     return {name: np.array([fn(row) for row in core])
-            for name, fn in diagnostics.items()}
+            for name, fn in (diagnostics or {}).items()}
+
+
+def _rk4_loop(field, grid: _RunningGrid, n: int, h: float) -> None:
+    """Classical RK4 steps 0..n-1 for dx/dt = field(t, x) on ``grid``.
+
+    Node 0 and its slope must already be written.  Each new node is put
+    first with its k4 slope, so that a delayed lookup inside ``field`` at
+    the new node sees the finished step, then with its own slope.
+    """
+    half = 0.5 * h
+    sixth = h / 6.0
+    put, states, derivs = grid.put, grid.states, grid.derivs
+    for k in range(n):
+        t = k * h
+        x = states[k]
+        k1 = derivs[k]
+        k2 = field(t + half, x + half * k1)
+        k3 = field(t + half, x + half * k2)
+        k4 = field(t + h, x + h * k3)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        _check_state(x, t)
+        put(k + 1, x, k4)
+        put(k + 1, x, field(t + h, x))
 
 
 def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
@@ -274,27 +278,14 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
     ``rhs`` maps a state vector to its derivative.  Aborts with
     :class:`DivergenceError` when the state leaves the finite trust region.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = _n_steps(t_end, h)
-    dim = x.size
-    states = np.empty((n + 1, dim))
-    derivs = np.empty((n + 1, dim))
-    states[0] = x
-    derivs[0] = rhs(x)
-    half = 0.5 * h
-    sixth = h / 6.0
-    for k in range(n):
-        k1 = derivs[k]
-        k2 = rhs(x + half * k1)
-        k3 = rhs(x + half * k2)
-        k4 = rhs(x + h * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_state(x, k * h)
-        states[k + 1] = x
-        derivs[k + 1] = rhs(x)
-    core = dim if core_dim is None else core_dim
-    diag = _compute_diagnostics(states, core, diagnostics)
-    return Trajectory(0.0, h, states, derivs, diag, core_dim=core)
+    grid = _RunningGrid(None, 0.0, h, n, x0.size)
+    grid.put(0, x0, rhs(x0))
+    _rk4_loop(lambda t, x: rhs(x), grid, n, h)
+    core = x0.size if core_dim is None else core_dim
+    diag = _compute_diagnostics(grid.states, core, diagnostics)
+    return Trajectory(0.0, h, grid.states, grid.derivs, diag, core_dim=core)
 
 
 def _default_quad_step(kernel, h: float) -> float:
@@ -334,26 +325,13 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     x0 = phi(0.0)
     n = _n_steps(t_end, h)
     grid = _RunningGrid(phi, 0.0, h, n, x0.size)
-    delayed_state = _delayed_argument(kernel, grid, quad_step)
-    f0 = rhs_pair(x0, delayed_state(0.0, x0))
-    grid.append(x0, f0)
-    half = 0.5 * h
-    sixth = h / 6.0
-    for k in range(n):
-        tn = k * h
-        xn = grid.states[k]
-        k1 = grid.derivs[k]
-        xs = xn + half * k1
-        k2 = rhs_pair(xs, delayed_state(tn + half, xs))
-        xs = xn + half * k2
-        k3 = rhs_pair(xs, delayed_state(tn + half, xs))
-        xs = xn + h * k3
-        k4 = rhs_pair(xs, delayed_state(tn + h, xs))
-        x_next = xn + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_state(x_next, tn)
-        grid.append(x_next, k4)
-        f_next = rhs_pair(x_next, delayed_state(tn + h, x_next))
-        grid.set_last_deriv(f_next)
+    delayed = _delayed_argument(kernel, grid, quad_step)
+
+    def field(t, x):
+        return rhs_pair(x, delayed(t, x))
+
+    grid.put(0, x0, field(0.0, x0))
+    _rk4_loop(field, grid, n, h)
     diag = _compute_diagnostics(grid.states, x0.size, diagnostics)
     return Trajectory(0.0, h, grid.states, grid.derivs, diag)
 
@@ -375,9 +353,8 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
     if phi.is_constant:
         stage0 = [x0.copy() for _ in range(chain.stages)]
     else:
-        stage_kernels = [_kern.ExponentialKernel(rate)]
-        if chain.stages == 2:
-            stage_kernels.append(_kern.ErlangKernel(rate))
+        stage_kernels = [_kern.ExponentialKernel(rate),
+                         _kern.ErlangKernel(rate)][:chain.stages]
         qs = quad_step
         if qs is None:
             qs = _kern.effective_support(stage_kernels[-1])[1] / 256.0
@@ -446,11 +423,11 @@ def _abm_weights(alpha: float, n_steps: int):
 
 
 def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
-    """Shared PECE loop; ``eval_g`` supplies the right-hand side per phase.
+    """Shared PECE loop over nodes 0..n.
 
-    eval_g(step, phase, x) is called with phase "init" (node 0),
-    "predict"/"correct" (iterates at t_{step+1}), and "accept" (the final
-    node value); it returns the Caputo right-hand side at that state.
+    eval_g(k, x) returns the Caputo right-hand side at ``x`` taken as the
+    value of node k: node 0, then for each new node its predicted and
+    corrected iterates and finally its accepted value.
     """
     h = cfg.h
     alpha = cfg.order
@@ -461,14 +438,13 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
     states = np.empty((n + 1, dim))
     gs = np.empty((n + 1, dim))
     states[0] = x0
-    gs[0] = eval_g(0, "init", x0)
+    gs[0] = eval_g(0, x0)
     window = cfg.memory_window
     trunc_bound = 0.0
     max_g_norm = float(np.linalg.norm(gs[0]))
     for step in range(n):
         j0 = 0 if window is None else max(0, step + 1 - window)
-        pred_hist = beta[: step + 1 - j0][::-1] @ gs[j0: step + 1]
-        x_pred = x0 + pred_scale * pred_hist
+        xc = x0 + pred_scale * (beta[: step + 1 - j0][::-1] @ gs[j0: step + 1])
         if j0 == 0:
             hist = a0[step] * gs[0]
             jc = 1
@@ -477,15 +453,11 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
             jc = j0
         if step >= jc:
             hist = hist + c[: step - jc + 1][::-1] @ gs[jc: step + 1]
-        xc = x_pred
-        phase = "predict"
         for _ in range(cfg.corrector_iters):
-            g = eval_g(step, phase, xc)
-            xc = x0 + corr_scale * (g + hist)
-            phase = "correct"
+            xc = x0 + corr_scale * (eval_g(step + 1, xc) + hist)
         _check_state(xc, step * h)
         states[step + 1] = xc
-        gs[step + 1] = eval_g(step, "accept", xc)
+        gs[step + 1] = eval_g(step + 1, xc)
         max_g_norm = max(max_g_norm, float(np.linalg.norm(gs[step + 1])))
         if j0 > 0:
             dropped_mass = pred_scale * (pow_a[step + 1] - pow_a[step + 1 - j0])
@@ -511,11 +483,7 @@ def integrate_frac_abm(rhs, cfg: FracConfig, x0, t_end, *,
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = _n_steps(t_end, cfg.h)
-
-    def eval_g(step, phase, x):
-        return rhs(x)
-
-    states, derivs, meta = _frac_loop(cfg, x0, n, eval_g)
+    states, derivs, meta = _frac_loop(cfg, x0, n, lambda k, x: rhs(x))
     diag = _compute_diagnostics(states, x0.size, diagnostics)
     return Trajectory(0.0, cfg.h, states, derivs, diag, meta=meta)
 
@@ -534,18 +502,11 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     x0 = phi(0.0)
     n = _n_steps(t_end, cfg.h)
     grid = _RunningGrid(phi, 0.0, cfg.h, n, x0.size)
-    delayed_state = _delayed_argument(kernel, grid, quad_step)
+    delayed = _delayed_argument(kernel, grid, quad_step)
 
-    def eval_g(step, phase, x):
-        t_next = (step + 1) * cfg.h
-        if phase == "init":
-            grid.append(x)
-            return rhs_pair(x, delayed_state(0.0, x))
-        if phase == "predict":
-            grid.append(x)
-        else:
-            grid.replace_last(x)
-        return rhs_pair(x, delayed_state(t_next, x))
+    def eval_g(k, x):
+        grid.put(k, x)
+        return rhs_pair(x, delayed(k * cfg.h, x))
 
     states, derivs, meta = _frac_loop(cfg, x0, n, eval_g)
     diag = _compute_diagnostics(states, x0.size, diagnostics)
@@ -556,20 +517,18 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def trajectory_columns(traj: Trajectory) -> list[str]:
-    """Column labels of the CSV export for ``traj``."""
-    core = traj.core_dim
-    cols = ["t"] + [f"x{i + 1}" for i in range(core)]
-    cols += list(traj.diagnostics.keys())
-    extra = traj.states.shape[1] - core
-    if extra > 0:
-        if extra % core == 0:
-            stages = extra // core
-            cols += [f"eta{s + 1}_{i + 1}"
-                     for s in range(stages) for i in range(core)]
-        else:
-            cols += [f"aux{i + 1}" for i in range(extra)]
-    return cols
+def trajectory_columns(core: int, diag_names, extra: int) -> list[str]:
+    """Column labels of the CSV export.
+
+    t, the ``core`` state components, the diagnostics, then ``extra``
+    auxiliary components: chain stages eta<s>_<i> when they come in whole
+    multiples of ``core``, aux<i> otherwise.
+    """
+    cols = ["t"] + [f"x{i + 1}" for i in range(core)] + list(diag_names)
+    if extra % core == 0:
+        return cols + [f"eta{s + 1}_{i + 1}"
+                       for s in range(extra // core) for i in range(core)]
+    return cols + [f"aux{i + 1}" for i in range(extra)]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -580,7 +539,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     trajectories.
     """
     core = traj.core_dim
-    lines = [",".join(trajectory_columns(traj))]
+    cols = trajectory_columns(core, traj.diagnostics,
+                              traj.states.shape[1] - core)
+    lines = [",".join(cols)]
     times = traj.times
     diag_arrays = list(traj.diagnostics.values())
     for i in range(traj.n_samples):

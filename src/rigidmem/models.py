@@ -35,16 +35,6 @@ __all__ = [
     "linearize_ep_delayed",
 ]
 
-#: system kinds whose equilibria are the three coordinate-axis points
-_AXIS_KINDS = {
-    "classical",
-    "revised",
-    "delayed",
-    "revised-delayed",
-    "fractional",
-    "fractional-revised",
-}
-
 
 def as_state3(x) -> np.ndarray:
     """Coerce ``x`` to a finite float vector of shape ``(3,)``."""
@@ -240,22 +230,21 @@ def rhs_ep_delayed(s: InertiaSetup, omega, omegad) -> np.ndarray:
     return torque / inertia
 
 
-def find_equilibria(kind: str, params, m: float) -> list[np.ndarray]:
-    """Coordinate-axis equilibria of the requested system kind.
+def find_equilibria(params, m: float) -> list[np.ndarray]:
+    """Coordinate-axis equilibria of the system that ``params`` describes.
 
-    For the rigid-body kinds these are (m,0,0), (0,m,0), (0,0,m); for the
-    Euler-Poincare delayed system the angular velocities (m/I1,0,0),
-    (0,m/I2,0), (0,0,m/I3).
+    For :class:`RigidBodyParams` these are (m,0,0), (0,m,0), (0,0,m); for
+    the Euler-Poincare delayed system (:class:`InertiaSetup`) the angular
+    velocities (m/I1,0,0), (0,m/I2,0), (0,0,m/I3).
     """
     if m == 0:
         raise ValueError("equilibrium magnitude m must be nonzero")
-    kind = kind.replace("_", "-").lower()
-    if kind in _AXIS_KINDS:
+    if isinstance(params, RigidBodyParams):
         return [m * np.eye(3)[i] for i in range(3)]
-    if kind == "ep-delayed":
+    if isinstance(params, InertiaSetup):
         inertia = (params.I1, params.I2, params.I3)
         return [m / inertia[i] * np.eye(3)[i] for i in range(3)]
-    raise ValueError(f"unknown system kind {kind!r}")
+    raise TypeError(f"no axis equilibria for {type(params).__name__}")
 
 
 def linearize_ep_delayed(s: InertiaSetup) -> tuple[np.ndarray, np.ndarray]:

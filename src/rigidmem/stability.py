@@ -141,26 +141,17 @@ def char_frac_equilibrium(p: RigidBodyParams, which, m: float,
         idx = _WHICH[which]
     except (KeyError, TypeError):
         raise ValueError(f"equilibrium must be one of M1, M2, M3, got {which!r}")
-    a1, a2, a3 = p.a1, p.a2, p.a3
+    # axis coefficient ai and the other two in order, aj before ak
+    coef = (p.a1, p.a2, p.a3)
+    ai = coef[idx - 1]
+    aj, ak = coef[:idx - 1] + coef[idx:]
     m2 = m * m
+    const = (ai - aj) * (ai - ak) * m2
     if not revised:
-        const = {
-            1: (a1 - a3) * (a1 - a2) * m2,
-            2: -(a1 - a2) * (a2 - a3) * m2,
-            3: (a1 - a3) * (a2 - a3) * m2,
-        }[idx]
         return CharQuadratic(1.0, 0.0, const, zero_factor_order=1)
-    lin = {
-        1: -a1 * (a2 + a3 - 2.0 * a1) * m2,
-        2: -a2 * (a1 + a3 - 2.0 * a2) * m2,
-        3: -a3 * (a1 + a2 - 2.0 * a3) * m2,
-    }[idx]
-    const = {
-        1: (a1 - a3) * (a1 - a2) * m2 * (a1 * a1 * m2 + 1.0),
-        2: -(a1 - a2) * (a2 - a3) * m2 * (a2 * a2 * m2 + 1.0),
-        3: (a1 - a3) * (a2 - a3) * m2 * (a3 * a3 * m2 + 1.0),
-    }[idx]
-    return CharQuadratic(1.0, lin, const, zero_factor_order=1)
+    lin = -ai * (aj + ak - 2.0 * ai) * m2
+    return CharQuadratic(1.0, lin, const * (ai * ai * m2 + 1.0),
+                         zero_factor_order=1)
 
 
 def matignon_classify(q: CharQuadratic, order: float) -> StabilityReport:

@@ -100,6 +100,10 @@ def _cases():
             cases[f"{kind}-{name}-simulate"] = ("simulate", text, ())
         cases[f"ep-delayed-{name}-stability"] = (
             "stability", _kernel(KINDS["ep-delayed"], kernel), ())
+    for name in ("exponential", "erlang"):
+        cases[f"delayed-{name}-t_end0"] = (
+            "simulate", _kernel(KINDS["delayed"], kernels[name]),
+            ("run.t_end=0",))
     cases["delayed-uniform-quad_step"] = (
         "simulate", _kernel(KINDS["delayed"], kernels["uniform"]),
         ("run.quad_step=0.005",))
@@ -126,6 +130,7 @@ def _cases():
 def _invalid_cases():
     delayed, frac = KINDS["delayed"], KINDS["fractional"]
     no_kernel = _kernel(delayed, "")
+    uniform = _kernel(delayed, "[kernel]\nkind = uniform\nwidth = 0.5\n")
     return {
         "bad-missing-kernel": ("simulate", no_kernel, ()),
         "bad-forbidden-kernel": (
@@ -164,6 +169,12 @@ def _invalid_cases():
                                   ("fractional.memory=abc",)),
         "bad-fractional-window": ("simulate", frac, ("fractional.memory=50",)),
         "bad-run-values": ("simulate", frac, ("run.t_end=-1", "run.step=0")),
+        "bad-t_end-nan": ("simulate", KINDS["classical"], ("run.t_end=nan",)),
+        "bad-t_end-inf": ("simulate", KINDS["classical"], ("run.t_end=inf",)),
+        "bad-step-nan": ("simulate", KINDS["classical"], ("run.step=nan",)),
+        "bad-step-inf": ("simulate", KINDS["classical"], ("run.step=inf",)),
+        "bad-quad_step-zero": ("simulate", uniform, ("run.quad_step=0",)),
+        "bad-quad_step-negative": ("simulate", uniform, ("run.quad_step=-1",)),
         "bad-equilibrium": ("stability", frac, ("stability.equilibrium=M4",)),
         "bad-unknown-key": ("simulate", KINDS["classical"] + "typo = 1\n", ()),
         "bad-unknown-section": ("simulate", KINDS["classical"]
@@ -328,6 +339,16 @@ GOLDEN = {
         '',
         "error: --set 'nonsense': expected section.key=value\n",
         {}),
+    'bad-quad_step-negative': (
+        2,
+        '',
+        'error: --set: [run] quad_step must be > 0\n',
+        {}),
+    'bad-quad_step-zero': (
+        2,
+        '',
+        'error: --set: [run] quad_step must be > 0\n',
+        {}),
     'bad-rigid-ordering': (
         2,
         '',
@@ -379,10 +400,30 @@ GOLDEN = {
         '',
         'error: --set: [scan] steps must be >= 0\n',
         {}),
+    'bad-step-inf': (
+        2,
+        '',
+        'error: --set: [run] step must be finite\n',
+        {}),
+    'bad-step-nan': (
+        2,
+        '',
+        'error: --set: [run] step must be finite\n',
+        {}),
     'bad-system-value': (
         2,
         '',
         "error: --set: [system] a = 'x': cannot convert to float\n",
+        {}),
+    'bad-t_end-inf': (
+        2,
+        '',
+        'error: --set: [run] t_end must be finite\n',
+        {}),
+    'bad-t_end-nan': (
+        2,
+        '',
+        'error: --set: [run] t_end must be finite\n',
         {}),
     'bad-unknown-key': (
         2,
@@ -450,6 +491,13 @@ GOLDEN = {
         'wrote = <out>/out\n',
         '',
         {'out': '1b82e910df261b6947c035c92b9f98796aba9dc4e23b6029744e65734ade8eb3'}),
+    'delayed-erlang-t_end0': (
+        0,
+        'kind = delayed\n'
+        'samples = 0\n'
+        'wrote = <out>/out\n',
+        '',
+        {'out': 'ddeff243b168ec34a9f993e81e0e4aad78242c41ffd148019a681c1cbb94bb68'}),
     'delayed-exponential-simulate': (
         0,
         'kind = delayed\n'
@@ -463,6 +511,13 @@ GOLDEN = {
         'wrote = <out>/out\n',
         '',
         {'out': '5875cfe5d48140e37d1fd80d08ab9cde14047a17aaa1b603d1fd0aac049edccb'}),
+    'delayed-exponential-t_end0': (
+        0,
+        'kind = delayed\n'
+        'samples = 0\n'
+        'wrote = <out>/out\n',
+        '',
+        {'out': '4da7c049b54f00030557b614d9d6c8284c49fe6b7ed820e03936e446c41f4576'}),
     'delayed-scan-tau': (
         0,
         'kind = delayed\n'

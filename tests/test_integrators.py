@@ -131,6 +131,15 @@ class TestDde:
                             HistorySpec.constant(X111), 5.0, 1e-3)
         assert np.max(np.abs(ode.states - dde.states)) < 1e-10
 
+    def test_dirac_zero_bitwise_equals_rk4(self):
+        ode = integrate_rk4(lambda x: models.rhs_classical(P321, x), X111,
+                            2.0, 1e-2)
+        dde = integrate_dde(lambda x, xd: models.rhs_delayed(P321, x, xd),
+                            kernels.DiracKernel(0.0),
+                            HistorySpec.constant(X111), 2.0, 1e-2)
+        assert np.array_equal(dde.states, ode.states)
+        assert np.array_equal(dde.derivs, ode.derivs)
+
     def test_equilibrium_history_constant(self):
         eq = np.array([2.0, 0.0, 0.0])
         traj = integrate_dde(lambda x, xd: models.rhs_delayed(P321, x, xd),
@@ -262,6 +271,15 @@ class TestFracDde:
                                  HistorySpec.constant(X111), 2.0)
         abm = integrate_frac_abm(lambda x: pair(x, x), cfg, X111, 2.0)
         assert np.max(np.abs(dde.states - abm.states)) < 1e-10
+
+    def test_dirac_zero_bitwise_equals_abm(self):
+        pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
+        cfg = FracConfig(order=0.7, h=0.01, corrector_iters=2)
+        dde = integrate_frac_dde(pair, cfg, kernels.DiracKernel(0.0),
+                                 HistorySpec.constant(X111), 1.0)
+        abm = integrate_frac_abm(lambda x: pair(x, x), cfg, X111, 1.0)
+        assert np.array_equal(dde.states, abm.states)
+        assert np.array_equal(dde.derivs, abm.derivs)
 
     def test_scalar_benchmark_decay(self):
         cfg = FracConfig(order=0.7, h=0.01)

@@ -187,12 +187,12 @@ def test_rhs_agree_with_tensor_contractions():
 
 class TestEquilibria:
     def test_fractional_axes(self):
-        eqs = models.find_equilibria("fractional", P321, 2.0)
+        eqs = models.find_equilibria(P321, 2.0)
         assert np.array_equal(eqs, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
 
     def test_ep_axes(self):
         s = models.InertiaSetup(3, 2, 1, coupling=1.0, m=1.0)
-        eqs = models.find_equilibria("ep-delayed", s, 3.0)
+        eqs = models.find_equilibria(s, 3.0)
         assert np.array_equal(eqs, [[1, 0, 0], [0, 1.5, 0], [0, 0, 3]])
 
     def test_every_point_is_an_equilibrium(self):
@@ -206,12 +206,12 @@ class TestEquilibria:
         }
         for kind, rhs in pair_by_kind.items():
             setup = s if kind == "ep-delayed" else P321
-            for e in models.find_equilibria(kind, setup, 2.0):
+            for e in models.find_equilibria(setup, 2.0):
                 assert np.linalg.norm(rhs(e)) == 0.0, kind
 
     def test_zero_m_rejected(self):
         with pytest.raises(ValueError):
-            models.find_equilibria("classical", P321, 0.0)
+            models.find_equilibria(P321, 0.0)
 
 
 class TestLinearization:
