@@ -19,7 +19,8 @@ blocks (full-line ``#`` comments allowed).  Sections:
     length in nodes).
 ``[run]``
     ``x0`` (comma-separated components, also the constant history),
-    ``t_end``, ``step``; optional ``quad_step``.
+    ``t_end`` (0 or a whole number of steps), ``step``; optional
+    ``quad_step``.
 ``[output]``
     Optional ``path`` (the ``--out`` flag wins).
 ``[stability]``
@@ -52,8 +53,8 @@ from . import kernels as _kern
 from . import models as _models
 from . import stability as _stab
 from .errors import ConfigError, DivergenceError
-from .integrators import (FracConfig, HistorySpec, _fmt, integrate_chain,
-                          integrate_dde, integrate_frac_abm,
+from .integrators import (FracConfig, HistorySpec, _fmt, _whole_steps,
+                          integrate_chain, integrate_dde, integrate_frac_abm,
                           integrate_frac_dde, integrate_rk4,
                           trajectory_columns, write_trajectory_csv)
 
@@ -373,6 +374,10 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             continue
         errors.append(f"{_loc(g.line_of('run', key, run_line))}: "
                       f"[run] {key} {problem}")
+    if (t_end is not None and step is not None and 0 < t_end < math.inf
+            and 0 < step < math.inf and _whole_steps(t_end, step) is None):
+        errors.append(f"{_loc(g.line_of('run', 't_end', run_line))}: "
+                      f"[run] t_end must be a whole number of steps")
 
     frac = None
     if kind is not None:

@@ -17,6 +17,7 @@ the states (never accumulated).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -45,19 +46,28 @@ DIVERGENCE_NORM = 1e8
 _NODE_SNAP = 1e-9
 
 
+def _whole_steps(span: float, h: float) -> int | None:
+    """span / h when ``span`` is a whole number (>= 1) of steps, else None."""
+    n = int(round(span / h))
+    if n >= 1 and abs(n * h - span) <= 1e-9 * max(span, 1.0):
+        return n
+    return None
+
+
 def _n_steps(span: float, h: float) -> int:
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("step h must be > 0")
     if not (span > 0 and math.isfinite(span)):
         raise ValueError("t_end must be > 0")
-    n = int(round(span / h))
-    if n >= 1 and abs(n * h - span) <= 1e-9 * max(span, 1.0):
+    n = _whole_steps(span, h)
+    if n is not None:
         return n
     return max(1, int(math.ceil(span / h - 1e-12)))
 
 
 def _check_state(x: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
+    # NaN fails the comparison, so this also rejects non-finite states
+    if not math.sqrt(float(x @ x)) <= DIVERGENCE_NORM:
         raise DivergenceError(
             f"state diverged; last valid time t = {t:.6g}", t_last=t)
 
@@ -409,17 +419,41 @@ class FracConfig:
 def _abm_weights(alpha: float, n_steps: int):
     """Product-quadrature weight tables for the Adams scheme.
 
-    beta[k] are the rectangle (predictor) weights, c[k] the interior
-    trapezoid (corrector) weights, a0[n] the left-endpoint corrector
-    weight for step n, plus the h^alpha scale factors.
+    beta[k] and c[k] are the rectangle (predictor) and interior trapezoid
+    (corrector) weights at lag k = 0..n_steps-1, a0[n] the left-endpoint
+    corrector weight for step n = 0..n_steps-1, and pow_a[k] = k^alpha.
     """
-    k = np.arange(n_steps + 1, dtype=float)
+    k = np.arange(n_steps + 2, dtype=float)
     pow_a = k**alpha
     pow_a1 = k ** (alpha + 1)
-    beta = np.diff(pow_a)
+    beta = np.diff(pow_a[:-1])
     c = pow_a1[2:] + pow_a1[:-2] - 2.0 * pow_a1[1:-1]
-    a0 = pow_a1[:-1] - (k[:-1] - alpha) * pow_a[1:]
+    a0 = pow_a1[:-2] - (k[:-2] - alpha) * pow_a[1:-1]
     return pow_a, beta, c, a0
+
+
+#: nodes per diagonal block of the memory sums (a power of two); pairs of
+#: nodes within one block are summed directly, all others by FFT squares
+_MEMORY_BLOCK = 64
+
+
+def _add_square(far, gs, spectra, s: int) -> None:
+    """Add the lag sums of the inputs [s - L, s) to the outputs [s, s + L).
+
+    ``s`` is a multiple of the block size and L = lowbit(s), so every pair
+    of an input and a later output in another block falls in exactly one
+    square, and a square's inputs are complete when its first output is
+    due (Hairer, Lubich & Schlichte 1985).  Its lags lie in [1, 2L), so a
+    circular convolution of length 2L with the lag weights 0..2L-1, whose
+    spectra ``spectra[L]`` holds, leaves them unaliased at L..2L-1.  One
+    forward transform serves both weight columns.
+    """
+    width = s & -s
+    m = min(width, far.shape[0] - s)
+    g_hat = np.fft.rfft(gs[s - width: s], 2 * width, axis=0)
+    conv = np.fft.irfft(spectra[width][:, :, None] * g_hat[:, None, :],
+                        2 * width, axis=0)
+    far[s: s + m] += conv[width: width + m]
 
 
 def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
@@ -428,40 +462,59 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
     eval_g(k, x) returns the Caputo right-hand side at ``x`` taken as the
     value of node k: node 0, then for each new node its predicted and
     corrected iterates and finally its accepted value.
+
+    Step s needs the lag sums sum_j w[s - j] g_j over j <= s of the
+    predictor and corrector weights (zero at lags >= memory_window).
+    ``far[s]`` collects the terms from blocks before the block of s, added
+    by :func:`_add_square` at each block start, so the run costs
+    O(n log^2 n); the terms within the block are summed directly.  The
+    corrector's left-endpoint weight a0 replaces c at j = 0, which
+    ``far`` carries from the start as (a0[s] - c[s]) * g_0.
     """
     h = cfg.h
     alpha = cfg.order
-    pow_a, beta, c, a0 = _abm_weights(alpha, n)
+    block = _MEMORY_BLOCK
+    pow_a, beta, c, a0 = _abm_weights(alpha, max(n, block))
     pred_scale = h**alpha / math.gamma(alpha + 1.0)
     corr_scale = h**alpha / math.gamma(alpha + 2.0)
+    window = cfg.memory_window
+    lag_w = np.stack([beta, c], axis=1)
+    g0_weight = a0[:n] - c[:n]
+    if window is not None:
+        lag_w[window:] = 0.0
+        g0_weight[window:] = 0.0
+    near_w = lag_w[block - 1:: -1].T.copy()
+    spectra = {}
+    width = block
+    while width < n:
+        spectra[width] = np.fft.rfft(lag_w[: 2 * width], 2 * width, axis=0)
+        width *= 2
     dim = x0.size
     states = np.empty((n + 1, dim))
     gs = np.empty((n + 1, dim))
     states[0] = x0
-    gs[0] = eval_g(0, x0)
-    window = cfg.memory_window
+    g = gs[0] = eval_g(0, x0)
+    far = np.zeros((n, 2, dim))
+    far[:, 1] = g0_weight[:, None] * g
     trunc_bound = 0.0
-    max_g_norm = float(np.linalg.norm(gs[0]))
+    max_g_norm = math.sqrt(float(g @ g))
     for step in range(n):
-        j0 = 0 if window is None else max(0, step + 1 - window)
-        xc = x0 + pred_scale * (beta[: step + 1 - j0][::-1] @ gs[j0: step + 1])
-        if j0 == 0:
-            hist = a0[step] * gs[0]
-            jc = 1
-        else:
-            hist = np.zeros(dim)
-            jc = j0
-        if step >= jc:
-            hist = hist + c[: step - jc + 1][::-1] @ gs[jc: step + 1]
+        r = step % block
+        if r == 0 and step:
+            _add_square(far, gs, spectra, step)
+        sums = far[step] + near_w[:, block - 1 - r:] @ gs[step - r: step + 1]
+        xc = x0 + pred_scale * sums[0]
+        hist = sums[1]
         for _ in range(cfg.corrector_iters):
             xc = x0 + corr_scale * (eval_g(step + 1, xc) + hist)
         _check_state(xc, step * h)
         states[step + 1] = xc
-        gs[step + 1] = eval_g(step + 1, xc)
-        max_g_norm = max(max_g_norm, float(np.linalg.norm(gs[step + 1])))
-        if j0 > 0:
-            dropped_mass = pred_scale * (pow_a[step + 1] - pow_a[step + 1 - j0])
-            trunc_bound = max(trunc_bound, dropped_mass * max_g_norm)
+        g = gs[step + 1] = eval_g(step + 1, xc)
+        if window is not None:
+            max_g_norm = max(max_g_norm, math.sqrt(float(g @ g)))
+            if step + 1 > window:
+                dropped_mass = pred_scale * (pow_a[step + 1] - pow_a[window])
+                trunc_bound = max(trunc_bound, dropped_mass * max_g_norm)
     derivs = np.gradient(states, h, axis=0)
     meta = {"order": alpha, "scheme": "abm-pece",
             "corrector_iters": cfg.corrector_iters}
@@ -531,6 +584,12 @@ def trajectory_columns(core: int, diag_names, extra: int) -> list[str]:
     return cols + [f"aux{i + 1}" for i in range(extra)]
 
 
+#: rows formatted per write: beyond one float table, the Python floats and
+#: strings of one chunk are all the writer holds (larger chunks are no
+#: faster)
+_CSV_CHUNK = 256
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``traj`` as CSV with 17-significant-digit decimal floats.
 
@@ -541,18 +600,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     core = traj.core_dim
     cols = trajectory_columns(core, traj.diagnostics,
                               traj.states.shape[1] - core)
-    lines = [",".join(cols)]
-    times = traj.times
-    diag_arrays = list(traj.diagnostics.values())
-    for i in range(traj.n_samples):
-        row = [_fmt(times[i])]
-        row += [_fmt(v) for v in traj.states[i, :core]]
-        row += [_fmt(arr[i]) for arr in diag_arrays]
-        row += [_fmt(v) for v in traj.states[i, core:]]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    table = np.column_stack([traj.times, traj.states[:, :core],
+                             *traj.diagnostics.values(),
+                             traj.states[:, core:]])
+    row_fmt = ",".join(["%.17g"] * len(cols))
+    with contextlib.ExitStack() as stack:
+        fh = path if hasattr(path, "write") else stack.enter_context(
+            open(path, "w", newline=""))
+        fh.write(",".join(cols) + "\n")
+        for lo in range(0, len(table), _CSV_CHUNK):
+            rows = table[lo: lo + _CSV_CHUNK].tolist()
+            fh.write("\n".join([row_fmt % tuple(row) for row in rows]) + "\n")

@@ -171,6 +171,8 @@ def _invalid_cases():
         "bad-run-values": ("simulate", frac, ("run.t_end=-1", "run.step=0")),
         "bad-t_end-nan": ("simulate", KINDS["classical"], ("run.t_end=nan",)),
         "bad-t_end-inf": ("simulate", KINDS["classical"], ("run.t_end=inf",)),
+        "bad-t_end-not-multiple": ("simulate", KINDS["classical"],
+                                   ("run.t_end=0.015",)),
         "bad-step-nan": ("simulate", KINDS["classical"], ("run.step=nan",)),
         "bad-step-inf": ("simulate", KINDS["classical"], ("run.step=inf",)),
         "bad-quad_step-zero": ("simulate", uniform, ("run.quad_step=0",)),
@@ -424,6 +426,11 @@ GOLDEN = {
         2,
         '',
         'error: --set: [run] t_end must be finite\n',
+        {}),
+    'bad-t_end-not-multiple': (
+        2,
+        '',
+        'error: --set: [run] t_end must be a whole number of steps\n',
         {}),
     'bad-unknown-key': (
         2,
@@ -721,13 +728,13 @@ GOLDEN = {
         'samples = 30001\n'
         'step = 0.001\n'
         'endpoint_t = 30\n'
-        'endpoint_x = 0.039483974987682746, -0.32959292224830339, 0.039483974987682746\n'
+        'endpoint_x = 0.039483974987691517, -0.32959292224832115, 0.039483974987691517\n'
         'h_drift_rel = 9.628e-01\n'
         'c_drift_rel = 9.628e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'b4071c32c2898369814c426484ecc75b116009af1c7b10c11e8d5fba660f6b2c'}),
+        {'out': 'e07cd7fa238cdcbd197b342615de484d5ab8e2659bee4da091045ddcabae42db'}),
     'frac_order_082.cfg-stability': (
         0,
         'kind = fractional\n'
@@ -743,13 +750,13 @@ GOLDEN = {
         'samples = 30001\n'
         'step = 0.001\n'
         'endpoint_t = 30\n'
-        'endpoint_x = 3.2751579226442118e-14, -1.7320483653140903, 3.2751579226442118e-14\n'
+        'endpoint_x = 0, -1.732048365314133, 0\n'
         'h_drift_rel = 2.820e-06\n'
         'c_drift_rel = 2.820e-06\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '08636d94c7927d4b2465747f4f7b48a1a70f5012754a58e376fd829bf74bb6e2'}),
+        {'out': '0e80231584b7633e2505b7748e41307be1ad004827e6e641a9306d9ddc77b66b'}),
     'frac_order_1.cfg-stability': (
         0,
         'kind = fractional\n'
@@ -765,13 +772,13 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 1.0225530116408792, -0.22648498600003086, 0.27620853166737358\n'
+        'endpoint_x = 1.0225530116408792, -0.22648498600003097, 0.27620853166737364\n'
         'h_drift_rel = 6.335e-02\n'
         'c_drift_rel = 9.054e-02\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'f2e0d8f705be08a099362cb54cacbff13d01426fe13d4fcd659f6d07f9c5711e'}),
+        {'out': 'd050f924755d38115438e3d61e96b6ff8571ba5a4e3d04492c368c6a7bba1ece'}),
     'fractional-m2-stability': (
         0,
         'kind = fractional\n'
@@ -803,13 +810,13 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 1.0479004710974746, 0.047674094485508245, 0.019579453272450642\n'
+        'endpoint_x = 1.0479004710974746, 0.0476740944855083, 0.019579453272450587\n'
         'h_drift_rel = 6.802e-02\n'
         'c_drift_rel = 1.467e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '01a0aedcf7fc8aa1c2d520939231424757ccb41f479d49eea6281ff53fa48210'}),
+        {'out': 'da9ae9e90f1a06bb8dd2093945e24bdd88fca2e27895706bb4c3fed5dc5d761f'}),
     'fractional-revised-stability': (
         0,
         'kind = fractional-revised\n'
@@ -838,7 +845,7 @@ GOLDEN = {
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '04925a63524bf3c1d9446343857b0fd997a3608260adb07cb0d805074ffea7f7'}),
+        {'out': '9f43bafcde65e69a2c67e1cf31eef581fab125d61d88761b879d2af381328a4a'}),
     'fractional-scan-alpha': (
         0,
         'kind = fractional\n'
@@ -861,13 +868,13 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 1.0225226886360148, -0.22655212268746816, 0.27613422770998247\n'
+        'endpoint_x = 1.0225226886360148, -0.22655212268746805, 0.27613422770998247\n'
         'h_drift_rel = 6.340e-02\n'
         'c_drift_rel = 9.060e-02\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '4a755c0cf760be674d9d0376b04da53da6a17b693c731d7ad08b60375726c61b'}),
+        {'out': 'bdc97ec5d2b3dc7a9e9052fe93f98d0d96127ee1d2d446567c0a99623f4e8945'}),
     'fractional-stability': (
         0,
         'kind = fractional\n'
@@ -890,24 +897,24 @@ GOLDEN = {
         'samples = 301\n'
         'step = 0.01\n'
         'endpoint_t = 3\n'
-        'endpoint_x = 1.0433230193429095, 0.14194204485980927, 0.38455380761863334\n'
+        'endpoint_x = 1.0433230193429095, 0.14194204485980932, 0.38455380761863334\n'
         'h_drift_rel = 2.133e-01\n'
         'c_drift_rel = 2.782e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '1176c18d7d7ea07f00be4f922c3636978137fe8d630b9dfc53f0774c0e2fb4ed'}),
+        {'out': '277be91a0c6ab373331dc597b217cc51e51bc2549304e2ef9f88d8af3ffa512c'}),
     'planar-19-dirac0-simulate': (
         0,
         'kind = planar-19\n'
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.57036743915437338, 0.24441446659478017\n'
+        'endpoint_x = 0.5703674391543736, 0.24441446659478\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '3e975fb6354fa1d216217a1b5440a8de8742a0a3d7f4779e0c9c9251374dd9ef'}),
+        {'out': '81e05588e49ddfb8ffecdb8c6929a6be67aa3b6c59da9fed6ba0124677d0c3fc'}),
     'planar-19-scan-alpha': (
         0,
         'kind = planar-19\n'
@@ -930,11 +937,11 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.60050776570053355, 0.29907077944261556\n'
+        'endpoint_x = 0.60050776570053332, 0.29907077944261562\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'fcde704320bb6665d4a02de6e679c1a7456982a7a3ae15d6f1a9f027a0a54c68'}),
+        {'out': '86ffb0bc56e05e379d046da7924126fbe27c1ea40362f9dd5810065bedf1eb28'}),
     'planar-19-stability': (
         0,
         'kind = planar-19\n'
@@ -1067,11 +1074,11 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.39962902524137422\n'
+        'endpoint_x = 0.39962902524137445\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'd308f9ae140fff4ddb15e6bca2228b669469da07cb2fc81f43df7a69d39a814f'}),
+        {'out': 'b09100c8c8e9a729b8790d0fdf1c5775d699192e8d8f732b62a414b068a21645'}),
     'scalar-18-diverges': (
         3,
         '',
@@ -1099,11 +1106,11 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.20445183978942949\n'
+        'endpoint_x = 0.2044518397894296\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'e65d0cf53ca30790e012d945196307451b80f099598a70c3adaa7b26134adddf'}),
+        {'out': 'fcaff5c7c1bd45865d10fba43ab02f47737e665bbf911ffaf5aa419cb997900d'}),
     'scalar-18-stability': (
         0,
         'kind = scalar-18\n'

@@ -1,9 +1,12 @@
+import gc
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rigidmem import kernels, models
+from rigidmem import cli, integrators, kernels, models
 from rigidmem.errors import DivergenceError, HistoryCoverageError
 from rigidmem.fraccalc import mittag_leffler
 from rigidmem.integrators import (FracConfig, HistorySpec, Trajectory,
@@ -13,6 +16,7 @@ from rigidmem.integrators import (FracConfig, HistorySpec, Trajectory,
 
 P321 = models.RigidBodyParams(3, 2, 1)
 X111 = np.array([1.0, 1.0, 1.0])
+REPO = Path(__file__).resolve().parents[1]
 
 
 def rigid_diag(p):
@@ -305,6 +309,103 @@ class TestFracDde:
         assert np.all(np.isfinite(traj.states))
 
 
+def _direct_frac_loop(cfg, x0, n, eval_g):
+    """Reference PECE loop: every memory sum taken directly, O(n^2)."""
+    h, alpha, window = cfg.h, cfg.order, cfg.memory_window
+    k = np.arange(n + 1, dtype=float)
+    pow_a, pow_a1 = k**alpha, k ** (alpha + 1)
+    beta = np.diff(pow_a)
+    c = pow_a1[2:] + pow_a1[:-2] - 2.0 * pow_a1[1:-1]
+    a0 = pow_a1[:-1] - (k[:-1] - alpha) * pow_a[1:]
+    pred_scale = h**alpha / math.gamma(alpha + 1.0)
+    corr_scale = h**alpha / math.gamma(alpha + 2.0)
+    states = np.empty((n + 1, x0.size))
+    gs = np.empty((n + 1, x0.size))
+    states[0] = x0
+    gs[0] = eval_g(0, x0)
+    trunc_bound = 0.0
+    max_g_norm = float(np.linalg.norm(gs[0]))
+    for step in range(n):
+        j0 = 0 if window is None else max(0, step + 1 - window)
+        xc = x0 + pred_scale * (beta[: step + 1 - j0][::-1] @ gs[j0: step + 1])
+        hist = a0[step] * gs[0] if j0 == 0 else np.zeros(x0.size)
+        jc = max(j0, 1)
+        if step >= jc:
+            hist = hist + c[: step - jc + 1][::-1] @ gs[jc: step + 1]
+        for _ in range(cfg.corrector_iters):
+            xc = x0 + corr_scale * (eval_g(step + 1, xc) + hist)
+        states[step + 1] = xc
+        gs[step + 1] = eval_g(step + 1, xc)
+        max_g_norm = max(max_g_norm, float(np.linalg.norm(gs[step + 1])))
+        if j0 > 0:
+            dropped = pred_scale * (pow_a[step + 1] - pow_a[step + 1 - j0])
+            trunc_bound = max(trunc_bound, dropped * max_g_norm)
+    meta = {} if window is None else {"memory_truncation_bound": trunc_bound}
+    return states, np.gradient(states, h, axis=0), meta
+
+
+def _assert_close_to_direct(run, monkeypatch):
+    fast = run()
+    with monkeypatch.context() as m:
+        m.setattr(integrators, "_frac_loop", _direct_frac_loop)
+        ref = run()
+    scale = np.max(np.abs(ref.states))
+    assert np.max(np.abs(fast.states - ref.states)) <= 1e-12 * scale
+    if "memory_truncation_bound" in ref.meta:
+        assert fast.meta["memory_truncation_bound"] == pytest.approx(
+            ref.meta["memory_truncation_bound"], rel=1e-12, abs=0.0)
+
+
+class TestFracMemorySums:
+    """The blocked-FFT memory sums against the direct O(n^2) sums."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 4097])
+    @pytest.mark.parametrize("window", [None, 20, 5000])
+    @pytest.mark.parametrize("dim, iters", [(3, 1), (1, 3)])
+    def test_abm_matches_direct(self, n, window, dim, iters, monkeypatch):
+        cfg = FracConfig(order=0.82, h=0.05, corrector_iters=iters,
+                         memory_window=window)
+        if dim == 3:
+            rhs = lambda x: models.rhs_classical(P321, x)
+            x0 = np.array([1.0, 0.5, 0.2])
+        else:
+            rhs = lambda x: 0.3 * np.cos(3.0 * x) - 0.5 * x
+            x0 = np.array([1.0])
+        _assert_close_to_direct(
+            lambda: integrate_frac_abm(rhs, cfg, x0, n * cfg.h), monkeypatch)
+
+    @pytest.mark.parametrize("kernel, n, window", [
+        (kernels.DiracKernel(0.5), 1000, None),
+        (kernels.UniformKernel(0.1, 0.4), 150, 120)])
+    def test_dde_matches_direct(self, kernel, n, window, monkeypatch):
+        pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
+        cfg = FracConfig(order=0.7, h=0.01, memory_window=window)
+        phi = HistorySpec.constant([0.3, 0.3, 0.3])
+        _assert_close_to_direct(
+            lambda: integrate_frac_dde(pair, cfg, kernel, phi, n * cfg.h),
+            monkeypatch)
+
+    @pytest.mark.parametrize("name", ["frac_order_082.cfg",
+                                      "frac_order_1.cfg"])
+    def test_bundled_configs_match_direct(self, name, monkeypatch):
+        text = (REPO / "configs" / name).read_text()
+        _assert_close_to_direct(
+            lambda: cli._run_simulation(cli.parse_config(text)), monkeypatch)
+
+    def test_no_reference_cycles(self):
+        pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
+        cfg = FracConfig(order=0.8, h=0.01, memory_window=100)
+        gc.collect()
+        gc.disable()
+        try:
+            integrate_frac_abm(lambda x: pair(x, x), cfg, X111, 3.0)
+            integrate_frac_dde(pair, cfg, kernels.DiracKernel(0.3),
+                               HistorySpec.constant(X111), 3.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestTrajectoryCsv:
     def test_header_and_roundtrip(self, tmp_path):
         traj = integrate_rk4(lambda x: models.rhs_classical(P321, x), X111,
@@ -327,3 +428,20 @@ class TestTrajectoryCsv:
         header = path.read_text().splitlines()[0]
         assert header == ("t,x1,x2,x3,h,c,eta1_1,eta1_2,eta1_3,"
                           "eta2_1,eta2_2,eta2_3")
+
+    def test_rows_match_per_value_format(self):
+        rng = np.random.default_rng(7)
+        states = rng.standard_normal((5000, 4)) * 10.0 ** rng.integers(
+            -300, 300, (5000, 4))
+        states[0] = [-0.0, 5e-324, 1.2e17, np.inf]
+        states[1] = [np.nan, -np.inf, 0.1, 1e16]
+        traj = Trajectory(0.0, 1e-3, states, states,
+                          {"h": rng.standard_normal(5000)}, core_dim=3)
+        out = io.StringIO()
+        write_trajectory_csv(traj, out)
+        lines = ["t,x1,x2,x3,h,aux1"]
+        for i in range(traj.n_samples):
+            row = [traj.times[i], *states[i, :3], traj.diagnostics["h"][i],
+                   states[i, 3]]
+            lines.append(",".join(format(v, ".17g") for v in row))
+        assert out.getvalue() == "\n".join(lines) + "\n"
