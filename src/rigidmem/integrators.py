@@ -4,8 +4,8 @@ Four integration paths are provided:
 
 * classical fixed-step RK4 for ordinary systems,
 * method-of-steps RK4 for distributed-delay systems, where the delayed
-  argument is rebuilt at every stage from the stored trajectory (cubic
-  Hermite dense output) and the initial function,
+  argument is read in batches from the stored trajectory (cubic Hermite
+  dense output) and the initial function,
 * an exact ODE chain augmentation for exponential and Erlang kernels,
 * the fractional Adams-Bashforth-Moulton predictor-corrector for Caputo
   systems, with and without a delayed argument.
@@ -259,9 +259,10 @@ def _compute_diagnostics(states, core_dim, diagnostics):
 
 
 def _rk4_loop(field, grid: _RunningGrid, n: int, h: float) -> None:
-    """Classical RK4 steps 0..n-1 for dx/dt = field(t, x) on ``grid``.
+    """Classical RK4 steps 0..n-1 for dx/dt = field(i, x) on ``grid``.
 
-    Node 0 and its slope must already be written.  Each new node is put
+    Node 0 and its slope must already be written; ``i`` numbers the
+    field's times as :func:`_rk4_lookups` lists them.  Each new node is put
     first with its k4 slope, so that a delayed lookup inside ``field`` at
     the new node sees the finished step, then with its own slope.
     """
@@ -269,16 +270,24 @@ def _rk4_loop(field, grid: _RunningGrid, n: int, h: float) -> None:
     sixth = h / 6.0
     put, states, derivs = grid.put, grid.states, grid.derivs
     for k in range(n):
-        t = k * h
         x = states[k]
         k1 = derivs[k]
-        k2 = field(t + half, x + half * k1)
-        k3 = field(t + half, x + half * k2)
-        k4 = field(t + h, x + h * k3)
+        k2 = field(2 * k + 1, x + half * k1)
+        k3 = field(2 * k + 1, x + half * k2)
+        k4 = field(2 * k + 2, x + h * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_state(x, t)
+        _check_state(x, k * h)
         put(k + 1, x, k4)
-        put(k + 1, x, field(t + h, x))
+        put(k + 1, x, field(2 * k + 2, x))
+
+
+def _rk4_lookups(n: int, h: float):
+    """Times of the field calls ``i`` of an RK4 run, and the last final node
+    at each: none at 0 (node 0's slope), node k at 2k + 1 (k2, k3 at
+    k*h + h/2) and 2k + 2 (k4, then the new node's slope, at k*h + h)."""
+    t = np.arange(n) * h
+    times = np.column_stack([t + 0.5 * h, t + h]).ravel()
+    return np.r_[0.0, times], (np.arange(2 * n + 1) - 1) // 2
 
 
 def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
@@ -292,35 +301,62 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
     n = _n_steps(t_end, h)
     grid = _RunningGrid(None, 0.0, h, n, x0.size)
     grid.put(0, x0, rhs(x0))
-    _rk4_loop(lambda t, x: rhs(x), grid, n, h)
+    _rk4_loop(lambda i, x: rhs(x), grid, n, h)
     core = x0.size if core_dim is None else core_dim
     diag = _compute_diagnostics(grid.states, core, diagnostics)
     return Trajectory(0.0, h, grid.states, grid.derivs, diag, core_dim=core)
 
 
-def _default_quad_step(kernel, h: float) -> float:
-    lo, hi = _kern.effective_support(kernel)
-    span = hi - lo
-    if span <= 0:
-        return h
-    return min(h, span / 16.0)
+#: most history points one batched lookup evaluates, so that a long lag or
+#: a wide kernel does not scale the lookahead's memory
+_LOOKAHEAD_POINTS = 1 << 12
 
 
-def _delayed_argument(kernel, grid: _RunningGrid, quad_step):
-    """The delayed argument xd(t, stage_state) over ``grid``, chosen once.
+def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
+    """The delayed argument xd(i, stage_state) over ``grid``, chosen once.
 
-    A zero-lag Dirac kernel returns the stage state itself, so the run
-    reduces bitwise to the delay-free scheme; a Dirac kernel samples the
-    lagged time; any other kernel averages the history by quadrature
-    with ``quad_step`` (a default step from the kernel support if None).
+    Lookup i is at time ``times[i]`` (nondecreasing), when nodes up to
+    ``final[i]`` hold their final state and slope.  A zero-lag Dirac kernel
+    returns the stage state itself, so the run reduces bitwise to the
+    delay-free scheme; a Dirac kernel samples the lagged time; any other
+    kernel averages the history by quadrature with ``quad_step`` (by default
+    h, at most 1/16 of the support).  A lookup that reads only final nodes
+    is evaluated in one batch with the next such lookups and served from
+    it; any other alone.  Hermite evaluation is elementwise, so each value
+    is bitwise that of a lone lookup.
     """
     if isinstance(kernel, _kern.DiracKernel):
         if kernel.lag == 0.0:
-            return lambda t, x: x
-        return lambda t, x: grid.eval_many(np.array([t - kernel.lag]))[0]
-    if quad_step is None:
-        quad_step = _default_quad_step(kernel, grid.h)
-    return lambda t, x: _kern.convolve_history(kernel, grid, t, quad_step)
+            return lambda i, x: x
+        lags, wd = np.array([kernel.lag]), None
+    else:
+        if quad_step is None:
+            lo, hi = _kern.effective_support(kernel)
+            quad_step = min(grid.h, (hi - lo) / 16.0) if hi > lo else grid.h
+        lags, wd = _kern.quadrature_rule(kernel, quad_step)
+    span = max(1, _LOOKAHEAD_POINTS // lags.size)
+    first, block = 0, []
+
+    def lookup(i, x):
+        nonlocal first, block
+        if 0 <= i - first < len(block):
+            return block[i - first]
+        ts = times[i: i + span]
+        ready = int(np.count_nonzero(
+            ts - lags[0] <= grid.t0 + max(final[i], 0) * grid.h))
+        us = ts[: max(ready, 1), None] - lags
+        # lookups wholly in the past get phi's own layout (a constant's has
+        # stride 0): it sets the summation order of the matrix product
+        n_past = int(np.count_nonzero(us[:, 0] <= grid.t0))
+        values = []
+        for part in (us[:n_past], us[n_past:]):
+            if part.size:
+                rows = grid.eval_many(part.ravel()).reshape(*part.shape, -1)
+                values += [r[0] if wd is None else wd @ r for r in rows]
+        first, block = i, values[:ready]
+        return values[0]
+
+    return lookup
 
 
 def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
@@ -330,17 +366,18 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     At every stage the delayed argument xd is the kernel-weighted average
     of the stored trajectory and phi; Dirac kernels sample the lagged time
     exactly, and a zero-lag Dirac kernel substitutes the stage state itself
-    so the run reduces bitwise to the ordinary RK4 path.
+    so the run reduces bitwise to the ordinary RK4 path.  With support from
+    lag >= h, the stages of the next lag/h steps are read in one batch.
     """
     x0 = phi(0.0)
     n = _n_steps(t_end, h)
     grid = _RunningGrid(phi, 0.0, h, n, x0.size)
-    delayed = _delayed_argument(kernel, grid, quad_step)
+    delayed = _delayed_argument(kernel, grid, quad_step, *_rk4_lookups(n, h))
 
-    def field(t, x):
-        return rhs_pair(x, delayed(t, x))
+    def field(i, x):
+        return rhs_pair(x, delayed(i, x))
 
-    grid.put(0, x0, field(0.0, x0))
+    grid.put(0, x0, field(0, x0))
     _rk4_loop(field, grid, n, h)
     diag = _compute_diagnostics(grid.states, x0.size, diagnostics)
     return Trajectory(0.0, h, grid.states, grid.derivs, diag)
@@ -555,11 +592,14 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     x0 = phi(0.0)
     n = _n_steps(t_end, cfg.h)
     grid = _RunningGrid(phi, 0.0, cfg.h, n, x0.size)
-    delayed = _delayed_argument(kernel, grid, quad_step)
+    # node k - 1's slope moves with each iterate of node k
+    nodes = np.arange(n + 1)
+    delayed = _delayed_argument(kernel, grid, quad_step, nodes * cfg.h,
+                                nodes - 2)
 
     def eval_g(k, x):
         grid.put(k, x)
-        return rhs_pair(x, delayed(k * cfg.h, x))
+        return rhs_pair(x, delayed(k, x))
 
     states, derivs, meta = _frac_loop(cfg, x0, n, eval_g)
     diag = _compute_diagnostics(states, x0.size, diagnostics)

@@ -28,6 +28,7 @@ __all__ = [
     "chain_reduce",
     "convolve_history",
     "effective_support",
+    "quadrature_rule",
 ]
 
 #: kernel mass allowed beyond the truncated quadrature support
@@ -191,17 +192,10 @@ def _eval_history(history, times: np.ndarray) -> np.ndarray:
                      for t in times])
 
 
-def convolve_history(kernel: DelayKernel, history, t: float,
-                     quad_step: float) -> np.ndarray:
-    """Kernel-weighted past average integral of k(s) x(t - s) ds.
-
-    ``history`` must be dense-evaluable at every time the kernel support
-    reaches: either a callable of one time argument or an object exposing
-    ``eval_many``.  Composite Simpson quadrature with step ``quad_step`` is
-    used on the effective support; the Dirac kernel samples exactly.
-    """
-    if isinstance(kernel, DiracKernel):
-        return _eval_history(history, np.array([t - kernel.lag]))[0]
+def quadrature_rule(kernel: DelayKernel, quad_step: float):
+    """Composite Simpson nodes ``s``, step at most ``quad_step``, on the
+    effective support, and weights ``wd`` with the density folded in: the
+    kernel average of a history x is ``wd @ x(t - s)``."""
     if not (quad_step > 0):
         raise ValueError("quad_step must be > 0")
     lo, hi = effective_support(kernel)
@@ -213,5 +207,19 @@ def convolve_history(kernel: DelayKernel, history, t: float,
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= (hi - lo) / n / 3.0
-    values = _eval_history(history, t - s)
-    return (weights * density(kernel, s)) @ values
+    return s, weights * density(kernel, s)
+
+
+def convolve_history(kernel: DelayKernel, history, t: float,
+                     quad_step: float) -> np.ndarray:
+    """Kernel-weighted past average integral of k(s) x(t - s) ds.
+
+    ``history`` must be dense-evaluable at every time the kernel support
+    reaches: either a callable of one time argument or an object exposing
+    ``eval_many``.  Composite Simpson quadrature with step ``quad_step`` is
+    used on the effective support; the Dirac kernel samples exactly.
+    """
+    if isinstance(kernel, DiracKernel):
+        return _eval_history(history, np.array([t - kernel.lag]))[0]
+    s, wd = quadrature_rule(kernel, quad_step)
+    return wd @ _eval_history(history, t - s)

@@ -1,6 +1,7 @@
 import gc
 import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,178 @@ class TestFracMemorySums:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _simpson_average(kernel, history, t, quad_step):
+    """Reference Simpson kernel average, its rule rebuilt on every call."""
+    lo, hi = kernels.effective_support(kernel)
+    n = max(2, int(math.ceil((hi - lo) / quad_step)))
+    n += n % 2
+    s = np.linspace(lo, hi, n + 1)
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= (hi - lo) / n / 3.0
+    return (weights * kernels.density(kernel, s)) @ history.eval_many(t - s)
+
+
+def _per_stage_delayed(kernel, grid, quad_step, times, final):
+    """Reference delayed argument: every lookup evaluated on its own."""
+    if isinstance(kernel, kernels.DiracKernel):
+        if kernel.lag == 0.0:
+            return lambda i, x: x
+        return lambda i, x: grid.eval_many(
+            np.array([times[i] - kernel.lag]))[0]
+    if quad_step is None:
+        lo, hi = kernels.effective_support(kernel)
+        quad_step = min(grid.h, (hi - lo) / 16.0)
+    return lambda i, x: _simpson_average(kernel, grid, times[i], quad_step)
+
+
+def _rigid_pair(x, xd):
+    return models.rhs_delayed(P321, x, xd)
+
+
+def _run_both(run, monkeypatch, pair=_rigid_pair):
+    """(result or raised error, rhs calls) of ``run(pair)`` with batched
+    and with per-stage lookups."""
+    out = []
+    for patch in (False, True):
+        calls = []
+
+        def counted(x, xd):
+            calls.append(1)
+            return pair(x, xd)
+
+        with monkeypatch.context() as m:
+            if patch:
+                m.setattr(integrators, "_delayed_argument",
+                          _per_stage_delayed)
+            try:
+                result = run(counted)
+            except (DivergenceError, HistoryCoverageError) as exc:
+                result = exc
+        out.append((result, len(calls)))
+    return out
+
+
+def _assert_bitwise(run, monkeypatch):
+    (fast, fast_calls), (ref, ref_calls) = _run_both(run, monkeypatch)
+    # tobytes also tells signed zeros apart
+    assert fast.states.tobytes() == ref.states.tobytes()
+    assert fast.derivs.tobytes() == ref.derivs.tobytes()
+    assert fast_calls == ref_calls
+
+
+H = 0.01
+SEGMENT = integrate_rk4(lambda x: np.array([-x[1], x[0], -0.5 * x[2]]),
+                        np.array([0.3, 0.1, 0.4]), 3.0, 0.05)
+PHIS = {
+    "constant": HistorySpec.constant([0.3, 0.4, 0.2]),
+    "callable": HistorySpec.from_callable(lambda s: np.array(
+        [0.3 + 0.1 * math.sin(3 * s), 0.4 * math.cos(s), 0.2 - 0.05 * s])),
+    "trajectory": HistorySpec.from_trajectory(
+        Trajectory(-3.0, SEGMENT.h, SEGMENT.states, SEGMENT.derivs)),
+}
+
+
+class TestBatchedLookups:
+    """Batched delayed lookups against per-stage lookups, bit for bit."""
+
+    @pytest.mark.parametrize("phi", PHIS)
+    @pytest.mark.parametrize("kernel", [
+        kernels.DiracKernel(0.3 * H), kernels.DiracKernel(H),
+        kernels.DiracKernel(1.5 * H), kernels.DiracKernel(50 * H),
+        kernels.DiracKernel(50.5 * H), kernels.UniformKernel(0.0, 0.37),
+        kernels.UniformKernel(0.5 * H, 0.37), kernels.UniformKernel(H, 0.37),
+        kernels.UniformKernel(50 * H, 0.37),
+        kernels.UniformKernel(50 * H, 1.5)], ids=repr)
+    def test_dde(self, kernel, phi, monkeypatch):
+        # 137 steps: no whole number of 50-step blocks.  With 151 Simpson
+        # nodes a batch holds 4096 // 151 = 27 lookups, so the batch from
+        # lookup 81 holds 21 lookups wholly in phi's past and 6 others.
+        _assert_bitwise(lambda pair: integrate_dde(
+            pair, kernel, PHIS[phi], 1.37, H), monkeypatch)
+
+    def test_dde_exponential_kernel(self, monkeypatch):
+        _assert_bitwise(lambda pair: integrate_dde(
+            pair, kernels.ExponentialKernel(4.0), PHIS["constant"], 0.5, H),
+            monkeypatch)
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("kernel", [
+        kernels.DiracKernel(1.5 * H), kernels.DiracKernel(2 * H),
+        kernels.DiracKernel(2.5 * H), kernels.DiracKernel(30.5 * H),
+        kernels.UniformKernel(5 * H, 0.2)], ids=repr)
+    def test_frac_dde(self, kernel, iters, monkeypatch):
+        cfg = FracConfig(order=0.8, h=H, corrector_iters=iters)
+        _assert_bitwise(lambda pair: integrate_frac_dde(
+            pair, cfg, kernel, PHIS["callable"], 1.37), monkeypatch)
+
+    @pytest.mark.parametrize("kernel", [
+        kernels.UniformKernel(0.1, 0.37), kernels.ExponentialKernel(12.0),
+        kernels.ErlangKernel(15.0)], ids=repr)
+    def test_convolve_history_unchanged(self, kernel):
+        for phi in PHIS.values():
+            for t in (-0.3, 0.0):
+                assert kernels.convolve_history(
+                    kernel, phi, t, 0.013).tobytes() == _simpson_average(
+                    kernel, phi, t, 0.013).tobytes()
+
+    def test_rk4_lookup_times(self):
+        # stage times k*h + h/2 and k*h + h in plain float arithmetic
+        expect = [0.0]
+        for k in range(4):
+            expect += [k * H + 0.5 * H, k * H + H]
+        times, final = integrators._rk4_lookups(4, H)
+        assert times.tolist() == expect
+        assert final.tolist() == [-1, 0, 0, 1, 1, 2, 2, 3, 3]
+
+    @pytest.mark.parametrize("kernel", [kernels.DiracKernel(0.5),
+                                        kernels.UniformKernel(0.1, 0.3)],
+                             ids=repr)
+    @pytest.mark.parametrize("frac", [False, True])
+    def test_history_coverage_error(self, kernel, frac, monkeypatch):
+        # the segment covers [-0.2, 0], the kernels reach back to 0.4
+        phi = HistorySpec.from_trajectory(Trajectory(
+            -0.2, SEGMENT.h, SEGMENT.states[:5], SEGMENT.derivs[:5]))
+        cfg = FracConfig(order=0.8, h=H)
+        (fast, fast_calls), (ref, ref_calls) = _run_both(
+            lambda pair: integrate_frac_dde(pair, cfg, kernel, phi, 1.0)
+            if frac else integrate_dde(pair, kernel, phi, 1.0, H),
+            monkeypatch)
+        assert isinstance(fast, HistoryCoverageError)
+        assert str(fast) == str(ref)
+        assert fast_calls == ref_calls
+
+    @pytest.mark.parametrize("frac", [False, True])
+    def test_divergence_error(self, frac, monkeypatch):
+        # x' = 20 x(t - 5h) grows by about e^12.6 per unit time
+        kernel, phi = kernels.DiracKernel(5 * H), HistorySpec.constant([1.0])
+        cfg = FracConfig(order=0.9, h=H)
+        (fast, fast_calls), (ref, ref_calls) = _run_both(
+            lambda pair: integrate_frac_dde(pair, cfg, kernel, phi, 5.0)
+            if frac else integrate_dde(pair, kernel, phi, 5.0, H),
+            monkeypatch, lambda x, xd: 20.0 * xd)
+        assert isinstance(fast, DivergenceError)
+        assert fast.t_last == ref.t_last > 0.5
+        assert str(fast) == str(ref)
+        assert fast_calls == ref_calls
+
+    def test_lookahead_memory_bounded(self):
+        # unbounded, the 200 steps' lookups would read 400k history points
+        # at once; the lookahead evaluates at most _LOOKAHEAD_POINTS
+        seg = Trajectory(-52.0, 0.5, np.ones((105, 3)), np.zeros((105, 3)))
+        phi = HistorySpec.from_trajectory(seg)
+        kernel = kernels.UniformKernel(50.0, 1.0)
+        tracemalloc.start()
+        try:
+            traj = integrate_dde(_rigid_pair, kernel, phi, 0.2, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.n_samples == 201
+        assert peak < 20e6
 
 
 class TestTrajectoryCsv:
