@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -613,7 +614,10 @@ def cmd_scan(cfg: RunConfig, out_path: str) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once: a parser is cyclic garbage, and ``append`` copies its
+    default list before it appends."""
     parser = argparse.ArgumentParser(
         prog="rigidmem",
         description="Simulate and analyze rigid-body dynamics with "

@@ -9,7 +9,6 @@ precision.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -126,35 +125,44 @@ def density(kernel: DelayKernel, s):
     return out if out.ndim else float(out)
 
 
-def laplace(kernel: DelayKernel, lam) -> complex:
+def _lambda_array(lam):
+    """``lam`` as an at least 1-d complex array, and whether it was a
+    scalar; a scalar takes the array path, so it gets an element's bits."""
+    arr = np.asarray(lam, dtype=complex)
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
+def laplace(kernel: DelayKernel, lam):
     """Transform k1(lambda) = integral of k(s) exp(-lambda s) over [0, inf).
 
-    For the exponential and Erlang kernels the integral only converges for
-    Re(lambda) > -rate; outside that half-plane a ValueError is raised.
-    The uniform transform switches to a 4-term series near lambda = 0 to
-    avoid cancellation.
+    ``lam`` is a scalar (the result is a Python complex) or an array (the
+    result is a complex array of its shape).  For the exponential and
+    Erlang kernels the integral only converges for Re(lambda) > -rate; a
+    ValueError is raised if any lambda lies outside that half-plane.  The
+    uniform transform switches to a 4-term series near lambda = 0 to avoid
+    cancellation.
     """
-    lam = complex(lam)
+    lam, scalar = _lambda_array(lam)
     if isinstance(kernel, DiracKernel):
-        return cmath.exp(-kernel.lag * lam)
-    if isinstance(kernel, UniformKernel):
+        out = np.exp(-kernel.lag * lam)
+    elif isinstance(kernel, UniformKernel):
         z = kernel.width * lam
-        if abs(z) < _SERIES_CUTOFF:
-            base = 1.0 - z / 2.0 + z * z / 6.0 - z * z * z / 24.0
+        small = np.abs(z) < _SERIES_CUTOFF
+        series = 1.0 - z / 2.0 + z * z / 6.0 - z * z * z / 24.0
+        z = np.where(small, 1.0, z)
+        base = np.where(small, series, (1.0 - np.exp(-z)) / z)
+        out = np.exp(-kernel.offset * lam) * base
+    elif isinstance(kernel, (ExponentialKernel, ErlangKernel)):
+        if np.any(lam.real <= -kernel.rate):
+            raise ValueError(
+                f"transform diverges for Re(lambda) <= -rate = {-kernel.rate}")
+        if isinstance(kernel, ExponentialKernel):
+            out = kernel.rate / (kernel.rate + lam)
         else:
-            base = (1.0 - cmath.exp(-z)) / z
-        return cmath.exp(-kernel.offset * lam) * base
-    if isinstance(kernel, ExponentialKernel):
-        if lam.real <= -kernel.rate:
-            raise ValueError(
-                f"transform diverges for Re(lambda) <= -rate = {-kernel.rate}")
-        return kernel.rate / (kernel.rate + lam)
-    if isinstance(kernel, ErlangKernel):
-        if lam.real <= -kernel.rate:
-            raise ValueError(
-                f"transform diverges for Re(lambda) <= -rate = {-kernel.rate}")
-        return kernel.rate**2 / (kernel.rate + lam) ** 2
-    raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+            out = kernel.rate**2 / (kernel.rate + lam) ** 2
+    else:
+        raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+    return complex(out[0]) if scalar else out
 
 
 def chain_reduce(kernel: DelayKernel) -> ChainSpec | None:

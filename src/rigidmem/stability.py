@@ -194,18 +194,20 @@ def _ep_coeffs(s: InertiaSetup) -> tuple[float, float, float]:
     return q1, q2, q0
 
 
-def char_ep_eval(s: InertiaSetup, kernel, lam) -> complex:
+def char_ep_eval(s: InertiaSetup, kernel, lam):
     """Characteristic function of the delayed Euler-Poincare equilibrium.
 
     Evaluates the reduced (tangent-space) quadratic-in-lambda bracket
     lambda^2 - q1 lambda k1(lambda) + q2 k1(lambda)^2 - q0; the full
     characteristic equation carries an extra structural lambda factor.
     Equals the 2x2 block determinant of the linearization for every kernel.
+    A scalar ``lam`` gives a Python complex, an array gives an array.
     """
-    lam = complex(lam)
+    lam, scalar = _kern._lambda_array(lam)
     k1 = _kern.laplace(kernel, lam)
     q1, q2, q0 = _ep_coeffs(s)
-    return lam * lam - q1 * lam * k1 + q2 * k1 * k1 - q0
+    out = lam * lam - q1 * lam * k1 + q2 * k1 * k1 - q0
+    return complex(out[0]) if scalar else out
 
 
 def tau_c_formula(s: InertiaSetup) -> float:
@@ -273,37 +275,42 @@ def critical_delay_scan(s: InertiaSetup, omega_max: float = 50.0,
     if s.coupling == 0:
         return None
     q1, q2, q0 = _ep_coeffs(s)
+    if q2 == 0:  # coupling^2 m^4 underflows; numpy would divide silently
+        raise ZeroDivisionError("complex division by zero")
 
     def unit_gaps(omega):
-        b = -q1 * 1j * omega
-        cc = -(omega * omega) - q0
-        sq = cmath.sqrt(b * b - 4.0 * q2 * cc)
-        roots = sorted(((-b + sq) / (2.0 * q2), (-b - sq) / (2.0 * q2)),
-                       key=lambda z: (z.real, z.imag))
-        return roots, [abs(z) - 1.0 for z in roots]
+        """Real parts, imaginary parts and |z| - 1 of both z-roots at omega
+        (a float or an array), each a pair ordered by (real, imag)."""
+        # b = i bi, so the discriminant b^2 - 4 q2 c is real and the roots
+        # (-b +- sqrt(disc)) / (2 q2) are -+|root / (2 q2)| - i bi / (2 q2)
+        # if disc >= 0, or i (-bi -+ root) / (2 q2) if disc < 0
+        bi = -q1 * omega
+        disc = -(bi * bi) - 4.0 * q2 * (-(omega * omega) - q0)
+        root = np.sqrt(np.abs(disc))
+        real_part = np.abs(root / (2.0 * q2)) * (disc >= 0.0)
+        spread = root * (disc < 0.0)
+        ima, imb = (-bi + spread) / (2.0 * q2), (-bi - spread) / (2.0 * q2)
+        re = (-real_part, real_part)
+        im = (np.minimum(ima, imb), np.maximum(ima, imb))
+        return re, im, [np.hypot(x, y) - 1.0 for x, y in zip(re, im)]
 
     omegas = np.linspace(omega_max / grid, omega_max, grid)
+    gaps = np.array(unit_gaps(omegas)[2])
+    hits = (gaps[:, :-1] == 0.0) | (gaps[:, :-1] * gaps[:, 1:] < 0.0)
     candidates = []
-    _, prev_gaps = unit_gaps(omegas[0])
-    for i in range(1, len(omegas)):
-        roots, gaps = unit_gaps(omegas[i])
-        for slot in range(2):
-            if prev_gaps[slot] == 0.0 or prev_gaps[slot] * gaps[slot] < 0.0:
-                lo, hi = omegas[i - 1], omegas[i]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    _, g = unit_gaps(mid)
-                    if prev_gaps[slot] * g[slot] <= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                omega_star = 0.5 * (lo + hi)
-                z_star, gap = unit_gaps(omega_star)
-                z = z_star[slot]
-                if abs(gap[slot]) < 1e-6 and abs(z) > 0:
-                    tau0 = (-cmath.phase(z)) % (2.0 * math.pi) / omega_star
-                    candidates.append((tau0, omega_star))
-        prev_gaps = gaps
+    for i, slot in zip(*np.nonzero(hits.T)):
+        lo, hi = omegas[i], omegas[i + 1]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if gaps[slot, i] * unit_gaps(mid)[2][slot] <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        omega_star = 0.5 * (lo + hi)
+        re, im, gap = (part[slot] for part in unit_gaps(omega_star))
+        if abs(gap) < 1e-6:
+            tau0 = (-math.atan2(im, re)) % (2.0 * math.pi) / omega_star
+            candidates.append((tau0, omega_star))
     taus = []
     for tau0, omega0 in candidates:
         polished = _newton_root_pair(s, tau0, omega0)
@@ -312,14 +319,16 @@ def critical_delay_scan(s: InertiaSetup, omega_max: float = 50.0,
     return min(taus) if taus else None
 
 
-def frac_delay_char_eval(A, B, order: float, kernel, lam) -> complex:
+def frac_delay_char_eval(A, B, order: float, kernel, lam):
     """det(lambda^order I - A - k1(lambda) B) on the principal branch.
 
-    The branch cut lies on the negative real axis; evaluation close to the
-    cut raises a RuntimeWarning because the power is discontinuous there.
+    A scalar ``lam`` gives a Python complex, an array gives an array.  The
+    branch cut lies on the negative real axis; evaluation close to the cut
+    raises a RuntimeWarning because the power is discontinuous there.
     """
-    lam = complex(lam)
-    if lam.real < 0 and abs(lam.imag) < 1e-12 * max(1.0, -lam.real):
+    lam, scalar = _kern._lambda_array(lam)
+    if np.any((lam.real < 0)
+              & (np.abs(lam.imag) < 1e-12 * np.maximum(1.0, -lam.real))):
         warnings.warn("lambda is close to the principal branch cut; "
                       "the result is one-sided", RuntimeWarning, stacklevel=2)
     A = np.asarray(A, dtype=complex)
@@ -327,8 +336,11 @@ def frac_delay_char_eval(A, B, order: float, kernel, lam) -> complex:
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A and B must be square matrices of equal shape")
     w = lam**order
-    mat = w * np.eye(A.shape[0]) - A - _kern.laplace(kernel, lam) * B
-    return complex(np.linalg.det(mat))
+    k1 = _kern.laplace(kernel, lam)
+    mat = (w[..., None, None] * np.eye(A.shape[0]) - A
+           - k1[..., None, None] * B)
+    out = np.linalg.det(mat)
+    return complex(out[0]) if scalar else out
 
 
 def count_rhp_roots(f, sigma_max: float = 50.0, omega_max: float = 50.0, *,
@@ -336,40 +348,44 @@ def count_rhp_roots(f, sigma_max: float = 50.0, omega_max: float = 50.0, *,
                     max_depth: int = 28) -> tuple[int, float]:
     """Zeros of ``f`` inside the rectangle [0, sigma_max] x [-i, +i]*omega_max.
 
-    Winding-number computation over the counterclockwise boundary with
-    adaptive bisection of every segment whose phase increment exceeds
-    pi/2.  Returns (count, min_boundary_ratio) where the second entry is
-    the smallest |f| on the contour divided by the contour median |f|;
-    values near zero flag a root on the boundary (a marginal case).
+    ``f`` maps a 1-D complex array of lambda to the array of its values.
+    Winding number over the counterclockwise boundary: one call for the
+    4 * (samples_per_edge + 1) edge samples (corners twice), then one call
+    per depth below ``max_depth`` for the midpoints of every segment whose
+    phase increment exceeds pi/2.  Returns (count, min_boundary_ratio)
+    where the second entry is the smallest |f| on the contour divided by
+    the contour median |f|; values near zero flag a root on the boundary
+    (a marginal case).  A zero sample gives (-1, 0.0).
     """
-    corners = [complex(0.0, -omega_max), complex(sigma_max, -omega_max),
-               complex(sigma_max, omega_max), complex(0.0, omega_max),
-               complex(0.0, -omega_max)]
+    corners = np.array([complex(0.0, -omega_max),
+                        complex(sigma_max, -omega_max),
+                        complex(sigma_max, omega_max),
+                        complex(0.0, omega_max), complex(0.0, -omega_max)])
+    za, zb = corners[:-1, None], corners[1:, None]
+    edges = za + (zb - za) * np.linspace(0.0, 1.0, samples_per_edge + 1)
+    vals = np.asarray(f(edges.ravel()), dtype=complex).reshape(edges.shape)
+    if not vals.all():
+        return -1, 0.0
+    all_abs = [np.abs(vals).ravel()]
+    z1, z2 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    f1, f2 = vals[:, :-1].ravel(), vals[:, 1:].ravel()
     total = 0.0
-    min_abs = math.inf
-    all_abs = []
-
-    for za, zb in zip(corners[:-1], corners[1:]):
-        ts = np.linspace(0.0, 1.0, samples_per_edge + 1)
-        pts = [za + (zb - za) * t for t in ts]
-        vals = [f(z) for z in pts]
-        all_abs.extend(abs(v) for v in vals)
-        stack = [(pts[i], vals[i], pts[i + 1], vals[i + 1], 0)
-                 for i in range(len(pts) - 1)][::-1]
-        while stack:
-            z1, f1, z2, f2, depth = stack.pop()
-            min_abs = min(min_abs, abs(f1), abs(f2))
-            if f1 == 0 or f2 == 0:
-                return -1, 0.0
-            dphi = cmath.phase(f2 / f1)
-            if abs(dphi) > math.pi / 2.0 and depth < max_depth:
-                zm = 0.5 * (z1 + z2)
-                fm = f(zm)
-                all_abs.append(abs(fm))
-                stack.append((zm, fm, z2, f2, depth + 1))
-                stack.append((z1, f1, zm, fm, depth + 1))
-            else:
-                total += dphi
+    depth = 0
+    while True:
+        dphi = np.angle(f2 / f1)
+        split = (np.abs(dphi) > math.pi / 2.0) & (depth < max_depth)
+        total += float(dphi[~split].sum())
+        if not split.any():
+            break
+        zm = 0.5 * (z1[split] + z2[split])
+        fm = np.asarray(f(zm), dtype=complex)
+        if not fm.all():
+            return -1, 0.0
+        all_abs.append(np.abs(fm))
+        z1, z2 = np.r_[z1[split], zm], np.r_[zm, z2[split]]
+        f1, f2 = np.r_[f1[split], fm], np.r_[fm, f2[split]]
+        depth += 1
+    all_abs = np.concatenate(all_abs)
     scale = float(np.median(all_abs)) or 1.0
     count = total / (2.0 * math.pi)
     rounded = int(round(count))
@@ -377,7 +393,7 @@ def count_rhp_roots(f, sigma_max: float = 50.0, omega_max: float = 50.0, *,
         raise RuntimeError(
             f"argument-principle count did not settle (got {count:.3f}); "
             "refine the contour")
-    return rounded, min_abs / scale
+    return rounded, float(all_abs.min()) / scale
 
 
 def _count_verdict(count: int, boundary_ratio: float) -> str:
@@ -415,7 +431,7 @@ def scalar_frac_delay_check(a: float, order: float,
         raise ValueError("order must lie in (0, 1)")
 
     def f(lam):
-        return lam**order - a * cmath.exp(-lam * tau)
+        return lam**order - a * np.exp(-lam * tau)
 
     count, boundary = count_rhp_roots(f)
     metadata = {

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,44 @@ class TestScan:
     def test_scan_requires_section(self, tmp_path):
         code, _ = run_cli(tmp_path, FRACTIONAL, "scan", "no.csv")
         assert code == 2
+
+
+class TestMain:
+    def test_no_reference_cycles(self, tmp_path, capsys):
+        calls = [(CLASSICAL, "simulate", ()), (FRACTIONAL, "stability", ()),
+                 (EP_DELAYED, "stability", ()), (EP_DELAYED, "scan", ()),
+                 (CLASSICAL, "simulate", ("run.step=-1",))]
+
+        def run_all():
+            return [run_cli(tmp_path, text, command, "out.csv", sets)[0]
+                    for text, command, sets in calls]
+
+        # the first round also pays one-time costs (lazy imports, caches)
+        assert run_all() == [0, 0, 0, 0, 2]
+        gc.collect()
+        gc.disable()
+        try:
+            run_all()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_set_values_do_not_leak_between_calls(self, tmp_path,
+                                                  monkeypatch):
+        seen = []
+        parse = cli.parse_config
+
+        def recording(text, overrides=()):
+            seen.append(list(overrides))
+            return parse(text, overrides=overrides)
+
+        monkeypatch.setattr(cli, "parse_config", recording)
+        _, first = run_cli(tmp_path, CLASSICAL, "simulate", "a.csv",
+                           ["run.t_end=0.2"])
+        _, second = run_cli(tmp_path, CLASSICAL, "simulate", "b.csv",
+                            ["run.step=0.05"])
+        _, third = run_cli(tmp_path, CLASSICAL, "simulate", "c.csv")
+        assert seen == [["run.t_end=0.2"], ["run.step=0.05"], []]
+        rows = [len(p.read_text().splitlines()) - 1
+                for p in (first, second, third)]
+        assert rows == [21, 11, 51]

@@ -99,6 +99,37 @@ class TestLaplace:
             assert abs(kernels.laplace(kernel, 1j * omega)) <= 1.0 + 1e-12
 
 
+def _lambda_samples():
+    """Seeded lambdas over the contour scale, with 0 and points inside
+    the uniform series cutoff."""
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(-1.0, 50.0, 400) + 1j * rng.uniform(-50.0, 50.0, 400)
+    tiny = rng.uniform(-1e-4, 1e-4, 20) + 1j * rng.uniform(-1e-4, 1e-4, 20)
+    return np.concatenate(([0.0, 1e-5, 2e-4j], tiny, lam))
+
+
+class TestLaplaceArrays:
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=str)
+    def test_scalar_returns_python_complex(self, kernel):
+        for lam in (0, 0.5, 1.0 + 2.0j, np.float64(0.3), np.complex128(1j)):
+            assert type(kernels.laplace(kernel, lam)) is complex
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=str)
+    def test_array_equals_scalar_calls(self, kernel):
+        lam = _lambda_samples()
+        got = kernels.laplace(kernel, lam)
+        assert got.shape == lam.shape and got.dtype == complex
+        assert got.tolist() == [kernels.laplace(kernel, z) for z in lam]
+
+    def test_divergence_domain_any_element(self):
+        for kernel in (kernels.ExponentialKernel(1.0),
+                       kernels.ErlangKernel(2.0)):
+            lam = np.array([1.0, 2.0j, complex(-kernel.rate, 3.0), 0.5])
+            with pytest.raises(ValueError):
+                kernels.laplace(kernel, lam)
+            assert kernels.laplace(kernel, lam[[0, 1, 3]]).shape == (3,)
+
+
 class TestChainReduce:
     def test_examples(self):
         assert kernels.chain_reduce(kernels.ExponentialKernel(3.0)) == \

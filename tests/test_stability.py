@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -309,3 +310,306 @@ class TestPlanarCheck:
             stability.planar_frac_delay_check(1.0, 0.0, 0.5, 0.1)
         with pytest.raises(ValueError):
             stability.planar_frac_delay_check(1.0, 2.0, 0.5, 0.0)
+
+
+# --- one-lambda-at-a-time reference copies of the stability loops ----------
+
+def _scalar_count_rhp_roots(f, sigma_max=50.0, omega_max=50.0, *,
+                            samples_per_edge=96, max_depth=28):
+    """Depth-first contour count that calls a scalar ``f`` once per point."""
+    corners = [complex(0.0, -omega_max), complex(sigma_max, -omega_max),
+               complex(sigma_max, omega_max), complex(0.0, omega_max),
+               complex(0.0, -omega_max)]
+    total = 0.0
+    min_abs = math.inf
+    all_abs = []
+
+    for za, zb in zip(corners[:-1], corners[1:]):
+        ts = np.linspace(0.0, 1.0, samples_per_edge + 1)
+        pts = [za + (zb - za) * t for t in ts]
+        vals = [f(z) for z in pts]
+        all_abs.extend(abs(v) for v in vals)
+        stack = [(pts[i], vals[i], pts[i + 1], vals[i + 1], 0)
+                 for i in range(len(pts) - 1)][::-1]
+        while stack:
+            z1, f1, z2, f2, depth = stack.pop()
+            min_abs = min(min_abs, abs(f1), abs(f2))
+            if f1 == 0 or f2 == 0:
+                return -1, 0.0
+            dphi = cmath.phase(f2 / f1)
+            if abs(dphi) > math.pi / 2.0 and depth < max_depth:
+                zm = 0.5 * (z1 + z2)
+                fm = f(zm)
+                all_abs.append(abs(fm))
+                stack.append((zm, fm, z2, f2, depth + 1))
+                stack.append((z1, f1, zm, fm, depth + 1))
+            else:
+                total += dphi
+    scale = float(np.median(all_abs)) or 1.0
+    count = total / (2.0 * math.pi)
+    rounded = int(round(count))
+    if abs(count - rounded) > 0.25:
+        raise RuntimeError(
+            f"argument-principle count did not settle (got {count:.3f}); "
+            "refine the contour")
+    return rounded, min_abs / scale
+
+
+def _scalar_critical_delay_scan(s, omega_max=50.0, grid=4000):
+    """Crossing scan that solves the quadratic in z one omega at a time."""
+    if s.coupling == 0:
+        return None
+    q1, q2, q0 = stability._ep_coeffs(s)
+
+    def unit_gaps(omega):
+        b = -q1 * 1j * omega
+        cc = -(omega * omega) - q0
+        sq = cmath.sqrt(b * b - 4.0 * q2 * cc)
+        roots = sorted(((-b + sq) / (2.0 * q2), (-b - sq) / (2.0 * q2)),
+                       key=lambda z: (z.real, z.imag))
+        return roots, [abs(z) - 1.0 for z in roots]
+
+    omegas = np.linspace(omega_max / grid, omega_max, grid)
+    candidates = []
+    _, prev_gaps = unit_gaps(omegas[0])
+    for i in range(1, len(omegas)):
+        roots, gaps = unit_gaps(omegas[i])
+        for slot in range(2):
+            if prev_gaps[slot] == 0.0 or prev_gaps[slot] * gaps[slot] < 0.0:
+                lo, hi = omegas[i - 1], omegas[i]
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    _, g = unit_gaps(mid)
+                    if prev_gaps[slot] * g[slot] <= 0.0:
+                        hi = mid
+                    else:
+                        lo = mid
+                omega_star = 0.5 * (lo + hi)
+                z_star, gap = unit_gaps(omega_star)
+                z = z_star[slot]
+                if abs(gap[slot]) < 1e-6 and abs(z) > 0:
+                    tau0 = (-cmath.phase(z)) % (2.0 * math.pi) / omega_star
+                    candidates.append((tau0, omega_star))
+        prev_gaps = gaps
+    taus = []
+    for tau0, omega0 in candidates:
+        polished = stability._newton_root_pair(s, tau0, omega0)
+        if polished is not None:
+            taus.append(polished[0])
+    return min(taus) if taus else None
+
+
+def _random_setup(rng):
+    """Python floats, as a parsed config gives them."""
+    I3 = float(rng.uniform(0.5, 3.0))
+    I2 = I3 + float(rng.uniform(0.01, 3.0))
+    I1 = I2 + float(rng.uniform(0.01, 3.0))
+    coupling = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0))
+    return models.InertiaSetup(I1, I2, I3, coupling,
+                               float(rng.uniform(0.1, 5.0)))
+
+
+def _random_kernel(rng, kind):
+    if kind == "dirac":
+        return kernels.DiracKernel(rng.uniform(0.0, 3.0))
+    if kind == "uniform":
+        return kernels.UniformKernel(rng.uniform(0.0, 1.0),
+                                     rng.uniform(0.1, 2.0))
+    if kind == "exponential":
+        return kernels.ExponentialKernel(rng.uniform(0.3, 5.0))
+    return kernels.ErlangKernel(rng.uniform(0.3, 5.0))
+
+
+def _assert_same_contour(f, f_array=None, **window):
+    """The array contour on ``f`` (through an adapter) and on ``f_array``
+    agrees with the scalar reference; returns the count."""
+    ref_points, points = [], []
+
+    def scalar(z):
+        ref_points.append(complex(z))
+        return f(z)
+
+    def adapter(zs):
+        points.extend(complex(z) for z in zs)
+        return np.array([f(z) for z in zs])
+
+    ref = _scalar_count_rhp_roots(scalar, **window)
+    got = stability.count_rhp_roots(adapter, **window)
+    assert got[0] == ref[0]
+    assert Counter(points) == Counter(ref_points)
+    assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+    if f_array is not None:
+        direct = stability.count_rhp_roots(f_array, **window)
+        assert direct[0] == ref[0]
+        assert direct[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+    return ref[0]
+
+
+class TestArrayContour:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scalar_18(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
+        order, tau = rng.uniform(0.5, 0.95), rng.uniform(0.0, 2.0)
+        count = _assert_same_contour(
+            lambda lam: lam**order - a * cmath.exp(-lam * tau),
+            lambda lam: lam**order - a * np.exp(-lam * tau))
+        rep = stability.scalar_frac_delay_check(a, order, tau)
+        assert rep.metadata["rhp_root_count"] == count
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_planar_19(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        k1, k2 = rng.uniform(0.1, 2.0, 2)
+        order, tau = rng.uniform(0.5, 1.0), rng.uniform(0.05, 2.0)
+        A = np.array([[-k1, 1.0], [0.0, -(k1 + k2)]])
+        B = np.array([[0.0, 0.0], [1.0, 0.0]])
+        kern = kernels.DiracKernel(tau)
+        f = lambda lam: stability.frac_delay_char_eval(A, B, order, kern, lam)
+        count = _assert_same_contour(f, f)
+        rep = stability.planar_frac_delay_check(k1, k2, order, tau)
+        assert rep.metadata["rhp_root_count"] == count
+
+    @pytest.mark.parametrize("kind", ["dirac", "uniform", "exponential",
+                                      "erlang"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ep_delayed(self, kind, seed):
+        rng = np.random.default_rng(300 + seed)
+        s = _random_setup(rng)
+        kern = _random_kernel(rng, kind)
+        f = lambda lam: stability.char_ep_eval(s, kern, lam)
+        count = _assert_same_contour(f, f)
+        rep = stability.ep_delayed_check(s, kern)
+        assert rep.metadata["rhp_root_count"] == count
+
+    def test_uniform_series_cutoff(self):
+        # a window this small puts most samples inside |width*lam| < 1e-4
+        kern = kernels.UniformKernel(0.2, 1.0)
+        f = lambda lam: stability.char_ep_eval(S321, kern, lam)
+        _assert_same_contour(f, f, sigma_max=2e-4, omega_max=2e-4)
+
+    def test_zero_boundary_sample(self):
+        # lambda = 0 is the middle sample of the imaginary edge
+        assert _scalar_count_rhp_roots(lambda z: z) == (-1, 0.0)
+        assert stability.count_rhp_roots(lambda z: z) == (-1, 0.0)
+
+    def test_zero_refinement_midpoint(self):
+        # a root between two samples of the bottom edge is bisected onto
+        z0 = complex(0.5 * 50.0 / 96.0, -50.0)
+
+        def f(z):
+            return 0.0j if abs(z - z0) < 1e-12 else z - z0
+
+        assert _scalar_count_rhp_roots(f) == (-1, 0.0)
+        assert stability.count_rhp_roots(
+            lambda zs: np.array([f(z) for z in zs])) == (-1, 0.0)
+
+    def test_unsettled_count_raises(self):
+        # a deterministic f closes the contour, so its phase steps sum to a
+        # whole number of turns; an f that drifts by pi/384 per evaluated
+        # point does not: 4 * 96 steps add up to half a turn
+        drift = math.pi / 384.0
+        seen = []
+
+        def scalar_f(z):
+            seen.append(z)
+            return cmath.exp(1j * drift * (len(seen) - 1))
+
+        def array_f(zs):
+            k = np.arange(len(seen), len(seen) + len(zs))
+            seen.extend(zs)
+            return np.exp(1j * drift * k)
+
+        with pytest.raises(RuntimeError, match="did not settle"):
+            _scalar_count_rhp_roots(scalar_f)
+        seen.clear()
+        with pytest.raises(RuntimeError, match="did not settle"):
+            stability.count_rhp_roots(array_f)
+
+    def test_one_call_per_depth(self):
+        calls = []
+
+        def f(lam):
+            calls.append(len(lam))
+            return stability.char_ep_eval(S321, kernels.DiracKernel(0.5), lam)
+
+        stability.count_rhp_roots(f)
+        assert calls[0] == 4 * 97
+        assert len(calls) <= 1 + 28
+
+
+class TestArrayCrossingScan:
+    def test_equals_scalar_scan(self):
+        rng = np.random.default_rng(400)
+        setups = [S321, models.InertiaSetup(3, 2, 1, coupling=0.0, m=1.0)]
+        setups += [_random_setup(rng) for _ in range(200)]
+        found = 0
+        for s in setups:
+            got = stability.critical_delay_scan(s)
+            assert got == _scalar_critical_delay_scan(s)
+            found += got is not None
+        assert found > 150
+
+    def test_known_defects_keep_their_answer(self):
+        # both miss a crossing (ROADMAP item 2): m = 30 at tau* = 0.002617,
+        # and two crossings near omega = 0.02 in one grid cell at 66.88
+        for s in (models.InertiaSetup(3, 2, 1, coupling=1.0, m=30.0),
+                  models.InertiaSetup(3.80266, 3.51153, 3.03757,
+                                      coupling=0.328573, m=0.514721)):
+            assert stability.critical_delay_scan(s) is None
+            assert _scalar_critical_delay_scan(s) is None
+
+
+    def test_underflowing_quadratic_coefficient_raises(self):
+        # coupling^2 m^4 underflows to q2 = 0; the scan must not turn the
+        # division by zero into a silent None
+        s = models.InertiaSetup(3, 2, 1, coupling=1e-170, m=1.0)
+        assert stability._ep_coeffs(s)[1] == 0.0
+        with pytest.raises(ZeroDivisionError):
+            _scalar_critical_delay_scan(s)
+        with pytest.raises(ZeroDivisionError):
+            stability.critical_delay_scan(s)
+
+
+class TestArrayCharFunctions:
+    LAMS = np.concatenate(([0.0, 1e-5, 0.3j], np.random.default_rng(500)
+                           .uniform(-0.5, 50.0, 200)
+                           + 1j * np.random.default_rng(501)
+                           .uniform(-50.0, 50.0, 200)))
+    KERNELS = [kernels.DiracKernel(0.4), kernels.UniformKernel(0.1, 0.8),
+               kernels.ExponentialKernel(1.5), kernels.ErlangKernel(2.0)]
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=str)
+    def test_char_ep_eval(self, kern):
+        assert type(stability.char_ep_eval(S321, kern, 0.5)) is complex
+        got = stability.char_ep_eval(S321, kern, self.LAMS)
+        assert got.shape == self.LAMS.shape
+        assert got.tolist() == [stability.char_ep_eval(S321, kern, z)
+                                for z in self.LAMS]
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=str)
+    def test_frac_delay_char_eval(self, kern):
+        A = np.array([[-1.0, 1.0], [0.0, -3.0]])
+        B = np.array([[0.0, 0.0], [1.0, 0.0]])
+        assert type(stability.frac_delay_char_eval(A, B, 0.7, kern,
+                                                   0.5)) is complex
+        got = stability.frac_delay_char_eval(A, B, 0.7, kern, self.LAMS)
+        assert got.shape == self.LAMS.shape
+        ref = np.array([stability.frac_delay_char_eval(A, B, 0.7, kern, z)
+                        for z in self.LAMS])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_divergence_domain_any_element(self):
+        kern = kernels.ExponentialKernel(1.5)
+        lam = np.array([1.0, 2.0j, complex(-1.5, 0.5)])
+        with pytest.raises(ValueError):
+            stability.char_ep_eval(S321, kern, lam)
+        with pytest.raises(ValueError):
+            stability.frac_delay_char_eval(np.zeros((1, 1)), np.eye(1), 0.5,
+                                           kern, lam)
+
+    def test_branch_cut_warning_any_element(self):
+        lam = np.array([1.0 + 1.0j, -2.0 + 1e-14j, 3.0])
+        with pytest.warns(RuntimeWarning, match="branch cut"):
+            stability.frac_delay_char_eval(np.zeros((1, 1)), np.eye(1), 0.5,
+                                           kernels.DiracKernel(0.1), lam)
