@@ -3,11 +3,11 @@
 The axis equilibrium of the delayed Euler-Poincare system is stable for
 small lags and loses stability when a characteristic root crosses the
 imaginary axis.  Two numbers are reported side by side: the closed-form
-bound tau_c, and the actual first crossing tau* located numerically from
-the characteristic function.  Simulations of the linearized system on
-both sides of tau* confirm the flip.  Note that the closed-form bound is
-larger than the located crossing at this benchmark, so only tau* marks
-the true stability edge.
+bound tau_c, and the exact first crossing tau*, solved from the
+characteristic function on the imaginary axis.  Simulations of the
+linearized system on both sides of tau* confirm the flip.  Note that the
+closed-form bound is larger than the first crossing at this benchmark,
+so only tau* marks the true stability edge.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ s = InertiaSetup(3, 2, 1, coupling=1.0, m=1.0)
 print(f"inertia ({s.I1}, {s.I2}, {s.I3}), coupling {s.coupling}, m {s.m}")
 print(f"tau_c (formula bound)  : {tau_c_formula(s)}")
 tau_star = critical_delay_scan(s)
-print(f"tau*  (located crossing): {tau_star:.12f}  (= 3*pi/5)")
+print(f"tau*  (first crossing) : {tau_star:.12f}  (= 3*pi/5)")
 print()
 
 A, B = linearize_ep_delayed(s)

@@ -148,7 +148,8 @@ def _sector_report(cfg: RunConfig, revised: bool) -> _stab.StabilityReport:
 
 
 def _crossing_details(cfg: RunConfig, rep: _stab.StabilityReport) -> None:
-    rep.metadata["tau_c_formula"] = repr(_stab.tau_c_formula(cfg.params))
+    if cfg.params.coupling != 0:
+        rep.metadata["tau_c_formula"] = repr(_stab.tau_c_formula(cfg.params))
     rep.critical_delay = _stab.critical_delay_scan(cfg.params)
     if isinstance(cfg.kernel, _kern.DiracKernel):
         rep.metadata["kernel_lag"] = repr(cfg.kernel.lag)

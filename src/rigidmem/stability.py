@@ -3,8 +3,8 @@
 Covers the quadratic characteristic polynomials of the fractional rigid
 body at its axis equilibria (classified through the sector condition on
 w = lambda^order), the transcendental characteristic function of the
-delayed Euler-Poincare system with its critical-delay bound and numerical
-crossing, and argument-principle root counting for scalar and planar
+delayed Euler-Poincare system with its critical-delay bound and exact
+first crossing, and argument-principle root counting for scalar and planar
 fractional-delay benchmarks.
 """
 
@@ -44,9 +44,6 @@ UNSTABLE = "unstable"
 
 #: sector-margin tolerance separating "marginal" from a strict verdict
 SECTOR_TOL = 1e-12
-
-#: residual below which a located characteristic root is accepted
-RESIDUAL_TOL = 1e-10
 
 #: relative |f| on a contour below which a boundary root is flagged
 _BOUNDARY_TOL = 1e-9
@@ -214,7 +211,7 @@ def tau_c_formula(s: InertiaSetup) -> float:
     """Sufficient critical-delay bound for the sharp-lag kernel.
 
     Requires I1 > I2 and I1 > I3, nonzero coupling and m.  This bound is
-    exposed side by side with the numerically located crossing from
+    exposed side by side with the exact first crossing from
     :func:`critical_delay_scan`; the two need not coincide.
     """
     I1, I2, I3 = s.I1, s.I2, s.I3
@@ -229,94 +226,42 @@ def tau_c_formula(s: InertiaSetup) -> float:
     return num / den
 
 
-def _newton_root_pair(s: InertiaSetup, tau: float, omega: float):
-    """Polish (tau, omega) so bracket(i*omega) = 0 for the lag-tau kernel."""
-
-    def fun(t, w):
-        val = char_ep_eval(s, _kern.DiracKernel(max(t, 0.0)), 1j * w)
-        return np.array([val.real, val.imag])
-
-    x = np.array([tau, omega])
-    for _ in range(50):
-        f0 = fun(*x)
-        if np.linalg.norm(f0) < 1e-14:
-            break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            eps = 1e-7 * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += eps
-            jac[:, j] = (fun(*xp) - f0) / eps
-        try:
-            step = np.linalg.solve(jac, f0)
-        except np.linalg.LinAlgError:
-            return None
-        x = x - step
-        if np.linalg.norm(step) < 1e-14 * (1.0 + np.linalg.norm(x)):
-            break
-    residual = float(np.linalg.norm(fun(*x)))
-    if residual > RESIDUAL_TOL or x[0] < -1e-12 or x[1] <= 0:
-        return None
-    return max(x[0], 0.0), x[1], residual
-
-
-def critical_delay_scan(s: InertiaSetup, omega_max: float = 50.0,
-                        grid: int = 4000) -> float | None:
+def critical_delay_scan(s: InertiaSetup) -> float | None:
     """Smallest lag tau >= 0 placing a characteristic root on i*omega.
 
-    Substitutes z = exp(-i omega tau) into the bracket, solves the
-    resulting quadratic in z along an omega grid, and looks for |z| = 1
-    crossings; each candidate is polished by a 2-d Newton iteration on the
-    real and imaginary parts.  Returns None when no crossing exists below
-    ``omega_max`` (coupling 0 never produces one).
+    Exact algebra on the bracket at lambda = i*omega.  With
+    z = exp(-i omega tau) = c - i*sn on the unit circle, multiplying
+    q2 z^2 - i q1 omega z - (omega^2 + q0) = 0 by conj(z) leaves
+    (q2 - omega^2 - q0) c = 0 and sn (q2 + omega^2 + q0) = -q1 omega.  So a
+    crossing has either c = 0, sn = +-1 and omega > 0 a root of
+    omega^2 +- q1 omega + q2 + q0, or omega^2 = q2 - q0 > 0 with
+    sn = -q1 omega / (2 q2), |sn| <= 1 and c = +-sqrt(1 - sn^2) (Cooke &
+    van den Driessche, Funkcialaj Ekvacioj 29, 1986).  Each gives
+    tau0 = (-arg z mod 2 pi) / omega; the smallest is returned as a float,
+    or None when there is no crossing (coupling 0 never produces one).
     """
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
     if s.coupling == 0:
         return None
-    q1, q2, q0 = _ep_coeffs(s)
-    if q2 == 0:  # coupling^2 m^4 underflows; numpy would divide silently
-        raise ZeroDivisionError("complex division by zero")
-
-    def unit_gaps(omega):
-        """Real parts, imaginary parts and |z| - 1 of both z-roots at omega
-        (a float or an array), each a pair ordered by (real, imag)."""
-        # b = i bi, so the discriminant b^2 - 4 q2 c is real and the roots
-        # (-b +- sqrt(disc)) / (2 q2) are -+|root / (2 q2)| - i bi / (2 q2)
-        # if disc >= 0, or i (-bi -+ root) / (2 q2) if disc < 0
-        bi = -q1 * omega
-        disc = -(bi * bi) - 4.0 * q2 * (-(omega * omega) - q0)
-        root = np.sqrt(np.abs(disc))
-        real_part = np.abs(root / (2.0 * q2)) * (disc >= 0.0)
-        spread = root * (disc < 0.0)
-        ima, imb = (-bi + spread) / (2.0 * q2), (-bi - spread) / (2.0 * q2)
-        re = (-real_part, real_part)
-        im = (np.minimum(ima, imb), np.maximum(ima, imb))
-        return re, im, [np.hypot(x, y) - 1.0 for x, y in zip(re, im)]
-
-    omegas = np.linspace(omega_max / grid, omega_max, grid)
-    gaps = np.array(unit_gaps(omegas)[2])
-    hits = (gaps[:, :-1] == 0.0) | (gaps[:, :-1] * gaps[:, 1:] < 0.0)
-    candidates = []
-    for i, slot in zip(*np.nonzero(hits.T)):
-        lo, hi = omegas[i], omegas[i + 1]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if gaps[slot, i] * unit_gaps(mid)[2][slot] <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        omega_star = 0.5 * (lo + hi)
-        re, im, gap = (part[slot] for part in unit_gaps(omega_star))
-        if abs(gap) < 1e-6:
-            tau0 = (-math.atan2(im, re)) % (2.0 * math.pi) / omega_star
-            candidates.append((tau0, omega_star))
-    taus = []
-    for tau0, omega0 in candidates:
-        polished = _newton_root_pair(s, tau0, omega0)
-        if polished is not None:
-            taus.append(polished[0])
-    return min(taus) if taus else None
+    q1, q2, q0 = (float(q) for q in _ep_coeffs(s))
+    if q2 == 0:  # coupling^2 m^4 underflows
+        raise ZeroDivisionError("quadratic coefficient q2 underflows to 0")
+    crossings = []  # (omega, c, sn)
+    disc = q1 * q1 - 4.0 * (q2 + q0)
+    if disc >= 0.0:
+        for sn in (1.0, -1.0):
+            # roots of omega^2 + sn q1 omega + q2 + q0, without cancellation
+            big = -0.5 * (sn * q1 + math.copysign(math.sqrt(disc), sn * q1))
+            if big:
+                crossings += [(omega, 0.0, sn) for omega in
+                              (big, (q2 + q0) / big) if omega > 0.0]
+    if q2 > q0:
+        omega = math.sqrt(q2 - q0)
+        sn = -q1 * omega / (2.0 * q2)
+        if abs(sn) <= 1.0:
+            c = math.sqrt((1.0 - sn) * (1.0 + sn))
+            crossings += [(omega, c, sn), (omega, -c, sn)]
+    return min((math.atan2(sn, c) % (2.0 * math.pi) / omega
+                for omega, c, sn in crossings), default=None)
 
 
 def frac_delay_char_eval(A, B, order: float, kernel, lam):

@@ -121,6 +121,8 @@ def _cases():
          "run.t_end=2"))
     cases["fractional-m2-stability"] = (
         "stability", frac, ("stability.equilibrium=M2", "stability.m=2"))
+    cases["ep-delayed-coupling0-stability"] = (
+        "stability", KINDS["ep-delayed"], ("system.coupling=0",))
     cases["scalar-18-diverges"] = ("simulate", KINDS["scalar-18"],
                                    ("system.a=2", "run.t_end=40"))
     cases.update(_invalid_cases())
@@ -226,6 +228,12 @@ def run_case(case, workdir: Path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
     assert run_case(CASES[name], tmp_path) == GOLDEN[name]
+
+
+def test_golden_stdout_has_no_numpy_repr():
+    # numbers are printed as Python floats, not as np.float64(...)
+    assert not [name for name, (_, out, *_) in GOLDEN.items()
+                if "np.float64(" in out]
 
 
 def _record():
@@ -584,6 +592,15 @@ GOLDEN = {
         'wrote = <out>/out\n',
         '',
         {'out': '4a488d047b290bc1336ab571dc9de926e920168c9e8f256cec4bb2ce82e3377d'}),
+    'ep-delayed-coupling0-stability': (
+        0,
+        'kind = ep-delayed\n'
+        'verdict = marginal\n'
+        'wrote = <out>/out\n'
+        'wrote = <out>/out.rows.csv\n',
+        '',
+        {'out': 'ef6e3d9e70a70652b3927485cd78672b4e9f8c869cf2210d5d164f6051948392',
+         'out.rows.csv': '0188638ee65aad5400d7c10b027d8fb96e61dbd832b6e0690b83e8b60eb82dd6'}),
     'ep-delayed-dirac0-simulate': (
         0,
         'kind = ep-delayed\n'
@@ -601,11 +618,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = np.float64(1.8849555921538765)\n'
+        'critical_delay = 1.884955592153876\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': '5cb6335012da936e6b25912563b28e3c7ecdca9d9dd0fdbd1f77488e70e2d38b',
+        {'out': '059c79df80776ff98d5086d222a495a1dc6b14c7721bebf3424500daba83c04e',
          'out.rows.csv': 'c959d0b513ee18c2104ef89b28e1283c60be06b49d51f33d5b721138d2b5fc67'}),
     'ep-delayed-erlang-simulate': (
         0,
@@ -624,11 +641,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = np.float64(1.8849555921538765)\n'
+        'critical_delay = 1.884955592153876\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': '39503b418924c5ad1db339e3ec198d2224ca5b123f08a0d987ccff7b6fcef843',
+        {'out': 'a542eb518c1bc35aa56208726355462c074edf70b43d8a78fa50a5648cf3763f',
          'out.rows.csv': '90ce01a314d58be9bf311113a076a471115ae89550715203a56e752ee7052838'}),
     'ep-delayed-exponential-simulate': (
         0,
@@ -647,11 +664,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = np.float64(1.8849555921538765)\n'
+        'critical_delay = 1.884955592153876\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': '39503b418924c5ad1db339e3ec198d2224ca5b123f08a0d987ccff7b6fcef843',
+        {'out': 'a542eb518c1bc35aa56208726355462c074edf70b43d8a78fa50a5648cf3763f',
          'out.rows.csv': '90ce01a314d58be9bf311113a076a471115ae89550715203a56e752ee7052838'}),
     'ep-delayed-scan-m': (
         0,
@@ -686,11 +703,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = np.float64(1.8849555921538765)\n'
+        'critical_delay = 1.884955592153876\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': '1085f2feec84c38d76ab898db59066e809e49108d76befbc323e7aade6ed3490',
+        {'out': 'b3c1c3b57ce1c2e2f6cf855b90ffcd64b169f6cb838d53e2bd12e8a305ab0479',
          'out.rows.csv': '7034b6dfa3a92221143971e6891ed92ff5b7985925a63bff5d26087d9a3fb0e2'}),
     'ep-delayed-t_end0': (
         0,
@@ -716,11 +733,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = np.float64(1.8849555921538765)\n'
+        'critical_delay = 1.884955592153876\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': '39503b418924c5ad1db339e3ec198d2224ca5b123f08a0d987ccff7b6fcef843',
+        {'out': 'a542eb518c1bc35aa56208726355462c074edf70b43d8a78fa50a5648cf3763f',
          'out.rows.csv': '90ce01a314d58be9bf311113a076a471115ae89550715203a56e752ee7052838'}),
     'frac_order_082.cfg-simulate': (
         0,

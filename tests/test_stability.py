@@ -187,6 +187,9 @@ class TestCriticalDelayScan:
         s = models.InertiaSetup(3, 2, 1, coupling=0.0, m=1.0)
         assert stability.critical_delay_scan(s) is None
 
+    def test_returns_python_float(self):
+        assert type(stability.critical_delay_scan(S321)) is float
+
     def test_benchmark_crossing(self):
         from scipy.optimize import brentq
 
@@ -355,8 +358,44 @@ def _scalar_count_rhp_roots(f, sigma_max=50.0, omega_max=50.0, *,
     return rounded, min_abs / scale
 
 
+def _newton_root_pair(s, tau, omega):
+    """Polish (tau, omega) so bracket(i*omega) = 0 for the lag-tau kernel;
+    None unless the residual falls below 1e-10."""
+
+    def fun(t, w):
+        val = stability.char_ep_eval(s, kernels.DiracKernel(max(t, 0.0)),
+                                     1j * w)
+        return np.array([val.real, val.imag])
+
+    x = np.array([tau, omega])
+    for _ in range(50):
+        f0 = fun(*x)
+        if np.linalg.norm(f0) < 1e-14:
+            break
+        jac = np.empty((2, 2))
+        for j in range(2):
+            eps = 1e-7 * (1.0 + abs(x[j]))
+            xp = x.copy()
+            xp[j] += eps
+            jac[:, j] = (fun(*xp) - f0) / eps
+        try:
+            step = np.linalg.solve(jac, f0)
+        except np.linalg.LinAlgError:
+            return None
+        x = x - step
+        if np.linalg.norm(step) < 1e-14 * (1.0 + np.linalg.norm(x)):
+            break
+    residual = float(np.linalg.norm(fun(*x)))
+    if residual > 1e-10 or x[0] < -1e-12 or x[1] <= 0:
+        return None
+    return max(x[0], 0.0), x[1], residual
+
+
 def _scalar_critical_delay_scan(s, omega_max=50.0, grid=4000):
-    """Crossing scan that solves the quadratic in z one omega at a time."""
+    """The former crossing scan: the quadratic in z solved one omega at a
+    time on a fixed grid, sign changes of |z| - 1 bisected and each
+    candidate polished by Newton.  It misses crossings above omega_max and
+    pairs of crossings that share one grid cell."""
     if s.coupling == 0:
         return None
     q1, q2, q0 = stability._ep_coeffs(s)
@@ -393,7 +432,7 @@ def _scalar_critical_delay_scan(s, omega_max=50.0, grid=4000):
         prev_gaps = gaps
     taus = []
     for tau0, omega0 in candidates:
-        polished = stability._newton_root_pair(s, tau0, omega0)
+        polished = _newton_root_pair(s, tau0, omega0)
         if polished is not None:
             taus.append(polished[0])
     return min(taus) if taus else None
@@ -538,27 +577,134 @@ class TestArrayContour:
         assert len(calls) <= 1 + 28
 
 
+def _unit_circle_crossings(q1, q2, q0):
+    """Every (tau, omega) with tau in [0, 2 pi / omega) that puts a root of
+    lambda^2 - q1 lambda z + q2 z^2 - q0, z = exp(-lambda tau), on i*omega,
+    sorted by tau.
+
+    |z| = 1 forces omega onto the real roots of the resultant of the
+    quadratic in z and its unit-circle reflection; numpy.roots gives z at
+    each.
+    """
+    omegas = [math.sqrt(q2 - q0)] if q2 - q0 > 0 else []
+    disc = q1 * q1 - 4 * (q2 + q0)
+    if disc >= 0:
+        for sign in (1.0, -1.0):
+            omegas += [root for root in ((sign * q1 + math.sqrt(disc)) / 2,
+                                         (sign * q1 - math.sqrt(disc)) / 2)
+                       if root > 0]
+    found = []
+    for omega in omegas:
+        for z in np.roots([q2, -1j * q1 * omega, -(omega * omega + q0)]):
+            if abs(abs(z) - 1) < 1e-8:
+                found.append(((-np.angle(z)) % (2 * math.pi) / omega, omega))
+    return sorted(found)
+
+
+def _exact_crossings(s):
+    """:func:`_unit_circle_crossings` of the lag-tau bracket of ``s``.
+
+    Independent of stability._ep_coeffs: the coefficients come from
+    central-difference Jacobians of models.rhs_ep_delayed at
+    (m / I1, 0, 0), exact up to rounding at any step because the field is
+    quadratic.
+    """
+    w_eq = np.array([s.m / s.I1, 0.0, 0.0])
+    a0 = _fd_jacobian(lambda w: models.rhs_ep_delayed(s, w, w_eq), w_eq, 1.0)
+    a1 = _fd_jacobian(lambda w: models.rhs_ep_delayed(s, w_eq, w), w_eq, 1.0)
+    a0, a1 = a0[1:, 1:], a1[1:, 1:]
+    return _unit_circle_crossings(np.trace(a1), np.linalg.det(a1),
+                                  -np.linalg.det(a0))
+
+
+def _crossing_setups():
+    rng = np.random.default_rng(400)
+    setups = [S321, models.InertiaSetup(3, 2, 1, coupling=0.0, m=1.0)]
+    return setups + [_random_setup(rng) for _ in range(200)]
+
+
 class TestArrayCrossingScan:
-    def test_equals_scalar_scan(self):
-        rng = np.random.default_rng(400)
-        setups = [S321, models.InertiaSetup(3, 2, 1, coupling=0.0, m=1.0)]
-        setups += [_random_setup(rng) for _ in range(200)]
+    def test_matches_exact_reference(self):
         found = 0
-        for s in setups:
+        for s in _crossing_setups():
             got = stability.critical_delay_scan(s)
-            assert got == _scalar_critical_delay_scan(s)
-            found += got is not None
-        assert found > 150
+            crossings = _exact_crossings(s)
+            if not crossings:
+                assert got is None
+                continue
+            assert got == pytest.approx(crossings[0][0], rel=1e-12, abs=0.0)
+            found += 1
+        assert found == 201
 
-    def test_known_defects_keep_their_answer(self):
-        # both miss a crossing (ROADMAP item 2): m = 30 at tau* = 0.002617,
-        # and two crossings near omega = 0.02 in one grid cell at 66.88
-        for s in (models.InertiaSetup(3, 2, 1, coupling=1.0, m=30.0),
-                  models.InertiaSetup(3.80266, 3.51153, 3.03757,
-                                      coupling=0.328573, m=0.514721)):
-            assert stability.critical_delay_scan(s) is None
+    def test_bracket_vanishes_at_crossing(self):
+        for s in _crossing_setups()[2:]:
+            tau = stability.critical_delay_scan(s)
+            omega = _exact_crossings(s)[0][1]
+            q1, q2, q0 = stability._ep_coeffs(s)
+            val = stability.char_ep_eval(s, kernels.DiracKernel(tau),
+                                         1j * omega)
+            scale = omega * omega + abs(q1) * omega + abs(q2) + abs(q0)
+            assert abs(val) / scale <= 1e-14
+
+    def test_same_answer_where_grid_scan_was_right(self):
+        agree = 0
+        for s in _crossing_setups():
+            crossings = _exact_crossings(s)
+            first = crossings[0][0] if crossings else None
+            grid = _scalar_critical_delay_scan(s)
+            if grid is None or first is None:
+                agree += grid is first
+            elif grid == pytest.approx(first, rel=1e-9):
+                assert stability.critical_delay_scan(s) == pytest.approx(
+                    grid, rel=1e-14, abs=0.0)
+                agree += 1
+        assert agree == 196
+
+    @pytest.mark.parametrize("q1, q2, q0", [
+        (0.3, 2.0, -1.0),  # only omega^2 = q2 - q0 crosses
+        (2.2979, 2.0, -1.0),  # |sn| = 0.995 there, first before c = 0
+        (0.0, 1.5, 0.5),  # no lambda z term: z = +-1
+        (-1.7, 0.4, -2.0),  # only c = 0 crosses
+    ])
+    def test_any_real_coefficients(self, q1, q2, q0, monkeypatch):
+        # _ep_coeffs of any inertia has q1^2 (q2 - q0) > 4 q2^2 wherever
+        # q2 > q0, so its crossings all have c = 0; the algebra must hold
+        # for any real coefficients
+        monkeypatch.setattr(stability, "_ep_coeffs", lambda s: (q1, q2, q0))
+        got = stability.critical_delay_scan(S321)
+        assert got == pytest.approx(_unit_circle_crossings(q1, q2, q0)[0][0],
+                                    rel=1e-12, abs=0.0)
+
+    def test_crossings_the_grid_scan_missed(self):
+        # the grid stops at omega = 50 (m = 30 crosses at omega = 150 and
+        # 600) and takes two crossings near omega = 0.02 in one cell for none
+        for s, tau in (
+                (models.InertiaSetup(3, 2, 1, coupling=1.0, m=30.0),
+                 0.00261702508762),
+                (models.InertiaSetup(3.80266, 3.51153, 3.03757,
+                                     coupling=0.328573, m=0.514721),
+                 66.8779124404)):
             assert _scalar_critical_delay_scan(s) is None
+            got = stability.critical_delay_scan(s)
+            assert got == pytest.approx(_exact_crossings(s)[0][0], rel=1e-12,
+                                        abs=0.0)
+            assert got == pytest.approx(tau, rel=1e-10)
+        setups = _crossing_setups()
+        for i in (29, 79, 141, 146):
+            assert _scalar_critical_delay_scan(setups[i]) is None
+            assert stability.critical_delay_scan(setups[i]) == pytest.approx(
+                _exact_crossings(setups[i])[0][0], rel=1e-12, abs=0.0)
 
+    def test_first_crossings_the_grid_scan_skipped(self):
+        setups = _crossing_setups()
+        for i, tau, later in ((103, 174.5290943, 282.1723171),
+                              (111, 0.02442312614, 0.05992658557)):
+            assert _scalar_critical_delay_scan(setups[i]) == pytest.approx(
+                later, rel=1e-9)
+            got = stability.critical_delay_scan(setups[i])
+            assert got == pytest.approx(_exact_crossings(setups[i])[0][0],
+                                        rel=1e-12, abs=0.0)
+            assert got == pytest.approx(tau, rel=1e-9)
 
     def test_underflowing_quadratic_coefficient_raises(self):
         # coupling^2 m^4 underflows to q2 = 0; the scan must not turn the
