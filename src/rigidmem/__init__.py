@@ -1,17 +1,20 @@
 """Rigid-body dynamics with metriplectic, delayed, and fractional memory.
 
-A numpy-based library plus a small CLI.  The classical Euler equations,
-their energy-conserving/norm-dissipating revision, distributed-delay
-variants (uniform, exponential, Erlang, Dirac kernels), and
-Caputo-fractional versions are all integrated with dense trajectory
-output, and the corresponding equilibrium stability theory (sector
-conditions in the lambda^order plane, delay characteristic functions,
-critical-delay bounds and crossings) is evaluated numerically.
+A numpy-based library plus a small CLI (``rigidmem.cli``).  The classical
+Euler equations, their energy-conserving/norm-dissipating revision,
+distributed-delay variants (uniform, exponential, Erlang, Dirac kernels)
+and Caputo-fractional versions are integrated with dense trajectory
+output, and the stability theory of their equilibria (sector conditions
+in the lambda^order plane, delay characteristic functions, critical-delay
+bounds and crossings) is evaluated numerically.  The Mittag-Leffler
+function is the closed-form reference for linear Caputo equations.
+
+``rigidmem.__all__`` is the union of the ``__all__`` lists of the library
+modules: errors, fraccalc, integrators, kernels, models and stability.
 """
 
 from .errors import ConfigError, DivergenceError, HistoryCoverageError
-from .fraccalc import (SampledFunction, bracket_rhs_check, caputo_l1,
-                       caputo_partial_monomial, mittag_leffler, rl_integral)
+from .fraccalc import mittag_leffler
 from .integrators import (DIVERGENCE_NORM, FracConfig, HistorySpec,
                           Trajectory, integrate_chain, integrate_dde,
                           integrate_frac_abm, integrate_frac_dde,
@@ -19,7 +22,7 @@ from .integrators import (DIVERGENCE_NORM, FracConfig, HistorySpec,
 from .kernels import (ChainSpec, DelayKernel, DiracKernel, ErlangKernel,
                       ExponentialKernel, UniformKernel, chain_reduce,
                       convolve_history, density, effective_support, laplace)
-from .models import (InertiaSetup, RigidBodyParams, as_state3, casimir,
+from .models import (InertiaSetup, RigidBodyParams, casimir,
                      find_equilibria, grad_hamiltonian, hamiltonian,
                      linearize_ep_delayed, metric_tensor, poisson_tensor,
                      rhs_classical, rhs_delayed, rhs_ep_delayed,
@@ -36,15 +39,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DivergenceError", "HistoryCoverageError",
-    "SampledFunction", "bracket_rhs_check", "caputo_l1",
-    "caputo_partial_monomial", "mittag_leffler", "rl_integral",
+    "mittag_leffler",
     "DIVERGENCE_NORM", "FracConfig", "HistorySpec", "Trajectory",
     "integrate_chain", "integrate_dde", "integrate_frac_abm",
     "integrate_frac_dde", "integrate_rk4", "write_trajectory_csv",
     "ChainSpec", "DelayKernel", "DiracKernel", "ErlangKernel",
     "ExponentialKernel", "UniformKernel", "chain_reduce",
     "convolve_history", "density", "effective_support", "laplace",
-    "InertiaSetup", "RigidBodyParams", "as_state3", "casimir",
+    "InertiaSetup", "RigidBodyParams", "casimir",
     "find_equilibria", "grad_hamiltonian", "hamiltonian",
     "linearize_ep_delayed", "metric_tensor", "poisson_tensor",
     "rhs_classical", "rhs_delayed", "rhs_ep_delayed", "rhs_revised",

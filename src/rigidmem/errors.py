@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DivergenceError", "HistoryCoverageError", "ConfigError"]
+
 
 class DivergenceError(RuntimeError):
     """Raised when an integrated state leaves the finite trust region.

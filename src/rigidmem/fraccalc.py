@@ -1,120 +1,20 @@
-"""Fractional-calculus primitives used as oracles elsewhere in the package.
+"""The Mittag-Leffler function, closed form of linear Caputo equations.
 
-Caputo partial derivatives of monomials, a discrete Riemann-Liouville
-integral, the L1 Caputo derivative, and Mittag-Leffler evaluation.  These
-deliberately use discretizations independent of the time steppers so they
-can cross-check them.
+D^order y = lam * y with y(0) = 1 is solved by y(t) = E_order(lam * t^order);
+the tests check the fractional Adams-Bashforth-Moulton stepper of
+:mod:`rigidmem.integrators` against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .models import RigidBodyParams, as_state3, poisson_tensor
-
-__all__ = [
-    "SampledFunction",
-    "caputo_partial_monomial",
-    "rl_integral",
-    "caputo_l1",
-    "mittag_leffler",
-    "bracket_rhs_check",
-]
+__all__ = ["mittag_leffler"]
 
 #: Mittag-Leffler series domain and the switch point to the asymptotic tail
 _ML_MAX_ABS = 50.0
 _ML_ASYMPTOTIC_BELOW = -5.0
 _ML_TERM_RATIO = 1e-16
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Real function sampled on a uniform grid t0 + k*h, k = 0..N."""
-
-    values: np.ndarray
-    h: float
-    t0: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise ValueError("need at least 2 samples on a 1-d grid")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError("grid step must be > 0")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.values.size)
-
-
-def caputo_partial_monomial(gamma: float, order: float, x: float) -> float:
-    """Caputo derivative of x**gamma with respect to x at order ``order``.
-
-    Returns Gamma(1+gamma) / Gamma(1+gamma-order) * x**(gamma-order).
-    The derivative of any other coordinate's monomial is identically zero.
-    """
-    if not gamma > 0:
-        raise ValueError("gamma must be > 0")
-    if not 0 < order <= 1:
-        raise ValueError("order must lie in (0, 1]")
-    if x < 0:
-        raise ValueError("monomial formula requires x >= 0")
-    if gamma - order <= -1:
-        raise ValueError("gamma - order must exceed -1")
-    return (math.gamma(1 + gamma) / math.gamma(1 + gamma - order)
-            * x ** (gamma - order))
-
-
-def rl_integral(f: SampledFunction, beta: float) -> SampledFunction:
-    """Riemann-Liouville integral of order ``beta`` on the sample grid.
-
-    Product-trapezoid discretization of
-    (1/Gamma(beta)) * integral of (t-s)**(beta-1) f(s) ds from 0 to t,
-    exact for piecewise-linear integrands.
-    """
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
-    vals = f.values
-    n_max = vals.size - 1
-    k = np.arange(n_max + 1, dtype=float)
-    pow_b = k**beta
-    pow_b1 = k ** (beta + 1)
-    # interior weights c_k and left-endpoint weights a0(n)
-    c = pow_b1[2:] + pow_b1[:-2] - 2.0 * pow_b1[1:-1]
-    a0 = pow_b1[:-1] - (k[:-1] - beta) * pow_b[1:]
-    scale = f.h**beta / math.gamma(beta + 2)
-    out = np.zeros_like(vals)
-    for n in range(1, n_max + 1):
-        acc = a0[n - 1] * vals[0] + vals[n]
-        if n >= 2:
-            acc += np.dot(c[: n - 1][::-1], vals[1:n])
-        out[n] = scale * acc
-    return SampledFunction(out, f.h, f.t0)
-
-
-def caputo_l1(x: SampledFunction, order: float) -> SampledFunction:
-    """L1 discretization of the Caputo derivative of order ``order``.
-
-    Applies the fractional integral of order 1-order to the piecewise
-    derivative of the samples; exact for piecewise-linear data.  The value
-    at the first node is zero by convention.
-    """
-    if not 0 < order < 1:
-        raise ValueError("order must lie in (0, 1)")
-    vals = x.values
-    n_max = vals.size - 1
-    k = np.arange(n_max + 1, dtype=float)
-    b = np.diff(k ** (1 - order))
-    dx = np.diff(vals)
-    scale = x.h ** (-order) / math.gamma(2 - order)
-    out = np.zeros_like(vals)
-    for n in range(1, n_max + 1):
-        out[n] = scale * np.dot(b[:n], dx[n - 1 :: -1])
-    return SampledFunction(out, x.h, x.t0)
 
 
 def _reciprocal_gamma(z: float) -> float:
@@ -165,24 +65,3 @@ def mittag_leffler(order: float, z: float) -> float:
         else:
             tiny_streak = 0
     return total
-
-
-def bracket_rhs_check(p: RigidBodyParams, order: float, x) -> np.ndarray:
-    """Structure-tensor contraction with the fractional energy gradient.
-
-    Evaluates P(x) @ D^order(h1) where h1 is the degree-(order+1) energy
-    normalized by Gamma(order+1).  Since D^order of x**(order+1) equals
-    (order+1) * Gamma(order+1) * x, the result is (order+1) times the
-    classical field; callers divide by (order+1) to recover it.  Requires
-    all coordinates nonnegative (fractional monomial domain).
-    """
-    x = as_state3(x)
-    if np.any(x < 0):
-        raise ValueError("fractional bracket requires nonnegative coordinates")
-    coeffs = (p.a1, p.a2, p.a3)
-    norm = math.gamma(order + 1)
-    grad = np.array([
-        a / norm * caputo_partial_monomial(order + 1, order, xi)
-        for a, xi in zip(coeffs, x)
-    ])
-    return poisson_tensor(x) @ grad

@@ -17,7 +17,6 @@ the states (never accumulated).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -60,9 +59,9 @@ def _n_steps(span: float, h: float) -> int:
     if not (span > 0 and math.isfinite(span)):
         raise ValueError("t_end must be > 0")
     n = _whole_steps(span, h)
-    if n is not None:
-        return n
-    return max(1, int(math.ceil(span / h - 1e-12)))
+    if n is None:
+        raise ValueError("t_end must be a whole number of steps")
+    return n
 
 
 def _check_state(x: np.ndarray, t: float) -> None:
@@ -83,7 +82,7 @@ def _hermite_eval(t0, h, states, derivs, count, ts, slack=0.0):
     t_last = t0 + (count - 1) * h
     tol = _NODE_SNAP * h
     if np.any(ts < t0 - tol) or np.any(ts > t_last + slack + tol):
-        raise ValueError(
+        raise HistoryCoverageError(
             f"dense evaluation outside [{t0}, {t_last + slack}]")
     if count == 1:
         return states[0] + np.outer(ts - t0, derivs[0])
@@ -152,7 +151,10 @@ class Trajectory:
                              self.n_samples, ts)
 
     def eval(self, t: float) -> np.ndarray:
-        """Cubic Hermite interpolation at time ``t`` (exact at nodes)."""
+        """Cubic Hermite interpolation at time ``t`` (exact at nodes).
+
+        A ``t`` outside [t0, t_end] raises :class:`HistoryCoverageError`.
+        """
         return self.eval_many(np.array([float(t)]))[0]
 
 
@@ -185,15 +187,7 @@ class HistorySpec:
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory) -> "HistorySpec":
-        def eval_many(ss):
-            try:
-                return traj.eval_many(ss)
-            except ValueError as exc:
-                raise HistoryCoverageError(
-                    f"history segment does not cover requested times: {exc}"
-                ) from exc
-
-        return cls(eval_many, traj.states.shape[1])
+        return cls(traj.eval_many, traj.states.shape[1])
 
     def __call__(self, s: float) -> np.ndarray:
         return self.eval_many(np.array([float(s)]))[0]
@@ -243,12 +237,9 @@ class _RunningGrid:
         if np.any(past):
             out[past] = self.phi.eval_many(us[past])
         here = ~past
-        try:
-            out[here] = _hermite_eval(self.t0, self.h, self.states,
-                                      self.derivs, self.count, us[here],
-                                      slack=self.h * (1 + 1e-9))
-        except ValueError as exc:
-            raise HistoryCoverageError(str(exc)) from exc
+        out[here] = _hermite_eval(self.t0, self.h, self.states, self.derivs,
+                                  self.count, us[here],
+                                  slack=self.h * (1 + 1e-9))
         return out
 
 
@@ -644,9 +635,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                              *traj.diagnostics.values(),
                              traj.states[:, core:]])
     row_fmt = ",".join(["%.17g"] * len(cols))
-    with contextlib.ExitStack() as stack:
-        fh = path if hasattr(path, "write") else stack.enter_context(
-            open(path, "w", newline=""))
+    with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for lo in range(0, len(table), _CSV_CHUNK):
             rows = table[lo: lo + _CSV_CHUNK].tolist()

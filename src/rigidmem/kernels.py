@@ -27,7 +27,6 @@ __all__ = [
     "chain_reduce",
     "convolve_history",
     "effective_support",
-    "quadrature_rule",
 ]
 
 #: kernel mass allowed beyond the truncated quadrature support

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "RigidBodyParams",
     "InertiaSetup",
-    "as_state3",
     "hamiltonian",
     "grad_hamiltonian",
     "casimir",
@@ -34,16 +33,6 @@ __all__ = [
     "find_equilibria",
     "linearize_ep_delayed",
 ]
-
-
-def as_state3(x) -> np.ndarray:
-    """Coerce ``x`` to a finite float vector of shape ``(3,)``."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a 3-component state, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("state components must be finite")
-    return arr
 
 
 @dataclass(frozen=True)

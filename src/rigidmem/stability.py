@@ -80,7 +80,8 @@ class StabilityReport:
 
     ``margins`` holds |arg(w)| - order*pi/2 per root where applicable;
     contour-based checks leave the root list empty and record the
-    right-half-plane count in ``metadata``.
+    right-half-plane count in ``metadata`` (``uncertain`` when a root lies
+    on the contour).
     """
 
     verdict: str
@@ -341,10 +342,17 @@ def count_rhp_roots(f, sigma_max: float = 50.0, omega_max: float = 50.0, *,
     return rounded, float(all_abs.min()) / scale
 
 
-def _count_verdict(count: int, boundary_ratio: float) -> str:
+def _contour_verdict(f) -> tuple[str, int | str]:
+    """(verdict, rhp_root_count) from the contour count of ``f``.
+
+    A root on or near the contour (boundary ratio below _BOUNDARY_TOL, or a
+    zero sample) makes the count meaningless: it is reported as
+    ``uncertain`` and the verdict as marginal.
+    """
+    count, boundary_ratio = count_rhp_roots(f)
     if boundary_ratio < _BOUNDARY_TOL or count < 0:
-        return MARGINAL
-    return STABLE if count == 0 else UNSTABLE
+        return MARGINAL, "uncertain"
+    return (STABLE if count == 0 else UNSTABLE), count
 
 
 def ep_delayed_check(s: InertiaSetup, kernel) -> StabilityReport:
@@ -355,9 +363,9 @@ def ep_delayed_check(s: InertiaSetup, kernel) -> StabilityReport:
     factor of the full characteristic equation is reported as one zero
     root.
     """
-    count, boundary = count_rhp_roots(lambda lam: char_ep_eval(s, kernel, lam))
-    return StabilityReport(verdict=_count_verdict(count, boundary),
-                           structural_zero_roots=1,
+    verdict, count = _contour_verdict(
+        lambda lam: char_ep_eval(s, kernel, lam))
+    return StabilityReport(verdict=verdict, structural_zero_roots=1,
                            metadata={"rhp_root_count": count})
 
 
@@ -378,7 +386,7 @@ def scalar_frac_delay_check(a: float, order: float,
     def f(lam):
         return lam**order - a * np.exp(-lam * tau)
 
-    count, boundary = count_rhp_roots(f)
+    verdict, count = _contour_verdict(f)
     metadata = {
         "rhp_root_count": count,
         "hypothesis_a_negative": a < 0,
@@ -390,8 +398,7 @@ def scalar_frac_delay_check(a: float, order: float,
         gaps = [abs(r - ((2 * k + 1) * math.pi - order * math.pi / 2.0) / tau)
                 for k in range(k_max + 1)]
         metadata["nonresonance_gap"] = min(gaps)
-    return StabilityReport(verdict=_count_verdict(count, boundary),
-                           alpha=order, metadata=metadata)
+    return StabilityReport(verdict=verdict, alpha=order, metadata=metadata)
 
 
 def planar_frac_delay_check(k1: float, k2: float, order: float,
@@ -418,10 +425,9 @@ def planar_frac_delay_check(k1: float, k2: float, order: float,
     def f(lam):
         return frac_delay_char_eval(A, B, order, kernel, lam)
 
-    count, boundary = count_rhp_roots(f)
+    verdict, count = _contour_verdict(f)
     metadata = {
         "rhp_root_count": count,
         "printed_condition": "k1 > 0 and k2 > 1/k1 - k (symbol k unbound)",
     }
-    return StabilityReport(verdict=_count_verdict(count, boundary),
-                           alpha=order, metadata=metadata)
+    return StabilityReport(verdict=verdict, alpha=order, metadata=metadata)

@@ -173,22 +173,26 @@ def test_c07_fractional_verdict_table():
 
 
 def test_c08_figure_recipes(tmp_path):
-    results = {}
-    for name in ("frac_order_1", "frac_order_082"):
-        out = tmp_path / f"{name}.csv"
-        code = cli.main(["simulate", "--config",
-                         str(REPO / "configs" / f"{name}.cfg"),
-                         "--out", str(out)])
-        rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        results[name] = (code, rows)
-    code1, rows1 = results["frac_order_1"]
-    drift = max(_drift(rows1[:, 4]), _drift(rows1[:, 5]))
-    code2, rows2 = results["frac_order_082"]
-    c_start, c_end = rows2[0, 5], rows2[-1, 5]
-    _report("C8 figure recipes",
-            code1 == 0 and code2 == 0 and drift < 1e-4 and c_end < c_start,
-            f"order-1 drift {drift:.2e}, casimir {c_start:.3f} -> "
-            f"{c_end:.3f}")
+    # the bundled configs start on the separatrix; the generic start, as in
+    # C1 and C2, is set on the command line
+    for start in ((), ("--set", "run.x0=1.0, 0.5, 0.2")):
+        results = {}
+        for name in ("frac_order_1", "frac_order_082"):
+            out = tmp_path / f"{name}.csv"
+            code = cli.main(["simulate", "--config",
+                             str(REPO / "configs" / f"{name}.cfg"),
+                             "--out", str(out), *start])
+            rows = np.loadtxt(out, delimiter=",", skiprows=1)
+            results[name] = (code, rows)
+        code1, rows1 = results["frac_order_1"]
+        drift = max(_drift(rows1[:, 4]), _drift(rows1[:, 5]))
+        code2, rows2 = results["frac_order_082"]
+        c_start, c_end = rows2[0, 5], rows2[-1, 5]
+        _report(f"C8 figure recipes, x0 = {rows1[0, 1:4]}",
+                code1 == 0 and code2 == 0 and drift < 1e-4
+                and c_end < c_start,
+                f"order-1 drift {drift:.2e}, casimir {c_start:.3f} -> "
+                f"{c_end:.3f}")
 
 
 def test_c09_scalar_planar_benchmarks():

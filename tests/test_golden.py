@@ -599,7 +599,7 @@ GOLDEN = {
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'ef6e3d9e70a70652b3927485cd78672b4e9f8c869cf2210d5d164f6051948392',
+        {'out': 'b9d1dbbe0ed23b529f21d965b8cfe2ce7e3eccd98e8359bdf9262a0866cc2885',
          'out.rows.csv': '0188638ee65aad5400d7c10b027d8fb96e61dbd832b6e0690b83e8b60eb82dd6'}),
     'ep-delayed-dirac0-simulate': (
         0,

@@ -1,5 +1,4 @@
 import gc
-import io
 import math
 import tracemalloc
 from pathlib import Path
@@ -50,6 +49,11 @@ class TestRk4:
         with pytest.raises(DivergenceError) as info:
             integrate_rk4(lambda x: x * x, np.array([3.0]), 10.0, 0.01)
         assert info.value.t_last is not None
+
+    def test_partial_step_rejected(self):
+        # 1.5 steps used to run silently on to t = 0.02
+        with pytest.raises(ValueError, match="whole number of steps"):
+            integrate_rk4(lambda x: -x, np.array([1.0]), 0.015, 0.01)
 
     def test_revised_casimir_monotone(self):
         traj = integrate_rk4(lambda x: models.rhs_revised(P321, x), X111,
@@ -106,6 +110,12 @@ class TestDenseEval:
             traj.eval(2.5)
         with pytest.raises(ValueError):
             traj.eval(-0.1)
+
+    def test_out_of_range_is_coverage_error(self):
+        traj, _ = self._cubic_traj()
+        for t in (2.5, -0.1):
+            with pytest.raises(HistoryCoverageError):
+                traj.eval(t)
 
 
 class TestHistorySpec:
@@ -602,7 +612,7 @@ class TestTrajectoryCsv:
         assert header == ("t,x1,x2,x3,h,c,eta1_1,eta1_2,eta1_3,"
                           "eta2_1,eta2_2,eta2_3")
 
-    def test_rows_match_per_value_format(self):
+    def test_rows_match_per_value_format(self, tmp_path):
         rng = np.random.default_rng(7)
         states = rng.standard_normal((5000, 4)) * 10.0 ** rng.integers(
             -300, 300, (5000, 4))
@@ -610,11 +620,11 @@ class TestTrajectoryCsv:
         states[1] = [np.nan, -np.inf, 0.1, 1e16]
         traj = Trajectory(0.0, 1e-3, states, states,
                           {"h": rng.standard_normal(5000)}, core_dim=3)
-        out = io.StringIO()
+        out = tmp_path / "rows.csv"
         write_trajectory_csv(traj, out)
         lines = ["t,x1,x2,x3,h,aux1"]
         for i in range(traj.n_samples):
             row = [traj.times[i], *states[i, :3], traj.diagnostics["h"][i],
                    states[i, 3]]
             lines.append(",".join(format(v, ".17g") for v in row))
-        assert out.getvalue() == "\n".join(lines) + "\n"
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()

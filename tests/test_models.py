@@ -36,13 +36,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             models.InertiaSetup(3, 2, 1, 1.0, 0.0)
 
-    def test_as_state3(self):
-        assert models.as_state3([1, 2, 3]).dtype == float
-        with pytest.raises(ValueError):
-            models.as_state3([1, 2])
-        with pytest.raises(ValueError):
-            models.as_state3([1, 2, float("inf")])
-
 
 class TestScalars:
     def test_hamiltonian_direct(self):

@@ -315,6 +315,23 @@ class TestPlanarCheck:
             stability.planar_frac_delay_check(1.0, 2.0, 0.5, 0.0)
 
 
+class TestRootOnContour:
+    def test_ep_coupling_zero(self):
+        # the bracket is lambda^2 + 1/9: both roots sit on the imaginary
+        # edge, where the phase steps add up to one turn
+        rep = stability.ep_delayed_check(
+            models.InertiaSetup(3, 2, 1, 0.0, 1.0), kernels.DiracKernel(0.5))
+        assert rep.verdict == stability.MARGINAL
+        assert rep.metadata["rhp_root_count"] == "uncertain"
+        assert "rhp_root_count = uncertain\n" in rep.to_text()
+
+    def test_zero_sample(self):
+        # lambda^0.5 vanishes at lambda = 0, a sample of the imaginary edge
+        rep = stability.scalar_frac_delay_check(0.0, 0.5, 0.0)
+        assert rep.verdict == stability.MARGINAL
+        assert rep.metadata["rhp_root_count"] == "uncertain"
+
+
 # --- one-lambda-at-a-time reference copies of the stability loops ----------
 
 def _scalar_count_rhp_roots(f, sigma_max=50.0, omega_max=50.0, *,
