@@ -101,7 +101,10 @@ class _Kind:
     ``[kernel]``, a dirac one if it is also fractional.  ``report(cfg)``
     gives the stability verdict that scans also use, ``details(cfg,
     report)`` adds what only the stability command reports, and
-    ``set_m(cfg, m)`` moves the scan's m axis.
+    ``set_m(cfg, m)`` moves the scan's m axis.  ``diagnostics(params)``
+    names the CSV's invariant columns: a diagnostic maps the (dim, M)
+    component-major state table to M values; ``x1, x2, x3 = x`` works for
+    one state and for a table.
     """
 
     keys: tuple[str, ...]
@@ -121,13 +124,19 @@ def _rigid_diagnostics(p):
 
 
 def _inertia_diagnostics(s):
-    inertia = np.array([s.I1, s.I2, s.I3])
+    inertia = np.array([s.I1, s.I2, s.I3])[:, None]
+
+    def dot(u, v):
+        # one length-3 dot per column: a stacked matmul sums each like
+        # np.dot on one state, bit for bit (a plain sum(axis=0) does not)
+        return (u.T[:, None, :] @ v.T[:, :, None])[:, 0, 0]
 
     def energy(x):
-        return 0.5 * float(np.dot(inertia * x, x))
+        return 0.5 * dot(inertia * x, x)
 
     def momentum_c(x):
-        return 0.5 * float(np.dot(inertia * x, inertia * x))
+        m = inertia * x
+        return 0.5 * dot(m, m)
 
     return {"h": energy, "c": momentum_c}
 

@@ -12,7 +12,9 @@ Four integration paths are provided:
 
 Every integrator emits a :class:`Trajectory`: uniformly spaced samples with
 a derivative estimate per node and per-sample diagnostics recomputed from
-the states (never accumulated).
+the states (never accumulated).  A diagnostic maps the (dim, M)
+component-major state table to M values, so that ``x1, x2, x3 = x`` works
+for one state and for a table; each runs once per trajectory.
 """
 
 from __future__ import annotations
@@ -111,7 +113,9 @@ class Trajectory:
     ``states`` and ``derivs`` have shape (N+1, dim); sample k lives at time
     t0 + k*h.  ``core_dim`` marks how many leading components form the
     model state when auxiliary chain stages are appended.  Diagnostics are
-    arrays of per-sample scalars recomputed from the states.
+    (N+1,) arrays recomputed from the states: a diagnostic maps the
+    (dim, M) component-major state table to M values, so that
+    ``x1, x2, x3 = x`` works for one state and for a table.
     """
 
     t0: float
@@ -244,9 +248,18 @@ class _RunningGrid:
 
 
 def _compute_diagnostics(states, core_dim, diagnostics):
-    core = states[:, :core_dim]
-    return {name: np.array([fn(row) for row in core])
-            for name, fn in (diagnostics or {}).items()}
+    """Each diagnostic called once on the (core_dim, N+1) state table."""
+    table = states[:, :core_dim].T
+    out = {}
+    for name, fn in (diagnostics or {}).items():
+        series = np.array(fn(table), dtype=float)
+        if series.shape != (states.shape[0],):
+            raise ValueError(
+                f"diagnostic {name!r} gave shape {series.shape} for "
+                f"{states.shape[0]} states: it must map the (dim, M) state "
+                "table to M values")
+        out[name] = series
+    return out
 
 
 def _rk4_loop(field, grid: _RunningGrid, n: int, h: float) -> None:
@@ -254,8 +267,8 @@ def _rk4_loop(field, grid: _RunningGrid, n: int, h: float) -> None:
 
     Node 0 and its slope must already be written; ``i`` numbers the
     field's times as :func:`_rk4_lookups` lists them.  Each new node is put
-    first with its k4 slope, so that a delayed lookup inside ``field`` at
-    the new node sees the finished step, then with its own slope.
+    with its k4 slope, so that a delayed lookup inside ``field`` at the new
+    node sees the finished step; its own slope then replaces k4.
     """
     half = 0.5 * h
     sixth = h / 6.0
@@ -269,7 +282,7 @@ def _rk4_loop(field, grid: _RunningGrid, n: int, h: float) -> None:
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         _check_state(x, k * h)
         put(k + 1, x, k4)
-        put(k + 1, x, field(2 * k + 2, x))
+        derivs[k + 1] = field(2 * k + 2, x)
 
 
 def _rk4_lookups(n: int, h: float):
@@ -287,6 +300,10 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
 
     ``rhs`` maps a state vector to its derivative.  Aborts with
     :class:`DivergenceError` when the state leaves the finite trust region.
+    ``diagnostics`` maps names to functions called once on the whole run: a
+    diagnostic maps the (dim, M) component-major state table to M values;
+    ``x1, x2, x3 = x`` works for one state and for a table.  The table
+    holds the first ``core_dim`` components (all by default).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = _n_steps(t_end, h)
@@ -359,6 +376,9 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     exactly, and a zero-lag Dirac kernel substitutes the stage state itself
     so the run reduces bitwise to the ordinary RK4 path.  With support from
     lag >= h, the stages of the next lag/h steps are read in one batch.
+    ``diagnostics`` maps names to functions called once on the whole run: a
+    diagnostic maps the (dim, M) component-major state table to M values;
+    ``x1, x2, x3 = x`` works for one state and for a table.
     """
     x0 = phi(0.0)
     n = _n_steps(t_end, h)
@@ -382,6 +402,10 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
     Auxiliary stages obey eta1' = rate*(x - eta1), eta2' = rate*(eta1 -
     eta2); the delayed argument is the last stage.  Initial stage values
     are the kernel-weighted averages of phi.
+    ``diagnostics`` maps names to functions called once on the whole run: a
+    diagnostic maps the (dim, M) component-major state table to M values;
+    ``x1, x2, x3 = x`` works for one state and for a table.  The table
+    holds the model components only, never the stages.
     """
     if not isinstance(chain, _kern.ChainSpec):
         raise TypeError("chain must come from chain_reduce()")
@@ -400,15 +424,10 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
                   for kern in stage_kernels]
     y0 = np.concatenate([x0] + stage0)
 
-    if chain.stages == 1:
-        def aug_rhs(y):
-            x, eta1 = y[:dim], y[dim:]
-            return np.concatenate([rhs_pair(x, eta1), rate * (x - eta1)])
-    else:
-        def aug_rhs(y):
-            x, eta1, eta2 = y[:dim], y[dim:2 * dim], y[2 * dim:]
-            return np.concatenate([
-                rhs_pair(x, eta2), rate * (x - eta1), rate * (eta1 - eta2)])
+    # y = (x, eta1[, eta2]): stage s relaxes towards the one before it
+    def aug_rhs(y):
+        return np.concatenate([rhs_pair(y[:dim], y[-dim:]),
+                               rate * (y[:-dim] - y[dim:])])
 
     return integrate_rk4(aug_rhs, y0, t_end, h,
                          diagnostics=diagnostics, core_dim=dim)
@@ -561,6 +580,9 @@ def integrate_frac_abm(rhs, cfg: FracConfig, x0, t_end, *,
     window is configured.  Node derivatives in the returned trajectory are
     finite-difference estimates: for fractional orders the classical slope
     is not directly available from the right-hand side.
+    ``diagnostics`` maps names to functions called once on the whole run: a
+    diagnostic maps the (dim, M) component-major state table to M values;
+    ``x1, x2, x3 = x`` works for one state and for a table.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = _n_steps(t_end, cfg.h)
@@ -579,6 +601,9 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     step's provisional value participates so short-range kernels see a
     consistent sliver.  A zero-lag Dirac kernel reduces the scheme bitwise
     to :func:`integrate_frac_abm`.
+    ``diagnostics`` maps names to functions called once on the whole run: a
+    diagnostic maps the (dim, M) component-major state table to M values;
+    ``x1, x2, x3 = x`` works for one state and for a table.
     """
     x0 = phi(0.0)
     n = _n_steps(t_end, cfg.h)

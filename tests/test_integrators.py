@@ -72,6 +72,88 @@ class TestRk4:
             assert traj.diagnostics["c"][k] == models.casimir(traj.states[k])
 
 
+EP = models.InertiaSetup(3, 2, 1, coupling=1.0, m=1.0)
+X_EP = np.array([0.4, 0.3, -0.2])
+
+
+def _ep_pair(x, xd):
+    return models.rhs_ep_delayed(EP, x, xd)
+
+
+#: one short run of every integrator (the delay-free ones take xd = x)
+DIAG_RUNS = {
+    "rk4": lambda d: integrate_rk4(lambda x: _ep_pair(x, x), X_EP, 1.0, 0.01,
+                                   diagnostics=d),
+    "chain-1": lambda d: integrate_chain(
+        _ep_pair, kernels.ChainSpec(1, 2.0), HistorySpec.constant(X_EP), 1.0,
+        0.01, diagnostics=d),
+    "chain-2": lambda d: integrate_chain(
+        _ep_pair, kernels.ChainSpec(2, 2.0), HistorySpec.constant(X_EP), 1.0,
+        0.01, diagnostics=d),
+    "dde": lambda d: integrate_dde(
+        _ep_pair, kernels.DiracKernel(0.1), HistorySpec.constant(X_EP), 1.0,
+        0.01, diagnostics=d),
+    "frac-abm": lambda d: integrate_frac_abm(
+        lambda x: _ep_pair(x, x), FracConfig(order=0.82, h=0.01), X_EP, 1.0,
+        diagnostics=d),
+    "frac-dde": lambda d: integrate_frac_dde(
+        _ep_pair, FracConfig(order=0.82, h=0.01), kernels.DiracKernel(0.1),
+        HistorySpec.constant(X_EP), 1.0, diagnostics=d),
+}
+
+
+def _per_row(family, core):
+    """Reference diagnostics, evaluated one state at a time."""
+    if family == "rigid":
+        a1, a2, a3 = P321.a1, P321.a2, P321.a3
+        return {"h": [0.5 * (a1 * x[0] * x[0] + a2 * x[1] * x[1]
+                             + a3 * x[2] * x[2]) for x in core],
+                "c": [0.5 * (x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+                      for x in core]}
+    inertia = np.array([EP.I1, EP.I2, EP.I3])
+    return {"h": [0.5 * float(np.dot(inertia * x, x)) for x in core],
+            "c": [0.5 * float(np.dot(inertia * x, inertia * x))
+                  for x in core]}
+
+
+class TestWholeTableDiagnostics:
+    FAMILIES = {"rigid": lambda: cli._rigid_diagnostics(P321),
+                "inertia": lambda: cli._inertia_diagnostics(EP)}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("run", DIAG_RUNS)
+    def test_bitwise_per_row_formulas(self, run, family):
+        traj = DIAG_RUNS[run](self.FAMILIES[family]())
+        if run.startswith("chain"):
+            assert traj.core_dim == 3 < traj.states.shape[1]
+        expected = _per_row(family, traj.states[:, :traj.core_dim])
+        for name in ("h", "c"):
+            assert traj.diagnostics[name].shape == (traj.n_samples,)
+            assert np.array_equal(traj.diagnostics[name], expected[name])
+
+    @pytest.mark.parametrize("run", DIAG_RUNS)
+    def test_each_diagnostic_called_once(self, run):
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(x):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(x)
+            return wrapper
+
+        diags = {**cli._rigid_diagnostics(P321),
+                 "I": cli._inertia_diagnostics(EP)["h"]}
+        DIAG_RUNS[run]({name: counted(name, fn)
+                        for name, fn in diags.items()})
+        assert calls == {"h": 1, "c": 1, "I": 1}
+
+    def test_row_only_diagnostic_rejected(self):
+        # a sum over the whole table gives one scalar, not one per sample
+        with pytest.raises(ValueError, match="'norm2'.*shape \\(\\)"):
+            integrate_rk4(lambda x: -x, X111, 0.1, 0.01,
+                          diagnostics={"norm2": lambda x: np.sum(x * x)})
+
+
 class TestDenseEval:
     def _cubic_traj(self, h=0.25):
         coef = np.array([[0.3, -1.2, 2.0], [1.0, 0.5, -0.7],
