@@ -13,8 +13,8 @@ so only tau* marks the true stability edge.
 import numpy as np
 
 from rigidmem import (DiracKernel, HistorySpec, InertiaSetup,
-                      critical_delay_scan, integrate_dde,
-                      linearize_ep_delayed, rhs_ep_delayed, tau_c_formula)
+                      critical_delay_scan, find_equilibria, integrate_dde,
+                      jacobian, rhs_ep_delayed, tau_c_formula)
 
 s = InertiaSetup(3, 2, 1, coupling=1.0, m=1.0)
 print(f"inertia ({s.I1}, {s.I2}, {s.I3}), coupling {s.coupling}, m {s.m}")
@@ -23,8 +23,12 @@ tau_star = critical_delay_scan(s)
 print(f"tau*  (first crossing) : {tau_star:.12f}  (= 3*pi/5)")
 print()
 
-A, B = linearize_ep_delayed(s)
-pair_lin = lambda u, ud: A @ u + s.coupling * (B @ ud)
+# the linearization at the axis equilibrium omega_1, from the field itself:
+# du/dt = A u + B ud with A = df/domega and B = df/domegad
+omega1 = find_equilibria(s, s.m)[0]
+A = jacobian(lambda w: rhs_ep_delayed(s, w, omega1), omega1)
+B = jacobian(lambda w: rhs_ep_delayed(s, omega1, w), omega1)
+pair_lin = lambda u, ud: A @ u + B @ ud
 u0 = np.array([0.0, 0.01, 0.01])
 print("linearized perturbation over 40 time units:")
 for fac in (0.1, 0.9, 1.1, 1.5):
@@ -39,7 +43,6 @@ print()
 # full nonlinear flow below the crossing: the lagged torque is orthogonal
 # to the angular momentum, so |I omega| is conserved and the flow settles
 # on the axis equilibrium with the perturbed magnitude
-omega1 = np.array([s.m / s.I1, 0.0, 0.0])
 phi0 = omega1 + np.array([0.0, 0.01, 0.01])
 traj = integrate_dde(lambda x, xd: rhs_ep_delayed(s, x, xd),
                      DiracKernel(0.1), HistorySpec.constant(phi0), 40.0,

@@ -23,10 +23,9 @@ from .kernels import (ChainSpec, DelayKernel, DiracKernel, ErlangKernel,
                       ExponentialKernel, UniformKernel, chain_reduce,
                       convolve_history, density, effective_support, laplace)
 from .models import (InertiaSetup, RigidBodyParams, casimir,
-                     find_equilibria, grad_hamiltonian, hamiltonian,
-                     linearize_ep_delayed, metric_tensor, poisson_tensor,
-                     rhs_classical, rhs_delayed, rhs_ep_delayed,
-                     rhs_revised, rhs_revised_delayed)
+                     find_equilibria, hamiltonian, jacobian, rhs_classical,
+                     rhs_delayed, rhs_ep_delayed, rhs_revised,
+                     rhs_revised_delayed)
 from .stability import (MARGINAL, STABLE, UNSTABLE, CharQuadratic,
                         StabilityReport, char_ep_eval,
                         char_frac_equilibrium, count_rhp_roots,
@@ -47,10 +46,8 @@ __all__ = [
     "ExponentialKernel", "UniformKernel", "chain_reduce",
     "convolve_history", "density", "effective_support", "laplace",
     "InertiaSetup", "RigidBodyParams", "casimir",
-    "find_equilibria", "grad_hamiltonian", "hamiltonian",
-    "linearize_ep_delayed", "metric_tensor", "poisson_tensor",
-    "rhs_classical", "rhs_delayed", "rhs_ep_delayed", "rhs_revised",
-    "rhs_revised_delayed",
+    "find_equilibria", "hamiltonian", "jacobian", "rhs_classical",
+    "rhs_delayed", "rhs_ep_delayed", "rhs_revised", "rhs_revised_delayed",
     "MARGINAL", "STABLE", "UNSTABLE", "CharQuadratic", "StabilityReport",
     "char_ep_eval", "char_frac_equilibrium", "count_rhp_roots",
     "critical_delay_scan", "ep_delayed_check", "frac_delay_char_eval",

@@ -25,7 +25,7 @@ blocks (full-line ``#`` comments allowed).  Sections:
     Optional ``path`` (the ``--out`` flag wins).
 ``[stability]``
     Optional ``equilibrium`` (``M1``/``M2``/``M3``) and ``m`` for the
-    fractional kinds.
+    fractional kinds without a delay; not allowed for any other kind.
 ``[scan]``
     ``axis`` (``tau``/``alpha``/``m``), ``min``, ``max``, ``steps``.
 
@@ -435,12 +435,21 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             x0 = np.array(x0_list)
 
     out = g.get("output", "path", conv=str)
-    equilibrium = g.get("stability", "equilibrium", conv=str, default="M1")
-    if equilibrium not in ("M1", "M2", "M3"):
-        errors.append(f"{_loc(g.line_of('stability', 'equilibrium'))}: "
-                      f"[stability] equilibrium must be M1, M2 or M3")
-        equilibrium = "M1"
-    eq_m = g.get("stability", "m", default=1.0)
+    # [stability] picks the axis equilibrium of the sector kinds: the
+    # fractional kinds without a delay
+    sector = fractional and not delayed
+    equilibrium, eq_m = "M1", 1.0
+    if kind is not None and not sector and g.has_section("stability"):
+        errors.append(f"{_loc(g.section_line('stability'))}: [stability] "
+                      f"section is not allowed for kind = {kind}")
+    if sector:
+        equilibrium = g.get("stability", "equilibrium", conv=str,
+                            default="M1")
+        if equilibrium not in ("M1", "M2", "M3"):
+            errors.append(f"{_loc(g.line_of('stability', 'equilibrium'))}: "
+                          f"[stability] equilibrium must be M1, M2 or M3")
+            equilibrium = "M1"
+        eq_m = g.get("stability", "m", default=1.0)
 
     scan = None
     if g.has_section("scan"):

@@ -163,10 +163,11 @@ class Trajectory:
 
 
 class HistorySpec:
-    """Initial function phi on (-inf, 0]: constant, callable, or a trajectory.
+    """Initial function phi on (-inf, 0].
 
     ``eval_many(ss)`` returns phi at the times ``ss`` as a (len(ss), dim)
-    array; each constructor classmethod builds it for its kind of phi.
+    array; :meth:`constant` builds it for a constant phi.  A recorded
+    segment serves as ``HistorySpec(traj.eval_many, dim)``.
     """
 
     def __init__(self, eval_many, dim: int, is_constant: bool = False):
@@ -179,19 +180,6 @@ class HistorySpec:
         arr = np.atleast_1d(np.asarray(value, dtype=float))
         return cls(lambda ss: np.broadcast_to(arr, (np.size(ss), arr.size)),
                    arr.size, is_constant=True)
-
-    @classmethod
-    def from_callable(cls, fn) -> "HistorySpec":
-        def eval_many(ss):
-            return np.stack([np.atleast_1d(np.asarray(fn(s), dtype=float))
-                             for s in np.asarray(ss, dtype=float)])
-
-        probe = np.atleast_1d(np.asarray(fn(0.0), dtype=float))
-        return cls(eval_many, probe.size)
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "HistorySpec":
-        return cls(traj.eval_many, traj.states.shape[1])
 
     def __call__(self, s: float) -> np.ndarray:
         return self.eval_many(np.array([float(s)]))[0]

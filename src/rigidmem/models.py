@@ -21,17 +21,14 @@ __all__ = [
     "RigidBodyParams",
     "InertiaSetup",
     "hamiltonian",
-    "grad_hamiltonian",
     "casimir",
-    "poisson_tensor",
-    "metric_tensor",
     "rhs_classical",
     "rhs_revised",
     "rhs_delayed",
     "rhs_revised_delayed",
     "rhs_ep_delayed",
     "find_equilibria",
-    "linearize_ep_delayed",
+    "jacobian",
 ]
 
 
@@ -95,45 +92,31 @@ class InertiaSetup:
         return obj
 
 
-def hamiltonian(p: RigidBodyParams, x) -> float:
-    """Energy h(x) = (a1*x1^2 + a2*x2^2 + a3*x3^2) / 2."""
+def hamiltonian(p: RigidBodyParams, x) -> float | np.ndarray:
+    """Energy h(x) = (a1*x1^2 + a2*x2^2 + a3*x3^2) / 2.
+
+    ``x`` is one state, giving a scalar, or the (3, M) component-major
+    state table, giving the (M,) array of energies.
+    """
     x1, x2, x3 = x
     return 0.5 * (p.a1 * x1 * x1 + p.a2 * x2 * x2 + p.a3 * x3 * x3)
 
 
-def grad_hamiltonian(p: RigidBodyParams, x) -> np.ndarray:
-    """Gradient of the energy, (a1*x1, a2*x2, a3*x3)."""
-    return np.array([p.a1 * x[0], p.a2 * x[1], p.a3 * x[2]])
+def casimir(x) -> float | np.ndarray:
+    """Squared-norm invariant c(x) = |x|^2 / 2 of the structure tensor.
 
-
-def casimir(x) -> float:
-    """Squared-norm invariant c(x) = |x|^2 / 2 of the structure tensor."""
+    ``x`` is one state, giving a scalar, or the (3, M) component-major
+    state table, giving the (M,) array of values.
+    """
     x1, x2, x3 = x
     return 0.5 * (x1 * x1 + x2 * x2 + x3 * x3)
 
 
-def poisson_tensor(x) -> np.ndarray:
-    """Antisymmetric structure tensor P(x); satisfies P(x) @ x = 0."""
-    x1, x2, x3 = x
-    return np.array([
-        [0.0, x3, -x2],
-        [-x3, 0.0, x1],
-        [x2, -x1, 0.0],
-    ])
-
-
-def metric_tensor(p: RigidBodyParams, x) -> np.ndarray:
-    """Dissipative metric g = grad_h grad_h^T - |grad_h|^2 * Id.
-
-    Symmetric and negative semidefinite, with g @ grad_h = 0, so the flow
-    it generates leaves the energy level sets invariant.
-    """
-    grad = grad_hamiltonian(p, x)
-    return np.outer(grad, grad) - np.dot(grad, grad) * np.eye(3)
-
-
 def rhs_classical(p: RigidBodyParams, x) -> np.ndarray:
-    """Classical Euler field P(x) grad_h(x), written componentwise."""
+    """Classical Euler field P(x) grad_h(x), written componentwise.
+
+    P(x) is the antisymmetric structure tensor, with P(x) x = 0.
+    """
     x1, x2, x3 = x
     return np.array([
         (p.a2 - p.a3) * x2 * x3,
@@ -145,8 +128,9 @@ def rhs_classical(p: RigidBodyParams, x) -> np.ndarray:
 def rhs_revised(p: RigidBodyParams, x) -> np.ndarray:
     """Revised field P grad_h + g grad_c, written componentwise.
 
-    Conserves the energy h exactly (g grad_h = 0) while the squared-norm
-    invariant c is non-increasing along solutions.
+    With the metric g = grad_h grad_h^T - |grad_h|^2 Id it conserves the
+    energy h exactly (g grad_h = 0) while the squared-norm invariant c is
+    non-increasing along solutions.
     """
     x1, x2, x3 = x
     a1, a2, a3 = p.a1, p.a2, p.a3
@@ -196,27 +180,25 @@ def rhs_revised_delayed(p: RigidBodyParams, x, xd) -> np.ndarray:
     ])
 
 
-def _cross(a, b) -> np.ndarray:
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
-
-
 def rhs_ep_delayed(s: InertiaSetup, omega, omegad) -> np.ndarray:
     """Euler-Poincare field with a delayed torque, resolved for omega.
 
     Computes I^-1 [ (I omega) x omega + coupling * (I omega) x
-    ((I omegad) x omegad) ] with I = diag(I1, I2, I3).  The torque is
-    orthogonal to the angular momentum M = I omega, so |M| is conserved
-    exactly along solutions.
+    ((I omegad) x omegad) ] with I = diag(I1, I2, I3), written
+    componentwise.  The torque is orthogonal to the angular momentum
+    M = I omega, so |M| is conserved exactly along solutions.
     """
-    inertia = np.array([s.I1, s.I2, s.I3])
-    m_now = inertia * np.asarray(omega, dtype=float)
-    m_del = inertia * np.asarray(omegad, dtype=float)
-    torque = _cross(m_now, omega) + s.coupling * _cross(m_now, _cross(m_del, omegad))
-    return torque / inertia
+    I1, I2, I3, k = s.I1, s.I2, s.I3, s.coupling
+    w1, w2, w3 = omega
+    v1, v2, v3 = omegad
+    m1, m2, m3 = I1 * w1, I2 * w2, I3 * w3
+    d1, d2, d3 = I1 * v1, I2 * v2, I3 * v3
+    e1, e2, e3 = d2 * v3 - d3 * v2, d3 * v1 - d1 * v3, d1 * v2 - d2 * v1
+    return np.array([
+        (m2 * w3 - m3 * w2 + k * (m2 * e3 - m3 * e2)) / I1,
+        (m3 * w1 - m1 * w3 + k * (m3 * e1 - m1 * e3)) / I2,
+        (m1 * w2 - m2 * w1 + k * (m1 * e2 - m2 * e1)) / I3,
+    ])
 
 
 def find_equilibria(params, m: float) -> list[np.ndarray]:
@@ -229,25 +211,21 @@ def find_equilibria(params, m: float) -> list[np.ndarray]:
     if m == 0:
         raise ValueError("equilibrium magnitude m must be nonzero")
     if isinstance(params, RigidBodyParams):
-        return [m * np.eye(3)[i] for i in range(3)]
+        return list(m * np.eye(3))
     if isinstance(params, InertiaSetup):
-        inertia = (params.I1, params.I2, params.I3)
-        return [m / inertia[i] * np.eye(3)[i] for i in range(3)]
+        inertia = np.array([params.I1, params.I2, params.I3])
+        return list((m / inertia)[:, None] * np.eye(3))
     raise TypeError(f"no axis equilibria for {type(params).__name__}")
 
 
-def linearize_ep_delayed(s: InertiaSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Linearization (A, B) of the delayed Euler-Poincare field at omega_1.
-
-    The evolution of a perturbation u is du/dt = A u + coupling * B ud,
-    where ud is the kernel-averaged past perturbation.  The first row and
-    column vanish: the component along the equilibrium axis is neutral.
+def jacobian(f, x) -> np.ndarray:
+    """Jacobian of the field ``f`` at the real point ``x``: column j is
+    Im f(x + i e_j), the complex step (Squire & Trapp, SIAM Review 40(1),
+    1998).  The unit step is exact to rounding for a field at most
+    quadratic in each component, as every field here is, and cannot
+    underflow a small derivative to zero as a tiny step can.  ``f`` gets
+    a list of Python numbers, so its arithmetic stays scalar.
     """
-    I1, I2, I3, m = s.I1, s.I2, s.I3, s.m
-    A = np.zeros((3, 3))
-    A[1, 2] = (I3 - I1) * m / (I1 * I2)
-    A[2, 1] = (I1 - I2) * m / (I1 * I3)
-    B = np.zeros((3, 3))
-    B[1, 1] = (I2 - I1) * m * m / (I1 * I2)
-    B[2, 2] = (I3 - I1) * m * m / (I1 * I3)
-    return A, B
+    x = [float(v) for v in x]
+    return np.imag([f(x[:j] + [x[j] + 1j] + x[j + 1:])
+                    for j in range(len(x))]).T

@@ -1,10 +1,10 @@
 """Equilibrium stability analysis for the delayed and fractional systems.
 
-Covers the quadratic characteristic polynomials of the fractional rigid
-body at its axis equilibria (classified through the sector condition on
-w = lambda^order), the transcendental characteristic function of the
-delayed Euler-Poincare system with its critical-delay bound and exact
-first crossing, and argument-principle root counting for scalar and planar
+Linearizations are complex-step Jacobians of each kind's own field at an
+axis equilibrium.  Covers the fractional rigid body's quadratics in
+w = lambda^order (sector condition), the delayed Euler-Poincare system's
+characteristic function with its critical-delay bound and exact first
+crossing, and argument-principle root counting for the scalar and planar
 fractional-delay benchmarks.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels as _kern
-from .models import InertiaSetup, RigidBodyParams
+from . import models as _models
 
 __all__ = [
     "STABLE",
@@ -122,34 +122,31 @@ class StabilityReport:
         return "\n".join(lines) + "\n"
 
 
-_WHICH = {"M1": 1, "M2": 2, "M3": 3, 1: 1, 2: 2, 3: 3}
+def _transverse(jac: np.ndarray, axis: int) -> tuple[float, float]:
+    """(trace, det) of the 2x2 block of ``jac`` off ``axis``; at an axis
+    equilibrium the axis row and column vanish (the neutral direction)."""
+    j, k = [i for i in range(3) if i != axis]
+    a, b, c, d = jac[j, j], jac[j, k], jac[k, j], jac[k, k]
+    return float(a + d), float(a * d - b * c)
 
 
-def char_frac_equilibrium(p: RigidBodyParams, which, m: float,
+def char_frac_equilibrium(p: _models.RigidBodyParams, which, m: float,
                           revised: bool = False) -> CharQuadratic:
-    """Characteristic quadratic in w = lambda^order at an axis equilibrium.
-
-    The plain system yields w^2 + const; the revised system adds a linear
-    term from the dissipative part.  A common lambda^order factor (the
-    neutral axis direction) is recorded, not expanded.
+    """Quadratic w^2 - tr(A) w + det(A) in w = lambda^order at the axis
+    equilibrium ``which`` (M1, M2, M3 or 1, 2, 3) of the plain or revised
+    field, A its transverse Jacobian block.  The common lambda^order factor
+    of the neutral axis direction is recorded, not expanded.
     """
-    if m == 0:
-        raise ValueError("equilibrium magnitude m must be nonzero")
     try:
-        idx = _WHICH[which]
-    except (KeyError, TypeError):
-        raise ValueError(f"equilibrium must be one of M1, M2, M3, got {which!r}")
-    # axis coefficient ai and the other two in order, aj before ak
-    coef = (p.a1, p.a2, p.a3)
-    ai = coef[idx - 1]
-    aj, ak = coef[:idx - 1] + coef[idx:]
-    m2 = m * m
-    const = (ai - aj) * (ai - ak) * m2
-    if not revised:
-        return CharQuadratic(1.0, 0.0, const, zero_factor_order=1)
-    lin = -ai * (aj + ak - 2.0 * ai) * m2
-    return CharQuadratic(1.0, lin, const * (ai * ai * m2 + 1.0),
-                         zero_factor_order=1)
+        axis = ("M1", "M2", "M3", 1, 2, 3).index(which) % 3
+    except ValueError:
+        raise ValueError(f"equilibrium must be one of M1, M2, M3, "
+                         f"got {which!r}") from None
+    field = _models.rhs_revised if revised else _models.rhs_classical
+    x = _models.find_equilibria(p, m)[axis]
+    tr, det = _transverse(_models.jacobian(lambda y: field(p, y), x), axis)
+    # 0.0 - tr keeps the plain field's zero trace a +0.0
+    return CharQuadratic(1.0, 0.0 - tr, det, zero_factor_order=1)
 
 
 def matignon_classify(q: CharQuadratic, order: float) -> StabilityReport:
@@ -183,32 +180,38 @@ def matignon_classify(q: CharQuadratic, order: float) -> StabilityReport:
         metadata={"sector_half_angle": half_sector})
 
 
-def _ep_coeffs(s: InertiaSetup) -> tuple[float, float, float]:
-    I1, I2, I3, cp, m = s.I1, s.I2, s.I3, s.coupling, s.m
-    m2 = m * m
-    q1 = cp * m2 / I1 * ((I2 - I1) / I2 + (I3 - I1) / I3)
-    q2 = cp * cp * m2 * m2 * (I2 - I1) * (I3 - I1) / (I1 * I1 * I2 * I3)
-    q0 = (I1 - I2) * (I3 - I1) * m2 / (I1 * I1 * I2 * I3)
-    return q1, q2, q0
+def _ep_bracket(s: _models.InertiaSetup) -> tuple[float, float, float]:
+    """(q1, q2, q0) = (tr B, det B, -det A): one Jacobian in (omega, omegad)
+    at omega_1 gives [A | B], whose transverse blocks are A = df/domega
+    (zero diagonal) and B = df/domegad (diagonal)."""
+    w = _models.find_equilibria(s, s.m)[0]
+    jac = _models.jacobian(lambda z: _models.rhs_ep_delayed(s, z[:3], z[3:]),
+                           np.concatenate((w, w)))
+    _, det_a = _transverse(jac[:, :3], 0)
+    tr_b, det_b = _transverse(jac[:, 3:], 0)
+    return tr_b, det_b, -det_a
 
 
-def char_ep_eval(s: InertiaSetup, kernel, lam):
-    """Characteristic function of the delayed Euler-Poincare equilibrium.
-
-    Evaluates the reduced (tangent-space) quadratic-in-lambda bracket
-    lambda^2 - q1 lambda k1(lambda) + q2 k1(lambda)^2 - q0; the full
-    characteristic equation carries an extra structural lambda factor.
-    Equals the 2x2 block determinant of the linearization for every kernel.
-    A scalar ``lam`` gives a Python complex, an array gives an array.
-    """
+def _eval_bracket(q, kernel, lam):
     lam, scalar = _kern._lambda_array(lam)
     k1 = _kern.laplace(kernel, lam)
-    q1, q2, q0 = _ep_coeffs(s)
+    q1, q2, q0 = q
     out = lam * lam - q1 * lam * k1 + q2 * k1 * k1 - q0
     return complex(out[0]) if scalar else out
 
 
-def tau_c_formula(s: InertiaSetup) -> float:
+def char_ep_eval(s: _models.InertiaSetup, kernel, lam):
+    """Characteristic function of the delayed Euler-Poincare equilibrium.
+
+    Evaluates the reduced (tangent-space) bracket det(lambda I - A - k1 B)
+    = lambda^2 - q1 lambda k1(lambda) + q2 k1(lambda)^2 - q0; the full
+    characteristic equation carries an extra structural lambda factor.
+    A scalar ``lam`` gives a Python complex, an array gives an array.
+    """
+    return _eval_bracket(_ep_bracket(s), kernel, lam)
+
+
+def tau_c_formula(s: _models.InertiaSetup) -> float:
     """Sufficient critical-delay bound for the sharp-lag kernel.
 
     Requires I1 > I2 and I1 > I3, nonzero coupling and m.  This bound is
@@ -227,7 +230,7 @@ def tau_c_formula(s: InertiaSetup) -> float:
     return num / den
 
 
-def critical_delay_scan(s: InertiaSetup) -> float | None:
+def critical_delay_scan(s: _models.InertiaSetup) -> float | None:
     """Smallest lag tau >= 0 placing a characteristic root on i*omega.
 
     Exact algebra on the bracket at lambda = i*omega.  With
@@ -243,7 +246,7 @@ def critical_delay_scan(s: InertiaSetup) -> float | None:
     """
     if s.coupling == 0:
         return None
-    q1, q2, q0 = (float(q) for q in _ep_coeffs(s))
+    q1, q2, q0 = _ep_bracket(s)
     if q2 == 0:  # coupling^2 m^4 underflows
         raise ZeroDivisionError("quadratic coefficient q2 underflows to 0")
     crossings = []  # (omega, c, sn)
@@ -355,16 +358,16 @@ def _contour_verdict(f) -> tuple[str, int | str]:
     return (STABLE if count == 0 else UNSTABLE), count
 
 
-def ep_delayed_check(s: InertiaSetup, kernel) -> StabilityReport:
+def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
     """Verdict for the delayed Euler-Poincare equilibrium under ``kernel``.
 
     Counts right-half-plane zeros of the reduced bracket of
-    :func:`char_ep_eval` by the argument principle; the structural lambda
-    factor of the full characteristic equation is reported as one zero
-    root.
+    :func:`char_ep_eval`, built once, by the argument principle; the
+    structural lambda factor is reported as one zero root.
     """
+    q = _ep_bracket(s)
     verdict, count = _contour_verdict(
-        lambda lam: char_ep_eval(s, kernel, lam))
+        lambda lam: _eval_bracket(q, kernel, lam))
     return StabilityReport(verdict=verdict, structural_zero_roots=1,
                            metadata={"rhp_root_count": count})
 
@@ -383,10 +386,8 @@ def scalar_frac_delay_check(a: float, order: float,
     if not 0 < order < 1:
         raise ValueError("order must lie in (0, 1)")
 
-    def f(lam):
-        return lam**order - a * np.exp(-lam * tau)
-
-    verdict, count = _contour_verdict(f)
+    verdict, count = _contour_verdict(
+        lambda lam: lam**order - a * np.exp(-lam * tau))
     metadata = {
         "rhp_root_count": count,
         "hypothesis_a_negative": a < 0,
@@ -422,10 +423,8 @@ def planar_frac_delay_check(k1: float, k2: float, order: float,
     B = np.array([[0.0, 0.0], [1.0, 0.0]])
     kernel = _kern.DiracKernel(tau)
 
-    def f(lam):
-        return frac_delay_char_eval(A, B, order, kernel, lam)
-
-    verdict, count = _contour_verdict(f)
+    verdict, count = _contour_verdict(
+        lambda lam: frac_delay_char_eval(A, B, order, kernel, lam))
     metadata = {
         "rhp_root_count": count,
         "printed_condition": "k1 > 0 and k2 > 1/k1 - k (symbol k unbound)",

@@ -115,19 +115,21 @@ def test_c05_fractional_oracle():
 
 def test_c06_delayed_ep_consistency():
     start = time.perf_counter()
-    A, B = models.linearize_ep_delayed(S321)
+    w = models.find_equilibria(S321, S321.m)[0]
+    A = models.jacobian(lambda u: models.rhs_ep_delayed(S321, u, w), w)
+    B = models.jacobian(lambda u: models.rhs_ep_delayed(S321, w, u), w)
     rng = np.random.default_rng(42)
     kern = kernels.ExponentialKernel(1.5)
     worst = 0.0
     for _ in range(100):
         lam = complex(rng.uniform(-1.0, 3.0), rng.uniform(-5.0, 5.0))
         k1 = kernels.laplace(kern, lam)
-        M = lam * np.eye(2) - A[1:, 1:] - S321.coupling * k1 * B[1:, 1:]
+        M = lam * np.eye(2) - A[1:, 1:] - k1 * B[1:, 1:]
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         worst = max(worst, abs(det - stability.char_ep_eval(S321, kern, lam)))
     tau_c = stability.tau_c_formula(S321)
     tau_star = stability.critical_delay_scan(S321)
-    pair = lambda u, ud: A @ u + S321.coupling * (B @ ud)
+    pair = lambda u, ud: A @ u + B @ ud
     u0 = np.array([0.0, 0.01, 0.01])
     ratios = {}
     for fac in (0.1, 1.5):

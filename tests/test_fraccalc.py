@@ -37,7 +37,8 @@ def _fractional_bracket(p, order, x):
     """P(x) @ D^order h1, h1 = sum a_i x_i**(order+1) / Gamma(order+1)."""
     coeffs = np.array([p.a1, p.a2, p.a3]) / math.gamma(order + 1)
     grad = coeffs * _caputo_monomial(order + 1, order, x)
-    return models.poisson_tensor(np.asarray(x, dtype=float)) @ grad
+    # P(x) @ grad for the antisymmetric structure tensor P(x)
+    return np.cross(grad, np.asarray(x, dtype=float))
 
 
 class TestCaputoMonomial:

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from rigidmem import cli
+from rigidmem.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -141,6 +142,8 @@ def _invalid_cases():
             "simulate", frac.replace(FRAC.format(0.82), ""), ()),
         "bad-forbidden-fractional": ("simulate", delayed + FRAC.format(0.5),
                                      ()),
+        "bad-forbidden-stability": (
+            "stability", KINDS["ep-delayed"] + STAB.format("M3", 30), ()),
         "bad-x0-length": ("simulate", KINDS["planar-19"],
                           ("run.x0=1, 2, 3",)),
         "bad-scalar-uniform-kernel": (
@@ -230,6 +233,16 @@ def test_golden(name, tmp_path):
     assert run_case(CASES[name], tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("kind", sorted(
+    set(KINDS) - {"fractional", "fractional-revised"}))
+def test_stability_section_only_for_sector_kinds(kind):
+    with pytest.raises(ConfigError, match=r"(?m)^line \d+: \[stability\] "
+                       f"section is not allowed for kind = {kind}$"):
+        cli.parse_config(KINDS[kind] + STAB.format("M1", 1))
+    with pytest.raises(ConfigError, match=r"^--set: \[stability\] section"):
+        cli.parse_config(KINDS[kind], overrides=["stability.m=2"])
+
+
 def test_golden_stdout_has_no_numpy_repr():
     # numbers are printed as Python floats, not as np.float64(...)
     assert not [name for name, (_, out, *_) in GOLDEN.items()
@@ -275,6 +288,13 @@ GOLDEN = {
         'error: line 10: [kernel] section is not allowed for kind = classical\n'
         "error: line 11: unknown key 'kind' in [kernel]\n"
         "error: line 12: unknown key 'lag' in [kernel]\n",
+        {}),
+    'bad-forbidden-stability': (
+        2,
+        '',
+        'error: line 15: [stability] section is not allowed for kind = ep-delayed\n'
+        "error: line 16: unknown key 'equilibrium' in [stability]\n"
+        "error: line 17: unknown key 'm' in [stability]\n",
         {}),
     'bad-fractional-memory': (
         2,
@@ -618,11 +638,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = 1.884955592153876\n'
+        'critical_delay = 1.8849555921538754\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': '059c79df80776ff98d5086d222a495a1dc6b14c7721bebf3424500daba83c04e',
+        {'out': '7b28bd9edae1c81ec43b6cf5a0e8456e4c8fe42bfd93ff590ae052ea79ac34c5',
          'out.rows.csv': 'c959d0b513ee18c2104ef89b28e1283c60be06b49d51f33d5b721138d2b5fc67'}),
     'ep-delayed-erlang-simulate': (
         0,
@@ -641,11 +661,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = 1.884955592153876\n'
+        'critical_delay = 1.8849555921538754\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'a542eb518c1bc35aa56208726355462c074edf70b43d8a78fa50a5648cf3763f',
+        {'out': 'dff1269d452b948c27bc7256792fb0dd5407062f9135fc0c84bf843cd9177535',
          'out.rows.csv': '90ce01a314d58be9bf311113a076a471115ae89550715203a56e752ee7052838'}),
     'ep-delayed-exponential-simulate': (
         0,
@@ -664,11 +684,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = 1.884955592153876\n'
+        'critical_delay = 1.8849555921538754\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'a542eb518c1bc35aa56208726355462c074edf70b43d8a78fa50a5648cf3763f',
+        {'out': 'dff1269d452b948c27bc7256792fb0dd5407062f9135fc0c84bf843cd9177535',
          'out.rows.csv': '90ce01a314d58be9bf311113a076a471115ae89550715203a56e752ee7052838'}),
     'ep-delayed-scan-m': (
         0,
@@ -703,11 +723,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = 1.884955592153876\n'
+        'critical_delay = 1.8849555921538754\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'b3c1c3b57ce1c2e2f6cf855b90ffcd64b169f6cb838d53e2bd12e8a305ab0479',
+        {'out': 'f24aa8678ae85ef1c5c13828a884d627194d75c1bde78f18978e14dacbe50cad',
          'out.rows.csv': '7034b6dfa3a92221143971e6891ed92ff5b7985925a63bff5d26087d9a3fb0e2'}),
     'ep-delayed-t_end0': (
         0,
@@ -733,11 +753,11 @@ GOLDEN = {
         0,
         'kind = ep-delayed\n'
         'verdict = asymptotically-stable\n'
-        'critical_delay = 1.884955592153876\n'
+        'critical_delay = 1.8849555921538754\n'
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'a542eb518c1bc35aa56208726355462c074edf70b43d8a78fa50a5648cf3763f',
+        {'out': 'dff1269d452b948c27bc7256792fb0dd5407062f9135fc0c84bf843cd9177535',
          'out.rows.csv': '90ce01a314d58be9bf311113a076a471115ae89550715203a56e752ee7052838'}),
     'frac_order_082.cfg-simulate': (
         0,

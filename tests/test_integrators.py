@@ -19,6 +19,20 @@ X111 = np.array([1.0, 1.0, 1.0])
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _history_from_callable(fn):
+    """HistorySpec of a callable phi(s), evaluated one time at a time."""
+    def eval_many(ss):
+        return np.stack([np.atleast_1d(np.asarray(fn(s), dtype=float))
+                         for s in np.asarray(ss, dtype=float)])
+
+    return HistorySpec(eval_many, np.atleast_1d(fn(0.0)).size)
+
+
+def _history_from_trajectory(traj):
+    """HistorySpec that reads a recorded segment by Hermite interpolation."""
+    return HistorySpec(traj.eval_many, traj.states.shape[1])
+
+
 def rigid_diag(p):
     return {"h": lambda x: models.hamiltonian(p, x), "c": models.casimir}
 
@@ -207,13 +221,13 @@ class TestHistorySpec:
         assert phi.is_constant
 
     def test_callable(self):
-        phi = HistorySpec.from_callable(lambda s: np.array([s, -s]))
+        phi = _history_from_callable(lambda s: np.array([s, -s]))
         assert np.array_equal(phi(-2.0), [-2.0, 2.0])
         assert phi.dim == 2
 
     def test_trajectory_segment_coverage(self):
         seg = integrate_rk4(lambda x: -x, np.array([1.0]), 1.0, 0.1)
-        phi = HistorySpec.from_trajectory(seg)
+        phi = _history_from_trajectory(seg)
         assert phi(0.5)[0] == pytest.approx(math.exp(-0.5), abs=1e-6)
         with pytest.raises(HistoryCoverageError):
             phi(-0.5)
@@ -300,7 +314,7 @@ class TestChain:
     def test_nonconstant_history_stage_init(self):
         # stage values start at the kernel-weighted average of phi
         rate = 2.0
-        phi = HistorySpec.from_callable(lambda s: np.array([math.exp(0.5 * s)]))
+        phi = _history_from_callable(lambda s: np.array([math.exp(0.5 * s)]))
         pair = lambda x, xd: -np.asarray(xd)
         traj = integrate_chain(pair, kernels.ChainSpec(1, rate), phi, 0.5,
                                0.01, quad_step=0.002)
@@ -565,9 +579,9 @@ SEGMENT = integrate_rk4(lambda x: np.array([-x[1], x[0], -0.5 * x[2]]),
                         np.array([0.3, 0.1, 0.4]), 3.0, 0.05)
 PHIS = {
     "constant": HistorySpec.constant([0.3, 0.4, 0.2]),
-    "callable": HistorySpec.from_callable(lambda s: np.array(
+    "callable": _history_from_callable(lambda s: np.array(
         [0.3 + 0.1 * math.sin(3 * s), 0.4 * math.cos(s), 0.2 - 0.05 * s])),
-    "trajectory": HistorySpec.from_trajectory(
+    "trajectory": _history_from_trajectory(
         Trajectory(-3.0, SEGMENT.h, SEGMENT.states, SEGMENT.derivs)),
 }
 
@@ -630,7 +644,7 @@ class TestBatchedLookups:
     @pytest.mark.parametrize("frac", [False, True])
     def test_history_coverage_error(self, kernel, frac, monkeypatch):
         # the segment covers [-0.2, 0], the kernels reach back to 0.4
-        phi = HistorySpec.from_trajectory(Trajectory(
+        phi = _history_from_trajectory(Trajectory(
             -0.2, SEGMENT.h, SEGMENT.states[:5], SEGMENT.derivs[:5]))
         cfg = FracConfig(order=0.8, h=H)
         (fast, fast_calls), (ref, ref_calls) = _run_both(
@@ -659,7 +673,7 @@ class TestBatchedLookups:
         # unbounded, the 200 steps' lookups would read 400k history points
         # at once; the lookahead evaluates at most _LOOKAHEAD_POINTS
         seg = Trajectory(-52.0, 0.5, np.ones((105, 3)), np.zeros((105, 3)))
-        phi = HistorySpec.from_trajectory(seg)
+        phi = _history_from_trajectory(seg)
         kernel = kernels.UniformKernel(50.0, 1.0)
         tracemalloc.start()
         try:

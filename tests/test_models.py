@@ -3,9 +3,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidmem import models
+from rigidmem import kernels, models, stability
 
 P321 = models.RigidBodyParams(3, 2, 1)
+
+
+# --- structure tensors behind the fields, kept as oracles --------------------
+
+def _grad_h(p, x):
+    """Gradient of the energy, (a1*x1, a2*x2, a3*x3)."""
+    return np.array([p.a1 * x[0], p.a2 * x[1], p.a3 * x[2]])
+
+
+def _poisson(x):
+    """Antisymmetric structure tensor P(x); satisfies P(x) @ x = 0."""
+    x1, x2, x3 = x
+    return np.array([
+        [0.0, x3, -x2],
+        [-x3, 0.0, x1],
+        [x2, -x1, 0.0],
+    ])
+
+
+def _metric(p, x):
+    """Dissipative metric g = grad_h grad_h^T - |grad_h|^2 * Id."""
+    grad = _grad_h(p, x)
+    return np.outer(grad, grad) - np.dot(grad, grad) * np.eye(3)
+
+
+def _ep_array_form(s, omega, omegad):
+    """rhs_ep_delayed in array form, I^-1 [(I w) x w + coupling (I w) x
+    ((I wd) x wd)], one cross product at a time."""
+    def cross(a, b):
+        return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                         a[0] * b[1] - a[1] * b[0]])
+
+    inertia = np.array([s.I1, s.I2, s.I3])
+    m_now, m_del = inertia * omega, inertia * omegad
+    return (cross(m_now, omega)
+            + s.coupling * cross(m_now, cross(m_del, omegad))) / inertia
+
+
+def _ep_linearization(s):
+    """(A, B) = (df/domega, df/domegad) of rhs_ep_delayed at omega_1."""
+    w = models.find_equilibria(s, s.m)[0]
+    return (models.jacobian(lambda u: models.rhs_ep_delayed(s, u, w), w),
+            models.jacobian(lambda u: models.rhs_ep_delayed(s, w, u), w))
+
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False,
                    allow_infinity=False)
@@ -52,27 +96,27 @@ class TestScalars:
 
 class TestTensors:
     def test_poisson_matrix(self):
-        P = models.poisson_tensor(np.array([1.0, 2.0, 3.0]))
+        P = _poisson(np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(P, [[0, 3, -2], [-3, 0, 1], [2, -1, 0]])
-        assert np.array_equal(models.poisson_tensor(np.zeros(3)), np.zeros((3, 3)))
+        assert np.array_equal(_poisson(np.zeros(3)), np.zeros((3, 3)))
 
     @given(states)
     def test_poisson_antisymmetric_with_kernel(self, x):
-        P = models.poisson_tensor(x)
+        P = _poisson(x)
         assert np.array_equal(P, -P.T)
         assert np.allclose(P @ x, 0.0, atol=1e-12)
 
     def test_metric_matrix(self):
-        g = models.metric_tensor(P321, np.array([1.0, 1.0, 1.0]))
+        g = _metric(P321, np.array([1.0, 1.0, 1.0]))
         assert np.array_equal(g, [[-5, 6, 3], [6, -10, 2], [3, 2, -13]])
-        assert np.array_equal(models.metric_tensor(P321, np.zeros(3)),
+        assert np.array_equal(_metric(P321, np.zeros(3)),
                               np.zeros((3, 3)))
 
     @given(params, states)
     @settings(max_examples=60)
     def test_metric_symmetric_annihilates_gradient(self, p, x):
-        g = models.metric_tensor(p, x)
-        grad = models.grad_hamiltonian(p, x)
+        g = _metric(p, x)
+        grad = _grad_h(p, x)
         assert np.array_equal(g, g.T)
         scale = max(1.0, float(np.max(np.abs(g))))
         assert np.allclose(g @ grad, 0.0, atol=1e-9 * scale * 10)
@@ -81,8 +125,8 @@ class TestTensors:
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.uniform(-2, 2, 3)
-            grad = models.grad_hamiltonian(P321, x)
-            g = models.metric_tensor(P321, x)
+            grad = _grad_h(P321, x)
+            g = _metric(P321, x)
             eig = np.sort(np.linalg.eigvalsh(g))
             n2 = float(np.dot(grad, grad))
             assert abs(eig[-1]) < 1e-10 * max(1.0, n2)
@@ -104,7 +148,7 @@ class TestRhs:
         assert np.array_equal(models.rhs_revised(P321, x), [5, -4, -7])
         assert np.array_equal(
             models.rhs_revised(P321, np.array([1.3, 0.0, 0.0])), np.zeros(3))
-        assert np.dot(models.grad_hamiltonian(P321, x),
+        assert np.dot(_grad_h(P321, x),
                       models.rhs_revised(P321, x)) == 0.0
 
     def test_delayed_examples(self):
@@ -138,6 +182,17 @@ class TestRhs:
         assert np.array_equal(
             models.rhs_ep_delayed(s, zero, np.array([1.0, 2.0, 3.0])), zero)
 
+    def test_ep_delayed_matches_array_form(self):
+        # the componentwise field rounds like the array form, bit for bit
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            inertia = np.sort(rng.uniform(0.5, 5.0, 3))[::-1]
+            s = models.InertiaSetup.unchecked(*inertia, rng.normal(), 1.0)
+            w, wd = (rng.normal(size=(2, 3))
+                     * 10.0 ** rng.uniform(-3, 3, size=(2, 1)))
+            got = models.rhs_ep_delayed(s, w, wd)
+            assert got.tobytes() == _ep_array_form(s, w, wd).tobytes()
+
     @given(params, states, states)
     @settings(max_examples=60)
     def test_delayed_reduction_identity(self, p, x, xd):
@@ -148,7 +203,7 @@ class TestRhs:
     @settings(max_examples=60)
     def test_conservation_identities(self, p, x):
         f = models.rhs_classical(p, x)
-        grad = models.grad_hamiltonian(p, x)
+        grad = _grad_h(p, x)
         scale = max(1.0, float(np.max(np.abs(f))) * float(np.max(np.abs(x))))
         assert abs(np.dot(grad, f)) < 1e-12 * scale * 100
         assert abs(np.dot(x, f)) < 1e-12 * scale * 100
@@ -167,10 +222,10 @@ def test_rhs_agree_with_tensor_contractions():
             continue
         p = models.RigidBodyParams(*a)
         x = rng.uniform(-3, 3, 3)
-        P = models.poisson_tensor(x)
-        grad = models.grad_hamiltonian(p, x)
+        P = _poisson(x)
+        grad = _grad_h(p, x)
         ref_c = P @ grad
-        ref_r = ref_c + models.metric_tensor(p, x) @ x
+        ref_r = ref_c + _metric(p, x) @ x
         scale = max(1.0, float(np.max(np.abs(ref_r))))
         assert np.allclose(models.rhs_classical(p, x), ref_c,
                            rtol=1e-12, atol=1e-12 * scale)
@@ -210,7 +265,7 @@ class TestEquilibria:
 class TestLinearization:
     def test_example_values(self):
         s = models.InertiaSetup(3, 2, 1, coupling=1.0, m=1.0)
-        A, B = models.linearize_ep_delayed(s)
+        A, B = _ep_linearization(s)
         assert A[1, 2] == pytest.approx(-1.0 / 3.0)
         assert A[2, 1] == pytest.approx(1.0 / 3.0)
         assert B[1, 1] == pytest.approx(-1.0 / 6.0)
@@ -223,19 +278,22 @@ class TestLinearization:
         assert np.count_nonzero(B - np.diag(np.diag(B))) == 0
 
     def test_zero_m(self):
+        # no axis equilibrium at m = 0: the verdict path raises
         s = models.InertiaSetup.unchecked(3, 2, 1, 1.0, 0.0)
-        A, B = models.linearize_ep_delayed(s)
-        assert not A.any() and not B.any()
+        with pytest.raises(ValueError, match="nonzero"):
+            stability.ep_delayed_check(s, kernels.DiracKernel(0.5))
+        with pytest.raises(ValueError, match="nonzero"):
+            stability.critical_delay_scan(s)
 
     def test_equal_inertia_relaxed(self):
         s = models.InertiaSetup.unchecked(3, 2, 2, 1.0, 1.5)
-        A, _ = models.linearize_ep_delayed(s)
+        A, _ = _ep_linearization(s)
         assert A[1, 2] == pytest.approx((2 - 3) * 1.5 / (3 * 2))
         assert A[2, 1] == pytest.approx((3 - 2) * 1.5 / (3 * 2))
 
     def test_matches_numerical_jacobians(self):
         s = models.InertiaSetup(3, 2, 1, coupling=0.8, m=1.3)
-        A, B = models.linearize_ep_delayed(s)
+        A, B = _ep_linearization(s)
         eq = np.array([s.m / s.I1, 0.0, 0.0])
         eps = 1e-6
         jac_x = np.zeros((3, 3))
@@ -248,4 +306,4 @@ class TestLinearization:
             jac_d[:, j] = (models.rhs_ep_delayed(s, eq, eq + dv)
                            - models.rhs_ep_delayed(s, eq, eq - dv)) / (2 * eps)
         assert np.allclose(jac_x, A, atol=1e-6)
-        assert np.allclose(jac_d, s.coupling * B, atol=1e-6)
+        assert np.allclose(jac_d, B, atol=1e-6)

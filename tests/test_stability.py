@@ -11,6 +11,13 @@ P321 = models.RigidBodyParams(3, 2, 1)
 S321 = models.InertiaSetup(3, 2, 1, coupling=1.0, m=1.0)
 
 
+def _ep_linearization(s):
+    """(A, B) = (df/domega, df/domegad) of rhs_ep_delayed at omega_1."""
+    w = models.find_equilibria(s, s.m)[0]
+    return (models.jacobian(lambda u: models.rhs_ep_delayed(s, u, w), w),
+            models.jacobian(lambda u: models.rhs_ep_delayed(s, w, u), w))
+
+
 def _fd_jacobian(rhs, x, eps=1e-7):
     n = x.size
     jac = np.zeros((n, n))
@@ -67,6 +74,81 @@ class TestCharFracEquilibrium:
     def test_zero_m_rejected(self):
         with pytest.raises(ValueError):
             stability.char_frac_equilibrium(P321, "M1", 0.0)
+
+
+# --- hand-derived characteristic algebra, kept as an oracle -----------------
+
+def _hand_sector(p, which, m, revised):
+    """(c1, c0) of the sector quadratic, derived by hand for the plain and
+    the revised field at the axis equilibrium ``which``."""
+    idx = int(which[1])
+    coef = (p.a1, p.a2, p.a3)
+    ai = coef[idx - 1]
+    aj, ak = coef[:idx - 1] + coef[idx:]
+    m2 = m * m
+    const = (ai - aj) * (ai - ak) * m2
+    if not revised:
+        return 0.0, const
+    return -ai * (aj + ak - 2.0 * ai) * m2, const * (ai * ai * m2 + 1.0)
+
+
+def _hand_ep_coeffs(s):
+    """(q1, q2, q0) of the ep-delayed bracket, derived by hand."""
+    I1, I2, I3, cp, m = s.I1, s.I2, s.I3, s.coupling, s.m
+    m2 = m * m
+    q1 = cp * m2 / I1 * ((I2 - I1) / I2 + (I3 - I1) / I3)
+    q2 = cp * cp * m2 * m2 * (I2 - I1) * (I3 - I1) / (I1 * I1 * I2 * I3)
+    q0 = (I1 - I2) * (I3 - I1) * m2 / (I1 * I1 * I2 * I3)
+    return q1, q2, q0
+
+
+def _assert_rel(got, ref, rel=1e-12):
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= rel * abs(r), (got, ref)
+
+
+def _random_params(rng):
+    a3 = float(rng.uniform(0.1, 3.0))
+    a2 = a3 + float(rng.uniform(0.01, 3.0))
+    return models.RigidBodyParams(a2 + float(rng.uniform(0.01, 3.0)), a2, a3)
+
+
+#: extremes: a tiny step would underflow B at coupling 1e-170
+EXTREME_M = (1e-60, 1e60)
+
+
+class TestJacobianAgreement:
+    """The complex-step linearization against the hand formulas."""
+
+    @pytest.mark.parametrize("revised", [False, True])
+    def test_sector_quadratics(self, revised):
+        rng = np.random.default_rng(600 + revised)
+        cases = [(_random_params(rng),
+                  float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 5.0)))
+                 for _ in range(300)]
+        cases += [(P321, m) for m in EXTREME_M]
+        for p, m in cases:
+            for which in ("M1", "M2", "M3"):
+                q = stability.char_frac_equilibrium(p, which, m,
+                                                    revised=revised)
+                assert (q.c2, q.zero_factor_order) == (1.0, 1)
+                _assert_rel((q.c1, q.c0), _hand_sector(p, which, m, revised))
+                if not revised:
+                    assert math.copysign(1.0, q.c1) == 1.0  # not -0.0
+
+    def test_ep_bracket(self):
+        rng = np.random.default_rng(602)
+        setups = [_random_setup(rng) for _ in range(300)]
+        setups += [models.InertiaSetup(3, 2, 1, coupling=1e-170, m=1.0)]
+        setups += [models.InertiaSetup(3, 2, 1, coupling=1.0, m=m)
+                   for m in EXTREME_M]
+        for s in setups:
+            _assert_rel(stability._ep_bracket(s), _hand_ep_coeffs(s))
+            A, B = _ep_linearization(s)
+            # the axis row and column vanish, A has a zero diagonal and
+            # B is diagonal: the bracket needs only (tr B, det B, det A)
+            assert not (A[0].any() or A[:, 0].any() or np.diag(A).any())
+            assert np.count_nonzero(B - np.diag(np.diag(B))) == 0
 
 
 class TestMatignon:
@@ -136,22 +218,22 @@ class TestCharEp:
             assert got == pytest.approx(lam * lam + 1.0 / 9.0, abs=1e-14)
 
     def test_matches_block_determinant(self):
-        A, B = models.linearize_ep_delayed(S321)
+        A, B = _ep_linearization(S321)
         rng = np.random.default_rng(42)
         kern = kernels.ExponentialKernel(1.5)
         for _ in range(100):
             lam = complex(rng.uniform(-1.0, 3.0), rng.uniform(-5.0, 5.0))
             k1 = kernels.laplace(kern, lam)
-            M = (lam * np.eye(2) - A[1:, 1:]
-                 - S321.coupling * k1 * B[1:, 1:])
+            M = lam * np.eye(2) - A[1:, 1:] - k1 * B[1:, 1:]
             det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
             assert abs(det - stability.char_ep_eval(S321, kern, lam)) < 1e-12
 
     def test_zero_m_gives_lambda_squared(self):
+        # m = 0 selects no axis equilibrium to linearize at, as for the
+        # sector quadratic; the bracket would be lambda^2
         s = models.InertiaSetup.unchecked(3, 2, 1, 1.0, 0.0)
-        lam = 1.7 - 0.4j
-        assert stability.char_ep_eval(s, kernels.DiracKernel(0.3), lam) == \
-            pytest.approx(lam * lam)
+        with pytest.raises(ValueError, match="nonzero"):
+            stability.char_ep_eval(s, kernels.DiracKernel(0.3), 1.7 - 0.4j)
 
 
 class TestTauC:
@@ -218,8 +300,8 @@ class TestCriticalDelayScan:
     def test_crossing_flips_simulation(self):
         from rigidmem.integrators import HistorySpec, integrate_dde
         tau_star = stability.critical_delay_scan(S321)
-        A, B = models.linearize_ep_delayed(S321)
-        pair = lambda u, ud: A @ u + S321.coupling * (B @ ud)
+        A, B = _ep_linearization(S321)
+        pair = lambda u, ud: A @ u + B @ ud
         u0 = np.array([0.0, 0.01, 0.01])
         norms = {}
         for fac in (0.1, 1.5):
@@ -415,7 +497,7 @@ def _scalar_critical_delay_scan(s, omega_max=50.0, grid=4000):
     pairs of crossings that share one grid cell."""
     if s.coupling == 0:
         return None
-    q1, q2, q0 = stability._ep_coeffs(s)
+    q1, q2, q0 = _hand_ep_coeffs(s)
 
     def unit_gaps(omega):
         b = -q1 * 1j * omega
@@ -621,7 +703,7 @@ def _unit_circle_crossings(q1, q2, q0):
 def _exact_crossings(s):
     """:func:`_unit_circle_crossings` of the lag-tau bracket of ``s``.
 
-    Independent of stability._ep_coeffs: the coefficients come from
+    Independent of stability._ep_bracket: the coefficients come from
     central-difference Jacobians of models.rhs_ep_delayed at
     (m / I1, 0, 0), exact up to rounding at any step because the field is
     quadratic.
@@ -657,7 +739,7 @@ class TestArrayCrossingScan:
         for s in _crossing_setups()[2:]:
             tau = stability.critical_delay_scan(s)
             omega = _exact_crossings(s)[0][1]
-            q1, q2, q0 = stability._ep_coeffs(s)
+            q1, q2, q0 = stability._ep_bracket(s)
             val = stability.char_ep_eval(s, kernels.DiracKernel(tau),
                                          1j * omega)
             scale = omega * omega + abs(q1) * omega + abs(q2) + abs(q0)
@@ -684,10 +766,10 @@ class TestArrayCrossingScan:
         (-1.7, 0.4, -2.0),  # only c = 0 crosses
     ])
     def test_any_real_coefficients(self, q1, q2, q0, monkeypatch):
-        # _ep_coeffs of any inertia has q1^2 (q2 - q0) > 4 q2^2 wherever
+        # the bracket of any inertia has q1^2 (q2 - q0) > 4 q2^2 wherever
         # q2 > q0, so its crossings all have c = 0; the algebra must hold
         # for any real coefficients
-        monkeypatch.setattr(stability, "_ep_coeffs", lambda s: (q1, q2, q0))
+        monkeypatch.setattr(stability, "_ep_bracket", lambda s: (q1, q2, q0))
         got = stability.critical_delay_scan(S321)
         assert got == pytest.approx(_unit_circle_crossings(q1, q2, q0)[0][0],
                                     rel=1e-12, abs=0.0)
@@ -727,7 +809,8 @@ class TestArrayCrossingScan:
         # coupling^2 m^4 underflows to q2 = 0; the scan must not turn the
         # division by zero into a silent None
         s = models.InertiaSetup(3, 2, 1, coupling=1e-170, m=1.0)
-        assert stability._ep_coeffs(s)[1] == 0.0
+        assert stability._ep_bracket(s)[1] == 0.0
+        assert _hand_ep_coeffs(s)[1] == 0.0
         with pytest.raises(ZeroDivisionError):
             _scalar_critical_delay_scan(s)
         with pytest.raises(ZeroDivisionError):
