@@ -10,6 +10,10 @@ Four integration paths are provided:
 * the fractional Adams-Bashforth-Moulton predictor-corrector for Caputo
   systems, with and without a delayed argument.
 
+The RK4 paths step over Python floats: a field gets the state as a list of
+floats and may return any length-dim sequence.  The fractional paths step
+over arrays.
+
 Every integrator emits a :class:`Trajectory`: uniformly spaced samples with
 a derivative estimate per node and per-sample diagnostics recomputed from
 the states (never accumulated).  A diagnostic maps the (dim, M)
@@ -66,9 +70,10 @@ def _n_steps(span: float, h: float) -> int:
     return n
 
 
-def _check_state(x: np.ndarray, t: float) -> None:
-    # NaN fails the comparison, so this also rejects non-finite states
-    if not math.sqrt(float(x @ x)) <= DIVERGENCE_NORM:
+def _check_state(x, t: float) -> None:
+    # NaN fails the comparison and an overflowing square gives inf, so this
+    # also rejects non-finite and overflowing states
+    if not math.sqrt(sum(v * v for v in x)) <= DIVERGENCE_NORM:
         raise DivergenceError(
             f"state diverged; last valid time t = {t:.6g}", t_last=t)
 
@@ -250,27 +255,31 @@ def _compute_diagnostics(states, core_dim, diagnostics):
     return out
 
 
-def _rk4_loop(field, grid: _RunningGrid, n: int, h: float) -> None:
-    """Classical RK4 steps 0..n-1 for dx/dt = field(i, x) on ``grid``.
+def _rk4_loop(field, grid: _RunningGrid, x0: list, n: int, h: float) -> None:
+    """Node 0 and classical RK4 steps 0..n-1 for dx/dt = field(i, x).
 
-    Node 0 and its slope must already be written; ``i`` numbers the
-    field's times as :func:`_rk4_lookups` lists them.  Each new node is put
-    with its k4 slope, so that a delayed lookup inside ``field`` at the new
-    node sees the finished step; its own slope then replaces k4.
+    ``x0`` and every state ``field`` gets are lists of floats; the
+    stages are formed componentwise in the order of the array form, so the
+    result is the same to the bit.  ``i`` numbers the field's times as
+    :func:`_rk4_lookups` lists them.  Each new node is put with its k4
+    slope, so that a delayed lookup inside ``field`` at the new node sees
+    the finished step; its own slope then replaces k4.
     """
     half = 0.5 * h
     sixth = h / 6.0
-    put, states, derivs = grid.put, grid.states, grid.derivs
+    put, derivs = grid.put, grid.derivs
+    x = x0
+    k1 = field(0, x)
+    put(0, x, k1)
     for k in range(n):
-        x = states[k]
-        k1 = derivs[k]
-        k2 = field(2 * k + 1, x + half * k1)
-        k3 = field(2 * k + 1, x + half * k2)
-        k4 = field(2 * k + 2, x + h * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        k2 = field(2 * k + 1, [a + half * b for a, b in zip(x, k1)])
+        k3 = field(2 * k + 1, [a + half * b for a, b in zip(x, k2)])
+        k4 = field(2 * k + 2, [a + h * b for a, b in zip(x, k3)])
+        x = [a + sixth * (b + 2.0 * (c + d) + e)
+             for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
         _check_state(x, k * h)
         put(k + 1, x, k4)
-        derivs[k + 1] = field(2 * k + 2, x)
+        k1 = derivs[k + 1] = field(2 * k + 2, x)
 
 
 def _rk4_lookups(n: int, h: float):
@@ -286,8 +295,10 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
                   core_dim=None) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta for dx/dt = rhs(x).
 
-    ``rhs`` maps a state vector to its derivative.  Aborts with
-    :class:`DivergenceError` when the state leaves the finite trust region.
+    ``rhs`` maps a state, given as a list of floats on every call, to its
+    derivative as any length-dim sequence (a tuple of floats is fastest).
+    Aborts with :class:`DivergenceError` when the state leaves the finite
+    trust region.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.  The table
@@ -296,8 +307,7 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = _n_steps(t_end, h)
     grid = _RunningGrid(None, 0.0, h, n, x0.size)
-    grid.put(0, x0, rhs(x0))
-    _rk4_loop(lambda i, x: rhs(x), grid, n, h)
+    _rk4_loop(lambda i, x: rhs(x), grid, x0.tolist(), n, h)
     core = x0.size if core_dim is None else core_dim
     diag = _compute_diagnostics(grid.states, core, diagnostics)
     return Trajectory(0.0, h, grid.states, grid.derivs, diag, core_dim=core)
@@ -359,6 +369,11 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
                   quad_step=None, diagnostics=None) -> Trajectory:
     """Method-of-steps RK4 for dx/dt = rhs_pair(x, xd) with delayed xd.
 
+    ``rhs_pair`` gets the state x as a list of floats on every call (numpy
+    float64 ones once a slope came from an array xd) and the delayed
+    argument xd as a (dim,) array, or x itself at zero lag; it returns the
+    derivative as any length-dim sequence.
+
     At every stage the delayed argument xd is the kernel-weighted average
     of the stored trajectory and phi; Dirac kernels sample the lagged time
     exactly, and a zero-lag Dirac kernel substitutes the stage state itself
@@ -376,8 +391,7 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     def field(i, x):
         return rhs_pair(x, delayed(i, x))
 
-    grid.put(0, x0, field(0, x0))
-    _rk4_loop(field, grid, n, h)
+    _rk4_loop(field, grid, x0.tolist(), n, h)
     diag = _compute_diagnostics(grid.states, x0.size, diagnostics)
     return Trajectory(0.0, h, grid.states, grid.derivs, diag)
 
@@ -389,7 +403,9 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
 
     Auxiliary stages obey eta1' = rate*(x - eta1), eta2' = rate*(eta1 -
     eta2); the delayed argument is the last stage.  Initial stage values
-    are the kernel-weighted averages of phi.
+    are the kernel-weighted averages of phi.  ``rhs_pair`` gets x and the
+    last stage as lists of floats and returns the derivative as any
+    length-dim sequence.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.  The table
@@ -414,8 +430,8 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
 
     # y = (x, eta1[, eta2]): stage s relaxes towards the one before it
     def aug_rhs(y):
-        return np.concatenate([rhs_pair(y[:dim], y[-dim:]),
-                               rate * (y[:-dim] - y[dim:])])
+        return (*rhs_pair(y[:dim], y[-dim:]),
+                *[rate * (a - b) for a, b in zip(y[:-dim], y[dim:])])
 
     return integrate_rk4(aug_rhs, y0, t_end, h,
                          diagnostics=diagnostics, core_dim=dim)
@@ -542,7 +558,7 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
         hist = sums[1]
         for _ in range(cfg.corrector_iters):
             xc = x0 + corr_scale * (eval_g(step + 1, xc) + hist)
-        _check_state(xc, step * h)
+        _check_state(xc.tolist(), step * h)
         states[step + 1] = xc
         g = gs[step + 1] = eval_g(step + 1, xc)
         if window is not None:

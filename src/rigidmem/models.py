@@ -8,7 +8,11 @@ and delayed variants in which selected factors are replaced by a weighted
 average of the past state.
 
 All right-hand sides are pure functions of immutable inputs, so they can be
-handed to any integrator and shared freely across threads.
+handed to any integrator and shared freely across threads.  Each is written
+componentwise and returns its components in the kind of container its state
+came in: a tuple for a list or tuple of numbers (the RK4 integrators' float
+loop), an array for an ndarray, one state of shape (3,) or a (3, B) table
+of B states.
 """
 
 from __future__ import annotations
@@ -92,6 +96,11 @@ class InertiaSetup:
         return obj
 
 
+def _like(x, comps):
+    """``comps`` as an array when the state ``x`` is one, else as a tuple."""
+    return np.array(comps) if isinstance(x, np.ndarray) else comps
+
+
 def hamiltonian(p: RigidBodyParams, x) -> float | np.ndarray:
     """Energy h(x) = (a1*x1^2 + a2*x2^2 + a3*x3^2) / 2.
 
@@ -112,20 +121,22 @@ def casimir(x) -> float | np.ndarray:
     return 0.5 * (x1 * x1 + x2 * x2 + x3 * x3)
 
 
-def rhs_classical(p: RigidBodyParams, x) -> np.ndarray:
+def rhs_classical(p: RigidBodyParams, x) -> tuple | np.ndarray:
     """Classical Euler field P(x) grad_h(x), written componentwise.
 
-    P(x) is the antisymmetric structure tensor, with P(x) x = 0.
+    P(x) is the antisymmetric structure tensor, with P(x) x = 0.  A list or
+    tuple state gives a tuple, an ndarray state (one state or a (3, B)
+    table) an array of its shape; the other fields do the same.
     """
     x1, x2, x3 = x
-    return np.array([
+    return _like(x, (
         (p.a2 - p.a3) * x2 * x3,
         (p.a3 - p.a1) * x1 * x3,
         (p.a1 - p.a2) * x1 * x2,
-    ])
+    ))
 
 
-def rhs_revised(p: RigidBodyParams, x) -> np.ndarray:
+def rhs_revised(p: RigidBodyParams, x) -> tuple | np.ndarray:
     """Revised field P grad_h + g grad_c, written componentwise.
 
     With the metric g = grad_h grad_h^T - |grad_h|^2 Id it conserves the
@@ -134,35 +145,38 @@ def rhs_revised(p: RigidBodyParams, x) -> np.ndarray:
     """
     x1, x2, x3 = x
     a1, a2, a3 = p.a1, p.a2, p.a3
-    return np.array([
+    return _like(x, (
         (a2 - a3) * x2 * x3 + a2 * (a1 - a2) * x1 * x2 * x2
         + a3 * (a1 - a3) * x1 * x3 * x3,
         (a3 - a1) * x1 * x3 + a3 * (a2 - a3) * x2 * x3 * x3
         + a1 * (a2 - a1) * x2 * x1 * x1,
         (a1 - a2) * x1 * x2 + a1 * (a3 - a1) * x3 * x1 * x1
         + a2 * (a3 - a2) * x3 * x2 * x2,
-    ])
+    ))
 
 
-def rhs_delayed(p: RigidBodyParams, x, xd) -> np.ndarray:
+def rhs_delayed(p: RigidBodyParams, x, xd) -> tuple | np.ndarray:
     """Delayed Euler field; ``xd`` is the kernel-averaged past state.
 
     When ``xd`` equals ``x`` the classical reduction is returned directly,
     so the identity rhs_delayed(p, x, x) == rhs_classical(p, x) is exact in
-    floating point.
+    floating point; a (3, B) table takes it column by column.
     """
-    x1, x3 = x[0], x[2]
+    x1, x2, x3 = x
     xd1, xd2, xd3 = xd
-    if xd1 == x1 and xd2 == x[1] and xd3 == x3:
+    same = (xd1 == x1) & (xd2 == x2) & (xd3 == x3)
+    table = isinstance(same, np.ndarray)
+    if not table and same:
         return rhs_classical(p, x)
-    return np.array([
+    f = _like(x, (
         p.a2 * xd2 * x3 - p.a3 * xd2 * xd3,
         p.a3 * x1 * xd3 - p.a1 * xd1 * x3,
         p.a1 * xd1 * xd2 - p.a2 * x1 * xd2,
-    ])
+    ))
+    return np.where(same, rhs_classical(p, x), f) if table else f
 
 
-def rhs_revised_delayed(p: RigidBodyParams, x, xd) -> np.ndarray:
+def rhs_revised_delayed(p: RigidBodyParams, x, xd) -> tuple | np.ndarray:
     """Revised delayed field, implemented term for term.
 
     Unlike the plain delayed field this one does not collapse to the
@@ -172,15 +186,15 @@ def rhs_revised_delayed(p: RigidBodyParams, x, xd) -> np.ndarray:
     x1, x2, x3 = x
     xd1, xd2, xd3 = xd
     a1, a2, a3 = p.a1, p.a2, p.a3
-    return np.array([
+    return _like(x, (
         a2 * xd2 * x3 - a3 * xd2 * xd3 + a1 * a2 * xd1 * x2 * x2,
         a3 * x1 * xd3 - a1 * xd1 * x3 - a1 * a1 * x1 * xd1 * x2
         - a3 * a3 * x2 * x3 * xd3,
         a1 * xd1 * x2 - a2 * x1 * xd2 + a2 * a3 * xd2 * x2 * x3,
-    ])
+    ))
 
 
-def rhs_ep_delayed(s: InertiaSetup, omega, omegad) -> np.ndarray:
+def rhs_ep_delayed(s: InertiaSetup, omega, omegad) -> tuple | np.ndarray:
     """Euler-Poincare field with a delayed torque, resolved for omega.
 
     Computes I^-1 [ (I omega) x omega + coupling * (I omega) x
@@ -194,11 +208,11 @@ def rhs_ep_delayed(s: InertiaSetup, omega, omegad) -> np.ndarray:
     m1, m2, m3 = I1 * w1, I2 * w2, I3 * w3
     d1, d2, d3 = I1 * v1, I2 * v2, I3 * v3
     e1, e2, e3 = d2 * v3 - d3 * v2, d3 * v1 - d1 * v3, d1 * v2 - d2 * v1
-    return np.array([
+    return _like(omega, (
         (m2 * w3 - m3 * w2 + k * (m2 * e3 - m3 * e2)) / I1,
         (m3 * w1 - m1 * w3 + k * (m3 * e1 - m1 * e3)) / I2,
         (m1 * w2 - m2 * w1 + k * (m1 * e2 - m2 * e1)) / I3,
-    ])
+    ))
 
 
 def find_equilibria(params, m: float) -> list[np.ndarray]:

@@ -61,7 +61,8 @@ class TestRk4:
 
     def test_divergence_error(self):
         with pytest.raises(DivergenceError) as info:
-            integrate_rk4(lambda x: x * x, np.array([3.0]), 10.0, 0.01)
+            integrate_rk4(lambda x: [v * v for v in x], np.array([3.0]), 10.0,
+                          0.01)
         assert info.value.t_last is not None
 
     def test_partial_step_rejected(self):
@@ -164,7 +165,7 @@ class TestWholeTableDiagnostics:
     def test_row_only_diagnostic_rejected(self):
         # a sum over the whole table gives one scalar, not one per sample
         with pytest.raises(ValueError, match="'norm2'.*shape \\(\\)"):
-            integrate_rk4(lambda x: -x, X111, 0.1, 0.01,
+            integrate_rk4(lambda x: [-v for v in x], X111, 0.1, 0.01,
                           diagnostics={"norm2": lambda x: np.sum(x * x)})
 
 
@@ -226,7 +227,8 @@ class TestHistorySpec:
         assert phi.dim == 2
 
     def test_trajectory_segment_coverage(self):
-        seg = integrate_rk4(lambda x: -x, np.array([1.0]), 1.0, 0.1)
+        seg = integrate_rk4(lambda x: [-v for v in x], np.array([1.0]), 1.0,
+                            0.1)
         phi = _history_from_trajectory(seg)
         assert phi(0.5)[0] == pytest.approx(math.exp(-0.5), abs=1e-6)
         with pytest.raises(HistoryCoverageError):
@@ -724,3 +726,134 @@ class TestTrajectoryCsv:
                    states[i, 3]]
             lines.append(",".join(format(v, ".17g") for v in row))
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _array_check_state(x, t):
+    """The divergence check in its earlier array form."""
+    if not math.sqrt(float(x @ x)) <= integrators.DIVERGENCE_NORM:
+        raise DivergenceError(
+            f"state diverged; last valid time t = {t:.6g}", t_last=t)
+
+
+def _array_rk4_steps(field, grid, n, h):
+    """The RK4 steps in their earlier array form: every state and stage an
+    ndarray, node 0 and its slope already written."""
+    half = 0.5 * h
+    sixth = h / 6.0
+    put, states, derivs = grid.put, grid.states, grid.derivs
+    for k in range(n):
+        x = states[k]
+        k1 = derivs[k]
+        k2 = field(2 * k + 1, x + half * k1)
+        k3 = field(2 * k + 1, x + half * k2)
+        k4 = field(2 * k + 2, x + h * k3)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        _array_check_state(x, k * h)
+        put(k + 1, x, k4)
+        derivs[k + 1] = field(2 * k + 2, x)
+
+
+def _array_rk4_loop(field, grid, x0, n, h):
+    """:func:`integrators._rk4_loop`'s signature over the array form; the
+    field gets ndarray states and its slopes are made arrays."""
+    def as_array(i, x):
+        return np.asarray(field(i, x), dtype=float)
+
+    x0 = np.array(x0, dtype=float)
+    grid.put(0, x0, as_array(0, x0))
+    _array_rk4_steps(as_array, grid, n, h)
+
+
+#: one run of every RK4-family path the float loop serves
+FLOAT_LOOP_RUNS = {
+    "classical": lambda: integrate_rk4(
+        lambda x: models.rhs_classical(P321, x), X111, 3.0, 1e-2),
+    "revised": lambda: integrate_rk4(
+        lambda x: models.rhs_revised(P321, x), X111, 3.0, 1e-2),
+    "chain-exponential": lambda: integrate_chain(
+        _rigid_pair, kernels.chain_reduce(kernels.ExponentialKernel(2.0)),
+        PHIS["callable"], 2.0, H),
+    "chain-erlang": lambda: integrate_chain(
+        _rigid_pair, kernels.chain_reduce(kernels.ErlangKernel(3.0)),
+        PHIS["callable"], 2.0, H),
+    "dirac-long": lambda: integrate_dde(
+        _rigid_pair, kernels.DiracKernel(50.5 * H), PHIS["callable"], 1.37, H),
+    "dirac-short": lambda: integrate_dde(
+        _rigid_pair, kernels.DiracKernel(0.3 * H), PHIS["callable"], 1.37, H),
+    "dirac-zero": lambda: integrate_dde(
+        _rigid_pair, kernels.DiracKernel(0.0), PHIS["constant"], 1.37, H),
+    "uniform-offset-0": lambda: integrate_dde(
+        _rigid_pair, kernels.UniformKernel(0.0, 0.37), PHIS["callable"],
+        1.37, H),
+    "ep-delayed": lambda: integrate_dde(
+        _ep_pair, kernels.DiracKernel(0.1), HistorySpec.constant(X_EP), 2.0,
+        H),
+}
+
+
+class TestFloatLoop:
+    """The float RK4 loop against its earlier array form."""
+
+    @pytest.mark.parametrize("run", FLOAT_LOOP_RUNS)
+    def test_bitwise_equals_array_form(self, run, monkeypatch):
+        fast = FLOAT_LOOP_RUNS[run]()
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "_rk4_loop", _array_rk4_loop)
+            ref = FLOAT_LOOP_RUNS[run]()
+        assert np.array_equal(fast.states, ref.states)
+        assert np.array_equal(fast.derivs, ref.derivs)
+
+    @pytest.mark.parametrize("run", ["classical", "chain-erlang",
+                                     "dirac-long", "dirac-zero"])
+    def test_fields_get_float_lists(self, run, monkeypatch):
+        # node 0's call included; past a delayed lookup the components are
+        # numpy float64, a float subclass, as the ndarray xd's are
+        seen = []
+
+        def spying(field):
+            def spy(p, x, *xd):
+                seen.append(x)
+                return field(p, x, *xd)
+            return spy
+
+        for name in ("rhs_classical", "rhs_delayed"):
+            monkeypatch.setattr(models, name, spying(getattr(models, name)))
+        FLOAT_LOOP_RUNS[run]()
+        assert seen
+        assert all(type(x) is list and all(isinstance(v, float) for v in x)
+                   for x in seen)
+
+
+NEXT_ABOVE = math.nextafter(1e8, math.inf)
+
+
+class TestDivergenceCheck:
+    """The RK4 and ABM loops share one float-form divergence check."""
+
+    # a zero field keeps the state at x0, which the first step checks
+    CASES = {
+        "nan": ([math.nan, 0.0, 0.0], False),
+        "+inf": ([0.0, math.inf, 0.0], False),
+        "-inf": ([0.0, 0.0, -math.inf], False),
+        "overflow": ([1e200, 0.0, 0.0], False),
+        "norm-1e8": ([6e7, 8e7, 0.0], True),
+        "next-above-1e8": ([NEXT_ABOVE, 0.0, 0.0], False),
+    }
+    RUNS = {
+        "rk4": lambda x0: integrate_rk4(lambda x: [0.0, 0.0, 0.0], x0, 0.2,
+                                        0.1),
+        "abm": lambda x0: integrate_frac_abm(
+            lambda x: np.zeros(3), FracConfig(order=0.8, h=0.1), x0, 0.2),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("run", RUNS)
+    def test_decision(self, run, case):
+        x0, accepted = self.CASES[case]
+        if accepted:
+            traj = self.RUNS[run](x0)
+            assert traj.states[-1].tolist() == x0
+        else:
+            with pytest.raises(DivergenceError) as info:
+                self.RUNS[run](x0)
+            assert info.value.t_last == 0.0

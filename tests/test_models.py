@@ -213,6 +213,49 @@ class TestRhs:
         assert np.dot(x, fr) <= 1e-10 * scale_r
 
 
+S321 = models.InertiaSetup(3, 2, 1, coupling=0.7, m=1.0)
+
+#: every field as f(x, xd); the undelayed ones ignore xd
+FIELDS = {
+    "rhs_classical": lambda x, xd: models.rhs_classical(P321, x),
+    "rhs_revised": lambda x, xd: models.rhs_revised(P321, x),
+    "rhs_delayed": lambda x, xd: models.rhs_delayed(P321, x, xd),
+    "rhs_revised_delayed":
+        lambda x, xd: models.rhs_revised_delayed(P321, x, xd),
+    "rhs_ep_delayed": lambda x, xd: models.rhs_ep_delayed(S321, x, xd),
+}
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_field_container_contract(name):
+    """A field returns its components in the container its state came in.
+
+    One ndarray state gives a (3,) array and a (3, B) table a (3, B) array:
+    ``bench/checks.py:233`` runs ``rhs_revised_delayed`` on ndarray states
+    inside the array RK4 oracle ``bench/oracles.py::rk4``, which needs the
+    array back.  A list gives a tuple of floats, as the RK4 integrators'
+    float loop takes it.  All three are the same bits.
+    """
+    field = FIELDS[name]
+    rng = np.random.default_rng(17)
+    xs, xds = (rng.normal(size=(2, 3, 40))
+               * 10.0 ** rng.uniform(-3, 3, size=(2, 1, 40)))
+    # every fourth column has xd == x: rhs_delayed's classical reduction
+    xds[:, ::4] = xs[:, ::4]
+    table = field(xs, xds)
+    assert isinstance(table, np.ndarray) and table.shape == (3, 40)
+    for j in range(40):
+        x, xd = xs[:, j].copy(), xds[:, j].copy()
+        one = field(x, xd)
+        assert isinstance(one, np.ndarray) and one.shape == (3,)
+        assert one.tobytes() == table[:, j].tobytes()
+        comps = field(x.tolist(), xd.tolist())
+        assert type(comps) is tuple
+        assert all(type(v) is float for v in comps)
+        assert np.array(comps).tobytes() == one.tobytes()
+        assert np.array(comps).tobytes() == table[:, j].tobytes()
+
+
 def test_rhs_agree_with_tensor_contractions():
     # classical = P grad_h and revised = P grad_h + g grad_c, grad_c = x
     rng = np.random.default_rng(123)
