@@ -31,7 +31,9 @@ blocks (full-line ``#`` comments allowed).  Sections:
 
 Values can be overridden with ``--set section.key=value``.  Summaries go
 to standard output; data goes only to files.  Exit codes: 0 success,
-2 validation error, 3 integrator divergence.
+2 validation error, 3 integrator divergence.  Every config message names
+where its value came from: ``line N``, or ``--set`` for an override
+(``config`` when the whole section is absent).
 
 A system kind is defined by its ``_KINDS`` entry alone: parse, simulate,
 stability and scan read everything they know about a kind from it.
@@ -157,9 +159,11 @@ def _sector_report(cfg: RunConfig, revised: bool) -> _stab.StabilityReport:
 
 
 def _crossing_details(cfg: RunConfig, rep: _stab.StabilityReport) -> None:
+    # critical_delay_scan(cfg.params) from the bracket the verdict was
+    # built on, not from a second linearization
     if cfg.params.coupling != 0:
         rep.metadata["tau_c_formula"] = repr(_stab.tau_c_formula(cfg.params))
-    rep.critical_delay = _stab.critical_delay_scan(cfg.params)
+        rep.critical_delay = _stab._first_crossing(rep._bracket)
     if isinstance(cfg.kernel, _kern.DiracKernel):
         rep.metadata["kernel_lag"] = repr(cfg.kernel.lag)
 
@@ -207,20 +211,22 @@ _KINDS = {
             *cfg.params, cfg.frac.order, cfg.kernel.lag)),
 }
 
-#: [kernel] kind -> (class, its keys as (name, required, default))
+#: [kernel] kind -> (class, its keys as (name, default)); a key without a
+#: default is required
 _KERNELS = {
-    "uniform": (_kern.UniformKernel,
-                (("offset", False, 0.0), ("width", True, 1.0))),
-    "exponential": (_kern.ExponentialKernel, (("rate", True, 1.0),)),
-    "erlang": (_kern.ErlangKernel, (("rate", True, 1.0),)),
-    "dirac": (_kern.DiracKernel, (("lag", True, 0.0),)),
+    "uniform": (_kern.UniformKernel, (("offset", 0.0), ("width", None))),
+    "exponential": (_kern.ExponentialKernel, (("rate", None),)),
+    "erlang": (_kern.ErlangKernel, (("rate", None),)),
+    "dirac": (_kern.DiracKernel, (("lag", None),)),
 }
 
 
-def _parse_raw(text: str):
-    """Split config text into {section: {key: (value, line)}} plus errors."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    section_lines: dict[str, int] = {}
+def _parse_raw(text: str, overrides=()):
+    """Split config text, then the ``--set`` items, into
+    {section: {key: (value, location)}}, {section: location} and errors;
+    a location is ``line N`` or ``--set``."""
+    sections: dict[str, dict[str, tuple[str, str]]] = {}
+    section_at: dict[str, str] = {}
     errors: list[str] = []
     current = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -232,7 +238,7 @@ def _parse_raw(text: str):
             if current in sections:
                 errors.append(f"line {lineno}: duplicate section [{current}]")
             sections.setdefault(current, {})
-            section_lines.setdefault(current, lineno)
+            section_at.setdefault(current, f"line {lineno}")
             continue
         if "=" not in line:
             errors.append(f"line {lineno}: expected 'key = value' "
@@ -247,64 +253,65 @@ def _parse_raw(text: str):
         if key in sections[current]:
             errors.append(f"line {lineno}: duplicate key '{key}' "
                           f"in [{current}]")
-        sections[current][key] = (value, lineno)
-    return sections, section_lines, errors
-
-
-def _loc(line: int) -> str:
-    return "--set" if line == 0 else f"line {line}"
+        sections[current][key] = (value, f"line {lineno}")
+    for item in overrides:
+        head, eq, value = item.partition("=")
+        if not eq or "." not in head:
+            errors.append(f"--set {item!r}: expected section.key=value")
+            continue
+        section, _, key = head.partition(".")
+        section = section.strip()
+        sections.setdefault(section, {})[key.strip()] = (value.strip(),
+                                                         "--set")
+        section_at.setdefault(section, "--set")
+    return sections, section_at, errors
 
 
 class _Getter:
     """Typed access into the raw sections with error accumulation."""
 
-    def __init__(self, sections, section_lines, errors):
+    def __init__(self, sections, section_at, errors):
         self.sections = sections
-        self.section_lines = section_lines
+        self.section_at = section_at
         self.errors = errors
         self.consumed: set[tuple[str, str]] = set()
 
-    def has_section(self, section: str) -> bool:
-        return section in self.sections
-
-    def section_line(self, section: str) -> int:
-        return self.section_lines.get(section, 0)
+    def at(self, section, key=None) -> str:
+        """Where ``key`` came from, or its section when the key is absent;
+        ``config`` when the section is absent too."""
+        sec = self.sections.get(section)
+        if sec is None:
+            return "config"
+        if key in sec:
+            return sec[key][1]
+        return self.section_at[section]
 
     def get(self, section, key, conv=float, required=False, default=None):
         self.consumed.add((section, key))
         sec = self.sections.get(section, {})
         if key not in sec:
             if required:
-                self.errors.append(
-                    f"line {self.section_line(section)}: [{section}] "
-                    f"missing required key '{key}'")
+                self.errors.append(f"{self.at(section)}: [{section}] "
+                                   f"missing required key '{key}'")
             return default
-        value, line = sec[key]
+        value, loc = sec[key]
         try:
             return conv(value)
         except (TypeError, ValueError):
-            self.errors.append(
-                f"{_loc(line)}: [{section}] {key} = {value!r}: "
-                f"cannot convert to {conv.__name__}")
+            self.errors.append(f"{loc}: [{section}] {key} = {value!r}: "
+                               f"cannot convert to {conv.__name__}")
             return default
-
-    def line_of(self, section, key, fallback=0):
-        sec = self.sections.get(section, {})
-        if key in sec:
-            return sec[key][1]
-        return fallback
 
     def sweep_unknown(self):
         for section, entries in self.sections.items():
             if section not in _KNOWN_SECTIONS:
                 self.errors.append(
-                    f"line {self.section_line(section)}: "
-                    f"unknown section [{section}]")
+                    f"{self.at(section)}: unknown section [{section}]")
                 continue
-            for key, (_, line) in entries.items():
+            for key, (_, loc) in entries.items():
                 if (section, key) not in self.consumed:
                     self.errors.append(
-                        f"{_loc(line)}: unknown key '{key}' in [{section}]")
+                        f"{loc}: unknown key '{key}' in [{section}]")
 
 
 def _floats_csv(value: str) -> list[float]:
@@ -313,27 +320,19 @@ def _floats_csv(value: str) -> list[float]:
 
 def parse_config(text: str, overrides=()) -> RunConfig:
     """Parse and fully cross-validate a config; raises ConfigError."""
-    sections, section_lines, errors = _parse_raw(text)
-    for item in overrides:
-        head, eq, value = item.partition("=")
-        if not eq or "." not in head:
-            errors.append(f"--set {item!r}: expected section.key=value")
-            continue
-        section, _, key = head.partition(".")
-        sections.setdefault(section.strip(), {})[key.strip()] = \
-            (value.strip(), 0)
-        section_lines.setdefault(section.strip(), 0)
-    g = _Getter(sections, section_lines, errors)
+    g = _Getter(*_parse_raw(text, overrides))
+    errors = g.errors
 
     kind = g.get("system", "kind", conv=str, required=True)
-    kind_line = g.line_of("system", "kind")
     spec = _KINDS.get(kind)
     if kind is not None and spec is None:
-        errors.append(f"{_loc(kind_line)}: [system] kind = {kind!r}: "
+        errors.append(f"{g.at('system', 'kind')}: [system] kind = {kind!r}: "
                       f"must be one of {', '.join(_KINDS)}")
-        kind = None
     delayed = spec is not None and spec.pair is not None
     fractional = spec is not None and spec.fractional
+    # [stability] picks the axis equilibrium of the sector kinds: the
+    # fractional kinds without a delay
+    sector = fractional and not delayed
 
     params = None
     if spec is not None:
@@ -342,39 +341,42 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             try:
                 params = spec.params(*vals)
             except ValueError as exc:
-                errors.append(
-                    f"{_loc(g.line_of('system', spec.keys[0], kind_line))}: "
-                    f"[system] {exc}")
+                errors.append(f"{g.at('system', spec.keys[0])}: "
+                              f"[system] {exc}")
+        for section, allowed, required in (
+                ("kernel", delayed, delayed),
+                ("fractional", fractional, fractional),
+                ("stability", sector, False)):
+            if required and section not in g.sections:
+                errors.append(f"{g.at('system', 'kind')}: kind = {kind} "
+                              f"requires a [{section}] section")
+            elif not allowed and section in g.sections:
+                errors.append(f"{g.at(section)}: [{section}] section is not "
+                              f"allowed for kind = {kind}")
 
     kernel = None
-    if kind is not None:
-        if delayed and not g.has_section("kernel"):
-            errors.append(f"{_loc(kind_line)}: kind = {kind} requires a "
-                          f"[kernel] section")
-        if not delayed and g.has_section("kernel"):
-            errors.append(f"line {g.section_line('kernel')}: [kernel] "
-                          f"section is not allowed for kind = {kind}")
-    if g.has_section("kernel") and delayed:
+    if delayed and "kernel" in g.sections:
         kkind = g.get("kernel", "kind", conv=str, required=True)
-        kline = g.line_of("kernel", "kind", g.section_line("kernel"))
-        try:
-            if kkind in _KERNELS:
-                cls, keys = _KERNELS[kkind]
-                kernel = cls(*[g.get("kernel", key, required=req, default=dflt)
-                               for key, req, dflt in keys])
-            elif kkind is not None:
-                errors.append(f"{_loc(kline)}: [kernel] kind = {kkind!r}: "
-                              f"must be uniform, exponential, erlang or dirac")
-        except ValueError as exc:
-            errors.append(f"{_loc(kline)}: [kernel] {exc}")
+        kernel_at = g.at("kernel", "kind")
+        if kkind in _KERNELS:
+            cls, keys = _KERNELS[kkind]
+            vals = [g.get("kernel", key, required=dflt is None, default=dflt)
+                    for key, dflt in keys]
+            if None not in vals:
+                try:
+                    kernel = cls(*vals)
+                except ValueError as exc:
+                    errors.append(f"{kernel_at}: [kernel] {exc}")
+        elif kkind is not None:
+            errors.append(f"{kernel_at}: [kernel] kind = {kkind!r}: "
+                          f"must be uniform, exponential, erlang or dirac")
         if fractional and kkind not in (None, "dirac"):
-            errors.append(f"{_loc(kline)}: kind = {kind} requires a dirac "
+            errors.append(f"{kernel_at}: kind = {kind} requires a dirac "
                           f"kernel")
 
-    t_end = g.get("run", "t_end", required=True, default=0.0)
-    step = g.get("run", "step", required=True, default=1e-3)
+    t_end = g.get("run", "t_end", required=True)
+    step = g.get("run", "step", required=True)
     quad_step = g.get("run", "quad_step")
-    run_line = g.section_line("run")
     for key, value, zero_ok in (("t_end", t_end, True), ("step", step, False),
                                 ("quad_step", quad_step, False)):
         if value is not None and not math.isfinite(value):
@@ -383,95 +385,70 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             problem = "must be >= 0" if zero_ok else "must be > 0"
         else:
             continue
-        errors.append(f"{_loc(g.line_of('run', key, run_line))}: "
-                      f"[run] {key} {problem}")
+        errors.append(f"{g.at('run', key)}: [run] {key} {problem}")
     if (t_end is not None and step is not None and 0 < t_end < math.inf
             and 0 < step < math.inf and _whole_steps(t_end, step) is None):
-        errors.append(f"{_loc(g.line_of('run', 't_end', run_line))}: "
+        errors.append(f"{g.at('run', 't_end')}: "
                       f"[run] t_end must be a whole number of steps")
 
     frac = None
-    if kind is not None:
-        if fractional and not g.has_section("fractional"):
-            errors.append(f"{_loc(kind_line)}: kind = {kind} requires a "
-                          f"[fractional] section")
-        if not fractional and g.has_section("fractional"):
-            errors.append(f"line {g.section_line('fractional')}: "
-                          f"[fractional] section is not allowed for "
-                          f"kind = {kind}")
-    if g.has_section("fractional") and fractional:
-        order = g.get("fractional", "order", required=True, default=0.5)
+    if fractional and "fractional" in g.sections:
+        order = g.get("fractional", "order", required=True)
         iters = g.get("fractional", "corrector_iterations", conv=int,
                       default=1)
         memory = g.get("fractional", "memory", conv=str, default="full")
         window = None
-        mem_line = g.line_of("fractional", "memory",
-                             g.section_line("fractional"))
         if memory != "full":
             try:
                 window = int(memory)
             except ValueError:
-                errors.append(f"{_loc(mem_line)}: [fractional] memory must "
-                              f"be 'full' or an integer window")
+                errors.append(f"{g.at('fractional', 'memory')}: [fractional] "
+                              f"memory must be 'full' or an integer window")
         if order is not None and step is not None and 0 < step < math.inf:
             try:
                 frac = FracConfig(order=order, h=step,
                                   corrector_iters=iters,
                                   memory_window=window)
             except ValueError as exc:
-                errors.append(
-                    f"{_loc(g.line_of('fractional', 'order', mem_line))}: "
-                    f"[fractional] {exc}")
+                errors.append(f"{g.at('fractional', 'order')}: "
+                              f"[fractional] {exc}")
 
-    dim = spec.dim if spec is not None else 3
-    x0_list = g.get("run", "x0", conv=_floats_csv, required=True)
-    x0 = np.zeros(dim)
-    if x0_list is not None:
-        if len(x0_list) != dim:
-            errors.append(f"{_loc(g.line_of('run', 'x0', run_line))}: "
-                          f"[run] x0 needs {dim} components for "
-                          f"kind = {kind}, got {len(x0_list)}")
-        else:
-            x0 = np.array(x0_list)
+    x0 = g.get("run", "x0", conv=_floats_csv, required=True)
+    if x0 is not None and spec is not None and len(x0) != spec.dim:
+        errors.append(f"{g.at('run', 'x0')}: [run] x0 needs {spec.dim} "
+                      f"components for kind = {kind}, got {len(x0)}")
 
     out = g.get("output", "path", conv=str)
-    # [stability] picks the axis equilibrium of the sector kinds: the
-    # fractional kinds without a delay
-    sector = fractional and not delayed
     equilibrium, eq_m = "M1", 1.0
-    if kind is not None and not sector and g.has_section("stability"):
-        errors.append(f"{_loc(g.section_line('stability'))}: [stability] "
-                      f"section is not allowed for kind = {kind}")
     if sector:
         equilibrium = g.get("stability", "equilibrium", conv=str,
                             default="M1")
         if equilibrium not in ("M1", "M2", "M3"):
-            errors.append(f"{_loc(g.line_of('stability', 'equilibrium'))}: "
+            errors.append(f"{g.at('stability', 'equilibrium')}: "
                           f"[stability] equilibrium must be M1, M2 or M3")
-            equilibrium = "M1"
         eq_m = g.get("stability", "m", default=1.0)
 
     scan = None
-    if g.has_section("scan"):
+    if "scan" in g.sections:
         axis = g.get("scan", "axis", conv=str, required=True)
-        lo = g.get("scan", "min", required=True, default=0.0)
-        hi = g.get("scan", "max", required=True, default=0.0)
-        steps = g.get("scan", "steps", conv=int, required=True, default=0)
-        axis_line = g.line_of("scan", "axis", g.section_line("scan"))
+        lo = g.get("scan", "min", required=True)
+        hi = g.get("scan", "max", required=True)
+        steps = g.get("scan", "steps", conv=int, required=True)
+        axis_at = g.at("scan", "axis")
         if axis is not None and axis not in ("tau", "alpha", "m"):
-            errors.append(f"{_loc(axis_line)}: [scan] axis must be "
-                          f"tau, alpha or m")
-        elif axis == "tau" and not isinstance(kernel, _kern.DiracKernel):
-            errors.append(f"{_loc(axis_line)}: [scan] axis = tau requires "
-                          f"a dirac kernel")
-        elif axis == "alpha" and not fractional:
-            errors.append(f"{_loc(axis_line)}: [scan] axis = alpha requires "
-                          f"a fractional kind")
-        elif axis == "m" and (spec is None or spec.set_m is None):
-            errors.append(f"{_loc(axis_line)}: [scan] axis = m is not "
-                          f"defined for kind = {kind}")
+            errors.append(f"{axis_at}: [scan] axis must be tau, alpha or m")
+        elif spec is not None:
+            if axis == "tau" and not isinstance(kernel, _kern.DiracKernel):
+                errors.append(f"{axis_at}: [scan] axis = tau requires "
+                              f"a dirac kernel")
+            elif axis == "alpha" and not fractional:
+                errors.append(f"{axis_at}: [scan] axis = alpha requires "
+                              f"a fractional kind")
+            elif axis == "m" and spec.set_m is None:
+                errors.append(f"{axis_at}: [scan] axis = m is not "
+                              f"defined for kind = {kind}")
         if steps is not None and steps < 0:
-            errors.append(f"{_loc(g.line_of('scan', 'steps'))}: [scan] "
+            errors.append(f"{g.at('scan', 'steps')}: [scan] "
                           f"steps must be >= 0")
         if None not in (axis, lo, hi, steps):
             scan = ScanSpec(axis, lo, hi, max(steps, 0))
@@ -480,8 +457,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     return RunConfig(kind=kind, params=params, kernel=kernel, frac=frac,
-                     x0=x0, t_end=t_end, step=step, quad_step=quad_step,
-                     out=out, equilibrium=equilibrium, eq_m=eq_m, scan=scan)
+                     x0=np.array(x0), t_end=t_end, step=step,
+                     quad_step=quad_step, out=out, equilibrium=equilibrium,
+                     eq_m=eq_m, scan=scan)
 
 
 def _run_simulation(cfg: RunConfig):
@@ -600,9 +578,7 @@ def _cfg_with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "alpha":
         return dataclasses.replace(
             cfg, frac=dataclasses.replace(cfg.frac, order=value))
-    if axis == "m":
-        return _KINDS[cfg.kind].set_m(cfg, value)
-    raise ConfigError([f"unknown scan axis {axis!r}"])
+    return _KINDS[cfg.kind].set_m(cfg, value)
 
 
 def cmd_scan(cfg: RunConfig, out_path: str) -> int:
@@ -618,7 +594,7 @@ def cmd_scan(cfg: RunConfig, out_path: str) -> int:
             point = _cfg_with_axis(cfg, sweep.axis, float(value))
             rep = _report(point)
             rows.append(_report_row(float(value), rep))
-        except Exception as exc:  # per-point failure: record and continue
+        except ValueError as exc:  # an invalid point: record and continue
             msg = str(exc).replace(",", ";").replace("\n", " ")
             rows.append(",".join([_fmt(value), "nan", "nan", "nan",
                                   f"error: {msg}"]))

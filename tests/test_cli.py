@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -242,6 +243,21 @@ class TestStability:
         assert rows[0] == "param,root_re,root_im,margin,verdict"
         assert len(rows) == 2
 
+    def test_ep_delayed_linearizes_once(self, tmp_path, monkeypatch):
+        # the verdict and the first crossing share one bracket
+        calls = []
+        jacobian = models.jacobian
+
+        def counting(f, x):
+            calls.append(x)
+            return jacobian(f, x)
+
+        monkeypatch.setattr(models, "jacobian", counting)
+        code, out = run_cli(tmp_path, EP_DELAYED, "stability", "rep.txt")
+        assert code == 0
+        assert "critical_delay = " in out.read_text()
+        assert len(calls) == 1
+
     def test_fractional_m1_verdict(self, tmp_path):
         code, out = run_cli(tmp_path, FRACTIONAL, "stability", "m1.txt")
         assert code == 0
@@ -290,6 +306,28 @@ class TestScan:
         _, out1 = run_cli(tmp_path, EP_DELAYED, "scan", "s1.csv")
         _, out2 = run_cli(tmp_path, EP_DELAYED, "scan", "s2.csv")
         assert out1.read_bytes() == out2.read_bytes()
+
+    @staticmethod
+    def _failing_points(monkeypatch, exc):
+        def report(cfg):
+            raise exc("bad point")
+
+        monkeypatch.setitem(cli._KINDS, "ep-delayed", dataclasses.replace(
+            cli._KINDS["ep-delayed"], report=report))
+
+    def test_invalid_point_is_a_row(self, tmp_path, monkeypatch):
+        self._failing_points(monkeypatch, ValueError)
+        code, out = run_cli(tmp_path, EP_DELAYED, "scan", "scan.csv",
+                            overrides=["scan.steps=2"])
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == [
+            "0,nan,nan,nan,error: bad point", "3,nan,nan,nan,error: bad point"]
+
+    def test_programming_error_is_raised(self, tmp_path, monkeypatch):
+        self._failing_points(monkeypatch, TypeError)
+        with pytest.raises(TypeError, match="bad point"):
+            run_cli(tmp_path, EP_DELAYED, "scan", "scan.csv",
+                    overrides=["scan.steps=2"])
 
     def test_scan_requires_section(self, tmp_path):
         code, _ = run_cli(tmp_path, FRACTIONAL, "scan", "no.csv")

@@ -173,6 +173,10 @@ def _invalid_cases():
         "bad-fractional-memory": ("simulate", frac,
                                   ("fractional.memory=abc",)),
         "bad-fractional-window": ("simulate", frac, ("fractional.memory=50",)),
+        "bad-fractional-window-no-step": (
+            "simulate", frac.replace("step = 0.01\n", ""),
+            ("fractional.memory=50",)),
+        "bad-missing-run": ("simulate", RIGID.format("classical"), ()),
         "bad-run-values": ("simulate", frac, ("run.t_end=-1", "run.step=0")),
         "bad-t_end-nan": ("simulate", KINDS["classical"], ("run.t_end=nan",)),
         "bad-t_end-inf": ("simulate", KINDS["classical"], ("run.t_end=inf",)),
@@ -187,6 +191,12 @@ def _invalid_cases():
         "bad-unknown-section": ("simulate", KINDS["classical"]
                                 + "[extra]\nx = 1\n", ()),
         "bad-override": ("simulate", KINDS["classical"], ("nonsense",)),
+        "bad-set-forbidden-kernel": ("simulate", KINDS["classical"],
+                                     ("kernel.lag=1",)),
+        "bad-set-unknown-section": ("simulate", KINDS["classical"],
+                                    ("extra.x=1",)),
+        "bad-set-kernel-missing-kind": ("simulate", no_kernel,
+                                        ("kernel.lag=1",)),
         "bad-scan-missing": ("scan", frac, ()),
         "bad-scan-axis-m-classical": ("scan", KINDS["classical"],
                                       _scan("m", 0, 1, 3)),
@@ -247,6 +257,13 @@ def test_golden_stdout_has_no_numpy_repr():
     # numbers are printed as Python floats, not as np.float64(...)
     assert not [name for name, (_, out, *_) in GOLDEN.items()
                 if "np.float64(" in out]
+
+
+def test_golden_stderr_has_no_made_up_location():
+    # every message names where its value came from, and only a kind the
+    # config gave
+    assert not [name for name, (_, _, err, _) in GOLDEN.items()
+                if "line 0" in err or "kind = None" in err]
 
 
 def _record():
@@ -311,6 +328,11 @@ GOLDEN = {
         '',
         'error: line 7: [fractional] truncated memory must span >= 1 time unit\n',
         {}),
+    'bad-fractional-window-no-step': (
+        2,
+        '',
+        "error: line 8: [run] missing required key 'step'\n",
+        {}),
     'bad-kernel-kind': (
         2,
         '',
@@ -332,8 +354,6 @@ GOLDEN = {
         2,
         '',
         "error: line 2: [system] kind = 'quantum': must be one of classical, revised, delayed, revised-delayed, fractional, fractional-revised, ep-delayed, scalar-18, planar-19\n"
-        'error: --set: [run] x0 needs 3 components for kind = None, got 1\n'
-        'error: --set: [scan] axis = m is not defined for kind = None\n'
         "error: line 3: unknown key 'k1' in [system]\n"
         "error: line 4: unknown key 'k2' in [system]\n"
         "error: line 6: unknown key 'kind' in [kernel]\n"
@@ -344,7 +364,6 @@ GOLDEN = {
         2,
         '',
         "error: line 2: [system] kind = 'quantum': must be one of classical, revised, delayed, revised-delayed, fractional, fractional-revised, ep-delayed, scalar-18, planar-19\n"
-        'error: --set: [scan] axis = alpha requires a fractional kind\n'
         "error: line 3: unknown key 'a1' in [system]\n"
         "error: line 4: unknown key 'a2' in [system]\n"
         "error: line 5: unknown key 'a3' in [system]\n",
@@ -358,6 +377,13 @@ GOLDEN = {
         2,
         '',
         'error: line 2: kind = delayed requires a [kernel] section\n',
+        {}),
+    'bad-missing-run': (
+        2,
+        '',
+        "error: config: [run] missing required key 't_end'\n"
+        "error: config: [run] missing required key 'step'\n"
+        "error: config: [run] missing required key 'x0'\n",
         {}),
     'bad-missing-system-key': (
         2,
@@ -429,6 +455,23 @@ GOLDEN = {
         2,
         '',
         'error: --set: [scan] steps must be >= 0\n',
+        {}),
+    'bad-set-forbidden-kernel': (
+        2,
+        '',
+        'error: --set: [kernel] section is not allowed for kind = classical\n'
+        "error: --set: unknown key 'lag' in [kernel]\n",
+        {}),
+    'bad-set-kernel-missing-kind': (
+        2,
+        '',
+        "error: --set: [kernel] missing required key 'kind'\n"
+        "error: --set: unknown key 'lag' in [kernel]\n",
+        {}),
+    'bad-set-unknown-section': (
+        2,
+        '',
+        'error: --set: unknown section [extra]\n',
         {}),
     'bad-step-inf': (
         2,
@@ -967,7 +1010,7 @@ GOLDEN = {
         'rows = 7\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'f0240346f5a1782bed1373de68527ae4f0486166a4c6c5ebc600a1ed6821b348'}),
+        {'out': '7990a889fcf7d62c92b25cceb5990b106ec5bde3f507a7bd42a5a7e5a8a8f18a'}),
     'planar-19-simulate': (
         0,
         'kind = planar-19\n'
@@ -1128,7 +1171,7 @@ GOLDEN = {
         'rows = 5\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '6e28c1f9c963101383b0d48d89d5bd2f2250d1e19e40fe4f2f8ca8fa5beb6b9d'}),
+        {'out': 'e1793e093ddb40e49bc96021aa4e0fac6c7b360b66b98c2802f24c8132271744'}),
     'scalar-18-scan-tau': (
         0,
         'kind = scalar-18\n'
