@@ -18,8 +18,8 @@ from rigidmem import (FracConfig, RigidBodyParams, casimir, hamiltonian,
 # scalar benchmark: D^alpha x = -x has solution E_alpha(-t^alpha)
 print("scalar oracle D^alpha x = -x, x(0) = 1, value at t = 1:")
 for alpha in (0.5, 0.82, 1.0):
-    traj = integrate_frac_abm(lambda x: -x, FracConfig(order=alpha, h=1e-3),
-                              [1.0], 1.0)
+    traj = integrate_frac_abm(lambda x: [-v for v in x],
+                              FracConfig(order=alpha, h=1e-3), [1.0], 1.0)
     exact = mittag_leffler(alpha, -1.0)
     print(f"  alpha = {alpha:4.2f}: scheme {traj.final_state[0]:.7f}, "
           f"series {exact:.7f}, error {abs(traj.final_state[0] - exact):.1e}")

@@ -145,8 +145,7 @@ def _inertia_diagnostics(s):
 
 def _lagged_cross_pair(k):
     k1, k2 = k
-    return lambda x, xd: np.array([x[1] - k1 * x[0],
-                                   -(k1 + k2) * x[1] + xd[0]])
+    return lambda x, xd: (x[1] - k1 * x[0], -(k1 + k2) * x[1] + xd[0])
 
 
 def _sector_report(cfg: RunConfig, revised: bool) -> _stab.StabilityReport:
@@ -200,7 +199,7 @@ _KINDS = {
         set_m=lambda cfg, m: dataclasses.replace(
             cfg, params=dataclasses.replace(cfg.params, m=m))),
     "scalar-18": _Kind(
-        keys=("a",), params=float, pair=lambda a: lambda x, xd: a * xd,
+        keys=("a",), params=float, pair=lambda a: lambda x, xd: (a * xd[0],),
         fractional=True, dim=1,
         report=lambda cfg: _stab.scalar_frac_delay_check(
             cfg.params, cfg.frac.order, cfg.kernel.lag)),
@@ -302,11 +301,15 @@ class _Getter:
                                f"cannot convert to {conv.__name__}")
             return default
 
-    def sweep_unknown(self):
+    def sweep_unknown(self, unchecked=()):
+        """Report unknown sections, and the keys no ``get`` consumed in
+        the known sections other than ``unchecked``."""
         for section, entries in self.sections.items():
             if section not in _KNOWN_SECTIONS:
                 self.errors.append(
                     f"{self.at(section)}: unknown section [{section}]")
+                continue
+            if section in unchecked:
                 continue
             for key, (_, loc) in entries.items():
                 if (section, key) not in self.consumed:
@@ -453,7 +456,10 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         if None not in (axis, lo, hi, steps):
             scan = ScanSpec(axis, lo, hi, max(steps, 0))
 
-    g.sweep_unknown()
+    # without a kind nothing says which keys these sections may hold, so
+    # the kind's own error is the only one they give
+    g.sweep_unknown(() if spec is not None else
+                    ("system", "kernel", "fractional", "stability"))
     if errors:
         raise ConfigError(errors)
     return RunConfig(kind=kind, params=params, kernel=kernel, frac=frac,

@@ -10,9 +10,9 @@ Four integration paths are provided:
 * the fractional Adams-Bashforth-Moulton predictor-corrector for Caputo
   systems, with and without a delayed argument.
 
-The RK4 paths step over Python floats: a field gets the state as a list of
-floats and may return any length-dim sequence.  The fractional paths step
-over arrays.
+Every path steps over Python floats: a field gets the state, and a delayed
+field also the delayed argument, as a list of floats, and may return any
+length-dim sequence.
 
 Every integrator emits a :class:`Trajectory`: uniformly spaced samples with
 a derivative estimate per node and per-sample diagnostics recomputed from
@@ -318,6 +318,11 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
 _LOOKAHEAD_POINTS = 1 << 12
 
 
+def _stage_state(i, x):
+    """The delayed argument of a zero-lag Dirac kernel: the stage state."""
+    return x
+
+
 def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
     """The delayed argument xd(i, stage_state) over ``grid``, chosen once.
 
@@ -329,11 +334,11 @@ def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
     h, at most 1/16 of the support).  A lookup that reads only final nodes
     is evaluated in one batch with the next such lookups and served from
     it; any other alone.  Hermite evaluation is elementwise, so each value
-    is bitwise that of a lone lookup.
+    is bitwise that of a lone lookup.  Values are lists of floats.
     """
     if isinstance(kernel, _kern.DiracKernel):
         if kernel.lag == 0.0:
-            return lambda i, x: x
+            return _stage_state
         lags, wd = np.array([kernel.lag]), None
     else:
         if quad_step is None:
@@ -358,7 +363,8 @@ def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
         for part in (us[:n_past], us[n_past:]):
             if part.size:
                 rows = grid.eval_many(part.ravel()).reshape(*part.shape, -1)
-                values += [r[0] if wd is None else wd @ r for r in rows]
+                values += (rows[:, 0].tolist() if wd is None
+                           else [(wd @ r).tolist() for r in rows])
         first, block = i, values[:ready]
         return values[0]
 
@@ -369,9 +375,8 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
                   quad_step=None, diagnostics=None) -> Trajectory:
     """Method-of-steps RK4 for dx/dt = rhs_pair(x, xd) with delayed xd.
 
-    ``rhs_pair`` gets the state x as a list of floats on every call (numpy
-    float64 ones once a slope came from an array xd) and the delayed
-    argument xd as a (dim,) array, or x itself at zero lag; it returns the
+    ``rhs_pair`` gets the state x and the delayed argument xd as lists of
+    floats on every call (xd is x itself at zero lag) and returns the
     derivative as any length-dim sequence.
 
     At every stage the delayed argument xd is the kernel-weighted average
@@ -512,7 +517,10 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
 
     eval_g(k, x) returns the Caputo right-hand side at ``x`` taken as the
     value of node k: node 0, then for each new node its predicted and
-    corrected iterates and finally its accepted value.
+    corrected iterates and finally its accepted value.  ``x`` is a list of
+    floats and the result any length-dim sequence; the predictor and
+    corrector are formed componentwise in the order of the array form, so
+    the result is the same to the bit.
 
     Step s needs the lag sums sum_j w[s - j] g_j over j <= s of the
     predictor and corrector weights (zero at lags >= memory_window).
@@ -543,25 +551,30 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
     dim = x0.size
     states = np.empty((n + 1, dim))
     gs = np.empty((n + 1, dim))
-    states[0] = x0
-    g = gs[0] = eval_g(0, x0)
+    x0 = states[0] = x0.tolist()
+    gs[0] = eval_g(0, x0)
     far = np.zeros((n, 2, dim))
-    far[:, 1] = g0_weight[:, None] * g
+    far[:, 1] = g0_weight[:, None] * gs[0]
     trunc_bound = 0.0
-    max_g_norm = math.sqrt(float(g @ g))
+    # the norms take numpy's dot of the stored row: BLAS fuses its
+    # multiply-adds, so a sum of Python float squares can differ in the
+    # last bit
+    max_g_norm = math.sqrt(float(gs[0] @ gs[0]))
     for step in range(n):
         r = step % block
         if r == 0 and step:
             _add_square(far, gs, spectra, step)
-        sums = far[step] + near_w[:, block - 1 - r:] @ gs[step - r: step + 1]
-        xc = x0 + pred_scale * sums[0]
-        hist = sums[1]
+        pred, hist = (far[step] + near_w[:, block - 1 - r:]
+                      @ gs[step - r: step + 1]).tolist()
+        xc = [a + pred_scale * b for a, b in zip(x0, pred)]
         for _ in range(cfg.corrector_iters):
-            xc = x0 + corr_scale * (eval_g(step + 1, xc) + hist)
-        _check_state(xc.tolist(), step * h)
+            xc = [a + corr_scale * (b + c)
+                  for a, b, c in zip(x0, eval_g(step + 1, xc), hist)]
+        _check_state(xc, step * h)
         states[step + 1] = xc
-        g = gs[step + 1] = eval_g(step + 1, xc)
+        gs[step + 1] = eval_g(step + 1, xc)
         if window is not None:
+            g = gs[step + 1]
             max_g_norm = max(max_g_norm, math.sqrt(float(g @ g)))
             if step + 1 > window:
                 dropped_mass = pred_scale * (pow_a[step + 1] - pow_a[window])
@@ -579,6 +592,8 @@ def integrate_frac_abm(rhs, cfg: FracConfig, x0, t_end, *,
                        diagnostics=None) -> Trajectory:
     """Adams-Bashforth-Moulton predictor-corrector for D^alpha x = rhs(x).
 
+    ``rhs`` maps a state, given as a list of floats on every call, to its
+    Caputo derivative as any length-dim sequence.
     Product-rectangle predictor, product-trapezoid corrector, applied
     ``cfg.corrector_iters`` times (PECE by default), full memory unless a
     window is configured.  Node derivatives in the returned trajectory are
@@ -600,11 +615,14 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
                        diagnostics=None) -> Trajectory:
     """Fractional predictor-corrector with a distributed-delay argument.
 
-    The delayed argument at each node is the kernel average over the grid
-    (Hermite-interpolated, finite-difference slopes) and phi; the current
-    step's provisional value participates so short-range kernels see a
-    consistent sliver.  A zero-lag Dirac kernel reduces the scheme bitwise
-    to :func:`integrate_frac_abm`.
+    ``rhs_pair`` gets the state x and the delayed argument xd as lists of
+    floats on every call and returns the Caputo derivative as any
+    length-dim sequence.  The delayed argument at each node is the kernel
+    average over the grid (Hermite-interpolated, finite-difference slopes)
+    and phi; the current step's provisional value participates so
+    short-range kernels see a consistent sliver.  A zero-lag Dirac kernel
+    passes x itself as xd, which reduces the scheme bitwise to
+    :func:`integrate_frac_abm`.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.
@@ -617,9 +635,14 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     delayed = _delayed_argument(kernel, grid, quad_step, nodes * cfg.h,
                                 nodes - 2)
 
-    def eval_g(k, x):
-        grid.put(k, x)
-        return rhs_pair(x, delayed(k, x))
+    if delayed is _stage_state:
+        # zero lag: no lookup reads the grid, so it is never written
+        def eval_g(k, x):
+            return rhs_pair(x, x)
+    else:
+        def eval_g(k, x):
+            grid.put(k, x)
+            return rhs_pair(x, delayed(k, x))
 
     states, derivs, meta = _frac_loop(cfg, x0, n, eval_g)
     diag = _compute_diagnostics(states, x0.size, diagnostics)

@@ -103,7 +103,7 @@ def test_c05_fractional_oracle():
         exact = mittag_leffler(order, -1.0)
         errs = []
         for h in (4e-3, 2e-3, 1e-3):
-            traj = integrate_frac_abm(lambda x: -x,
+            traj = integrate_frac_abm(lambda x: [-v for v in x],
                                       FracConfig(order=order, h=h), [1.0],
                                       1.0)
             errs.append(abs(float(traj.final_state[0]) - exact))
@@ -199,7 +199,7 @@ def test_c08_figure_recipes(tmp_path):
 
 def test_c09_scalar_planar_benchmarks():
     scalar = stability.scalar_frac_delay_check(-1.0, 0.7, 0.5)
-    traj = integrate_frac_dde(lambda x, xd: -xd,
+    traj = integrate_frac_dde(lambda x, xd: [-v for v in xd],
                               FracConfig(order=0.7, h=0.01),
                               kernels.DiracKernel(0.5),
                               HistorySpec.constant([1.0]), 20.0)

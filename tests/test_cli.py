@@ -108,6 +108,20 @@ class TestParseConfig:
             cli.parse_config(CLASSICAL + "typo_key = 1\n")
         assert any("typo_key" in msg for msg in info.value.messages)
 
+    def test_unknown_kind_reports_no_key_of_its_sections(self):
+        # without a kind nothing says which keys [system], [fractional] and
+        # [stability] may hold; an unknown section and an unknown [run] key
+        # are still reported
+        text = (FRACTIONAL.replace("kind = fractional", "kind = quantum")
+                + "\n[extra]\nx = 1\n")
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config(text, overrides=["run.typo=1"])
+        messages = info.value.messages
+        assert len(messages) == 3
+        assert messages[0].startswith("line 2: [system] kind = 'quantum'")
+        assert messages[1:] == ["--set: unknown key 'typo' in [run]",
+                                "line 19: unknown section [extra]"]
+
     def test_set_override(self):
         cfg = cli.parse_config(FRACTIONAL, overrides=["fractional.order=0.5"])
         assert cfg.frac.order == 0.5

@@ -81,7 +81,7 @@ class TestCaputoL1:
         # scheme consistency away from the t^alpha initial layer
         h = 1e-3
         cfg = FracConfig(order=0.5, h=h)
-        traj = integrate_frac_abm(lambda x: -x, cfg, [1.0], 1.0)
+        traj = integrate_frac_abm(lambda x: [-v for v in x], cfg, [1.0], 1.0)
         resid = _caputo_l1(traj.states[:, 0], h, 0.5) + traj.states[:, 0]
         assert np.max(np.abs(resid[100:])) < 5e-3
 
@@ -124,7 +124,8 @@ class TestMittagLeffler:
         for lam in (-1.0, -0.5):
             for order in (0.5, 0.82):
                 cfg = FracConfig(order=order, h=1e-3)
-                traj = integrate_frac_abm(lambda x: lam * x, cfg, [1.0], 1.0)
+                traj = integrate_frac_abm(lambda x: [lam * v for v in x], cfg,
+                                          [1.0], 1.0)
                 ref = fraccalc.mittag_leffler(order, lam)
                 assert abs(traj.final_state[0] - ref) < 2e-3
 

@@ -353,20 +353,12 @@ GOLDEN = {
     'bad-kind': (
         2,
         '',
-        "error: line 2: [system] kind = 'quantum': must be one of classical, revised, delayed, revised-delayed, fractional, fractional-revised, ep-delayed, scalar-18, planar-19\n"
-        "error: line 3: unknown key 'k1' in [system]\n"
-        "error: line 4: unknown key 'k2' in [system]\n"
-        "error: line 6: unknown key 'kind' in [kernel]\n"
-        "error: line 7: unknown key 'lag' in [kernel]\n"
-        "error: line 9: unknown key 'order' in [fractional]\n",
+        "error: line 2: [system] kind = 'quantum': must be one of classical, revised, delayed, revised-delayed, fractional, fractional-revised, ep-delayed, scalar-18, planar-19\n",
         {}),
     'bad-kind-alpha-axis': (
         2,
         '',
-        "error: line 2: [system] kind = 'quantum': must be one of classical, revised, delayed, revised-delayed, fractional, fractional-revised, ep-delayed, scalar-18, planar-19\n"
-        "error: line 3: unknown key 'a1' in [system]\n"
-        "error: line 4: unknown key 'a2' in [system]\n"
-        "error: line 5: unknown key 'a3' in [system]\n",
+        "error: line 2: [system] kind = 'quantum': must be one of classical, revised, delayed, revised-delayed, fractional, fractional-revised, ep-delayed, scalar-18, planar-19\n",
         {}),
     'bad-missing-fractional': (
         2,

@@ -327,7 +327,8 @@ class TestChain:
 class TestFracAbm:
     def test_mittag_leffler_oracle(self):
         cfg = FracConfig(order=0.5, h=1e-3)
-        traj = integrate_frac_abm(lambda x: -x, cfg, [1.0], 1.0)
+        traj = integrate_frac_abm(lambda x: [-v for v in x], cfg, [1.0],
+                                  1.0)
         assert abs(traj.final_state[0] - mittag_leffler(0.5, -1.0)) < 2e-3
         assert traj.final_state[0] == pytest.approx(0.4275836, abs=2e-3)
 
@@ -352,16 +353,17 @@ class TestFracAbm:
         errs = []
         for h in (4e-3, 2e-3, 1e-3):
             cfg = FracConfig(order=order, h=h)
-            traj = integrate_frac_abm(lambda x: -x, cfg, [1.0], 1.0)
+            traj = integrate_frac_abm(lambda x: [-v for v in x], cfg, [1.0],
+                                      1.0)
             errs.append(abs(traj.final_state[0] - exact))
         slope = math.log2(errs[0] / errs[2]) / 2.0
         assert abs(slope - (1 + order)) < 0.3
 
     def test_memory_truncation_reports_bound(self):
-        full = integrate_frac_abm(lambda x: -x, FracConfig(order=0.6, h=5e-3),
-                                  [1.0], 3.0)
+        full = integrate_frac_abm(lambda x: [-v for v in x],
+                                  FracConfig(order=0.6, h=5e-3), [1.0], 3.0)
         cut = integrate_frac_abm(
-            lambda x: -x,
+            lambda x: [-v for v in x],
             FracConfig(order=0.6, h=5e-3, memory_window=300), [1.0], 3.0)
         assert "memory_truncation_bound" in cut.meta
         drift = np.max(np.abs(full.states - cut.states))
@@ -396,7 +398,7 @@ class TestFracDde:
 
     def test_scalar_benchmark_decay(self):
         cfg = FracConfig(order=0.7, h=0.01)
-        traj = integrate_frac_dde(lambda x, xd: -xd, cfg,
+        traj = integrate_frac_dde(lambda x, xd: [-v for v in xd], cfg,
                                   kernels.DiracKernel(0.5),
                                   HistorySpec.constant([1.0]), 20.0)
         samples = [abs(traj.eval(float(t))[0]) for t in range(10, 21)]
@@ -478,7 +480,7 @@ class TestFracMemorySums:
             rhs = lambda x: models.rhs_classical(P321, x)
             x0 = np.array([1.0, 0.5, 0.2])
         else:
-            rhs = lambda x: 0.3 * np.cos(3.0 * x) - 0.5 * x
+            rhs = lambda x: [0.3 * math.cos(3.0 * v) - 0.5 * v for v in x]
             x0 = np.array([1.0])
         _assert_close_to_direct(
             lambda: integrate_frac_abm(rhs, cfg, x0, n * cfg.h), monkeypatch)
@@ -665,7 +667,7 @@ class TestBatchedLookups:
         (fast, fast_calls), (ref, ref_calls) = _run_both(
             lambda pair: integrate_frac_dde(pair, cfg, kernel, phi, 5.0)
             if frac else integrate_dde(pair, kernel, phi, 5.0, H),
-            monkeypatch, lambda x, xd: 20.0 * xd)
+            monkeypatch, lambda x, xd: [20.0 * v for v in xd])
         assert isinstance(fast, DivergenceError)
         assert fast.t_last == ref.t_last > 0.5
         assert str(fast) == str(ref)
@@ -791,6 +793,30 @@ FLOAT_LOOP_RUNS = {
 }
 
 
+#: one run of every fractional path and of both delayed lookups
+FRAC_RUNS = {
+    "abm": lambda: integrate_frac_abm(
+        lambda x: models.rhs_classical(P321, x), FracConfig(order=0.82, h=H),
+        X111, 1.37),
+    "abm-window": lambda: integrate_frac_abm(
+        lambda x: models.rhs_classical(P321, x),
+        FracConfig(order=0.82, h=0.05, corrector_iters=3, memory_window=20),
+        X111, 5.0),
+    "frac-dde-dirac": lambda: integrate_frac_dde(
+        _rigid_pair, FracConfig(order=0.8, h=H), kernels.DiracKernel(30.5 * H),
+        PHIS["callable"], 1.37),
+    "frac-dde-zero": lambda: integrate_frac_dde(
+        _rigid_pair, FracConfig(order=0.8, h=H), kernels.DiracKernel(0.0),
+        PHIS["callable"], 1.37),
+    "frac-dde-uniform": lambda: integrate_frac_dde(
+        _rigid_pair, FracConfig(order=0.8, h=H), kernels.UniformKernel(
+            5 * H, 0.2), PHIS["callable"], 1.37),
+    "dde-uniform": lambda: integrate_dde(
+        _rigid_pair, kernels.UniformKernel(50 * H, 0.37), PHIS["callable"],
+        1.37, H),
+}
+
+
 class TestFloatLoop:
     """The float RK4 loop against its earlier array form."""
 
@@ -804,24 +830,199 @@ class TestFloatLoop:
         assert np.array_equal(fast.derivs, ref.derivs)
 
     @pytest.mark.parametrize("run", ["classical", "chain-erlang",
-                                     "dirac-long", "dirac-zero"])
+                                     "dirac-long", "dirac-zero", *FRAC_RUNS])
     def test_fields_get_float_lists(self, run, monkeypatch):
-        # node 0's call included; past a delayed lookup the components are
-        # numpy float64, a float subclass, as the ndarray xd's are
+        # node 0's call included; x and xd alike, with no numpy float64
         seen = []
 
         def spying(field):
             def spy(p, x, *xd):
-                seen.append(x)
+                seen.extend([x, *xd])
                 return field(p, x, *xd)
             return spy
 
         for name in ("rhs_classical", "rhs_delayed"):
             monkeypatch.setattr(models, name, spying(getattr(models, name)))
-        FLOAT_LOOP_RUNS[run]()
+        {**FLOAT_LOOP_RUNS, **FRAC_RUNS}[run]()
         assert seen
-        assert all(type(x) is list and all(isinstance(v, float) for v in x)
+        assert all(type(x) is list and all(type(v) is float for v in x)
                    for x in seen)
+
+
+def _array_frac_loop(cfg, x0, n, eval_g):
+    """:func:`integrators._frac_loop` in its earlier array form: every
+    state, right-hand side and lag sum an ndarray."""
+    def as_array(k, x):
+        return np.asarray(eval_g(k, x), dtype=float)
+
+    h = cfg.h
+    alpha = cfg.order
+    block = integrators._MEMORY_BLOCK
+    pow_a, beta, c, a0 = integrators._abm_weights(alpha, max(n, block))
+    pred_scale = h**alpha / math.gamma(alpha + 1.0)
+    corr_scale = h**alpha / math.gamma(alpha + 2.0)
+    window = cfg.memory_window
+    lag_w = np.stack([beta, c], axis=1)
+    g0_weight = a0[:n] - c[:n]
+    if window is not None:
+        lag_w[window:] = 0.0
+        g0_weight[window:] = 0.0
+    near_w = lag_w[block - 1:: -1].T.copy()
+    spectra = {}
+    width = block
+    while width < n:
+        spectra[width] = np.fft.rfft(lag_w[: 2 * width], 2 * width, axis=0)
+        width *= 2
+    dim = x0.size
+    states = np.empty((n + 1, dim))
+    gs = np.empty((n + 1, dim))
+    states[0] = x0
+    g = gs[0] = as_array(0, x0)
+    far = np.zeros((n, 2, dim))
+    far[:, 1] = g0_weight[:, None] * g
+    trunc_bound = 0.0
+    max_g_norm = math.sqrt(float(g @ g))
+    for step in range(n):
+        r = step % block
+        if r == 0 and step:
+            integrators._add_square(far, gs, spectra, step)
+        sums = far[step] + near_w[:, block - 1 - r:] @ gs[step - r: step + 1]
+        xc = x0 + pred_scale * sums[0]
+        hist = sums[1]
+        for _ in range(cfg.corrector_iters):
+            xc = x0 + corr_scale * (as_array(step + 1, xc) + hist)
+        integrators._check_state(xc.tolist(), step * h)
+        states[step + 1] = xc
+        g = gs[step + 1] = as_array(step + 1, xc)
+        if window is not None:
+            max_g_norm = max(max_g_norm, math.sqrt(float(g @ g)))
+            if step + 1 > window:
+                dropped_mass = pred_scale * (pow_a[step + 1] - pow_a[window])
+                trunc_bound = max(trunc_bound, dropped_mass * max_g_norm)
+    derivs = np.gradient(states, h, axis=0)
+    meta = {"order": alpha, "scheme": "abm-pece",
+            "corrector_iters": cfg.corrector_iters}
+    if window is not None:
+        meta["memory_window"] = window
+        meta["memory_truncation_bound"] = trunc_bound
+    return states, derivs, meta
+
+
+def _array_delayed_argument(kernel, grid, quad_step, times, final):
+    """:func:`integrators._delayed_argument` in its earlier array form:
+    each value a (dim,) ndarray."""
+    if isinstance(kernel, kernels.DiracKernel):
+        if kernel.lag == 0.0:
+            return lambda i, x: x
+        lags, wd = np.array([kernel.lag]), None
+    else:
+        if quad_step is None:
+            lo, hi = kernels.effective_support(kernel)
+            quad_step = min(grid.h, (hi - lo) / 16.0) if hi > lo else grid.h
+        lags, wd = kernels.quadrature_rule(kernel, quad_step)
+    span = max(1, integrators._LOOKAHEAD_POINTS // lags.size)
+    first, block = 0, []
+
+    def lookup(i, x):
+        nonlocal first, block
+        if 0 <= i - first < len(block):
+            return block[i - first]
+        ts = times[i: i + span]
+        ready = int(np.count_nonzero(
+            ts - lags[0] <= grid.t0 + max(final[i], 0) * grid.h))
+        us = ts[: max(ready, 1), None] - lags
+        n_past = int(np.count_nonzero(us[:, 0] <= grid.t0))
+        values = []
+        for part in (us[:n_past], us[n_past:]):
+            if part.size:
+                rows = grid.eval_many(part.ravel()).reshape(*part.shape, -1)
+                values += [r[0] if wd is None else wd @ r for r in rows]
+        first, block = i, values[:ready]
+        return values[0]
+
+    return lookup
+
+
+def _assert_equals_array_form(run, monkeypatch, *names):
+    """``run()`` with the float forms, and with the array forms of the
+    integrators functions ``names``, bit for bit."""
+    array_forms = {"_frac_loop": _array_frac_loop,
+                   "_delayed_argument": _array_delayed_argument}
+    fast = run()
+    with monkeypatch.context() as m:
+        for name in names:
+            m.setattr(integrators, name, array_forms[name])
+        ref = run()
+    # tobytes also tells signed zeros apart
+    assert fast.states.tobytes() == ref.states.tobytes()
+    assert fast.derivs.tobytes() == ref.derivs.tobytes()
+    assert fast.meta == ref.meta
+
+
+#: a dim-3 and a dim-1 Caputo field and their start states
+FRAC_FIELDS = {
+    3: (lambda x: models.rhs_classical(P321, x), [1.0, 0.5, 0.2]),
+    1: (lambda x: [0.3 * math.cos(3.0 * v) - 0.5 * v for v in x], [1.0]),
+}
+
+
+class TestFloatFracLoop:
+    """The float ABM loop and the float delayed argument against their
+    earlier array forms."""
+
+    @pytest.mark.parametrize("window", [None, 20])
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("dim", FRAC_FIELDS)
+    def test_abm_bitwise_equals_array_form(self, dim, iters, window,
+                                           monkeypatch):
+        # 300 steps: past the FFT squares of widths 64 and 128
+        rhs, x0 = FRAC_FIELDS[dim]
+        cfg = FracConfig(order=0.82, h=0.05, corrector_iters=iters,
+                         memory_window=window)
+        _assert_equals_array_form(
+            lambda: integrate_frac_abm(rhs, cfg, x0, 300 * cfg.h),
+            monkeypatch, "_frac_loop")
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("kernel", [
+        kernels.DiracKernel(0.0), kernels.DiracKernel(0.3 * H),
+        kernels.DiracKernel(30.5 * H), kernels.UniformKernel(5 * H, 0.2)],
+        ids=repr)
+    def test_frac_dde_bitwise_equals_array_form(self, kernel, iters,
+                                                monkeypatch):
+        cfg = FracConfig(order=0.8, h=H, corrector_iters=iters)
+        _assert_equals_array_form(
+            lambda: integrate_frac_dde(_rigid_pair, cfg, kernel,
+                                       PHIS["callable"], 1.37),
+            monkeypatch, "_frac_loop", "_delayed_argument")
+
+    @pytest.mark.parametrize("kernel", [
+        kernels.DiracKernel(0.3 * H), kernels.DiracKernel(50.5 * H),
+        kernels.UniformKernel(0.0, 0.37), kernels.UniformKernel(50 * H, 0.37)],
+        ids=repr)
+    def test_dde_bitwise_equals_array_xd(self, kernel, monkeypatch):
+        _assert_equals_array_form(
+            lambda: integrate_dde(_rigid_pair, kernel, PHIS["callable"], 1.37,
+                                  H),
+            monkeypatch, "_delayed_argument")
+
+    def test_zero_lag_frac_dde_writes_no_grid(self, monkeypatch):
+        puts = []
+        put = integrators._RunningGrid.put
+
+        def counted(grid, k, *args):
+            puts.append(k)
+            put(grid, k, *args)
+
+        monkeypatch.setattr(integrators._RunningGrid, "put", counted)
+        cfg = FracConfig(order=0.8, h=H)
+        integrate_frac_dde(_rigid_pair, cfg, kernels.DiracKernel(0.0),
+                           PHIS["constant"], 0.5)
+        assert puts == []
+        # a lagged run does read the grid, so it writes every iterate
+        integrate_frac_dde(_rigid_pair, cfg, kernels.DiracKernel(H),
+                           PHIS["constant"], 0.5)
+        assert len(puts) == 1 + 50 * (cfg.corrector_iters + 1)
 
 
 NEXT_ABOVE = math.nextafter(1e8, math.inf)
@@ -843,7 +1044,8 @@ class TestDivergenceCheck:
         "rk4": lambda x0: integrate_rk4(lambda x: [0.0, 0.0, 0.0], x0, 0.2,
                                         0.1),
         "abm": lambda x0: integrate_frac_abm(
-            lambda x: np.zeros(3), FracConfig(order=0.8, h=0.1), x0, 0.2),
+            lambda x: [0.0, 0.0, 0.0], FracConfig(order=0.8, h=0.1), x0,
+            0.2),
     }
 
     @pytest.mark.parametrize("case", CASES)
