@@ -12,7 +12,11 @@ Four integration paths are provided:
 
 Every path steps over Python floats: a field gets the state, and a delayed
 field also the delayed argument, as a list of floats, and may return any
-length-dim sequence.
+length-dim sequence.  The per-step componentwise arithmetic (RK4 stages
+and combination, chain relaxation, ABM predictor and corrector, the
+divergence norm) runs in straight-line kernels generated once per state
+dimension from fixed templates, in the order of operations of the array
+form, so every result is bitwise that of the array loops.
 
 Every integrator emits a :class:`Trajectory`: uniformly spaced samples with
 a derivative estimate per node and per-sample diagnostics recomputed from
@@ -23,7 +27,9 @@ for one state and for a table; each runs once per trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,12 +76,60 @@ def _n_steps(span: float, h: float) -> int:
     return n
 
 
-def _check_state(x, t: float) -> None:
-    # NaN fails the comparison and an overflowing square gives inf, so this
-    # also rejects non-finite and overflowing states
-    if not math.sqrt(sum(v * v for v in x)) <= DIVERGENCE_NORM:
-        raise DivergenceError(
-            f"state diverged; last valid time t = {t:.6g}", t_last=t)
+def _diverged(t: float) -> DivergenceError:
+    """The error of a state whose norm is not <= DIVERGENCE_NORM.
+
+    The loops test ``not sqrt(squares(x)) <= DIVERGENCE_NORM``: NaN fails
+    the comparison and an overflowing square gives inf, so non-finite and
+    overflowing states are rejected too.
+    """
+    return DivergenceError(f"state diverged; last valid time t = {t:.6g}",
+                           t_last=t)
+
+
+#: Templates of the componentwise step kernels (see _componentwise), each
+#: written like a lambda: the scalar ``s`` and the lists it takes, then the
+#: value of one component.
+_STAGE = "s, a, b: a + s * b"
+_COMBINE = "s, a, b, c, d, e: a + s * (b + 2.0 * (c + d) + e)"
+_CORRECT = "s, a, b, c: a + s * (b + c)"
+_RELAX = "s, a, b: s * (a - b)"
+_SQUARES = "a: sum(a * a)"
+
+
+@functools.cache
+def _componentwise(expr: str, dim: int):
+    """The template ``expr`` as straight-line code for ``dim`` components.
+
+    ``expr`` is one of the module templates above and ``dim`` an int;
+    nothing else reaches ``exec``.  The function unpacks each list
+    argument once (a list of another length raises ValueError), writes
+    one line per component and returns the list of the components, or for
+    a ``sum(...)`` template their sum in index order (0.0 at dim 0).  Every
+    component keeps the template's order of operations, so it is bitwise
+    the value of the ``zip`` comprehension over the lists.  Built on the
+    first run of a dimension and cached per (expr, dim), as
+    :func:`collections.namedtuple` builds its methods.
+    """
+    params, body = expr.split(": ")
+    lists = [p for p in params.split(", ") if p != "s"]
+    summed = body.startswith("sum(")
+    if summed:
+        body = body[4:-1]
+    name = re.compile(r"\b(%s)\b" % "|".join(lists))
+    terms = [name.sub(rf"\g<1>{i}", body) for i in range(dim)]
+    if summed:
+        result = " + ".join(terms) or "0.0"
+    else:
+        result = "[" + ", ".join(terms) + "]"
+    lines = [f"def kernel({params}):"]
+    lines += [f"    [{', '.join(f'{v}{i}' for i in range(dim))}] = {v}"
+              for v in lists]
+    lines.append(f"    return {result}")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<componentwise {expr!r}, {dim}>",
+                 "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _hermite_eval(t0, h, states, derivs, count, ts, slack=0.0):
@@ -259,27 +313,38 @@ def _rk4_loop(field, grid: _RunningGrid, x0: list, n: int, h: float) -> None:
     """Node 0 and classical RK4 steps 0..n-1 for dx/dt = field(i, x).
 
     ``x0`` and every state ``field`` gets are lists of floats; the
-    stages are formed componentwise in the order of the array form, so the
-    result is the same to the bit.  ``i`` numbers the field's times as
-    :func:`_rk4_lookups` lists them.  Each new node is put with its k4
-    slope, so that a delayed lookup inside ``field`` at the new node sees
-    the finished step; its own slope then replaces k4.
+    stages are formed by the componentwise kernels in the order of the
+    array form, so the result is the same to the bit.  ``i`` numbers the
+    field's times as :func:`_rk4_lookups` lists them.  Without a history
+    (``grid.phi`` None) nothing reads the grid while it runs, and each new
+    node is written once with its own slope; otherwise it is put with its
+    k4 slope first, so that a delayed lookup inside ``field`` at the new
+    node sees the finished step, and its own slope then replaces k4.
     """
     half = 0.5 * h
     sixth = h / 6.0
+    dim = len(x0)
+    stage = _componentwise(_STAGE, dim)
+    combine = _componentwise(_COMBINE, dim)
+    squares = _componentwise(_SQUARES, dim)
+    reads_grid = grid.phi is not None
     put, derivs = grid.put, grid.derivs
     x = x0
     k1 = field(0, x)
     put(0, x, k1)
     for k in range(n):
-        k2 = field(2 * k + 1, [a + half * b for a, b in zip(x, k1)])
-        k3 = field(2 * k + 1, [a + half * b for a, b in zip(x, k2)])
-        k4 = field(2 * k + 2, [a + h * b for a, b in zip(x, k3)])
-        x = [a + sixth * (b + 2.0 * (c + d) + e)
-             for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-        _check_state(x, k * h)
-        put(k + 1, x, k4)
-        k1 = derivs[k + 1] = field(2 * k + 2, x)
+        k2 = field(2 * k + 1, stage(half, x, k1))
+        k3 = field(2 * k + 1, stage(half, x, k2))
+        k4 = field(2 * k + 2, stage(h, x, k3))
+        x = combine(sixth, x, k1, k2, k3, k4)
+        if not math.sqrt(squares(x)) <= DIVERGENCE_NORM:
+            raise _diverged(k * h)
+        if reads_grid:
+            put(k + 1, x, k4)
+            k1 = derivs[k + 1] = field(2 * k + 2, x)
+        else:
+            k1 = field(2 * k + 2, x)
+            put(k + 1, x, k1)
 
 
 def _rk4_lookups(n: int, h: float):
@@ -434,9 +499,11 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
     y0 = np.concatenate([x0] + stage0)
 
     # y = (x, eta1[, eta2]): stage s relaxes towards the one before it
+    relax = _componentwise(_RELAX, dim * chain.stages)
+
     def aug_rhs(y):
         return (*rhs_pair(y[:dim], y[-dim:]),
-                *[rate * (a - b) for a, b in zip(y[:-dim], y[dim:])])
+                *relax(rate, y[:-dim], y[dim:]))
 
     return integrate_rk4(aug_rhs, y0, t_end, h,
                          diagnostics=diagnostics, core_dim=dim)
@@ -519,8 +586,8 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
     value of node k: node 0, then for each new node its predicted and
     corrected iterates and finally its accepted value.  ``x`` is a list of
     floats and the result any length-dim sequence; the predictor and
-    corrector are formed componentwise in the order of the array form, so
-    the result is the same to the bit.
+    corrector are formed by the componentwise kernels in the order of the
+    array form, so the result is the same to the bit.
 
     Step s needs the lag sums sum_j w[s - j] g_j over j <= s of the
     predictor and corrector weights (zero at lags >= memory_window).
@@ -549,6 +616,9 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
         spectra[width] = np.fft.rfft(lag_w[: 2 * width], 2 * width, axis=0)
         width *= 2
     dim = x0.size
+    stage = _componentwise(_STAGE, dim)
+    correct = _componentwise(_CORRECT, dim)
+    squares = _componentwise(_SQUARES, dim)
     states = np.empty((n + 1, dim))
     gs = np.empty((n + 1, dim))
     x0 = states[0] = x0.tolist()
@@ -566,11 +636,11 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
             _add_square(far, gs, spectra, step)
         pred, hist = (far[step] + near_w[:, block - 1 - r:]
                       @ gs[step - r: step + 1]).tolist()
-        xc = [a + pred_scale * b for a, b in zip(x0, pred)]
+        xc = stage(pred_scale, x0, pred)
         for _ in range(cfg.corrector_iters):
-            xc = [a + corr_scale * (b + c)
-                  for a, b, c in zip(x0, eval_g(step + 1, xc), hist)]
-        _check_state(xc, step * h)
+            xc = correct(corr_scale, x0, eval_g(step + 1, xc), hist)
+        if not math.sqrt(squares(xc)) <= DIVERGENCE_NORM:
+            raise _diverged(step * h)
         states[step + 1] = xc
         gs[step + 1] = eval_g(step + 1, xc)
         if window is not None:

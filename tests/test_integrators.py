@@ -1,5 +1,10 @@
 import gc
+import inspect
 import math
+import os
+import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -891,7 +896,7 @@ def _array_frac_loop(cfg, x0, n, eval_g):
         hist = sums[1]
         for _ in range(cfg.corrector_iters):
             xc = x0 + corr_scale * (as_array(step + 1, xc) + hist)
-        integrators._check_state(xc.tolist(), step * h)
+        _array_check_state(xc, step * h)
         states[step + 1] = xc
         g = gs[step + 1] = as_array(step + 1, xc)
         if window is not None:
@@ -983,17 +988,31 @@ class TestFloatFracLoop:
             lambda: integrate_frac_abm(rhs, cfg, x0, 300 * cfg.h),
             monkeypatch, "_frac_loop")
 
-    @pytest.mark.parametrize("iters", [1, 3])
-    @pytest.mark.parametrize("kernel", [
+    FRAC_DDE_KERNELS = [
         kernels.DiracKernel(0.0), kernels.DiracKernel(0.3 * H),
-        kernels.DiracKernel(30.5 * H), kernels.UniformKernel(5 * H, 0.2)],
-        ids=repr)
+        kernels.DiracKernel(30.5 * H), kernels.UniformKernel(5 * H, 0.2)]
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("kernel", FRAC_DDE_KERNELS, ids=repr)
     def test_frac_dde_bitwise_equals_array_form(self, kernel, iters,
                                                 monkeypatch):
         cfg = FracConfig(order=0.8, h=H, corrector_iters=iters)
         _assert_equals_array_form(
             lambda: integrate_frac_dde(_rigid_pair, cfg, kernel,
                                        PHIS["callable"], 1.37),
+            monkeypatch, "_frac_loop", "_delayed_argument")
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("kernel", FRAC_DDE_KERNELS, ids=repr)
+    def test_planar_frac_dde_bitwise_equals_array_form(self, kernel, iters,
+                                                       monkeypatch):
+        # dim 2, the planar-19 pair: each dimension runs its own kernels
+        cfg = FracConfig(order=0.8, h=H, corrector_iters=iters)
+        phi = _history_from_callable(lambda s: np.array(
+            [0.3 + 0.1 * math.sin(3 * s), 0.4 * math.cos(s)]))
+        _assert_equals_array_form(
+            lambda: integrate_frac_dde(cli._lagged_cross_pair((0.7, 0.4)),
+                                       cfg, kernel, phi, 1.37),
             monkeypatch, "_frac_loop", "_delayed_argument")
 
     @pytest.mark.parametrize("kernel", [
@@ -1059,3 +1078,130 @@ class TestDivergenceCheck:
             with pytest.raises(DivergenceError) as info:
                 self.RUNS[run](x0)
             assert info.value.t_last == 0.0
+
+
+def _zip_combine(s, a, b, c, d, e):
+    return [x + s * (y + 2.0 * (z + u) + v)
+            for x, y, z, u, v in zip(a, b, c, d, e)]
+
+
+def _index_order_squares(a):
+    # sum(v * v for v in a) on Python 3.11; newer sum() compensates
+    total = 0.0
+    for v in a:
+        total += v * v
+    return total
+
+
+#: each componentwise template and its zip-comprehension form
+ZIP_FORMS = {
+    "stage": (integrators._STAGE,
+              lambda s, a, b: [x + s * y for x, y in zip(a, b)]),
+    "combine": (integrators._COMBINE, _zip_combine),
+    "correct": (integrators._CORRECT, lambda s, a, b, c: [
+        x + s * (y + z) for x, y, z in zip(a, b, c)]),
+    "relax": (integrators._RELAX,
+              lambda s, a, b: [s * (x - y) for x, y in zip(a, b)]),
+    "squares": (integrators._SQUARES, _index_order_squares),
+}
+
+
+#: one run of each integrator with a field that answers ``width``
+#: components for a dim-3 state
+WRONG_WIDTH_RUNS = {
+    "rk4": lambda f: integrate_rk4(lambda x: f(x, x), X111, 0.1, H),
+    "dde": lambda f: integrate_dde(f, kernels.DiracKernel(0.3 * H),
+                                   PHIS["callable"], 0.1, H),
+    "chain": lambda f: integrate_chain(
+        f, kernels.chain_reduce(kernels.ErlangKernel(3.0)), PHIS["callable"],
+        0.1, H),
+    "frac-abm": lambda f: integrate_frac_abm(
+        lambda x: f(x, x), FracConfig(order=0.8, h=H), X111, 0.1),
+    "frac-dde": lambda f: integrate_frac_dde(
+        f, FracConfig(order=0.8, h=H), kernels.DiracKernel(0.3 * H),
+        PHIS["callable"], 0.1),
+}
+
+
+class TestComponentwiseKernels:
+    """The generated straight-line kernels against their zip forms."""
+
+    SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e200]
+
+    @staticmethod
+    def _bits(value):
+        values = value if isinstance(value, list) else [value]
+        return struct.pack(f"{len(values)}d", *values)
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 6, 9])
+    @pytest.mark.parametrize("name", ZIP_FORMS)
+    def test_bitwise_equals_zip_form(self, name, dim):
+        expr, zip_form = ZIP_FORMS[name]
+        kernel = integrators._componentwise(expr, dim)
+        rng = np.random.default_rng(dim)
+        pool = (rng.standard_normal(400)
+                * 10.0 ** rng.uniform(-5, 5, 400)).tolist() + self.SPECIAL
+        params = inspect.signature(zip_form).parameters
+        for _ in range(300):
+            args = [[pool[j] for j in rng.integers(len(pool), size=dim)]
+                    for _ in params]
+            if "s" in params:
+                # the scalar: a step-like size, or any value of the pool
+                args[0] = (float(rng.uniform(1e-4, 0.1)) if rng.random() < 0.5
+                           else pool[rng.integers(len(pool))])
+            assert self._bits(kernel(*args)) == self._bits(zip_form(*args))
+
+    def test_each_kernel_compiled_once(self, monkeypatch):
+        integrators._componentwise.cache_clear()
+        sources = []
+
+        def counted(source, *args):
+            sources.append(args[0])
+            return compile(source, *args)
+
+        monkeypatch.setattr(integrators, "compile", counted, raising=False)
+        for _ in range(2):
+            FLOAT_LOOP_RUNS["classical"]()
+            FLOAT_LOOP_RUNS["chain-erlang"]()
+            FRAC_RUNS["abm"]()
+            integrate_frac_abm(FRAC_FIELDS[1][0], FracConfig(order=0.8, h=H),
+                               FRAC_FIELDS[1][1], 0.1)
+        assert len(sources) == len(set(sources))
+        tag = "<componentwise {!r}, {}>".format
+        assert set(sources) == {
+            tag(integrators._STAGE, 3), tag(integrators._COMBINE, 3),
+            tag(integrators._SQUARES, 3), tag(integrators._STAGE, 9),
+            tag(integrators._COMBINE, 9), tag(integrators._SQUARES, 9),
+            tag(integrators._RELAX, 6), tag(integrators._CORRECT, 3),
+            tag(integrators._STAGE, 1), tag(integrators._CORRECT, 1),
+            tag(integrators._SQUARES, 1)}
+
+    def test_nothing_generated_at_import(self):
+        code = ("import rigidmem.integrators as m; "
+                "print(m._componentwise.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("run", ["rk4", "abm"])
+    def test_dim_zero(self, run):
+        if run == "rk4":
+            traj = integrate_rk4(lambda x: (), [], 1.0, 0.1)
+        else:
+            traj = integrate_frac_abm(lambda x: (),
+                                      FracConfig(order=0.8, h=0.1), [], 1.0)
+        assert traj.states.shape == traj.derivs.shape == (11, 0)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    @pytest.mark.parametrize("run", WRONG_WIDTH_RUNS)
+    def test_wrong_width_field_rejected_at_node_0(self, run, width):
+        calls = []
+
+        def field(x, xd):
+            calls.append(1)
+            return (0.0,) * width
+
+        with pytest.raises(ValueError, match="broadcast"):
+            WRONG_WIDTH_RUNS[run](field)
+        assert len(calls) == 1
