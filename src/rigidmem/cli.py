@@ -20,7 +20,9 @@ blocks (full-line ``#`` comments allowed).  Sections:
 ``[run]``
     ``x0`` (comma-separated components, also the constant history),
     ``t_end`` (0 or a whole number of steps), ``step``; optional
-    ``quad_step``.
+    ``quad_step`` (> 0), the Simpson step of a kernel average over a
+    history that is not constant.  The CLI's history is always the
+    constant ``x0``, whose averages are exact, so it changes no result.
 ``[output]``
     Optional ``path`` (the ``--out`` flag wins).
 ``[stability]``

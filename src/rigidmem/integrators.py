@@ -4,8 +4,9 @@ Four integration paths are provided:
 
 * classical fixed-step RK4 for ordinary systems,
 * method-of-steps RK4 for distributed-delay systems, where the delayed
-  argument is read in batches from the stored trajectory (cubic Hermite
-  dense output) and the initial function,
+  argument is read from the stored trajectory (cubic Hermite dense
+  output) and the initial function: a uniform kernel's average as the
+  exact running integral of that interpolant, a Dirac lag in batches,
 * an exact ODE chain augmentation for exponential and Erlang kernels,
 * the fractional Adams-Bashforth-Moulton predictor-corrector for Caputo
   systems, with and without a delayed argument.
@@ -95,6 +96,15 @@ _COMBINE = "s, a, b, c, d, e: a + s * (b + 2.0 * (c + d) + e)"
 _CORRECT = "s, a, b, c: a + s * (b + c)"
 _RELAX = "s, a, b: s * (a - b)"
 _SQUARES = "a: sum(a * a)"
+#: the running integral of a uniform kernel (see _uniform_average): one
+#: cell's integral, a partial cell's, the prefix sum and its rounding
+#: error (Knuth's two-sum: c = a + b rounded, the error carried in d), and
+#: the window average
+_CELL = "s1, s2, a, b, c, d: s1 * (a + c) + s2 * (b - d)"
+_PARTIAL = "s0, s1, s2, s3, a, b, c, d: s0 * a + s1 * b + s2 * c + s3 * d"
+_SUM = "a, b: a + b"
+_CARRY = "a, b, c, d: d + ((a - (c - (c - a))) + (b - (c - a)))"
+_WINDOW = "s, a, b, c, d, e, f, g: (g + (((a - b) + (c - d)) + (e - f))) / s"
 
 
 @functools.cache
@@ -102,7 +112,8 @@ def _componentwise(expr: str, dim: int):
     """The template ``expr`` as straight-line code for ``dim`` components.
 
     ``expr`` is one of the module templates above and ``dim`` an int;
-    nothing else reaches ``exec``.  The function unpacks each list
+    nothing else reaches ``exec``.  Parameters named ``s...`` are scalars,
+    all others lists.  The function unpacks each list
     argument once (a list of another length raises ValueError), writes
     one line per component and returns the list of the components, or for
     a ``sum(...)`` template their sum in index order (0.0 at dim 0).  Every
@@ -112,7 +123,7 @@ def _componentwise(expr: str, dim: int):
     :func:`collections.namedtuple` builds its methods.
     """
     params, body = expr.split(": ")
-    lists = [p for p in params.split(", ") if p != "s"]
+    lists = [p for p in params.split(", ") if not p.startswith("s")]
     summed = body.startswith("sum(")
     if summed:
         body = body[4:-1]
@@ -279,6 +290,10 @@ class _RunningGrid:
             else:
                 derivs[k - 1] = (states[k] - states[k - 2]) / (2 * self.h)
 
+    def cell(self, j: int):
+        """States and slopes of nodes j and j + 1, as lists of floats."""
+        return self.states[j: j + 2].tolist(), self.derivs[j: j + 2].tolist()
+
     def eval_many(self, us) -> np.ndarray:
         us = np.asarray(us, dtype=float)
         past = us <= self.t0
@@ -379,7 +394,7 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
 
 
 #: most history points one batched lookup evaluates, so that a long lag or
-#: a wide kernel does not scale the lookahead's memory
+#: a many-node rule does not scale the lookahead's memory
 _LOOKAHEAD_POINTS = 1 << 12
 
 
@@ -394,13 +409,17 @@ def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
     Lookup i is at time ``times[i]`` (nondecreasing), when nodes up to
     ``final[i]`` hold their final state and slope.  A zero-lag Dirac kernel
     returns the stage state itself, so the run reduces bitwise to the
-    delay-free scheme; a Dirac kernel samples the lagged time; any other
-    kernel averages the history by quadrature with ``quad_step`` (by default
-    h, at most 1/16 of the support).  A lookup that reads only final nodes
-    is evaluated in one batch with the next such lookups and served from
-    it; any other alone.  Hermite evaluation is elementwise, so each value
-    is bitwise that of a lone lookup.  Values are lists of floats.
+    delay-free scheme; a uniform kernel takes the exact window average of
+    :func:`_uniform_average`; a Dirac kernel samples the lagged time; any
+    other kernel averages the history by Simpson quadrature with
+    ``quad_step`` (by default h, at most 1/16 of the support).  For these
+    two, a lookup that reads only final nodes is evaluated in one batch
+    with the next such lookups and served from it; any other alone.
+    Hermite evaluation is elementwise, so each value is bitwise that of a
+    lone lookup.  Values are lists of floats.
     """
+    if isinstance(kernel, _kern.UniformKernel):
+        return _uniform_average(kernel, grid, quad_step, times, final)
     if isinstance(kernel, _kern.DiracKernel):
         if kernel.lag == 0.0:
             return _stage_state
@@ -408,7 +427,7 @@ def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
     else:
         if quad_step is None:
             lo, hi = _kern.effective_support(kernel)
-            quad_step = min(grid.h, (hi - lo) / 16.0) if hi > lo else grid.h
+            quad_step = min(grid.h, (hi - lo) / 16.0)
         lags, wd = _kern.quadrature_rule(kernel, quad_step)
     span = max(1, _LOOKAHEAD_POINTS // lags.size)
     first, block = 0, []
@@ -436,6 +455,129 @@ def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
     return lookup
 
 
+def _simpson(phi: HistorySpec, a: float, b: float, step: float) -> list:
+    """Composite Simpson integral of phi over [a, b], step at most ``step``."""
+    s, weights = _kern.simpson_rule(a, b, step)
+    return (weights @ phi.eval_many(s)).tolist()
+
+
+def _uniform_average(kernel, grid: _RunningGrid, quad_step, times, final):
+    """The delayed argument of a uniform kernel: the exact average of the
+    history over the window [t - offset - width, t - offset].
+
+    On the grid it is the integral of the cubic Hermite interpolant, taken
+    as the difference of its antiderivative A(u) over [t0, u] at the two
+    ends.  A(u) is a prefix sum over whole cells, each
+    h/2 (x_k + x_k+1) + h^2/12 (f_k - f_k+1), plus the closed-form
+    integral of the partial cell at u (past the last node, of the extended
+    last piece, as the grid extrapolates).  A cell enters the prefix once
+    both its nodes are final, as they finish; the prefix carries its
+    rounding error (two-sum), so the error of a window does not grow with
+    t.  Before t0 the integral is c times the length for a constant phi,
+    exactly, and composite Simpson with ``quad_step`` (by default h, at
+    most width/16) otherwise.  Every lookup costs O(1) on the grid; one
+    that reads only final nodes is kept for a repeat of the same i.
+    """
+    t0, h, phi = grid.t0, grid.h, grid.phi
+    offset, width = kernel.offset, kernel.width
+    if quad_step is None:
+        quad_step = min(h, width / 16.0)
+    const = (phi.eval_many(np.array([t0]))[0].tolist() if phi.is_constant
+             else None)
+    dim = grid.states.shape[1]
+    cell_sum = _componentwise(_CELL, dim)
+    partial = _componentwise(_PARTIAL, dim)
+    add = _componentwise(_SUM, dim)
+    carry = _componentwise(_CARRY, dim)
+    window = _componentwise(_WINDOW, dim)
+    hh = h * h
+    half, twelfth = 0.5 * h, hh / 12.0
+    zero = [0.0] * dim
+    # pre[k] = (hi, lo): the integral over [t0, t_k] is hi + lo; hi and lo
+    # are also the newest row, pre[done]
+    pre = np.zeros((grid.states.shape[0], 2, dim))
+    done, hi, lo = 0, zero, zero
+    times, final = times.tolist(), final.tolist()
+    kept_i, kept = -1, None
+
+    def whole_cell(j):
+        (xa, xb), (fa, fb) = grid.cell(j)
+        return cell_sum(half, twelfth, xa, fa, xb, fb)
+
+    def extend(last):
+        nonlocal done, hi, lo
+        while done < last:
+            c = whole_cell(done)
+            total = add(hi, c)
+            lo = carry(hi, c, total, lo)
+            hi = total
+            done += 1
+            pre[done] = hi, lo
+
+    def integral_to(pos, last):
+        """A(t0 + pos*h) for pos > 0 as (hi, lo, rest): the prefix to a
+        node m <= last, and the rest of the way."""
+        if grid.count == 1:
+            # node 0 alone: the grid extends it along its slope
+            x0, f0 = grid.states[0].tolist(), grid.derivs[0].tolist()
+            return zero, zero, partial(h * pos, 0.5 * hh * pos * pos,
+                                       0.0, 0.0, x0, f0, x0, f0)
+        # a node is the end of the cell before it, so that a window ending
+        # at a final node reads final nodes only
+        j = min(math.ceil(pos) - 1, grid.count - 2)
+        (xa, xb), (fa, fb) = grid.cell(j)
+        # h times the antiderivatives of the Hermite basis over [0, theta]
+        # (theta past 1 extends the piece):  H00 = theta - theta^3 +
+        # theta^4/2, H10 = theta^2/2 - 2 theta^3/3 + theta^4/4,
+        # H01 = theta^3 - theta^4/2, H11 = theta^4/4 - theta^3/3; the
+        # slope weights take h once more
+        t1 = pos - j
+        t2 = t1 * t1
+        t3 = t2 * t1
+        t4 = t2 * t2
+        rest = partial(h * (t1 - t3 + 0.5 * t4),
+                       hh * (0.5 * t2 - 2.0 / 3.0 * t3 + 0.25 * t4),
+                       h * (t3 - 0.5 * t4), hh * (0.25 * t4 - t3 / 3.0),
+                       xa, fa, xb, fb)
+        if j < last:
+            return (*pre[j].tolist(), rest)
+        # the prefix ends at node last (== done); whole cells after it are
+        # not final and are added as they stand
+        for k in range(last, j):
+            rest = add(rest, whole_cell(k))
+        return hi, lo, rest
+
+    def lookup(i, x):
+        nonlocal kept_i, kept
+        if i == kept_i:
+            return kept
+        b = times[i] - offset
+        a = b - width
+        last = max(final[i], 0)
+        if done < last:
+            extend(last)
+        pos_b = (b - t0) / h
+        if b <= t0:
+            value = (const if const is not None else
+                     [v / width for v in _simpson(phi, a, b, quad_step)])
+        else:
+            b_hi, b_lo, b_rest = integral_to(pos_b, last)
+            if a > t0:
+                a_hi, a_lo, a_rest = integral_to((a - t0) / h, last)
+                past = zero
+            else:
+                a_hi = a_lo = a_rest = zero
+                past = ([v * (t0 - a) for v in const] if const is not None
+                        else _simpson(phi, a, t0, quad_step))
+            value = window(width, b_hi, a_hi, b_lo, a_lo, b_rest, a_rest,
+                           past)
+        if pos_b <= last:
+            kept_i, kept = i, value
+        return value
+
+    return lookup
+
+
 def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
                   quad_step=None, diagnostics=None) -> Trajectory:
     """Method-of-steps RK4 for dx/dt = rhs_pair(x, xd) with delayed xd.
@@ -445,10 +587,18 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     derivative as any length-dim sequence.
 
     At every stage the delayed argument xd is the kernel-weighted average
-    of the stored trajectory and phi; Dirac kernels sample the lagged time
-    exactly, and a zero-lag Dirac kernel substitutes the stage state itself
-    so the run reduces bitwise to the ordinary RK4 path.  With support from
-    lag >= h, the stages of the next lag/h steps are read in one batch.
+    of the stored trajectory (cubic Hermite, the last piece extended
+    within a step) and phi.  A uniform kernel averages exactly: the
+    integral of the interpolant over its window, from a running prefix
+    sum over finished cells, costs O(1) per stage at any offset and
+    width; ``quad_step`` (by default h, at most width/16) is the Simpson
+    step of the window's part before 0 when phi is not constant.  Dirac
+    kernels sample the lagged time exactly, and a zero-lag Dirac kernel
+    substitutes the stage state itself so the run reduces bitwise to the
+    ordinary RK4 path; with a lag >= h, the stages of the next lag/h steps
+    are read in one batch.  Any other kernel is averaged by Simpson
+    quadrature with ``quad_step`` (by default h, at most 1/16 of its
+    support).
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.
@@ -689,7 +839,9 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     floats on every call and returns the Caputo derivative as any
     length-dim sequence.  The delayed argument at each node is the kernel
     average over the grid (Hermite-interpolated, finite-difference slopes)
-    and phi; the current step's provisional value participates so
+    and phi, read as in :func:`integrate_dde`: a uniform kernel's exactly,
+    at O(1) per node, ``quad_step`` serving only phi's part when phi is not
+    constant.  The current step's provisional value participates so
     short-range kernels see a consistent sliver.  A zero-lag Dirac kernel
     passes x itself as xd, which reduces the scheme bitwise to
     :func:`integrate_frac_abm`.
@@ -756,9 +908,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     table = np.column_stack([traj.times, traj.states[:, :core],
                              *traj.diagnostics.values(),
                              traj.states[:, core:]])
-    row_fmt = ",".join(["%.17g"] * len(cols))
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for lo in range(0, len(table), _CSV_CHUNK):
-            rows = table[lo: lo + _CSV_CHUNK].tolist()
-            fh.write("\n".join([row_fmt % tuple(row) for row in rows]) + "\n")
+            chunk = table[lo: lo + _CSV_CHUNK]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))

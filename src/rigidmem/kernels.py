@@ -199,14 +199,10 @@ def _eval_history(history, times: np.ndarray) -> np.ndarray:
                      for t in times])
 
 
-def quadrature_rule(kernel: DelayKernel, quad_step: float):
-    """Composite Simpson nodes ``s``, step at most ``quad_step``, on the
-    effective support, and weights ``wd`` with the density folded in: the
-    kernel average of a history x is ``wd @ x(t - s)``."""
-    if not (quad_step > 0):
-        raise ValueError("quad_step must be > 0")
-    lo, hi = effective_support(kernel)
-    n = max(2, int(math.ceil((hi - lo) / quad_step)))
+def simpson_rule(lo: float, hi: float, step: float):
+    """Composite Simpson nodes on [lo, hi], step at most ``step`` and an
+    even number (>= 2) of intervals, and their weights."""
+    n = max(2, int(math.ceil((hi - lo) / step)))
     if n % 2:
         n += 1
     s = np.linspace(lo, hi, n + 1)
@@ -214,6 +210,16 @@ def quadrature_rule(kernel: DelayKernel, quad_step: float):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= (hi - lo) / n / 3.0
+    return s, weights
+
+
+def quadrature_rule(kernel: DelayKernel, quad_step: float):
+    """Composite Simpson nodes ``s``, step at most ``quad_step``, on the
+    effective support, and weights ``wd`` with the density folded in: the
+    kernel average of a history x is ``wd @ x(t - s)``."""
+    if not (quad_step > 0):
+        raise ValueError("quad_step must be > 0")
+    s, weights = simpson_rule(*effective_support(kernel), quad_step)
     return s, weights * density(kernel, s)
 
 

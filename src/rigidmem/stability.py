@@ -3,9 +3,9 @@
 Linearizations are complex-step Jacobians of each kind's own field at an
 axis equilibrium.  Covers the fractional rigid body's quadratics in
 w = lambda^order (sector condition), the delayed Euler-Poincare system's
-characteristic function with its critical-delay bound and exact first
-crossing, and argument-principle root counting for the scalar and planar
-fractional-delay benchmarks.
+characteristic function with the paper's critical-delay formula and the
+exact first crossing, and argument-principle root counting for the scalar
+and planar fractional-delay benchmarks.
 """
 
 from __future__ import annotations
@@ -216,11 +216,12 @@ def char_ep_eval(s: _models.InertiaSetup, kernel, lam):
 
 
 def tau_c_formula(s: _models.InertiaSetup) -> float:
-    """Sufficient critical-delay bound for the sharp-lag kernel.
+    """The paper's critical-delay formula for the sharp-lag kernel.
 
-    Requires I1 > I2 and I1 > I3, nonzero coupling and m.  This bound is
-    exposed side by side with the exact first crossing from
-    :func:`critical_delay_scan`; the two need not coincide.
+    Requires I1 > I2 and I1 > I3, nonzero coupling and m.  It is not a
+    bound: at I = (3, 2, 1) it gives 2.5 against the exact first crossing
+    3*pi/5 = 1.885, and it can lie on either side.  It is reported side by
+    side with the exact first crossing from :func:`critical_delay_scan`.
     """
     I1, I2, I3 = s.I1, s.I2, s.I3
     if not (I1 > I2 and I1 > I3):

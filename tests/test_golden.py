@@ -627,26 +627,26 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.38820998200083728, 0.081875476841620706, 0.36920698313318367\n'
+        'endpoint_x = 0.38820973509132983, 0.081875306705650505, 0.36920706459884017\n'
         'h_drift_rel = 1.145e-01\n'
         'c_drift_rel = 8.787e-02\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '90c416ed520080b6a7f83fb4517af9271a84c9659de4d292ed033fbe536ec2e5'}),
+        {'out': '0771e06f700a97b4bc9b03716501c8f686709ecd7cc57c94d3eb4d4b0fbd21ed'}),
     'delayed-uniform-simulate': (
         0,
         'kind = delayed\n'
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.3882097350924677, 0.081875306721330657, 0.36920706457857705\n'
+        'endpoint_x = 0.38820973509132983, 0.081875306705650505, 0.36920706459884017\n'
         'h_drift_rel = 1.145e-01\n'
         'c_drift_rel = 8.787e-02\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '4a488d047b290bc1336ab571dc9de926e920168c9e8f256cec4bb2ce82e3377d'}),
+        {'out': '0771e06f700a97b4bc9b03716501c8f686709ecd7cc57c94d3eb4d4b0fbd21ed'}),
     'ep-delayed-coupling0-stability': (
         0,
         'kind = ep-delayed\n'
@@ -777,13 +777,13 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.33338725421840176, 0.0057883886213821577, 0.006513582048688276\n'
+        'endpoint_x = 0.33338725421840226, 0.0057883886213200902, 0.006513582048687459\n'
         'h_drift_rel = 2.479e-04\n'
-        'c_drift_rel = 1.110e-15\n'
+        'c_drift_rel = 1.332e-15\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'ec87dd199fc6ec6b7ca23353e7686cec289e185ec79159f4065bf1381ea6f7f9'}),
+        {'out': '14ad0e171cac253712de56dd6b55c463986a9fce7e4a2b77ee750f36e513d625'}),
     'ep-delayed-uniform-stability': (
         0,
         'kind = ep-delayed\n'
@@ -1108,13 +1108,13 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.40406932476076718, -0.024030652772020943, 0.28271253035684241\n'
+        'endpoint_x = 0.40406932473409807, -0.02403065274217871, 0.28271253038618016\n'
         'h_drift_rel = 5.722e-02\n'
         'c_drift_rel = 9.713e-02\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '52e2d5dd867a2c81d16f2a266f0b9e0562472d3c5e2c2f7ec492f43135a7cf9f'}),
+        {'out': '33035f41f89ff2513e709fa950fb3821577c242169571b946d0f43ef91815212'}),
     'revised-simulate': (
         0,
         'kind = revised\n'

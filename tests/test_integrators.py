@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from rigidmem import cli, integrators, kernels, models
 from rigidmem.errors import DivergenceError, HistoryCoverageError
@@ -535,8 +536,18 @@ def _simpson_average(kernel, history, t, quad_step):
     return (weights * kernels.density(kernel, s)) @ history.eval_many(t - s)
 
 
+#: the delayed-argument engine, for references that call it while
+#: ``integrators._delayed_argument`` is patched
+_ENGINE = integrators._delayed_argument
+
+
 def _per_stage_delayed(kernel, grid, quad_step, times, final):
-    """Reference delayed argument: every lookup evaluated on its own."""
+    """Reference delayed argument: every lookup evaluated on its own.  A
+    uniform kernel's lookup gets a new engine, which builds its running
+    integral from the grid as it stands, for that one lookup."""
+    if isinstance(kernel, kernels.UniformKernel):
+        return lambda i, x: _ENGINE(kernel, grid, quad_step, times,
+                                    final)(i, x)
     if isinstance(kernel, kernels.DiracKernel):
         if kernel.lag == 0.0:
             return lambda i, x: x
@@ -607,9 +618,9 @@ class TestBatchedLookups:
         kernels.UniformKernel(50 * H, 0.37),
         kernels.UniformKernel(50 * H, 1.5)], ids=repr)
     def test_dde(self, kernel, phi, monkeypatch):
-        # 137 steps: no whole number of 50-step blocks.  With 151 Simpson
-        # nodes a batch holds 4096 // 151 = 27 lookups, so the batch from
-        # lookup 81 holds 21 lookups wholly in phi's past and 6 others.
+        # 137 steps: no whole number of 50-step blocks.  A uniform kernel's
+        # running integral, kept from lookup to lookup, against a new one
+        # built for every lookup from the grid as it stands.
         _assert_bitwise(lambda pair: integrate_dde(
             pair, kernel, PHIS[phi], 1.37, H), monkeypatch)
 
@@ -679,8 +690,8 @@ class TestBatchedLookups:
         assert fast_calls == ref_calls
 
     def test_lookahead_memory_bounded(self):
-        # unbounded, the 200 steps' lookups would read 400k history points
-        # at once; the lookahead evaluates at most _LOOKAHEAD_POINTS
+        # the 200 steps' lookups read 400k history points in all; a uniform
+        # kernel reads each lookup's window in phi's past on its own
         seg = Trajectory(-52.0, 0.5, np.ones((105, 3)), np.zeros((105, 3)))
         phi = _history_from_trajectory(seg)
         kernel = kernels.UniformKernel(50.0, 1.0)
@@ -692,6 +703,232 @@ class TestBatchedLookups:
             tracemalloc.stop()
         assert traj.n_samples == 201
         assert peak < 20e6
+
+
+def _hermite_piece(grid, j, c):
+    """Component c of the grid's cubic Hermite piece of cell j, as a
+    function of theta (test-local)."""
+    xa, xb = grid.states[j: j + 2, c].tolist()
+    fa, fb = (grid.h * grid.derivs[j: j + 2, c]).tolist()
+
+    def value(theta):
+        t2, t3 = theta * theta, theta**3
+        return ((2 * t3 - 3 * t2 + 1) * xa + (t3 - 2 * t2 + theta) * fa
+                + (3 * t2 - 2 * t3) * xb + (t3 - t2) * fb)
+    return value
+
+
+def _quad_window_average(grid, kernel, t):
+    """The window average by ``scipy.integrate.quad`` of the grid's
+    interpolant; phi's part exact for a constant phi and by the composite
+    Simpson rule with step h otherwise."""
+    b = t - kernel.offset
+    a = b - kernel.width
+    phi, t0, h = grid.phi, grid.t0, grid.h
+    total = np.zeros(grid.states.shape[1])
+    if a < t0:
+        e = min(b, t0)
+        if phi.is_constant:
+            total += phi(t0) * (e - a)
+        else:
+            n = max(2, math.ceil((e - a) / min(h, kernel.width / 16)))
+            n += n % 2
+            w = np.ones(n + 1)
+            w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+            total += w * (e - a) / n / 3 @ phi.eval_many(
+                np.linspace(a, e, n + 1))
+    if b > t0:
+        # cell by cell, the last piece extended, node 0's line while it is
+        # alone; one cubic per piece, so the first 21-point Gauss-Kronrod
+        # rule is exact
+        ends = [max(a, t0)] + [t0 + k * h for k in range(1, grid.count)
+                               if max(a, t0) < t0 + k * h < b] + [b]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            for c in range(total.size):
+                if grid.count == 1:
+                    x0, f0 = grid.states[0, c], grid.derivs[0, c]
+                    piece = lambda s: x0 + (s - t0) * f0
+                else:
+                    j = min(math.floor((lo - t0) / h + 1e-9), grid.count - 2)
+                    cubic = _hermite_piece(grid, j, c)
+                    piece = lambda s: cubic((s - t0) / h - j)
+                total[c] += quad(piece, lo, hi)[0]
+    return total / kernel.width
+
+
+def _write_node(grid, k, rng):
+    """Node k of a smooth history, with a random slope."""
+    s = k * grid.h
+    x = [0.3 + 0.1 * math.sin(3 * s), 0.4 * math.cos(s), 0.2 - 0.05 * s]
+    grid.put(k, x, rng.standard_normal(3))
+
+
+class TestUniformRunningIntegral:
+    """The uniform kernel's window average: the exact integral of the
+    Hermite interpolant, O(1) per lookup, rounding that does not grow."""
+
+    @pytest.mark.parametrize("phi", PHIS)
+    @pytest.mark.parametrize("offset", [0.0, 0.5 * H, H, 50 * H], ids=repr)
+    def test_matches_quad_of_hermite(self, offset, phi):
+        # RK4's order of events in step k: k2/k3 and k4 extrapolate the
+        # last piece, then node k + 1 stands with a provisional slope, then
+        # with its own
+        kernel = kernels.UniformKernel(offset, 0.057)
+        n = 60
+        grid = integrators._RunningGrid(PHIS[phi], 0.0, H, n, 3)
+        times, final = integrators._rk4_lookups(n, H)
+        lookup = integrators._delayed_argument(kernel, grid, None, times,
+                                               final)
+        rng = np.random.default_rng(11)
+        _write_node(grid, 0, rng)
+        lookup(0, None)
+        checked = 0
+        for k in range(n):
+            for i, write in ((2 * k + 1, False), (2 * k + 2, False),
+                             (2 * k + 2, True)):
+                if write:
+                    _write_node(grid, k + 1, rng)
+                value = lookup(i, None)
+                if k % 2 == 0:
+                    want = _quad_window_average(grid, kernel, times[i])
+                    assert np.max(np.abs(np.array(value) - want)) <= (
+                        1e-13 * np.max(np.abs(want))), (i, value, want)
+                    checked += 1
+            _write_node(grid, k + 1, rng)
+        assert checked == 90
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5 * H, H, 1.5 * H], ids=repr)
+    def test_fractional_order_matches_quad(self, offset):
+        # the fractional loop's order of events: node k is written (slopes
+        # by finite differences) with each iterate before its lookup, and
+        # only nodes up to k - 2 are final, so up to one whole cell past
+        # the prefix is read as it stands
+        kernel = kernels.UniformKernel(offset, 0.057)
+        n = 40
+        grid = integrators._RunningGrid(PHIS["callable"], 0.0, H, n, 3)
+        nodes = np.arange(n + 1)
+        lookup = integrators._delayed_argument(kernel, grid, None,
+                                               nodes * H, nodes - 2)
+        rng = np.random.default_rng(5)
+        for k in range(n + 1):
+            for _ in range(3 if k else 1):
+                grid.put(k, rng.uniform(0.2, 0.5, 3))
+                value = lookup(k, None)
+                want = _quad_window_average(grid, kernel, k * H)
+                assert np.max(np.abs(np.array(value) - want)) <= (
+                    1e-13 * np.max(np.abs(want))), (k, value, want)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5 * H, 50 * H], ids=repr)
+    def test_cubic_history_exact(self, offset):
+        # a cubic with its exact slopes is its own Hermite interpolant and
+        # Simpson integrates it exactly: every window average is exact
+        coef = np.array([[0.3, -0.2, 0.5], [1.0, 0.7, -0.4],
+                         [-2.0, 0.1, 0.3], [1.5, -0.6, 0.25]])
+
+        def p(s):
+            return coef.T @ np.array([1.0, s, s * s, s**3])
+
+        def mean(a, b):
+            powers = [(b**(m + 1) - a**(m + 1)) / (m + 1) for m in range(4)]
+            return coef.T @ np.array(powers) / (b - a)
+
+        phi = _history_from_callable(p)
+        kernel = kernels.UniformKernel(offset, 0.37)
+        n = 120
+        grid = integrators._RunningGrid(phi, 0.0, H, n, 3)
+        times, final = integrators._rk4_lookups(n, H)
+        lookup = integrators._delayed_argument(kernel, grid, None, times,
+                                               final)
+        slope = lambda s: coef[1] + 2 * coef[2] * s + 3 * coef[3] * s * s
+        grid.put(0, p(0.0), slope(0.0))
+        for i in range(2 * n + 1):
+            k = (i - 1) // 2
+            if i and i % 2 == 0:
+                grid.put(k + 1, p((k + 1) * H), slope((k + 1) * H))
+            b = times[i] - offset
+            if grid.count == 1 and b > 0:
+                continue  # node 0 alone: the grid extends its line
+            want = mean(b - 0.37, b)
+            assert np.max(np.abs(np.array(lookup(i, None)) - want)) <= (
+                1e-13 * np.max(np.abs(want)))
+
+    def test_rounding_does_not_grow(self):
+        # 1e5 steps: the prefix sum reaches about 1e3 while a window holds
+        # about 1.  The average stays within 1e-14 of a direct sum of the
+        # window's cells at every t; an uncompensated prefix is off by
+        # 5e-15 at t = 10 and 4e-13 at t = 1000
+        n, h, width = 100_000, H, 1.0
+        s = h * np.arange(n + 1)
+        grid = integrators._RunningGrid(HistorySpec.constant([1.0]), 0.0, h,
+                                        n, 1)
+        grid.states[:, 0] = 1.0 + 0.5 * np.sin(s)
+        grid.derivs[:, 0] = 0.5 * np.cos(s) + 1e-3 * np.sin(7 * s)
+        grid.count = n + 1
+        ts = np.array([10.0, 100.0, 1000.0]) + 0.37 * h
+        kernel = kernels.UniformKernel(0.5, width)
+        lookup = integrators._delayed_argument(
+            kernel, grid, None, ts, np.full(3, n))
+        x, f = grid.states[:, 0].tolist(), grid.derivs[:, 0].tolist()
+
+        def piece(j, lo, hi):
+            # the antiderivative of cell j's piece between thetas lo and hi
+            def anti(t):
+                return (h * (t - t**3 + t**4 / 2) * x[j]
+                        + h * h * (t * t / 2 - 2 * t**3 / 3 + t**4 / 4) * f[j]
+                        + h * (t**3 - t**4 / 2) * x[j + 1]
+                        + h * h * (t**4 / 4 - t**3 / 3) * f[j + 1])
+            return anti(hi) - anti(lo)
+
+        for i, t in enumerate(ts):
+            pa, pb = (t - 0.5 - width) / h, (t - 0.5) / h
+            ja, jb = math.floor(pa), math.floor(pb)
+            parts = [piece(ja, pa - ja, 1.0), piece(jb, 0.0, pb - jb)]
+            parts += [h / 2 * (x[k] + x[k + 1])
+                      + h * h / 12 * (f[k] - f[k + 1])
+                      for k in range(ja + 1, jb)]
+            want = math.fsum(parts) / width
+            assert abs(lookup(i, None)[0] - want) <= 1e-14 * abs(want)
+
+    def test_work_per_lookup_bounded(self, monkeypatch):
+        # history points read per field call: grid nodes and phi samples,
+        # the same bound for every width and quad_step
+        points = [0]
+        cell = integrators._RunningGrid.cell
+        hermite = integrators._hermite_eval
+
+        def counted_cell(grid, j):
+            points[0] += 2
+            return cell(grid, j)
+
+        def counted_hermite(*args, **kwargs):
+            points[0] += np.size(args[5])
+            return hermite(*args, **kwargs)
+
+        monkeypatch.setattr(integrators._RunningGrid, "cell", counted_cell)
+        monkeypatch.setattr(integrators, "_hermite_eval", counted_hermite)
+        constant = PHIS["constant"]
+
+        def counted_phi(ss):
+            points[0] += np.size(ss)
+            return constant.eval_many(ss)
+
+        phi = HistorySpec(counted_phi, 3, is_constant=True)
+        worst = {}
+        for offset in (0.0, 0.1):
+            for width, quad_step in ((0.37, None), (1.5, 1e-3)):
+                per_call = []
+
+                def pair(x, xd):
+                    per_call.append(points[0])
+                    return _rigid_pair(x, xd)
+
+                points[0] = 0
+                integrate_dde(pair, kernels.UniformKernel(offset, width),
+                              phi, 2.0, H, quad_step=quad_step)
+                worst[offset, width] = int(np.max(np.diff(per_call)))
+        # a lookup reads the cells at both window ends and adds at most one
+        # cell to the running integral
+        assert set(worst.values()) == {6}, worst
 
 
 class TestTrajectoryCsv:
@@ -915,7 +1152,11 @@ def _array_frac_loop(cfg, x0, n, eval_g):
 
 def _array_delayed_argument(kernel, grid, quad_step, times, final):
     """:func:`integrators._delayed_argument` in its earlier array form:
-    each value a (dim,) ndarray."""
+    each value a (dim,) ndarray.  A uniform kernel's running integral has
+    no array form; its values are the engine's, made arrays."""
+    if isinstance(kernel, kernels.UniformKernel):
+        lookup = _ENGINE(kernel, grid, quad_step, times, final)
+        return lambda i, x: np.array(lookup(i, x))
     if isinstance(kernel, kernels.DiracKernel):
         if kernel.lag == 0.0:
             return lambda i, x: x
@@ -1103,6 +1344,17 @@ ZIP_FORMS = {
     "relax": (integrators._RELAX,
               lambda s, a, b: [s * (x - y) for x, y in zip(a, b)]),
     "squares": (integrators._SQUARES, _index_order_squares),
+    "cell": (integrators._CELL, lambda s1, s2, a, b, c, d: [
+        s1 * (w + y) + s2 * (x - z) for w, x, y, z in zip(a, b, c, d)]),
+    "partial": (integrators._PARTIAL, lambda s0, s1, s2, s3, a, b, c, d: [
+        s0 * w + s1 * x + s2 * y + s3 * z for w, x, y, z in zip(a, b, c, d)]),
+    "sum": (integrators._SUM, lambda a, b: [x + y for x, y in zip(a, b)]),
+    "carry": (integrators._CARRY, lambda a, b, c, d: [
+        z + ((w - (y - (y - w))) + (x - (y - w)))
+        for w, x, y, z in zip(a, b, c, d)]),
+    "window": (integrators._WINDOW, lambda s, a, b, c, d, e, f, g: [
+        (v7 + (((v1 - v2) + (v3 - v4)) + (v5 - v6))) / s
+        for v1, v2, v3, v4, v5, v6, v7 in zip(a, b, c, d, e, f, g)]),
 }
 
 
@@ -1145,10 +1397,12 @@ class TestComponentwiseKernels:
         for _ in range(300):
             args = [[pool[j] for j in rng.integers(len(pool), size=dim)]
                     for _ in params]
-            if "s" in params:
-                # the scalar: a step-like size, or any value of the pool
-                args[0] = (float(rng.uniform(1e-4, 0.1)) if rng.random() < 0.5
-                           else pool[rng.integers(len(pool))])
+            for k, param in enumerate(params):
+                if param.startswith("s"):
+                    # a scalar: a step-like size, or any value of the pool
+                    args[k] = (float(rng.uniform(1e-4, 0.1))
+                               if rng.random() < 0.5
+                               else pool[rng.integers(len(pool))])
             assert self._bits(kernel(*args)) == self._bits(zip_form(*args))
 
     def test_each_kernel_compiled_once(self, monkeypatch):
