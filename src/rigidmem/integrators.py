@@ -393,8 +393,8 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
     return Trajectory(0.0, h, grid.states, grid.derivs, diag, core_dim=core)
 
 
-#: most history points one batched lookup evaluates, so that a long lag or
-#: a many-node rule does not scale the lookahead's memory
+#: most Dirac lookups one batch evaluates, so that a long lag does not
+#: scale the lookahead's memory
 _LOOKAHEAD_POINTS = 1 << 12
 
 
@@ -410,45 +410,35 @@ def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
     ``final[i]`` hold their final state and slope.  A zero-lag Dirac kernel
     returns the stage state itself, so the run reduces bitwise to the
     delay-free scheme; a uniform kernel takes the exact window average of
-    :func:`_uniform_average`; a Dirac kernel samples the lagged time; any
-    other kernel averages the history by Simpson quadrature with
-    ``quad_step`` (by default h, at most 1/16 of the support).  For these
-    two, a lookup that reads only final nodes is evaluated in one batch
-    with the next such lookups and served from it; any other alone.
-    Hermite evaluation is elementwise, so each value is bitwise that of a
-    lone lookup.  Values are lists of floats.
+    :func:`_uniform_average`; a Dirac kernel samples the lagged time, a
+    lookup that reads only final nodes in one batch with the next such
+    lookups and served from it (Hermite evaluation is elementwise, so each
+    value is bitwise that of a lone lookup); any other kernel averages the
+    history by :func:`kernels.convolve_history`, one lookup at a time, with
+    ``quad_step`` (by default h, at most 1/16 of the support).  Values are
+    lists of floats.
     """
     if isinstance(kernel, _kern.UniformKernel):
         return _uniform_average(kernel, grid, quad_step, times, final)
-    if isinstance(kernel, _kern.DiracKernel):
-        if kernel.lag == 0.0:
-            return _stage_state
-        lags, wd = np.array([kernel.lag]), None
-    else:
+    if not isinstance(kernel, _kern.DiracKernel):
         if quad_step is None:
             lo, hi = _kern.effective_support(kernel)
             quad_step = min(grid.h, (hi - lo) / 16.0)
-        lags, wd = _kern.quadrature_rule(kernel, quad_step)
-    span = max(1, _LOOKAHEAD_POINTS // lags.size)
+        return lambda i, x: _kern.convolve_history(
+            kernel, grid, times[i], quad_step).tolist()
+    lag = kernel.lag
+    if lag == 0.0:
+        return _stage_state
     first, block = 0, []
 
     def lookup(i, x):
         nonlocal first, block
         if 0 <= i - first < len(block):
             return block[i - first]
-        ts = times[i: i + span]
+        ts = times[i: i + _LOOKAHEAD_POINTS]
         ready = int(np.count_nonzero(
-            ts - lags[0] <= grid.t0 + max(final[i], 0) * grid.h))
-        us = ts[: max(ready, 1), None] - lags
-        # lookups wholly in the past get phi's own layout (a constant's has
-        # stride 0): it sets the summation order of the matrix product
-        n_past = int(np.count_nonzero(us[:, 0] <= grid.t0))
-        values = []
-        for part in (us[:n_past], us[n_past:]):
-            if part.size:
-                rows = grid.eval_many(part.ravel()).reshape(*part.shape, -1)
-                values += (rows[:, 0].tolist() if wd is None
-                           else [(wd @ r).tolist() for r in rows])
+            ts - lag <= grid.t0 + max(final[i], 0) * grid.h))
+        values = grid.eval_many(ts[: max(ready, 1)] - lag).tolist()
         first, block = i, values[:ready]
         return values[0]
 

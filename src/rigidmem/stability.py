@@ -3,9 +3,9 @@
 Linearizations are complex-step Jacobians of each kind's own field at an
 axis equilibrium.  Covers the fractional rigid body's quadratics in
 w = lambda^order (sector condition), the delayed Euler-Poincare system's
-characteristic function with the paper's critical-delay formula and the
-exact first crossing, and argument-principle root counting for the scalar
-and planar fractional-delay benchmarks.
+characteristic function with the paper's critical-delay formula, the
+exact first crossing and argument-principle root counting, and closed-form
+root counts for the scalar and planar fractional-delay benchmarks.
 """
 
 from __future__ import annotations
@@ -21,20 +21,10 @@ from . import kernels as _kern
 from . import models as _models
 
 __all__ = [
-    "STABLE",
-    "MARGINAL",
-    "UNSTABLE",
-    "CharQuadratic",
-    "StabilityReport",
-    "char_frac_equilibrium",
-    "matignon_classify",
-    "char_ep_eval",
-    "tau_c_formula",
-    "critical_delay_scan",
-    "frac_delay_char_eval",
-    "count_rhp_roots",
-    "ep_delayed_check",
-    "scalar_frac_delay_check",
+    "STABLE", "MARGINAL", "UNSTABLE", "CharQuadratic", "StabilityReport",
+    "char_frac_equilibrium", "matignon_classify", "char_ep_eval",
+    "tau_c_formula", "critical_delay_scan", "frac_delay_char_eval",
+    "count_rhp_roots", "ep_delayed_check", "scalar_frac_delay_check",
     "planar_frac_delay_check",
 ]
 
@@ -79,9 +69,9 @@ class StabilityReport:
     """Root data, sector margins, and the resulting verdict.
 
     ``margins`` holds |arg(w)| - order*pi/2 per root where applicable;
-    contour-based checks leave the root list empty and record the
-    right-half-plane count in ``metadata`` (``uncertain`` when a root lies
-    on the contour).
+    the delay checks leave the root list empty and record the
+    right-half-plane root count in ``metadata`` (``uncertain`` when a root
+    lies on the imaginary axis or the contour).
     """
 
     verdict: str
@@ -355,73 +345,88 @@ def count_rhp_roots(f, sigma_max: float = 50.0, omega_max: float = 50.0, *,
     return int(round(total / (2.0 * math.pi))), float(all_abs.min()) / scale
 
 
-def _contour_verdict(f) -> tuple[str, int | str]:
-    """(verdict, rhp_root_count) from the contour count of ``f``.
-
-    A root on or near the contour (boundary ratio below _BOUNDARY_TOL, or a
-    zero sample) makes the count meaningless: it is reported as
-    ``uncertain`` and the verdict as marginal.
-    """
-    count, boundary_ratio = count_rhp_roots(f)
-    if boundary_ratio < _BOUNDARY_TOL or count < 0:
-        return MARGINAL, "uncertain"
-    return (STABLE if count == 0 else UNSTABLE), count
-
-
 def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
     """Verdict for the delayed Euler-Poincare equilibrium under ``kernel``.
 
     Counts right-half-plane zeros of the reduced bracket of
     :func:`char_ep_eval`, built once, by the argument principle; the
-    structural lambda factor is reported as one zero root.
+    structural lambda factor is reported as one zero root.  A root near the
+    contour (boundary ratio below _BOUNDARY_TOL) makes the count
+    ``uncertain`` and the verdict marginal.
     """
     q = _ep_bracket(s)
-    verdict, count = _contour_verdict(
+    count, boundary_ratio = count_rhp_roots(
         lambda lam: _eval_bracket(q, kernel, lam))
+    if boundary_ratio < _BOUNDARY_TOL or count < 0:
+        verdict, count = MARGINAL, "uncertain"
+    else:
+        verdict = STABLE if count == 0 else UNSTABLE
     rep = StabilityReport(verdict=verdict, structural_zero_roots=1,
                           metadata={"rhp_root_count": count})
     rep._bracket = q
     return rep
 
 
+def _crossing_verdict(n0: int, omega: float, phase: float, tau: float):
+    """(verdict, rhp_root_count) at lag ``tau`` for an equation with ``n0``
+    right-half-plane roots at tau = 0 whose roots reach the imaginary axis
+    only at +-i*omega, at omega*tau = phase (mod 2 pi), a pair moving right
+    each time: n0 + 2 #{k >= 0 : 0 < phase + 2 pi k < omega tau} of them.
+    A crossing within 8 eps (relative) of omega*tau puts a root on the axis:
+    the count is ``uncertain``, the verdict marginal unless roots already
+    lie to the right."""
+    turn = 2.0 * math.pi
+    wt, phase = (omega * tau if tau else 0.0), phase % turn
+    if wt == math.inf:  # past more crossings than a float can tell apart
+        return UNSTABLE, "uncertain"
+    band = 8 * 2.0 ** -52 * max(wt, 1.0)
+    # the crossings surely below the lag, and those that may be
+    lo, hi = (max(0, math.ceil((wt + d - phase) / turn))
+              for d in (-band, band))
+    count = n0 + 2 * lo
+    if lo < hi:
+        return (UNSTABLE if count else MARGINAL), "uncertain"
+    return (UNSTABLE if count else STABLE), count
+
+
 def scalar_frac_delay_check(a: float, order: float,
                             tau: float) -> StabilityReport:
     """Verdict for the scalar fractional-delay equation D^order x = a x(t-tau).
 
-    Counts right-half-plane roots of lambda^order - a exp(-lambda tau) by
-    the argument principle.  The textbook non-resonance conditions for
-    a < 0 are recorded as metadata only; they are not trusted as ground
-    truth.
+    Closed form for lambda^order = a exp(-lambda tau): roots cross the
+    imaginary axis only at omega = |a|^(1/order), rightward
+    (Re dlambda/dtau = order omega^2 / (order^2 + tau^2 omega^2)), at
+    omega tau = -order pi/2 (mod 2 pi) for a > 0, joining the real root
+    a^(1/order), and pi - order pi/2 for a < 0; a = 0 leaves lambda = 0.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if not 0 < order <= 1:
         raise ValueError("order must lie in (0, 1]")
-
-    verdict, count = _contour_verdict(
-        lambda lam: lam**order - a * np.exp(-lam * tau))
-    metadata = {
-        "rhp_root_count": count,
-        "hypothesis_a_negative": a < 0,
-        "printed_condition": "(-a)^(1/order) != +/-((2k+1)*pi - order*pi/2)/tau",
-    }
-    if a < 0 and tau > 0:
-        r = (-a) ** (1.0 / order)
-        k_max = int(r * tau / (2.0 * math.pi)) + 2
-        gaps = [abs(r - ((2 * k + 1) * math.pi - order * math.pi / 2.0) / tau)
-                for k in range(k_max + 1)]
-        metadata["nonresonance_gap"] = min(gaps)
-    return StabilityReport(verdict=verdict, alpha=order, metadata=metadata)
+    verdict, count = MARGINAL, "uncertain"
+    if a != 0:
+        try:
+            omega = abs(a) ** (1.0 / order)
+        except OverflowError:
+            omega = math.inf
+        half = order * math.pi / 2.0
+        verdict, count = _crossing_verdict(
+            int(a > 0), omega, -half if a > 0 else math.pi - half, tau)
+    return StabilityReport(verdict=verdict, alpha=order,
+                           metadata={"rhp_root_count": count})
 
 
 def planar_frac_delay_check(k1: float, k2: float, order: float,
                             tau: float) -> StabilityReport:
     """Verdict for the planar fractional system with a lagged cross term.
 
-    D^order x = y - k1 x, D^order y = -(k1 + k2) y + x(t - tau); the verdict
-    comes from the 2x2 characteristic determinant with a sharp-lag kernel.
-    The printed sufficient condition (which contains an unbound symbol) is
-    recorded as metadata, never enforced.
+    D^order x = y - k1 x, D^order y = -(k1 + k2) y + x(t - tau): roots of
+    (w + k1)(w + k1 + k2) = exp(-lambda tau), w = lambda^order.  On
+    Re lambda >= 0 the left side's modulus is at least P = k1 (k1 + k2):
+    P > 1 is stable at every tau and order, P = 1 has the root 0.  For
+    P < 1 a positive real root exists at tau = 0, and pairs cross rightward
+    at the one s = omega^order > 0 where that modulus, growing in s, is 1,
+    at omega tau = -arg(left side) (mod 2 pi).
     """
     if k1 < 0:
         raise ValueError("k1 must be >= 0")
@@ -431,14 +436,17 @@ def planar_frac_delay_check(k1: float, k2: float, order: float,
         raise ValueError("tau must be >= 0")
     if not 0 < order <= 1:
         raise ValueError("order must lie in (0, 1]")
-    A = np.array([[-k1, 1.0], [0.0, -(k1 + k2)]])
-    B = np.array([[0.0, 0.0], [1.0, 0.0]])
-    kernel = _kern.DiracKernel(tau)
-
-    verdict, count = _contour_verdict(
-        lambda lam: frac_delay_char_eval(A, B, order, kernel, lam))
-    metadata = {
-        "rhp_root_count": count,
-        "printed_condition": "k1 > 0 and k2 > 1/k1 - k (symbol k unbound)",
-    }
-    return StabilityReport(verdict=verdict, alpha=order, metadata=metadata)
+    prod = k1 * (k1 + k2)
+    verdict, count = (STABLE, 0) if prod > 1.0 else (MARGINAL, "uncertain")
+    if prod < 1.0:
+        c = math.cos(order * math.pi / 2.0)
+        quartic = np.polymul([1.0, 2.0 * k1 * c, k1 * k1],
+                             [1.0, 2.0 * (k1 + k2) * c, (k1 + k2) ** 2])
+        # one sign change: one positive root, every other real root negative
+        s = max(r.real for r in np.roots(quartic - [0, 0, 0, 0, 1.0])
+                if r.imag == 0)
+        w = cmath.rect(s, order * math.pi / 2.0)
+        verdict, count = _crossing_verdict(
+            1, s ** (1.0 / order), -cmath.phase((w + k1) * (w + k1 + k2)), tau)
+    return StabilityReport(verdict=verdict, alpha=order,
+                           metadata={"rhp_root_count": count})

@@ -1021,7 +1021,7 @@ GOLDEN = {
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'add3aee6254f27b047482395d5590ca24a4033eff1b54f6b790a786b086ca131',
+        {'out': '5471a039cf126115cfdd49763a711576cb2281346a1da5bdbea0d070775f0312',
          'out.rows.csv': '8827c6092b67a25f470ad05c0d51389c910604efc264315d113fa1924bdf356c'}),
     'planar-19-t_end0': (
         0,
@@ -1190,7 +1190,7 @@ GOLDEN = {
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'cbeaa896013b3609cbeb17836dee93a84cdce0bce6b47ffacf4e183ab2af5231',
+        {'out': '4a9d28fa096091063bc0a7f67f8f8b0c476462c31f6df5e2f6c07d937b69e430',
          'out.rows.csv': '079272f7ee1442ae428aa7a4299fbdcff2a36abc8d12026f3c392b65a28e4e43'}),
     'scalar-18-t_end0': (
         0,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -382,8 +383,8 @@ class TestScalarCheck:
     def test_benchmark_stable(self):
         rep = stability.scalar_frac_delay_check(-1.0, 0.7, 0.5)
         assert rep.verdict == stability.STABLE
-        assert rep.metadata["rhp_root_count"] == 0
-        assert "nonresonance_gap" in rep.metadata
+        assert rep.to_text() == ("verdict = asymptotically-stable\n"
+                                 "alpha = 0.7\nrhp_root_count = 0\n")
 
 
 class TestPlanarCheck:
@@ -417,6 +418,164 @@ class TestPlanarCheck:
         assert rep.metadata["rhp_root_count"] == 0
 
 
+def _scalar_oracle(a, order, tau):
+    """Closed-form scalar-18 verdict and relative distance to the boundary:
+    unstable for a > 0, stable for a < 0 exactly below the first crossing
+    tau* = (1 - order/2) pi / |a|^(1/order)."""
+    if a > 0:
+        return stability.UNSTABLE, math.inf
+    tau_star = (1 - order / 2) * math.pi / (-a) ** (1 / order)
+    if tau == 0:
+        return stability.STABLE, math.inf
+    gap = abs(tau - tau_star) / tau_star
+    return (stability.STABLE if tau < tau_star else stability.UNSTABLE), gap
+
+
+def _planar_oracle(k1, k2):
+    """Closed-form planar-19 verdict: stable iff k1 (k1 + k2) > 1, at every
+    lag and order; and the distance of k1 (k1 + k2) to 1."""
+    prod = k1 * (k1 + k2)
+    verdict = stability.STABLE if prod > 1 else stability.UNSTABLE
+    return verdict, abs(prod - 1)
+
+
+def _scalar_char(a, order, tau):
+    return lambda lam: lam**order - a * np.exp(-lam * tau)
+
+
+def _planar_char(k1, k2, order, tau):
+    def f(lam):
+        w = lam**order
+        return (w + k1) * (w + k1 + k2) - np.exp(-lam * tau)
+    return f
+
+
+def _bounded_contour_count(f, radius, tau):
+    """Depth-first contour count of ``f`` on a box holding the disc of
+    ``radius``, which holds every right-half-plane root, sampled finely
+    enough for exp(-lambda tau) to turn little between samples."""
+    side = 1.25 * radius
+    count, ratio = _scalar_count_rhp_roots(
+        f, side, side, samples_per_edge=max(96, int(40 * side * tau)))
+    assert ratio > 1e-9
+    return count
+
+
+def _crossing_gap(omega, phase, tau):
+    """Distance of omega*tau to the nearest phase + 2 pi k, k >= 0, relative
+    to omega*tau."""
+    turn = 2 * math.pi
+    k = max(0, round((omega * tau - phase) / turn))
+    return abs(omega * tau - phase - turn * k) / max(omega * tau, 1e-300)
+
+
+class TestClosedFormCounts:
+    @pytest.mark.parametrize("a, order, tau, count", [
+        (100.0, 0.8, 0.0, 1), (-1.0, 0.5, 10.0, 4), (-5.0, 0.5, 10.0, 80)])
+    def test_scalar_regressions(self, a, order, tau, count):
+        # the real root 100^1.25 lies outside a fixed 50 x 50 box, and past
+        # tau* the imaginary edge of such a box turns by radians per sample
+        rep = stability.scalar_frac_delay_check(a, order, tau)
+        assert rep.verdict == stability.UNSTABLE
+        assert rep.metadata["rhp_root_count"] == count
+        assert _bounded_contour_count(_scalar_char(a, order, tau),
+                                      abs(a) ** (1 / order), tau) == count
+
+    def test_scalar_huge_phase_in_constant_memory(self):
+        # omega*tau is about 3.7e12: a list over every crossing, or a
+        # relative 1e-12 band around each, would not do
+        tracemalloc.start()
+        try:
+            rep = stability.scalar_frac_delay_check(-55.74, 0.149, 7.43)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == stability.UNSTABLE
+        assert peak < 1 << 20
+
+    def test_crossing_lag(self):
+        # a root on the axis: marginal, unless one already lies to the right
+        for a, order, verdict in ((-1.0, 0.5, stability.MARGINAL),
+                                  (-3.0, 0.9, stability.MARGINAL),
+                                  (2.0, 0.7, stability.UNSTABLE)):
+            omega = abs(a) ** (1 / order)
+            phase = (math.pi if a < 0 else 2 * math.pi) - order * math.pi / 2
+            rep = stability.scalar_frac_delay_check(a, order, phase / omega)
+            assert rep.verdict == verdict
+            assert rep.metadata["rhp_root_count"] == "uncertain"
+
+    def test_unresolved_crossings(self):
+        # omega*tau = 5e300 (crossings closer than its ulps), omega*tau
+        # beyond the float range and omega = 150^200 leave the count
+        # unknown, but many crossings have passed
+        for a, order, tau in ((2.0, 0.001, 0.5), (2.0, 0.0011, 1e40),
+                              (150.0, 0.005, 1.0)):
+            for sign in (1.0, -1.0):
+                rep = stability.scalar_frac_delay_check(sign * a, order, tau)
+                assert rep.verdict == stability.UNSTABLE
+                assert rep.metadata["rhp_root_count"] == "uncertain"
+        for a, order, count in ((-2.0, 0.001, 0), (150.0, 0.005, 1)):
+            rep = stability.scalar_frac_delay_check(a, order, 0.0)
+            assert rep.metadata["rhp_root_count"] == count
+
+    def test_planar_boundary(self):
+        rep = stability.planar_frac_delay_check(0.5, 1.5, 0.8, 3.0)
+        assert rep.verdict == stability.MARGINAL
+        assert rep.metadata["rhp_root_count"] == "uncertain"
+
+    def test_no_contour(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_rhp_roots called")
+
+        monkeypatch.setattr(stability, "count_rhp_roots", refuse)
+        assert stability.scalar_frac_delay_check(
+            -1.0, 0.5, 10.0).metadata["rhp_root_count"] == 4
+        assert stability.planar_frac_delay_check(
+            0.3, 0.5, 0.8, 3.0).verdict == stability.UNSTABLE
+
+    def test_scalar_sweep(self):
+        rng = np.random.default_rng(1717)
+        contour_checks = 0
+        for _ in range(2000):
+            a = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 150.0))
+            order = float(rng.uniform(0.1, 1.0))
+            omega = abs(a) ** (1 / order)
+            tau = float(rng.uniform(0.0, 20.0)) * (
+                (1 - order / 2) * math.pi / omega)
+            verdict, gap = _scalar_oracle(a, order, tau)
+            phase = (math.pi if a < 0 else 2 * math.pi) - order * math.pi / 2
+            if gap < 1e-6 or _crossing_gap(omega, phase, tau) < 1e-6:
+                continue
+            rep = stability.scalar_frac_delay_check(a, order, tau)
+            assert rep.verdict == verdict, (a, order, tau)
+            if contour_checks < 10 and order >= 0.3 and omega * tau < 40:
+                contour_checks += 1
+                assert rep.metadata["rhp_root_count"] == \
+                    _bounded_contour_count(_scalar_char(a, order, tau),
+                                           omega, tau), (a, order, tau)
+        assert contour_checks == 10
+
+    def test_planar_sweep(self):
+        rng = np.random.default_rng(1919)
+        contour_checks = 0
+        for _ in range(2000):
+            k1, k2 = (float(v) for v in 2.0 - rng.uniform(0.0, 2.0, 2))
+            order = float(rng.uniform(0.1, 1.0))
+            tau = float(rng.uniform(0.0, 20.0))
+            verdict, gap = _planar_oracle(k1, k2)
+            if gap < 1e-6:
+                continue
+            rep = stability.planar_frac_delay_check(k1, k2, order, tau)
+            assert rep.verdict == verdict, (k1, k2, order, tau)
+            if contour_checks < 10 and (verdict == stability.STABLE) == (
+                    contour_checks % 3 == 0):
+                contour_checks += 1
+                assert rep.metadata["rhp_root_count"] == \
+                    _bounded_contour_count(_planar_char(k1, k2, order, tau),
+                                           1.0, tau), (k1, k2, order, tau)
+        assert contour_checks == 10
+
+
 class TestRootOnContour:
     def test_ep_coupling_zero(self):
         # the bracket is lambda^2 + 1/9: both roots sit on the imaginary
@@ -428,7 +587,7 @@ class TestRootOnContour:
         assert "rhp_root_count = uncertain\n" in rep.to_text()
 
     def test_zero_sample(self):
-        # lambda^0.5 vanishes at lambda = 0, a sample of the imaginary edge
+        # a = 0 leaves the root lambda = 0 on the imaginary axis
         rep = stability.scalar_frac_delay_check(0.0, 0.5, 0.0)
         assert rep.verdict == stability.MARGINAL
         assert rep.metadata["rhp_root_count"] == "uncertain"
