@@ -2,23 +2,24 @@
 
 The axis equilibrium of the delayed Euler-Poincare system is stable for
 small lags and loses stability when a characteristic root crosses the
-imaginary axis.  Two numbers are reported side by side: the closed-form
-bound tau_c, and the exact first crossing tau*, solved from the
-characteristic function on the imaginary axis.  Simulations of the
-linearized system on both sides of tau* confirm the flip.  Note that the
-closed-form bound is larger than the first crossing at this benchmark,
-so only tau* marks the true stability edge.
+imaginary axis.  Two numbers are reported side by side: the paper's
+critical-delay formula tau_c, and the exact first crossing tau*, solved
+from the characteristic function on the imaginary axis.  Simulations of
+the linearized system on both sides of tau* confirm the flip, and each
+lag's right-half-plane root count from the crossing algebra is printed
+beside its growth ratio.  The formula is not a bound and lies above the
+first crossing at this benchmark, so only tau* marks the stability edge.
 """
 
 import numpy as np
 
 from rigidmem import (DiracKernel, HistorySpec, InertiaSetup,
-                      critical_delay_scan, find_equilibria, integrate_dde,
-                      jacobian, rhs_ep_delayed, tau_c_formula)
+                      critical_delay_scan, ep_delayed_check, find_equilibria,
+                      integrate_dde, jacobian, rhs_ep_delayed, tau_c_formula)
 
 s = InertiaSetup(3, 2, 1, coupling=1.0, m=1.0)
 print(f"inertia ({s.I1}, {s.I2}, {s.I3}), coupling {s.coupling}, m {s.m}")
-print(f"tau_c (formula bound)  : {tau_c_formula(s)}")
+print(f"tau_c (paper's formula): {tau_c_formula(s)}")
 tau_star = critical_delay_scan(s)
 print(f"tau*  (first crossing) : {tau_star:.12f}  (= 3*pi/5)")
 print()
@@ -32,12 +33,14 @@ pair_lin = lambda u, ud: A @ u + B @ ud
 u0 = np.array([0.0, 0.01, 0.01])
 print("linearized perturbation over 40 time units:")
 for fac in (0.1, 0.9, 1.1, 1.5):
-    traj = integrate_dde(pair_lin, DiracKernel(fac * tau_star),
-                         HistorySpec.constant(u0), 40.0, 0.01)
+    kernel = DiracKernel(fac * tau_star)
+    traj = integrate_dde(pair_lin, kernel, HistorySpec.constant(u0), 40.0,
+                         0.01)
     ratio = np.linalg.norm(traj.final_state) / np.linalg.norm(u0)
     trend = "decays" if ratio < 1 else "grows"
+    count = ep_delayed_check(s, kernel).metadata["rhp_root_count"]
     print(f"  tau = {fac:4.1f} * tau*  ->  |u(40)|/|u(0)| = {ratio:9.3e}  "
-          f"({trend})")
+          f"({trend}), right-half-plane roots: {count}")
 print()
 
 # full nonlinear flow below the crossing: the lagged torque is orthogonal

@@ -103,12 +103,11 @@ class _Kind:
     the Caputo derivative when ``fractional``), or ``pair(params)``, a
     delayed field (x, xd) -> dx/dt.  A kind with a ``pair`` needs a
     ``[kernel]``, a dirac one if it is also fractional.  ``report(cfg)``
-    gives the stability verdict that scans also use, ``details(cfg,
-    report)`` adds what only the stability command reports, and
-    ``set_m(cfg, m)`` moves the scan's m axis.  ``diagnostics(params)``
-    names the CSV's invariant columns: a diagnostic maps the (dim, M)
-    component-major state table to M values; ``x1, x2, x3 = x`` works for
-    one state and for a table.
+    gives the stability report that scans also use, and ``set_m(cfg, m)``
+    moves the scan's m axis.  ``diagnostics(params)`` names the CSV's
+    invariant columns: a diagnostic maps the (dim, M) component-major
+    state table to M values; ``x1, x2, x3 = x`` works for one state and
+    for a table.
     """
 
     keys: tuple[str, ...]
@@ -119,7 +118,6 @@ class _Kind:
     dim: int = 3
     diagnostics: Callable = lambda params: {}
     report: Callable | None = None
-    details: Callable | None = None
     set_m: Callable | None = None
 
 
@@ -159,16 +157,6 @@ def _sector_report(cfg: RunConfig, revised: bool) -> _stab.StabilityReport:
     return rep
 
 
-def _crossing_details(cfg: RunConfig, rep: _stab.StabilityReport) -> None:
-    # critical_delay_scan(cfg.params) from the bracket the verdict was
-    # built on, not from a second linearization
-    if cfg.params.coupling != 0:
-        rep.metadata["tau_c_formula"] = repr(_stab.tau_c_formula(cfg.params))
-        rep.critical_delay = _stab._first_crossing(rep._bracket)
-    if isinstance(cfg.kernel, _kern.DiracKernel):
-        rep.metadata["kernel_lag"] = repr(cfg.kernel.lag)
-
-
 def _rigid(**fields) -> _Kind:
     return _Kind(keys=("a1", "a2", "a3"), params=_models.RigidBodyParams,
                  diagnostics=_rigid_diagnostics, **fields)
@@ -197,7 +185,6 @@ _KINDS = {
         pair=lambda s: lambda x, xd: _models.rhs_ep_delayed(s, x, xd),
         diagnostics=_inertia_diagnostics,
         report=lambda cfg: _stab.ep_delayed_check(cfg.params, cfg.kernel),
-        details=_crossing_details,
         set_m=lambda cfg, m: dataclasses.replace(
             cfg, params=dataclasses.replace(cfg.params, m=m))),
     "scalar-18": _Kind(
@@ -548,20 +535,21 @@ def _report_row(param: float, rep: _stab.StabilityReport) -> str:
 
 _SCAN_HEADER = "param,root_re,root_im,margin,verdict"
 
+#: what an invalid stability input raises: a bad value, or arithmetic that
+#: leaves the float range (a bracket coefficient that underflows to 0)
+_REPORT_ERRORS = (ValueError, ArithmeticError)
+
 
 def cmd_stability(cfg: RunConfig, out_path: str) -> int:
     """Analyze the configured equilibrium; write a text block plus CSV rows."""
-    kind = _KINDS[cfg.kind]
     try:
         rep = _report(cfg)
-        if kind.details is not None:
-            kind.details(cfg, rep)
-    except ValueError as exc:
+    except _REPORT_ERRORS as exc:
         raise ConfigError([str(exc)]) from exc
     text = f"kind = {cfg.kind}\n" + rep.to_text()
     with open(out_path, "w", newline="") as fh:
         fh.write(text)
-    if kind.fractional:
+    if _KINDS[cfg.kind].fractional:
         param = cfg.frac.order
     elif isinstance(cfg.kernel, _kern.DiracKernel):
         param = cfg.kernel.lag
@@ -602,7 +590,7 @@ def cmd_scan(cfg: RunConfig, out_path: str) -> int:
             point = _cfg_with_axis(cfg, sweep.axis, float(value))
             rep = _report(point)
             rows.append(_report_row(float(value), rep))
-        except ValueError as exc:  # an invalid point: record and continue
+        except _REPORT_ERRORS as exc:  # an invalid point: record, continue
             msg = str(exc).replace(",", ";").replace("\n", " ")
             rows.append(",".join([_fmt(value), "nan", "nan", "nan",
                                   f"error: {msg}"]))

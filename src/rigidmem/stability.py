@@ -3,9 +3,10 @@
 Linearizations are complex-step Jacobians of each kind's own field at an
 axis equilibrium.  Covers the fractional rigid body's quadratics in
 w = lambda^order (sector condition), the delayed Euler-Poincare system's
-characteristic function with the paper's critical-delay formula, the
-exact first crossing and argument-principle root counting, and closed-form
-root counts for the scalar and planar fractional-delay benchmarks.
+characteristic function with the paper's critical-delay formula,
+closed-form root counts from the exact imaginary-axis crossings for every
+sharp (Dirac) lag, and argument-principle root counting for the
+distributed kernels.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class StabilityReport:
     ``margins`` holds |arg(w)| - order*pi/2 per root where applicable;
     the delay checks leave the root list empty and record the
     right-half-plane root count in ``metadata`` (``uncertain`` when a root
-    lies on the imaginary axis or the contour).
+    lies on the imaginary axis, or on the contour of a distributed kernel).
     """
 
     verdict: str
@@ -81,10 +82,6 @@ class StabilityReport:
     critical_delay: float | None = None
     structural_zero_roots: int = 0
     metadata: dict = field(default_factory=dict)
-    #: the ep-delayed bracket (q1, q2, q0) the verdict came from, kept for
-    #: the first crossing; not printed
-    _bracket: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     @property
     def min_margin(self) -> float | None:
@@ -226,26 +223,31 @@ def tau_c_formula(s: _models.InertiaSetup) -> float:
 
 
 def critical_delay_scan(s: _models.InertiaSetup) -> float | None:
-    """Smallest lag tau >= 0 placing a characteristic root on i*omega.
+    """Smallest lag tau >= 0 placing a characteristic root on i*omega: the
+    least phase / omega over :func:`_crossings` as a float, or None when
+    there is no crossing (coupling 0 never produces one)."""
+    if s.coupling == 0:
+        return None
+    return min((phase / omega for omega, phase, _ in _crossings(
+        _ep_bracket(s))), default=None)
+
+
+def _crossings(q) -> list[tuple[float, float, int]]:
+    """Every crossing family (omega, phase, direction) of the bracket ``q``.
 
     Exact algebra on the bracket at lambda = i*omega.  With
     z = exp(-i omega tau) = c - i*sn on the unit circle, multiplying
-    q2 z^2 - i q1 omega z - (omega^2 + q0) = 0 by conj(z) leaves
+    P(lambda, z) = lambda^2 - q1 lambda z + q2 z^2 - q0 by conj(z) leaves
     (q2 - omega^2 - q0) c = 0 and sn (q2 + omega^2 + q0) = -q1 omega.  So a
     crossing has either c = 0, sn = +-1 and omega > 0 a root of
     omega^2 +- q1 omega + q2 + q0, or omega^2 = q2 - q0 > 0 with
     sn = -q1 omega / (2 q2), |sn| <= 1 and c = +-sqrt(1 - sn^2) (Cooke &
-    van den Driessche, Funkcialaj Ekvacioj 29, 1986).  Each gives
-    tau0 = (-arg z mod 2 pi) / omega; the smallest is returned as a float,
-    or None when there is no crossing (coupling 0 never produces one).
+    van den Driessche, Funkcialaj Ekvacioj 29, 1986).  A pair of roots sits
+    on +-i*omega at every tau_k = (phase + 2 pi k) / omega, k >= 0, with
+    phase = -arg z in [0, 2 pi), and moves to the right (direction +1) or
+    the left (-1) as tau grows past it: the sign of Re dlambda/dtau, which
+    is that of Re[P_lambda / (lambda z P_z)] at every tau_k.
     """
-    if s.coupling == 0:
-        return None
-    return _first_crossing(_ep_bracket(s))
-
-
-def _first_crossing(q) -> float | None:
-    """critical_delay_scan's smallest crossing delay of the bracket ``q``."""
     q1, q2, q0 = q
     if q2 == 0:  # coupling^2 m^4 underflows
         raise ZeroDivisionError("quadratic coefficient q2 underflows to 0")
@@ -264,8 +266,15 @@ def _first_crossing(q) -> float | None:
         if abs(sn) <= 1.0:
             c = math.sqrt((1.0 - sn) * (1.0 + sn))
             crossings += [(omega, c, sn), (omega, -c, sn)]
-    return min((math.atan2(sn, c) % (2.0 * math.pi) / omega
-                for omega, c, sn in crossings), default=None)
+    families = []
+    for omega, c, sn in crossings:
+        lam, z = complex(0.0, omega), complex(c, -sn)
+        # Re(a / b) has the sign of Re(a conj(b)), which needs no division
+        re = ((2.0 * lam - q1 * z)
+              * (lam * z * (2.0 * q2 * z - q1 * lam)).conjugate()).real
+        families.append((omega, math.atan2(sn, c) % (2.0 * math.pi),
+                         (re > 0.0) - (re < 0.0)))
+    return families
 
 
 def frac_delay_char_eval(A, B, order: float, kernel, lam):
@@ -348,45 +357,66 @@ def count_rhp_roots(f, sigma_max: float = 50.0, omega_max: float = 50.0, *,
 def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
     """Verdict for the delayed Euler-Poincare equilibrium under ``kernel``.
 
-    Counts right-half-plane zeros of the reduced bracket of
-    :func:`char_ep_eval`, built once, by the argument principle; the
-    structural lambda factor is reported as one zero root.  A root near the
-    contour (boundary ratio below _BOUNDARY_TOL) makes the count
-    ``uncertain`` and the verdict marginal.
+    A Dirac lag tau takes :func:`_crossing_verdict`: the n0 right-half-plane
+    roots of lambda^2 - q1 lambda + q2 - q0 at tau = 0, then the crossing
+    families of :func:`_crossings` below tau.  At q2 = q0, or q2 > q0 with
+    q1 = 0 (coupling 0 among them), roots lie on the imaginary axis at
+    tau = 0: the verdict is marginal and the count ``uncertain``.  Other
+    kernels count right-half-plane zeros of the reduced bracket of
+    :func:`char_ep_eval` by the argument principle; a root near the contour
+    (boundary ratio below _BOUNDARY_TOL) makes the count ``uncertain`` and
+    the verdict marginal.  The structural lambda factor is reported as one
+    zero root.  With nonzero coupling the report also carries the first
+    crossing delay of :func:`critical_delay_scan` as ``critical_delay`` and
+    :func:`tau_c_formula`; a Dirac kernel adds ``kernel_lag``.
     """
-    q = _ep_bracket(s)
-    count, boundary_ratio = count_rhp_roots(
-        lambda lam: _eval_bracket(q, kernel, lam))
-    if boundary_ratio < _BOUNDARY_TOL or count < 0:
-        verdict, count = MARGINAL, "uncertain"
+    q1, q2, q0 = q = _ep_bracket(s)
+    rep = StabilityReport(verdict=MARGINAL, structural_zero_roots=1)
+    crossings, count = [], "uncertain"
+    if s.coupling != 0:
+        crossings = _crossings(q)
+        rep.critical_delay = min((phase / omega for omega, phase, _ in
+                                  crossings), default=None)
+        rep.metadata["tau_c_formula"] = repr(tau_c_formula(s))
+    if isinstance(kernel, _kern.DiracKernel):
+        rep.metadata["kernel_lag"] = repr(kernel.lag)
+        if q2 < q0 or (q2 > q0 and q1 != 0):
+            rep.verdict, count = _crossing_verdict(
+                1 if q2 < q0 else 2 * (q1 > 0), crossings, kernel.lag)
     else:
-        verdict = STABLE if count == 0 else UNSTABLE
-    rep = StabilityReport(verdict=verdict, structural_zero_roots=1,
-                          metadata={"rhp_root_count": count})
-    rep._bracket = q
+        n, boundary_ratio = count_rhp_roots(
+            lambda lam: _eval_bracket(q, kernel, lam))
+        if not (boundary_ratio < _BOUNDARY_TOL or n < 0):
+            rep.verdict, count = (STABLE if n == 0 else UNSTABLE), n
+    rep.metadata["rhp_root_count"] = count
     return rep
 
 
-def _crossing_verdict(n0: int, omega: float, phase: float, tau: float):
+def _crossing_verdict(n0: int, crossings, tau: float):
     """(verdict, rhp_root_count) at lag ``tau`` for an equation with ``n0``
     right-half-plane roots at tau = 0 whose roots reach the imaginary axis
-    only at +-i*omega, at omega*tau = phase (mod 2 pi), a pair moving right
-    each time: n0 + 2 #{k >= 0 : 0 < phase + 2 pi k < omega tau} of them.
-    A crossing within 8 eps (relative) of omega*tau puts a root on the axis:
-    the count is ``uncertain``, the verdict marginal unless roots already
-    lie to the right."""
+    only in the ``crossings`` families (omega, phase, direction): a pair on
+    +-i*omega at omega*tau = phase (mod 2 pi), moving right each time for
+    direction +1 and left for -1, so n0 + 2 sum direction
+    #{k >= 0 : 0 < phase + 2 pi k < omega tau} of them.  A crossing within
+    8 eps (relative) of omega*tau puts a root on the axis: the count is
+    ``uncertain``, the verdict marginal unless roots surely lie to the
+    right."""
     turn = 2.0 * math.pi
-    wt, phase = (omega * tau if tau else 0.0), phase % turn
-    if wt == math.inf:  # past more crossings than a float can tell apart
-        return UNSTABLE, "uncertain"
-    band = 8 * 2.0 ** -52 * max(wt, 1.0)
-    # the crossings surely below the lag, and those that may be
-    lo, hi = (max(0, math.ceil((wt + d - phase) / turn))
-              for d in (-band, band))
-    count = n0 + 2 * lo
-    if lo < hi:
-        return (UNSTABLE if count else MARGINAL), "uncertain"
-    return (UNSTABLE if count else STABLE), count
+    low = high = n0  # the fewest and the most roots to the right
+    for omega, phase, direction in crossings:
+        wt, phase = (omega * tau if tau else 0.0), phase % turn
+        band = 8 * 2.0 ** -52 * max(wt, 1.0)
+        # the crossings surely below the lag and those that may be; past an
+        # infinite omega*tau, more than a float can tell apart
+        lo, hi = (math.inf if wt == math.inf else
+                  max(0, math.ceil((wt + d - phase) / turn))
+                  for d in (-band, band))
+        low += 2 * direction * (lo if direction > 0 else hi)
+        high += 2 * direction * (hi if direction > 0 else lo)
+    if low == high and abs(low) != math.inf:
+        return (UNSTABLE if low else STABLE), low
+    return (UNSTABLE if low > 0 else MARGINAL), "uncertain"
 
 
 def scalar_frac_delay_check(a: float, order: float,
@@ -411,7 +441,7 @@ def scalar_frac_delay_check(a: float, order: float,
             omega = math.inf
         half = order * math.pi / 2.0
         verdict, count = _crossing_verdict(
-            int(a > 0), omega, -half if a > 0 else math.pi - half, tau)
+            int(a > 0), [(omega, -half if a > 0 else math.pi - half, 1)], tau)
     return StabilityReport(verdict=verdict, alpha=order,
                            metadata={"rhp_root_count": count})
 
@@ -446,7 +476,8 @@ def planar_frac_delay_check(k1: float, k2: float, order: float,
         s = max(r.real for r in np.roots(quartic - [0, 0, 0, 0, 1.0])
                 if r.imag == 0)
         w = cmath.rect(s, order * math.pi / 2.0)
-        verdict, count = _crossing_verdict(
-            1, s ** (1.0 / order), -cmath.phase((w + k1) * (w + k1 + k2)), tau)
+        verdict, count = _crossing_verdict(1, [(
+            s ** (1.0 / order), -cmath.phase((w + k1) * (w + k1 + k2)), 1)],
+            tau)
     return StabilityReport(verdict=verdict, alpha=order,
                            metadata={"rhp_root_count": count})

@@ -289,6 +289,16 @@ class TestStability:
         code, _ = run_cli(tmp_path, CLASSICAL, "stability", "no.txt")
         assert code == 2
 
+    def test_underflowing_coefficient_is_an_error(self, tmp_path, capsys):
+        # coupling^2 m^4 underflows to q2 = 0, where the crossing algebra
+        # divides by zero
+        code, out = run_cli(tmp_path, EP_DELAYED, "stability", "rep.txt",
+                            overrides=["system.coupling=1e-200"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: quadratic coefficient q2 underflows to 0\n")
+        assert not out.exists()
+
 
 class TestScan:
     def test_tau_scan_single_flip(self, tmp_path):
@@ -336,6 +346,15 @@ class TestScan:
         assert code == 0
         assert out.read_text().splitlines()[1:] == [
             "0,nan,nan,nan,error: bad point", "3,nan,nan,nan,error: bad point"]
+
+    def test_underflowing_coefficient_is_a_row(self, tmp_path):
+        code, out = run_cli(tmp_path, EP_DELAYED, "scan", "scan.csv",
+                            overrides=["system.coupling=1e-200",
+                                       "scan.steps=2"])
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == [
+            f"{tau},nan,nan,nan,error: quadratic coefficient q2 underflows "
+            f"to 0" for tau in (0, 3)]
 
     def test_programming_error_is_raised(self, tmp_path, monkeypatch):
         self._failing_points(monkeypatch, TypeError)

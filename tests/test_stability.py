@@ -461,6 +461,13 @@ def _bounded_contour_count(f, radius, tau):
     return count
 
 
+def _refuse_contour(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_rhp_roots called")
+
+    monkeypatch.setattr(stability, "count_rhp_roots", refuse)
+
+
 def _crossing_gap(omega, phase, tau):
     """Distance of omega*tau to the nearest phase + 2 pi k, k >= 0, relative
     to omega*tau."""
@@ -524,10 +531,7 @@ class TestClosedFormCounts:
         assert rep.metadata["rhp_root_count"] == "uncertain"
 
     def test_no_contour(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("count_rhp_roots called")
-
-        monkeypatch.setattr(stability, "count_rhp_roots", refuse)
+        _refuse_contour(monkeypatch)
         assert stability.scalar_frac_delay_check(
             -1.0, 0.5, 10.0).metadata["rhp_root_count"] == 4
         assert stability.planar_frac_delay_check(
@@ -575,16 +579,105 @@ class TestClosedFormCounts:
                                            1.0, tau), (k1, k2, order, tau)
         assert contour_checks == 10
 
+    def test_ep_dirac_no_contour(self, monkeypatch):
+        # the Dirac route is the crossing count; the distributed kernels
+        # keep the contour
+        _refuse_contour(monkeypatch)
+        for s in (S321, models.InertiaSetup(3, 2, 1, 0.0, 1.0),
+                  models.InertiaSetup(3, 2, 1, -1.0, 30.0)):
+            for lag in (0.0, 0.5, 2.0, 50.0):
+                stability.ep_delayed_check(s, kernels.DiracKernel(lag))
+        for kern in (kernels.UniformKernel(0.1, 0.5),
+                     kernels.ExponentialKernel(2.0),
+                     kernels.ErlangKernel(2.0)):
+            with pytest.raises(AssertionError, match="count_rhp_roots"):
+                stability.ep_delayed_check(S321, kern)
+
+    def test_ep_report_fields(self):
+        dirac, uniform = kernels.DiracKernel(0.7), kernels.UniformKernel(
+            0.1, 0.5)
+        for s in _crossing_setups()[:12]:
+            for kern in (dirac, uniform):
+                rep = stability.ep_delayed_check(s, kern)
+                assert rep.critical_delay == stability.critical_delay_scan(s)
+                if s.coupling:
+                    assert rep.metadata["tau_c_formula"] == repr(
+                        stability.tau_c_formula(s))
+                else:
+                    assert "tau_c_formula" not in rep.metadata
+                assert rep.metadata.get("kernel_lag") == (
+                    "0.7" if kern is dirac else None)
+        text = stability.ep_delayed_check(S321, dirac).to_text()
+        assert "critical_delay = 1.8849555921538754\n" in text
+        assert "tau_c_formula = 2.5\n" in text
+
+    @pytest.mark.parametrize("setup, lag, count", [
+        ((3, 2, 1, 1.0, 30.0), 0.01, 2),
+        ((3.7795, 2.49122, 1.51189, 0.794665, 2.0), 6.27617, 4)])
+    def test_ep_dirac_regressions(self, setup, lag, count):
+        # a fixed 50 x 50 contour called both stable: the first has its
+        # roots near Re lambda = +98, outside the box; the second crosses
+        # at omega = 1.47 and 0.225, and its long lag turns exp(-lambda tau)
+        # by more than pi between samples of the imaginary edge
+        s = models.InertiaSetup(*setup)
+        rep = stability.ep_delayed_check(s, kernels.DiracKernel(lag))
+        assert rep.verdict == stability.UNSTABLE
+        assert rep.metadata["rhp_root_count"] == count
+        roots = _dde_roots(*_fd_ep_blocks(s), lag)
+        assert np.count_nonzero(roots.real > 0) == count
+
+    def test_ep_dirac_sweep(self):
+        rng = np.random.default_rng(1313)
+        checked = counted = leftward = 0
+        for i in range(200):
+            inertia = np.sort(rng.uniform(0.5, 5.0, 3))[::-1]
+            coupling = float(rng.uniform(-2.0, 2.0))
+            m = float(rng.uniform(0.2, 6.0)) * (10.0 if i % 3 == 0 else 1.0)
+            s = models.InertiaSetup(*(float(v) for v in inertia), coupling, m)
+            tau = float(rng.uniform(0.0, 20.0)) * (
+                stability.critical_delay_scan(s) or 1.0)
+            roots = _dde_roots(*_fd_ep_blocks(s), tau)
+            top = float(roots.real.max())
+            if abs(top) < 1e-6:
+                continue
+            rep = stability.ep_delayed_check(s, kernels.DiracKernel(tau))
+            assert rep.verdict == (stability.UNSTABLE if top > 0
+                                   else stability.STABLE), (s, tau)
+            count = rep.metadata["rhp_root_count"]
+            # 48 nodes miss the highest pair of counts near 30 and more
+            if count <= 20:
+                assert count == np.count_nonzero(roots.real > 0), (s, tau)
+                counted += 1
+            checked += 1
+            leftward += any(d < 0 and phase < omega * tau for omega, phase, d
+                            in stability._crossings(stability._ep_bracket(s)))
+        assert checked > 190 and counted > 150 and leftward > 10
+
+    def test_mixed_directions(self):
+        # a pair moves right at tau = 0.5 + k pi and back at tau = 1 + 2 k pi
+        cross = [(2.0, 1.0, 1), (1.0, 1.0, -1)]
+        for tau, want in ((0.4, (stability.STABLE, 0)),
+                          (0.7, (stability.UNSTABLE, 2)),
+                          (1.2, (stability.STABLE, 0)),
+                          (3.8, (stability.UNSTABLE, 2)),
+                          (1.0, (stability.MARGINAL, "uncertain"))):
+            assert stability._crossing_verdict(0, cross, tau) == want
+        # roots moving left past more crossings than a float tells apart
+        assert stability._crossing_verdict(2, [(1e300, 1.0, -1)], 1e10) == (
+            stability.MARGINAL, "uncertain")
+
 
 class TestRootOnContour:
     def test_ep_coupling_zero(self):
-        # the bracket is lambda^2 + 1/9: both roots sit on the imaginary
-        # edge, where the phase steps add up to one turn
-        rep = stability.ep_delayed_check(
-            models.InertiaSetup(3, 2, 1, 0.0, 1.0), kernels.DiracKernel(0.5))
-        assert rep.verdict == stability.MARGINAL
-        assert rep.metadata["rhp_root_count"] == "uncertain"
-        assert "rhp_root_count = uncertain\n" in rep.to_text()
+        # the bracket is lambda^2 + 1/9 at every lag: both roots sit on the
+        # imaginary axis, where a contour's phase steps add up to one turn
+        for kern in (kernels.DiracKernel(0.5),
+                     kernels.UniformKernel(0.2, 1.0)):
+            rep = stability.ep_delayed_check(
+                models.InertiaSetup(3, 2, 1, 0.0, 1.0), kern)
+            assert rep.verdict == stability.MARGINAL
+            assert rep.metadata["rhp_root_count"] == "uncertain"
+            assert "rhp_root_count = uncertain\n" in rep.to_text()
 
     def test_zero_sample(self):
         # a = 0 leaves the root lambda = 0 on the imaginary axis
@@ -857,20 +950,47 @@ def _unit_circle_crossings(q1, q2, q0):
     return sorted(found)
 
 
-def _exact_crossings(s):
-    """:func:`_unit_circle_crossings` of the lag-tau bracket of ``s``.
+def _fd_ep_blocks(s):
+    """Transverse (A0, A1) of u' = A0 u + A1 u(t - tau) at (m / I1, 0, 0).
 
-    Independent of stability._ep_bracket: the coefficients come from
-    central-difference Jacobians of models.rhs_ep_delayed at
-    (m / I1, 0, 0), exact up to rounding at any step because the field is
-    quadratic.
+    Independent of stability._ep_bracket: central-difference Jacobians of
+    models.rhs_ep_delayed, exact up to rounding at any step because the
+    field is quadratic.
     """
     w_eq = np.array([s.m / s.I1, 0.0, 0.0])
     a0 = _fd_jacobian(lambda w: models.rhs_ep_delayed(s, w, w_eq), w_eq, 1.0)
     a1 = _fd_jacobian(lambda w: models.rhs_ep_delayed(s, w_eq, w), w_eq, 1.0)
-    a0, a1 = a0[1:, 1:], a1[1:, 1:]
+    return a0[1:, 1:], a1[1:, 1:]
+
+
+def _exact_crossings(s):
+    """:func:`_unit_circle_crossings` of the lag-tau bracket of ``s``."""
+    a0, a1 = _fd_ep_blocks(s)
     return _unit_circle_crossings(np.trace(a1), np.linalg.det(a1),
                                   -np.linalg.det(a0))
+
+
+def _dde_roots(a0, a1, tau, nodes=48):
+    """Approximate characteristic roots of u' = A0 u + A1 u(t - tau): the
+    eigenvalues of the pseudospectral collocation of the solution
+    operator's generator on [-tau, 0] (Breda, Maset & Vermiglio, SIAM J.
+    Sci. Comput. 27(2), 2005), whose rightmost ones converge spectrally in
+    ``nodes``.  Chebyshev nodes cos(j pi / nodes), Trefethen's
+    differentiation matrix."""
+    d = a0.shape[0]
+    if tau == 0:
+        return np.linalg.eigvals(a0 + a1)
+    x = np.cos(np.pi * np.arange(nodes + 1) / nodes)
+    c = np.ones(nodes + 1)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** np.arange(nodes + 1)
+    diff = np.outer(c, 1 / c) / (x[:, None] - x[None, :] + np.eye(nodes + 1))
+    diff -= np.diag(diff.sum(axis=1))
+    gen = np.kron(diff * (2.0 / tau), np.eye(d))
+    gen[:d, :] = 0.0
+    gen[:d, :d] = a0
+    gen[:d, -d:] = a1
+    return np.linalg.eigvals(gen)
 
 
 def _crossing_setups():
