@@ -4,8 +4,8 @@ The fractional rigid body has three axis equilibria whose characteristic
 polynomials are quadratics in w = lambda^order.  A root is harmless when
 it lies outside the sector |arg w| <= order*pi/2, so verdicts depend on
 the order.  The scalar and planar fractional-delay benchmarks are decided
-by counting right-half-plane roots of their transcendental characteristic
-functions with the argument principle.
+in closed form: the right-half-plane roots at zero lag, plus a pair for
+every imaginary-axis crossing that the lag has passed.
 """
 
 from rigidmem import (RigidBodyParams, char_frac_equilibrium,

@@ -118,7 +118,8 @@ def density(kernel: DelayKernel, s):
     elif isinstance(kernel, ExponentialKernel):
         out = kernel.rate * np.exp(-kernel.rate * arr)
     elif isinstance(kernel, ErlangKernel):
-        out = kernel.rate**2 * arr * np.exp(-kernel.rate * arr)
+        u = kernel.rate * arr  # rate * u exp(-u) stays finite at any rate
+        out = kernel.rate * (u * np.exp(-u))
     else:
         raise TypeError(f"unknown kernel type {type(kernel).__name__}")
     return out if out.ndim else float(out)
@@ -158,7 +159,7 @@ def laplace(kernel: DelayKernel, lam):
         if isinstance(kernel, ExponentialKernel):
             out = kernel.rate / (kernel.rate + lam)
         else:
-            out = kernel.rate**2 / (kernel.rate + lam) ** 2
+            out = (kernel.rate / (kernel.rate + lam)) ** 2
     else:
         raise TypeError(f"unknown kernel type {type(kernel).__name__}")
     return complex(out[0]) if scalar else out

@@ -5,13 +5,14 @@ axis equilibrium.  Covers the fractional rigid body's quadratics in
 w = lambda^order (sector condition), the delayed Euler-Poincare system's
 characteristic function with the paper's critical-delay formula,
 closed-form root counts from the exact imaginary-axis crossings for every
-sharp (Dirac) lag, and argument-principle root counting for the
-distributed kernels.
+sharp (Dirac) lag, the roots of the ODE-chain polynomial for exponential
+and Erlang kernels, and argument-principle counting for uniform ones.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -69,10 +70,10 @@ class CharQuadratic:
 class StabilityReport:
     """Root data, sector margins, and the resulting verdict.
 
-    ``margins`` holds |arg(w)| - order*pi/2 per root where applicable;
-    the delay checks leave the root list empty and record the
-    right-half-plane root count in ``metadata`` (``uncertain`` when a root
-    lies on the imaginary axis, or on the contour of a distributed kernel).
+    ``margins`` holds |arg(w)| - order*pi/2 per root.  The delay checks
+    record the right-half-plane root count in ``metadata`` (``uncertain``
+    when a root lies on the imaginary axis, or on a uniform kernel's
+    contour); only exponential and Erlang kernels also fill the roots.
     """
 
     verdict: str
@@ -91,8 +92,7 @@ class StabilityReport:
     def dominant_root(self) -> complex | None:
         if not self.roots:
             return None
-        idx = int(np.argmin(self.margins)) if self.margins else 0
-        return self.roots[idx]
+        return self.roots[int(np.argmin(self.margins))]
 
     def to_text(self) -> str:
         lines = [f"verdict = {self.verdict}"]
@@ -151,24 +151,23 @@ def matignon_classify(q: CharQuadratic, order: float) -> StabilityReport:
     if not 0 < order <= 1:
         raise ValueError("order must lie in (0, 1]")
     roots = list(q.roots())
-    half_sector = order * math.pi / 2.0
-    margins = []
-    for w in roots:
-        if w == 0:
-            margins.append(0.0)
-        else:
-            margins.append(abs(cmath.phase(w)) - half_sector)
-    worst = min(margins)
-    if worst > SECTOR_TOL:
-        verdict = STABLE
-    elif worst < -SECTOR_TOL:
-        verdict = UNSTABLE
-    else:
-        verdict = MARGINAL
+    margins, verdict = _sector(roots, order)
     return StabilityReport(
         verdict=verdict, roots=roots, margins=margins, alpha=order,
         structural_zero_roots=q.zero_factor_order,
-        metadata={"sector_half_angle": half_sector})
+        metadata={"sector_half_angle": order * math.pi / 2.0})
+
+
+def _sector(roots, order: float) -> tuple[list, str]:
+    """Margins |arg w| - order*pi/2 of ``roots`` (0 at w = 0) and the
+    verdict: stable when every margin exceeds SECTOR_TOL, unstable once
+    one lies below -SECTOR_TOL, marginal otherwise."""
+    half_sector = order * math.pi / 2.0
+    margins = [abs(cmath.phase(w)) - half_sector if w else 0.0
+               for w in roots]
+    worst = min(margins)
+    return margins, (STABLE if worst > SECTOR_TOL else
+                     UNSTABLE if worst < -SECTOR_TOL else MARGINAL)
 
 
 def _ep_bracket(s: _models.InertiaSetup) -> tuple[float, float, float]:
@@ -361,13 +360,16 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
     roots of lambda^2 - q1 lambda + q2 - q0 at tau = 0, then the crossing
     families of :func:`_crossings` below tau.  At q2 = q0, or q2 > q0 with
     q1 = 0 (coupling 0 among them), roots lie on the imaginary axis at
-    tau = 0: the verdict is marginal and the count ``uncertain``.  Other
-    kernels count right-half-plane zeros of the reduced bracket of
-    :func:`char_ep_eval` by the argument principle; a root near the contour
-    (boundary ratio below _BOUNDARY_TOL) makes the count ``uncertain`` and
-    the verdict marginal.  The structural lambda factor is reported as one
-    zero root.  With nonzero coupling the report also carries the first
-    crossing delay of :func:`critical_delay_scan` as ``critical_delay`` and
+    tau = 0: the verdict is marginal and the count ``uncertain``.  An
+    exponential or Erlang kernel reports the roots of :func:`_chain_roots`
+    and the sector test at order 1; a margin within SECTOR_TOL of 0, or a
+    dropped root, makes the count ``uncertain`` and a stable verdict
+    marginal.  A uniform kernel counts right-half-plane zeros of the
+    bracket by the argument principle; a root near the contour (boundary
+    ratio below _BOUNDARY_TOL) makes the count ``uncertain`` and the
+    verdict marginal, as coupling 0 does with no roots.  The structural
+    lambda factor is one zero root.  With nonzero coupling the report
+    carries :func:`critical_delay_scan` as ``critical_delay`` and
     :func:`tau_c_formula`; a Dirac kernel adds ``kernel_lag``.
     """
     q1, q2, q0 = q = _ep_bracket(s)
@@ -383,13 +385,39 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
         if q2 < q0 or (q2 > q0 and q1 != 0):
             rep.verdict, count = _crossing_verdict(
                 1 if q2 < q0 else 2 * (q1 > 0), crossings, kernel.lag)
-    else:
+    elif (chain := _kern.chain_reduce(kernel)) is None:
         n, boundary_ratio = count_rhp_roots(
             lambda lam: _eval_bracket(q, kernel, lam))
         if not (boundary_ratio < _BOUNDARY_TOL or n < 0):
             rep.verdict, count = (STABLE if n == 0 else UNSTABLE), n
+    elif s.coupling != 0:
+        rep.roots = _chain_roots(q, chain)
+        rep.margins, rep.verdict = _sector(rep.roots, 1.0)
+        if len(rep.roots) < 2 + 2 * chain.stages:  # some were dropped
+            rep.verdict = UNSTABLE if rep.verdict == UNSTABLE else MARGINAL
+        elif min(map(abs, rep.margins)) > SECTOR_TOL:
+            count = sum(m < 0.0 for m in rep.margins)
     rep.metadata["rhp_root_count"] = count
     return rep
+
+
+def _chain_roots(q, chain: _kern.ChainSpec) -> list[complex]:
+    """Roots, sorted by (re, im), of the bracket ``q`` under (r/(lambda +
+    r))^n times b^(2n), b = (lambda + r)/max(r, 1): the chain polynomial
+    (MacDonald, Time Lags in Biological Models, 1978), finite at any rate.
+    Leading coefficients np.roots cannot divide by go with their roots."""
+    q1, q2, q0 = q
+    n, r = chain.stages, chain.rate
+    g = (r / max(r, 1.0)) ** n
+    b_n = functools.reduce(np.polymul, [np.array([1.0, r]) / max(r, 1.0)] * n)
+    poly = np.polyadd(np.polymul([1.0, 0.0, -q0], np.polymul(b_n, b_n)),
+                      np.polymul([-q1 * g, 0.0], b_n))
+    poly[-1] += q2 * g * g
+    with np.errstate(all="ignore"):
+        while not np.isfinite(poly[1:] / poly[0]).all():
+            poly = poly[1:]
+    return sorted(map(complex, np.roots(poly)),
+                  key=lambda w: (w.real, w.imag))
 
 
 def _crossing_verdict(n0: int, crossings, tau: float):

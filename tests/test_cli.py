@@ -299,6 +299,17 @@ class TestStability:
             "error: quadratic coefficient q2 underflows to 0\n")
         assert not out.exists()
 
+    def test_huge_erlang_rate(self, tmp_path, capsys):
+        # rate**2 overflowed: "error: (34, 'Numerical result out of range')"
+        text = EP_DELAYED.split("[scan]")[0].replace(
+            "kind = dirac\nlag = 0.5", "kind = erlang\nrate = 1e300")
+        code, out = run_cli(tmp_path, text, "stability", "rep.txt")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = out.read_text()
+        assert "verdict = marginal\n" in report
+        assert "rhp_root_count = uncertain\n" in report
+
 
 class TestScan:
     def test_tau_scan_single_flip(self, tmp_path):

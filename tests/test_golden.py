@@ -101,6 +101,10 @@ def _cases():
             cases[f"{kind}-{name}-simulate"] = ("simulate", text, ())
         cases[f"ep-delayed-{name}-stability"] = (
             "stability", _kernel(KINDS["ep-delayed"], kernel), ())
+    # a rational kernel's scan rows carry the root and margin columns
+    cases["ep-delayed-erlang-scan-m"] = (
+        "scan", _kernel(KINDS["ep-delayed"], kernels["erlang"]),
+        _scan("m", *RANGES["m"]))
     for name in ("exponential", "erlang"):
         cases[f"delayed-{name}-t_end0"] = (
             "simulate", _kernel(KINDS["delayed"], kernels[name]),
@@ -679,6 +683,14 @@ GOLDEN = {
         '',
         {'out': '7b28bd9edae1c81ec43b6cf5a0e8456e4c8fe42bfd93ff590ae052ea79ac34c5',
          'out.rows.csv': 'c959d0b513ee18c2104ef89b28e1283c60be06b49d51f33d5b721138d2b5fc67'}),
+    'ep-delayed-erlang-scan-m': (
+        0,
+        'kind = ep-delayed\n'
+        'axis = m\n'
+        'rows = 5\n'
+        'wrote = <out>/out\n',
+        '',
+        {'out': 'a93f735855f1530169e283e2396e016945db0c7438c59700d33939090f797d31'}),
     'ep-delayed-erlang-simulate': (
         0,
         'kind = ep-delayed\n'
@@ -700,8 +712,8 @@ GOLDEN = {
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'dff1269d452b948c27bc7256792fb0dd5407062f9135fc0c84bf843cd9177535',
-         'out.rows.csv': '90ce01a314d58be9bf311113a076a471115ae89550715203a56e752ee7052838'}),
+        {'out': 'cc2c288e82d5833833b1de17fc5118392812a09900b0019292907308ab9d2326',
+         'out.rows.csv': 'b1bffdb50e3a5e06d490ab3d7253a68140f8ea5060e26aa071320bd19e57cd34'}),
     'ep-delayed-exponential-simulate': (
         0,
         'kind = ep-delayed\n'
@@ -723,8 +735,8 @@ GOLDEN = {
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'dff1269d452b948c27bc7256792fb0dd5407062f9135fc0c84bf843cd9177535',
-         'out.rows.csv': '90ce01a314d58be9bf311113a076a471115ae89550715203a56e752ee7052838'}),
+        {'out': 'eeff254c3ea25e3f8e81f35ca2cc47521e5d8905f7d477137de2cf6cf66bbe25',
+         'out.rows.csv': 'fc1d2df63aa767f134087af02a4a2b34bbd31d2f6fb072ddac29f3ba6f61f428'}),
     'ep-delayed-scan-m': (
         0,
         'kind = ep-delayed\n'

@@ -40,6 +40,15 @@ class TestDensity:
                        limit=200)
         assert mass == pytest.approx(1.0, abs=1e-10)
 
+    def test_huge_erlang_rate(self):
+        # rate**2 overflows a Python float above a rate of about 1.34e154;
+        # rate * (u exp(-u)), u = rate * s, never leaves the float range
+        with np.errstate(over="raise", invalid="raise"):
+            dens = kernels.density(kernels.ErlangKernel(1e300),
+                                   [0.0, 1e-300, 1.0])
+        assert dens[0] == 0.0 and dens[2] == 0.0
+        assert dens[1] == pytest.approx(1e300 / math.e, rel=1e-15)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kernels.UniformKernel(-0.1, 1.0)
@@ -85,6 +94,13 @@ class TestLaplace:
             z = k.width * lam
             ref = math.exp(-k.offset * lam) * (-math.expm1(-z) / z)
             assert kernels.laplace(k, lam) == pytest.approx(ref, rel=1e-13)
+
+    def test_huge_erlang_rate(self):
+        # this raised OverflowError at rate**2
+        kern = kernels.ErlangKernel(1e300)
+        assert kernels.laplace(kern, 1.0) == 1.0
+        assert kernels.laplace(kern, 1e300) == 0.25
+        assert kernels.laplace(kern, 1e-300j) == 1.0
 
     def test_divergence_domain(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -580,24 +581,26 @@ class TestClosedFormCounts:
         assert contour_checks == 10
 
     def test_ep_dirac_no_contour(self, monkeypatch):
-        # the Dirac route is the crossing count; the distributed kernels
-        # keep the contour
+        # the Dirac route is the crossing count and the exponential and
+        # Erlang routes the chain polynomial; the uniform kernel keeps the
+        # contour
         _refuse_contour(monkeypatch)
         for s in (S321, models.InertiaSetup(3, 2, 1, 0.0, 1.0),
                   models.InertiaSetup(3, 2, 1, -1.0, 30.0)):
             for lag in (0.0, 0.5, 2.0, 50.0):
                 stability.ep_delayed_check(s, kernels.DiracKernel(lag))
-        for kern in (kernels.UniformKernel(0.1, 0.5),
-                     kernels.ExponentialKernel(2.0),
-                     kernels.ErlangKernel(2.0)):
-            with pytest.raises(AssertionError, match="count_rhp_roots"):
-                stability.ep_delayed_check(S321, kern)
+            for rate in (0.1, 2.0, 1e10):
+                stability.ep_delayed_check(s, kernels.ExponentialKernel(rate))
+                stability.ep_delayed_check(s, kernels.ErlangKernel(rate))
+        with pytest.raises(AssertionError, match="count_rhp_roots"):
+            stability.ep_delayed_check(S321, kernels.UniformKernel(0.1, 0.5))
 
     def test_ep_report_fields(self):
         dirac, uniform = kernels.DiracKernel(0.7), kernels.UniformKernel(
             0.1, 0.5)
         for s in _crossing_setups()[:12]:
-            for kern in (dirac, uniform):
+            for kern in (dirac, uniform, kernels.ExponentialKernel(2.0),
+                         kernels.ErlangKernel(0.5)):
                 rep = stability.ep_delayed_check(s, kern)
                 assert rep.critical_delay == stability.critical_delay_scan(s)
                 if s.coupling:
@@ -666,17 +669,107 @@ class TestClosedFormCounts:
         assert stability._crossing_verdict(2, [(1e300, 1.0, -1)], 1e10) == (
             stability.MARGINAL, "uncertain")
 
+    def test_ep_rational_report(self):
+        # every root of the chain polynomial, sorted by (re, im), with its
+        # margin |arg lambda| - pi/2; the count is the negative margins
+        for s in _crossing_setups()[2:14]:
+            for kern in (kernels.ExponentialKernel(2.0),
+                         kernels.ErlangKernel(0.5)):
+                rep = stability.ep_delayed_check(s, kern)
+                stages = kernels.chain_reduce(kern).stages
+                assert len(rep.roots) == 2 + 2 * stages
+                assert all(type(w) is complex for w in rep.roots)
+                assert rep.roots == sorted(rep.roots,
+                                           key=lambda w: (w.real, w.imag))
+                assert rep.margins == [abs(cmath.phase(w)) - math.pi / 2
+                                       for w in rep.roots]
+                count = rep.metadata["rhp_root_count"]
+                assert count == sum(m < 0 for m in rep.margins)
+                assert rep.verdict == (stability.UNSTABLE if count
+                                       else stability.STABLE)
+                assert rep.dominant_root == rep.roots[
+                    int(np.argmin(rep.margins))]
+                assert rep.alpha is None and rep.structural_zero_roots == 1
+        text = stability.ep_delayed_check(
+            S321, kernels.ErlangKernel(2.0)).to_text()
+        assert "root6_im = " in text and "margin6 = " in text
+        assert "rhp_root_count = 0\n" in text
+
+    @pytest.mark.parametrize("setup, kern, count", [
+        ((4.39734, 2.31139, 1.59861, -0.754625, 31.299),
+         kernels.ErlangKernel(0.262547), 2),
+        ((4.76546, 3.01903, 2.84783, -0.86384, 59.967),
+         kernels.ExponentialKernel(18.2484), 2),
+        ((3.73887, 2.54758, 0.755485, 1.98145, 53.5446),
+         kernels.ErlangKernel(18.3348), 4)])
+    def test_ep_rational_regressions(self, setup, kern, count):
+        # a fixed 50 x 50 contour called all three stable with count 0;
+        # the first has its pair 0.734 +- 0.906i inside that box
+        s = models.InertiaSetup(*setup)
+        rep = stability.ep_delayed_check(s, kern)
+        assert rep.verdict == stability.UNSTABLE
+        assert rep.metadata["rhp_root_count"] == count
+        roots = _chain_roots(*_fd_ep_blocks(s), kern)
+        assert np.count_nonzero(roots.real > 0) == count
+
+    def test_ep_rational_sweep(self):
+        rng = np.random.default_rng(7)
+        checked = unstable = 0
+        for i in range(400):
+            inertia = np.sort(rng.uniform(0.5, 5.0, 3))[::-1]
+            coupling = float(rng.uniform(-2.0, 2.0))
+            m = float(rng.uniform(0.2, 6.0)) * (10.0 if i % 3 == 0 else 1.0)
+            rate = float(rng.uniform(0.1, 20.0))
+            s = models.InertiaSetup(*(float(v) for v in inertia), coupling, m)
+            kern = (kernels.ExponentialKernel(rate) if i % 2 == 0
+                    else kernels.ErlangKernel(rate))
+            roots = _chain_roots(*_fd_ep_blocks(s), kern)
+            if np.abs(roots.real).min() < 1e-6:
+                continue
+            rep = stability.ep_delayed_check(s, kern)
+            count = int(np.count_nonzero(roots.real > 0))
+            assert rep.metadata["rhp_root_count"] == count, (s, kern)
+            assert rep.verdict == (stability.UNSTABLE if count
+                                   else stability.STABLE), (s, kern)
+            got = np.array(rep.roots)
+            for root in roots:
+                assert np.abs(got - root).min() <= 1e-10 * max(1.0, abs(root))
+            checked += 1
+            unstable += count > 0
+        assert checked > 390 and unstable > 100
+
+    def test_ep_rational_extreme_rates(self):
+        # at rate 1e10 the kernel is a lag 0 to within the float
+        # resolution; from about 1e35 np.roots loses the roots near the
+        # origin next to the chain's poles near -rate, and from about 1e77
+        # leading coefficients drop: marginal and uncertain, never an error
+        assert stability.ep_delayed_check(
+            S321, kernels.DiracKernel(0.0)).verdict == stability.STABLE
+        for kind in (kernels.ExponentialKernel, kernels.ErlangKernel):
+            rep = stability.ep_delayed_check(S321, kind(1e10))
+            assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+                stability.STABLE, 0)
+            for rate in (1e300, 1e160, 1e155, 1e80, 1e77, 1e-200, 5e-324):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rep = stability.ep_delayed_check(S321, kind(rate))
+                assert (rep.verdict, rep.metadata["rhp_root_count"]) in (
+                    (stability.STABLE, 0), (stability.MARGINAL, "uncertain"))
+
 
 class TestRootOnContour:
     def test_ep_coupling_zero(self):
         # the bracket is lambda^2 + 1/9 at every lag: both roots sit on the
         # imaginary axis, where a contour's phase steps add up to one turn
         for kern in (kernels.DiracKernel(0.5),
-                     kernels.UniformKernel(0.2, 1.0)):
+                     kernels.UniformKernel(0.2, 1.0),
+                     kernels.ExponentialKernel(2.0),
+                     kernels.ErlangKernel(2.0)):
             rep = stability.ep_delayed_check(
                 models.InertiaSetup(3, 2, 1, 0.0, 1.0), kern)
             assert rep.verdict == stability.MARGINAL
             assert rep.metadata["rhp_root_count"] == "uncertain"
+            assert rep.roots == [] and rep.margins == []
             assert "rhp_root_count = uncertain\n" in rep.to_text()
 
     def test_zero_sample(self):
@@ -991,6 +1084,22 @@ def _dde_roots(a0, a1, tau, nodes=48):
     gen[:d, :d] = a0
     gen[:d, -d:] = a1
     return np.linalg.eigvals(gen)
+
+
+def _chain_roots(a0, a1, kernel):
+    """Eigenvalues of u' = A0 u + A1 eta_n, eta_1' = r (u - eta_1),
+    eta_k' = r (eta_(k-1) - eta_k): the linear chain that an exponential
+    (n = 1) or Erlang (n = 2) kernel of rate r reduces to, whose matrix is
+    built here from the transverse Jacobian blocks."""
+    d, rate = a0.shape[0], kernel.rate
+    n = 1 if isinstance(kernel, kernels.ExponentialKernel) else 2
+    mat = np.zeros((d * (n + 1), d * (n + 1)))
+    mat[:d, :d], mat[:d, -d:] = a0, a1
+    for k in range(1, n + 1):
+        rows = slice(d * k, d * (k + 1))
+        mat[rows, d * (k - 1):d * k] = rate * np.eye(d)
+        mat[rows, rows] = -rate * np.eye(d)
+    return np.linalg.eigvals(mat)
 
 
 def _crossing_setups():
