@@ -765,11 +765,6 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
     gs[0] = eval_g(0, x0)
     far = np.zeros((n, 2, dim))
     far[:, 1] = g0_weight[:, None] * gs[0]
-    trunc_bound = 0.0
-    # the norms take numpy's dot of the stored row: BLAS fuses its
-    # multiply-adds, so a sum of Python float squares can differ in the
-    # last bit
-    max_g_norm = math.sqrt(float(gs[0] @ gs[0]))
     for step in range(n):
         r = step % block
         if r == 0 and step:
@@ -783,19 +778,32 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
             raise _diverged(step * h)
         states[step + 1] = xc
         gs[step + 1] = eval_g(step + 1, xc)
-        if window is not None:
-            g = gs[step + 1]
-            max_g_norm = max(max_g_norm, math.sqrt(float(g @ g)))
-            if step + 1 > window:
-                dropped_mass = pred_scale * (pow_a[step + 1] - pow_a[window])
-                trunc_bound = max(trunc_bound, dropped_mass * max_g_norm)
     derivs = np.gradient(states, h, axis=0)
     meta = {"order": alpha, "scheme": "abm-pece",
             "corrector_iters": cfg.corrector_iters}
     if window is not None:
         meta["memory_window"] = window
-        meta["memory_truncation_bound"] = trunc_bound
+        meta["memory_truncation_bound"] = _truncation_bound(
+            gs, pred_scale, pow_a, window)
     return states, derivs, meta
+
+
+def _truncation_bound(gs, pred_scale, pow_a, window: int) -> float:
+    """max over nodes k > window of pred_scale*(k^alpha - window^alpha)
+    times the largest |g_j| over j <= k: the weight mass a windowed
+    predictor drops, times the largest slope it could have met.
+
+    Both factors grow with k, so the maximum is at the last node, with the
+    largest norm of all.  Each norm takes the dot of a stored row as
+    ``g @ g`` does, which the stacked matmul repeats bit for bit (BLAS
+    fuses its multiply-adds, so another sum of squares can differ in the
+    last bit).
+    """
+    n = len(gs) - 1
+    if n <= window:
+        return 0.0
+    largest = math.sqrt((gs[:, None, :] @ gs[:, :, None]).max())
+    return float(pred_scale * (pow_a[n] - pow_a[window]) * largest)
 
 
 def integrate_frac_abm(rhs, cfg: FracConfig, x0, t_end, *,
@@ -879,28 +887,41 @@ def trajectory_columns(core: int, diag_names, extra: int) -> list[str]:
     return cols + [f"aux{i + 1}" for i in range(extra)]
 
 
-#: rows formatted per write: beyond one float table, the Python floats and
-#: strings of one chunk are all the writer holds (larger chunks are no
-#: faster)
+#: rows formatted per call of the formatter: the arrays of one chunk are
+#: all the writer holds beyond the trajectory
 _CSV_CHUNK = 256
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write ``traj`` as CSV with 17-significant-digit decimal floats.
+    """Write ``traj`` as CSV, each float exactly as ``"%.17g" % x`` gives it.
 
     Columns: t, the core state components, the diagnostics, then any
-    auxiliary chain stages.  Output is byte-deterministic for identical
-    trajectories.
+    auxiliary chain stages.  Each chunk of rows is gathered from the
+    column sources and formatted in array passes (``rigidmem._csvformat``,
+    imported on the first call).  A value's 17 digits are the nearest
+    integer to P = |x|·10^(16-e), which the formatter carries as
+    ph + pt: 10^q is the double-double hi + lo with relative error below
+    2^-106, ph + err is the Dekker two-product |x|·hi without error, and
+    pt, the rounded sum of err and the rounded |x|·lo, errs by at most
+    2^-53 of each of these sizes, which stay below 20.  With P < 1e17 the
+    total error is below 1e-14 of a unit in the 17th digit, so ph plus
+    the nearest integer to pt is P's rounding unless P lies within that
+    error of a half-integer: values whose pt lies within 1e-6 of one, all
+    exact ties among them, are formatted by ``%`` one at a time, as are
+    NaN, ±inf and |x| outside [1e-250, 1e250] (subnormals included).
     """
+    from ._csvformat import RowFormatter
+
     core = traj.core_dim
     cols = trajectory_columns(core, traj.diagnostics,
                               traj.states.shape[1] - core)
-    table = np.column_stack([traj.times, traj.states[:, :core],
-                             *traj.diagnostics.values(),
-                             traj.states[:, core:]])
-    line = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for lo in range(0, len(table), _CSV_CHUNK):
-            chunk = table[lo: lo + _CSV_CHUNK]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+    sources = [traj.states[:, :core], *traj.diagnostics.values(),
+               traj.states[:, core:]]
+    fmt = RowFormatter(len(cols), _CSV_CHUNK)
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        for lo in range(0, traj.n_samples, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, traj.n_samples)
+            times = traj.t0 + traj.h * np.arange(lo, hi)
+            fh.write(fmt(np.column_stack(
+                [times, *(col[lo: hi] for col in sources)])))

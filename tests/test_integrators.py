@@ -1,3 +1,4 @@
+import functools
 import gc
 import inspect
 import math
@@ -10,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rigidmem import cli, integrators, kernels, models
+from rigidmem._csvformat import RowFormatter
 from rigidmem.errors import DivergenceError, HistoryCoverageError
 from rigidmem.fraccalc import mittag_leffler
 from rigidmem.integrators import (FracConfig, HistorySpec, Trajectory,
@@ -371,7 +375,7 @@ class TestFracAbm:
         cut = integrate_frac_abm(
             lambda x: [-v for v in x],
             FracConfig(order=0.6, h=5e-3, memory_window=300), [1.0], 3.0)
-        assert "memory_truncation_bound" in cut.meta
+        assert type(cut.meta["memory_truncation_bound"]) is float
         drift = np.max(np.abs(full.states - cut.states))
         assert 0 < drift < 10 * cut.meta["memory_truncation_bound"]
 
@@ -931,6 +935,10 @@ class TestUniformRunningIntegral:
         assert set(worst.values()) == {6}, worst
 
 
+#: rows per chunk of the CSV writer
+CHUNK = integrators._CSV_CHUNK
+
+
 class TestTrajectoryCsv:
     def test_header_and_roundtrip(self, tmp_path):
         traj = integrate_rk4(lambda x: models.rhs_classical(P321, x), X111,
@@ -970,6 +978,163 @@ class TestTrajectoryCsv:
                    states[i, 3]]
             lines.append(",".join(format(v, ".17g") for v in row))
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_nothing_formatted_at_import(self):
+        code = ("import sys, rigidmem; "
+                "print('rigidmem._csvformat' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                      2 * CHUNK + 3])
+    @pytest.mark.parametrize("layout", ["scalar-18", "erlang-chain", "aux",
+                                        "zero-column"])
+    def test_shapes_match_per_value_format(self, layout, rows, tmp_path):
+        traj = _csv_trajectory(layout, rows)
+        out = tmp_path / "shape.csv"
+        write_trajectory_csv(traj, out)
+        assert out.read_bytes() == _per_value_csv(traj)
+
+    def test_no_whole_run_table(self, tmp_path):
+        rows = 40000
+        states = np.linspace(-1.0, 1.0, 4 * rows).reshape(rows, 4)
+        traj = Trajectory(0.0, 1e-3, states, states,
+                          {"h": states[:, 0] ** 2}, core_dim=3)
+        out = tmp_path / "big.csv"
+        write_trajectory_csv(traj, out)  # the formatter's tables, once
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (rows, 6) float table would take 1.9 MB
+        assert peak < 1_000_000
+
+
+@functools.cache
+def _erlang_run():
+    pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
+    return integrate_chain(pair, kernels.ChainSpec(2, 30.0),
+                           HistorySpec.constant(0.3 * X111),
+                           (2 * CHUNK + 2) * 0.01, 0.01,
+                           diagnostics=rigid_diag(P321))
+
+
+def _csv_trajectory(layout, rows):
+    """A ``rows``-sample trajectory of each column layout of the CSV."""
+    if layout == "erlang-chain":
+        # t, x1..x3, h, c and six eta columns
+        run = _erlang_run()
+        return Trajectory(run.t0, run.h, run.states[:rows],
+                          run.derivs[:rows],
+                          {k: v[:rows] for k, v in run.diagnostics.items()},
+                          core_dim=3)
+    rng = np.random.default_rng(rows)
+    if layout == "scalar-18":
+        states = rng.standard_normal((rows, 1))
+        return Trajectory(0.0, 1e-3, states, states)
+    states = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(
+        -8, 8, (rows, 5))
+    if layout == "aux":
+        return Trajectory(0.25, 0.1, states, states,
+                          {"h": rng.standard_normal(rows)}, core_dim=3)
+    states[:, 1] = 0.0
+    return Trajectory(0.0, 1e-3, states[:, :3], states[:, :3],
+                      {"h": np.zeros(rows), "c": rng.standard_normal(rows)})
+
+
+def _per_value_csv(traj):
+    core = traj.core_dim
+    cols = integrators.trajectory_columns(core, traj.diagnostics,
+                                          traj.states.shape[1] - core)
+    lines = [",".join(cols)]
+    for i in range(traj.n_samples):
+        row = [traj.times[i], *traj.states[i, :core],
+               *(d[i] for d in traj.diagnostics.values()),
+               *traj.states[i, core:]]
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _g17(values):
+    """The formatter's text of each value, one value per row."""
+    block = np.asarray(values, dtype=float).reshape(-1, 1)
+    text = RowFormatter(1, len(block))(block).tobytes().decode()
+    return text.splitlines()
+
+
+def _assert_g17(values):
+    values = np.asarray(values, dtype=float).ravel()
+    assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+def _neighbours(values, steps):
+    """``values`` with their ``steps`` nearest doubles on either side."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    for toward in (0.0, np.inf):
+        v = values
+        for _ in range(steps):
+            v = np.nextafter(v, np.copysign(toward, values))
+            out.append(v)
+    return np.concatenate(out)
+
+
+class TestG17Format:
+    """The array formatter against ``format(v, ".17g")``, byte for byte."""
+
+    def test_random_bit_patterns(self):
+        # NaN payloads, infinities, subnormals and every exponent
+        bits = np.random.default_rng(21).integers(
+            0, 2**64, 50000, dtype=np.uint64, endpoint=False)
+        _assert_g17(bits.view(np.float64))
+
+    def test_log_uniform_magnitudes(self):
+        rng = np.random.default_rng(22)
+        values = 10.0 ** rng.uniform(-330, 308.25, 50000)
+        _assert_g17(values * rng.choice([-1.0, 1.0], values.size))
+
+    def test_powers_of_ten_and_neighbours(self):
+        # some, such as 1e-79, lie within half a unit in the 17th digit
+        # below 10^K, so their rounding carries into the exponent
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = _neighbours(powers, steps=1)
+        _assert_g17(np.concatenate([values, -values]))
+
+    def test_exact_ties_round_half_even(self):
+        assert _g17([1125899906842624.25]) == ["1125899906842624.2"]
+        assert _g17([1125899906842624.75]) == ["1125899906842624.8"]
+        # odd N / 2^e with 18 significant digits: the 18th is a 5
+        rng = np.random.default_rng(23)
+        ties = []
+        for e in range(2, 18):
+            lo = 10 ** (17 - e) * 2**e
+            odd = 2 * rng.integers(lo // 2, min(10 * lo, 2**53) // 2,
+                                   200) + 1
+            ties.append(odd / 2.0**e)
+        ties = np.concatenate(ties)
+        _assert_g17(np.concatenate([ties, -ties]))
+        _assert_g17((2.0**52 + np.arange(-2000, 2000)) / 4)
+
+    def test_notation_switch_points(self):
+        # fixed/exponential at 1e-4 and 1e-5 and at 1e16 and 1e17, and two-
+        # and three-digit exponents at 99 and 100, with their neighbours
+        points = [1e-5, 1e-4, 1e16, 1e17, 1e99, 1e100, 1e-99, 1e-100]
+        values = _neighbours(points, steps=4)
+        _assert_g17(np.concatenate([values, -values]))
+
+    def test_zeros_and_infinities(self):
+        assert _g17([0.0, -0.0, np.inf, -np.inf, np.nan]) == [
+            "0", "-0", "inf", "-inf", "nan"]
+        _assert_g17(np.zeros(1000))
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_any_floats(self, values):
+        _assert_g17(values)
 
 
 def _array_check_state(x, t):
