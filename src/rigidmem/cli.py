@@ -20,9 +20,7 @@ blocks (full-line ``#`` comments allowed).  Sections:
 ``[run]``
     ``x0`` (comma-separated components, also the constant history),
     ``t_end`` (0 or a whole number of steps), ``step``; optional
-    ``quad_step`` (> 0), the Simpson step of a kernel average over a
-    history that is not constant.  The CLI's history is always the
-    constant ``x0``, whose averages are exact, so it changes no result.
+    ``quad_step`` (> 0), which is validated and has no effect.
 ``[output]``
     Optional ``path`` (the ``--out`` flag wins).
 ``[stability]``
@@ -58,7 +56,7 @@ from . import kernels as _kern
 from . import models as _models
 from . import stability as _stab
 from .errors import ConfigError, DivergenceError
-from .integrators import (FracConfig, HistorySpec, _fmt, _whole_steps,
+from .integrators import (FracConfig, HistorySpec, _whole_steps,
                           integrate_chain, integrate_dde, integrate_frac_abm,
                           integrate_frac_dde, integrate_rk4,
                           trajectory_columns, write_trajectory_csv)
@@ -87,7 +85,6 @@ class RunConfig:
     x0: np.ndarray
     t_end: float
     step: float
-    quad_step: float | None
     out: str | None
     equilibrium: str
     eq_m: float
@@ -119,6 +116,10 @@ class _Kind:
     diagnostics: Callable = lambda params: {}
     report: Callable | None = None
     set_m: Callable | None = None
+
+
+def _fmt(v: float) -> str:
+    return format(v, ".17g")
 
 
 def _rigid_diagnostics(p):
@@ -368,6 +369,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
     t_end = g.get("run", "t_end", required=True)
     step = g.get("run", "step", required=True)
+    # no effect, but checked: bench/jobs.py's uniform jobs still write it
     quad_step = g.get("run", "quad_step")
     for key, value, zero_ok in (("t_end", t_end, True), ("step", step, False),
                                 ("quad_step", quad_step, False)):
@@ -452,9 +454,8 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     return RunConfig(kind=kind, params=params, kernel=kernel, frac=frac,
-                     x0=np.array(x0), t_end=t_end, step=step,
-                     quad_step=quad_step, out=out, equilibrium=equilibrium,
-                     eq_m=eq_m, scan=scan)
+                     x0=np.array(x0), t_end=t_end, step=step, out=out,
+                     equilibrium=equilibrium, eq_m=eq_m, scan=scan)
 
 
 def _run_simulation(cfg: RunConfig):
@@ -471,13 +472,13 @@ def _run_simulation(cfg: RunConfig):
     phi = HistorySpec.constant(cfg.x0)
     if kind.fractional:
         return integrate_frac_dde(pair, cfg.frac, cfg.kernel, phi, cfg.t_end,
-                                  quad_step=cfg.quad_step, diagnostics=diag)
+                                  diagnostics=diag)
     chain = _kern.chain_reduce(cfg.kernel)
     if chain is not None:
         return integrate_chain(pair, chain, phi, cfg.t_end, cfg.step,
-                               quad_step=cfg.quad_step, diagnostics=diag)
+                               diagnostics=diag)
     return integrate_dde(pair, cfg.kernel, phi, cfg.t_end, cfg.step,
-                         quad_step=cfg.quad_step, diagnostics=diag)
+                         diagnostics=diag)
 
 
 def _rel_drift(series: np.ndarray) -> float:

@@ -3,7 +3,7 @@
 Four integration paths are provided:
 
 * classical fixed-step RK4 for ordinary systems,
-* method-of-steps RK4 for distributed-delay systems, where the delayed
+* method-of-steps RK4 for Dirac and uniform kernels, where the delayed
   argument is read from the stored trajectory (cubic Hermite dense
   output) and the initial function: a uniform kernel's average as the
   exact running integral of that interpolant, a Dirac lag in batches,
@@ -403,7 +403,7 @@ def _stage_state(i, x):
     return x
 
 
-def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
+def _delayed_argument(kernel, grid: _RunningGrid, times, final):
     """The delayed argument xd(i, stage_state) over ``grid``, chosen once.
 
     Lookup i is at time ``times[i]`` (nondecreasing), when nodes up to
@@ -413,19 +413,13 @@ def _delayed_argument(kernel, grid: _RunningGrid, quad_step, times, final):
     :func:`_uniform_average`; a Dirac kernel samples the lagged time, a
     lookup that reads only final nodes in one batch with the next such
     lookups and served from it (Hermite evaluation is elementwise, so each
-    value is bitwise that of a lone lookup); any other kernel averages the
-    history by :func:`kernels.convolve_history`, one lookup at a time, with
-    ``quad_step`` (by default h, at most 1/16 of the support).  Values are
-    lists of floats.
+    value is bitwise that of a lone lookup).  Any other kernel raises
+    TypeError.  Values are lists of floats.
     """
     if isinstance(kernel, _kern.UniformKernel):
-        return _uniform_average(kernel, grid, quad_step, times, final)
+        return _uniform_average(kernel, grid, times, final)
     if not isinstance(kernel, _kern.DiracKernel):
-        if quad_step is None:
-            lo, hi = _kern.effective_support(kernel)
-            quad_step = min(grid.h, (hi - lo) / 16.0)
-        return lambda i, x: _kern.convolve_history(
-            kernel, grid, times[i], quad_step).tolist()
+        raise TypeError(f"no delayed-argument route for {type(kernel)}")
     lag = kernel.lag
     if lag == 0.0:
         return _stage_state
@@ -451,7 +445,7 @@ def _simpson(phi: HistorySpec, a: float, b: float, step: float) -> list:
     return (weights @ phi.eval_many(s)).tolist()
 
 
-def _uniform_average(kernel, grid: _RunningGrid, quad_step, times, final):
+def _uniform_average(kernel, grid: _RunningGrid, times, final):
     """The delayed argument of a uniform kernel: the exact average of the
     history over the window [t - offset - width, t - offset].
 
@@ -464,14 +458,13 @@ def _uniform_average(kernel, grid: _RunningGrid, quad_step, times, final):
     both its nodes are final, as they finish; the prefix carries its
     rounding error (two-sum), so the error of a window does not grow with
     t.  Before t0 the integral is c times the length for a constant phi,
-    exactly, and composite Simpson with ``quad_step`` (by default h, at
-    most width/16) otherwise.  Every lookup costs O(1) on the grid; one
-    that reads only final nodes is kept for a repeat of the same i.
+    exactly, and composite Simpson with step at most min(h, width/16)
+    otherwise.  Every lookup costs O(1) on the grid; one that reads only
+    final nodes is kept for a repeat of the same i.
     """
     t0, h, phi = grid.t0, grid.h, grid.phi
     offset, width = kernel.offset, kernel.width
-    if quad_step is None:
-        quad_step = min(h, width / 16.0)
+    simpson_step = min(h, width / 16.0)
     const = (phi.eval_many(np.array([t0]))[0].tolist() if phi.is_constant
              else None)
     dim = grid.states.shape[1]
@@ -549,7 +542,7 @@ def _uniform_average(kernel, grid: _RunningGrid, quad_step, times, final):
         pos_b = (b - t0) / h
         if b <= t0:
             value = (const if const is not None else
-                     [v / width for v in _simpson(phi, a, b, quad_step)])
+                     [v / width for v in _simpson(phi, a, b, simpson_step)])
         else:
             b_hi, b_lo, b_rest = integral_to(pos_b, last)
             if a > t0:
@@ -558,7 +551,7 @@ def _uniform_average(kernel, grid: _RunningGrid, quad_step, times, final):
             else:
                 a_hi = a_lo = a_rest = zero
                 past = ([v * (t0 - a) for v in const] if const is not None
-                        else _simpson(phi, a, t0, quad_step))
+                        else _simpson(phi, a, t0, simpson_step))
             value = window(width, b_hi, a_hi, b_lo, a_lo, b_rest, a_rest,
                            past)
         if pos_b <= last:
@@ -569,7 +562,7 @@ def _uniform_average(kernel, grid: _RunningGrid, quad_step, times, final):
 
 
 def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
-                  quad_step=None, diagnostics=None) -> Trajectory:
+                  diagnostics=None) -> Trajectory:
     """Method-of-steps RK4 for dx/dt = rhs_pair(x, xd) with delayed xd.
 
     ``rhs_pair`` gets the state x and the delayed argument xd as lists of
@@ -581,22 +574,26 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     within a step) and phi.  A uniform kernel averages exactly: the
     integral of the interpolant over its window, from a running prefix
     sum over finished cells, costs O(1) per stage at any offset and
-    width; ``quad_step`` (by default h, at most width/16) is the Simpson
-    step of the window's part before 0 when phi is not constant.  Dirac
+    width; the window's part before 0 is exact for a constant phi and
+    composite Simpson with step min(h, width/16) otherwise.  Dirac
     kernels sample the lagged time exactly, and a zero-lag Dirac kernel
     substitutes the stage state itself so the run reduces bitwise to the
     ordinary RK4 path; with a lag >= h, the stages of the next lag/h steps
-    are read in one batch.  Any other kernel is averaged by Simpson
-    quadrature with ``quad_step`` (by default h, at most 1/16 of its
-    support).
+    are read in one batch.  An exponential or Erlang kernel goes to
+    :func:`integrate_chain`, whose trajectory is returned as it is: stage
+    columns after the model state, ``core_dim`` marking the model part.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.
     """
+    chain = _kern.chain_reduce(kernel)
+    if chain is not None:
+        return integrate_chain(rhs_pair, chain, phi, t_end, h,
+                               diagnostics=diagnostics)
     x0 = phi(0.0)
     n = _n_steps(t_end, h)
     grid = _RunningGrid(phi, 0.0, h, n, x0.size)
-    delayed = _delayed_argument(kernel, grid, quad_step, *_rk4_lookups(n, h))
+    delayed = _delayed_argument(kernel, grid, *_rk4_lookups(n, h))
 
     def field(i, x):
         return rhs_pair(x, delayed(i, x))
@@ -607,13 +604,14 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
 
 
 def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
-                    t_end, h, *, quad_step=None,
-                    diagnostics=None) -> Trajectory:
+                    t_end, h, *, diagnostics=None) -> Trajectory:
     """Exact chain augmentation for exponential/Erlang delayed systems.
 
     Auxiliary stages obey eta1' = rate*(x - eta1), eta2' = rate*(eta1 -
     eta2); the delayed argument is the last stage.  Initial stage values
-    are the kernel-weighted averages of phi.  ``rhs_pair`` gets x and the
+    are the kernel-weighted averages of phi: phi itself if constant, else
+    Simpson with step min(h, support/16) on each stage kernel's effective
+    support (support/h nodes, once per run).  ``rhs_pair`` gets x and the
     last stage as lists of floats and returns the derivative as any
     length-dim sequence.
     ``diagnostics`` maps names to functions called once on the whole run: a
@@ -631,11 +629,9 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
     else:
         stage_kernels = [_kern.ExponentialKernel(rate),
                          _kern.ErlangKernel(rate)][:chain.stages]
-        qs = quad_step
-        if qs is None:
-            qs = _kern.effective_support(stage_kernels[-1])[1] / 256.0
-        stage0 = [_kern.convolve_history(kern, phi, 0.0, qs)
-                  for kern in stage_kernels]
+        stage0 = [_kern.convolve_history(
+            kern, phi, 0.0, min(h, _kern.effective_support(kern)[1] / 16.0))
+            for kern in stage_kernels]
     y0 = np.concatenate([x0] + stage0)
 
     # y = (x, eta1[, eta2]): stage s relaxes towards the one before it
@@ -829,31 +825,33 @@ def integrate_frac_abm(rhs, cfg: FracConfig, x0, t_end, *,
 
 
 def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
-                       t_end, *, quad_step=None,
-                       diagnostics=None) -> Trajectory:
-    """Fractional predictor-corrector with a distributed-delay argument.
+                       t_end, *, diagnostics=None) -> Trajectory:
+    """Fractional predictor-corrector with a Dirac or uniform delay.
 
     ``rhs_pair`` gets the state x and the delayed argument xd as lists of
     floats on every call and returns the Caputo derivative as any
     length-dim sequence.  The delayed argument at each node is the kernel
     average over the grid (Hermite-interpolated, finite-difference slopes)
     and phi, read as in :func:`integrate_dde`: a uniform kernel's exactly,
-    at O(1) per node, ``quad_step`` serving only phi's part when phi is not
-    constant.  The current step's provisional value participates so
-    short-range kernels see a consistent sliver.  A zero-lag Dirac kernel
-    passes x itself as xd, which reduces the scheme bitwise to
-    :func:`integrate_frac_abm`.
+    at O(1) per node.  The current step's provisional value participates
+    so short-range kernels see a consistent sliver.  A zero-lag Dirac
+    kernel passes x itself as xd, which reduces the scheme bitwise to
+    :func:`integrate_frac_abm`.  An exponential or Erlang kernel raises
+    ValueError: a Caputo state under integer-order chain stages is a
+    mixed-order system that this scheme does not solve.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.
     """
+    if _kern.chain_reduce(kernel) is not None:
+        raise ValueError(f"integrate_frac_dde takes no {kernel}: its chain "
+                         "stages are of integer order")
     x0 = phi(0.0)
     n = _n_steps(t_end, cfg.h)
     grid = _RunningGrid(phi, 0.0, cfg.h, n, x0.size)
     # node k - 1's slope moves with each iterate of node k
     nodes = np.arange(n + 1)
-    delayed = _delayed_argument(kernel, grid, quad_step, nodes * cfg.h,
-                                nodes - 2)
+    delayed = _delayed_argument(kernel, grid, nodes * cfg.h, nodes - 2)
 
     if delayed is _stage_state:
         # zero lag: no lookup reads the grid, so it is never written
@@ -869,19 +867,15 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     return Trajectory(0.0, cfg.h, states, derivs, diag, meta=meta)
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def trajectory_columns(core: int, diag_names, extra: int) -> list[str]:
     """Column labels of the CSV export.
 
     t, the ``core`` state components, the diagnostics, then ``extra``
     auxiliary components: chain stages eta<s>_<i> when they come in whole
-    multiples of ``core``, aux<i> otherwise.
+    multiples of ``core`` (> 0), aux<i> otherwise.
     """
     cols = ["t"] + [f"x{i + 1}" for i in range(core)] + list(diag_names)
-    if extra % core == 0:
+    if core and extra % core == 0:
         return cols + [f"eta{s + 1}_{i + 1}"
                        for s in range(extra // core) for i in range(core)]
     return cols + [f"aux{i + 1}" for i in range(extra)]

@@ -214,16 +214,6 @@ def simpson_rule(lo: float, hi: float, step: float):
     return s, weights
 
 
-def quadrature_rule(kernel: DelayKernel, quad_step: float):
-    """Composite Simpson nodes ``s``, step at most ``quad_step``, on the
-    effective support, and weights ``wd`` with the density folded in: the
-    kernel average of a history x is ``wd @ x(t - s)``."""
-    if not (quad_step > 0):
-        raise ValueError("quad_step must be > 0")
-    s, weights = simpson_rule(*effective_support(kernel), quad_step)
-    return s, weights * density(kernel, s)
-
-
 def convolve_history(kernel: DelayKernel, history, t: float,
                      quad_step: float) -> np.ndarray:
     """Kernel-weighted past average integral of k(s) x(t - s) ds.
@@ -235,5 +225,7 @@ def convolve_history(kernel: DelayKernel, history, t: float,
     """
     if isinstance(kernel, DiracKernel):
         return _eval_history(history, np.array([t - kernel.lag]))[0]
-    s, wd = quadrature_rule(kernel, quad_step)
-    return wd @ _eval_history(history, t - s)
+    if not (quad_step > 0):
+        raise ValueError("quad_step must be > 0")
+    s, weights = simpson_rule(*effective_support(kernel), quad_step)
+    return (weights * density(kernel, s)) @ _eval_history(history, t - s)

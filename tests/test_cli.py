@@ -4,8 +4,10 @@ import gc
 import numpy as np
 import pytest
 
-from rigidmem import cli, models
+from rigidmem import cli, kernels, models
 from rigidmem.errors import ConfigError
+from rigidmem.integrators import (HistorySpec, integrate_dde,
+                                  write_trajectory_csv)
 
 CLASSICAL = """\
 [system]
@@ -244,6 +246,40 @@ step = 0.01
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header.startswith("t,x1,x2,x3,h,c,eta1_1")
+
+    @pytest.mark.parametrize("kernel", ["exponential", "erlang"])
+    def test_rational_kernel_csv_is_integrate_dde(self, kernel, tmp_path):
+        # the CLI calls integrate_chain itself; integrate_dde hands the
+        # same kernel to it, and both write the same bytes
+        text = f"""\
+[system]
+kind = delayed
+a1 = 3
+a2 = 2
+a3 = 1
+
+[kernel]
+kind = {kernel}
+rate = 2.5
+
+[run]
+x0 = 0.3, 0.2, 0.4
+t_end = 1
+step = 0.01
+"""
+        code, out = run_cli(tmp_path, text, "simulate", "cli.csv")
+        assert code == 0
+        p = models.RigidBodyParams(3, 2, 1)
+        kern = (kernels.ExponentialKernel(2.5) if kernel == "exponential"
+                else kernels.ErlangKernel(2.5))
+        traj = integrate_dde(
+            lambda x, xd: models.rhs_delayed(p, x, xd), kern,
+            HistorySpec.constant([0.3, 0.2, 0.4]), 1.0, 0.01,
+            diagnostics={"h": lambda x: models.hamiltonian(p, x),
+                         "c": models.casimir})
+        ref = tmp_path / "ref.csv"
+        write_trajectory_csv(traj, ref)
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestStability:
