@@ -28,11 +28,19 @@ among them) are formatted by ``%`` one at a time.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-#: the power-of-ten tables span 10^-_SPAN .. 10^_SPAN
-_SPAN = 300
+#: the power-of-ten tables span 10^-_SPAN .. 10^_SPAN: a value in the
+#: array range reads 10^e for e >= -252 (log10 an ulp low, then one step
+#: down) and 10^(16 - e) for e >= -251
+_SPAN = 267
+
+#: bits of 10^-n past its leading one that the division of
+#: :func:`_powers_of_ten` keeps: hi takes 53 of them, and lo at least 55
+#: more unless 10^-n lay within 2^-125 of a double
+_GUARD = 180
 
 #: |x| within these bounds goes through the array passes
 _LOW, _HIGH = 1e-250, 1e250
@@ -79,22 +87,44 @@ def _layout(shape: int, sig: int) -> list[int]:
     return cols + [_SEP]
 
 
+def _nearest(q: int, s: int) -> float:
+    """The double nearest (q + f) * 2^-s for some 0 < f < 1, where q has
+    at least 55 bits: the lowest bit of q, set, stands in for f."""
+    return math.ldexp(float(q | 1), -s)
+
+
+def _powers_of_ten():
+    """10^k for |k| <= _SPAN as hi + lo, both rounded to nearest: hi from
+    10^k and lo from 10^k - hi.  A power 10^n is an integer, so both are
+    conversions of integers.  Its inverse takes one integer division,
+    10^-n = (q + r / 10^n) * 2^-s, whose remainder r > 0 makes the
+    rounding of q to hi and of q - hi * 2^s to lo sticky."""
+    hi, lo = [0.0] * (2 * _SPAN + 1), [0.0] * (2 * _SPAN + 1)
+    power = 1
+    for n in range(_SPAN + 1):
+        h = float(power)
+        hi[_SPAN + n], lo[_SPAN + n] = h, float(power - int(h))
+        if n:
+            s = power.bit_length() + _GUARD
+            q = (1 << s) // power
+            h = _nearest(q, s)
+            d = q - int(math.ldexp(h, s))
+            hi[_SPAN - n] = h
+            lo[_SPAN - n] = (_nearest(d, s) if d >= 0
+                             else -_nearest(-d - 1, s))
+        power *= 10
+    return np.array(hi), np.array(lo)
+
+
 @functools.cache
 def _tables():
     """10^k as hi + lo (hi also in Dekker halves) for |k| <= _SPAN; the
     3-digit groups' characters and last nonzero digit; the exponents'
     characters; the layouts; and each exponent's first layout row."""
-    hi, lo = [], []
-    for k in range(-_SPAN, _SPAN + 1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        h = num / den  # integer division rounds correctly
-        hn, hd = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * hd - hn * den) / (den * hd))
-    hi = np.array(hi)
+    hi, lo = _powers_of_ten()
     split = hi * _SPLIT
     hi_h = split - (split - hi)
-    pow10 = (hi, np.array(lo), hi_h, hi - hi_h)
+    pow10 = (hi, lo, hi_h, hi - hi_h)
     groups = [b"%03d\0" % g for g in range(1000)]
     group_chars = np.frombuffer(b"".join(groups), "<u4")
     group_last = np.array([len(g.rstrip(b"0\0")) or -64 for g in groups])

@@ -163,27 +163,23 @@ def _rigid(**fields) -> _Kind:
                  diagnostics=_rigid_diagnostics, **fields)
 
 
-# Fields reach _models.rhs_* through the module at call time, so that a
-# function replaced on the module (for tracing) is the one that runs.
 _KINDS = {
-    "classical": _rigid(rhs=lambda p: lambda x: _models.rhs_classical(p, x)),
-    "revised": _rigid(rhs=lambda p: lambda x: _models.rhs_revised(p, x)),
-    "delayed": _rigid(
-        pair=lambda p: lambda x, xd: _models.rhs_delayed(p, x, xd)),
-    "revised-delayed": _rigid(
-        pair=lambda p: lambda x, xd: _models.rhs_revised_delayed(p, x, xd)),
+    "classical": _rigid(rhs=_models.classical_field),
+    "revised": _rigid(rhs=_models.revised_field),
+    "delayed": _rigid(pair=_models.delayed_field),
+    "revised-delayed": _rigid(pair=_models.revised_delayed_field),
     "fractional": _rigid(
-        rhs=lambda p: lambda x: _models.rhs_classical(p, x), fractional=True,
+        rhs=_models.classical_field, fractional=True,
         report=lambda cfg: _sector_report(cfg, revised=False),
         set_m=lambda cfg, m: dataclasses.replace(cfg, eq_m=m)),
     "fractional-revised": _rigid(
-        rhs=lambda p: lambda x: _models.rhs_revised(p, x), fractional=True,
+        rhs=_models.revised_field, fractional=True,
         report=lambda cfg: _sector_report(cfg, revised=True),
         set_m=lambda cfg, m: dataclasses.replace(cfg, eq_m=m)),
     "ep-delayed": _Kind(
         keys=("I1", "I2", "I3", "coupling", "m"),
         params=_models.InertiaSetup,
-        pair=lambda s: lambda x, xd: _models.rhs_ep_delayed(s, x, xd),
+        pair=_models.ep_delayed_field,
         diagnostics=_inertia_diagnostics,
         report=lambda cfg: _stab.ep_delayed_check(cfg.params, cfg.kernel),
         set_m=lambda cfg, m: dataclasses.replace(

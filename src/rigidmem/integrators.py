@@ -13,11 +13,14 @@ Four integration paths are provided:
 
 Every path steps over Python floats: a field gets the state, and a delayed
 field also the delayed argument, as a list of floats, and may return any
-length-dim sequence.  The per-step componentwise arithmetic (RK4 stages
-and combination, chain relaxation, ABM predictor and corrector, the
-divergence norm) runs in straight-line kernels generated once per state
-dimension from fixed templates, in the order of operations of the array
-form, so every result is bitwise that of the array loops.
+length-dim sequence; a model field bound once per run
+(``rigidmem.models.classical_field(p)`` and its siblings) is called
+directly.  The per-step componentwise arithmetic (RK4 stages and
+combination, ABM predictor and corrector, the divergence norm) runs in
+straight-line kernels generated once per state dimension from fixed
+templates, in the order of operations of the array form, so every result
+is bitwise that of the array loops; the chain's augmented field is one
+such function per state dimension and stage count.
 
 Every integrator emits a :class:`Trajectory`: uniformly spaced samples with
 a derivative estimate per node and per-sample diagnostics recomputed from
@@ -94,7 +97,6 @@ def _diverged(t: float) -> DivergenceError:
 _STAGE = "s, a, b: a + s * b"
 _COMBINE = "s, a, b, c, d, e: a + s * (b + 2.0 * (c + d) + e)"
 _CORRECT = "s, a, b, c: a + s * (b + c)"
-_RELAX = "s, a, b: s * (a - b)"
 _SQUARES = "a: sum(a * a)"
 #: the running integral of a uniform kernel (see _uniform_average): one
 #: cell's integral, a partial cell's, the prefix sum and its rounding
@@ -137,10 +139,39 @@ def _componentwise(expr: str, dim: int):
     lines += [f"    [{', '.join(f'{v}{i}' for i in range(dim))}] = {v}"
               for v in lists]
     lines.append(f"    return {result}")
+    return _generated(lines, f"<componentwise {expr!r}, {dim}>")
+
+
+@functools.cache
+def _chain_field(dim: int, stages: int):
+    """The augmented field of a ``stages``-stage chain over a ``dim``-state
+    as straight-line code, built once per (dim, stages) like the kernels
+    of :func:`_componentwise`.
+
+    ``bind(pair, s)`` gives the field of y = (x, eta1[, eta2]) as a list of
+    floats: it unpacks y once, calls ``pair`` on the lists x and the last
+    stage, and appends s * (y[i] - y[i + dim]) for each stage component i:
+    stage j relaxes towards the one before it at the rate ``s``.
+    """
+    ys = [f"y{i}" for i in range(dim * (stages + 1))]
+    parts = [f"*pair([{', '.join(ys[:dim])}], [{', '.join(ys[-dim:])}])"]
+    parts += [f"s * ({a} - {b})" for a, b in zip(ys[:-dim], ys[dim:])]
+    return _generated(["def bind(pair, s):",
+                       "    def field(y):",
+                       f"        [{', '.join(ys)}] = y",
+                       f"        return [{', '.join(parts)}]",
+                       "    return field"],
+                      f"<chain field, {dim}, {stages}>")
+
+
+def _generated(lines: list, tag: str):
+    """The one function that the source ``lines`` define, compiled as
+    ``tag``."""
     namespace = {}
-    exec(compile("\n".join(lines), f"<componentwise {expr!r}, {dim}>",
-                 "exec"), namespace)
-    return namespace["kernel"]
+    exec(compile("\n".join(lines), tag, "exec"), namespace)
+    del namespace["__builtins__"]
+    [function] = namespace.values()
+    return function
 
 
 def _hermite_eval(t0, h, states, derivs, count, ts, slack=0.0):
@@ -271,16 +302,20 @@ class _RunningGrid:
         self.states = np.empty((n_steps + 1, dim))
         self.derivs = np.zeros((n_steps + 1, dim))
         self.count = 0
+        self.writes = 0
 
     def put(self, k: int, x, f=None) -> None:
         """Write node ``k``: the next node, or the newest node again.
 
         Without a slope ``f`` the slopes are finite differences: one-sided
         at node k and centred at node k - 1 (node 0 copies node 1's).
+        ``writes`` counts the calls, so that a lookup can tell whether the
+        grid changed since it last read it.
         """
         states, derivs = self.states, self.derivs
         states[k] = x
         self.count = k + 1
+        self.writes += 1
         if f is not None:
             derivs[k] = f
         elif k >= 1:
@@ -293,6 +328,36 @@ class _RunningGrid:
     def cell(self, j: int):
         """States and slopes of nodes j and j + 1, as lists of floats."""
         return self.states[j: j + 2].tolist(), self.derivs[j: j + 2].tolist()
+
+    def eval_point(self, u: float) -> list:
+        """The grid at one time ``u`` > t0 as a list of floats: bitwise
+        :meth:`eval_many`'s value, in :func:`_hermite_eval`'s order of
+        operations, with its node snap and coverage error."""
+        t0, h, count = self.t0, self.h, self.count
+        t_last = t0 + (count - 1) * h
+        slack = h * (1 + 1e-9)
+        tol = _NODE_SNAP * h
+        if u < t0 - tol or u > t_last + slack + tol:
+            raise HistoryCoverageError(
+                f"dense evaluation outside [{t0}, {t_last + slack}]")
+        if count == 1:
+            return [x + (u - t0) * f for x, f in
+                    zip(self.states[0].tolist(), self.derivs[0].tolist())]
+        pos = (u - t0) / h
+        near = round(pos)
+        if abs(pos - near) < _NODE_SNAP and 0 <= near <= count - 1:
+            return self.states[near].tolist()
+        j = min(max(math.floor(pos), 0), count - 2)
+        theta = pos - j
+        t2 = theta * theta
+        t3 = t2 * theta
+        h00 = 2 * t3 - 3 * t2 + 1
+        h10 = h * (t3 - 2 * t2 + theta)
+        h01 = -2 * t3 + 3 * t2
+        h11 = h * (t3 - t2)
+        (xa, xb), (fa, fb) = self.cell(j)
+        return [h00 * a + h10 * c + h01 * b + h11 * d
+                for a, c, b, d in zip(xa, fa, xb, fb)]
 
     def eval_many(self, us) -> np.ndarray:
         us = np.asarray(us, dtype=float)
@@ -413,7 +478,8 @@ def _delayed_argument(kernel, grid: _RunningGrid, times, final):
     :func:`_uniform_average`; a Dirac kernel samples the lagged time, a
     lookup that reads only final nodes in one batch with the next such
     lookups and served from it (Hermite evaluation is elementwise, so each
-    value is bitwise that of a lone lookup).  Any other kernel raises
+    value is bitwise that of a lone lookup), any other on Python floats
+    (:meth:`_RunningGrid.eval_point`).  Any other kernel raises
     TypeError.  Values are lists of floats.
     """
     if isinstance(kernel, _kern.UniformKernel):
@@ -423,18 +489,23 @@ def _delayed_argument(kernel, grid: _RunningGrid, times, final):
     lag = kernel.lag
     if lag == 0.0:
         return _stage_state
+    short = lag < grid.h
     first, block = 0, []
 
     def lookup(i, x):
         nonlocal first, block
         if 0 <= i - first < len(block):
             return block[i - first]
-        ts = times[i: i + _LOOKAHEAD_POINTS]
-        ready = int(np.count_nonzero(
-            ts - lag <= grid.t0 + max(final[i], 0) * grid.h))
-        values = grid.eval_many(ts[: max(ready, 1)] - lag).tolist()
-        first, block = i, values[:ready]
-        return values[0]
+        u = float(times[i]) - lag
+        ready_to = grid.t0 + max(int(final[i]), 0) * grid.h
+        if u > grid.t0 and (short or not u <= ready_to):
+            # on the unfinished last piece, or one lookup of a lag below h,
+            # whose batch would hold no other
+            return grid.eval_point(u)
+        ts = times[i: i + _LOOKAHEAD_POINTS] - lag
+        ready = int(np.count_nonzero(ts <= ready_to))
+        first, block = i, grid.eval_many(ts[:ready]).tolist()
+        return block[0]
 
     return lookup
 
@@ -459,8 +530,9 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
     rounding error (two-sum), so the error of a window does not grow with
     t.  Before t0 the integral is c times the length for a constant phi,
     exactly, and composite Simpson with step at most min(h, width/16)
-    otherwise.  Every lookup costs O(1) on the grid; one that reads only
-    final nodes is kept for a repeat of the same i.
+    otherwise.  Every lookup costs O(1) on the grid and is kept for a
+    repeat of the same i: one that reads only final nodes for good, any
+    other until the next write to the grid (RK4's k3 repeats k2's lookup).
     """
     t0, h, phi = grid.t0, grid.h, grid.phi
     offset, width = kernel.offset, kernel.width
@@ -481,7 +553,9 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
     pre = np.zeros((grid.states.shape[0], 2, dim))
     done, hi, lo = 0, zero, zero
     times, final = times.tolist(), final.tolist()
-    kept_i, kept = -1, None
+    # the kept value is lookup kept_i's while grid.writes is kept_writes,
+    # or for good when kept_writes is None
+    kept_i, kept_writes, kept = -1, None, None
 
     def whole_cell(j):
         (xa, xb), (fa, fb) = grid.cell(j)
@@ -531,8 +605,8 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
         return hi, lo, rest
 
     def lookup(i, x):
-        nonlocal kept_i, kept
-        if i == kept_i:
+        nonlocal kept_i, kept_writes, kept
+        if i == kept_i and kept_writes in (None, grid.writes):
             return kept
         b = times[i] - offset
         a = b - width
@@ -554,8 +628,8 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
                         else _simpson(phi, a, t0, simpson_step))
             value = window(width, b_hi, a_hi, b_lo, a_lo, b_rest, a_rest,
                            past)
-        if pos_b <= last:
-            kept_i, kept = i, value
+        kept_i, kept = i, value
+        kept_writes = None if pos_b <= last else grid.writes
         return value
 
     return lookup
@@ -579,7 +653,8 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     kernels sample the lagged time exactly, and a zero-lag Dirac kernel
     substitutes the stage state itself so the run reduces bitwise to the
     ordinary RK4 path; with a lag >= h, the stages of the next lag/h steps
-    are read in one batch.  An exponential or Erlang kernel goes to
+    are read in one batch, and a shorter lag reads each stage's cubic on
+    Python floats.  An exponential or Erlang kernel goes to
     :func:`integrate_chain`, whose trajectory is returned as it is: stage
     columns after the model state, ``core_dim`` marking the model part.
     ``diagnostics`` maps names to functions called once on the whole run: a
@@ -611,9 +686,11 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
     eta2); the delayed argument is the last stage.  Initial stage values
     are the kernel-weighted averages of phi: phi itself if constant, else
     Simpson with step min(h, support/16) on each stage kernel's effective
-    support (support/h nodes, once per run).  ``rhs_pair`` gets x and the
-    last stage as lists of floats and returns the derivative as any
-    length-dim sequence.
+    support (support/h nodes, once per run, read in pieces by
+    :func:`~rigidmem.kernels.convolve_history`).  ``rhs_pair`` gets x and
+    the last stage as lists of floats and returns the derivative as any
+    length-dim sequence; the augmented field around it is generated by
+    :func:`_chain_field` and bound once per run.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.  The table
@@ -633,15 +710,8 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
             kern, phi, 0.0, min(h, _kern.effective_support(kern)[1] / 16.0))
             for kern in stage_kernels]
     y0 = np.concatenate([x0] + stage0)
-
-    # y = (x, eta1[, eta2]): stage s relaxes towards the one before it
-    relax = _componentwise(_RELAX, dim * chain.stages)
-
-    def aug_rhs(y):
-        return (*rhs_pair(y[:dim], y[-dim:]),
-                *relax(rate, y[:-dim], y[dim:]))
-
-    return integrate_rk4(aug_rhs, y0, t_end, h,
+    field = _chain_field(dim, chain.stages)(rhs_pair, rate)
+    return integrate_rk4(field, y0, t_end, h,
                          diagnostics=diagnostics, core_dim=dim)
 
 

@@ -10,6 +10,7 @@ precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,6 +35,9 @@ _TAIL_MASS = 1e-12
 
 #: |width * lambda| below which the uniform transform switches to a series
 _SERIES_CUTOFF = 1e-4
+
+#: most quadrature nodes that convolve_history evaluates at once
+_QUAD_PIECE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -200,17 +204,29 @@ def _eval_history(history, times: np.ndarray) -> np.ndarray:
                      for t in times])
 
 
-def simpson_rule(lo: float, hi: float, step: float):
+def simpson_pieces(lo: float, hi: float, step: float, size: int):
     """Composite Simpson nodes on [lo, hi], step at most ``step`` and an
-    even number (>= 2) of intervals, and their weights."""
+    even number n (>= 2) of intervals, and their weights, in consecutive
+    pieces of at most ``size`` nodes.  Node j is j (hi - lo)/n + lo, as
+    ``np.linspace`` places it, and node n is hi."""
     n = max(2, int(math.ceil((hi - lo) / step)))
-    if n % 2:
-        n += 1
-    s = np.linspace(lo, hi, n + 1)
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= (hi - lo) / n / 3.0
+    n += n % 2
+    width = (hi - lo) / n
+    for first in range(0, n + 1, size):
+        j = np.arange(first, min(first + size, n + 1))
+        s = j * width + lo
+        weights = np.where(j % 2, 4.0, 2.0)
+        if first == 0:
+            weights[0] = 1.0
+        if j[-1] == n:
+            s[-1], weights[-1] = hi, 1.0
+        weights *= width / 3.0
+        yield s, weights
+
+
+def simpson_rule(lo: float, hi: float, step: float):
+    """:func:`simpson_pieces` as one piece: all nodes and weights."""
+    [(s, weights)] = simpson_pieces(lo, hi, step, sys.maxsize)
     return s, weights
 
 
@@ -221,11 +237,17 @@ def convolve_history(kernel: DelayKernel, history, t: float,
     ``history`` must be dense-evaluable at every time the kernel support
     reaches: either a callable of one time argument or an object exposing
     ``eval_many``.  Composite Simpson quadrature with step ``quad_step`` is
-    used on the effective support; the Dirac kernel samples exactly.
+    used on the effective support, summed over pieces of _QUAD_PIECE nodes
+    (one piece, one dot product, when they fit), so that a long support
+    does not scale the memory; the Dirac kernel samples exactly.
     """
     if isinstance(kernel, DiracKernel):
         return _eval_history(history, np.array([t - kernel.lag]))[0]
     if not (quad_step > 0):
         raise ValueError("quad_step must be > 0")
-    s, weights = simpson_rule(*effective_support(kernel), quad_step)
-    return (weights * density(kernel, s)) @ _eval_history(history, t - s)
+    total = None
+    for s, weights in simpson_pieces(*effective_support(kernel), quad_step,
+                                     _QUAD_PIECE):
+        part = (weights * density(kernel, s)) @ _eval_history(history, t - s)
+        total = part if total is None else total + part
+    return total

@@ -1,6 +1,7 @@
 import functools
 import gc
 import inspect
+import itertools
 import math
 import os
 import struct
@@ -375,6 +376,33 @@ class TestChain:
         expected = kernels.laplace(kernels.ExponentialKernel(rate), 0.5).real
         assert traj.states[0, 1] == pytest.approx(expected, abs=1e-7)
 
+    def test_stage_start_memory_bounded(self):
+        # at rate 0.02 the stage kernels reach back 1400 and 1560 time
+        # units: 1.5M history points each at h = 1e-3, read in pieces
+        def eval_many(ss):
+            ss = np.asarray(ss, dtype=float)
+            return np.column_stack([0.3 + 0.1 * np.sin(3 * ss),
+                                    0.4 + 0.1 * np.cos(ss),
+                                    0.2 - 0.05 * np.exp(0.01 * ss)])
+
+        phi = HistorySpec(eval_many, 3)
+        stage_kernels = [kernels.ExponentialKernel(0.02),
+                         kernels.ErlangKernel(0.02)]
+        tracemalloc.start()
+        try:
+            traj = integrate_chain(_rigid_pair, kernels.ChainSpec(2, 0.02),
+                                   phi, 1e-3, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        for j, kern in enumerate(stage_kernels, start=1):
+            s, w = kernels.simpson_rule(*kernels.effective_support(kern),
+                                        1e-3)
+            one_shot = (w * kernels.density(kern, s)) @ phi.eval_many(-s)
+            got = traj.states[0, 3 * j: 3 * j + 3]
+            assert np.all(np.abs(got - one_shot) <= 1e-12 * np.abs(one_shot))
+
 
 class TestFracAbm:
     def test_mittag_leffler_oracle(self):
@@ -654,7 +682,8 @@ class TestBatchedLookups:
 
     @pytest.mark.parametrize("phi", PHIS)
     @pytest.mark.parametrize("kernel", [
-        kernels.DiracKernel(0.3 * H), kernels.DiracKernel(H),
+        kernels.DiracKernel(0.3 * H), kernels.DiracKernel(0.5 * H),
+        kernels.DiracKernel(H),
         kernels.DiracKernel(1.5 * H), kernels.DiracKernel(50 * H),
         kernels.DiracKernel(50.5 * H), kernels.UniformKernel(0.0, 0.37),
         kernels.UniformKernel(0.5 * H, 0.37), kernels.UniformKernel(H, 0.37),
@@ -686,6 +715,42 @@ class TestBatchedLookups:
                 assert kernels.convolve_history(
                     kernel, phi, t, 0.013).tobytes() == _simpson_average(
                     kernel, phi, t, 0.013).tobytes()
+
+    @pytest.mark.parametrize("lag", [0.3 * H, 0.5 * H], ids=repr)
+    def test_eval_point_is_hermite_eval(self, lag):
+        # the stage lookups of a lag below h, on floats, against one-point
+        # _hermite_eval calls: node 0 alone, the extended last piece, a
+        # new node standing, node snaps, and past the slack
+        n = 6
+        grid = integrators._RunningGrid(PHIS["callable"], 0.0, H, n, 3)
+        rng = np.random.default_rng(9)
+
+        def both(u):
+            try:
+                fast = grid.eval_point(u)
+            except HistoryCoverageError as exc:
+                fast = str(exc)
+            try:
+                ref = grid.eval_many(np.array([u]))[0].tolist()
+            except HistoryCoverageError as exc:
+                ref = str(exc)
+            return fast, ref
+
+        checked = 0
+        for k in range(n + 1):
+            grid.put(k, rng.standard_normal(3), rng.standard_normal(3))
+            t = k * H
+            for u in (t + 0.5 * H - lag, t + H - lag, t - lag, t,
+                      t + 0.5 * H, t + H + 2e-9 * H, t + 1.5 * H):
+                if u > 0.0:
+                    fast, ref = both(u)
+                    if isinstance(ref, str):
+                        assert fast == ref
+                    else:
+                        assert TestComponentwiseKernels._bits(fast) == (
+                            TestComponentwiseKernels._bits(ref))
+                    checked += 1
+        assert checked >= 40
 
     def test_rk4_lookup_times(self):
         # stage times k*h + h/2 and k*h + h in plain float arithmetic
@@ -924,6 +989,44 @@ class TestUniformRunningIntegral:
                       for k in range(ja + 1, jb)]
             want = math.fsum(parts) / width
             assert abs(lookup(i, None)[0] - want) <= 1e-14 * abs(want)
+
+    def test_k3_repeats_k2_lookup(self, monkeypatch):
+        # at offset 0 every stage lookup reads the unfinished last piece;
+        # k3's is k2's, as nothing is written to the grid between them
+        windows = []
+        componentwise = integrators._componentwise
+
+        def counting(expr, dim):
+            kernel = componentwise(expr, dim)
+            if expr != integrators._WINDOW:
+                return kernel
+
+            def counted(*args):
+                windows.append(1)
+                return kernel(*args)
+            return counted
+
+        def run():
+            windows.clear()
+            return integrate_dde(_rigid_pair, kernels.UniformKernel(0.0, 0.37),
+                                 PHIS["constant"], 1000 * H, H)
+
+        monkeypatch.setattr(integrators, "_componentwise", counting)
+        kept = run()
+        # node 0's lookup is phi's constant, every other one a window
+        assert 1 + len(windows) == 3001
+        # a grid whose write count moves on every read keeps nothing
+        ticks = itertools.count()
+
+        class Uncached(integrators._RunningGrid):
+            writes = property(lambda self: next(ticks),
+                              lambda self, value: None)
+
+        monkeypatch.setattr(integrators, "_RunningGrid", Uncached)
+        fresh = run()
+        assert 1 + len(windows) == 4001
+        assert kept.states.tobytes() == fresh.states.tobytes()
+        assert kept.derivs.tobytes() == fresh.derivs.tobytes()
 
     def test_work_per_lookup_bounded(self, monkeypatch):
         # history points read per field call: grid nodes and phi samples,
@@ -1175,6 +1278,22 @@ class TestG17Format:
     @settings(max_examples=300)
     def test_any_floats(self, values):
         _assert_g17(values)
+
+
+def test_power_of_ten_table_rounded_to_nearest():
+    # hi is 10^k rounded to nearest and lo the rest rounded to nearest,
+    # against exact rationals
+    from fractions import Fraction
+
+    from rigidmem import _csvformat
+
+    span = _csvformat._SPAN
+    hi, lo = _csvformat._powers_of_ten()
+    assert hi.shape == lo.shape == (2 * span + 1,)
+    for k in range(-span, span + 1):
+        exact = Fraction(10) ** k
+        assert hi[span + k] == float(exact)
+        assert lo[span + k] == float(exact - Fraction(hi[span + k]))
 
 
 def _array_check_state(x, t):
@@ -1538,8 +1657,6 @@ ZIP_FORMS = {
     "combine": (integrators._COMBINE, _zip_combine),
     "correct": (integrators._CORRECT, lambda s, a, b, c: [
         x + s * (y + z) for x, y, z in zip(a, b, c)]),
-    "relax": (integrators._RELAX,
-              lambda s, a, b: [s * (x - y) for x, y in zip(a, b)]),
     "squares": (integrators._SQUARES, _index_order_squares),
     "cell": (integrators._CELL, lambda s1, s2, a, b, c, d: [
         s1 * (w + y) + s2 * (x - z) for w, x, y, z in zip(a, b, c, d)]),
@@ -1602,8 +1719,34 @@ class TestComponentwiseKernels:
                                else pool[rng.integers(len(pool))])
             assert self._bits(kernel(*args)) == self._bits(zip_form(*args))
 
+    @pytest.mark.parametrize("stages", [1, 2])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3])
+    def test_chain_field_bitwise_equals_slice_form(self, dim, stages):
+        def pair(x, xd):
+            return [u * v - v for u, v in zip(x, xd)]
+
+        def slice_form(s, y):
+            # the field as slices of y: the model field of x and the last
+            # stage, then each stage relaxing towards the one before it
+            return [*pair(y[:dim], y[len(y) - dim:]),
+                    *[s * (a - b) for a, b in zip(y[:-dim or None],
+                                                  y[dim:])]]
+
+        rng = np.random.default_rng(10 * dim + stages)
+        pool = (rng.standard_normal(400)
+                * 10.0 ** rng.uniform(-5, 5, 400)).tolist() + self.SPECIAL
+        bind = integrators._chain_field(dim, stages)
+        for _ in range(300):
+            y = [pool[j] for j in rng.integers(len(pool),
+                                               size=dim * (stages + 1))]
+            s = pool[rng.integers(len(pool))]
+            got = bind(pair, s)(y)
+            assert type(got) is list
+            assert self._bits(got) == self._bits(slice_form(s, y))
+
     def test_each_kernel_compiled_once(self, monkeypatch):
         integrators._componentwise.cache_clear()
+        integrators._chain_field.cache_clear()
         sources = []
 
         def counted(source, *args):
@@ -1623,7 +1766,7 @@ class TestComponentwiseKernels:
             tag(integrators._STAGE, 3), tag(integrators._COMBINE, 3),
             tag(integrators._SQUARES, 3), tag(integrators._STAGE, 9),
             tag(integrators._COMBINE, 9), tag(integrators._SQUARES, 9),
-            tag(integrators._RELAX, 6), tag(integrators._CORRECT, 3),
+            "<chain field, 3, 2>", tag(integrators._CORRECT, 3),
             tag(integrators._STAGE, 1), tag(integrators._CORRECT, 1),
             tag(integrators._SQUARES, 1)}
 

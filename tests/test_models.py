@@ -226,6 +226,24 @@ FIELDS = {
 }
 
 
+def _ignoring_xd(field):
+    return lambda x, xd: field(x)
+
+
+#: every field bound once, as the integrators' loops call it
+BOUND = {
+    "rhs_classical": _ignoring_xd(models.classical_field(P321)),
+    "rhs_revised": _ignoring_xd(models.revised_field(P321)),
+    "rhs_delayed": models.delayed_field(P321),
+    "rhs_revised_delayed": models.revised_delayed_field(P321),
+    "rhs_ep_delayed": models.ep_delayed_field(S321),
+}
+
+
+def _complex_bits(comps):
+    return np.array(comps, dtype=complex).tobytes()
+
+
 @pytest.mark.parametrize("name", FIELDS)
 def test_field_container_contract(name):
     """A field returns its components in the container its state came in.
@@ -234,9 +252,11 @@ def test_field_container_contract(name):
     ``bench/checks.py:233`` runs ``rhs_revised_delayed`` on ndarray states
     inside the array RK4 oracle ``bench/oracles.py::rk4``, which needs the
     array back.  A list gives a tuple of floats, as the RK4 integrators'
-    float loop takes it.  All three are the same bits.
+    float loop takes it.  All three are the same bits, and so is the bound
+    field on float lists and on the complex lists of the complex step.
     """
     field = FIELDS[name]
+    bound = BOUND[name]
     rng = np.random.default_rng(17)
     xs, xds = (rng.normal(size=(2, 3, 40))
                * 10.0 ** rng.uniform(-3, 3, size=(2, 1, 40)))
@@ -254,6 +274,14 @@ def test_field_container_contract(name):
         assert all(type(v) is float for v in comps)
         assert np.array(comps).tobytes() == one.tobytes()
         assert np.array(comps).tobytes() == table[:, j].tobytes()
+        fast = bound(x.tolist(), xd.tolist())
+        assert type(fast) is tuple and all(type(v) is float for v in fast)
+        assert np.array(fast).tobytes() == one.tobytes()
+        # a complex step in each component of x, and of xd
+        for k in range(6):
+            z, zd = x.astype(complex).tolist(), xd.astype(complex).tolist()
+            (z if k < 3 else zd)[k % 3] += 1j
+            assert _complex_bits(bound(z, zd)) == _complex_bits(field(z, zd))
 
 
 def test_rhs_agree_with_tensor_contractions():
