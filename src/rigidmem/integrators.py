@@ -7,6 +7,7 @@ Four integration paths are provided:
   argument is read from the stored trajectory (cubic Hermite dense
   output) and the initial function: a uniform kernel's average as the
   exact running integral of that interpolant, a Dirac lag in batches,
+  each value kept for a repeat of its lookup under one rule,
 * an exact ODE chain augmentation for exponential and Erlang kernels,
 * the fractional Adams-Bashforth-Moulton predictor-corrector for Caputo
   systems, with and without a delayed argument.
@@ -475,39 +476,61 @@ def _delayed_argument(kernel, grid: _RunningGrid, times, final):
     ``final[i]`` hold their final state and slope.  A zero-lag Dirac kernel
     returns the stage state itself, so the run reduces bitwise to the
     delay-free scheme; a uniform kernel takes the exact window average of
-    :func:`_uniform_average`; a Dirac kernel samples the lagged time, a
-    lookup that reads only final nodes in one batch with the next such
-    lookups and served from it (Hermite evaluation is elementwise, so each
-    value is bitwise that of a lone lookup), any other on Python floats
-    (:meth:`_RunningGrid.eval_point`).  Any other kernel raises
-    TypeError.  Values are lists of floats.
+    :func:`_uniform_average`, any other Dirac kernel the lagged sample of
+    :func:`_dirac_sample`.  Any other kernel raises TypeError.  Values are
+    lists of floats.
+
+    A route's ``values(i)`` gives the values of lookups i, i + 1, ... and
+    whether they read final nodes only.  They are kept for a repeat of
+    those lookups: for good if so, else until the next write to the grid
+    (RK4's k3 repeats k2's lookup with no write between them; the
+    fractional loop writes before every lookup).
     """
     if isinstance(kernel, _kern.UniformKernel):
-        return _uniform_average(kernel, grid, times, final)
-    if not isinstance(kernel, _kern.DiracKernel):
+        values = _uniform_average(kernel, grid, times, final)
+    elif not isinstance(kernel, _kern.DiracKernel):
         raise TypeError(f"no delayed-argument route for {type(kernel)}")
-    lag = kernel.lag
-    if lag == 0.0:
+    elif kernel.lag == 0.0:
         return _stage_state
-    short = lag < grid.h
-    first, block = 0, []
+    else:
+        values = _dirac_sample(kernel.lag, grid, times, final)
+    # kept[j] is lookup first + j's value while grid.writes is kept_writes,
+    # or for good when kept_writes is None
+    first, kept, kept_writes = 0, [], None
 
     def lookup(i, x):
-        nonlocal first, block
-        if 0 <= i - first < len(block):
-            return block[i - first]
+        nonlocal first, kept, kept_writes
+        if 0 <= i - first < len(kept) and (kept_writes is None
+                                           or kept_writes == grid.writes):
+            return kept[i - first]
+        kept, final_only = values(i)
+        first, kept_writes = i, None if final_only else grid.writes
+        return kept[0]
+
+    return lookup
+
+
+def _dirac_sample(lag: float, grid: _RunningGrid, times, final):
+    """The values of a Dirac kernel's lookups: the grid at t - ``lag``.
+
+    A lookup that reads only final nodes is evaluated in one batch with
+    the next such lookups (Hermite evaluation is elementwise, so each
+    value is bitwise that of a lone lookup); any other, on the unfinished
+    last piece or at a lag below h, whose batch would hold no other, alone
+    on Python floats (:meth:`_RunningGrid.eval_point`).
+    """
+    short = lag < grid.h
+
+    def values(i):
         u = float(times[i]) - lag
         ready_to = grid.t0 + max(int(final[i]), 0) * grid.h
         if u > grid.t0 and (short or not u <= ready_to):
-            # on the unfinished last piece, or one lookup of a lag below h,
-            # whose batch would hold no other
-            return grid.eval_point(u)
+            return [grid.eval_point(u)], False
         ts = times[i: i + _LOOKAHEAD_POINTS] - lag
         ready = int(np.count_nonzero(ts <= ready_to))
-        first, block = i, grid.eval_many(ts[:ready]).tolist()
-        return block[0]
+        return grid.eval_many(ts[:ready]).tolist(), True
 
-    return lookup
+    return values
 
 
 def _simpson(phi: HistorySpec, a: float, b: float, step: float) -> list:
@@ -530,9 +553,9 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
     rounding error (two-sum), so the error of a window does not grow with
     t.  Before t0 the integral is c times the length for a constant phi,
     exactly, and composite Simpson with step at most min(h, width/16)
-    otherwise.  Every lookup costs O(1) on the grid and is kept for a
-    repeat of the same i: one that reads only final nodes for good, any
-    other until the next write to the grid (RK4's k3 repeats k2's lookup).
+    otherwise.  Every lookup costs O(1) on the grid.  ``values(i)`` gives
+    lookup i's value as a one-item list, and whether it read final nodes
+    only: a window that ends at a final node.
     """
     t0, h, phi = grid.t0, grid.h, grid.phi
     offset, width = kernel.offset, kernel.width
@@ -553,9 +576,6 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
     pre = np.zeros((grid.states.shape[0], 2, dim))
     done, hi, lo = 0, zero, zero
     times, final = times.tolist(), final.tolist()
-    # the kept value is lookup kept_i's while grid.writes is kept_writes,
-    # or for good when kept_writes is None
-    kept_i, kept_writes, kept = -1, None, None
 
     def whole_cell(j):
         (xa, xb), (fa, fb) = grid.cell(j)
@@ -604,10 +624,7 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
             rest = add(rest, whole_cell(k))
         return hi, lo, rest
 
-    def lookup(i, x):
-        nonlocal kept_i, kept_writes, kept
-        if i == kept_i and kept_writes in (None, grid.writes):
-            return kept
+    def values(i):
         b = times[i] - offset
         a = b - width
         last = max(final[i], 0)
@@ -628,11 +645,9 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
                         else _simpson(phi, a, t0, simpson_step))
             value = window(width, b_hi, a_hi, b_lo, a_lo, b_rest, a_rest,
                            past)
-        kept_i, kept = i, value
-        kept_writes = None if pos_b <= last else grid.writes
-        return value
+        return [value], pos_b <= last
 
-    return lookup
+    return values
 
 
 def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,

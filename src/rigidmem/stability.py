@@ -133,9 +133,9 @@ def char_frac_equilibrium(p: _models.RigidBodyParams, which, m: float,
     except ValueError:
         raise ValueError(f"equilibrium must be one of M1, M2, M3, "
                          f"got {which!r}") from None
-    field = _models.rhs_revised if revised else _models.rhs_classical
+    bind = _models.revised_field if revised else _models.classical_field
     x = _models.find_equilibria(p, m)[axis]
-    tr, det = _transverse(_models.jacobian(lambda y: field(p, y), x), axis)
+    tr, det = _transverse(_models.jacobian(bind(p), x), axis)
     # 0.0 - tr keeps the plain field's zero trace a +0.0
     return CharQuadratic(1.0, 0.0 - tr, det, zero_factor_order=1)
 
@@ -175,7 +175,8 @@ def _ep_bracket(s: _models.InertiaSetup) -> tuple[float, float, float]:
     at omega_1 gives [A | B], whose transverse blocks are A = df/domega
     (zero diagonal) and B = df/domegad (diagonal)."""
     w = _models.find_equilibria(s, s.m)[0]
-    jac = _models.jacobian(lambda z: _models.rhs_ep_delayed(s, z[:3], z[3:]),
+    field = _models.ep_delayed_field(s)
+    jac = _models.jacobian(lambda z: field(z[:3], z[3:]),
                            np.concatenate((w, w)))
     _, det_a = _transverse(jac[:, :3], 0)
     tr_b, det_b = _transverse(jac[:, 3:], 0)
@@ -227,8 +228,13 @@ def critical_delay_scan(s: _models.InertiaSetup) -> float | None:
     there is no crossing (coupling 0 never produces one)."""
     if s.coupling == 0:
         return None
-    return min((phase / omega for omega, phase, _ in _crossings(
-        _ep_bracket(s))), default=None)
+    return _first_delay(_crossings(_ep_bracket(s)))
+
+
+def _first_delay(crossings) -> float | None:
+    """The least phase / omega over the ``crossings`` families, or None."""
+    return min((phase / omega for omega, phase, _ in crossings),
+               default=None)
 
 
 def _crossings(q) -> list[tuple[float, float, int]]:
@@ -377,8 +383,7 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
     crossings, count = [], "uncertain"
     if s.coupling != 0:
         crossings = _crossings(q)
-        rep.critical_delay = min((phase / omega for omega, phase, _ in
-                                  crossings), default=None)
+        rep.critical_delay = _first_delay(crossings)
         rep.metadata["tau_c_formula"] = repr(tau_c_formula(s))
     if isinstance(kernel, _kern.DiracKernel):
         rep.metadata["kernel_lag"] = repr(kernel.lag)

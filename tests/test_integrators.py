@@ -991,10 +991,12 @@ class TestUniformRunningIntegral:
             assert abs(lookup(i, None)[0] - want) <= 1e-14 * abs(want)
 
     def test_k3_repeats_k2_lookup(self, monkeypatch):
-        # at offset 0 every stage lookup reads the unfinished last piece;
-        # k3's is k2's, as nothing is written to the grid between them
-        windows = []
+        # at uniform offset 0 and at Dirac lags below h every stage lookup
+        # reads the unfinished last piece; k3's is k2's, as nothing is
+        # written to the grid between them
+        reads = []
         componentwise = integrators._componentwise
+        eval_point = integrators._RunningGrid.eval_point
 
         def counting(expr, dim):
             kernel = componentwise(expr, dim)
@@ -1002,31 +1004,45 @@ class TestUniformRunningIntegral:
                 return kernel
 
             def counted(*args):
-                windows.append(1)
+                reads.append(1)
                 return kernel(*args)
             return counted
 
-        def run():
-            windows.clear()
-            return integrate_dde(_rigid_pair, kernels.UniformKernel(0.0, 0.37),
-                                 PHIS["constant"], 1000 * H, H)
+        def counted_point(self, u):
+            reads.append(1)
+            return eval_point(self, u)
 
         monkeypatch.setattr(integrators, "_componentwise", counting)
-        kept = run()
-        # node 0's lookup is phi's constant, every other one a window
-        assert 1 + len(windows) == 3001
-        # a grid whose write count moves on every read keeps nothing
+        monkeypatch.setattr(integrators._RunningGrid, "eval_point",
+                            counted_point)
+        ep_pair = models.ep_delayed_field(EP)
+        # (pair, kernel, reads kept, reads when nothing is kept): node 0's
+        # uniform lookup is phi's constant, every other one a window; a
+        # Dirac lag below h samples phi in batches until its lagged time
+        # passes 0, and every lookup after that alone
+        cases = [(_rigid_pair, kernels.UniformKernel(0.0, 0.37), 3000, 4000),
+                 (ep_pair, kernels.DiracKernel(H / 2), 2999, 3998),
+                 (ep_pair, kernels.DiracKernel(0.3 * H), 3000, 4000)]
+        # a grid whose write count moves on every read keeps nothing that
+        # reads an unfinished node
         ticks = itertools.count()
+        running = integrators._RunningGrid
 
-        class Uncached(integrators._RunningGrid):
+        class Uncached(running):
             writes = property(lambda self: next(ticks),
                               lambda self, value: None)
 
-        monkeypatch.setattr(integrators, "_RunningGrid", Uncached)
-        fresh = run()
-        assert 1 + len(windows) == 4001
-        assert kept.states.tobytes() == fresh.states.tobytes()
-        assert kept.derivs.tobytes() == fresh.derivs.tobytes()
+        for pair, kernel, n_kept, n_fresh in cases:
+            runs = []
+            for grid, n_reads in ((running, n_kept), (Uncached, n_fresh)):
+                reads.clear()
+                monkeypatch.setattr(integrators, "_RunningGrid", grid)
+                runs.append(integrate_dde(pair, kernel, PHIS["constant"],
+                                          1000 * H, H))
+                assert len(reads) == n_reads, kernel
+            kept, fresh = runs
+            assert kept.states.tobytes() == fresh.states.tobytes()
+            assert kept.derivs.tobytes() == fresh.derivs.tobytes()
 
     def test_work_per_lookup_bounded(self, monkeypatch):
         # history points read per field call: grid nodes and phi samples,
