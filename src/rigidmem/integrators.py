@@ -14,14 +14,18 @@ Four integration paths are provided:
 
 Every path steps over Python floats: a field gets the state, and a delayed
 field also the delayed argument, as a list of floats, and may return any
-length-dim sequence; a model field bound once per run
-(``rigidmem.models.classical_field(p)`` and its siblings) is called
-directly.  The per-step componentwise arithmetic (RK4 stages and
-combination, ABM predictor and corrector, the divergence norm) runs in
-straight-line kernels generated once per state dimension from fixed
-templates, in the order of operations of the array form, so every result
-is bitwise that of the array loops; the chain's augmented field is one
-such function per state dimension and stage count.
+length-dim sequence.  The RK4 paths run one loop generated per field: a
+model field bound once per run (``rigidmem.models.classical_field(p)`` and
+its siblings) carries its description, whose text the loop inlines with
+the state, stages and slopes held in locals, and a plain callable is
+called once per evaluation from a loop of the same form.  The chain
+reduction composes the model field's description with its relaxation
+stages into one field, and a Dirac or uniform delay keeps its lookup as a
+call inside the loop.  The stage and combination arithmetic and the
+divergence norm come from fixed templates, written out per component in
+the order of operations of the array form, as are the ABM predictor and
+corrector in the straight-line kernels of :func:`_componentwise`; every
+result is bitwise that of the array loops.
 
 Every integrator emits a :class:`Trajectory`: uniformly spaced samples with
 a derivative estimate per node and per-sample diagnostics recomputed from
@@ -41,6 +45,7 @@ import numpy as np
 
 from . import kernels as _kern
 from .errors import DivergenceError, HistoryCoverageError
+from .models import FieldDescription, _generated
 
 __all__ = [
     "DIVERGENCE_NORM",
@@ -110,6 +115,25 @@ _CARRY = "a, b, c, d: d + ((a - (c - (c - a))) + (b - (c - a)))"
 _WINDOW = "s, a, b, c, d, e, f, g: (g + (((a - b) + (c - d)) + (e - f))) / s"
 
 
+def _terms(expr: str, dim: int, names=None) -> list:
+    """The ``dim`` component expressions of the template ``expr`` (the
+    terms of a ``sum(...)`` template), each in the template's order of
+    operations.  A scalar parameter p is written ``names[p]`` and a list
+    parameter ``names[p]`` followed by the component index; both are p
+    itself by default."""
+    params, body = expr.split(": ")
+    if body.startswith("sum("):
+        body = body[4:-1]
+    names = names or {}
+    param = re.compile(r"\b(%s)\b" % params.replace(", ", "|"))
+
+    def term(i):
+        return param.sub(lambda m: names.get(m[1], m[1])
+                         + ("" if m[1].startswith("s") else str(i)), body)
+
+    return [term(i) for i in range(dim)]
+
+
 @functools.cache
 def _componentwise(expr: str, dim: int):
     """The template ``expr`` as straight-line code for ``dim`` components.
@@ -127,12 +151,8 @@ def _componentwise(expr: str, dim: int):
     """
     params, body = expr.split(": ")
     lists = [p for p in params.split(", ") if not p.startswith("s")]
-    summed = body.startswith("sum(")
-    if summed:
-        body = body[4:-1]
-    name = re.compile(r"\b(%s)\b" % "|".join(lists))
-    terms = [name.sub(rf"\g<1>{i}", body) for i in range(dim)]
-    if summed:
+    terms = _terms(expr, dim)
+    if body.startswith("sum("):
         result = " + ".join(terms) or "0.0"
     else:
         result = "[" + ", ".join(terms) + "]"
@@ -144,35 +164,130 @@ def _componentwise(expr: str, dim: int):
 
 
 @functools.cache
-def _chain_field(dim: int, stages: int):
-    """The augmented field of a ``stages``-stage chain over a ``dim``-state
-    as straight-line code, built once per (dim, stages) like the kernels
-    of :func:`_componentwise`.
+def _call(dim: int, delayed: bool) -> FieldDescription:
+    """A plain callable ``field`` as a description: one call on the state
+    (and the delayed argument) as lists, its result any length-dim
+    sequence."""
+    args = [f"[{', '.join(f'{v}{i + 1}' for i in range(dim))}]"
+            for v in (["x", "xd"] if delayed else ["x"])]
+    return FieldDescription("callable", dim, delayed, ("field",), (), (),
+                            (f"*field({', '.join(args)})",))
 
-    ``bind(pair, s)`` gives the field of y = (x, eta1[, eta2]) as a list of
-    floats: it unpacks y once, calls ``pair`` on the lists x and the last
-    stage, and appends s * (y[i] - y[i + dim]) for each stage component i:
-    stage j relaxes towards the one before it at the rate ``s``.
+
+def _binding(field, dim: int, delayed: bool):
+    """``(description, args)`` of ``field``: its own when a description
+    bound it, else the :func:`_call` of it."""
+    return getattr(field, "binding", None) or (_call(dim, delayed), (field,))
+
+
+@functools.cache
+def _chain_description(pair: FieldDescription, stages: int):
+    """The augmented field of a ``stages``-stage chain over the delayed
+    field ``pair``, as one description of y = (x, eta1[, eta2]).
+
+    ``pair``'s text is taken whole, with x the first ``dim`` components of
+    y and xd the last stage, and its own names prefixed ``p_``; component
+    dim + i is then ``rate * (y[i] - y[i + dim])``: stage j relaxes towards
+    the one before it.  It binds as ``(*pair_args, rate)``.
     """
-    ys = [f"y{i}" for i in range(dim * (stages + 1))]
-    parts = [f"*pair([{', '.join(ys[:dim])}], [{', '.join(ys[-dim:])}])"]
-    parts += [f"s * ({a} - {b})" for a, b in zip(ys[:-dim], ys[dim:])]
-    return _generated(["def bind(pair, s):",
-                       "    def field(y):",
-                       f"        [{', '.join(ys)}] = y",
-                       f"        return [{', '.join(parts)}]",
-                       "    return field"],
-                      f"<chain field, {dim}, {stages}>")
+    dim = pair.dim
+    last = dim * stages
+    names = {f"x{i + 1}": f"x{i + 1}" for i in range(dim)}
+    names |= {f"xd{i + 1}": f"x{last + i + 1}" for i in range(dim)}
+    inner = pair.renamed(names, "p_")
+    relax = [f"rate * (x{i + 1} - x{i + dim + 1})" for i in range(last)]
+    return FieldDescription(f"chain({pair.name}, {stages})", last + dim,
+                            False, inner.params + ("rate",), inner.setup,
+                            inner.lines, inner.out + tuple(relax))
 
 
-def _generated(lines: list, tag: str):
-    """The one function that the source ``lines`` define, compiled as
-    ``tag``."""
-    namespace = {}
-    exec(compile("\n".join(lines), tag, "exec"), namespace)
-    del namespace["__builtins__"]
-    [function] = namespace.values()
-    return function
+@functools.cache
+def _rk4_run(desc: FieldDescription, lookup: bool):
+    """The whole-run RK4 loop of the field ``desc``, generated once per
+    description and lookup flag and tagged ``<rk4 run: name, dim>``.
+
+    ``run(states, derivs, grid, delayed, x, f, n, h, *args)`` takes node 0
+    and its slope ``f`` as written, steps 0..n-1 and writes each node into
+    the flat views ``states`` and ``derivs`` of the grid's rows.  State,
+    stages and slopes are locals, and the field's text (bound by ``args``)
+    is inlined at each of its four calls per step, as are the stage,
+    combination and divergence templates: every value is the one the
+    closure and the componentwise kernels give, bit for bit.  With a
+    ``lookup``, each call first reads ``delayed(i, [state])`` as in
+    :func:`_rk4_loop`, and the grid's ``count`` and ``writes`` move with
+    the k4 write of each node.  The field's own names are prefixed ``d_``
+    and no local of the loop is, so none of them can meet.
+    """
+    dim = desc.dim
+
+    def names(prefix):
+        return [f"{prefix}{i}" for i in range(dim)]
+
+    def listed(values):
+        return f"[{', '.join(values)}]"
+
+    x, y, w = names("x"), names("y"), names("w")
+    k1, k2, k3, k4 = (names(f"k{j}_") for j in range(1, 5))
+    text = desc.renamed({}, "d_")
+
+    def call(state, slope, at):
+        site = {f"x{i + 1}": v for i, v in enumerate(state)}
+        lines = []
+        if lookup:
+            lines.append(f"{listed(w)} = delayed({at}, {listed(state)})")
+            site |= {f"xd{i + 1}": v for i, v in enumerate(w)}
+        inlined = desc.renamed(site, "d_")
+        lines += inlined.lines
+        if any(e.startswith("*") for e in inlined.out):
+            out = inlined.out
+            whole = out[0][1:] if len(out) == 1 else f"({', '.join(out)},)"
+            lines.append(f"{listed(slope)} = {whole}")
+        else:
+            lines += [f"{s} = {e}" for s, e in zip(slope, inlined.out)]
+        return lines
+
+    def assign(targets, expr, **names):
+        terms = _terms(expr, dim, names)
+        return [f"{t} = {e}" for t, e in zip(targets, terms)]
+
+    def write(view, values):
+        return [f"{view}[j + {i}] = {v}" if i else f"{view}[j] = {v}"
+                for i, v in enumerate(values)]
+
+    norm = " + ".join(_terms(_SQUARES, dim, {"a": "x"})) or "0.0"
+
+    step = [*(["i = 2 * k + 1"] if lookup else []),
+            *assign(y, _STAGE, s="half", a="x", b="k1_"),
+            *call(y, k2, "i"),
+            *assign(y, _STAGE, s="half", a="x", b="k2_"),
+            *call(y, k3, "i"),
+            *assign(y, _STAGE, s="h", a="x", b="k3_"),
+            *call(y, k4, "i + 1"),
+            *assign(x, _COMBINE, s="sixth", a="x", b="k1_", c="k2_", d="k3_",
+                    e="k4_"),
+            f"if not sqrt({norm}) <= {DIVERGENCE_NORM!r}:",
+            "    raise diverged(k * h)",
+            f"j += {dim}"]
+    if lookup:
+        step += [*write("states", x), *write("derivs", k4),
+                 "grid.count = k + 2", "grid.writes += 1",
+                 *call(x, k1, "i + 1"), *write("derivs", k1)]
+    else:
+        step += [*call(x, k1, None), *write("states", x),
+                 *write("derivs", k1)]
+    params = ["states", "derivs", "grid", "delayed", "x", "f", "n", "h",
+              *text.params]
+    lines = [f"def run({', '.join(params)}):",
+             *(f"    {line}" for line in text.setup),
+             "    half = 0.5 * h",
+             "    sixth = h / 6.0",
+             f"    {listed(x)} = x",
+             f"    {listed(k1)} = f",
+             "    j = 0",
+             "    for k in range(n):",
+             *(f"        {line}" for line in step)]
+    tag = f"<rk4 run: {desc.name}{' with lookup' if lookup else ''}, {dim}>"
+    return _generated(lines, tag, sqrt=math.sqrt, diverged=_diverged)
 
 
 def _hermite_eval(t0, h, states, derivs, count, ts, slack=0.0):
@@ -390,42 +505,29 @@ def _compute_diagnostics(states, core_dim, diagnostics):
     return out
 
 
-def _rk4_loop(field, grid: _RunningGrid, x0: list, n: int, h: float) -> None:
-    """Node 0 and classical RK4 steps 0..n-1 for dx/dt = field(i, x).
+def _rk4_loop(field, delayed, grid: _RunningGrid, x0: list, n: int,
+              h: float) -> None:
+    """Node 0 and classical RK4 steps 0..n-1 for dx/dt = field(x), or with
+    a lookup ``delayed`` for dx/dt = field(x, delayed(i, x)).
 
-    ``x0`` and every state ``field`` gets are lists of floats; the
-    stages are formed by the componentwise kernels in the order of the
-    array form, so the result is the same to the bit.  ``i`` numbers the
-    field's times as :func:`_rk4_lookups` lists them.  Without a history
-    (``grid.phi`` None) nothing reads the grid while it runs, and each new
-    node is written once with its own slope; otherwise it is put with its
-    k4 slope first, so that a delayed lookup inside ``field`` at the new
-    node sees the finished step, and its own slope then replaces k4.
+    ``x0`` and every state ``field`` and ``delayed`` get are lists of
+    floats; ``i`` numbers the lookups as :func:`_rk4_lookups` lists them.
+    Node 0's slope is ``field``'s own value, written with the node by
+    :meth:`_RunningGrid.put` (a slope of another width raises there), and
+    the steps run in the loop that :func:`_rk4_run` generates from the
+    field's description, or from the call of a plain callable.  Without a
+    lookup nothing reads the grid while it runs, and each new node is
+    written once with its own slope; with one it is written with its k4
+    slope first, so that a lookup at the new node sees the finished step,
+    and its own slope then replaces k4.
     """
-    half = 0.5 * h
-    sixth = h / 6.0
-    dim = len(x0)
-    stage = _componentwise(_STAGE, dim)
-    combine = _componentwise(_COMBINE, dim)
-    squares = _componentwise(_SQUARES, dim)
-    reads_grid = grid.phi is not None
-    put, derivs = grid.put, grid.derivs
-    x = x0
-    k1 = field(0, x)
-    put(0, x, k1)
-    for k in range(n):
-        k2 = field(2 * k + 1, stage(half, x, k1))
-        k3 = field(2 * k + 1, stage(half, x, k2))
-        k4 = field(2 * k + 2, stage(h, x, k3))
-        x = combine(sixth, x, k1, k2, k3, k4)
-        if not math.sqrt(squares(x)) <= DIVERGENCE_NORM:
-            raise _diverged(k * h)
-        if reads_grid:
-            put(k + 1, x, k4)
-            k1 = derivs[k + 1] = field(2 * k + 2, x)
-        else:
-            k1 = field(2 * k + 2, x)
-            put(k + 1, x, k1)
+    lookup = delayed is not None
+    desc, args = _binding(field, len(x0), lookup)
+    f = field(x0, delayed(0, x0)) if lookup else field(x0)
+    grid.put(0, x0, f)
+    _rk4_run(desc, lookup)(grid.states.reshape(-1).data,
+                           grid.derivs.reshape(-1).data, grid, delayed, x0,
+                           f, n, h, *args)
 
 
 def _rk4_lookups(n: int, h: float):
@@ -453,7 +555,7 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = _n_steps(t_end, h)
     grid = _RunningGrid(None, 0.0, h, n, x0.size)
-    _rk4_loop(lambda i, x: rhs(x), grid, x0.tolist(), n, h)
+    _rk4_loop(rhs, None, grid, x0.tolist(), n, h)
     core = x0.size if core_dim is None else core_dim
     diag = _compute_diagnostics(grid.states, core, diagnostics)
     return Trajectory(0.0, h, grid.states, grid.derivs, diag, core_dim=core)
@@ -684,11 +786,7 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     n = _n_steps(t_end, h)
     grid = _RunningGrid(phi, 0.0, h, n, x0.size)
     delayed = _delayed_argument(kernel, grid, *_rk4_lookups(n, h))
-
-    def field(i, x):
-        return rhs_pair(x, delayed(i, x))
-
-    _rk4_loop(field, grid, x0.tolist(), n, h)
+    _rk4_loop(rhs_pair, delayed, grid, x0.tolist(), n, h)
     diag = _compute_diagnostics(grid.states, x0.size, diagnostics)
     return Trajectory(0.0, h, grid.states, grid.derivs, diag)
 
@@ -704,8 +802,9 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
     support (support/h nodes, once per run, read in pieces by
     :func:`~rigidmem.kernels.convolve_history`).  ``rhs_pair`` gets x and
     the last stage as lists of floats and returns the derivative as any
-    length-dim sequence; the augmented field around it is generated by
-    :func:`_chain_field` and bound once per run.
+    length-dim sequence; the augmented field around it is one description
+    (:func:`_chain_description`), bound once per run, whose RK4 loop
+    inlines a bound model field's text and calls a plain callable.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.  The table
@@ -725,7 +824,8 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
             kern, phi, 0.0, min(h, _kern.effective_support(kern)[1] / 16.0))
             for kern in stage_kernels]
     y0 = np.concatenate([x0] + stage0)
-    field = _chain_field(dim, chain.stages)(rhs_pair, rate)
+    pair, args = _binding(rhs_pair, dim, True)
+    field = _chain_description(pair, chain.stages).bind(*args, rate)
     return integrate_rk4(field, y0, t_end, h,
                          diagnostics=diagnostics, core_dim=dim)
 

@@ -7,22 +7,31 @@ tensor that damps the squared-norm invariant while conserving the energy,
 and delayed variants in which selected factors are replaced by a weighted
 average of the past state.
 
-Each field is written once, componentwise, as a closure over its parameter
-coefficients: ``classical_field(p)`` and the other ``*_field`` binders
-compute the parameter-only products (``a2 - a3``, ``a2 * (a1 - a2)``, ...)
-once and return the field, which gives its components as a tuple: floats
-on the integrators' float lists, complex numbers on the complex-step lists
-of :func:`jacobian`.  A run binds its field once and its loop calls it
-directly.  The ``rhs_*(p, x[, xd])`` wrappers bind on every call and return
-the components in the kind of container the state came in: a tuple for a
-list or tuple of numbers, an array for an ndarray, one state of shape (3,)
-or a (3, B) table of B states; the bits are the same in every container.
-Fields and wrappers are pure functions of immutable inputs, so they can be
-handed to any integrator and shared freely across threads.
+Each field is written once, as a :class:`FieldDescription`: its
+components as source lines over the names ``x1 .. x3`` (and ``xd1 ..
+xd3``), in a fixed order of operations, and the bind-time lines that
+compute its parameter-only products (``a2 - a3``, ``a2 * (a1 - a2)``,
+...).  ``classical_field(p)`` and the other ``*_field`` binders return the
+closure generated from that description (compiled on first use and kept
+per description), with the products as its cells; it gives its components
+as a tuple: floats on the integrators' float lists, complex numbers on the
+complex-step lists of :func:`jacobian`.  The closure carries its
+description and arguments (``field.binding``), from which the RK4
+integrators generate a whole-run loop with the field's arithmetic inlined.
+A run binds its field once.  The ``rhs_*(p, x[, xd])`` wrappers bind on
+every call and return the components in the kind of container the state
+came in: a tuple for a list or tuple of numbers, an array for an ndarray,
+one state of shape (3,) or a (3, B) table of B states; the bits are the
+same in every container.  Fields and wrappers are pure functions of
+immutable inputs, so they can be handed to any integrator and shared
+freely across threads.
 """
 
 from __future__ import annotations
 
+import functools
+import keyword
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,18 +141,139 @@ def casimir(x) -> float | np.ndarray:
     return 0.5 * (x1 * x1 + x2 * x2 + x3 * x3)
 
 
+class FieldDescription:
+    """A vector field written once, as source text.
+
+    The field takes the state ``x``, with components ``x1 .. x<dim>``, and
+    when ``delayed`` also the delayed argument ``xd`` (``xd1 .. xd<dim>``).
+    ``lines`` are the statements of its body and ``out`` its components,
+    one expression each, or one starred expression for all of them.
+    ``params`` name the binder's arguments and ``setup`` holds the
+    bind-time lines over them (``"c1 = a2 - a3"``): the parameter-only
+    products, computed once per binding.  Every name other than the inputs
+    is a parameter, a setup name or a local of the body, and the text
+    calls no builtin, so that any name may be renamed (:meth:`renamed`;
+    the integrators inline the field into their whole-run loops that way).
+    A description is not changed after it is made, and is its own key in
+    the caches of what is generated from it.
+    """
+
+    __slots__ = ("name", "dim", "delayed", "params", "setup", "lines", "out")
+
+    def __init__(self, name: str, dim: int, delayed: bool, params, setup,
+                 lines, out):
+        self.name, self.dim, self.delayed = name, dim, delayed
+        self.params, self.setup = tuple(params), tuple(setup)
+        self.lines, self.out = tuple(lines), tuple(out)
+
+    def bind(self, *args):
+        """The field as a closure over ``args`` (one per ``params``), its
+        setup names closure cells; the closure's ``binding`` attribute is
+        ``(self, args)``, from which the integrators inline it."""
+        field = _binder(self)(*args)
+        field.binding = (self, args)
+        return field
+
+    def renamed(self, names: dict, prefix: str) -> "FieldDescription":
+        """The description with each name in ``names`` replaced by its value
+        and every other name but Python's keywords prefixed with
+        ``prefix``: text for a site with its own names, where no name of
+        the field can meet one of the site's that lacks the prefix."""
+        def rename(text):
+            return _NAME.sub(lambda m: m[0] if keyword.iskeyword(m[0])
+                             else names.get(m[0], prefix + m[0]), text)
+
+        return FieldDescription(
+            self.name, self.dim, self.delayed,
+            *(map(rename, part)
+              for part in (self.params, self.setup, self.lines, self.out)))
+
+
+#: a name in a description's text (not an attribute, not inside a number)
+_NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+
+
+@functools.cache
+def _binder(desc: FieldDescription):
+    """``desc``'s binder, compiled on first use and kept per description:
+    ``bind(*params)`` runs the setup and returns ``field(x[, xd])``, which
+    gives its components as a tuple.  The description's own names are
+    prefixed, so none of them meets ``field``, ``x`` or ``xd``."""
+    inputs = ["x", "xd"] if desc.delayed else ["x"]
+    units = {v: [f"{v}{i + 1}" for i in range(desc.dim)] for v in inputs}
+    text = desc.renamed({u: u for us in units.values() for u in us}, "d_")
+    lines = [f"def bind({', '.join(text.params)}):",
+             *(f"    {line}" for line in text.setup),
+             f"    def field({', '.join(inputs)}):",
+             *(f"        [{', '.join(us)}] = {v}" for v, us in units.items()),
+             *(f"        {line}" for line in text.lines),
+             f"        return ({', '.join(text.out)},)",
+             "    return field"]
+    return _generated(lines, f"<field: {desc.name}>")
+
+
+def _generated(lines: list, tag: str, **env):
+    """The function that the source ``lines`` define, compiled as ``tag``
+    with the globals ``env``."""
+    namespace = dict(env)
+    exec(compile("\n".join(lines), tag, "exec"), namespace)
+    return namespace[lines[0][4: lines[0].index("(")]]
+
+
+_RIGID = ("a1", "a2", "a3")
+_STRUCTURE = ("c1 = a2 - a3", "c2 = a3 - a1", "c3 = a1 - a2")
+
+_CLASSICAL = FieldDescription(
+    "classical", 3, False, _RIGID, _STRUCTURE, (),
+    ("c1 * x2 * x3", "c2 * x1 * x3", "c3 * x1 * x2"))
+
+_REVISED = FieldDescription(
+    "revised", 3, False, _RIGID,
+    _STRUCTURE + ("k12 = a2 * (a1 - a2)", "k13 = a3 * (a1 - a3)",
+                  "k23 = a3 * (a2 - a3)", "k21 = a1 * (a2 - a1)",
+                  "k31 = a1 * (a3 - a1)", "k32 = a2 * (a3 - a2)"),
+    (),
+    ("c1 * x2 * x3 + k12 * x1 * x2 * x2 + k13 * x1 * x3 * x3",
+     "c2 * x1 * x3 + k23 * x2 * x3 * x3 + k21 * x2 * x1 * x1",
+     "c3 * x1 * x2 + k31 * x3 * x1 * x1 + k32 * x3 * x2 * x2"))
+
+#: at xd == x the delayed field takes the classical components themselves
+_DELAYED = FieldDescription(
+    "delayed", 3, True, _RIGID, _STRUCTURE,
+    ("if xd1 == x1 and xd2 == x2 and xd3 == x3:",
+     *(f"    f{i} = {e}" for i, e in enumerate(_CLASSICAL.out, 1)),
+     "else:",
+     "    f1 = a2 * xd2 * x3 - a3 * xd2 * xd3",
+     "    f2 = a3 * x1 * xd3 - a1 * xd1 * x3",
+     "    f3 = a1 * xd1 * xd2 - a2 * x1 * xd2"),
+    ("f1", "f2", "f3"))
+
+_REVISED_DELAYED = FieldDescription(
+    "revised-delayed", 3, True, _RIGID,
+    ("a11 = a1 * a1", "a12 = a1 * a2", "a23 = a2 * a3", "a33 = a3 * a3"),
+    (),
+    ("a2 * xd2 * x3 - a3 * xd2 * xd3 + a12 * xd1 * x2 * x2",
+     "a3 * x1 * xd3 - a1 * xd1 * x3 - a11 * x1 * xd1 * x2"
+     " - a33 * x2 * x3 * xd3",
+     "a1 * xd1 * x2 - a2 * x1 * xd2 + a23 * xd2 * x2 * x3"))
+
+_EP_DELAYED = FieldDescription(
+    "ep-delayed", 3, True, ("I1", "I2", "I3", "k"), (),
+    ("m1 = I1 * x1", "m2 = I2 * x2", "m3 = I3 * x3",
+     "d1 = I1 * xd1", "d2 = I2 * xd2", "d3 = I3 * xd3",
+     "e1 = d2 * xd3 - d3 * xd2", "e2 = d3 * xd1 - d1 * xd3",
+     "e3 = d1 * xd2 - d2 * xd1"),
+    ("(m2 * x3 - m3 * x2 + k * (m2 * e3 - m3 * e2)) / I1",
+     "(m3 * x1 - m1 * x3 + k * (m3 * e1 - m1 * e3)) / I2",
+     "(m1 * x2 - m2 * x1 + k * (m1 * e2 - m2 * e1)) / I3"))
+
+
 def classical_field(p: RigidBodyParams):
     """Classical Euler field P(x) grad_h(x), bound to ``p``: x -> dx/dt.
 
     P(x) is the antisymmetric structure tensor, with P(x) x = 0.
     """
-    c1, c2, c3 = p.a2 - p.a3, p.a3 - p.a1, p.a1 - p.a2
-
-    def field(x):
-        x1, x2, x3 = x
-        return (c1 * x2 * x3, c2 * x1 * x3, c3 * x1 * x2)
-
-    return field
+    return _CLASSICAL.bind(p.a1, p.a2, p.a3)
 
 
 def revised_field(p: RigidBodyParams):
@@ -153,41 +283,17 @@ def revised_field(p: RigidBodyParams):
     energy h exactly (g grad_h = 0) while the squared-norm invariant c is
     non-increasing along solutions.
     """
-    a1, a2, a3 = p.a1, p.a2, p.a3
-    c1, c2, c3 = a2 - a3, a3 - a1, a1 - a2
-    k12, k13 = a2 * (a1 - a2), a3 * (a1 - a3)
-    k23, k21 = a3 * (a2 - a3), a1 * (a2 - a1)
-    k31, k32 = a1 * (a3 - a1), a2 * (a3 - a2)
-
-    def field(x):
-        x1, x2, x3 = x
-        return (c1 * x2 * x3 + k12 * x1 * x2 * x2 + k13 * x1 * x3 * x3,
-                c2 * x1 * x3 + k23 * x2 * x3 * x3 + k21 * x2 * x1 * x1,
-                c3 * x1 * x2 + k31 * x3 * x1 * x1 + k32 * x3 * x2 * x2)
-
-    return field
+    return _REVISED.bind(p.a1, p.a2, p.a3)
 
 
 def delayed_field(p: RigidBodyParams):
     """Delayed Euler field, bound to ``p``: (x, xd) -> dx/dt, where ``xd``
     is the kernel-averaged past state.
 
-    When ``xd`` equals ``x`` the classical field is returned directly, so
-    the identity delayed(x, x) == classical(x) is exact in floating point.
+    When ``xd`` equals ``x`` the classical components are returned, so the
+    identity delayed(x, x) == classical(x) is exact in floating point.
     """
-    a1, a2, a3 = p.a1, p.a2, p.a3
-    classical = classical_field(p)
-
-    def field(x, xd):
-        x1, x2, x3 = x
-        xd1, xd2, xd3 = xd
-        if xd1 == x1 and xd2 == x2 and xd3 == x3:
-            return classical(x)
-        return (a2 * xd2 * x3 - a3 * xd2 * xd3,
-                a3 * x1 * xd3 - a1 * xd1 * x3,
-                a1 * xd1 * xd2 - a2 * x1 * xd2)
-
-    return field
+    return _DELAYED.bind(p.a1, p.a2, p.a3)
 
 
 def revised_delayed_field(p: RigidBodyParams):
@@ -198,18 +304,7 @@ def revised_delayed_field(p: RigidBodyParams):
     undelayed revised field at ``xd == x``; the cubic corrections carry a
     different mix of delayed factors by construction.
     """
-    a1, a2, a3 = p.a1, p.a2, p.a3
-    a11, a12, a23, a33 = a1 * a1, a1 * a2, a2 * a3, a3 * a3
-
-    def field(x, xd):
-        x1, x2, x3 = x
-        xd1, xd2, xd3 = xd
-        return (a2 * xd2 * x3 - a3 * xd2 * xd3 + a12 * xd1 * x2 * x2,
-                a3 * x1 * xd3 - a1 * xd1 * x3 - a11 * x1 * xd1 * x2
-                - a33 * x2 * x3 * xd3,
-                a1 * xd1 * x2 - a2 * x1 * xd2 + a23 * xd2 * x2 * x3)
-
-    return field
+    return _REVISED_DELAYED.bind(p.a1, p.a2, p.a3)
 
 
 def ep_delayed_field(s: InertiaSetup):
@@ -221,19 +316,7 @@ def ep_delayed_field(s: InertiaSetup):
     orthogonal to the angular momentum M = I omega, so |M| is conserved
     exactly along solutions.
     """
-    I1, I2, I3, k = s.I1, s.I2, s.I3, s.coupling
-
-    def field(omega, omegad):
-        w1, w2, w3 = omega
-        v1, v2, v3 = omegad
-        m1, m2, m3 = I1 * w1, I2 * w2, I3 * w3
-        d1, d2, d3 = I1 * v1, I2 * v2, I3 * v3
-        e1, e2, e3 = d2 * v3 - d3 * v2, d3 * v1 - d1 * v3, d1 * v2 - d2 * v1
-        return ((m2 * w3 - m3 * w2 + k * (m2 * e3 - m3 * e2)) / I1,
-                (m3 * w1 - m1 * w3 + k * (m3 * e1 - m1 * e3)) / I2,
-                (m1 * w2 - m2 * w1 + k * (m1 * e2 - m2 * e1)) / I3)
-
-    return field
+    return _EP_DELAYED.bind(s.I1, s.I2, s.I3, s.coupling)
 
 
 def rhs_classical(p: RigidBodyParams, x) -> tuple | np.ndarray:

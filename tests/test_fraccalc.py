@@ -10,8 +10,10 @@ fractional energy gradient, contracted with the structure tensor, gives
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from rigidmem import fraccalc, models
 from rigidmem.integrators import FracConfig, integrate_frac_abm
@@ -39,6 +41,23 @@ def _fractional_bracket(p, order, x):
     grad = coeffs * _caputo_monomial(order + 1, order, x)
     # P(x) @ grad for the antisymmetric structure tensor P(x)
     return np.cross(grad, np.asarray(x, dtype=float))
+
+
+def _ml_pollard(order, z):
+    """E_order(z) for order in (0, 1) and z < 0 from Pollard's
+    representation, sin(pi a)/(pi a) times the integral over u > 0 of
+    exp(-(|z| u)^(1/a)) / (u^2 + 2 u cos(pi a) + 1), by 30-digit
+    quadrature."""
+    with mpmath.workdps(30):
+        a, x = mpmath.mpf(order), mpmath.mpf(-z)
+        cos = mpmath.cos(mpmath.pi * a)
+
+        def integrand(u):
+            return mpmath.exp(-(x * u) ** (1 / a)) / (u * u + 2 * u * cos + 1)
+
+        value = (mpmath.sin(mpmath.pi * a) / (mpmath.pi * a)
+                 * mpmath.quad(integrand, [0, 1 / x, 1, mpmath.inf]))
+        return float(value)
 
 
 class TestCaputoMonomial:
@@ -109,7 +128,48 @@ class TestMittagLeffler:
     def test_asymptotic_branch(self):
         got = fraccalc.mittag_leffler(0.5, -20.0)
         ref = math.exp(400.0) * math.erfc(20.0)
-        assert got == pytest.approx(ref, rel=0.05)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_half_order_against_erfcx(self):
+        # E_{1/2}(-x) = erfcx(x) on both sides of the contour switch
+        for x in np.linspace(0.1, 40.0, 57):
+            got = fraccalc.mittag_leffler(0.5, -x)
+            assert got == pytest.approx(erfcx(x), rel=1e-12)
+
+    def test_seeded_grid_against_mpmath(self):
+        # orders in [0.1, 0.95] and z in [-200, -0.05], log-uniform, against
+        # a 30-digit quadrature of Pollard's integral (independent of both
+        # the series and the contour)
+        rng = np.random.default_rng(21)
+        orders = rng.uniform(0.1, 0.95, 24)
+        zs = -(10.0 ** rng.uniform(-1.3, math.log10(200.0), 24))
+        for order, z in zip(orders, zs):
+            got = fraccalc.mittag_leffler(float(order), float(z))
+            ref = _ml_pollard(float(order), float(z))
+            assert abs(got - ref) <= 1e-11 * ref, (order, z)
+
+    def test_pollard_reference_against_series(self):
+        # the oracle itself, where a 60-digit series needs no cancellation
+        for order in (0.1, 0.3, 0.82):
+            for z in (-0.5, -1.0, -3.0):
+                with mpmath.workdps(60):
+                    series = mpmath.nsum(
+                        lambda k: mpmath.mpf(z) ** k
+                        / mpmath.gamma(order * k + 1), [0, mpmath.inf])
+                assert _ml_pollard(order, z) == pytest.approx(
+                    float(series), rel=1e-14)
+
+    def test_order_one_is_exp(self):
+        for z in (-700.0, -30.0, -1.0, 0.5, 60.0):
+            assert fraccalc.mittag_leffler(1.0, z) == math.exp(z)
+
+    def test_order_above_one_uses_the_series(self):
+        # E_2(-x) = cos(sqrt(x)); where the series cancels it says so
+        for x in (4.0, 10.0, 30.0):
+            got = fraccalc.mittag_leffler(2.0, -x)
+            assert got == pytest.approx(math.cos(math.sqrt(x)), abs=1e-12)
+        with pytest.raises(ArithmeticError, match="cancels"):
+            fraccalc.mittag_leffler(1.1, -50.0)
 
     def test_domain_errors(self):
         with pytest.raises(OverflowError):

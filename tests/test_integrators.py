@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import traceback
 import tracemalloc
 from pathlib import Path
 
@@ -1337,23 +1338,50 @@ def _array_rk4_steps(field, grid, n, h):
         derivs[k + 1] = field(2 * k + 2, x)
 
 
-def _array_rk4_loop(field, grid, x0, n, h):
+def _array_rk4_loop(field, delayed, grid, x0, n, h):
     """:func:`integrators._rk4_loop`'s signature over the array form; the
-    field gets ndarray states and its slopes are made arrays."""
+    field (and the lookup) gets ndarray states and its slopes are made
+    arrays.  A bound field is called as a closure, never inlined."""
     def as_array(i, x):
-        return np.asarray(field(i, x), dtype=float)
+        f = field(x) if delayed is None else field(x, delayed(i, x))
+        return np.asarray(f, dtype=float)
 
     x0 = np.array(x0, dtype=float)
     grid.put(0, x0, as_array(0, x0))
     _array_rk4_steps(as_array, grid, n, h)
 
 
-#: one run of every RK4-family path the float loop serves
+#: one run of every RK4-family path the float loop serves: plain callables
+#: (one call per field evaluation) and bound fields (inlined)
 FLOAT_LOOP_RUNS = {
     "classical": lambda: integrate_rk4(
         lambda x: models.rhs_classical(P321, x), X111, 3.0, 1e-2),
     "revised": lambda: integrate_rk4(
         lambda x: models.rhs_revised(P321, x), X111, 3.0, 1e-2),
+    "bound-classical": lambda: integrate_rk4(
+        models.classical_field(P321), X111, 3.0, 1e-2),
+    "bound-revised": lambda: integrate_rk4(
+        models.revised_field(P321), X111, 3.0, 1e-2),
+    "bound-chain-exponential": lambda: integrate_chain(
+        models.delayed_field(P321),
+        kernels.chain_reduce(kernels.ExponentialKernel(2.0)),
+        PHIS["callable"], 2.0, H),
+    "bound-chain-erlang-constant": lambda: integrate_chain(
+        models.delayed_field(P321),
+        kernels.chain_reduce(kernels.ErlangKernel(3.0)), PHIS["constant"],
+        2.0, H),
+    "bound-dde-delayed": lambda: integrate_dde(
+        models.delayed_field(P321), kernels.DiracKernel(50.5 * H),
+        PHIS["callable"], 1.37, H),
+    "bound-dde-delayed-zero": lambda: integrate_dde(
+        models.delayed_field(P321), kernels.DiracKernel(0.0),
+        PHIS["callable"], 1.37, H),
+    "bound-dde-revised-delayed": lambda: integrate_dde(
+        models.revised_delayed_field(P321), kernels.DiracKernel(0.3 * H),
+        PHIS["callable"], 1.37, H),
+    "bound-dde-ep-delayed": lambda: integrate_dde(
+        models.ep_delayed_field(EP), kernels.UniformKernel(0.0, 0.37),
+        HistorySpec.constant(X_EP), 2.0, H),
     "chain-exponential": lambda: integrate_chain(
         _rigid_pair, kernels.chain_reduce(kernels.ExponentialKernel(2.0)),
         PHIS["callable"], 2.0, H),
@@ -1705,6 +1733,101 @@ WRONG_WIDTH_RUNS = {
 }
 
 
+#: a field whose parameters, setup names and locals are named like the
+#: locals of the generated loops and closures (stage state y, lookup values
+#: w, slopes k1_..k4_, the loop's own scalars, views and callables); the
+#: loops must keep them apart
+CLASH = models.FieldDescription(
+    "clash", 3, False, ("h", "half", "x0"),
+    ("k1_0 = h - half", "y0 = x0 * h", "c0 = half + 0.5", "sixth = 0.25",
+     "states = 0.1 * x0", "f = -0.3"),
+    ("k = states * x1", "j = f * x2"),
+    ("k * x2 - y0 * x3 + j", "c0 * x1 * x3 - sixth * x2",
+     "k1_0 * x1 * x2 - x0 * x3"))
+
+CLASH_DELAYED = models.FieldDescription(
+    "clash-delayed", 3, True, ("i", "w0", "grid"),
+    ("delayed = i * w0", "derivs = grid - i", "n = -0.2"),
+    ("x = xd1 * derivs", "field = n * xd3"),
+    ("delayed * x2 - x + field", "derivs * xd3 * x1 - w0 * x3",
+     "i * x1 - grid * xd2 * x2"))
+
+
+def _clash_by_hand(x, xd=None):
+    """CLASH at (h, half, x0) = (0.5, 0.25, 0.8), or CLASH_DELAYED at
+    (i, w0, grid) = (0.6, 0.7, 0.9) with ``xd``, written out by hand."""
+    x1, x2, x3 = x
+    if xd is None:
+        k1_0, y0, c0, sixth = 0.5 - 0.25, 0.8 * 0.5, 0.25 + 0.5, 0.25
+        k, j = 0.1 * 0.8 * x1, -0.3 * x2
+        return (k * x2 - y0 * x3 + j, c0 * x1 * x3 - sixth * x2,
+                k1_0 * x1 * x2 - 0.8 * x3)
+    xd1, xd2, xd3 = xd
+    delayed, derivs = 0.6 * 0.7, 0.9 - 0.6
+    u, v = xd1 * derivs, -0.2 * xd3
+    return (delayed * x2 - u + v, derivs * xd3 * x1 - 0.7 * x3,
+            0.6 * x1 - 0.9 * xd2 * x2)
+
+
+class TestInlinedRun:
+    """The whole-run loops generated from a field's description."""
+
+    @pytest.mark.parametrize("route", ["rk4", "dde", "chain"])
+    def test_names_like_the_loop_locals_kept_apart(self, route, monkeypatch):
+        # the inlined run against the hand-written field called once per
+        # evaluation and against the array form, bit for bit
+        if route == "rk4":
+            bound = CLASH.bind(0.5, 0.25, 0.8)
+            assert bound([1.0, 2.0, 3.0]) == _clash_by_hand([1.0, 2.0, 3.0])
+
+            def run(f):
+                return integrate_rk4(f, X111, 1.0, H)
+            by_hand = _clash_by_hand
+        else:
+            bound = CLASH_DELAYED.bind(0.6, 0.7, 0.9)
+            assert (bound([1.0, 2.0, 3.0], [0.5, 0.4, 0.3])
+                    == _clash_by_hand([1.0, 2.0, 3.0], [0.5, 0.4, 0.3]))
+            kernel = (kernels.DiracKernel(0.3 * H) if route == "dde"
+                      else kernels.ErlangKernel(3.0))
+
+            def run(f):
+                return integrate_dde(f, kernel, PHIS["callable"], 1.0, H)
+            by_hand = _clash_by_hand
+        fast = run(bound)
+        ref = run(lambda *args: by_hand(*args))
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "_rk4_loop", _array_rk4_loop)
+            array = run(bound)
+        for other in (ref, array):
+            assert np.array_equal(fast.states, other.states)
+            assert np.array_equal(fast.derivs, other.derivs)
+        assert np.all(np.isfinite(fast.states))
+
+    def test_loop_tagged_with_field_and_dim(self):
+        # a divergence raised inside the loop names it in the traceback
+        with pytest.raises(DivergenceError) as info:
+            integrate_rk4(models.classical_field(P321), [1e5, 1e5, 1e5],
+                          1.0, H)
+        files = [f.filename for f in traceback.extract_tb(info.tb)]
+        assert "<rk4 run: classical, 3>" in files
+        with pytest.raises(DivergenceError) as info:
+            integrate_chain(models.delayed_field(P321),
+                            kernels.chain_reduce(kernels.ErlangKernel(3.0)),
+                            HistorySpec.constant([1e5, 1e5, 1e5]), 1.0, H)
+        files = [f.filename for f in traceback.extract_tb(info.tb)]
+        assert "<rk4 run: chain(delayed, 2), 9>" in files
+
+    def test_every_route_runs_a_generated_loop(self):
+        # every RK4 route runs the generated loop: a lookup and a plain
+        # callable each get their own, and the bound fields theirs
+        integrators._rk4_run.cache_clear()
+        FLOAT_LOOP_RUNS["bound-classical"]()
+        FLOAT_LOOP_RUNS["bound-dde-delayed"]()
+        FLOAT_LOOP_RUNS["bound-chain-exponential"]()
+        FLOAT_LOOP_RUNS["classical"]()
+        assert integrators._rk4_run.cache_info().currsize == 4
+
+
 class TestComponentwiseKernels:
     """The generated straight-line kernels against their zip forms."""
 
@@ -1751,25 +1874,28 @@ class TestComponentwiseKernels:
         rng = np.random.default_rng(10 * dim + stages)
         pool = (rng.standard_normal(400)
                 * 10.0 ** rng.uniform(-5, 5, 400)).tolist() + self.SPECIAL
-        bind = integrators._chain_field(dim, stages)
+        chain = integrators._chain_description(
+            integrators._call(dim, True), stages)
         for _ in range(300):
             y = [pool[j] for j in rng.integers(len(pool),
                                                size=dim * (stages + 1))]
             s = pool[rng.integers(len(pool))]
-            got = bind(pair, s)(y)
-            assert type(got) is list
-            assert self._bits(got) == self._bits(slice_form(s, y))
+            got = chain.bind(pair, s)(y)
+            assert type(got) is tuple
+            assert self._bits(list(got)) == self._bits(slice_form(s, y))
 
     def test_each_kernel_compiled_once(self, monkeypatch):
-        integrators._componentwise.cache_clear()
-        integrators._chain_field.cache_clear()
+        for cached in (integrators._componentwise, integrators._rk4_run,
+                       integrators._chain_description, integrators._call,
+                       models._binder):
+            cached.cache_clear()
         sources = []
 
         def counted(source, *args):
             sources.append(args[0])
             return compile(source, *args)
 
-        monkeypatch.setattr(integrators, "compile", counted, raising=False)
+        monkeypatch.setattr(models, "compile", counted, raising=False)
         for _ in range(2):
             FLOAT_LOOP_RUNS["classical"]()
             FLOAT_LOOP_RUNS["chain-erlang"]()
@@ -1778,11 +1904,12 @@ class TestComponentwiseKernels:
                                FRAC_FIELDS[1][1], 0.1)
         assert len(sources) == len(set(sources))
         tag = "<componentwise {!r}, {}>".format
+        # the runs' plain callables call rhs_classical and rhs_delayed
         assert set(sources) == {
-            tag(integrators._STAGE, 3), tag(integrators._COMBINE, 3),
-            tag(integrators._SQUARES, 3), tag(integrators._STAGE, 9),
-            tag(integrators._COMBINE, 9), tag(integrators._SQUARES, 9),
-            "<chain field, 3, 2>", tag(integrators._CORRECT, 3),
+            "<rk4 run: callable, 3>", "<rk4 run: chain(callable, 2), 9>",
+            "<field: chain(callable, 2)>", "<field: classical>",
+            "<field: delayed>", tag(integrators._STAGE, 3),
+            tag(integrators._SQUARES, 3), tag(integrators._CORRECT, 3),
             tag(integrators._STAGE, 1), tag(integrators._CORRECT, 1),
             tag(integrators._SQUARES, 1)}
 

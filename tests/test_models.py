@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,3 +383,166 @@ class TestLinearization:
                            - models.rhs_ep_delayed(s, eq, eq - dv)) / (2 * eps)
         assert np.allclose(jac_x, A, atol=1e-6)
         assert np.allclose(jac_d, B, atol=1e-6)
+
+
+# --- the fields as they were written by hand, before their descriptions ----
+
+def _hand_classical(p):
+    c1, c2, c3 = p.a2 - p.a3, p.a3 - p.a1, p.a1 - p.a2
+
+    def field(x):
+        x1, x2, x3 = x
+        return (c1 * x2 * x3, c2 * x1 * x3, c3 * x1 * x2)
+
+    return field
+
+
+def _hand_revised(p):
+    a1, a2, a3 = p.a1, p.a2, p.a3
+    c1, c2, c3 = a2 - a3, a3 - a1, a1 - a2
+    k12, k13 = a2 * (a1 - a2), a3 * (a1 - a3)
+    k23, k21 = a3 * (a2 - a3), a1 * (a2 - a1)
+    k31, k32 = a1 * (a3 - a1), a2 * (a3 - a2)
+
+    def field(x):
+        x1, x2, x3 = x
+        return (c1 * x2 * x3 + k12 * x1 * x2 * x2 + k13 * x1 * x3 * x3,
+                c2 * x1 * x3 + k23 * x2 * x3 * x3 + k21 * x2 * x1 * x1,
+                c3 * x1 * x2 + k31 * x3 * x1 * x1 + k32 * x3 * x2 * x2)
+
+    return field
+
+
+def _hand_delayed(p):
+    a1, a2, a3 = p.a1, p.a2, p.a3
+    classical = _hand_classical(p)
+
+    def field(x, xd):
+        x1, x2, x3 = x
+        xd1, xd2, xd3 = xd
+        if xd1 == x1 and xd2 == x2 and xd3 == x3:
+            return classical(x)
+        return (a2 * xd2 * x3 - a3 * xd2 * xd3,
+                a3 * x1 * xd3 - a1 * xd1 * x3,
+                a1 * xd1 * xd2 - a2 * x1 * xd2)
+
+    return field
+
+
+def _hand_revised_delayed(p):
+    a1, a2, a3 = p.a1, p.a2, p.a3
+    a11, a12, a23, a33 = a1 * a1, a1 * a2, a2 * a3, a3 * a3
+
+    def field(x, xd):
+        x1, x2, x3 = x
+        xd1, xd2, xd3 = xd
+        return (a2 * xd2 * x3 - a3 * xd2 * xd3 + a12 * xd1 * x2 * x2,
+                a3 * x1 * xd3 - a1 * xd1 * x3 - a11 * x1 * xd1 * x2
+                - a33 * x2 * x3 * xd3,
+                a1 * xd1 * x2 - a2 * x1 * xd2 + a23 * xd2 * x2 * x3)
+
+    return field
+
+
+def _hand_ep_delayed(s):
+    I1, I2, I3, k = s.I1, s.I2, s.I3, s.coupling
+
+    def field(omega, omegad):
+        w1, w2, w3 = omega
+        v1, v2, v3 = omegad
+        m1, m2, m3 = I1 * w1, I2 * w2, I3 * w3
+        d1, d2, d3 = I1 * v1, I2 * v2, I3 * v3
+        e1, e2, e3 = d2 * v3 - d3 * v2, d3 * v1 - d1 * v3, d1 * v2 - d2 * v1
+        return ((m2 * w3 - m3 * w2 + k * (m2 * e3 - m3 * e2)) / I1,
+                (m3 * w1 - m1 * w3 + k * (m3 * e1 - m1 * e3)) / I2,
+                (m1 * w2 - m2 * w1 + k * (m1 * e2 - m2 * e1)) / I3)
+
+    return field
+
+
+#: binder -> (hand-written twin, takes xd, parameter draw from three floats)
+HAND_WRITTEN = {
+    "classical": (models.classical_field, _hand_classical, False,
+                  models.RigidBodyParams.unchecked),
+    "revised": (models.revised_field, _hand_revised, False,
+                models.RigidBodyParams.unchecked),
+    "delayed": (models.delayed_field, _hand_delayed, True,
+                models.RigidBodyParams.unchecked),
+    "revised-delayed": (models.revised_delayed_field, _hand_revised_delayed,
+                        True, models.RigidBodyParams.unchecked),
+    "ep-delayed": (models.ep_delayed_field, _hand_ep_delayed, True,
+                   lambda *a: models.InertiaSetup.unchecked(*a, a[0] - a[1],
+                                                           1.0)),
+}
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("name", HAND_WRITTEN)
+def test_description_closure_equals_hand_written(name):
+    """Each closure built from its description gives the bits of the
+    closure it replaced: on seeded float lists (a quarter of them with
+    xd == x, the delayed field's shortcut), and on the complex-step lists
+    of :func:`models.jacobian`, in x and in xd."""
+    binder, hand, delayed, draw = HAND_WRITTEN[name]
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        params = draw(*(rng.uniform(0.1, 5.0, 3) * 10.0 ** rng.uniform(-2, 2)))
+        field, twin = binder(params), hand(params)
+        x = (rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)).tolist()
+        xd = x if trial % 4 == 0 else (
+            rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)).tolist()
+        if not delayed:
+            assert _bits(field(x)) == _bits(twin(x))
+            assert (models.jacobian(field, x).tobytes()
+                    == models.jacobian(twin, x).tobytes())
+            continue
+        assert _bits(field(x, xd)) == _bits(twin(x, xd))
+        for fixed in (0, 1):
+            def pick(f, u):
+                return f(u, xd) if fixed else f(x, u)
+            got = models.jacobian(lambda u: pick(field, u), xd if fixed else x)
+            want = models.jacobian(lambda u: pick(twin, u), xd if fixed else x)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_delayed_at_x_is_classical_bitwise():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        p = models.RigidBodyParams.unchecked(*rng.uniform(0.1, 5.0, 3))
+        x = (rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)).tolist()
+        assert (_bits(models.delayed_field(p)(x, x))
+                == _bits(models.classical_field(p)(x)))
+        assert (models.jacobian(lambda u: models.delayed_field(p)(u, u),
+                                x).tobytes()
+                == models.jacobian(models.classical_field(p), x).tobytes())
+
+
+def test_revised_delayed_takes_no_shortcut():
+    # at xd == x it stays term for term, so it differs from revised(x)
+    x = [0.3, -1.1, 0.7]
+    assert (models.revised_delayed_field(P321)(x, x)
+            != models.revised_field(P321)(x))
+
+
+def test_binders_compiled_lazily_once():
+    code = ("import rigidmem.models as m, rigidmem.integrators as i; "
+            "print(m._binder.cache_info().currsize, "
+            "i._rk4_run.cache_info().currsize); "
+            "p = m.RigidBodyParams(3, 2, 1); "
+            "[m.classical_field(p) for _ in range(3)]; "
+            "print(m._binder.cache_info().currsize)")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env)
+    assert out.stdout.split() == ["0", "0", "1"]
+
+
+def test_bound_field_carries_its_binding():
+    field = models.revised_field(P321)
+    desc, args = field.binding
+    assert desc.name == "revised" and args == (3.0, 2.0, 1.0)
+    assert desc.bind(*args)([1.0, 2.0, 3.0]) == field([1.0, 2.0, 3.0])
