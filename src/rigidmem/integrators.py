@@ -636,9 +636,10 @@ def _dirac_sample(lag: float, grid: _RunningGrid, times, final):
 
 
 def _simpson(phi: HistorySpec, a: float, b: float, step: float) -> list:
-    """Composite Simpson integral of phi over [a, b], step at most ``step``."""
+    """Composite Simpson integral of phi over [a, b], step at most ``step``,
+    on phi's values as a C-contiguous table, whatever its layout."""
     s, weights = _kern.simpson_rule(a, b, step)
-    return (weights @ phi.eval_many(s)).tolist()
+    return (weights @ _kern._eval_history(phi, s)).tolist()
 
 
 def _uniform_average(kernel, grid: _RunningGrid, times, final):

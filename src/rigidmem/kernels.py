@@ -197,9 +197,11 @@ def effective_support(kernel: DelayKernel) -> tuple[float, float]:
 
 
 def _eval_history(history, times: np.ndarray) -> np.ndarray:
-    """Evaluate a dense history at an array of times, as an (m, dim) array."""
+    """Evaluate a dense history at an array of times, as a C-contiguous
+    (m, dim) array: a broadcast (stride-0) table would take numpy's
+    non-BLAS product in the quadrature and round differently."""
     if hasattr(history, "eval_many"):
-        return np.asarray(history.eval_many(times), dtype=float)
+        return np.ascontiguousarray(history.eval_many(times), dtype=float)
     return np.stack([np.atleast_1d(np.asarray(history(t), dtype=float))
                      for t in times])
 

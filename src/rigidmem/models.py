@@ -18,13 +18,13 @@ as a tuple: floats on the integrators' float lists, complex numbers on the
 complex-step lists of :func:`jacobian`.  The closure carries its
 description and arguments (``field.binding``), from which the RK4
 integrators generate a whole-run loop with the field's arithmetic inlined.
-A run binds its field once.  The ``rhs_*(p, x[, xd])`` wrappers bind on
-every call and return the components in the kind of container the state
-came in: a tuple for a list or tuple of numbers, an array for an ndarray,
-one state of shape (3,) or a (3, B) table of B states; the bits are the
-same in every container.  Fields and wrappers are pure functions of
-immutable inputs, so they can be handed to any integrator and shared
-freely across threads.
+A run binds its field once.  The ``rhs_*(p, x[, xd])`` wrappers call the
+cached binder on every call, with no ``binding`` attribute set, and return
+the components in the kind of container the state came in: a tuple for
+a list or tuple of numbers, an array for an ndarray, one state of shape
+(3,) or a (3, B) table of B states; the bits are the same in every
+container.  Fields and wrappers are pure functions of immutable inputs,
+so they can be handed to any integrator and shared freely across threads.
 """
 
 from __future__ import annotations
@@ -321,19 +321,19 @@ def ep_delayed_field(s: InertiaSetup):
 
 def rhs_classical(p: RigidBodyParams, x) -> tuple | np.ndarray:
     """:func:`classical_field` of ``p`` at ``x``, in the container of ``x``."""
-    return _like(x, classical_field(p)(x))
+    return _like(x, _binder(_CLASSICAL)(p.a1, p.a2, p.a3)(x))
 
 
 def rhs_revised(p: RigidBodyParams, x) -> tuple | np.ndarray:
     """:func:`revised_field` of ``p`` at ``x``, in the container of ``x``."""
-    return _like(x, revised_field(p)(x))
+    return _like(x, _binder(_REVISED)(p.a1, p.a2, p.a3)(x))
 
 
 def rhs_delayed(p: RigidBodyParams, x, xd) -> tuple | np.ndarray:
     """:func:`delayed_field` of ``p`` at ``(x, xd)``, in the container of
     ``x``; a (3, B) table takes the ``xd == x`` reduction column by column.
     """
-    field = delayed_field(p)
+    field = _binder(_DELAYED)(p.a1, p.a2, p.a3)
     if isinstance(x, np.ndarray) and x.ndim == 2:
         cols = [field(*col) for col in zip(x.T, xd.T)]
         return np.array(cols).reshape(-1, 3).T
@@ -343,13 +343,14 @@ def rhs_delayed(p: RigidBodyParams, x, xd) -> tuple | np.ndarray:
 def rhs_revised_delayed(p: RigidBodyParams, x, xd) -> tuple | np.ndarray:
     """:func:`revised_delayed_field` of ``p`` at ``(x, xd)``, in the
     container of ``x``."""
-    return _like(x, revised_delayed_field(p)(x, xd))
+    return _like(x, _binder(_REVISED_DELAYED)(p.a1, p.a2, p.a3)(x, xd))
 
 
 def rhs_ep_delayed(s: InertiaSetup, omega, omegad) -> tuple | np.ndarray:
     """:func:`ep_delayed_field` of ``s`` at ``(omega, omegad)``, in the
     container of ``omega``."""
-    return _like(omega, ep_delayed_field(s)(omega, omegad))
+    field = _binder(_EP_DELAYED)(s.I1, s.I2, s.I3, s.coupling)
+    return _like(omega, field(omega, omegad))
 
 
 def find_equilibria(params, m: float) -> list[np.ndarray]:

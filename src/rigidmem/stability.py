@@ -6,7 +6,8 @@ w = lambda^order (sector condition), the delayed Euler-Poincare system's
 characteristic function with the paper's critical-delay formula,
 closed-form root counts from the exact imaginary-axis crossings for every
 sharp (Dirac) lag, the roots of the ODE-chain polynomial for exponential
-and Erlang kernels, and argument-principle counting for uniform ones.
+and Erlang kernels, and the eigenvalues of the collocated solution-operator
+generator for uniform ones.  No verdict depends on a search box.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ UNSTABLE = "unstable"
 #: sector-margin tolerance separating "marginal" from a strict verdict
 SECTOR_TOL = 1e-12
 
-#: relative |f| on a contour below which a boundary root is flagged
-_BOUNDARY_TOL = 1e-9
+#: distance from the imaginary axis, relative to max(1, |lambda|), within
+#: which a generator root counts as on the axis
+_AXIS_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,9 @@ class StabilityReport:
 
     ``margins`` holds |arg(w)| - order*pi/2 per root.  The delay checks
     record the right-half-plane root count in ``metadata`` (``uncertain``
-    when a root lies on the imaginary axis, or on a uniform kernel's
-    contour); only exponential and Erlang kernels also fill the roots.
+    when a root lies on the imaginary axis, or when a uniform kernel's
+    generator roots have not settled); only exponential and Erlang
+    kernels also fill the roots.
     """
 
     verdict: str
@@ -113,11 +116,9 @@ class StabilityReport:
         return "\n".join(lines) + "\n"
 
 
-def _transverse(jac: np.ndarray, axis: int) -> tuple[float, float]:
-    """(trace, det) of the 2x2 block of ``jac`` off ``axis``; at an axis
-    equilibrium the axis row and column vanish (the neutral direction)."""
-    j, k = [i for i in range(3) if i != axis]
-    a, b, c, d = jac[j, j], jac[j, k], jac[k, j], jac[k, k]
+def _trace_det(block: np.ndarray) -> tuple[float, float]:
+    """(trace, det) of the 2x2 ``block``."""
+    a, b, c, d = block[0, 0], block[0, 1], block[1, 0], block[1, 1]
     return float(a + d), float(a * d - b * c)
 
 
@@ -135,7 +136,10 @@ def char_frac_equilibrium(p: _models.RigidBodyParams, which, m: float,
                          f"got {which!r}") from None
     bind = _models.revised_field if revised else _models.classical_field
     x = _models.find_equilibria(p, m)[axis]
-    tr, det = _transverse(_models.jacobian(bind(p), x), axis)
+    # at an axis equilibrium the axis row and column vanish (the neutral
+    # direction): the block off the axis is the transverse one
+    off = (slice(1, 3), slice(0, 3, 2), slice(0, 2))[axis]
+    tr, det = _trace_det(_models.jacobian(bind(p), x)[off, off])
     # 0.0 - tr keeps the plain field's zero trace a +0.0
     return CharQuadratic(1.0, 0.0 - tr, det, zero_factor_order=1)
 
@@ -170,25 +174,23 @@ def _sector(roots, order: float) -> tuple[list, str]:
                      UNSTABLE if worst < -SECTOR_TOL else MARGINAL)
 
 
-def _ep_bracket(s: _models.InertiaSetup) -> tuple[float, float, float]:
-    """(q1, q2, q0) = (tr B, det B, -det A): one Jacobian in (omega, omegad)
-    at omega_1 gives [A | B], whose transverse blocks are A = df/domega
-    (zero diagonal) and B = df/domegad (diagonal)."""
+def _ep_blocks(s: _models.InertiaSetup) -> tuple[np.ndarray, np.ndarray]:
+    """Transverse blocks (A, B) at omega_1, 2x2 each: one Jacobian in
+    (omega, omegad) gives [df/domega | df/domegad], whose axis row and
+    columns vanish; A has a zero diagonal and B is diagonal."""
     w = _models.find_equilibria(s, s.m)[0]
     field = _models.ep_delayed_field(s)
     jac = _models.jacobian(lambda z: field(z[:3], z[3:]),
                            np.concatenate((w, w)))
-    _, det_a = _transverse(jac[:, :3], 0)
-    tr_b, det_b = _transverse(jac[:, 3:], 0)
+    return jac[1:, 1:3], jac[1:, 4:]
+
+
+def _ep_bracket(s: _models.InertiaSetup) -> tuple[float, float, float]:
+    """(q1, q2, q0) = (tr B, det B, -det A) of the :func:`_ep_blocks`."""
+    a, b = _ep_blocks(s)
+    _, det_a = _trace_det(a)
+    tr_b, det_b = _trace_det(b)
     return tr_b, det_b, -det_a
-
-
-def _eval_bracket(q, kernel, lam):
-    lam, scalar = _kern._lambda_array(lam)
-    k1 = _kern.laplace(kernel, lam)
-    q1, q2, q0 = q
-    out = lam * lam - q1 * lam * k1 + q2 * k1 * k1 - q0
-    return complex(out[0]) if scalar else out
 
 
 def char_ep_eval(s: _models.InertiaSetup, kernel, lam):
@@ -199,7 +201,11 @@ def char_ep_eval(s: _models.InertiaSetup, kernel, lam):
     characteristic equation carries an extra structural lambda factor.
     A scalar ``lam`` gives a Python complex, an array gives an array.
     """
-    return _eval_bracket(_ep_bracket(s), kernel, lam)
+    lam, scalar = _kern._lambda_array(lam)
+    k1 = _kern.laplace(kernel, lam)
+    q1, q2, q0 = _ep_bracket(s)
+    out = lam * lam - q1 * lam * k1 + q2 * k1 * k1 - q0
+    return complex(out[0]) if scalar else out
 
 
 def tau_c_formula(s: _models.InertiaSetup) -> float:
@@ -370,12 +376,12 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
     exponential or Erlang kernel reports the roots of :func:`_chain_roots`
     and the sector test at order 1; a margin within SECTOR_TOL of 0, or a
     dropped root, makes the count ``uncertain`` and a stable verdict
-    marginal.  A uniform kernel counts right-half-plane zeros of the
-    bracket by the argument principle; a root near the contour (boundary
-    ratio below _BOUNDARY_TOL) makes the count ``uncertain`` and the
-    verdict marginal, as coupling 0 does with no roots.  The structural
-    lambda factor is one zero root.  With nonzero coupling the report
-    carries :func:`critical_delay_scan` as ``critical_delay`` and
+    marginal.  A uniform kernel takes :func:`_uniform_verdict`, from the
+    eigenvalues of the collocated generator, and reports no roots; with
+    coupling 0 and I1 the largest moment a pair lies on the imaginary
+    axis, marginal and ``uncertain``.  The structural lambda factor is one
+    zero root.  With nonzero coupling the report carries
+    :func:`critical_delay_scan` as ``critical_delay`` and
     :func:`tau_c_formula`; a Dirac kernel adds ``kernel_lag``.
     """
     q1, q2, q0 = q = _ep_bracket(s)
@@ -391,10 +397,7 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
             rep.verdict, count = _crossing_verdict(
                 1 if q2 < q0 else 2 * (q1 > 0), crossings, kernel.lag)
     elif (chain := _kern.chain_reduce(kernel)) is None:
-        n, boundary_ratio = count_rhp_roots(
-            lambda lam: _eval_bracket(q, kernel, lam))
-        if not (boundary_ratio < _BOUNDARY_TOL or n < 0):
-            rep.verdict, count = (STABLE if n == 0 else UNSTABLE), n
+        rep.verdict, count = _uniform_verdict(*_ep_blocks(s), kernel)
     elif s.coupling != 0:
         rep.roots = _chain_roots(q, chain)
         rep.margins, rep.verdict = _sector(rep.roots, 1.0)
@@ -425,6 +428,66 @@ def _chain_roots(q, chain: _kern.ChainSpec) -> list[complex]:
                   key=lambda w: (w.real, w.imag))
 
 
+def _uniform_generator(a, b, kernel: _kern.UniformKernel,
+                       nodes: int) -> np.ndarray:
+    """Eigenvalues of u' = A u + B (1/width) integral of u(t - s) ds over
+    [offset, offset + width], collocated at the Chebyshev nodes
+    tau (cos(j pi / nodes) - 1) / 2 of the solution operator's generator
+    on [-tau, 0], tau = offset + width (Breda, Maset & Vermiglio, SIAM J.
+    Sci. Comput. 27(2), 2005); its rightmost eigenvalues converge
+    spectrally to the characteristic roots.  The rows past the first
+    differentiate (Trefethen's matrix); the first is A u(0) plus B times
+    the exact window averages of the Lagrange basis: Gauss-Legendre at
+    nodes / 2 + 2 points (Golub & Welsch, Math. Comp. 23, 1969), the basis
+    there summed from its Chebyshev (DCT-I) coefficients."""
+    d, tau = a.shape[0], kernel.offset + kernel.width
+    k = np.arange(nodes + 1)
+    x = np.cos(np.pi * k / nodes)
+    c = np.where(k % nodes, 1.0, 2.0) * (-1.0) ** k
+    diff = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(nodes + 1))
+    diff -= np.diag(diff.sum(axis=1))
+    i = np.arange(1.0, nodes // 2 + 2)
+    gl, vec = np.linalg.eigh(np.diag(i / np.sqrt(4.0 * i * i - 1.0), -1))
+    # the window is x in [-1, 1 - 2 offset / tau], where the average over
+    # s is the sum of vec[0]^2 f(g); the basis function of node j at g is
+    # (2 / nodes) sum_k T_k(g) cos(j k pi / nodes), end terms halved in j, k
+    g = (gl + 1.0) * (kernel.width / tau) - 1.0
+    half = np.where(k % nodes, 1.0, 0.5)
+    row = ((vec[0] ** 2 @ np.cos(np.outer(np.arccos(g), k)) * half)
+           @ np.cos(np.outer(k, k) * (np.pi / nodes)) * (2.0 / nodes * half))
+    gen = np.kron(diff * (2.0 / tau), np.eye(d))
+    gen[:d] = np.kron(row, b)
+    gen[:d, :d] += a
+    return np.linalg.eigvals(gen)
+
+
+def _uniform_verdict(a, b, kernel: _kern.UniformKernel):
+    """(verdict, rhp_root_count) from the :func:`_uniform_generator` roots
+    at N = 24, 48 and 96 nodes.  A root more than _AXIS_BAND
+    max(1, |lambda|) right of the imaginary axis counts as right, one
+    within that band of it as on the axis.  The count is settled once the
+    right and on-axis counts agree between N and 2N and the rightmost real
+    part moved by less than its distance from the axis at 2N (or than its
+    band, on the axis), so that its sign holds; a root on the axis then
+    makes the count ``uncertain`` and the verdict marginal, unless others
+    surely lie right.  Unsettled at 96 nodes, the count is ``uncertain``
+    and the verdict unstable only if roots lie surely right at both 48 and
+    96."""
+    seen = []  # (right, on the axis, rightmost real part) per node count
+    for nodes in (24, 48, 96):
+        lam = _uniform_generator(a, b, kernel, nodes)
+        band = _AXIS_BAND * np.maximum(1.0, np.abs(lam))
+        top = int(np.argmax(lam.real))
+        right, on_axis = (int(np.sum(lam.real > band)),
+                          int(np.sum(np.abs(lam.real) <= band)))
+        if seen and seen[-1][:2] == (right, on_axis) and (
+                abs(seen[-1][2] - lam.real[top])
+                < max(abs(lam.real[top]), band[top])):
+            return _bounds_verdict(right, right + on_axis)
+        seen.append((right, on_axis, lam.real[top]))
+    return _bounds_verdict(min(seen[-2][0], right), math.inf)
+
+
 def _crossing_verdict(n0: int, crossings, tau: float):
     """(verdict, rhp_root_count) at lag ``tau`` for an equation with ``n0``
     right-half-plane roots at tau = 0 whose roots reach the imaginary axis
@@ -447,6 +510,13 @@ def _crossing_verdict(n0: int, crossings, tau: float):
                   for d in (-band, band))
         low += 2 * direction * (lo if direction > 0 else hi)
         high += 2 * direction * (hi if direction > 0 else lo)
+    return _bounds_verdict(low, high)
+
+
+def _bounds_verdict(low, high):
+    """(verdict, rhp_root_count) when at least ``low`` and at most ``high``
+    roots lie right of the imaginary axis: the count when the two agree,
+    else ``uncertain``, unstable when ``low`` is positive, else marginal."""
     if low == high and abs(low) != math.inf:
         return (UNSTABLE if low else STABLE), low
     return (UNSTABLE if low > 0 else MARGINAL), "uncertain"

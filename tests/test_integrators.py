@@ -603,7 +603,8 @@ class TestFracMemorySums:
 
 
 def _simpson_average(kernel, history, t, quad_step):
-    """Reference Simpson kernel average, its rule rebuilt on every call."""
+    """Reference Simpson kernel average, its rule rebuilt on every call,
+    over the history's values as a C-contiguous table."""
     lo, hi = kernels.effective_support(kernel)
     n = max(2, int(math.ceil((hi - lo) / quad_step)))
     n += n % 2
@@ -612,7 +613,8 @@ def _simpson_average(kernel, history, t, quad_step):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= (hi - lo) / n / 3.0
-    return (weights * kernels.density(kernel, s)) @ history.eval_many(t - s)
+    return (weights * kernels.density(kernel, s)) @ np.ascontiguousarray(
+        history.eval_many(t - s))
 
 
 #: the delayed-argument engine, for references that call it while
@@ -1044,6 +1046,20 @@ class TestUniformRunningIntegral:
             kept, fresh = runs
             assert kept.states.tobytes() == fresh.states.tobytes()
             assert kept.derivs.tobytes() == fresh.derivs.tobytes()
+
+    @pytest.mark.parametrize("kernel", [
+        kernels.UniformKernel(0.1, 0.37), kernels.UniformKernel(0.0, 2.0)],
+        ids=repr)
+    def test_history_layout_does_not_move_bits(self, kernel):
+        # the same values of phi as a broadcast (stride-0) table and as a
+        # stacked one: the window's Simpson part before 0 rounds alike
+        c = np.array([0.3, 0.4, 0.2])
+        field = models.delayed_field(models.RigidBodyParams(3, 2, 1))
+        runs = [integrate_dde(field, kernel, HistorySpec(table, 3), 2.0, H)
+                for table in (lambda ss: np.broadcast_to(c, (np.size(ss), 3)),
+                              lambda ss: np.tile(c, (np.size(ss), 1)))]
+        assert runs[0].states.tobytes() == runs[1].states.tobytes()
+        assert runs[0].derivs.tobytes() == runs[1].derivs.tobytes()
 
     def test_work_per_lookup_bounded(self, monkeypatch):
         # history points read per field call: grid nodes and phi samples,
@@ -1920,6 +1936,20 @@ class TestComponentwiseKernels:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env)
         assert out.stdout.strip() == "0"
+
+    def test_no_numpy_polynomial_at_import(self):
+        # numpy.polynomial takes milliseconds to import, which every CLI
+        # start would pay; nor may the uniform stability route load it
+        code = ("import sys, rigidmem; "
+                "print('numpy.polynomial' in sys.modules); "
+                "from rigidmem import kernels, models, stability; "
+                "stability.ep_delayed_check(models.InertiaSetup(3, 2, 1, "
+                "1.0, 1.0), kernels.UniformKernel(0.1, 0.5)); "
+                "print('numpy.polynomial' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.split() == ["False", "False"]
 
     @pytest.mark.parametrize("run", ["rk4", "abm"])
     def test_dim_zero(self, run):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rigidmem import kernels
+from rigidmem.integrators import HistorySpec
 
 ALL_KERNELS = [
     kernels.UniformKernel(0.0, 2.0),
@@ -186,6 +187,18 @@ class TestConvolveHistory:
                                        0.001)
         expected = math.exp(lam * t) * kernels.laplace(kernel, lam).real * v
         assert np.max(np.abs(out - expected)) < 1e-8
+
+    @pytest.mark.parametrize("kernel", POINTWISE, ids=str)
+    def test_constant_history_bits_independent_of_layout(self, kernel):
+        # a constant HistorySpec hands over a broadcast (stride-0) table;
+        # the product must round as it does on the same values stacked
+        c = np.array([0.3, -1.7, 2.9])
+        spec = HistorySpec.constant(c)
+        for step in (0.01, 0.0037):
+            got = kernels.convolve_history(kernel, spec, 4.0, step)
+            ref = kernels.convolve_history(kernel, lambda t: c.copy(), 4.0,
+                                           step)
+            assert got.tobytes() == ref.tobytes()
 
     def test_bad_quad_step(self):
         with pytest.raises(ValueError):

@@ -581,9 +581,9 @@ class TestClosedFormCounts:
         assert contour_checks == 10
 
     def test_ep_dirac_no_contour(self, monkeypatch):
-        # the Dirac route is the crossing count and the exponential and
-        # Erlang routes the chain polynomial; the uniform kernel keeps the
-        # contour
+        # the Dirac route is the crossing count, the exponential and
+        # Erlang routes the chain polynomial and the uniform route the
+        # collocated generator: no kernel calls the contour
         _refuse_contour(monkeypatch)
         for s in (S321, models.InertiaSetup(3, 2, 1, 0.0, 1.0),
                   models.InertiaSetup(3, 2, 1, -1.0, 30.0)):
@@ -592,8 +592,9 @@ class TestClosedFormCounts:
             for rate in (0.1, 2.0, 1e10):
                 stability.ep_delayed_check(s, kernels.ExponentialKernel(rate))
                 stability.ep_delayed_check(s, kernels.ErlangKernel(rate))
-        with pytest.raises(AssertionError, match="count_rhp_roots"):
-            stability.ep_delayed_check(S321, kernels.UniformKernel(0.1, 0.5))
+            for offset, width in ((0.0, 0.05), (0.1, 0.5)):
+                stability.ep_delayed_check(
+                    s, kernels.UniformKernel(offset, width))
 
     def test_ep_report_fields(self):
         dirac, uniform = kernels.DiracKernel(0.7), kernels.UniformKernel(
@@ -755,6 +756,131 @@ class TestClosedFormCounts:
                     rep = stability.ep_delayed_check(S321, kind(rate))
                 assert (rep.verdict, rep.metadata["rhp_root_count"]) in (
                     (stability.STABLE, 0), (stability.MARGINAL, "uncertain"))
+
+
+#: (setup, uniform kernel, rhp_root_count) that a fixed 50 x 50 contour
+#: called stable with count 0, and one whose count has not settled at 96
+#: nodes
+UNIFORM_REGRESSIONS = [
+    ((4.039222673876224, 1.5023501472689909, 1.131700890940037,
+      -1.9211529156069256, 5.755643704383248),
+     (1.3300511847484893, 1.9053060060578948), 8),
+    ((2.6634450663616187, 2.069832097182005, 2.0660888091121525,
+      -1.6268315649943448, 3.371134966085145),
+     (1.8428549240675633, 1.7106200913952234), 2),
+    ((4.0698433868235435, 0.8905829129582534, 0.5889460262355142,
+      -1.7746269662630638, 56.840221811698),
+     (1.5643003634155548, 1.1427829940455434), "uncertain"),
+]
+
+
+class TestUniformGenerator:
+    @pytest.mark.parametrize("setup, window, count", UNIFORM_REGRESSIONS)
+    def test_regressions(self, setup, window, count):
+        s, kern = models.InertiaSetup(*setup), kernels.UniformKernel(*window)
+        rep = stability.ep_delayed_check(s, kern)
+        assert rep.verdict == stability.UNSTABLE
+        assert rep.metadata["rhp_root_count"] == count
+        assert rep.roots == [] and rep.margins == []
+        roots = _uniform_roots(*_fd_ep_blocks(s), kern, 96)
+        assert roots.real.max() > 0
+        if count == "uncertain":
+            return
+        assert np.count_nonzero(roots.real > 0) == count
+        # the library's rightmost root is a zero of the bracket
+        lam = stability._uniform_generator(*stability._ep_blocks(s), kern, 48)
+        top = complex(lam[np.argmax(lam.real)])
+        q1, q2, q0 = stability._ep_bracket(s)
+        k1 = kernels.laplace(kern, top)
+        scale = abs(top) ** 2 + abs(q1 * top * k1) + abs(q2 * k1 * k1) \
+            + abs(q0)
+        assert abs(stability.char_ep_eval(s, kern, top)) <= 1e-11 * scale
+        assert top.real == pytest.approx(
+            roots.real.max(), rel=1e-9)
+
+    def test_sweep(self, monkeypatch):
+        # each verdict against a test-local generator at twice the nodes
+        # the library's last pair of node counts ended on
+        nodes, generator = [], stability._uniform_generator
+        monkeypatch.setattr(stability, "_uniform_generator",
+                            lambda a, b, kern, n: nodes.append(n)
+                            or generator(a, b, kern, n))
+        rng = np.random.default_rng(2727)
+        checked = counted = unstable = 0
+        for i in range(40):
+            s, kern = _uniform_draw(rng, i)
+            nodes.clear()
+            rep = stability.ep_delayed_check(s, kern)
+            roots = _uniform_roots(*_fd_ep_blocks(s), kern, 2 * nodes[-1])
+            top = float(roots.real.max())
+            if abs(top) < 1e-6:
+                continue
+            checked += 1
+            unstable += top > 0
+            count = rep.metadata["rhp_root_count"]
+            if count == "uncertain":  # unsettled at 96 nodes: the sign only
+                assert nodes[-1] == 96, (s, kern)
+                assert (rep.verdict == stability.UNSTABLE) == (top > 0)
+                continue
+            assert rep.verdict == (stability.UNSTABLE if top > 0
+                                   else stability.STABLE), (s, kern)
+            assert count == np.count_nonzero(roots.real > 0), (s, kern)
+            counted += 1
+        assert checked >= 38 and counted >= 34 and 10 <= unstable < checked
+
+    @pytest.mark.parametrize("spectra, want", [
+        # settled at 24 and 48 nodes
+        ({24: [-1.0, 0.5 + 1j], 48: [-1.0, 0.5 + 1j]},
+         (stability.UNSTABLE, 1)),
+        ({24: [-1.0, -0.5 + 1j], 48: [-1.0, -0.5 + 1j]},
+         (stability.STABLE, 0)),
+        # a root within 1e-9 max(1, |lambda|) of the axis
+        ({n: [-1.0, 1e-10 + 1j] for n in (24, 48)},
+         (stability.MARGINAL, "uncertain")),
+        ({n: [-1.0, 5e-9 + 10j] for n in (24, 48)},
+         (stability.MARGINAL, "uncertain")),
+        ({n: [0.5, -3e-10 + 1j] for n in (24, 48)},
+         (stability.UNSTABLE, "uncertain")),
+        # the rightmost root moves by more than its distance from the axis:
+        # 96 nodes, and unsettled if it keeps doing so
+        ({24: [-1.0, -0.5], 48: [-1.0, -0.1], 96: [-1.0, -0.1 + 1e-9]},
+         (stability.STABLE, 0)),
+        ({24: [-1.0, -0.5], 48: [-1.0, -0.1], 96: [-1.0, -0.01]},
+         (stability.MARGINAL, "uncertain")),
+        # counts unsettled at 96 nodes: unstable only when roots lie
+        # surely right at both 48 and 96
+        ({24: [0.5], 48: [0.5, 0.7], 96: [0.5, 0.7, 0.9]},
+         (stability.UNSTABLE, "uncertain")),
+        ({24: [0.5], 48: [-0.5, -0.7], 96: [0.5, 0.7, 0.9]},
+         (stability.MARGINAL, "uncertain")),
+    ])
+    def test_verdict_rules(self, spectra, want, monkeypatch):
+        monkeypatch.setattr(stability, "_uniform_generator",
+                            lambda a, b, kern, n: np.array(spectra[n],
+                                                           dtype=complex))
+        assert stability._uniform_verdict(
+            None, None, kernels.UniformKernel(0.0, 1.0)) == want
+
+    @pytest.mark.parametrize("width", [1e-4, 1e-8, 1e-12])
+    def test_narrow_window_is_lag_zero(self, width):
+        # the generator's entries grow as 1 / width, and so does the
+        # rounding of its rightmost roots; their signs still hold
+        for s in (S321, models.InertiaSetup(3, 2, 1, -1.0, 1.0)):
+            lag0 = stability.ep_delayed_check(s, kernels.DiracKernel(0.0))
+            rep = stability.ep_delayed_check(
+                s, kernels.UniformKernel(0.0, width))
+            assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+                lag0.verdict, lag0.metadata["rhp_root_count"])
+
+    def test_kernel_row_exact(self):
+        # A = a I and B = b I give the roots of lambda = a + b k1(lambda)
+        # for each component; the generator's rightmost one solves it
+        kern = kernels.UniformKernel(0.7, 1.3)
+        for a, b in ((-1.0, 0.5), (0.3, -2.0), (-0.2, -1.5)):
+            lam = stability._uniform_generator(a * np.eye(2), b * np.eye(2),
+                                               kern, 48)
+            top = complex(lam[np.argmax(lam.real)])
+            assert abs(top - a - b * kernels.laplace(kern, top)) <= 1e-12
 
 
 class TestRootOnContour:
@@ -1063,16 +1189,13 @@ def _exact_crossings(s):
                                   -np.linalg.det(a0))
 
 
-def _dde_roots(a0, a1, tau, nodes=48):
-    """Approximate characteristic roots of u' = A0 u + A1 u(t - tau): the
-    eigenvalues of the pseudospectral collocation of the solution
-    operator's generator on [-tau, 0] (Breda, Maset & Vermiglio, SIAM J.
-    Sci. Comput. 27(2), 2005), whose rightmost ones converge spectrally in
-    ``nodes``.  Chebyshev nodes cos(j pi / nodes), Trefethen's
-    differentiation matrix."""
+def _collocated(a0, tau, nodes):
+    """The pseudospectral collocation of the solution operator's generator
+    of u' = A0 u + (delayed terms) on [-tau, 0] (Breda, Maset & Vermiglio,
+    SIAM J. Sci. Comput. 27(2), 2005), delayed terms left out, and its
+    nodes: Chebyshev nodes tau (cos(j pi / nodes) - 1) / 2, Trefethen's
+    differentiation matrix in the rows past the first."""
     d = a0.shape[0]
-    if tau == 0:
-        return np.linalg.eigvals(a0 + a1)
     x = np.cos(np.pi * np.arange(nodes + 1) / nodes)
     c = np.ones(nodes + 1)
     c[0] = c[-1] = 2.0
@@ -1082,8 +1205,50 @@ def _dde_roots(a0, a1, tau, nodes=48):
     gen = np.kron(diff * (2.0 / tau), np.eye(d))
     gen[:d, :] = 0.0
     gen[:d, :d] = a0
+    return gen, tau * (x - 1.0) / 2.0
+
+
+def _dde_roots(a0, a1, tau, nodes=48):
+    """Approximate characteristic roots of u' = A0 u + A1 u(t - tau): the
+    eigenvalues of :func:`_collocated`, whose rightmost ones converge
+    spectrally in ``nodes``."""
+    d = a0.shape[0]
+    if tau == 0:
+        return np.linalg.eigvals(a0 + a1)
+    gen, _ = _collocated(a0, tau, nodes)
     gen[:d, -d:] = a1
     return np.linalg.eigvals(gen)
+
+
+def _uniform_roots(a0, a1, kernel, nodes):
+    """Approximate characteristic roots of u' = A0 u + A1 (1/width) times
+    the integral of u(t - s) over [offset, offset + width]: the eigenvalues
+    of :func:`_collocated` on [-(offset + width), 0], whose first block row
+    adds A1 times the window average of each node's Lagrange basis
+    polynomial (barycentric form, numpy's Gauss-Legendre rule)."""
+    d = a0.shape[0]
+    lo, hi = -(kernel.offset + kernel.width), -kernel.offset
+    gen, theta = _collocated(a0, -lo, nodes)
+    t, w = np.polynomial.legendre.leggauss(nodes // 2 + 2)
+    points = (hi - lo) / 2 * t + (hi + lo) / 2
+    bary = (-1.0) ** np.arange(nodes + 1)
+    bary[0] = bary[-1] = bary[0] / 2
+    terms = bary / (points[:, None] - theta)
+    basis = terms / terms.sum(axis=1, keepdims=True)
+    gen[:d] += np.kron(w @ basis / 2, a1)
+    return np.linalg.eigvals(gen)
+
+
+def _uniform_draw(rng, i):
+    """One (setup, uniform kernel) draw: I sorted descending from
+    U[0.5, 5], coupling U[-2, 2], m U[0.2, 6] (times 10 when i % 3 == 0),
+    offset U[0, 2] and width U[0.05, 3]."""
+    inertia = np.sort(rng.uniform(0.5, 5.0, 3))[::-1]
+    coupling = float(rng.uniform(-2.0, 2.0))
+    m = float(rng.uniform(0.2, 6.0)) * (10.0 if i % 3 == 0 else 1.0)
+    s = models.InertiaSetup(*(float(v) for v in inertia), coupling, m)
+    return s, kernels.UniformKernel(float(rng.uniform(0.0, 2.0)),
+                                    float(rng.uniform(0.05, 3.0)))
 
 
 def _chain_roots(a0, a1, kernel):
