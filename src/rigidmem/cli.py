@@ -144,9 +144,17 @@ def _inertia_diagnostics(s):
     return {"h": energy, "c": momentum_c}
 
 
+#: the delayed Caputo benchmarks: x' = a xd, and a planar system whose
+#: lagged term crosses from x1 into x2
+_SCALAR_18 = _models.FieldDescription("scalar-18", 1, True, ("a",), (), (),
+                                      ("a * xd1",))
+_PLANAR_19 = _models.FieldDescription(
+    "planar-19", 2, True, ("k1", "k2"), ("k12 = -(k1 + k2)",), (),
+    ("x2 - k1 * x1", "k12 * x2 + xd1"))
+
+
 def _lagged_cross_pair(k):
-    k1, k2 = k
-    return lambda x, xd: (x[1] - k1 * x[0], -(k1 + k2) * x[1] + xd[0])
+    return _PLANAR_19.bind(*k)
 
 
 def _sector_report(cfg: RunConfig, revised: bool) -> _stab.StabilityReport:
@@ -185,7 +193,7 @@ _KINDS = {
         set_m=lambda cfg, m: dataclasses.replace(
             cfg, params=dataclasses.replace(cfg.params, m=m))),
     "scalar-18": _Kind(
-        keys=("a",), params=float, pair=lambda a: lambda x, xd: (a * xd[0],),
+        keys=("a",), params=float, pair=_SCALAR_18.bind,
         fractional=True, dim=1,
         report=lambda cfg: _stab.scalar_frac_delay_check(
             cfg.params, cfg.frac.order, cfg.kernel.lag)),

@@ -14,18 +14,20 @@ Four integration paths are provided:
 
 Every path steps over Python floats: a field gets the state, and a delayed
 field also the delayed argument, as a list of floats, and may return any
-length-dim sequence.  The RK4 paths run one loop generated per field: a
-model field bound once per run (``rigidmem.models.classical_field(p)`` and
-its siblings) carries its description, whose text the loop inlines with
-the state, stages and slopes held in locals, and a plain callable is
-called once per evaluation from a loop of the same form.  The chain
-reduction composes the model field's description with its relaxation
-stages into one field, and a Dirac or uniform delay keeps its lookup as a
-call inside the loop.  The stage and combination arithmetic and the
-divergence norm come from fixed templates, written out per component in
-the order of operations of the array form, as are the ABM predictor and
-corrector in the straight-line kernels of :func:`_componentwise`; every
-result is bitwise that of the array loops.
+length-dim sequence.  Each path runs one whole-run loop generated per
+field (:func:`_rk4_run`, :func:`_abm_run`): a model field bound once per
+run (``rigidmem.models.classical_field(p)`` and its siblings) carries its
+description, whose text the loop inlines with the state, stages, sums and
+slopes held in locals, and a plain callable is called once per evaluation
+from a loop of the same form.  The chain reduction composes the model
+field's description with its relaxation stages into one field, and a
+Dirac or uniform delay keeps its lookup as a call inside the loop.  The
+RK4 stage and combination arithmetic, the ABM predictor and corrector and
+the divergence norm come from fixed templates, written out per component
+in the order of operations of the array form; every result is bitwise
+that of the array loops.  The ABM loop reads each block's far memory
+sums as one list once its FFT square is added, and keeps each step's
+near sum one BLAS product.
 
 Every integrator emits a :class:`Trajectory`: uniformly spaced samples with
 a derivative estimate per node and per-sample diagnostics recomputed from
@@ -201,6 +203,47 @@ def _chain_description(pair: FieldDescription, stages: int):
                             inner.lines, inner.out + tuple(relax))
 
 
+def _names(prefix: str, dim: int) -> list:
+    return [f"{prefix}{i}" for i in range(dim)]
+
+
+def _listed(values) -> str:
+    return f"[{', '.join(values)}]"
+
+
+def _assign(targets, expr: str, **names) -> list:
+    """Lines that set the locals ``targets`` to the template ``expr``'s
+    components, its parameters named as in :func:`_terms`."""
+    return [f"{t} = {e}" for t, e in
+            zip(targets, _terms(expr, len(targets), names))]
+
+
+def _write(view: str, values) -> list:
+    """Lines that write ``values`` into the flat ``view`` from index j."""
+    return [f"{view}[j + {i}] = {v}" if i else f"{view}[j] = {v}"
+            for i, v in enumerate(values)]
+
+
+def _norm(prefix: str, dim: int) -> str:
+    """The divergence norm's square of the locals ``prefix0 ..``."""
+    return " + ".join(_terms(_SQUARES, dim, {"a": prefix})) or "0.0"
+
+
+def _field_lines(desc: FieldDescription, state, slope, xd=None) -> list:
+    """Lines that evaluate ``desc`` at the locals ``state`` (and ``xd``)
+    into the locals ``slope``: its text inlined with its own names
+    prefixed ``d_``, or one unpacked call for a starred component."""
+    site = {f"x{i + 1}": v for i, v in enumerate(state)}
+    site |= {f"xd{i + 1}": v for i, v in enumerate(xd or ())}
+    inlined = desc.renamed(site, "d_")
+    lines = list(inlined.lines)
+    out = inlined.out
+    if any(e.startswith("*") for e in out):
+        whole = out[0][1:] if len(out) == 1 else f"({', '.join(out)},)"
+        return lines + [f"{_listed(slope)} = {whole}"]
+    return lines + [f"{s} = {e}" for s, e in zip(slope, out)]
+
+
 @functools.cache
 def _rk4_run(desc: FieldDescription, lookup: bool):
     """The whole-run RK4 loop of the field ``desc``, generated once per
@@ -219,70 +262,43 @@ def _rk4_run(desc: FieldDescription, lookup: bool):
     and no local of the loop is, so none of them can meet.
     """
     dim = desc.dim
-
-    def names(prefix):
-        return [f"{prefix}{i}" for i in range(dim)]
-
-    def listed(values):
-        return f"[{', '.join(values)}]"
-
-    x, y, w = names("x"), names("y"), names("w")
-    k1, k2, k3, k4 = (names(f"k{j}_") for j in range(1, 5))
+    x, y, w = _names("x", dim), _names("y", dim), _names("w", dim)
+    k1, k2, k3, k4 = (_names(f"k{j}_", dim) for j in range(1, 5))
     text = desc.renamed({}, "d_")
 
     def call(state, slope, at):
-        site = {f"x{i + 1}": v for i, v in enumerate(state)}
-        lines = []
-        if lookup:
-            lines.append(f"{listed(w)} = delayed({at}, {listed(state)})")
-            site |= {f"xd{i + 1}": v for i, v in enumerate(w)}
-        inlined = desc.renamed(site, "d_")
-        lines += inlined.lines
-        if any(e.startswith("*") for e in inlined.out):
-            out = inlined.out
-            whole = out[0][1:] if len(out) == 1 else f"({', '.join(out)},)"
-            lines.append(f"{listed(slope)} = {whole}")
-        else:
-            lines += [f"{s} = {e}" for s, e in zip(slope, inlined.out)]
-        return lines
-
-    def assign(targets, expr, **names):
-        terms = _terms(expr, dim, names)
-        return [f"{t} = {e}" for t, e in zip(targets, terms)]
-
-    def write(view, values):
-        return [f"{view}[j + {i}] = {v}" if i else f"{view}[j] = {v}"
-                for i, v in enumerate(values)]
-
-    norm = " + ".join(_terms(_SQUARES, dim, {"a": "x"})) or "0.0"
+        if not lookup:
+            return _field_lines(desc, state, slope)
+        return [f"{_listed(w)} = delayed({at}, {_listed(state)})",
+                *_field_lines(desc, state, slope, w)]
 
     step = [*(["i = 2 * k + 1"] if lookup else []),
-            *assign(y, _STAGE, s="half", a="x", b="k1_"),
+            *_assign(y, _STAGE, s="half", a="x", b="k1_"),
             *call(y, k2, "i"),
-            *assign(y, _STAGE, s="half", a="x", b="k2_"),
+            *_assign(y, _STAGE, s="half", a="x", b="k2_"),
             *call(y, k3, "i"),
-            *assign(y, _STAGE, s="h", a="x", b="k3_"),
+            *_assign(y, _STAGE, s="h", a="x", b="k3_"),
             *call(y, k4, "i + 1"),
-            *assign(x, _COMBINE, s="sixth", a="x", b="k1_", c="k2_", d="k3_",
-                    e="k4_"),
-            f"if not sqrt({norm}) <= {DIVERGENCE_NORM!r}:",
+            *_assign(x, _COMBINE, s="sixth", a="x", b="k1_", c="k2_",
+                     d="k3_", e="k4_"),
+            f"if not sqrt({_norm('x', dim)}) <= {DIVERGENCE_NORM!r}:",
             "    raise diverged(k * h)",
             f"j += {dim}"]
     if lookup:
-        step += [*write("states", x), *write("derivs", k4),
+        step += [*_write("states", x), *_write("derivs", k4),
                  "grid.count = k + 2", "grid.writes += 1",
-                 *call(x, k1, "i + 1"), *write("derivs", k1)]
+                 *call(x, k1, "i + 1"), *_write("derivs", k1)]
     else:
-        step += [*call(x, k1, None), *write("states", x),
-                 *write("derivs", k1)]
+        step += [*call(x, k1, None), *_write("states", x),
+                 *_write("derivs", k1)]
     params = ["states", "derivs", "grid", "delayed", "x", "f", "n", "h",
               *text.params]
     lines = [f"def run({', '.join(params)}):",
              *(f"    {line}" for line in text.setup),
              "    half = 0.5 * h",
              "    sixth = h / 6.0",
-             f"    {listed(x)} = x",
-             f"    {listed(k1)} = f",
+             f"    {_listed(x)} = x",
+             f"    {_listed(k1)} = f",
              "    j = 0",
              "    for k in range(n):",
              *(f"        {line}" for line in step)]
@@ -901,15 +917,86 @@ def _add_square(far, gs, spectra, s: int) -> None:
     far[s: s + m] += conv[width: width + m]
 
 
-def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
-    """Shared PECE loop over nodes 0..n.
+@functools.cache
+def _abm_run(desc: FieldDescription, lookup: bool):
+    """The whole-run PECE loop of the Caputo field ``desc``, generated once
+    per description and lookup flag and tagged ``<abm run: name, dim>``.
 
-    eval_g(k, x) returns the Caputo right-hand side at ``x`` taken as the
-    value of node k: node 0, then for each new node its predicted and
-    corrected iterates and finally its accepted value.  ``x`` is a list of
-    floats and the result any length-dim sequence; the predictor and
-    corrector are formed by the componentwise kernels in the order of the
-    array form, so the result is the same to the bit.
+    ``run(states, gs, table, far, near, spectra, grid, delayed, x, n, h,
+    pred_scale, corr_scale, iters, *args)`` takes node 0 and its slope as
+    written, steps 0..n-1 and writes each node and its slope into the flat
+    views ``states`` and ``gs`` (``table`` is ``gs``'s array).  Each block
+    of the memory sums first adds its FFT square to ``far``
+    (:func:`_add_square`), after which the block's rows of ``far`` are
+    final and are read as one list; each step adds its near sum, the
+    product ``near[r] @ table[s: k]`` of :func:`_frac_loop`'s weights, to
+    its row.  State, sums and slopes are locals, and the field's text
+    (bound by ``args``) is inlined at each corrector and accepted
+    evaluation, as are the predictor, corrector and divergence templates:
+    every value is the one the componentwise kernels give, bit for bit.
+    A delayed field without a ``lookup`` takes x as xd (zero lag); with
+    one, each evaluation of node k first writes the iterate,
+    ``grid.put(k, [state])``, and reads ``delayed(k, [state])``.
+    """
+    dim = desc.dim
+    x, y, g, w, p, c, u, v = (_names(name, dim) for name in "xygwpcuv")
+    text = desc.renamed({}, "d_")
+    if lookup:
+        evaluate = [f"at = {_listed(y)}", "grid.put(k, at)",
+                    f"{_listed(w)} = delayed(k, at)",
+                    *_field_lines(desc, y, g, w)]
+    else:
+        evaluate = _field_lines(desc, y, g, y if desc.delayed else None)
+    step = ["k = s + r + 1",
+            f"{_listed(u + v)} = (near[r] @ table[s: k]).ravel().tolist()",
+            *_assign(p, _SUM, a="p", b="u"),
+            *_assign(c, _SUM, a="c", b="v"),
+            *_assign(y, _STAGE, s="pred_scale", a="x", b="p"),
+            "for _ in loops:",
+            *(f"    {line}" for line in evaluate),
+            *(f"    {line}" for line in _assign(
+                y, _CORRECT, s="corr_scale", a="x", b="g", c="c")),
+            f"if not sqrt({_norm('y', dim)}) <= {DIVERGENCE_NORM!r}:",
+            "    raise diverged((k - 1) * h)",
+            f"j += {dim}",
+            *_write("states", y),
+            *evaluate,
+            *_write("gs", g)]
+    params = ["states", "gs", "table", "far", "near", "spectra", "grid",
+              "delayed", "x", "n", "h", "pred_scale", "corr_scale", "iters",
+              *text.params]
+    block = _MEMORY_BLOCK
+    lines = [f"def run({', '.join(params)}):",
+             *(f"    {line}" for line in text.setup),
+             f"    {_listed(x)} = x",
+             "    loops = range(iters)",
+             "    j = 0",
+             f"    for s in range(0, n, {block}):",
+             "        if s:",
+             "            add_square(far, table, spectra, s)",
+             f"        m = min({block}, n - s)",
+             f"        sums = far[s: s + m].reshape(m, {2 * dim}).tolist()",
+             f"        for r, {_listed(p + c)} in enumerate(sums):",
+             *(f"            {line}" for line in step)]
+    tag = f"<abm run: {desc.name}{' with lookup' if lookup else ''}, {dim}>"
+    return _generated(lines, tag, sqrt=math.sqrt, diverged=_diverged,
+                      add_square=_add_square)
+
+
+def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
+               delayed=None, grid: _RunningGrid | None = None):
+    """PECE loop over nodes 0..n for D^alpha x = field(x), or with a
+    lookup ``delayed`` for D^alpha x = field(x, delayed(k, x)) over
+    ``grid``; the zero-lag lookup :func:`_stage_state` passes x as xd and
+    writes no grid.
+
+    ``field`` gets the states as lists of floats and returns any length-dim
+    sequence.  Node 0's slope is the field's own value (a slope of another
+    width raises at its row write), and the steps run in the loop that
+    :func:`_abm_run` generates from the field's description, or from the
+    call of a plain callable: each node's predicted and corrected iterates
+    and its accepted value are evaluated as node k, written into the grid
+    first when a lookup reads it.
 
     Step s needs the lag sums sum_j w[s - j] g_j over j <= s of the
     predictor and corrector weights (zero at lags >= memory_window).
@@ -932,34 +1019,28 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, eval_g):
         lag_w[window:] = 0.0
         g0_weight[window:] = 0.0
     near_w = lag_w[block - 1:: -1].T.copy()
+    near = [near_w[:, block - 1 - r:] for r in range(block)]
     spectra = {}
     width = block
     while width < n:
         spectra[width] = np.fft.rfft(lag_w[: 2 * width], 2 * width, axis=0)
         width *= 2
     dim = x0.size
-    stage = _componentwise(_STAGE, dim)
-    correct = _componentwise(_CORRECT, dim)
-    squares = _componentwise(_SQUARES, dim)
+    pair = delayed is not None
+    lookup = pair and delayed is not _stage_state
+    desc, args = _binding(field, dim, pair)
     states = np.empty((n + 1, dim))
     gs = np.empty((n + 1, dim))
     x0 = states[0] = x0.tolist()
-    gs[0] = eval_g(0, x0)
+    if lookup:
+        grid.put(0, x0)
+    gs[0] = field(x0, delayed(0, x0)) if pair else field(x0)
     far = np.zeros((n, 2, dim))
     far[:, 1] = g0_weight[:, None] * gs[0]
-    for step in range(n):
-        r = step % block
-        if r == 0 and step:
-            _add_square(far, gs, spectra, step)
-        pred, hist = (far[step] + near_w[:, block - 1 - r:]
-                      @ gs[step - r: step + 1]).tolist()
-        xc = stage(pred_scale, x0, pred)
-        for _ in range(cfg.corrector_iters):
-            xc = correct(corr_scale, x0, eval_g(step + 1, xc), hist)
-        if not math.sqrt(squares(xc)) <= DIVERGENCE_NORM:
-            raise _diverged(step * h)
-        states[step + 1] = xc
-        gs[step + 1] = eval_g(step + 1, xc)
+    _abm_run(desc, lookup)(states.reshape(-1).data, gs.reshape(-1).data, gs,
+                           far, near, spectra, grid, delayed, x0, n, h,
+                           pred_scale, corr_scale, cfg.corrector_iters,
+                           *args)
     derivs = np.gradient(states, h, axis=0)
     meta = {"order": alpha, "scheme": "abm-pece",
             "corrector_iters": cfg.corrector_iters}
@@ -1005,7 +1086,7 @@ def integrate_frac_abm(rhs, cfg: FracConfig, x0, t_end, *,
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = _n_steps(t_end, cfg.h)
-    states, derivs, meta = _frac_loop(cfg, x0, n, lambda k, x: rhs(x))
+    states, derivs, meta = _frac_loop(cfg, x0, n, rhs)
     diag = _compute_diagnostics(states, x0.size, diagnostics)
     return Trajectory(0.0, cfg.h, states, derivs, diag, meta=meta)
 
@@ -1038,17 +1119,7 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     # node k - 1's slope moves with each iterate of node k
     nodes = np.arange(n + 1)
     delayed = _delayed_argument(kernel, grid, nodes * cfg.h, nodes - 2)
-
-    if delayed is _stage_state:
-        # zero lag: no lookup reads the grid, so it is never written
-        def eval_g(k, x):
-            return rhs_pair(x, x)
-    else:
-        def eval_g(k, x):
-            grid.put(k, x)
-            return rhs_pair(x, delayed(k, x))
-
-    states, derivs, meta = _frac_loop(cfg, x0, n, eval_g)
+    states, derivs, meta = _frac_loop(cfg, x0, n, rhs_pair, delayed, grid)
     diag = _compute_diagnostics(states, x0.size, diagnostics)
     return Trajectory(0.0, cfg.h, states, derivs, diag, meta=meta)
 

@@ -16,8 +16,9 @@ closure generated from that description (compiled on first use and kept
 per description), with the products as its cells; it gives its components
 as a tuple: floats on the integrators' float lists, complex numbers on the
 complex-step lists of :func:`jacobian`.  The closure carries its
-description and arguments (``field.binding``), from which the RK4
-integrators generate a whole-run loop with the field's arithmetic inlined.
+description and arguments (``field.binding``), from which the RK4 and
+ABM integrators generate a whole-run loop with the field's arithmetic
+inlined.
 A run binds its field once.  The ``rhs_*(p, x[, xd])`` wrappers call the
 cached binder on every call, with no ``binding`` attribute set, and return
 the components in the kind of container the state came in: a tuple for

@@ -409,11 +409,30 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
     return rep
 
 
+def _divisible(poly) -> np.ndarray:
+    """``poly`` without the leading coefficients np.roots cannot divide by,
+    which go with their roots."""
+    with np.errstate(all="ignore"):
+        while not np.isfinite(poly[1:] / poly[0]).all():
+            poly = poly[1:]
+    return poly
+
+
 def _chain_roots(q, chain: _kern.ChainSpec) -> list[complex]:
     """Roots, sorted by (re, im), of the bracket ``q`` under (r/(lambda +
     r))^n times b^(2n), b = (lambda + r)/max(r, 1): the chain polynomial
     (MacDonald, Time Lags in Biological Models, 1978), finite at any rate.
-    Leading coefficients np.roots cannot divide by go with their roots."""
+
+    np.roots finds a polynomial's large roots to working accuracy, but its
+    small ones only to an absolute error of up to eps times the largest,
+    and the reversed polynomial, whose roots are the reciprocals, the
+    other way round: at a rate of 1e40 the first returns the lag-0 pair
+    as 0.  So the roots below eps times the largest are taken from the
+    reversed polynomial and the others from the polynomial itself; both
+    lists sorted by magnitude, the smallest roots the reversed polynomial
+    drops (as leading coefficients it cannot divide by) come from the
+    polynomial too.
+    """
     q1, q2, q0 = q
     n, r = chain.stages, chain.rate
     g = (r / max(r, 1.0)) ** n
@@ -421,10 +440,14 @@ def _chain_roots(q, chain: _kern.ChainSpec) -> list[complex]:
     poly = np.polyadd(np.polymul([1.0, 0.0, -q0], np.polymul(b_n, b_n)),
                       np.polymul([-q1 * g, 0.0], b_n))
     poly[-1] += q2 * g * g
+    poly = _divisible(poly)
+    big = sorted(np.roots(poly), key=abs)
     with np.errstate(all="ignore"):
-        while not np.isfinite(poly[1:] / poly[0]).all():
-            poly = poly[1:]
-    return sorted(map(complex, np.roots(poly)),
+        # a reciprocal that eig returns as 0 gives inf, never taken
+        small = sorted(1.0 / np.roots(_divisible(poly[::-1])), key=abs)
+    lost = len(big) - len(small)
+    k = sum(abs(w) < 2.0**-52 * abs(big[-1]) for w in small)
+    return sorted(map(complex, big[:lost] + small[:k] + big[lost + k:]),
                   key=lambda w: (w.real, w.imag))
 
 

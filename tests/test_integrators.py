@@ -505,8 +505,25 @@ class TestFracDde:
                                HistorySpec.constant(0.3 * X111), 2.0)
 
 
-def _direct_frac_loop(cfg, x0, n, eval_g):
+def _eval_g(field, delayed, grid):
+    """The callback eval_g(k, x) of the earlier PECE loops: the field at
+    ``x`` taken as node k, after writing ``x`` into the grid when a lookup
+    reads it."""
+    if delayed is None:
+        return lambda k, x: field(x)
+    if delayed is integrators._stage_state:
+        return lambda k, x: field(x, x)
+
+    def eval_g(k, x):
+        grid.put(k, x)
+        return field(x, delayed(k, x))
+
+    return eval_g
+
+
+def _direct_frac_loop(cfg, x0, n, field, delayed=None, grid=None):
     """Reference PECE loop: every memory sum taken directly, O(n^2)."""
+    eval_g = _eval_g(field, delayed, grid)
     h, alpha, window = cfg.h, cfg.order, cfg.memory_window
     k = np.arange(n + 1, dtype=float)
     pow_a, pow_a1 = k**alpha, k ** (alpha + 1)
@@ -1475,9 +1492,11 @@ class TestFloatLoop:
                    for x in seen)
 
 
-def _array_frac_loop(cfg, x0, n, eval_g):
+def _array_frac_loop(cfg, x0, n, field, delayed=None, grid=None):
     """:func:`integrators._frac_loop` in its earlier array form: every
     state, right-hand side and lag sum an ndarray."""
+    eval_g = _eval_g(field, delayed, grid)
+
     def as_array(k, x):
         return np.asarray(eval_g(k, x), dtype=float)
 
@@ -1659,6 +1678,163 @@ class TestFloatFracLoop:
         integrate_frac_dde(_rigid_pair, cfg, kernels.DiracKernel(H),
                            PHIS["constant"], 0.5)
         assert len(puts) == 1 + 50 * (cfg.corrector_iters + 1)
+
+
+def _eval_g_frac_loop(cfg, x0, n, field, delayed=None, grid=None):
+    """:func:`integrators._frac_loop` in its earlier callback form: one
+    ``eval_g(k, x)`` call per evaluation and the predictor, corrector and
+    norm from the componentwise kernels, each far sum read per step."""
+    eval_g = _eval_g(field, delayed, grid)
+    h = cfg.h
+    alpha = cfg.order
+    block = integrators._MEMORY_BLOCK
+    pow_a, beta, c, a0 = integrators._abm_weights(alpha, max(n, block))
+    pred_scale = h**alpha / math.gamma(alpha + 1.0)
+    corr_scale = h**alpha / math.gamma(alpha + 2.0)
+    window = cfg.memory_window
+    lag_w = np.stack([beta, c], axis=1)
+    g0_weight = a0[:n] - c[:n]
+    if window is not None:
+        lag_w[window:] = 0.0
+        g0_weight[window:] = 0.0
+    near_w = lag_w[block - 1:: -1].T.copy()
+    spectra = {}
+    width = block
+    while width < n:
+        spectra[width] = np.fft.rfft(lag_w[: 2 * width], 2 * width, axis=0)
+        width *= 2
+    dim = x0.size
+    stage = integrators._componentwise(integrators._STAGE, dim)
+    correct = integrators._componentwise(integrators._CORRECT, dim)
+    squares = integrators._componentwise(integrators._SQUARES, dim)
+    states = np.empty((n + 1, dim))
+    gs = np.empty((n + 1, dim))
+    x0 = states[0] = x0.tolist()
+    gs[0] = eval_g(0, x0)
+    far = np.zeros((n, 2, dim))
+    far[:, 1] = g0_weight[:, None] * gs[0]
+    for step in range(n):
+        r = step % block
+        if r == 0 and step:
+            integrators._add_square(far, gs, spectra, step)
+        pred, hist = (far[step] + near_w[:, block - 1 - r:]
+                      @ gs[step - r: step + 1]).tolist()
+        xc = stage(pred_scale, x0, pred)
+        for _ in range(cfg.corrector_iters):
+            xc = correct(corr_scale, x0, eval_g(step + 1, xc), hist)
+        if not math.sqrt(squares(xc)) <= integrators.DIVERGENCE_NORM:
+            raise integrators._diverged(step * h)
+        states[step + 1] = xc
+        gs[step + 1] = eval_g(step + 1, xc)
+    derivs = np.gradient(states, h, axis=0)
+    meta = {"order": alpha, "scheme": "abm-pece",
+            "corrector_iters": cfg.corrector_iters}
+    if window is not None:
+        meta["memory_window"] = window
+        meta["memory_truncation_bound"] = integrators._truncation_bound(
+            gs, pred_scale, pow_a, window)
+    return states, derivs, meta
+
+
+#: the Caputo fields of the generated-run checks and their start states
+ABM_RUN_FIELDS = {
+    "classical": (models.classical_field(P321), [1.0, 0.5, 0.2]),
+    "revised": (models.revised_field(P321), [1.0, 0.5, 0.2]),
+    "callable-1": FRAC_FIELDS[1],
+}
+#: the delayed Caputo fields and their histories
+ABM_RUN_PAIRS = {
+    "scalar-18": (cli._KINDS["scalar-18"].pair(-0.8),
+                  HistorySpec.constant([1.3])),
+    "planar-19": (cli._lagged_cross_pair((0.7, 0.4)),
+                  _history_from_callable(lambda s: np.array(
+                      [0.3 + 0.1 * math.sin(3 * s), 0.4 * math.cos(s)]))),
+    "delayed": (models.delayed_field(P321), PHIS["callable"]),
+}
+ABM_RUN_H = 0.05
+
+
+class TestGeneratedAbmRun:
+    """The generated whole-run PECE loop against the callback loop."""
+
+    @staticmethod
+    def _assert_equals_callback_form(run, monkeypatch):
+        fast = run()
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "_frac_loop", _eval_g_frac_loop)
+            ref = run()
+        assert fast.states.tobytes() == ref.states.tobytes()
+        assert fast.derivs.tobytes() == ref.derivs.tobytes()
+        assert repr(fast.meta) == repr(ref.meta)
+
+    @pytest.mark.parametrize("window", [None, 20])
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+    @pytest.mark.parametrize("name", ABM_RUN_FIELDS)
+    def test_abm(self, name, n, iters, window, monkeypatch):
+        field, x0 = ABM_RUN_FIELDS[name]
+        cfg = FracConfig(order=0.82, h=ABM_RUN_H, corrector_iters=iters,
+                         memory_window=window)
+        self._assert_equals_callback_form(
+            lambda: integrate_frac_abm(field, cfg, x0, n * cfg.h),
+            monkeypatch)
+
+    @pytest.mark.parametrize("window", [None, 20])
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+    @pytest.mark.parametrize("kernel", [
+        kernels.DiracKernel(0.0), kernels.DiracKernel(30.5 * ABM_RUN_H),
+        kernels.UniformKernel(5 * ABM_RUN_H, 0.2)], ids=repr)
+    @pytest.mark.parametrize("name", ABM_RUN_PAIRS)
+    def test_frac_dde(self, name, kernel, n, iters, window, monkeypatch):
+        pair, phi = ABM_RUN_PAIRS[name]
+        cfg = FracConfig(order=0.8, h=ABM_RUN_H, corrector_iters=iters,
+                         memory_window=window)
+        self._assert_equals_callback_form(
+            lambda: integrate_frac_dde(pair, cfg, kernel, phi, n * cfg.h),
+            monkeypatch)
+
+    @pytest.mark.parametrize("delayed", [False, True])
+    def test_names_like_the_loop_locals_kept_apart(self, delayed):
+        # CLASH and CLASH_DELAYED name their coefficients and locals like
+        # the loop's own (h, states, k, j, x0, grid, delayed, ...)
+        cfg = FracConfig(order=0.8, h=ABM_RUN_H, corrector_iters=2,
+                         memory_window=20)
+        if delayed:
+            def run(f):
+                return integrate_frac_dde(f, cfg, kernels.DiracKernel(
+                    30.5 * cfg.h), PHIS["callable"], 100 * cfg.h)
+            bound = CLASH_DELAYED.bind(0.6, 0.7, 0.9)
+        else:
+            def run(f):
+                return integrate_frac_abm(f, cfg, X111, 100 * cfg.h)
+            bound = CLASH.bind(0.5, 0.25, 0.8)
+        fast = run(bound)
+        ref = run(lambda *args: _clash_by_hand(*args))
+        assert fast.states.tobytes() == ref.states.tobytes()
+        assert np.all(np.isfinite(fast.states))
+
+    @pytest.mark.parametrize("kernel, loop", [
+        (kernels.DiracKernel(0.0), "<abm run: scalar-18, 1>"),
+        (kernels.DiracKernel(30.5 * ABM_RUN_H),
+         "<abm run: scalar-18 with lookup, 1>")], ids=repr)
+    def test_divergence_at_the_same_time(self, kernel, loop, monkeypatch):
+        # scalar-18 is a description, so its run inlines it: the error
+        # comes from the loop generated for it
+        pair = cli._KINDS["scalar-18"].pair(30.0)
+        cfg = FracConfig(order=0.9, h=ABM_RUN_H)
+
+        def diverged():
+            with pytest.raises(DivergenceError) as info:
+                integrate_frac_dde(pair, cfg, kernel,
+                                   HistorySpec.constant([1.0]), 500 * cfg.h)
+            return info
+
+        fast = diverged()
+        assert loop in [f.filename for f in traceback.extract_tb(fast.tb)]
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "_frac_loop", _eval_g_frac_loop)
+            assert diverged().value.t_last == fast.value.t_last > 0.0
 
 
 NEXT_ABOVE = math.nextafter(1e8, math.inf)
@@ -1902,8 +2078,8 @@ class TestComponentwiseKernels:
 
     def test_each_kernel_compiled_once(self, monkeypatch):
         for cached in (integrators._componentwise, integrators._rk4_run,
-                       integrators._chain_description, integrators._call,
-                       models._binder):
+                       integrators._abm_run, integrators._chain_description,
+                       integrators._call, models._binder):
             cached.cache_clear()
         sources = []
 
@@ -1919,15 +2095,12 @@ class TestComponentwiseKernels:
             integrate_frac_abm(FRAC_FIELDS[1][0], FracConfig(order=0.8, h=H),
                                FRAC_FIELDS[1][1], 0.1)
         assert len(sources) == len(set(sources))
-        tag = "<componentwise {!r}, {}>".format
         # the runs' plain callables call rhs_classical and rhs_delayed
         assert set(sources) == {
             "<rk4 run: callable, 3>", "<rk4 run: chain(callable, 2), 9>",
             "<field: chain(callable, 2)>", "<field: classical>",
-            "<field: delayed>", tag(integrators._STAGE, 3),
-            tag(integrators._SQUARES, 3), tag(integrators._CORRECT, 3),
-            tag(integrators._STAGE, 1), tag(integrators._CORRECT, 1),
-            tag(integrators._SQUARES, 1)}
+            "<field: delayed>", "<abm run: callable, 3>",
+            "<abm run: callable, 1>"}
 
     def test_nothing_generated_at_import(self):
         code = ("import rigidmem.integrators as m; "

@@ -741,9 +741,8 @@ class TestClosedFormCounts:
 
     def test_ep_rational_extreme_rates(self):
         # at rate 1e10 the kernel is a lag 0 to within the float
-        # resolution; from about 1e35 np.roots loses the roots near the
-        # origin next to the chain's poles near -rate, and from about 1e77
-        # leading coefficients drop: marginal and uncertain, never an error
+        # resolution; from about 1e77 leading coefficients drop: marginal
+        # and uncertain, never an error
         assert stability.ep_delayed_check(
             S321, kernels.DiracKernel(0.0)).verdict == stability.STABLE
         for kind in (kernels.ExponentialKernel, kernels.ErlangKernel):
@@ -756,6 +755,57 @@ class TestClosedFormCounts:
                     rep = stability.ep_delayed_check(S321, kind(rate))
                 assert (rep.verdict, rep.metadata["rhp_root_count"]) in (
                     (stability.STABLE, 0), (stability.MARGINAL, "uncertain"))
+
+    @staticmethod
+    def _erlang_oracle(q, rate):
+        """Every root of the Erlang chain polynomial of the bracket ``q``,
+        (lambda + r)^4 (lambda^2 - q0) - q1 r^2 lambda (lambda + r)^2
+        + q2 r^4, by mpmath's Durand-Kerner iteration at 30 digits with
+        2100 extra bits (the coefficients span 1200 decades at 1e300),
+        started near the origin and around -r."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            q1, q2, q0 = map(mpmath.mpf, q)
+            r = mpmath.mpf(rate)
+            b2 = [1, 2 * r, r * r]
+            b4 = [1, 4 * r, 6 * r**2, 4 * r**3, r**4]
+            poly = [b4[0], b4[1], b4[2] - q0 * b4[0], b4[3] - q0 * b4[1],
+                    b4[4] - q0 * b4[2], -q0 * b4[3], -q0 * b4[4]]
+            for i, c in enumerate(b2):
+                poly[3 + i] -= q1 * r * r * c
+            poly[-1] += q2 * r**4
+            init = [mpmath.mpc(0.4, 0.9), mpmath.mpc(-0.4, -0.9)] + [
+                -r * mpmath.mpc(1, 0.3 * (k + 1)) for k in range(4)]
+            roots = mpmath.polyroots(poly, maxsteps=100, extraprec=2100,
+                                     roots_init=init)
+            return np.array([complex(z) for z in roots])
+
+    @pytest.mark.parametrize("rate", [1e40, 1e300])
+    def test_ep_rational_small_roots_at_extreme_rates(self, rate):
+        # np.roots returned the pair near the origin as 0j, 0j at 1e40 and
+        # as -0.8333, 0 at 1e300; the reversed polynomial finds it
+        exact = self._erlang_oracle(stability._ep_bracket(S321), rate)
+        small = exact[np.abs(exact) < 1e3]
+        assert small.size == 2
+        for kind in (kernels.ErlangKernel, kernels.ExponentialKernel):
+            rep = stability.ep_delayed_check(S321, kind(rate))
+            got = np.array([w for w in rep.roots if abs(w) < 1e3])
+            assert got.size == 2
+            for root in small:
+                assert np.abs(got - root).min() <= 1e-12 * abs(root)
+        rep = stability.ep_delayed_check(S321, kernels.ErlangKernel(rate))
+        if rate == 1e40:
+            # the poles near -rate, four within 2e-8 of it, are found to
+            # the accuracy a fourfold cluster allows
+            assert len(rep.roots) == 6
+            for root in rep.roots:
+                assert np.abs(exact - root).min() <= 1e-3 * abs(root)
+            assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+                stability.STABLE, 0)
+        else:
+            # the leading coefficients underflow: roots dropped
+            assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+                stability.MARGINAL, "uncertain")
 
 
 #: (setup, uniform kernel, rhp_root_count) that a fixed 50 x 50 contour
