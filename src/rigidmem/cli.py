@@ -415,6 +415,8 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if x0 is not None and spec is not None and len(x0) != spec.dim:
         errors.append(f"{g.at('run', 'x0')}: [run] x0 needs {spec.dim} "
                       f"components for kind = {kind}, got {len(x0)}")
+    if x0 is not None and not all(map(math.isfinite, x0)):
+        errors.append(f"{g.at('run', 'x0')}: [run] x0 must be finite")
 
     out = g.get("output", "path", conv=str)
     equilibrium, eq_m = "M1", 1.0
@@ -425,6 +427,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             errors.append(f"{g.at('stability', 'equilibrium')}: "
                           f"[stability] equilibrium must be M1, M2 or M3")
         eq_m = g.get("stability", "m", default=1.0)
+        if eq_m is not None and not math.isfinite(eq_m):
+            errors.append(f"{g.at('stability', 'm')}: [stability] m must be "
+                          f"finite")
 
     scan = None
     if "scan" in g.sections:

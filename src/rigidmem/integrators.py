@@ -15,19 +15,20 @@ Four integration paths are provided:
 Every path steps over Python floats: a field gets the state, and a delayed
 field also the delayed argument, as a list of floats, and may return any
 length-dim sequence.  Each path runs one whole-run loop generated per
-field (:func:`_rk4_run`, :func:`_abm_run`): a model field bound once per
-run (``rigidmem.models.classical_field(p)`` and its siblings) carries its
-description, whose text the loop inlines with the state, stages, sums and
-slopes held in locals, and a plain callable is called once per evaluation
-from a loop of the same form.  The chain reduction composes the model
-field's description with its relaxation stages into one field, and a
-Dirac or uniform delay keeps its lookup as a call inside the loop.  The
-RK4 stage and combination arithmetic, the ABM predictor and corrector and
-the divergence norm come from fixed templates, written out per component
-in the order of operations of the array form; every result is bitwise
-that of the array loops.  The ABM loop reads each block's far memory
-sums as one list once its FFT square is added, and keeps each step's
-near sum one BLAS product.
+field description (:func:`_rk4_run`, :func:`_abm_run`): a model field
+bound once per run (``rigidmem.models.classical_field(p)`` and its
+siblings) carries its description, whose text the loop inlines with the
+state, stages, sums and slopes held in locals, and a plain callable is
+called once per evaluation from a loop of the same form.  The chain
+reduction composes the model field's description with its relaxation
+stages into one field, and a zero Dirac lag, which is no delay, takes the
+pair's text at xd = x; a delayed field keeps its lookup as a call inside
+the loop.  The RK4 stage and combination arithmetic, the ABM predictor
+and corrector and the divergence norm come from fixed templates, written
+out per component in the order of operations of the array form; every
+result is bitwise that of the array loops.  The ABM loop reads each
+block's far memory sums as one list once its FFT square is added, and
+keeps each step's near sum one BLAS product.
 
 Every integrator emits a :class:`Trajectory`: uniformly spaced samples with
 a derivative estimate per node and per-sample diagnostics recomputed from
@@ -190,7 +191,9 @@ def _chain_description(pair: FieldDescription, stages: int):
     ``pair``'s text is taken whole, with x the first ``dim`` components of
     y and xd the last stage, and its own names prefixed ``p_``; component
     dim + i is then ``rate * (y[i] - y[i + dim])``: stage j relaxes towards
-    the one before it.  It binds as ``(*pair_args, rate)``.
+    the one before it.  It binds as ``(*pair_args, rate)``.  With no stages
+    it is the pair at xd = x, the zero lag: its own name, bound as
+    ``pair_args``.
     """
     dim = pair.dim
     last = dim * stages
@@ -198,9 +201,11 @@ def _chain_description(pair: FieldDescription, stages: int):
     names |= {f"xd{i + 1}": f"x{last + i + 1}" for i in range(dim)}
     inner = pair.renamed(names, "p_")
     relax = [f"rate * (x{i + 1} - x{i + dim + 1})" for i in range(last)]
-    return FieldDescription(f"chain({pair.name}, {stages})", last + dim,
-                            False, inner.params + ("rate",), inner.setup,
-                            inner.lines, inner.out + tuple(relax))
+    name, rate = ((f"chain({pair.name}, {stages})", ("rate",)) if stages
+                  else (pair.name, ()))
+    return FieldDescription(name, last + dim, False, inner.params + rate,
+                            inner.setup, inner.lines,
+                            inner.out + tuple(relax))
 
 
 def _names(prefix: str, dim: int) -> list:
@@ -229,14 +234,17 @@ def _norm(prefix: str, dim: int) -> str:
     return " + ".join(_terms(_SQUARES, dim, {"a": prefix})) or "0.0"
 
 
-def _field_lines(desc: FieldDescription, state, slope, xd=None) -> list:
-    """Lines that evaluate ``desc`` at the locals ``state`` (and ``xd``)
-    into the locals ``slope``: its text inlined with its own names
-    prefixed ``d_``, or one unpacked call for a starred component."""
+def _field_lines(desc: FieldDescription, state, slope, at=None) -> list:
+    """Lines that evaluate ``desc`` at the locals ``state`` into the locals
+    ``slope``: its text inlined with its own names prefixed ``d_``, or one
+    unpacked call for a starred component.  A delayed field first reads
+    the lookup ``delayed(at)`` into the locals ``w0 ..``, its xd."""
     site = {f"x{i + 1}": v for i, v in enumerate(state)}
-    site |= {f"xd{i + 1}": v for i, v in enumerate(xd or ())}
+    w = _names("w", desc.dim) if desc.delayed else []
+    site |= {f"xd{i + 1}": v for i, v in enumerate(w)}
     inlined = desc.renamed(site, "d_")
-    lines = list(inlined.lines)
+    lines = [f"{_listed(w)} = delayed({at})"] if desc.delayed else []
+    lines += inlined.lines
     out = inlined.out
     if any(e.startswith("*") for e in out):
         whole = out[0][1:] if len(out) == 1 else f"({', '.join(out)},)"
@@ -244,10 +252,25 @@ def _field_lines(desc: FieldDescription, state, slope, xd=None) -> list:
     return lines + [f"{s} = {e}" for s, e in zip(slope, out)]
 
 
+def _whole_run(kind: str, desc: FieldDescription, params: str, body: list,
+               **env):
+    """The loop ``run(<params>, *args)`` of ``desc``: its setup over the
+    binding ``args``, then the lines ``body``, compiled as ``<kind run:
+    name, dim>`` (``name with lookup`` for a delayed field).  The field's
+    own names are prefixed ``d_`` and no local of the loop is, so none of
+    them can meet."""
+    text = desc.renamed({}, "d_")
+    lines = [f"def run({', '.join([params, *text.params])}):",
+             *(f"    {line}" for line in (*text.setup, *body))]
+    lookup = " with lookup" if desc.delayed else ""
+    return _generated(lines, f"<{kind} run: {desc.name}{lookup}, {desc.dim}>",
+                      sqrt=math.sqrt, diverged=_diverged, **env)
+
+
 @functools.cache
-def _rk4_run(desc: FieldDescription, lookup: bool):
-    """The whole-run RK4 loop of the field ``desc``, generated once per
-    description and lookup flag and tagged ``<rk4 run: name, dim>``.
+def _rk4_run(desc: FieldDescription):
+    """The whole-run RK4 loop of the field ``desc`` (:func:`_whole_run`),
+    generated once per description.
 
     ``run(states, derivs, grid, delayed, x, f, n, h, *args)`` takes node 0
     and its slope ``f`` as written, steps 0..n-1 and writes each node into
@@ -255,30 +278,21 @@ def _rk4_run(desc: FieldDescription, lookup: bool):
     stages and slopes are locals, and the field's text (bound by ``args``)
     is inlined at each of its four calls per step, as are the stage,
     combination and divergence templates: every value is the one the
-    closure and the componentwise kernels give, bit for bit.  With a
-    ``lookup``, each call first reads ``delayed(i, [state])`` as in
-    :func:`_rk4_loop`, and the grid's ``count`` and ``writes`` move with
-    the k4 write of each node.  The field's own names are prefixed ``d_``
-    and no local of the loop is, so none of them can meet.
+    closure and the componentwise kernels give, bit for bit.  A delayed
+    field's call first reads ``delayed(i)`` as in :func:`_rk4_loop`, and
+    the grid's ``count`` and ``writes`` move with the k4 write of each
+    node.
     """
-    dim = desc.dim
-    x, y, w = _names("x", dim), _names("y", dim), _names("w", dim)
+    dim, lookup = desc.dim, desc.delayed
+    x, y = _names("x", dim), _names("y", dim)
     k1, k2, k3, k4 = (_names(f"k{j}_", dim) for j in range(1, 5))
-    text = desc.renamed({}, "d_")
-
-    def call(state, slope, at):
-        if not lookup:
-            return _field_lines(desc, state, slope)
-        return [f"{_listed(w)} = delayed({at}, {_listed(state)})",
-                *_field_lines(desc, state, slope, w)]
-
     step = [*(["i = 2 * k + 1"] if lookup else []),
             *_assign(y, _STAGE, s="half", a="x", b="k1_"),
-            *call(y, k2, "i"),
+            *_field_lines(desc, y, k2, "i"),
             *_assign(y, _STAGE, s="half", a="x", b="k2_"),
-            *call(y, k3, "i"),
+            *_field_lines(desc, y, k3, "i"),
             *_assign(y, _STAGE, s="h", a="x", b="k3_"),
-            *call(y, k4, "i + 1"),
+            *_field_lines(desc, y, k4, "i + 1"),
             *_assign(x, _COMBINE, s="sixth", a="x", b="k1_", c="k2_",
                      d="k3_", e="k4_"),
             f"if not sqrt({_norm('x', dim)}) <= {DIVERGENCE_NORM!r}:",
@@ -287,23 +301,15 @@ def _rk4_run(desc: FieldDescription, lookup: bool):
     if lookup:
         step += [*_write("states", x), *_write("derivs", k4),
                  "grid.count = k + 2", "grid.writes += 1",
-                 *call(x, k1, "i + 1"), *_write("derivs", k1)]
+                 *_field_lines(desc, x, k1, "i + 1"), *_write("derivs", k1)]
     else:
-        step += [*call(x, k1, None), *_write("states", x),
+        step += [*_field_lines(desc, x, k1), *_write("states", x),
                  *_write("derivs", k1)]
-    params = ["states", "derivs", "grid", "delayed", "x", "f", "n", "h",
-              *text.params]
-    lines = [f"def run({', '.join(params)}):",
-             *(f"    {line}" for line in text.setup),
-             "    half = 0.5 * h",
-             "    sixth = h / 6.0",
-             f"    {_listed(x)} = x",
-             f"    {_listed(k1)} = f",
-             "    j = 0",
-             "    for k in range(n):",
-             *(f"        {line}" for line in step)]
-    tag = f"<rk4 run: {desc.name}{' with lookup' if lookup else ''}, {dim}>"
-    return _generated(lines, tag, sqrt=math.sqrt, diverged=_diverged)
+    return _whole_run("rk4", desc, "states, derivs, grid, delayed, x, f, n, h",
+                      ["half = 0.5 * h", "sixth = h / 6.0",
+                       f"{_listed(x)} = x", f"{_listed(k1)} = f", "j = 0",
+                       "for k in range(n):",
+                       *(f"    {line}" for line in step)])
 
 
 def _hermite_eval(t0, h, states, derivs, count, ts, slack=0.0):
@@ -524,26 +530,24 @@ def _compute_diagnostics(states, core_dim, diagnostics):
 def _rk4_loop(field, delayed, grid: _RunningGrid, x0: list, n: int,
               h: float) -> None:
     """Node 0 and classical RK4 steps 0..n-1 for dx/dt = field(x), or with
-    a lookup ``delayed`` for dx/dt = field(x, delayed(i, x)).
+    a lookup ``delayed`` for dx/dt = field(x, delayed(i)).
 
-    ``x0`` and every state ``field`` and ``delayed`` get are lists of
-    floats; ``i`` numbers the lookups as :func:`_rk4_lookups` lists them.
-    Node 0's slope is ``field``'s own value, written with the node by
+    ``x0`` and every state ``field`` gets are lists of floats; ``i``
+    numbers the lookups as :func:`_rk4_lookups` lists them.  Node 0's
+    slope is ``field``'s own value, written with the node by
     :meth:`_RunningGrid.put` (a slope of another width raises there), and
     the steps run in the loop that :func:`_rk4_run` generates from the
     field's description, or from the call of a plain callable.  Without a
-    lookup nothing reads the grid while it runs, and each new node is
-    written once with its own slope; with one it is written with its k4
-    slope first, so that a lookup at the new node sees the finished step,
-    and its own slope then replaces k4.
+    lookup (a zero lag among them) nothing reads the grid while it runs,
+    and each new node is written once with its own slope; with one it is
+    written with its k4 slope first, so that a lookup at the new node sees
+    the finished step, and its own slope then replaces k4.
     """
-    lookup = delayed is not None
-    desc, args = _binding(field, len(x0), lookup)
-    f = field(x0, delayed(0, x0)) if lookup else field(x0)
+    desc, args = _binding(field, len(x0), delayed is not None)
+    f = field(x0) if delayed is None else field(x0, delayed(0))
     grid.put(0, x0, f)
-    _rk4_run(desc, lookup)(grid.states.reshape(-1).data,
-                           grid.derivs.reshape(-1).data, grid, delayed, x0,
-                           f, n, h, *args)
+    _rk4_run(desc)(grid.states.reshape(-1).data, grid.derivs.reshape(-1).data,
+                   grid, delayed, x0, f, n, h, *args)
 
 
 def _rk4_lookups(n: int, h: float):
@@ -582,21 +586,15 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
 _LOOKAHEAD_POINTS = 1 << 12
 
 
-def _stage_state(i, x):
-    """The delayed argument of a zero-lag Dirac kernel: the stage state."""
-    return x
-
-
 def _delayed_argument(kernel, grid: _RunningGrid, times, final):
-    """The delayed argument xd(i, stage_state) over ``grid``, chosen once.
+    """The delayed argument xd(i) over ``grid``, chosen once.
 
     Lookup i is at time ``times[i]`` (nondecreasing), when nodes up to
-    ``final[i]`` hold their final state and slope.  A zero-lag Dirac kernel
-    returns the stage state itself, so the run reduces bitwise to the
-    delay-free scheme; a uniform kernel takes the exact window average of
-    :func:`_uniform_average`, any other Dirac kernel the lagged sample of
-    :func:`_dirac_sample`.  Any other kernel raises TypeError.  Values are
-    lists of floats.
+    ``final[i]`` hold their final state and slope.  A uniform kernel takes
+    the exact window average of :func:`_uniform_average`, a Dirac kernel
+    the lagged sample of :func:`_dirac_sample` (a zero lag never comes
+    here: :func:`_lagged` runs it undelayed).  Any other kernel raises
+    TypeError.  Values are lists of floats.
 
     A route's ``values(i)`` gives the values of lookups i, i + 1, ... and
     whether they read final nodes only.  They are kept for a repeat of
@@ -608,15 +606,13 @@ def _delayed_argument(kernel, grid: _RunningGrid, times, final):
         values = _uniform_average(kernel, grid, times, final)
     elif not isinstance(kernel, _kern.DiracKernel):
         raise TypeError(f"no delayed-argument route for {type(kernel)}")
-    elif kernel.lag == 0.0:
-        return _stage_state
     else:
         values = _dirac_sample(kernel.lag, grid, times, final)
     # kept[j] is lookup first + j's value while grid.writes is kept_writes,
     # or for good when kept_writes is None
     first, kept, kept_writes = 0, [], None
 
-    def lookup(i, x):
+    def lookup(i):
         nonlocal first, kept, kept_writes
         if 0 <= i - first < len(kept) and (kept_writes is None
                                            or kept_writes == grid.writes):
@@ -626,6 +622,17 @@ def _delayed_argument(kernel, grid: _RunningGrid, times, final):
         return kept[0]
 
     return lookup
+
+
+def _lagged(pair, kernel, grid: _RunningGrid, times, final):
+    """``(field, delayed)`` for the delayed field ``pair`` under a Dirac or
+    uniform ``kernel``: ``pair`` and the :func:`_delayed_argument` lookup,
+    or at a zero Dirac lag, which is no delay, the pair at xd = x (its
+    :func:`_chain_description` with no stages) and no lookup."""
+    if isinstance(kernel, _kern.DiracKernel) and kernel.lag == 0.0:
+        desc, args = _binding(pair, grid.states.shape[1], True)
+        return _chain_description(desc, 0).bind(*args), None
+    return pair, _delayed_argument(kernel, grid, times, final)
 
 
 def _dirac_sample(lag: float, grid: _RunningGrid, times, final):
@@ -774,8 +781,8 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     """Method-of-steps RK4 for dx/dt = rhs_pair(x, xd) with delayed xd.
 
     ``rhs_pair`` gets the state x and the delayed argument xd as lists of
-    floats on every call (xd is x itself at zero lag) and returns the
-    derivative as any length-dim sequence.
+    floats on every call and returns the derivative as any length-dim
+    sequence.
 
     At every stage the delayed argument xd is the kernel-weighted average
     of the stored trajectory (cubic Hermite, the last piece extended
@@ -784,13 +791,14 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     sum over finished cells, costs O(1) per stage at any offset and
     width; the window's part before 0 is exact for a constant phi and
     composite Simpson with step min(h, width/16) otherwise.  Dirac
-    kernels sample the lagged time exactly, and a zero-lag Dirac kernel
-    substitutes the stage state itself so the run reduces bitwise to the
-    ordinary RK4 path; with a lag >= h, the stages of the next lag/h steps
-    are read in one batch, and a shorter lag reads each stage's cubic on
-    Python floats.  An exponential or Erlang kernel goes to
-    :func:`integrate_chain`, whose trajectory is returned as it is: stage
-    columns after the model state, ``core_dim`` marking the model part.
+    kernels sample the lagged time exactly: with a lag >= h, the stages of
+    the next lag/h steps are read in one batch, and a shorter lag reads
+    each stage's cubic on Python floats.  A zero lag is no delay: the
+    pair at xd = x runs the undelayed loop, bitwise the
+    :func:`integrate_rk4` run of that field.  An exponential or Erlang
+    kernel goes to :func:`integrate_chain`, whose trajectory is returned
+    as it is: stage columns after the model state, ``core_dim`` marking
+    the model part.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.
@@ -802,8 +810,8 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     x0 = phi(0.0)
     n = _n_steps(t_end, h)
     grid = _RunningGrid(phi, 0.0, h, n, x0.size)
-    delayed = _delayed_argument(kernel, grid, *_rk4_lookups(n, h))
-    _rk4_loop(rhs_pair, delayed, grid, x0.tolist(), n, h)
+    field, delayed = _lagged(rhs_pair, kernel, grid, *_rk4_lookups(n, h))
+    _rk4_loop(field, delayed, grid, x0.tolist(), n, h)
     diag = _compute_diagnostics(grid.states, x0.size, diagnostics)
     return Trajectory(0.0, h, grid.states, grid.derivs, diag)
 
@@ -918,9 +926,9 @@ def _add_square(far, gs, spectra, s: int) -> None:
 
 
 @functools.cache
-def _abm_run(desc: FieldDescription, lookup: bool):
-    """The whole-run PECE loop of the Caputo field ``desc``, generated once
-    per description and lookup flag and tagged ``<abm run: name, dim>``.
+def _abm_run(desc: FieldDescription):
+    """The whole-run PECE loop of the Caputo field ``desc``
+    (:func:`_whole_run`), generated once per description.
 
     ``run(states, gs, table, far, near, spectra, grid, delayed, x, n, h,
     pred_scale, corr_scale, iters, *args)`` takes node 0 and its slope as
@@ -934,19 +942,14 @@ def _abm_run(desc: FieldDescription, lookup: bool):
     (bound by ``args``) is inlined at each corrector and accepted
     evaluation, as are the predictor, corrector and divergence templates:
     every value is the one the componentwise kernels give, bit for bit.
-    A delayed field without a ``lookup`` takes x as xd (zero lag); with
-    one, each evaluation of node k first writes the iterate,
-    ``grid.put(k, [state])``, and reads ``delayed(k, [state])``.
+    A delayed field's evaluation of node k first writes the iterate as the
+    grid's node k, ``grid.put(k, [state])``, and reads ``delayed(k)``; the
+    grid's rows are then ``states``, written by ``put`` alone.
     """
-    dim = desc.dim
-    x, y, g, w, p, c, u, v = (_names(name, dim) for name in "xygwpcuv")
-    text = desc.renamed({}, "d_")
-    if lookup:
-        evaluate = [f"at = {_listed(y)}", "grid.put(k, at)",
-                    f"{_listed(w)} = delayed(k, at)",
-                    *_field_lines(desc, y, g, w)]
-    else:
-        evaluate = _field_lines(desc, y, g, y if desc.delayed else None)
+    dim, lookup = desc.dim, desc.delayed
+    x, y, g, p, c, u, v = (_names(name, dim) for name in "xygpcuv")
+    evaluate = [*([f"grid.put(k, {_listed(y)})"] if lookup else []),
+                *_field_lines(desc, y, g, "k")]
     step = ["k = s + r + 1",
             f"{_listed(u + v)} = (near[r] @ table[s: k]).ravel().tolist()",
             *_assign(p, _SUM, a="p", b="u"),
@@ -959,36 +962,28 @@ def _abm_run(desc: FieldDescription, lookup: bool):
             f"if not sqrt({_norm('y', dim)}) <= {DIVERGENCE_NORM!r}:",
             "    raise diverged((k - 1) * h)",
             f"j += {dim}",
-            *_write("states", y),
+            *([] if lookup else _write("states", y)),
             *evaluate,
             *_write("gs", g)]
-    params = ["states", "gs", "table", "far", "near", "spectra", "grid",
-              "delayed", "x", "n", "h", "pred_scale", "corr_scale", "iters",
-              *text.params]
     block = _MEMORY_BLOCK
-    lines = [f"def run({', '.join(params)}):",
-             *(f"    {line}" for line in text.setup),
-             f"    {_listed(x)} = x",
-             "    loops = range(iters)",
-             "    j = 0",
-             f"    for s in range(0, n, {block}):",
-             "        if s:",
-             "            add_square(far, table, spectra, s)",
-             f"        m = min({block}, n - s)",
-             f"        sums = far[s: s + m].reshape(m, {2 * dim}).tolist()",
-             f"        for r, {_listed(p + c)} in enumerate(sums):",
-             *(f"            {line}" for line in step)]
-    tag = f"<abm run: {desc.name}{' with lookup' if lookup else ''}, {dim}>"
-    return _generated(lines, tag, sqrt=math.sqrt, diverged=_diverged,
-                      add_square=_add_square)
+    return _whole_run(
+        "abm", desc, "states, gs, table, far, near, spectra, grid, delayed, "
+        "x, n, h, pred_scale, corr_scale, iters",
+        [f"{_listed(x)} = x", "loops = range(iters)", "j = 0",
+         f"for s in range(0, n, {block}):",
+         "    if s:",
+         "        add_square(far, table, spectra, s)",
+         f"    m = min({block}, n - s)",
+         f"    sums = far[s: s + m].reshape(m, {2 * dim}).tolist()",
+         f"    for r, {_listed(p + c)} in enumerate(sums):",
+         *(f"        {line}" for line in step)], add_square=_add_square)
 
 
 def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
                delayed=None, grid: _RunningGrid | None = None):
     """PECE loop over nodes 0..n for D^alpha x = field(x), or with a
-    lookup ``delayed`` for D^alpha x = field(x, delayed(k, x)) over
-    ``grid``; the zero-lag lookup :func:`_stage_state` passes x as xd and
-    writes no grid.
+    lookup ``delayed`` for D^alpha x = field(x, delayed(k)) over ``grid``.
+    A given ``grid``'s state table is the run's.
 
     ``field`` gets the states as lists of floats and returns any length-dim
     sequence.  Node 0's slope is the field's own value (a slope of another
@@ -1026,21 +1021,18 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
         spectra[width] = np.fft.rfft(lag_w[: 2 * width], 2 * width, axis=0)
         width *= 2
     dim = x0.size
-    pair = delayed is not None
-    lookup = pair and delayed is not _stage_state
-    desc, args = _binding(field, dim, pair)
-    states = np.empty((n + 1, dim))
+    desc, args = _binding(field, dim, delayed is not None)
+    states = np.empty((n + 1, dim)) if grid is None else grid.states
     gs = np.empty((n + 1, dim))
     x0 = states[0] = x0.tolist()
-    if lookup:
+    if delayed is not None:
         grid.put(0, x0)
-    gs[0] = field(x0, delayed(0, x0)) if pair else field(x0)
+    gs[0] = field(x0) if delayed is None else field(x0, delayed(0))
     far = np.zeros((n, 2, dim))
     far[:, 1] = g0_weight[:, None] * gs[0]
-    _abm_run(desc, lookup)(states.reshape(-1).data, gs.reshape(-1).data, gs,
-                           far, near, spectra, grid, delayed, x0, n, h,
-                           pred_scale, corr_scale, cfg.corrector_iters,
-                           *args)
+    _abm_run(desc)(states.reshape(-1).data, gs.reshape(-1).data, gs, far,
+                   near, spectra, grid, delayed, x0, n, h, pred_scale,
+                   corr_scale, cfg.corrector_iters, *args)
     derivs = np.gradient(states, h, axis=0)
     meta = {"order": alpha, "scheme": "abm-pece",
             "corrector_iters": cfg.corrector_iters}
@@ -1101,11 +1093,11 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     average over the grid (Hermite-interpolated, finite-difference slopes)
     and phi, read as in :func:`integrate_dde`: a uniform kernel's exactly,
     at O(1) per node.  The current step's provisional value participates
-    so short-range kernels see a consistent sliver.  A zero-lag Dirac
-    kernel passes x itself as xd, which reduces the scheme bitwise to
-    :func:`integrate_frac_abm`.  An exponential or Erlang kernel raises
-    ValueError: a Caputo state under integer-order chain stages is a
-    mixed-order system that this scheme does not solve.
+    so short-range kernels see a consistent sliver.  A zero lag is no
+    delay: the pair at xd = x runs the undelayed loop, bitwise the
+    :func:`integrate_frac_abm` run of that field.  An exponential or
+    Erlang kernel raises ValueError: a Caputo state under integer-order
+    chain stages is a mixed-order system that this scheme does not solve.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.
@@ -1118,8 +1110,9 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     grid = _RunningGrid(phi, 0.0, cfg.h, n, x0.size)
     # node k - 1's slope moves with each iterate of node k
     nodes = np.arange(n + 1)
-    delayed = _delayed_argument(kernel, grid, nodes * cfg.h, nodes - 2)
-    states, derivs, meta = _frac_loop(cfg, x0, n, rhs_pair, delayed, grid)
+    field, delayed = _lagged(rhs_pair, kernel, grid, nodes * cfg.h,
+                             nodes - 2)
+    states, derivs, meta = _frac_loop(cfg, x0, n, field, delayed, grid)
     diag = _compute_diagnostics(states, x0.size, diagnostics)
     return Trajectory(0.0, cfg.h, states, derivs, diag, meta=meta)
 

@@ -117,9 +117,18 @@ class StabilityReport:
 
 
 def _trace_det(block: np.ndarray) -> tuple[float, float]:
-    """(trace, det) of the 2x2 ``block``."""
-    a, b, c, d = block[0, 0], block[0, 1], block[1, 0], block[1, 1]
-    return float(a + d), float(a * d - b * c)
+    """(trace, det) of the 2x2 ``block``, in Python floats: a product
+    that overflows is inf, with no warning."""
+    a, b, c, d = block.ravel().tolist()
+    return a + d, a * d - b * c
+
+
+def _finite(name: str, *values) -> None:
+    """Raise OverflowError naming ``name`` when one of the real or complex
+    ``values`` is not finite: arithmetic that left the float range, on
+    which no verdict can rest."""
+    if not all(map(cmath.isfinite, values)):
+        raise OverflowError(f"{name} is not finite")
 
 
 def char_frac_equilibrium(p: _models.RigidBodyParams, which, m: float,
@@ -127,7 +136,9 @@ def char_frac_equilibrium(p: _models.RigidBodyParams, which, m: float,
     """Quadratic w^2 - tr(A) w + det(A) in w = lambda^order at the axis
     equilibrium ``which`` (M1, M2, M3 or 1, 2, 3) of the plain or revised
     field, A its transverse Jacobian block.  The common lambda^order factor
-    of the neutral axis direction is recorded, not expanded.
+    of the neutral axis direction is recorded, not expanded.  An m, trace
+    or determinant that is not finite, or a determinant whose products of
+    nonzero entries underflow to 0, raises ArithmeticError.
     """
     try:
         axis = ("M1", "M2", "M3", 1, 2, 3).index(which) % 3
@@ -135,11 +146,18 @@ def char_frac_equilibrium(p: _models.RigidBodyParams, which, m: float,
         raise ValueError(f"equilibrium must be one of M1, M2, M3, "
                          f"got {which!r}") from None
     bind = _models.revised_field if revised else _models.classical_field
+    _finite(f"m = {m!r}", m)
     x = _models.find_equilibria(p, m)[axis]
     # at an axis equilibrium the axis row and column vanish (the neutral
     # direction): the block off the axis is the transverse one
     off = (slice(1, 3), slice(0, 3, 2), slice(0, 2))[axis]
-    tr, det = _trace_det(_models.jacobian(bind(p), x)[off, off])
+    block = _models.jacobian(bind(p), x)[off, off]
+    tr, det = _trace_det(block)
+    _finite(f"tr A = {tr!r}", tr)
+    _finite(f"det A = {det!r}", det)
+    (a, b), (c, d) = block.tolist()
+    if det == 0 and (a and d and not a * d or b and c and not b * c):
+        raise ArithmeticError(f"det A underflows to 0 at m = {m!r}")
     # 0.0 - tr keeps the plain field's zero trace a +0.0
     return CharQuadratic(1.0, 0.0 - tr, det, zero_factor_order=1)
 
@@ -150,11 +168,13 @@ def matignon_classify(q: CharQuadratic, order: float) -> StabilityReport:
     Asymptotically stable iff every root satisfies |arg(w)| > order*pi/2
     strictly; equality within SECTOR_TOL is marginal.  The recorded
     lambda^order factor is reported as a structural zero root (neutral
-    direction), not entered into the verdict.
+    direction), not entered into the verdict.  Roots that are not finite
+    (a discriminant that overflows) raise OverflowError.
     """
     if not 0 < order <= 1:
         raise ValueError("order must lie in (0, 1]")
     roots = list(q.roots())
+    _finite("a root of the sector quadratic", *roots)
     margins, verdict = _sector(roots, order)
     return StabilityReport(
         verdict=verdict, roots=roots, margins=margins, alpha=order,
@@ -182,12 +202,14 @@ def _ep_blocks(s: _models.InertiaSetup) -> tuple[np.ndarray, np.ndarray]:
     field = _models.ep_delayed_field(s)
     jac = _models.jacobian(lambda z: field(z[:3], z[3:]),
                            np.concatenate((w, w)))
-    return jac[1:, 1:3], jac[1:, 4:]
+    a, b = jac[1:, 1:3], jac[1:, 4:]
+    _finite("transverse block A", *a.ravel().tolist())
+    _finite("transverse block B", *b.ravel().tolist())
+    return a, b
 
 
-def _ep_bracket(s: _models.InertiaSetup) -> tuple[float, float, float]:
+def _ep_bracket(a, b) -> tuple[float, float, float]:
     """(q1, q2, q0) = (tr B, det B, -det A) of the :func:`_ep_blocks`."""
-    a, b = _ep_blocks(s)
     _, det_a = _trace_det(a)
     tr_b, det_b = _trace_det(b)
     return tr_b, det_b, -det_a
@@ -203,7 +225,7 @@ def char_ep_eval(s: _models.InertiaSetup, kernel, lam):
     """
     lam, scalar = _kern._lambda_array(lam)
     k1 = _kern.laplace(kernel, lam)
-    q1, q2, q0 = _ep_bracket(s)
+    q1, q2, q0 = _ep_bracket(*_ep_blocks(s))
     out = lam * lam - q1 * lam * k1 + q2 * k1 * k1 - q0
     return complex(out[0]) if scalar else out
 
@@ -234,7 +256,7 @@ def critical_delay_scan(s: _models.InertiaSetup) -> float | None:
     there is no crossing (coupling 0 never produces one)."""
     if s.coupling == 0:
         return None
-    return _first_delay(_crossings(_ep_bracket(s)))
+    return _first_delay(_crossings(_ep_bracket(*_ep_blocks(s))))
 
 
 def _first_delay(crossings) -> float | None:
@@ -257,9 +279,12 @@ def _crossings(q) -> list[tuple[float, float, int]]:
     on +-i*omega at every tau_k = (phase + 2 pi k) / omega, k >= 0, with
     phase = -arg z in [0, 2 pi), and moves to the right (direction +1) or
     the left (-1) as tau grows past it: the sign of Re dlambda/dtau, which
-    is that of Re[P_lambda / (lambda z P_z)] at every tau_k.
+    is that of Re[P_lambda / (lambda z P_z)] at every tau_k.  A
+    coefficient that is not finite raises OverflowError.
     """
     q1, q2, q0 = q
+    for name, value in zip(("q1 = tr B", "q2 = det B", "q0 = -det A"), q):
+        _finite(f"bracket coefficient {name}", value)
     if q2 == 0:  # coupling^2 m^4 underflows
         raise ZeroDivisionError("quadratic coefficient q2 underflows to 0")
     crossings = []  # (omega, c, sn)
@@ -382,9 +407,12 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
     axis, marginal and ``uncertain``.  The structural lambda factor is one
     zero root.  With nonzero coupling the report carries
     :func:`critical_delay_scan` as ``critical_delay`` and
-    :func:`tau_c_formula`; a Dirac kernel adds ``kernel_lag``.
+    :func:`tau_c_formula`; a Dirac kernel adds ``kernel_lag``.  Blocks or
+    bracket coefficients that leave the float range raise OverflowError
+    (:func:`_finite`) rather than give a verdict on inf.
     """
-    q1, q2, q0 = q = _ep_bracket(s)
+    a, b = _ep_blocks(s)
+    q1, q2, q0 = q = _ep_bracket(a, b)
     rep = StabilityReport(verdict=MARGINAL, structural_zero_roots=1)
     crossings, count = [], "uncertain"
     if s.coupling != 0:
@@ -397,7 +425,7 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
             rep.verdict, count = _crossing_verdict(
                 1 if q2 < q0 else 2 * (q1 > 0), crossings, kernel.lag)
     elif (chain := _kern.chain_reduce(kernel)) is None:
-        rep.verdict, count = _uniform_verdict(*_ep_blocks(s), kernel)
+        rep.verdict, count = _uniform_verdict(a, b, kernel)
     elif s.coupling != 0:
         rep.roots = _chain_roots(q, chain)
         rep.margins, rep.verdict = _sector(rep.roots, 1.0)

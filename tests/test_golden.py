@@ -7,7 +7,8 @@ SHA-256 of every file the run leaves in its output directory with the
 table at the end of this file.  The cases cover both bundled configs,
 every system kind through simulate, stability, each scan axis it accepts
 and a zero-length run, each kernel kind, the fractional memory window and
-corrector iterations, and the validation errors.
+corrector iterations, the validation errors, and stability inputs at the
+edge of the float range.
 
 The table was recorded with CPython 3.11.7 and numpy 2.4.6 linked against
 OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels) on x86_64.
@@ -128,6 +129,22 @@ def _cases():
         "stability", frac, ("stability.equilibrium=M2", "stability.m=2"))
     cases["ep-delayed-coupling0-stability"] = (
         "stability", KINDS["ep-delayed"], ("system.coupling=0",))
+    # bracket coefficients and blocks at the edge of the float range: m =
+    # 1e77 keeps its report, past it q2 = det B (and at 1e160 the block B
+    # itself) overflows
+    for kernel, m in (("dirac", "1e77"), ("dirac", "1e78"),
+                      ("erlang", "1e78"), ("uniform", "1e160")):
+        text = KINDS["ep-delayed"] if kernel == "dirac" else _kernel(
+            KINDS["ep-delayed"], kernels[kernel].replace("0.4", "0.5"))
+        cases[f"ep-delayed-{kernel}-m{m}-stability"] = (
+            "stability", text, (f"system.m={m}",))
+    # the sector verdict where det leaves the float range, and where it
+    # does not
+    for m in ("1e-200", "1e-160", "1e150", "6e153", "1e155"):
+        cases[f"fractional-m{m}-stability"] = ("stability", frac,
+                                               (f"stability.m={m}",))
+    cases["fractional-scan-m-float-range"] = (
+        "scan", frac, _scan("m", "1e-200", "1e155", 2))
     cases["scalar-18-diverges"] = ("simulate", KINDS["scalar-18"],
                                    ("system.a=2", "run.t_end=40"))
     cases.update(_invalid_cases())
@@ -150,6 +167,15 @@ def _invalid_cases():
             "stability", KINDS["ep-delayed"] + STAB.format("M3", 30), ()),
         "bad-x0-length": ("simulate", KINDS["planar-19"],
                           ("run.x0=1, 2, 3",)),
+        "bad-x0-nan": ("simulate", KINDS["classical"].replace(
+            "x0 = 1, 0.5, 0.2", "x0 = nan, 0, 0"), ()),
+        "bad-x0-inf": ("simulate", KINDS["delayed"].replace(
+            "x0 = 0.3, 0.3, 0.3", "x0 = 0.3, -inf, 0.3"), ()),
+        "bad-stability-m-nan": ("stability", frac.replace(
+            STAB.format("M1", 1), STAB.format("M1", "nan")), ()),
+        "bad-stability-m-inf": ("scan", frac.replace(
+            STAB.format("M1", 1), STAB.format("M1", "inf")),
+            _scan("alpha", 0.5, 1, 3)),
         "bad-scalar-uniform-kernel": (
             "simulate", _kernel(KINDS["scalar-18"],
                                 "[kernel]\nkind = uniform\nwidth = 0.5\n"),
@@ -469,6 +495,16 @@ GOLDEN = {
         '',
         'error: --set: unknown section [extra]\n',
         {}),
+    'bad-stability-m-inf': (
+        2,
+        '',
+        'error: line 14: [stability] m must be finite\n',
+        {}),
+    'bad-stability-m-nan': (
+        2,
+        '',
+        'error: line 14: [stability] m must be finite\n',
+        {}),
     'bad-step-inf': (
         2,
         '',
@@ -509,10 +545,20 @@ GOLDEN = {
         '',
         'error: line 10: unknown section [extra]\n',
         {}),
+    'bad-x0-inf': (
+        2,
+        '',
+        'error: line 10: [run] x0 must be finite\n',
+        {}),
     'bad-x0-length': (
         2,
         '',
         'error: --set: [run] x0 needs 2 components for kind = planar-19, got 3\n',
+        {}),
+    'bad-x0-nan': (
+        2,
+        '',
+        'error: line 7: [run] x0 must be finite\n',
         {}),
     'classical-simulate': (
         0,
@@ -660,6 +706,21 @@ GOLDEN = {
         '',
         {'out': 'b9d1dbbe0ed23b529f21d965b8cfe2ce7e3eccd98e8359bdf9262a0866cc2885',
          'out.rows.csv': '0188638ee65aad5400d7c10b027d8fb96e61dbd832b6e0690b83e8b60eb82dd6'}),
+    'ep-delayed-dirac-m1e77-stability': (
+        0,
+        'kind = ep-delayed\n'
+        'verdict = unstable\n'
+        'critical_delay = 2.3561944901923443e-154\n'
+        'wrote = <out>/out\n'
+        'wrote = <out>/out.rows.csv\n',
+        '',
+        {'out': '31f264e88a8ddcaf77e4af608b6f554942b24be2cadd0520db70c036e30a579d',
+         'out.rows.csv': '35e5b832ff2182b504afa910e25cd0bc8c2d0a0f8d08154049c7e1ec03df09ad'}),
+    'ep-delayed-dirac-m1e78-stability': (
+        2,
+        '',
+        'error: bracket coefficient q2 = det B is not finite\n',
+        {}),
     'ep-delayed-dirac0-simulate': (
         0,
         'kind = ep-delayed\n'
@@ -683,6 +744,11 @@ GOLDEN = {
         '',
         {'out': '7b28bd9edae1c81ec43b6cf5a0e8456e4c8fe42bfd93ff590ae052ea79ac34c5',
          'out.rows.csv': 'c959d0b513ee18c2104ef89b28e1283c60be06b49d51f33d5b721138d2b5fc67'}),
+    'ep-delayed-erlang-m1e78-stability': (
+        2,
+        '',
+        'error: bracket coefficient q2 = det B is not finite\n',
+        {}),
     'ep-delayed-erlang-scan-m': (
         0,
         'kind = ep-delayed\n'
@@ -783,6 +849,11 @@ GOLDEN = {
         'wrote = <out>/out\n',
         '',
         {'out': '329311609076e60d0cc5078aa04aac66c988f126db87ea1a55f4d32098e92d50'}),
+    'ep-delayed-uniform-m1e160-stability': (
+        2,
+        '',
+        'error: transverse block B is not finite\n',
+        {}),
     'ep-delayed-uniform-simulate': (
         0,
         'kind = ep-delayed\n'
@@ -863,6 +934,34 @@ GOLDEN = {
         'wrote = <out>/out\n',
         '',
         {'out': 'd050f924755d38115438e3d61e96b6ff8571ba5a4e3d04492c368c6a7bba1ece'}),
+    'fractional-m1e-160-stability': (
+        0,
+        'kind = fractional\n'
+        'verdict = asymptotically-stable\n'
+        'wrote = <out>/out\n'
+        'wrote = <out>/out.rows.csv\n',
+        '',
+        {'out': 'bed6acbeb41b19a050935d5ccfb863b90374d4aab7150d5f3dce5baa47a6ae41',
+         'out.rows.csv': 'd0bd53fee16f465b58acc4fade60e094594286b8256a8cd5060be97b12a77670'}),
+    'fractional-m1e-200-stability': (
+        2,
+        '',
+        'error: det A underflows to 0 at m = 1e-200\n',
+        {}),
+    'fractional-m1e150-stability': (
+        0,
+        'kind = fractional\n'
+        'verdict = asymptotically-stable\n'
+        'wrote = <out>/out\n'
+        'wrote = <out>/out.rows.csv\n',
+        '',
+        {'out': '3ac7ff173d144c55911eed5df38a7b80e988afb2623b026e06941403d3c017d2',
+         'out.rows.csv': '428aea6c6e870de72abafc7542e6d9d8b48044fe1e7eb69fbd0c95fabf83d2fa'}),
+    'fractional-m1e155-stability': (
+        2,
+        '',
+        'error: det A = inf is not finite\n',
+        {}),
     'fractional-m2-stability': (
         0,
         'kind = fractional\n'
@@ -872,6 +971,11 @@ GOLDEN = {
         '',
         {'out': 'e56e8ba705630712055321a73c19a0cafbe0b755323398451041615ae53b67d4',
          'out.rows.csv': 'a8969497ca7baeb8f49d6b72a74bdbb0f77db39352deaa884070584af1743487'}),
+    'fractional-m6e153-stability': (
+        2,
+        '',
+        'error: a root of the sector quadratic is not finite\n',
+        {}),
     'fractional-revised-scan-alpha': (
         0,
         'kind = fractional-revised\n'
@@ -946,6 +1050,14 @@ GOLDEN = {
         'wrote = <out>/out\n',
         '',
         {'out': 'cc3b8057ed41a8ac1a067d756bbe15a7806ad3a30997ee2fb1339d74ad881d5f'}),
+    'fractional-scan-m-float-range': (
+        0,
+        'kind = fractional\n'
+        'axis = m\n'
+        'rows = 2\n'
+        'wrote = <out>/out\n',
+        '',
+        {'out': '8964c9562160c9afe7fc8d4743bde522422fcb7afc9be2add8f8426224abbdd2'}),
     'fractional-simulate': (
         0,
         'kind = fractional\n'

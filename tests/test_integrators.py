@@ -511,12 +511,10 @@ def _eval_g(field, delayed, grid):
     reads it."""
     if delayed is None:
         return lambda k, x: field(x)
-    if delayed is integrators._stage_state:
-        return lambda k, x: field(x, x)
 
     def eval_g(k, x):
         grid.put(k, x)
-        return field(x, delayed(k, x))
+        return field(x, delayed(k))
 
     return eval_g
 
@@ -644,10 +642,8 @@ def _per_stage_delayed(kernel, grid, times, final):
     uniform kernel's lookup gets a new engine, which builds its running
     integral from the grid as it stands, for that one lookup."""
     if isinstance(kernel, kernels.UniformKernel):
-        return lambda i, x: _ENGINE(kernel, grid, times, final)(i, x)
-    if kernel.lag == 0.0:
-        return lambda i, x: x
-    return lambda i, x: grid.eval_many(np.array([times[i] - kernel.lag]))[0]
+        return lambda i: _ENGINE(kernel, grid, times, final)(i)
+    return lambda i: grid.eval_many(np.array([times[i] - kernel.lag]))[0]
 
 
 def _rigid_pair(x, xd):
@@ -903,14 +899,14 @@ class TestUniformRunningIntegral:
         lookup = integrators._delayed_argument(kernel, grid, times, final)
         rng = np.random.default_rng(11)
         _write_node(grid, 0, rng)
-        lookup(0, None)
+        lookup(0)
         checked = 0
         for k in range(n):
             for i, write in ((2 * k + 1, False), (2 * k + 2, False),
                              (2 * k + 2, True)):
                 if write:
                     _write_node(grid, k + 1, rng)
-                value = lookup(i, None)
+                value = lookup(i)
                 if k % 2 == 0:
                     want = _quad_window_average(grid, kernel, times[i])
                     assert np.max(np.abs(np.array(value) - want)) <= (
@@ -935,7 +931,7 @@ class TestUniformRunningIntegral:
         for k in range(n + 1):
             for _ in range(3 if k else 1):
                 grid.put(k, rng.uniform(0.2, 0.5, 3))
-                value = lookup(k, None)
+                value = lookup(k)
                 want = _quad_window_average(grid, kernel, k * H)
                 assert np.max(np.abs(np.array(value) - want)) <= (
                     1e-13 * np.max(np.abs(want))), (k, value, want)
@@ -970,7 +966,7 @@ class TestUniformRunningIntegral:
             if grid.count == 1 and b > 0:
                 continue  # node 0 alone: the grid extends its line
             want = mean(b - 0.37, b)
-            assert np.max(np.abs(np.array(lookup(i, None)) - want)) <= (
+            assert np.max(np.abs(np.array(lookup(i)) - want)) <= (
                 1e-13 * np.max(np.abs(want)))
 
     def test_rounding_does_not_grow(self):
@@ -1008,7 +1004,7 @@ class TestUniformRunningIntegral:
                       + h * h / 12 * (f[k] - f[k + 1])
                       for k in range(ja + 1, jb)]
             want = math.fsum(parts) / width
-            assert abs(lookup(i, None)[0] - want) <= 1e-14 * abs(want)
+            assert abs(lookup(i)[0] - want) <= 1e-14 * abs(want)
 
     def test_k3_repeats_k2_lookup(self, monkeypatch):
         # at uniform offset 0 and at Dirac lags below h every stage lookup
@@ -1376,7 +1372,7 @@ def _array_rk4_loop(field, delayed, grid, x0, n, h):
     field (and the lookup) gets ndarray states and its slopes are made
     arrays.  A bound field is called as a closure, never inlined."""
     def as_array(i, x):
-        f = field(x) if delayed is None else field(x, delayed(i, x))
+        f = field(x) if delayed is None else field(x, delayed(i))
         return np.asarray(f, dtype=float)
 
     x0 = np.array(x0, dtype=float)
@@ -1559,13 +1555,11 @@ def _array_delayed_argument(kernel, grid, times, final):
     no array form; its values are the engine's, made arrays."""
     if isinstance(kernel, kernels.UniformKernel):
         lookup = _ENGINE(kernel, grid, times, final)
-        return lambda i, x: np.array(lookup(i, x))
+        return lambda i: np.array(lookup(i))
     lag = kernel.lag
-    if lag == 0.0:
-        return lambda i, x: x
     first, block = 0, []
 
-    def lookup(i, x):
+    def lookup(i):
         nonlocal first, block
         if 0 <= i - first < len(block):
             return block[i - first]
@@ -1835,6 +1829,125 @@ class TestGeneratedAbmRun:
         with monkeypatch.context() as m:
             m.setattr(integrators, "_frac_loop", _eval_g_frac_loop)
             assert diverged().value.t_last == fast.value.t_last > 0.0
+
+
+#: delayed fields at zero lag and their histories: the bound model pairs,
+#: a plain callable, and the fractional benchmarks
+ZERO_LAG_PAIRS = {
+    "delayed": (models.delayed_field(P321), HistorySpec.constant(X111)),
+    "revised-delayed": (models.revised_delayed_field(P321),
+                        HistorySpec.constant(0.3 * X111)),
+    "ep-delayed": (models.ep_delayed_field(EP), HistorySpec.constant(X_EP)),
+    "callable": (_rigid_pair, HistorySpec.constant(X111)),
+    "scalar-18": ABM_RUN_PAIRS["scalar-18"],
+    "planar-19": (ABM_RUN_PAIRS["planar-19"][0],
+                  HistorySpec.constant([0.3, 0.4])),
+}
+
+
+class TestZeroLag:
+    """A zero Dirac lag is no delay: the undelayed loops of the pair at
+    xd = x, with no lookup."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.derivs.tobytes() == want.derivs.tobytes()
+        assert got.meta == want.meta
+
+    @pytest.mark.parametrize("name", ZERO_LAG_PAIRS)
+    def test_dde_is_rk4_of_the_zero_lag_field(self, name, monkeypatch):
+        pair, phi = ZERO_LAG_PAIRS[name]
+        want = integrate_rk4(lambda x: pair(x, x), phi(0.0), 2.0, H)
+        # one span: the public RK4 entry is not called on the way
+        monkeypatch.setattr(integrators, "integrate_rk4", None)
+        self._assert_same(integrate_dde(pair, kernels.DiracKernel(0.0), phi,
+                                        2.0, H), want)
+
+    @pytest.mark.parametrize("window", [None, 20])
+    @pytest.mark.parametrize("name", ZERO_LAG_PAIRS)
+    def test_frac_dde_is_abm_of_the_zero_lag_field(self, name, window,
+                                                   monkeypatch):
+        pair, phi = ZERO_LAG_PAIRS[name]
+        cfg = FracConfig(order=0.8, h=ABM_RUN_H, corrector_iters=2,
+                         memory_window=window)
+        want = integrate_frac_abm(lambda x: pair(x, x), cfg, phi(0.0),
+                                  100 * cfg.h)
+        monkeypatch.setattr(integrators, "integrate_frac_abm", None)
+        self._assert_same(integrate_frac_dde(pair, cfg,
+                                             kernels.DiracKernel(0.0), phi,
+                                             100 * cfg.h), want)
+
+    def test_no_lookup_loop_compiled(self):
+        integrators._rk4_run.cache_clear()
+        integrators._abm_run.cache_clear()
+        for name in ("delayed", "callable"):
+            pair, phi = ZERO_LAG_PAIRS[name]
+            integrate_dde(pair, kernels.DiracKernel(0.0), phi, 0.5, H)
+        pair, phi = ZERO_LAG_PAIRS["scalar-18"]
+        integrate_frac_dde(pair, FracConfig(order=0.8, h=H),
+                           kernels.DiracKernel(0.0), phi, 0.5)
+        rk4, abm = (integrators._rk4_run.cache_info(),
+                    integrators._abm_run.cache_info())
+        assert (rk4.currsize, abm.currsize) == (2, 1)
+        # the loops compiled are those of the pairs' texts at xd = x
+        for name, run in (("delayed", integrators._rk4_run),
+                          ("scalar-18", integrators._abm_run)):
+            desc = ZERO_LAG_PAIRS[name][0].binding[0]
+            zero = integrators._chain_description(desc, 0)
+            assert not zero.delayed and zero.name == desc.name
+            hits = run.cache_info().hits
+            run(zero)
+            assert run.cache_info().hits == hits + 1
+        assert run.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("run", [
+        lambda: integrate_dde(_rigid_pair, kernels.DiracKernel(0.3 * H),
+                              PHIS["callable"], 0.5, H),
+        lambda: integrate_dde(_rigid_pair, kernels.DiracKernel(50.5 * H),
+                              PHIS["callable"], 0.6, H),
+        lambda: integrate_dde(models.delayed_field(P321),
+                              kernels.UniformKernel(0.0, 0.37),
+                              PHIS["constant"], 0.5, H),
+        lambda: integrate_frac_dde(_rigid_pair, FracConfig(order=0.8, h=H),
+                                   kernels.DiracKernel(30.5 * H),
+                                   PHIS["callable"], 0.5),
+        lambda: integrate_frac_dde(models.delayed_field(P321),
+                                   FracConfig(order=0.8, h=H),
+                                   kernels.UniformKernel(5 * H, 0.2),
+                                   PHIS["callable"], 0.5)])
+    def test_lookups_take_their_number_alone(self, run, monkeypatch):
+        calls = []
+
+        def spied(*route):
+            lookup = _ENGINE(*route)
+
+            def spy(*args):
+                calls.append(args)
+                return lookup(*args)
+            return spy
+
+        monkeypatch.setattr(integrators, "_delayed_argument", spied)
+        run()
+        assert calls and all(len(args) == 1 and type(args[0]) is int
+                             for args in calls)
+
+    @pytest.mark.parametrize("kernel", [
+        kernels.DiracKernel(0.0), kernels.DiracKernel(30.5 * H),
+        kernels.UniformKernel(5 * H, 0.2)], ids=repr)
+    def test_frac_dde_states_are_the_grid_table(self, kernel, monkeypatch):
+        grids = []
+
+        class Kept(integrators._RunningGrid):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grids.append(self)
+
+        monkeypatch.setattr(integrators, "_RunningGrid", Kept)
+        traj = integrate_frac_dde(_rigid_pair, FracConfig(order=0.8, h=H),
+                                  kernel, PHIS["callable"], 0.5)
+        [grid] = grids
+        assert np.shares_memory(traj.states, grid.states)
 
 
 NEXT_ABOVE = math.nextafter(1e8, math.inf)

@@ -77,6 +77,36 @@ class TestCharFracEquilibrium:
         with pytest.raises(ValueError):
             stability.char_frac_equilibrium(P321, "M1", 0.0)
 
+    @pytest.mark.parametrize("m, message", [
+        (1e155, "A = -?inf is not finite"), (1e-200, "det A underflows"),
+        (math.nan, "m = nan"), (math.inf, "m = inf"), (-math.inf, "m = -inf")])
+    @pytest.mark.parametrize("revised", [False, True])
+    def test_out_of_float_range_raises(self, m, message, revised):
+        # at M1 the quadratic is w^2 + 2 m^2 (plain field): its verdict
+        # does not depend on m, but det = 2 m^2 (and the revised field's
+        # trace) leaves the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=message):
+                stability.char_frac_equilibrium(P321, "M1", m,
+                                                revised=revised)
+
+    def test_overflowing_sector_roots_raise(self):
+        # det = 2 m^2 = 7.2e307 is finite, but the discriminant -4 det
+        # is not: the roots came out NaN and the verdict marginal
+        q = stability.char_frac_equilibrium(P321, "M1", 6e153)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="sector quadratic"):
+                stability.matignon_classify(q, 0.8)
+
+    @pytest.mark.parametrize("m", [1e-160, 1e150])
+    def test_float_range_edges_kept(self, m):
+        q = stability.char_frac_equilibrium(P321, "M1", m)
+        assert (q.c1, q.c0) == (0.0, 2.0 * m * m)
+        assert stability.matignon_classify(q, 0.8).verdict == (
+            stability.STABLE)
+
 
 # --- hand-derived characteristic algebra, kept as an oracle -----------------
 
@@ -145,7 +175,8 @@ class TestJacobianAgreement:
         setups += [models.InertiaSetup(3, 2, 1, coupling=1.0, m=m)
                    for m in EXTREME_M]
         for s in setups:
-            _assert_rel(stability._ep_bracket(s), _hand_ep_coeffs(s))
+            _assert_rel(stability._ep_bracket(*stability._ep_blocks(s)),
+                        _hand_ep_coeffs(s))
             A, B = _ep_linearization(s)
             # the axis row and column vanish, A has a zero diagonal and
             # B is diagonal: the bracket needs only (tr B, det B, det A)
@@ -236,6 +267,47 @@ class TestCharEp:
         s = models.InertiaSetup.unchecked(3, 2, 1, 1.0, 0.0)
         with pytest.raises(ValueError, match="nonzero"):
             stability.char_ep_eval(s, kernels.DiracKernel(0.3), 1.7 - 0.4j)
+
+
+class TestEpFloatRange:
+    """Blocks and bracket coefficients that leave the float range raise,
+    rather than give a verdict on inf."""
+
+    @pytest.mark.parametrize("kernel, m, message", [
+        (kernels.DiracKernel(0.5), 1e78, "q2 = det B"),
+        (kernels.DiracKernel(0.5), 1e100, "q2 = det B"),
+        (kernels.ErlangKernel(2.0), 1e78, "q2 = det B"),
+        (kernels.ExponentialKernel(2.0), 1e78, "q2 = det B"),
+        (kernels.UniformKernel(0.1, 0.5), 1e78, "q2 = det B"),
+        (kernels.UniformKernel(0.1, 0.5), 1e160, "transverse block B")],
+        ids=repr)
+    def test_overflow_raises(self, kernel, m, message):
+        s = models.InertiaSetup(3, 2, 1, coupling=1.0, m=m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                stability.ep_delayed_check(s, kernel)
+
+    def test_report_inside_the_range_kept(self):
+        s = models.InertiaSetup(3, 2, 1, coupling=1.0, m=1e77)
+        assert stability.ep_delayed_check(
+            s, kernels.DiracKernel(0.5)).to_text() == (
+            "verdict = unstable\ncritical_delay = 2.3561944901923443e-154\n"
+            "structural_zero_roots = 1\nkernel_lag = 0.5\n"
+            "rhp_root_count = uncertain\n"
+            "tau_c_formula = 2.5000000000000004e-154\n")
+
+    def test_blocks_formed_once(self, monkeypatch):
+        calls = []
+        jacobian = models.jacobian
+
+        def counted(*args):
+            calls.append(1)
+            return jacobian(*args)
+
+        monkeypatch.setattr(models, "jacobian", counted)
+        stability.ep_delayed_check(S321, kernels.UniformKernel(0.1, 0.5))
+        assert len(calls) == 1
 
 
 class TestTauC:
@@ -653,8 +725,9 @@ class TestClosedFormCounts:
                 assert count == np.count_nonzero(roots.real > 0), (s, tau)
                 counted += 1
             checked += 1
+            q = stability._ep_bracket(*stability._ep_blocks(s))
             leftward += any(d < 0 and phase < omega * tau for omega, phase, d
-                            in stability._crossings(stability._ep_bracket(s)))
+                            in stability._crossings(q))
         assert checked > 190 and counted > 150 and leftward > 10
 
     def test_mixed_directions(self):
@@ -784,7 +857,8 @@ class TestClosedFormCounts:
     def test_ep_rational_small_roots_at_extreme_rates(self, rate):
         # np.roots returned the pair near the origin as 0j, 0j at 1e40 and
         # as -0.8333, 0 at 1e300; the reversed polynomial finds it
-        exact = self._erlang_oracle(stability._ep_bracket(S321), rate)
+        exact = self._erlang_oracle(
+            stability._ep_bracket(*stability._ep_blocks(S321)), rate)
         small = exact[np.abs(exact) < 1e3]
         assert small.size == 2
         for kind in (kernels.ErlangKernel, kernels.ExponentialKernel):
@@ -840,7 +914,7 @@ class TestUniformGenerator:
         # the library's rightmost root is a zero of the bracket
         lam = stability._uniform_generator(*stability._ep_blocks(s), kern, 48)
         top = complex(lam[np.argmax(lam.real)])
-        q1, q2, q0 = stability._ep_bracket(s)
+        q1, q2, q0 = stability._ep_bracket(*stability._ep_blocks(s))
         k1 = kernels.laplace(kern, top)
         scale = abs(top) ** 2 + abs(q1 * top * k1) + abs(q2 * k1 * k1) \
             + abs(q0)
@@ -1340,7 +1414,7 @@ class TestArrayCrossingScan:
         for s in _crossing_setups()[2:]:
             tau = stability.critical_delay_scan(s)
             omega = _exact_crossings(s)[0][1]
-            q1, q2, q0 = stability._ep_bracket(s)
+            q1, q2, q0 = stability._ep_bracket(*stability._ep_blocks(s))
             val = stability.char_ep_eval(s, kernels.DiracKernel(tau),
                                          1j * omega)
             scale = omega * omega + abs(q1) * omega + abs(q2) + abs(q0)
@@ -1370,7 +1444,8 @@ class TestArrayCrossingScan:
         # the bracket of any inertia has q1^2 (q2 - q0) > 4 q2^2 wherever
         # q2 > q0, so its crossings all have c = 0; the algebra must hold
         # for any real coefficients
-        monkeypatch.setattr(stability, "_ep_bracket", lambda s: (q1, q2, q0))
+        monkeypatch.setattr(stability, "_ep_bracket",
+                            lambda a, b: (q1, q2, q0))
         got = stability.critical_delay_scan(S321)
         assert got == pytest.approx(_unit_circle_crossings(q1, q2, q0)[0][0],
                                     rel=1e-12, abs=0.0)
@@ -1410,7 +1485,7 @@ class TestArrayCrossingScan:
         # coupling^2 m^4 underflows to q2 = 0; the scan must not turn the
         # division by zero into a silent None
         s = models.InertiaSetup(3, 2, 1, coupling=1e-170, m=1.0)
-        assert stability._ep_bracket(s)[1] == 0.0
+        assert stability._ep_bracket(*stability._ep_blocks(s))[1] == 0.0
         assert _hand_ep_coeffs(s)[1] == 0.0
         with pytest.raises(ZeroDivisionError):
             _scalar_critical_delay_scan(s)
