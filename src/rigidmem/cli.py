@@ -8,7 +8,8 @@ blocks (full-line ``#`` comments allowed).  Sections:
     ``revised``, ``delayed``, ``revised-delayed``, ``fractional``,
     ``fractional-revised``) take ``a1 > a2 > a3 > 0``; ``ep-delayed``
     takes ``I1 > I2 > I3 > 0``, ``coupling`` and ``m``; ``scalar-18``
-    takes ``a``; ``planar-19`` takes ``k1`` and ``k2``.
+    takes ``a``; ``planar-19`` takes ``k1`` and ``k2``.  Every parameter
+    must be finite.
 ``[kernel]``
     Required for the delayed kinds: ``kind`` one of ``uniform`` (``offset``,
     ``width``), ``exponential`` (``rate``), ``erlang`` (``rate``), ``dirac``
@@ -334,7 +335,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     params = None
     if spec is not None:
         vals = [g.get("system", key, required=True) for key in spec.keys]
-        if None not in vals:
+        not_finite = [key for key, value in zip(spec.keys, vals)
+                      if value is not None and not math.isfinite(value)]
+        errors += [f"{g.at('system', key)}: [system] {key} must be finite"
+                   for key in not_finite]
+        if None not in vals and not not_finite:
             try:
                 params = spec.params(*vals)
             except ValueError as exc:

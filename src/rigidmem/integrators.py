@@ -24,11 +24,16 @@ reduction composes the model field's description with its relaxation
 stages into one field, and a zero Dirac lag, which is no delay, takes the
 pair's text at xd = x; a delayed field keeps its lookup as a call inside
 the loop.  The RK4 stage and combination arithmetic, the ABM predictor
-and corrector and the divergence norm come from fixed templates, written
-out per component in the order of operations of the array form; every
-result is bitwise that of the array loops.  The ABM loop reads each
-block's far memory sums as one list once its FFT square is added, and
-keeps each step's near sum one BLAS product.
+and corrector and the squared divergence norm come from fixed templates,
+written out per component in the order of operations of the array form;
+every result is bitwise that of the array loops.  Both loops test the
+squared norm against the largest double whose sqrt is DIVERGENCE_NORM or
+below, the decision of the norm test for every double.  The ABM loop is
+generated per description and corrector count, with its corrector
+iterations written out; it reads each block's far memory sums as one
+list once its FFT square is added, and keeps each step's near sum one
+BLAS product into a buffer of the run, whose two rows the predictor and
+corrector add in their own expressions.
 
 Every integrator emits a :class:`Trajectory`: uniformly spaced samples with
 a derivative estimate per node and per-sample diagnostics recomputed from
@@ -92,9 +97,10 @@ def _n_steps(span: float, h: float) -> int:
 def _diverged(t: float) -> DivergenceError:
     """The error of a state whose norm is not <= DIVERGENCE_NORM.
 
-    The loops test ``not sqrt(squares(x)) <= DIVERGENCE_NORM``: NaN fails
-    the comparison and an overflowing square gives inf, so non-finite and
-    overflowing states are rejected too.
+    The loops test the squared norm, ``not squares(x) <= bound``
+    (:func:`_divergence_test`): NaN fails the comparison and an
+    overflowing square gives inf, so non-finite and overflowing states
+    are rejected too.
     """
     return DivergenceError(f"state diverged; last valid time t = {t:.6g}",
                            t_last=t)
@@ -105,7 +111,10 @@ def _diverged(t: float) -> DivergenceError:
 #: value of one component.
 _STAGE = "s, a, b: a + s * b"
 _COMBINE = "s, a, b, c, d, e: a + s * (b + 2.0 * (c + d) + e)"
+#: the corrector, and the predictor with its near sum folded in
 _CORRECT = "s, a, b, c: a + s * (b + c)"
+#: one corrector iteration with its near sum folded in
+_CORRECT_ONCE = "s, a, b, c, d: a + s * (b + (c + d))"
 _SQUARES = "a: sum(a * a)"
 #: the running integral of a uniform kernel (see _uniform_average): one
 #: cell's integral, a partial cell's, the prefix sum and its rounding
@@ -229,9 +238,17 @@ def _write(view: str, values) -> list:
             for i, v in enumerate(values)]
 
 
-def _norm(prefix: str, dim: int) -> str:
-    """The divergence norm's square of the locals ``prefix0 ..``."""
-    return " + ".join(_terms(_SQUARES, dim, {"a": prefix})) or "0.0"
+def _divergence_test(prefix: str, dim: int, t: str) -> list:
+    """Lines that raise :func:`_diverged` at time ``t`` unless the squared
+    norm of the locals ``prefix0 ..`` is <= the largest double whose sqrt
+    is <= DIVERGENCE_NORM.  sqrt is correctly rounded, hence monotone, so
+    this is the decision of ``sqrt(squares) <= DIVERGENCE_NORM`` for every
+    double, NaN and inf included, without the sqrt."""
+    bound = DIVERGENCE_NORM * DIVERGENCE_NORM
+    assert (math.sqrt(bound) <= DIVERGENCE_NORM
+            < math.sqrt(math.nextafter(bound, math.inf)))
+    squares = " + ".join(_terms(_SQUARES, dim, {"a": prefix})) or "0.0"
+    return [f"if not {squares} <= {bound!r}:", f"    raise diverged({t})"]
 
 
 def _field_lines(desc: FieldDescription, state, slope, at=None) -> list:
@@ -264,7 +281,7 @@ def _whole_run(kind: str, desc: FieldDescription, params: str, body: list,
              *(f"    {line}" for line in (*text.setup, *body))]
     lookup = " with lookup" if desc.delayed else ""
     return _generated(lines, f"<{kind} run: {desc.name}{lookup}, {desc.dim}>",
-                      sqrt=math.sqrt, diverged=_diverged, **env)
+                      diverged=_diverged, **env)
 
 
 @functools.cache
@@ -295,8 +312,7 @@ def _rk4_run(desc: FieldDescription):
             *_field_lines(desc, y, k4, "i + 1"),
             *_assign(x, _COMBINE, s="sixth", a="x", b="k1_", c="k2_",
                      d="k3_", e="k4_"),
-            f"if not sqrt({_norm('x', dim)}) <= {DIVERGENCE_NORM!r}:",
-            "    raise diverged(k * h)",
+            *_divergence_test("x", dim, "k * h"),
             f"j += {dim}"]
     if lookup:
         step += [*_write("states", x), *_write("derivs", k4),
@@ -926,20 +942,24 @@ def _add_square(far, gs, spectra, s: int) -> None:
 
 
 @functools.cache
-def _abm_run(desc: FieldDescription):
-    """The whole-run PECE loop of the Caputo field ``desc``
-    (:func:`_whole_run`), generated once per description.
+def _abm_run(desc: FieldDescription, iters: int):
+    """The whole-run PECE loop of the Caputo field ``desc`` with ``iters``
+    corrector iterations (:func:`_whole_run`), generated once per
+    description and count.
 
-    ``run(states, gs, table, far, near, spectra, grid, delayed, x, n, h,
-    pred_scale, corr_scale, iters, *args)`` takes node 0 and its slope as
-    written, steps 0..n-1 and writes each node and its slope into the flat
-    views ``states`` and ``gs`` (``table`` is ``gs``'s array).  Each block
-    of the memory sums first adds its FFT square to ``far``
+    ``run(states, gs, table, far, near, spectra, near_sum, grid, delayed,
+    x, n, h, pred_scale, corr_scale, *args)`` takes node 0 and its slope
+    as written, steps 0..n-1 and writes each node and its slope into the
+    flat views ``states`` and ``gs`` (``table`` is ``gs``'s array).  Each
+    block of the memory sums first adds its FFT square to ``far``
     (:func:`_add_square`), after which the block's rows of ``far`` are
     final and are read as one list; each step adds its near sum, the
-    product ``near[r] @ table[s: k]`` of :func:`_frac_loop`'s weights, to
-    its row.  State, sums and slopes are locals, and the field's text
-    (bound by ``args``) is inlined at each corrector and accepted
+    product ``near[r] @ table[s: k]`` of :func:`_frac_loop`'s weights,
+    written by ``np.dot`` into the run's (2, dim) buffer ``near_sum``
+    (bitwise ``@``), to its row inside the predictor and corrector
+    templates.  State, sums and slopes are locals, and the field's text
+    (bound by ``args``) is inlined at each of the ``iters`` corrector
+    evaluations, written out one after another, and at the accepted
     evaluation, as are the predictor, corrector and divergence templates:
     every value is the one the componentwise kernels give, bit for bit.
     A delayed field's evaluation of node k first writes the iterate as the
@@ -950,33 +970,36 @@ def _abm_run(desc: FieldDescription):
     x, y, g, p, c, u, v = (_names(name, dim) for name in "xygpcuv")
     evaluate = [*([f"grid.put(k, {_listed(y)})"] if lookup else []),
                 *_field_lines(desc, y, g, "k")]
+    if iters == 1:
+        correct = [*evaluate, *_assign(y, _CORRECT_ONCE, s="corr_scale",
+                                       a="x", b="g", c="c", d="v")]
+    else:
+        correct = [*_assign(c, _SUM, a="c", b="v"),
+                   *([*evaluate, *_assign(y, _CORRECT, s="corr_scale",
+                                          a="x", b="g", c="c")] * iters)]
     step = ["k = s + r + 1",
-            f"{_listed(u + v)} = (near[r] @ table[s: k]).ravel().tolist()",
-            *_assign(p, _SUM, a="p", b="u"),
-            *_assign(c, _SUM, a="c", b="v"),
-            *_assign(y, _STAGE, s="pred_scale", a="x", b="p"),
-            "for _ in loops:",
-            *(f"    {line}" for line in evaluate),
-            *(f"    {line}" for line in _assign(
-                y, _CORRECT, s="corr_scale", a="x", b="g", c="c")),
-            f"if not sqrt({_norm('y', dim)}) <= {DIVERGENCE_NORM!r}:",
-            "    raise diverged((k - 1) * h)",
+            "dot(near[r], table[s: k], near_sum)",
+            f"{_listed(u + v)} = near_flat.tolist()",
+            *_assign(y, _CORRECT, s="pred_scale", a="x", b="p", c="u"),
+            *correct,
+            *_divergence_test("y", dim, "(k - 1) * h"),
             f"j += {dim}",
             *([] if lookup else _write("states", y)),
             *evaluate,
             *_write("gs", g)]
     block = _MEMORY_BLOCK
     return _whole_run(
-        "abm", desc, "states, gs, table, far, near, spectra, grid, delayed, "
-        "x, n, h, pred_scale, corr_scale, iters",
-        [f"{_listed(x)} = x", "loops = range(iters)", "j = 0",
+        "abm", desc, "states, gs, table, far, near, spectra, near_sum, grid, "
+        "delayed, x, n, h, pred_scale, corr_scale",
+        [f"{_listed(x)} = x", "near_flat = near_sum.reshape(-1)", "j = 0",
          f"for s in range(0, n, {block}):",
          "    if s:",
          "        add_square(far, table, spectra, s)",
          f"    m = min({block}, n - s)",
          f"    sums = far[s: s + m].reshape(m, {2 * dim}).tolist()",
          f"    for r, {_listed(p + c)} in enumerate(sums):",
-         *(f"        {line}" for line in step)], add_square=_add_square)
+         *(f"        {line}" for line in step)],
+        add_square=_add_square, dot=np.dot)
 
 
 def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
@@ -1030,9 +1053,10 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
     gs[0] = field(x0) if delayed is None else field(x0, delayed(0))
     far = np.zeros((n, 2, dim))
     far[:, 1] = g0_weight[:, None] * gs[0]
-    _abm_run(desc)(states.reshape(-1).data, gs.reshape(-1).data, gs, far,
-                   near, spectra, grid, delayed, x0, n, h, pred_scale,
-                   corr_scale, cfg.corrector_iters, *args)
+    _abm_run(desc, cfg.corrector_iters)(
+        states.reshape(-1).data, gs.reshape(-1).data, gs, far, near, spectra,
+        np.empty((2, dim)), grid, delayed, x0, n, h, pred_scale, corr_scale,
+        *args)
     derivs = np.gradient(states, h, axis=0)
     meta = {"order": alpha, "scheme": "abm-pece",
             "corrector_iters": cfg.corrector_iters}
@@ -1131,28 +1155,30 @@ def trajectory_columns(core: int, diag_names, extra: int) -> list[str]:
     return cols + [f"aux{i + 1}" for i in range(extra)]
 
 
-#: rows formatted per call of the formatter: the arrays of one chunk are
-#: all the writer holds beyond the trajectory
-_CSV_CHUNK = 256
+#: values formatted per call of the formatter (256 rows of the 12 columns
+#: of an Erlang chain): the arrays of one chunk are all the writer holds
+#: beyond the trajectory
+_CSV_VALUES = 3072
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``traj`` as CSV, each float exactly as ``"%.17g" % x`` gives it.
 
     Columns: t, the core state components, the diagnostics, then any
-    auxiliary chain stages.  Each chunk of rows is gathered from the
-    column sources and formatted in array passes (``rigidmem._csvformat``,
-    imported on the first call).  A value's 17 digits are the nearest
-    integer to P = |x|·10^(16-e), which the formatter carries as
-    ph + pt: 10^q is the double-double hi + lo with relative error below
-    2^-106, ph + err is the Dekker two-product |x|·hi without error, and
-    pt, the rounded sum of err and the rounded |x|·lo, errs by at most
-    2^-53 of each of these sizes, which stay below 20.  With P < 1e17 the
-    total error is below 1e-14 of a unit in the 17th digit, so ph plus
-    the nearest integer to pt is P's rounding unless P lies within that
-    error of a half-integer: values whose pt lies within 1e-6 of one, all
-    exact ties among them, are formatted by ``%`` one at a time, as are
-    NaN, ±inf and |x| outside [1e-250, 1e250] (subnormals included).
+    auxiliary chain stages.  Each chunk of rows, of _CSV_VALUES values at
+    most, is gathered from the column sources and formatted in array
+    passes (``rigidmem._csvformat``, imported on the first call).  A
+    value's 17 digits are the nearest integer to P = |x|·10^(16-e), which
+    the formatter carries as ph + pt: 10^q is the double-double hi + lo
+    with relative error below 2^-106, ph + err is the Dekker two-product
+    |x|·hi without error, and pt, the rounded sum of err and the rounded
+    |x|·lo, errs by at most 2^-53 of each of these sizes, which stay below
+    20.  With P < 1e17 the total error is below 1e-14 of a unit in the
+    17th digit, so ph plus the nearest integer to pt is P's rounding
+    unless P lies within that error of a half-integer: values whose pt
+    lies within 1e-6 of one, all exact ties among them, are formatted by
+    ``%`` one at a time, as are NaN, ±inf and |x| outside [1e-250, 1e250]
+    (subnormals included).
     """
     from ._csvformat import RowFormatter
 
@@ -1161,11 +1187,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                               traj.states.shape[1] - core)
     sources = [traj.states[:, :core], *traj.diagnostics.values(),
                traj.states[:, core:]]
-    fmt = RowFormatter(len(cols), _CSV_CHUNK)
+    rows = max(1, _CSV_VALUES // len(cols))
+    fmt = RowFormatter(len(cols), rows)
     with open(path, "wb") as fh:
         fh.write((",".join(cols) + "\n").encode())
-        for lo in range(0, traj.n_samples, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, traj.n_samples)
+        for lo in range(0, traj.n_samples, rows):
+            hi = min(lo + rows, traj.n_samples)
             times = traj.t0 + traj.h * np.arange(lo, hi)
             fh.write(fmt(np.column_stack(
                 [times, *(col[lo: hi] for col in sources)])))

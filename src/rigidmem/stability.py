@@ -197,12 +197,16 @@ def _sector(roots, order: float) -> tuple[list, str]:
 def _ep_blocks(s: _models.InertiaSetup) -> tuple[np.ndarray, np.ndarray]:
     """Transverse blocks (A, B) at omega_1, 2x2 each: one Jacobian in
     (omega, omegad) gives [df/domega | df/domegad], whose axis row and
-    columns vanish; A has a zero diagonal and B is diagonal."""
+    columns vanish; A has a zero diagonal and B is diagonal.  B is the
+    coupling times the delayed torque's derivative, so at coupling 0 it
+    is zero, also where the complex step would multiply the zero coupling
+    by an overflowing term."""
     w = _models.find_equilibria(s, s.m)[0]
     field = _models.ep_delayed_field(s)
     jac = _models.jacobian(lambda z: field(z[:3], z[3:]),
                            np.concatenate((w, w)))
-    a, b = jac[1:, 1:3], jac[1:, 4:]
+    a = jac[1:, 1:3]
+    b = jac[1:, 4:] if s.coupling != 0 else np.zeros((2, 2))
     _finite("transverse block A", *a.ravel().tolist())
     _finite("transverse block B", *b.ravel().tolist())
     return a, b

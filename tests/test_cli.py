@@ -105,6 +105,32 @@ class TestParseConfig:
         assert any("a1 > a2 > a3" in msg and "line 3" in msg
                    for msg in info.value.messages)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_system_value_at_its_own_key(self, value):
+        # m is the last [system] key: a --set value is located at --set,
+        # a config line at its own line, not at I1's line 3
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config(EP_DELAYED, overrides=[f"system.m={value}"])
+        assert info.value.messages == ["--set: [system] m must be finite"]
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config(EP_DELAYED.replace("m = 1", f"m = {value}"))
+        assert info.value.messages == ["line 7: [system] m must be finite"]
+
+    @pytest.mark.parametrize("text, key", [
+        (CLASSICAL, "a2"), (FRACTIONAL, "a3"),
+        ("[system]\nkind = scalar-18\na = -1\n", "a"),
+        ("[system]\nkind = planar-19\nk1 = 1\nk2 = 2\n", "k2")])
+    def test_every_kind_checks_each_system_value(self, text, key):
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config(text, overrides=[f"system.{key}=inf"])
+        assert f"--set: [system] {key} must be finite" in info.value.messages
+
+    def test_ordering_error_stays_at_the_first_key(self):
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config(EP_DELAYED, overrides=["system.I3=5"])
+        assert info.value.messages == [
+            "line 3: [system] require I1 > I2 > I3 > 0, got (3.0, 2.0, 5.0)"]
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError) as info:
             cli.parse_config(CLASSICAL + "typo_key = 1\n")

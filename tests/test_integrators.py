@@ -1116,8 +1116,20 @@ class TestUniformRunningIntegral:
         assert set(worst.values()) == {6}, worst
 
 
-#: rows per chunk of the CSV writer
-CHUNK = integrators._CSV_CHUNK
+#: the column layouts of the CSV checks and their column counts
+CSV_LAYOUTS = {"scalar-18": 2, "zero-column": 6, "aux": 7,
+               "exponential-chain": 9, "erlang-chain": 12}
+
+
+def _chunk(ncols):
+    """Rows per chunk of the CSV writer at ``ncols`` columns."""
+    return integrators._CSV_VALUES // ncols
+
+
+#: row counts at and around the chunk boundaries, from the rows per chunk
+CSV_ROWS = {"1": lambda chunk: 1, "chunk-1": lambda chunk: chunk - 1,
+            "chunk": lambda chunk: chunk, "chunk+1": lambda chunk: chunk + 1,
+            "2chunk+3": lambda chunk: 2 * chunk + 3}
 
 
 class TestTrajectoryCsv:
@@ -1168,15 +1180,18 @@ class TestTrajectoryCsv:
                              capture_output=True, text=True, env=env)
         assert out.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1,
-                                      2 * CHUNK + 3])
-    @pytest.mark.parametrize("layout", ["scalar-18", "erlang-chain", "aux",
-                                        "zero-column"])
+    @pytest.mark.parametrize("rows", CSV_ROWS)
+    @pytest.mark.parametrize("layout", CSV_LAYOUTS)
     def test_shapes_match_per_value_format(self, layout, rows, tmp_path):
-        traj = _csv_trajectory(layout, rows)
+        # the chunk holds _CSV_VALUES values: 256 rows of an Erlang chain,
+        # 512 of a 6-column table
+        ncols = CSV_LAYOUTS[layout]
+        traj = _csv_trajectory(layout, CSV_ROWS[rows](_chunk(ncols)))
         out = tmp_path / "shape.csv"
         write_trajectory_csv(traj, out)
-        assert out.read_bytes() == _per_value_csv(traj)
+        text = _per_value_csv(traj)
+        assert out.read_bytes() == text
+        assert text.split(b"\n", 1)[0].count(b",") == ncols - 1
 
     def test_dim_zero(self, tmp_path):
         # no state components: t alone, and no chain-stage test by zero
@@ -1204,19 +1219,21 @@ class TestTrajectoryCsv:
 
 
 @functools.cache
-def _erlang_run():
+def _chain_run(stages):
+    """A chain run with at least two chunks and three rows of the CSV."""
     pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
-    return integrate_chain(pair, kernels.ChainSpec(2, 30.0),
+    rows = 2 * _chunk(6 + 3 * stages) + 3
+    return integrate_chain(pair, kernels.ChainSpec(stages, 30.0),
                            HistorySpec.constant(0.3 * X111),
-                           (2 * CHUNK + 2) * 0.01, 0.01,
+                           (rows - 1) * 0.01, 0.01,
                            diagnostics=rigid_diag(P321))
 
 
 def _csv_trajectory(layout, rows):
     """A ``rows``-sample trajectory of each column layout of the CSV."""
-    if layout == "erlang-chain":
-        # t, x1..x3, h, c and six eta columns
-        run = _erlang_run()
+    if layout.endswith("-chain"):
+        # t, x1..x3, h, c and three eta columns per stage
+        run = _chain_run(1 if layout == "exponential-chain" else 2)
         return Trajectory(run.t0, run.h, run.states[:rows],
                           run.derivs[:rows],
                           {k: v[:rows] for k, v in run.diagnostics.items()},
@@ -1845,6 +1862,28 @@ ZERO_LAG_PAIRS = {
 }
 
 
+class TestReentrant:
+    def test_nested_run_leaves_the_outer_run_alone(self):
+        # the nested run of the same dimension and corrector count runs
+        # the same generated loop, across a block boundary, inside each
+        # field call of the outer run
+        cfg = FracConfig(order=0.82, h=ABM_RUN_H, corrector_iters=2)
+
+        def field(x):
+            return models.rhs_classical(P321, x)
+
+        def nesting(x):
+            inner = integrate_frac_abm(field, cfg, [0.3, 0.2, 0.1],
+                                       70 * cfg.h)
+            assert np.all(np.isfinite(inner.states))
+            return field(x)
+
+        want = integrate_frac_abm(field, cfg, X111, 100 * cfg.h)
+        got = integrate_frac_abm(nesting, cfg, X111, 100 * cfg.h)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.derivs.tobytes() == want.derivs.tobytes()
+
+
 class TestZeroLag:
     """A zero Dirac lag is no delay: the undelayed loops of the pair at
     xd = x, with no lookup."""
@@ -1890,14 +1929,15 @@ class TestZeroLag:
         rk4, abm = (integrators._rk4_run.cache_info(),
                     integrators._abm_run.cache_info())
         assert (rk4.currsize, abm.currsize) == (2, 1)
-        # the loops compiled are those of the pairs' texts at xd = x
-        for name, run in (("delayed", integrators._rk4_run),
-                          ("scalar-18", integrators._abm_run)):
+        # the loops compiled are those of the pairs' texts at xd = x (the
+        # ABM loop's at the one corrector iteration of the run)
+        for name, run, iters in (("delayed", integrators._rk4_run, ()),
+                                 ("scalar-18", integrators._abm_run, (1,))):
             desc = ZERO_LAG_PAIRS[name][0].binding[0]
             zero = integrators._chain_description(desc, 0)
             assert not zero.delayed and zero.name == desc.name
             hits = run.cache_info().hits
-            run(zero)
+            run(zero, *iters)
             assert run.cache_info().hits == hits + 1
         assert run.cache_info().currsize == 1
 
@@ -1986,6 +2026,72 @@ class TestDivergenceCheck:
             assert info.value.t_last == 0.0
 
 
+    #: one-component states whose square lands one double below 1e16,
+    #: on it and one double above it, and the non-finite ones
+    LANDINGS = {"below": math.nextafter(1e8, 0.0), "on": 1e8,
+                "above": NEXT_ABOVE, "nan": math.nan, "+inf": math.inf,
+                "-inf": -math.inf}
+
+    def test_landings(self):
+        squares = [v * v for v in self.LANDINGS.values()]
+        assert squares[:3] == [math.nextafter(1e16, 0.0), 1e16,
+                               math.nextafter(1e16, math.inf)]
+
+    @staticmethod
+    def _kicked(call, value):
+        """A dim-1 field that answers ``value`` at its ``call``-th call
+        (from 0) and 0 otherwise, whatever the state."""
+        calls = itertools.count()
+        return lambda x: [value if next(calls) == call else 0.0]
+
+    def _outcome(self, run):
+        try:
+            return run().states.tobytes()
+        except DivergenceError as exc:
+            return exc.t_last
+
+    @pytest.mark.parametrize("landing", LANDINGS)
+    def test_rk4_squares_on_the_bound(self, landing, monkeypatch):
+        # h = 6 makes h/6 one, so a kick of v/2 at step 4's k2 (call 17)
+        # moves the zero state to exactly v at node 5, checked at t = 24
+        value = self.LANDINGS[landing]
+
+        def run():
+            return integrate_rk4(self._kicked(17, value / 2), [0.0], 48.0,
+                                 6.0)
+
+        got = self._outcome(run)
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "_rk4_loop", _array_rk4_loop)
+            assert self._outcome(run) == got
+        assert got == (24.0 if landing not in ("below", "on") else
+                       np.repeat([0.0, value], [5, 4]).tobytes())
+
+    @pytest.mark.parametrize("iters", [1, 2])
+    @pytest.mark.parametrize("landing", LANDINGS)
+    def test_abm_squares_on_the_bound(self, landing, iters, monkeypatch):
+        # at order 1 and h = 2 the corrector scale is one, so a kick of v
+        # at step 4's last corrector evaluation makes the iterate exactly v,
+        # checked at t = 8
+        value = self.LANDINGS[landing]
+        cfg = FracConfig(order=1.0, h=2.0, corrector_iters=iters)
+
+        def run():
+            return integrate_frac_abm(
+                self._kicked(1 + 4 * (iters + 1) + iters - 1, value), cfg,
+                [0.0], 16.0)
+
+        got = self._outcome(run)
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "_frac_loop", _eval_g_frac_loop)
+            assert self._outcome(run) == got
+        if landing in ("below", "on"):
+            states = np.frombuffer(got)
+            assert states[5] == value and states[:5].tolist() == [0.0] * 5
+        else:
+            assert got == 8.0
+
+
 def _zip_combine(s, a, b, c, d, e):
     return [x + s * (y + 2.0 * (z + u) + v)
             for x, y, z, u, v in zip(a, b, c, d, e)]
@@ -2006,6 +2112,8 @@ ZIP_FORMS = {
     "combine": (integrators._COMBINE, _zip_combine),
     "correct": (integrators._CORRECT, lambda s, a, b, c: [
         x + s * (y + z) for x, y, z in zip(a, b, c)]),
+    "correct-once": (integrators._CORRECT_ONCE, lambda s, a, b, c, d: [
+        x + s * (y + (z + u)) for x, y, z, u in zip(a, b, c, d)]),
     "squares": (integrators._SQUARES, _index_order_squares),
     "cell": (integrators._CELL, lambda s1, s2, a, b, c, d: [
         s1 * (w + y) + s2 * (x - z) for w, x, y, z in zip(a, b, c, d)]),

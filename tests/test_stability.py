@@ -297,6 +297,21 @@ class TestEpFloatRange:
             "rhp_root_count = uncertain\n"
             "tau_c_formula = 2.5000000000000004e-154\n")
 
+    @pytest.mark.parametrize("kernel", [
+        kernels.DiracKernel(0.5), kernels.UniformKernel(0.1, 0.5),
+        kernels.ErlangKernel(2.0)], ids=repr)
+    @pytest.mark.parametrize("m", [1.0, 1e100, 1e160])
+    def test_zero_coupling_b_is_zero(self, kernel, m):
+        # at m = 1e160 the complex step multiplies the zero coupling by an
+        # overflowing term; B is zero all the same, and A stays finite
+        s = models.InertiaSetup(3, 2, 1, coupling=0.0, m=m)
+        a, b = stability._ep_blocks(s)
+        assert b.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert np.all(np.isfinite(a))
+        rep = stability.ep_delayed_check(s, kernel)
+        assert rep.verdict == stability.MARGINAL
+        assert rep.metadata["rhp_root_count"] == "uncertain"
+
     def test_blocks_formed_once(self, monkeypatch):
         calls = []
         jacobian = models.jacobian
