@@ -113,8 +113,8 @@ _STAGE = "s, a, b: a + s * b"
 _COMBINE = "s, a, b, c, d, e: a + s * (b + 2.0 * (c + d) + e)"
 #: the corrector, and the predictor with its near sum folded in
 _CORRECT = "s, a, b, c: a + s * (b + c)"
-#: one corrector iteration with its near sum folded in
-_CORRECT_ONCE = "s, a, b, c, d: a + s * (b + (c + d))"
+#: the corrector with its near sum folded in
+_CORRECT_NEAR = "s, a, b, c, d: a + s * (b + (c + d))"
 _SQUARES = "a: sum(a * a)"
 #: the running integral of a uniform kernel (see _uniform_average): one
 #: cell's integral, a partial cell's, the prefix sum and its rounding
@@ -970,13 +970,8 @@ def _abm_run(desc: FieldDescription, iters: int):
     x, y, g, p, c, u, v = (_names(name, dim) for name in "xygpcuv")
     evaluate = [*([f"grid.put(k, {_listed(y)})"] if lookup else []),
                 *_field_lines(desc, y, g, "k")]
-    if iters == 1:
-        correct = [*evaluate, *_assign(y, _CORRECT_ONCE, s="corr_scale",
-                                       a="x", b="g", c="c", d="v")]
-    else:
-        correct = [*_assign(c, _SUM, a="c", b="v"),
-                   *([*evaluate, *_assign(y, _CORRECT, s="corr_scale",
-                                          a="x", b="g", c="c")] * iters)]
+    correct = [*evaluate, *_assign(y, _CORRECT_NEAR, s="corr_scale", a="x",
+                                   b="g", c="c", d="v")] * iters
     step = ["k = s + r + 1",
             "dot(near[r], table[s: k], near_sum)",
             f"{_listed(u + v)} = near_flat.tolist()",
@@ -1155,30 +1150,28 @@ def trajectory_columns(core: int, diag_names, extra: int) -> list[str]:
     return cols + [f"aux{i + 1}" for i in range(extra)]
 
 
-#: values formatted per call of the formatter (256 rows of the 12 columns
-#: of an Erlang chain): the arrays of one chunk are all the writer holds
-#: beyond the trajectory
-_CSV_VALUES = 3072
+#: rows formatted per call of the formatter: the arrays of one chunk are
+#: all the writer holds beyond the trajectory
+_CSV_CHUNK = 256
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``traj`` as CSV, each float exactly as ``"%.17g" % x`` gives it.
 
     Columns: t, the core state components, the diagnostics, then any
-    auxiliary chain stages.  Each chunk of rows, of _CSV_VALUES values at
-    most, is gathered from the column sources and formatted in array
-    passes (``rigidmem._csvformat``, imported on the first call).  A
-    value's 17 digits are the nearest integer to P = |x|·10^(16-e), which
-    the formatter carries as ph + pt: 10^q is the double-double hi + lo
-    with relative error below 2^-106, ph + err is the Dekker two-product
-    |x|·hi without error, and pt, the rounded sum of err and the rounded
-    |x|·lo, errs by at most 2^-53 of each of these sizes, which stay below
-    20.  With P < 1e17 the total error is below 1e-14 of a unit in the
-    17th digit, so ph plus the nearest integer to pt is P's rounding
-    unless P lies within that error of a half-integer: values whose pt
-    lies within 1e-6 of one, all exact ties among them, are formatted by
-    ``%`` one at a time, as are NaN, ±inf and |x| outside [1e-250, 1e250]
-    (subnormals included).
+    auxiliary chain stages.  Each chunk of rows is gathered from the
+    column sources and formatted in array passes (``rigidmem._csvformat``,
+    imported on the first call).  A value's 17 digits are the nearest
+    integer to P = |x|·10^(16-e), which the formatter carries as
+    ph + pt: 10^q is the double-double hi + lo with relative error below
+    2^-106, ph + err is the Dekker two-product |x|·hi without error, and
+    pt, the rounded sum of err and the rounded |x|·lo, errs by at most
+    2^-53 of each of these sizes, which stay below 20.  With P < 1e17 the
+    total error is below 1e-14 of a unit in the 17th digit, so ph plus
+    the nearest integer to pt is P's rounding unless P lies within that
+    error of a half-integer: values whose pt lies within 1e-6 of one, all
+    exact ties among them, are formatted by ``%`` one at a time, as are
+    NaN, ±inf and |x| outside [1e-250, 1e250] (subnormals included).
     """
     from ._csvformat import RowFormatter
 
@@ -1187,12 +1180,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                               traj.states.shape[1] - core)
     sources = [traj.states[:, :core], *traj.diagnostics.values(),
                traj.states[:, core:]]
-    rows = max(1, _CSV_VALUES // len(cols))
-    fmt = RowFormatter(len(cols), rows)
+    fmt = RowFormatter(len(cols), _CSV_CHUNK)
     with open(path, "wb") as fh:
         fh.write((",".join(cols) + "\n").encode())
-        for lo in range(0, traj.n_samples, rows):
-            hi = min(lo + rows, traj.n_samples)
+        for lo in range(0, traj.n_samples, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, traj.n_samples)
             times = traj.t0 + traj.h * np.arange(lo, hi)
             fh.write(fmt(np.column_stack(
                 [times, *(col[lo: hi] for col in sources)])))

@@ -1116,20 +1116,12 @@ class TestUniformRunningIntegral:
         assert set(worst.values()) == {6}, worst
 
 
+#: rows per chunk of the CSV writer
+CHUNK = integrators._CSV_CHUNK
+
 #: the column layouts of the CSV checks and their column counts
-CSV_LAYOUTS = {"scalar-18": 2, "zero-column": 6, "aux": 7,
-               "exponential-chain": 9, "erlang-chain": 12}
-
-
-def _chunk(ncols):
-    """Rows per chunk of the CSV writer at ``ncols`` columns."""
-    return integrators._CSV_VALUES // ncols
-
-
-#: row counts at and around the chunk boundaries, from the rows per chunk
-CSV_ROWS = {"1": lambda chunk: 1, "chunk-1": lambda chunk: chunk - 1,
-            "chunk": lambda chunk: chunk, "chunk+1": lambda chunk: chunk + 1,
-            "2chunk+3": lambda chunk: 2 * chunk + 3}
+CSV_LAYOUTS = {"scalar-18": 2, "erlang-chain": 12, "aux": 7,
+               "zero-column": 6, "exponential-chain": 9}
 
 
 class TestTrajectoryCsv:
@@ -1180,18 +1172,16 @@ class TestTrajectoryCsv:
                              capture_output=True, text=True, env=env)
         assert out.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("rows", CSV_ROWS)
+    @pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                      2 * CHUNK + 3])
     @pytest.mark.parametrize("layout", CSV_LAYOUTS)
     def test_shapes_match_per_value_format(self, layout, rows, tmp_path):
-        # the chunk holds _CSV_VALUES values: 256 rows of an Erlang chain,
-        # 512 of a 6-column table
-        ncols = CSV_LAYOUTS[layout]
-        traj = _csv_trajectory(layout, CSV_ROWS[rows](_chunk(ncols)))
+        traj = _csv_trajectory(layout, rows)
         out = tmp_path / "shape.csv"
         write_trajectory_csv(traj, out)
         text = _per_value_csv(traj)
         assert out.read_bytes() == text
-        assert text.split(b"\n", 1)[0].count(b",") == ncols - 1
+        assert text.split(b"\n", 1)[0].count(b",") == CSV_LAYOUTS[layout] - 1
 
     def test_dim_zero(self, tmp_path):
         # no state components: t alone, and no chain-stage test by zero
@@ -1220,12 +1210,11 @@ class TestTrajectoryCsv:
 
 @functools.cache
 def _chain_run(stages):
-    """A chain run with at least two chunks and three rows of the CSV."""
+    """A chain run of two chunks and three rows of the CSV."""
     pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
-    rows = 2 * _chunk(6 + 3 * stages) + 3
     return integrate_chain(pair, kernels.ChainSpec(stages, 30.0),
                            HistorySpec.constant(0.3 * X111),
-                           (rows - 1) * 0.01, 0.01,
+                           (2 * CHUNK + 2) * 0.01, 0.01,
                            diagnostics=rigid_diag(P321))
 
 
@@ -2112,7 +2101,7 @@ ZIP_FORMS = {
     "combine": (integrators._COMBINE, _zip_combine),
     "correct": (integrators._CORRECT, lambda s, a, b, c: [
         x + s * (y + z) for x, y, z in zip(a, b, c)]),
-    "correct-once": (integrators._CORRECT_ONCE, lambda s, a, b, c, d: [
+    "correct-near": (integrators._CORRECT_NEAR, lambda s, a, b, c, d: [
         x + s * (y + (z + u)) for x, y, z, u in zip(a, b, c, d)]),
     "squares": (integrators._SQUARES, _index_order_squares),
     "cell": (integrators._CELL, lambda s1, s2, a, b, c, d: [
