@@ -6,8 +6,9 @@ Four integration paths are provided:
 * method-of-steps RK4 for Dirac and uniform kernels, where the delayed
   argument is read from the stored trajectory (cubic Hermite dense
   output) and the initial function: a uniform kernel's average as the
-  exact running integral of that interpolant, a Dirac lag in batches,
-  each value kept for a repeat of its lookup under one rule,
+  exact running integral of that interpolant, a Dirac lag as its sample,
+  both in batches where they read finished nodes only and each value
+  kept for a repeat of its lookup under one rule,
 * an exact ODE chain augmentation for exponential and Erlang kernels,
 * the fractional Adams-Bashforth-Moulton predictor-corrector for Caputo
   systems, with and without a delayed argument.
@@ -70,6 +71,11 @@ __all__ = [
 
 #: states with a larger norm abort the run with a DivergenceError
 DIVERGENCE_NORM = 1e8
+
+#: RK4's stability interval on the negative real axis is [-bound, 0]: at
+#: z = -bound, the real root of 1 + z/2 + z^2/6 + z^3/24, the amplification
+#: 1 + z + z^2/2 + z^3/6 + z^4/24 is 1 again, and beyond it above 1
+_RK4_REAL_BOUND = 2.785293563405282
 
 #: relative tolerance for snapping dense queries onto grid nodes
 _NODE_SNAP = 1e-9
@@ -173,6 +179,19 @@ def _componentwise(expr: str, dim: int):
               for v in lists]
     lines.append(f"    return {result}")
     return _generated(lines, f"<componentwise {expr!r}, {dim}>")
+
+
+@functools.cache
+def _on_tables(expr: str):
+    """The template ``expr`` on whole (m, dim) tables: its one-component
+    :func:`_componentwise` kernel, each list argument one table and each
+    scalar a number or an (m, 1) column, returning the result table.
+    Every element keeps the template's order of operations, so it is
+    bitwise the value of the componentwise kernel on its row."""
+    kernel = _componentwise(expr, 1)
+    lists = [not p.startswith("s") for p in expr.split(": ")[0].split(", ")]
+    return lambda *args: kernel(*([v] if is_list else v
+                                  for is_list, v in zip(lists, args)))[0]
 
 
 @functools.cache
@@ -483,6 +502,12 @@ class _RunningGrid:
         """States and slopes of nodes j and j + 1, as lists of floats."""
         return self.states[j: j + 2].tolist(), self.derivs[j: j + 2].tolist()
 
+    def cells(self, js):
+        """States and slopes of nodes js and js + 1 for an int array ``js``,
+        as the (len(js), dim) tables xa, fa, xb, fb."""
+        states, derivs = self.states, self.derivs
+        return states[js], derivs[js], states[js + 1], derivs[js + 1]
+
     def eval_point(self, u: float) -> list:
         """The grid at one time ``u`` > t0 as a list of floats: bitwise
         :meth:`eval_many`'s value, in :func:`_hermite_eval`'s order of
@@ -597,7 +622,7 @@ def integrate_rk4(rhs, x0, t_end, h, *, diagnostics=None,
     return Trajectory(0.0, h, grid.states, grid.derivs, diag, core_dim=core)
 
 
-#: most Dirac lookups one batch evaluates, so that a long lag does not
+#: most lookups one batch evaluates, so that a long lag or offset does not
 #: scale the lookahead's memory
 _LOOKAHEAD_POINTS = 1 << 12
 
@@ -610,7 +635,9 @@ def _delayed_argument(kernel, grid: _RunningGrid, times, final):
     the exact window average of :func:`_uniform_average`, a Dirac kernel
     the lagged sample of :func:`_dirac_sample` (a zero lag never comes
     here: :func:`_lagged` runs it undelayed).  Any other kernel raises
-    TypeError.  Values are lists of floats.
+    TypeError.  Values are lists of floats.  Both routes read the lookups
+    that read final nodes only in batches, by one test
+    (:func:`_final_reads`), and every other lookup alone on Python floats.
 
     A route's ``values(i)`` gives the values of lookups i, i + 1, ... and
     whether they read final nodes only.  They are kept for a repeat of
@@ -651,25 +678,44 @@ def _lagged(pair, kernel, grid: _RunningGrid, times, final):
     return pair, _delayed_argument(kernel, grid, times, final)
 
 
+def _final_reads(grid: _RunningGrid, times, final, shift: float):
+    """The batches of both routes, for lookups that read the grid up to
+    t - ``shift`` (a Dirac lag, or a uniform window's offset), as
+    ``(us, ready)``: the times t - shift as an array, and per lookup i the
+    number of lookups from i on whose position (t - shift - t0)/h is at
+    most lookup i's last final node ``max(final[i], 0)``, at most
+    _LOOKAHEAD_POINTS.  They read final nodes only, now and later, so one
+    batch serves them.  ``ready[i]`` is 0 when lookup i is read alone: its
+    position lies past that node, or a shift below h puts it past t0,
+    where its batch would hold no other.  Positions never decrease, so
+    each count is one binary search.
+    """
+    us = times - shift
+    pos = (us - grid.t0) / grid.h
+    last = np.maximum(final, 0)
+    ready = np.minimum(np.searchsorted(pos, last, side="right")
+                       - np.arange(pos.size), _LOOKAHEAD_POINTS)
+    ready[(us > grid.t0) & ((shift < grid.h) | ~(pos <= last))] = 0
+    return us, ready
+
+
 def _dirac_sample(lag: float, grid: _RunningGrid, times, final):
     """The values of a Dirac kernel's lookups: the grid at t - ``lag``.
 
-    A lookup that reads only final nodes is evaluated in one batch with
-    the next such lookups (Hermite evaluation is elementwise, so each
-    value is bitwise that of a lone lookup); any other, on the unfinished
-    last piece or at a lag below h, whose batch would hold no other, alone
-    on Python floats (:meth:`_RunningGrid.eval_point`).
+    A batch of :func:`_final_reads` is evaluated at once (Hermite
+    evaluation is elementwise, so each value is bitwise that of a lone
+    lookup); a lone lookup, on the unfinished last piece or at a lag below
+    h, on Python floats (:meth:`_RunningGrid.eval_point`).
     """
-    short = lag < grid.h
+    us, ready = _final_reads(grid, times, final, lag)
+    # lookup by lookup, as Python numbers
+    at, ready = us.data, ready.data
 
     def values(i):
-        u = float(times[i]) - lag
-        ready_to = grid.t0 + max(int(final[i]), 0) * grid.h
-        if u > grid.t0 and (short or not u <= ready_to):
-            return [grid.eval_point(u)], False
-        ts = times[i: i + _LOOKAHEAD_POINTS] - lag
-        ready = int(np.count_nonzero(ts <= ready_to))
-        return grid.eval_many(ts[:ready]).tolist(), True
+        n = ready[i]
+        if not n:
+            return [grid.eval_point(at[i])], False
+        return grid.eval_many(us[i: i + n]).tolist(), True
 
     return values
 
@@ -695,9 +741,19 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
     rounding error (two-sum), so the error of a window does not grow with
     t.  Before t0 the integral is c times the length for a constant phi,
     exactly, and composite Simpson with step at most min(h, width/16)
-    otherwise.  Every lookup costs O(1) on the grid.  ``values(i)`` gives
-    lookup i's value as a one-item list, and whether it read final nodes
-    only: a window that ends at a final node.
+    otherwise.  Every lookup costs O(1) on the grid.
+
+    A window that ends at or before a final node reads final nodes only,
+    and is computed with the rest of its :func:`_final_reads` batch on
+    (m, dim) tables: the cells by fancy indexing, the prefix extended over
+    the cells that have become final in one pass, and the partial cells
+    and averages from the same templates (:func:`_on_tables`), so every
+    value keeps its order of operations and is bitwise that of a lone
+    lookup.  A lookup that reads an unfinished node (at an offset below
+    h, or in the first steps), or whose window reaches into a phi that is
+    not constant (the Simpson part), is computed alone on Python floats,
+    from the same prefix table.  ``values(i)`` gives the values and
+    whether they read final nodes only.
     """
     t0, h, phi = grid.t0, grid.h, grid.phi
     offset, width = kernel.offset, kernel.width
@@ -710,14 +766,19 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
     add = _componentwise(_SUM, dim)
     carry = _componentwise(_CARRY, dim)
     window = _componentwise(_WINDOW, dim)
+    cell_rows, partial_rows, carry_rows, window_rows = map(
+        _on_tables, (_CELL, _PARTIAL, _CARRY, _WINDOW))
     hh = h * h
     half, twelfth = 0.5 * h, hh / 12.0
     zero = [0.0] * dim
     # pre[k] = (hi, lo): the integral over [t0, t_k] is hi + lo; hi and lo
-    # are also the newest row, pre[done]
+    # are also the newest row, pre[done], which flat holds from done*row
     pre = np.zeros((grid.states.shape[0], 2, dim))
+    flat, row = pre.reshape(-1), 2 * dim
     done, hi, lo = 0, zero, zero
-    times, final = times.tolist(), final.tolist()
+    us, ready = _final_reads(grid, times, final, offset)
+    # lookup by lookup, as Python numbers
+    at, ready, lasts = us.data, ready.data, np.maximum(final, 0).data
 
     def whole_cell(j):
         (xa, xb), (fa, fb) = grid.cell(j)
@@ -731,19 +792,36 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
             lo = carry(hi, c, total, lo)
             hi = total
             done += 1
-            pre[done] = hi, lo
+            flat[done * row: done * row + row] = hi + lo
+
+    def extend_all(last):
+        # extend's loop over the cells done .. last - 1 at once:
+        # np.add.accumulate adds row after row, so each sum is the loop's
+        # double.  An error e enters as 0.0 + e, which is e but for
+        # e = -0.0; lo starts at 0.0 and a sum is -0.0 only of two -0.0,
+        # so lo is never -0.0 and lo + e is the loop's value either way
+        nonlocal done, hi, lo
+        rows = pre[done: last + 1]
+        cells = cell_rows(half, twelfth, *grid.cells(np.arange(done, last)))
+        rows[1:, 0] = cells
+        sums = np.add.accumulate(rows[:, 0], out=rows[:, 0])
+        rows[1:, 1] = carry_rows(sums[:-1], cells, sums[1:], 0.0)
+        np.add.accumulate(rows[:, 1], out=rows[:, 1])
+        done = last
+        hi, lo = rows[-1].tolist()
 
     def integral_to(pos, last):
         """A(t0 + pos*h) for pos > 0 as (hi, lo, rest): the prefix to a
         node m <= last, and the rest of the way."""
-        if grid.count == 1:
+        count = grid.count
+        if count == 1:
             # node 0 alone: the grid extends it along its slope
             x0, f0 = grid.states[0].tolist(), grid.derivs[0].tolist()
             return zero, zero, partial(h * pos, 0.5 * hh * pos * pos,
                                        0.0, 0.0, x0, f0, x0, f0)
         # a node is the end of the cell before it, so that a window ending
         # at a final node reads final nodes only
-        j = min(math.ceil(pos) - 1, grid.count - 2)
+        j = min(math.ceil(pos) - 1, count - 2)
         (xa, xb), (fa, fb) = grid.cell(j)
         # h times the antiderivatives of the Hermite basis over [0, theta]
         # (theta past 1 extends the piece):  H00 = theta - theta^3 +
@@ -766,10 +844,46 @@ def _uniform_average(kernel, grid: _RunningGrid, times, final):
             rest = add(rest, whole_cell(k))
         return hi, lo, rest
 
-    def values(i):
-        b = times[i] - offset
+    def batch(bs):
+        # windows wholly before t0, then reaching into it (a constant phi
+        # only), then on the grid.  Both ends of the last two are read in
+        # one pass, as integral_to reads one, after the prefix is extended
+        # to the last end's cell; the starts' parts are 0.0 where a lone
+        # lookup takes zero
+        n_past = int(np.count_nonzero(bs <= t0))
+        b = bs[n_past:]
         a = b - width
-        last = max(final[i], 0)
+        m, n_cut = b.size, int(np.count_nonzero(a <= t0))
+        pos = np.concatenate(((b - t0) / h, (a[n_cut:] - t0) / h))
+        j = np.ceil(pos).astype(np.intp) - 1
+        if m and done < j[m - 1]:
+            extend_all(int(j[m - 1]))
+        t1 = (pos - j)[:, None]
+        t2 = t1 * t1
+        t3 = t2 * t1
+        t4 = t2 * t2
+        rest = partial_rows(h * (t1 - t3 + 0.5 * t4),
+                            hh * (0.5 * t2 - 2.0 / 3.0 * t3 + 0.25 * t4),
+                            h * (t3 - 0.5 * t4), hh * (0.25 * t4 - t3 / 3.0),
+                            *grid.cells(j))
+        ends = pre[j]
+        starts = np.zeros((4, m, dim))
+        starts[:2, n_cut:] = ends[m:].transpose(1, 0, 2)
+        starts[2, n_cut:] = rest[m:]
+        if n_cut:
+            starts[3, :n_cut] = np.multiply.outer(t0 - a[:n_cut], const)
+        a_hi, a_lo, a_rest, past = starts
+        value = window_rows(width, ends[:m, 0], a_hi, ends[:m, 1], a_lo,
+                            rest[:m], a_rest, past)
+        return [const] * n_past + value.tolist()
+
+    def values(i):
+        n = ready[i]
+        b = at[i]
+        if n and (const is not None or b - width > t0):
+            return batch(us[i: i + n]), True
+        a = b - width
+        last = lasts[i]
         if done < last:
             extend(last)
         pos_b = (b - t0) / h
@@ -807,11 +921,13 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     sum over finished cells, costs O(1) per stage at any offset and
     width; the window's part before 0 is exact for a constant phi and
     composite Simpson with step min(h, width/16) otherwise.  Dirac
-    kernels sample the lagged time exactly: with a lag >= h, the stages of
-    the next lag/h steps are read in one batch, and a shorter lag reads
-    each stage's cubic on Python floats.  A zero lag is no delay: the
-    pair at xd = x runs the undelayed loop, bitwise the
-    :func:`integrate_rk4` run of that field.  An exponential or Erlang
+    kernels sample the lagged time exactly.  With a lag or offset >= h,
+    the stages of the next lag/h or offset/h steps read finished nodes
+    only and are read in one batch (a uniform window reaching into a phi
+    that is not constant alone); a shorter one reads each stage alone on
+    Python floats.  Every value is bitwise that of a lone lookup.  A zero
+    lag is no delay: the pair at xd = x runs the undelayed loop, bitwise
+    the :func:`integrate_rk4` run of that field.  An exponential or Erlang
     kernel goes to :func:`integrate_chain`, whose trajectory is returned
     as it is: stage columns after the model state, ``core_dim`` marking
     the model part.
@@ -849,7 +965,10 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.  The table
-    holds the model components only, never the stages.
+    holds the model components only, never the stages.  Each stage
+    relaxes at -rate, so when h * rate is above _RK4_REAL_BOUND the stages
+    grow under RK4 whatever the field; a run that then diverges says so
+    in its DivergenceError, which keeps its ``t_last``.
     """
     if not isinstance(chain, _kern.ChainSpec):
         raise TypeError("chain must come from chain_reduce()")
@@ -867,8 +986,17 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
     y0 = np.concatenate([x0] + stage0)
     pair, args = _binding(rhs_pair, dim, True)
     field = _chain_description(pair, chain.stages).bind(*args, rate)
-    return integrate_rk4(field, y0, t_end, h,
-                         diagnostics=diagnostics, core_dim=dim)
+    try:
+        return integrate_rk4(field, y0, t_end, h,
+                             diagnostics=diagnostics, core_dim=dim)
+    except DivergenceError as exc:
+        if not h * rate > _RK4_REAL_BOUND:
+            raise
+        raise DivergenceError(
+            f"{exc}: step * rate = {h * rate:.6g} is above "
+            f"{_RK4_REAL_BOUND:.4g}, where RK4 is unstable on the chain "
+            "stages; lower [run] step or [kernel] rate",
+            t_last=exc.t_last) from exc
 
 
 @dataclass(frozen=True)

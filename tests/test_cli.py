@@ -224,6 +224,40 @@ step = 0.01
         assert code == 3
         assert "last valid time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", [300, 250])
+    def test_stiff_chain_divergence_names_the_cause(self, rate, tmp_path,
+                                                    capsys):
+        # h * rate = 3 lies past RK4's stability interval on the chain
+        # stages (2.785); h * rate = 2.5 runs
+        text = f"""\
+[system]
+kind = ep-delayed
+I1 = 3
+I2 = 2
+I3 = 1
+coupling = 1
+m = 1
+
+[kernel]
+kind = erlang
+rate = {rate}
+
+[run]
+x0 = 0.4, 0.3, 0.2
+t_end = 5
+step = 0.01
+"""
+        code, _ = run_cli(tmp_path, text, "simulate", "stiff.csv")
+        err = capsys.readouterr().err
+        if rate == 250:
+            assert code == 0
+            return
+        assert code == 3
+        assert err == ("error: state diverged; last valid time t = 0.17: "
+                       "step * rate = 3 is above 2.785, where RK4 is "
+                       "unstable on the chain stages; lower [run] step or "
+                       "[kernel] rate\n")
+
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = CLASSICAL.replace("a1 = 3", "a1 = 1")
         code, _ = run_cli(tmp_path, bad, "simulate", "bad.csv")

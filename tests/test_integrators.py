@@ -404,6 +404,34 @@ class TestChain:
             got = traj.states[0, 3 * j: 3 * j + 3]
             assert np.all(np.abs(got - one_shot) <= 1e-12 * np.abs(one_shot))
 
+    @pytest.mark.parametrize("rate, cause", [(300.0, True), (270.0, False)])
+    def test_stiff_stages_name_the_cause(self, rate, cause):
+        # ep-delayed, I = (3, 2, 1), coupling 1, m = 1, x0 = (0.4, 0.3,
+        # 0.2), h = 0.01: at Erlang rate 300, h * rate = 3 lies past RK4's
+        # stability interval and the run diverges at t = 0.17, named as
+        # such; at rate 270 it diverges too, with h * rate = 2.7 inside
+        # the interval, and names no cause
+        phi = HistorySpec.constant([0.4, 0.3, 0.2])
+        with pytest.raises(DivergenceError) as info:
+            integrate_dde(models.ep_delayed_field(EP),
+                          kernels.ErlangKernel(rate), phi, 5.0, 0.01)
+        msg = str(info.value)
+        assert msg.startswith("state diverged; last valid time t = ")
+        assert (f"step * rate = {0.01 * rate:g} is above 2.785" in msg
+                and "[kernel] rate" in msg and "[run] step" in msg) == cause
+        if cause:
+            assert info.value.t_last == 17 * 0.01
+
+    def test_rk4_real_bound(self):
+        # |R(z)| = 1 at z = -bound, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+        # and above 1 just past it
+        bound = integrators._RK4_REAL_BOUND
+        root = [r.real for r in np.roots([1 / 24, 1 / 6, 1 / 2, 1])
+                if abs(r.imag) < 1e-12]
+        assert root == [pytest.approx(-bound, rel=1e-15)]
+        amp = np.polynomial.Polynomial([1, 1, 1 / 2, 1 / 6, 1 / 24])
+        assert amp(-bound * (1 - 1e-9)) < 1 < amp(-bound * (1 + 1e-9))
+
 
 class TestFracAbm:
     def test_mittag_leffler_oracle(self):
@@ -1075,22 +1103,38 @@ class TestUniformRunningIntegral:
         assert runs[0].derivs.tobytes() == runs[1].derivs.tobytes()
 
     def test_work_per_lookup_bounded(self, monkeypatch):
-        # history points read per field call: grid nodes and phi samples,
-        # the same bound for every width
+        # history points read per lookup served, at the reads of both
+        # paths: grid nodes through the lone read (_RunningGrid.cell) and
+        # the batched one (cells), and phi samples.  A batch's reads are
+        # shared by the lookups it serves
         points = [0]
+        per_lookup = []
         cell = integrators._RunningGrid.cell
-        hermite = integrators._hermite_eval
+        cells = integrators._RunningGrid.cells
+        route = integrators._uniform_average
 
         def counted_cell(grid, j):
             points[0] += 2
             return cell(grid, j)
 
-        def counted_hermite(*args, **kwargs):
-            points[0] += np.size(args[5])
-            return hermite(*args, **kwargs)
+        def counted_cells(grid, js):
+            points[0] += 2 * np.size(js)
+            return cells(grid, js)
+
+        def counted_route(*args):
+            values = route(*args)
+
+            def counted_values(i):
+                before = points[0]
+                served, final_only = values(i)
+                per_lookup.append((points[0] - before) / len(served))
+                return served, final_only
+
+            return counted_values
 
         monkeypatch.setattr(integrators._RunningGrid, "cell", counted_cell)
-        monkeypatch.setattr(integrators, "_hermite_eval", counted_hermite)
+        monkeypatch.setattr(integrators._RunningGrid, "cells", counted_cells)
+        monkeypatch.setattr(integrators, "_uniform_average", counted_route)
         constant = PHIS["constant"]
 
         def counted_phi(ss):
@@ -1099,21 +1143,227 @@ class TestUniformRunningIntegral:
 
         phi = HistorySpec(counted_phi, 3, is_constant=True)
         worst = {}
-        for offset in (0.0, 0.1):
-            for width in (0.37, 1.5):
-                per_call = []
+        for offset in (0.0, 0.5 * H, H, 0.1, 1.0):
+            for width in (H / 3, 0.37, 1.5):
+                per_lookup.clear()
+                integrate_dde(_rigid_pair, kernels.UniformKernel(offset, width),
+                              phi, 2.5, H)
+                worst[offset, width] = max(per_lookup)
+        # a lone lookup reads the cells at both window ends and adds at
+        # most one cell to the running integral; a batch reads the cells
+        # at both ends of each window and extends the prefix to the last
+        # end's cell, half a cell per RK4 lookup
+        assert max(worst.values()) <= 6, worst
+        assert worst[0.0, 0.37] == worst[0.0, 1.5] == 6
 
-                def pair(x, xd):
-                    per_call.append(points[0])
-                    return _rigid_pair(x, xd)
 
-                points[0] = 0
-                integrate_dde(pair, kernels.UniformKernel(offset, width),
-                              phi, 2.0, H)
-                worst[offset, width] = int(np.max(np.diff(per_call)))
-        # a lookup reads the cells at both window ends and adds at most one
-        # cell to the running integral
-        assert set(worst.values()) == {6}, worst
+def _per_lookup_uniform_average(kernel, grid, times, final):
+    """:func:`integrators._uniform_average` in its earlier form: every
+    lookup on its own on Python floats, one cell added to the prefix at a
+    time, ``values(i)`` the value of lookup i alone."""
+    t0, h, phi = grid.t0, grid.h, grid.phi
+    offset, width = kernel.offset, kernel.width
+    simpson_step = min(h, width / 16.0)
+    const = (phi.eval_many(np.array([t0]))[0].tolist() if phi.is_constant
+             else None)
+    dim = grid.states.shape[1]
+    cell_sum = integrators._componentwise(integrators._CELL, dim)
+    partial = integrators._componentwise(integrators._PARTIAL, dim)
+    add = integrators._componentwise(integrators._SUM, dim)
+    carry = integrators._componentwise(integrators._CARRY, dim)
+    window = integrators._componentwise(integrators._WINDOW, dim)
+    hh = h * h
+    half, twelfth = 0.5 * h, hh / 12.0
+    zero = [0.0] * dim
+    pre = np.zeros((grid.states.shape[0], 2, dim))
+    done, hi, lo = 0, zero, zero
+    times, final = times.tolist(), final.tolist()
+
+    def whole_cell(j):
+        (xa, xb), (fa, fb) = grid.cell(j)
+        return cell_sum(half, twelfth, xa, fa, xb, fb)
+
+    def extend(last):
+        nonlocal done, hi, lo
+        while done < last:
+            c = whole_cell(done)
+            total = add(hi, c)
+            lo = carry(hi, c, total, lo)
+            hi = total
+            done += 1
+            pre[done] = hi, lo
+
+    def integral_to(pos, last):
+        if grid.count == 1:
+            x0, f0 = grid.states[0].tolist(), grid.derivs[0].tolist()
+            return zero, zero, partial(h * pos, 0.5 * hh * pos * pos,
+                                       0.0, 0.0, x0, f0, x0, f0)
+        j = min(math.ceil(pos) - 1, grid.count - 2)
+        (xa, xb), (fa, fb) = grid.cell(j)
+        t1 = pos - j
+        t2 = t1 * t1
+        t3 = t2 * t1
+        t4 = t2 * t2
+        rest = partial(h * (t1 - t3 + 0.5 * t4),
+                       hh * (0.5 * t2 - 2.0 / 3.0 * t3 + 0.25 * t4),
+                       h * (t3 - 0.5 * t4), hh * (0.25 * t4 - t3 / 3.0),
+                       xa, fa, xb, fb)
+        if j < last:
+            return (*pre[j].tolist(), rest)
+        for k in range(last, j):
+            rest = add(rest, whole_cell(k))
+        return hi, lo, rest
+
+    def values(i):
+        b = times[i] - offset
+        a = b - width
+        last = max(final[i], 0)
+        if done < last:
+            extend(last)
+        pos_b = (b - t0) / h
+        if b <= t0:
+            value = (const if const is not None else [
+                v / width
+                for v in integrators._simpson(phi, a, b, simpson_step)])
+        else:
+            b_hi, b_lo, b_rest = integral_to(pos_b, last)
+            if a > t0:
+                a_hi, a_lo, a_rest = integral_to((a - t0) / h, last)
+                past = zero
+            else:
+                a_hi = a_lo = a_rest = zero
+                past = ([v * (t0 - a) for v in const] if const is not None
+                        else integrators._simpson(phi, a, t0, simpson_step))
+            value = window(width, b_hi, a_hi, b_lo, a_lo, b_rest, a_rest,
+                           past)
+        return [value], pos_b <= last
+
+    return values
+
+
+class TestUniformBatches:
+    """Batched uniform lookups against the earlier per-lookup engine, bit
+    for bit, at batch sizes 1, 2 and the default."""
+
+    @pytest.mark.parametrize("frac", [False, True], ids=["rk4", "abm"])
+    @pytest.mark.parametrize("phi", ["constant", "callable"])
+    @pytest.mark.parametrize("width", [H / 3, 0.37, 1.5], ids=repr)
+    @pytest.mark.parametrize("offset", [0.0, 0.5 * H, H, 0.1, 1.0],
+                             ids=repr)
+    def test_bitwise_equals_per_lookup(self, offset, width, phi, frac,
+                                       monkeypatch):
+        # 237 steps: 475 RK4 lookups and 238 ABM nodes, no whole number
+        # of batches of 2 or of the lookahead, and windows on the grid at
+        # every offset
+        kernel = kernels.UniformKernel(offset, width)
+        cfg = FracConfig(order=0.8, h=H)
+
+        def run():
+            if frac:
+                return integrate_frac_dde(_rigid_pair, cfg, kernel,
+                                          PHIS[phi], 2.37)
+            return integrate_dde(_rigid_pair, kernel, PHIS[phi], 2.37, H)
+
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "_uniform_average",
+                      _per_lookup_uniform_average)
+            ref = run()
+        for points in (1, 2, integrators._LOOKAHEAD_POINTS):
+            with monkeypatch.context() as m:
+                m.setattr(integrators, "_LOOKAHEAD_POINTS", points)
+                fast = run()
+            # tobytes also tells signed zeros apart
+            assert fast.states.tobytes() == ref.states.tobytes(), points
+            assert fast.derivs.tobytes() == ref.derivs.tobytes(), points
+
+    def test_batches_serve_the_final_reads(self, monkeypatch):
+        # at offset 0.1 = 10h every lookup past the first reads final
+        # nodes only: the run computes about one batch per 10 steps and
+        # no lookup alone
+        calls = []
+        route = integrators._uniform_average
+
+        def counted_route(*args):
+            values = route(*args)
+
+            def counted_values(i):
+                served, final_only = values(i)
+                calls.append((len(served), final_only))
+                return served, final_only
+
+            return counted_values
+
+        monkeypatch.setattr(integrators, "_uniform_average", counted_route)
+        integrate_dde(_rigid_pair, kernels.UniformKernel(0.1, 0.37),
+                      PHIS["constant"], 2.0, H)
+        assert all(final_only for _, final_only in calls)
+        assert sum(n for n, _ in calls) == 401
+        assert len(calls) <= 22
+
+
+def _final_reads_by_hand(grid, times, final, shift):
+    """:func:`integrators._final_reads` one lookup at a time."""
+    ready = []
+    for i in range(len(times)):
+        u = float(times[i]) - shift
+        last = max(int(final[i]), 0)
+        if u > grid.t0 and (shift < grid.h
+                            or not (u - grid.t0) / grid.h <= last):
+            ready.append(0)
+            continue
+        n = 0
+        for t in times[i: i + integrators._LOOKAHEAD_POINTS]:
+            if (float(t) - shift - grid.t0) / grid.h <= last:
+                n += 1
+        ready.append(n)
+    return ready
+
+
+class TestFinalReads:
+    """The one test by which both routes batch their final-only lookups."""
+
+    @pytest.mark.parametrize("frac", [False, True], ids=["rk4", "abm"])
+    @pytest.mark.parametrize("shift", [0.3 * H, 0.5 * H, H, 1.5 * H, 2 * H,
+                                       0.1, 50.5 * H], ids=repr)
+    def test_matches_lookup_by_lookup(self, shift, frac, monkeypatch):
+        n = 137
+        grid = integrators._RunningGrid(PHIS["constant"], 0.0, H, n, 3)
+        if frac:
+            nodes = np.arange(n + 1)
+            times, final = nodes * H, nodes - 2
+        else:
+            times, final = integrators._rk4_lookups(n, H)
+        for points in (1, 2, 7, integrators._LOOKAHEAD_POINTS):
+            monkeypatch.setattr(integrators, "_LOOKAHEAD_POINTS", points)
+            us, ready = integrators._final_reads(grid, times, final, shift)
+            assert us.tolist() == [float(t) - shift for t in times]
+            assert ready.tolist() == _final_reads_by_hand(grid, times, final,
+                                                          shift)
+
+    def test_both_routes_batch_alike(self, monkeypatch):
+        # a Dirac lag and a uniform offset of the same size serve the same
+        # lookups in the same batches
+        sizes = {}
+        for name, route in (("_dirac_sample", integrators._dirac_sample),
+                            ("_uniform_average",
+                             integrators._uniform_average)):
+            served = sizes.setdefault(name, [])
+
+            def counted_route(*args, route=route, served=served):
+                values = route(*args)
+
+                def counted_values(i):
+                    out = values(i)
+                    served.append((i, len(out[0]), out[1]))
+                    return out
+
+                return counted_values
+
+            monkeypatch.setattr(integrators, name, counted_route)
+        for kernel in (kernels.DiracKernel(0.1),
+                       kernels.UniformKernel(0.1, 0.37)):
+            integrate_dde(_rigid_pair, kernel, PHIS["constant"], 1.0, H)
+        assert sizes["_dirac_sample"] == sizes["_uniform_average"]
 
 
 #: rows per chunk of the CSV writer
