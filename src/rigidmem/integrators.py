@@ -1050,7 +1050,7 @@ def _abm_weights(alpha: float, n_steps: int):
 _MEMORY_BLOCK = 64
 
 
-def _add_square(far, gs, spectra, s: int) -> None:
+def _add_square(far, gs, spectra, scratch, s: int) -> None:
     """Add the lag sums of the inputs [s - L, s) to the outputs [s, s + L).
 
     ``s`` is a multiple of the block size and L = lowbit(s), so every pair
@@ -1058,15 +1058,19 @@ def _add_square(far, gs, spectra, s: int) -> None:
     square, and a square's inputs are complete when its first output is
     due (Hairer, Lubich & Schlichte 1985).  Its lags lie in [1, 2L), so a
     circular convolution of length 2L with the lag weights 0..2L-1, whose
-    spectra ``spectra[L]`` holds, leaves them unaliased at L..2L-1.  One
-    forward transform serves both weight columns.
+    spectra ``spectra[L]`` holds as (L + 1, 1) columns, leaves them
+    unaliased at L..2L-1.  The (2, n, dim) ``far``'s columns share the
+    forward transform, and all go into the run's scratch, allocating none.
     """
     width = s & -s
-    m = min(width, far.shape[0] - s)
-    g_hat = np.fft.rfft(gs[s - width: s], 2 * width, axis=0)
-    conv = np.fft.irfft(spectra[width][:, :, None] * g_hat[:, None, :],
-                        2 * width, axis=0)
-    far[s: s + m] += conv[width: width + m]
+    m = min(width, far.shape[1] - s)
+    g_hat, prod, conv = scratch[:, : width + 1]
+    conv = conv.view(float).reshape(-1, g_hat.shape[1])[: 2 * width]
+    np.fft.rfft(gs[s - width: s], 2 * width, axis=0, out=g_hat)
+    for column, spectrum in zip(far, spectra[width]):
+        np.multiply(spectrum, g_hat, out=prod)
+        np.fft.irfft(prod, 2 * width, axis=0, out=conv)
+        column[s: s + m] += conv[width: width + m]
 
 
 @functools.cache
@@ -1075,14 +1079,14 @@ def _abm_run(desc: FieldDescription, iters: int):
     corrector iterations (:func:`_whole_run`), generated once per
     description and count.
 
-    ``run(states, gs, table, far, near, spectra, near_sum, grid, delayed,
-    x, n, h, pred_scale, corr_scale, *args)`` takes node 0 and its slope
-    as written, steps 0..n-1 and writes each node and its slope into the
-    flat views ``states`` and ``gs`` (``table`` is ``gs``'s array).  Each
-    block of the memory sums first adds its FFT square to ``far``
-    (:func:`_add_square`), after which the block's rows of ``far`` are
-    final and are read as one list; each step adds its near sum, the
-    product ``near[r] @ table[s: k]`` of :func:`_frac_loop`'s weights,
+    ``run(states, gs, table, far, near, spectra, scratch, near_sum, grid,
+    delayed, x, n, h, pred_scale, corr_scale, *args)`` takes node 0 and
+    its slope as written, steps 0..n-1 and writes each node and its slope
+    into the flat views ``states`` and ``gs`` (``table`` is ``gs``'s
+    array).  Each block of the memory sums first adds its FFT square to
+    ``far`` (:func:`_add_square`), after which the block's rows of its
+    two columns are final and are read as one list; each step adds its
+    near sum, the product ``near[r] @ table[s: k]`` of the run's weights,
     written by ``np.dot`` into the run's (2, dim) buffer ``near_sum``
     (bitwise ``@``), to its row inside the predictor and corrector
     templates.  State, sums and slopes are locals, and the field's text
@@ -1112,17 +1116,38 @@ def _abm_run(desc: FieldDescription, iters: int):
             *_write("gs", g)]
     block = _MEMORY_BLOCK
     return _whole_run(
-        "abm", desc, "states, gs, table, far, near, spectra, near_sum, grid, "
-        "delayed, x, n, h, pred_scale, corr_scale",
+        "abm", desc, "states, gs, table, far, near, spectra, scratch, "
+        "near_sum, grid, delayed, x, n, h, pred_scale, corr_scale",
         [f"{_listed(x)} = x", "near_flat = near_sum.reshape(-1)", "j = 0",
          f"for s in range(0, n, {block}):",
          "    if s:",
-         "        add_square(far, table, spectra, s)",
+         "        add_square(far, table, spectra, scratch, s)",
          f"    m = min({block}, n - s)",
-         f"    sums = far[s: s + m].reshape(m, {2 * dim}).tolist()",
+         "    sums = far[:, s: s + m].swapaxes(0, 1).reshape(m, -1).tolist()",
          f"    for r, {_listed(p + c)} in enumerate(sums):",
          *(f"        {line}" for line in step)],
         add_square=_add_square, dot=np.dot)
+
+
+def _memory_tables(alpha: float, n: int, window: int | None, g0):
+    """What an n-step run's memory sums read (:func:`_frac_loop`): the
+    near weights by in-block offset, the spectra by square width L, each
+    (2, L + 1, 1), ``far`` with its g0 term, and pow_a if windowed, else
+    None.  The weight tables die on return."""
+    block = _MEMORY_BLOCK
+    pow_a, beta, c, a0 = _abm_weights(alpha, max(n, block))
+    lag_w = np.stack([beta, c])
+    g0_weight = a0[:n] - c[:n]
+    if window is not None:
+        lag_w[:, window:] = 0.0
+        g0_weight[window:] = 0.0
+    near_w = lag_w[:, block - 1:: -1].copy()
+    spectra = {w: np.fft.rfft(lag_w[:, : 2 * w], 2 * w)[:, :, None]
+               for w in (block << i for i in range(n.bit_length())) if w < n}
+    far = np.zeros((2, n, g0.size))
+    far[1] = g0_weight[:, None] * g0
+    return ([near_w[:, block - 1 - r:] for r in range(block)], spectra, far,
+            None if window is None else pow_a)
 
 
 def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
@@ -1141,31 +1166,18 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
 
     Step s needs the lag sums sum_j w[s - j] g_j over j <= s of the
     predictor and corrector weights (zero at lags >= memory_window).
-    ``far[s]`` collects the terms from blocks before the block of s, added
-    by :func:`_add_square` at each block start, so the run costs
+    ``far[:, s]`` collects the terms from blocks before the block of s,
+    added by :func:`_add_square` at each block start, so the run costs
     O(n log^2 n); the terms within the block are summed directly.  The
     corrector's left-endpoint weight a0 replaces c at j = 0, which
-    ``far`` carries from the start as (a0[s] - c[s]) * g_0.
+    ``far[1]`` carries from the start as (a0[s] - c[s]) * g_0.  Of all
+    this, the run keeps only the states and slopes (:func:`_memory_tables`).
     """
     h = cfg.h
     alpha = cfg.order
-    block = _MEMORY_BLOCK
-    pow_a, beta, c, a0 = _abm_weights(alpha, max(n, block))
     pred_scale = h**alpha / math.gamma(alpha + 1.0)
     corr_scale = h**alpha / math.gamma(alpha + 2.0)
     window = cfg.memory_window
-    lag_w = np.stack([beta, c], axis=1)
-    g0_weight = a0[:n] - c[:n]
-    if window is not None:
-        lag_w[window:] = 0.0
-        g0_weight[window:] = 0.0
-    near_w = lag_w[block - 1:: -1].T.copy()
-    near = [near_w[:, block - 1 - r:] for r in range(block)]
-    spectra = {}
-    width = block
-    while width < n:
-        spectra[width] = np.fft.rfft(lag_w[: 2 * width], 2 * width, axis=0)
-        width *= 2
     dim = x0.size
     desc, args = _binding(field, dim, delayed is not None)
     states = np.empty((n + 1, dim)) if grid is None else grid.states
@@ -1174,12 +1186,13 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
     if delayed is not None:
         grid.put(0, x0)
     gs[0] = field(x0) if delayed is None else field(x0, delayed(0))
-    far = np.zeros((n, 2, dim))
-    far[:, 1] = g0_weight[:, None] * gs[0]
+    near, spectra, far, pow_a = _memory_tables(alpha, n, window, gs[0])
     _abm_run(desc, cfg.corrector_iters)(
         states.reshape(-1).data, gs.reshape(-1).data, gs, far, near, spectra,
+        np.empty((3, max(spectra, default=0) + 1, dim), complex),
         np.empty((2, dim)), grid, delayed, x0, n, h, pred_scale, corr_scale,
         *args)
+    del far, spectra
     derivs = np.gradient(states, h, axis=0)
     meta = {"order": alpha, "scheme": "abm-pece",
             "corrector_iters": cfg.corrector_iters}

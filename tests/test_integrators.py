@@ -478,6 +478,30 @@ class TestFracAbm:
         drift = np.max(np.abs(full.states - cut.states))
         assert 0 < drift < 10 * cut.meta["memory_truncation_bound"]
 
+    def test_footprint_is_the_run_arrays_and_one_square_scratch(self):
+        # classical, order 0.82, h = 1e-3, N = 30 000: the run holds its
+        # states and slopes, both far columns, the spectra of every square
+        # width and one scratch for its largest square (16384 wide); 1.5 MB
+        # over their bytes leaves no room for another table of that square
+        field = models.classical_field(P321)
+        cfg = FracConfig(order=0.82, h=1e-3)
+        n, dim = 30_000, 3
+        integrate_frac_abm(field, cfg, [1.0, 0.5, 0.2], 1.0)
+        tracemalloc.start()
+        try:
+            traj = integrate_frac_abm(field, cfg, [1.0, 0.5, 0.2], n * cfg.h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.n_samples == n + 1
+        widths = [w for w in (integrators._MEMORY_BLOCK << i
+                              for i in range(16)) if w < n]
+        held = (8 * (2 * (n + 1) * dim + 2 * n * dim)
+                + 16 * (sum(2 * (w + 1) for w in widths)
+                        + 3 * (widths[-1] + 1) * dim))
+        assert held == pytest.approx(6.3e6, rel=0.01)
+        assert peak <= held + 1.5e6
+
     def test_corrector_iterations_config(self):
         with pytest.raises(ValueError):
             FracConfig(order=0.5, h=0.01, corrector_iters=6)
@@ -1744,6 +1768,55 @@ class TestFloatLoop:
                    for x in seen)
 
 
+def _one_call_add_square(far, gs, spectra, s):
+    """:func:`integrators._add_square` in its earlier one-call form
+    (test-local): ``far`` is (n, 2, dim) and ``spectra[L]`` (L + 1, 2),
+    and one inverse transform serves both weight columns."""
+    width = s & -s
+    m = min(width, far.shape[0] - s)
+    g_hat = np.fft.rfft(gs[s - width: s], 2 * width, axis=0)
+    conv = np.fft.irfft(spectra[width][:, :, None] * g_hat[:, None, :],
+                        2 * width, axis=0)
+    far[s: s + m] += conv[width: width + m]
+
+
+class TestAddSquare:
+    """The FFT square in the run's scratch against its earlier one-call
+    form, bit for bit."""
+
+    @pytest.mark.parametrize("window", [None, 700])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bitwise_equals_one_call_form(self, dim, window):
+        # 6000 nodes: squares of every width 64..4096, the 4096-wide one
+        # and the last one clipped at the end of the run
+        n, block = 6000, integrators._MEMORY_BLOCK
+        gs = np.random.default_rng(dim).standard_normal((n + 1, dim))
+        near, spectra, far, pow_a = integrators._memory_tables(
+            0.82, n, window, gs[0])
+        scratch = np.empty((3, max(spectra) + 1, dim), complex)
+        assert sorted(spectra) == [64 << i for i in range(7)]
+        assert (pow_a is None) == (window is None)
+        _, beta, c, a0 = integrators._abm_weights(0.82, n)
+        lag_w = np.stack([beta, c], axis=1)
+        g0_weight = a0 - c
+        if window is not None:
+            lag_w[window:] = 0.0
+            g0_weight[window:] = 0.0
+        old_spectra = {w: np.fft.rfft(lag_w[: 2 * w], 2 * w, axis=0)
+                       for w in spectra}
+        old_far = np.zeros((n, 2, dim))
+        old_far[:, 1] = g0_weight[:, None] * gs[0]
+        for r in range(block):
+            assert near[r].tobytes() == lag_w[r:: -1].T.tobytes()
+        clipped = []
+        for s in range(block, n, block):
+            integrators._add_square(far, gs, spectra, scratch, s)
+            _one_call_add_square(old_far, gs, old_spectra, s)
+            clipped.append(s + (s & -s) > n)
+            assert far.transpose(1, 0, 2).tobytes() == old_far.tobytes()
+        assert any(clipped)
+
+
 def _array_frac_loop(cfg, x0, n, field, delayed=None, grid=None):
     """:func:`integrators._frac_loop` in its earlier array form: every
     state, right-hand side and lag sum an ndarray."""
@@ -1782,7 +1855,7 @@ def _array_frac_loop(cfg, x0, n, field, delayed=None, grid=None):
     for step in range(n):
         r = step % block
         if r == 0 and step:
-            integrators._add_square(far, gs, spectra, step)
+            _one_call_add_square(far, gs, spectra, step)
         sums = far[step] + near_w[:, block - 1 - r:] @ gs[step - r: step + 1]
         xc = x0 + pred_scale * sums[0]
         hist = sums[1]
@@ -1966,7 +2039,7 @@ def _eval_g_frac_loop(cfg, x0, n, field, delayed=None, grid=None):
     for step in range(n):
         r = step % block
         if r == 0 and step:
-            integrators._add_square(far, gs, spectra, step)
+            _one_call_add_square(far, gs, spectra, step)
         pred, hist = (far[step] + near_w[:, block - 1 - r:]
                       @ gs[step - r: step + 1]).tolist()
         xc = stage(pred_scale, x0, pred)
