@@ -1035,6 +1035,8 @@ def _abm_weights(alpha: float, n_steps: int):
     beta[k] and c[k] are the rectangle (predictor) and interior trapezoid
     (corrector) weights at lag k = 0..n_steps-1, a0[n] the left-endpoint
     corrector weight for step n = 0..n_steps-1, and pow_a[k] = k^alpha.
+    From k = 16 on, c and a0, differences of powers that cancel to about
+    k^(alpha-1), come from their binomial series in 1/(k+1), all positive.
     """
     k = np.arange(n_steps + 2, dtype=float)
     pow_a = k**alpha
@@ -1042,6 +1044,11 @@ def _abm_weights(alpha: float, n_steps: int):
     beta = np.diff(pow_a[:-1])
     c = pow_a1[2:] + pow_a1[:-2] - 2.0 * pow_a1[1:-1]
     a0 = pow_a1[:-2] - (k[:-2] - alpha) * pow_a[1:-1]
+    binom = np.cumprod([alpha * (alpha + 1) / 2,
+                        *((j - 1 - alpha) / (j + 1) for j in range(2, 24))])
+    x = k[17:-1]
+    c[16:] = 2.0 * pow_a[17:-1] / x * np.polyval(binom[22::-2], 1 / (x * x))
+    a0[16:] = pow_a[17:-1] / x * np.polyval(binom[11::-1], 1 / x)
     return pow_a, beta, c, a0
 
 

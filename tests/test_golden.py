@@ -883,13 +883,13 @@ GOLDEN = {
         'samples = 30001\n'
         'step = 0.001\n'
         'endpoint_t = 30\n'
-        'endpoint_x = 0.039483974987691517, -0.32959292224832115, 0.039483974987691517\n'
+        'endpoint_x = 0.039483975982198549, -0.32959292196186629, 0.039483975982198549\n'
         'h_drift_rel = 9.628e-01\n'
         'c_drift_rel = 9.628e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'e07cd7fa238cdcbd197b342615de484d5ab8e2659bee4da091045ddcabae42db'}),
+        {'out': 'c2948a879db5140426c3fb9ba5298ed3ed714b200a31991c7f97547774c22cce'}),
     'frac_order_082.cfg-stability': (
         0,
         'kind = fractional\n'
@@ -927,13 +927,13 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 1.0225530116408792, -0.22648498600003097, 0.27620853166737364\n'
+        'endpoint_x = 1.0225530116408779, -0.22648498600002609, 0.27620853166737397\n'
         'h_drift_rel = 6.335e-02\n'
         'c_drift_rel = 9.054e-02\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'd050f924755d38115438e3d61e96b6ff8571ba5a4e3d04492c368c6a7bba1ece'}),
+        {'out': 'bdc311da6fc63837dcadbb2b02d773a1d5a4bda269894619e7ac63f86f99af90'}),
     'fractional-m1e-160-stability': (
         0,
         'kind = fractional\n'
@@ -998,13 +998,13 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 1.0479004710974746, 0.0476740944855083, 0.019579453272450587\n'
+        'endpoint_x = 1.0479004710974724, 0.047674094485514573, 0.01957945327245314\n'
         'h_drift_rel = 6.802e-02\n'
         'c_drift_rel = 1.467e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'da9ae9e90f1a06bb8dd2093945e24bdd88fca2e27895706bb4c3fed5dc5d761f'}),
+        {'out': '494ef47d220401269167ef8a767f9a3b3221b8b05e25841adbad3e694e1e8eb4'}),
     'fractional-revised-stability': (
         0,
         'kind = fractional-revised\n'
@@ -1027,13 +1027,13 @@ GOLDEN = {
         'samples = 201\n'
         'step = 0.01\n'
         'endpoint_t = 2\n'
-        'endpoint_x = 1.0257973563770877, 0.083856571064270358, 0.034755332688176654\n'
+        'endpoint_x = 1.0257973563770877, 0.083856571064271301, 0.034755332688177043\n'
         'h_drift_rel = 1.060e-01\n'
         'c_drift_rel = 1.783e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '9f43bafcde65e69a2c67e1cf31eef581fab125d61d88761b879d2af381328a4a'}),
+        {'out': 'bc24caeef5ca8f2e906a132cf78169fe22334367c316165b028c1871f9973893'}),
     'fractional-scan-alpha': (
         0,
         'kind = fractional\n'
@@ -1064,13 +1064,13 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 1.0225226886360148, -0.22655212268746805, 0.27613422770998247\n'
+        'endpoint_x = 1.0225226886360135, -0.22655212268746316, 0.27613422770998264\n'
         'h_drift_rel = 6.340e-02\n'
         'c_drift_rel = 9.060e-02\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'bdc97ec5d2b3dc7a9e9052fe93f98d0d96127ee1d2d446567c0a99623f4e8945'}),
+        {'out': '2bad2d8b80fc211df2a809494e18a7a4bc6b57138a9ed31a200bd63881b81a66'}),
     'fractional-stability': (
         0,
         'kind = fractional\n'
@@ -1093,24 +1093,24 @@ GOLDEN = {
         'samples = 301\n'
         'step = 0.01\n'
         'endpoint_t = 3\n'
-        'endpoint_x = 1.0433230193429095, 0.14194204485980932, 0.38455380761863334\n'
+        'endpoint_x = 1.0433230193429028, 0.14194204485981898, 0.38455380761859931\n'
         'h_drift_rel = 2.133e-01\n'
         'c_drift_rel = 2.782e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '277be91a0c6ab373331dc597b217cc51e51bc2549304e2ef9f88d8af3ffa512c'}),
+        {'out': 'e27a76a2616b278f0b903ecc154a97ef0401d8cd17d5cdc78c8cd379c7268136'}),
     'planar-19-dirac0-simulate': (
         0,
         'kind = planar-19\n'
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.5703674391543736, 0.24441446659478\n'
+        'endpoint_x = 0.57036743915439003, 0.2444144665947881\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '81e05588e49ddfb8ffecdb8c6929a6be67aa3b6c59da9fed6ba0124677d0c3fc'}),
+        {'out': '73c5b7f50936c2316298cc76c14ea6d9560e0c42e1e4ad006968af43d48e16c4'}),
     'planar-19-scan-alpha': (
         0,
         'kind = planar-19\n'
@@ -1133,11 +1133,11 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.60050776570053332, 0.29907077944261562\n'
+        'endpoint_x = 0.60050776570054842, 0.29907077944261862\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '86ffb0bc56e05e379d046da7924126fbe27c1ea40362f9dd5810065bedf1eb28'}),
+        {'out': '9e860dba3a14fa0f6e5588479ff8724259e2dae5300e12428a82dbd41930f024'}),
     'planar-19-stability': (
         0,
         'kind = planar-19\n'
@@ -1270,11 +1270,11 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.39962902524137445\n'
+        'endpoint_x = 0.39962902524137145\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'b09100c8c8e9a729b8790d0fdf1c5775d699192e8d8f732b62a414b068a21645'}),
+        {'out': '6ab8595de28b731145044542289af403957bb5e753d44254889b1a84e51ae682'}),
     'scalar-18-diverges': (
         3,
         '',
@@ -1302,11 +1302,11 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 0.2044518397894296\n'
+        'endpoint_x = 0.20445183978942838\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'fcaff5c7c1bd45865d10fba43ab02f47737e665bbf911ffaf5aa419cb997900d'}),
+        {'out': '3f310754d7035e7eb31531d9af7a69c74b402248dcadd596321b30669a9a6b37'}),
     'scalar-18-stability': (
         0,
         'kind = scalar-18\n'

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import gc
 import inspect
@@ -478,6 +479,24 @@ class TestFracAbm:
         drift = np.max(np.abs(full.states - cut.states))
         assert 0 < drift < 10 * cut.meta["memory_truncation_bound"]
 
+    @pytest.mark.parametrize("alpha", [0.001, 0.3, 0.5, 0.82, 0.97, 1.0])
+    def test_weights_match_decimal(self, alpha):
+        # c[k] = (k+2)^p - 2 (k+1)^p + k^p and a0[k] = k^p - (k - alpha)
+        # (k+1)^alpha, p = alpha + 1, in 60-digit decimal: the differences
+        # cancel about 2 log10(k) digits, which 60 digits leave to spare
+        n = 300_001
+        _, _, c, a0 = integrators._abm_weights(alpha, n)
+        ks = np.unique(np.geomspace(16, n - 1, 80).astype(int)).tolist()
+        with decimal.localcontext(prec=60):
+            a = decimal.Decimal(alpha)
+            p = a + 1
+            for k in ks:
+                x = decimal.Decimal(k)
+                for got, want in [
+                        (c[k], (x + 2) ** p - 2 * (x + 1) ** p + x**p),
+                        (a0[k], x**p - (x - a) * (x + 1) ** a)]:
+                    assert abs(decimal.Decimal(got) / want - 1) <= 1e-15, k
+
     def test_footprint_is_the_run_arrays_and_one_square_scratch(self):
         # classical, order 0.82, h = 1e-3, N = 30 000: the run holds its
         # states and slopes, both far columns, the spectra of every square
@@ -572,14 +591,12 @@ def _eval_g(field, delayed, grid):
 
 
 def _direct_frac_loop(cfg, x0, n, field, delayed=None, grid=None):
-    """Reference PECE loop: every memory sum taken directly, O(n^2)."""
+    """Reference PECE loop: every memory sum taken directly, O(n^2), with
+    the weights of ``integrators._abm_weights``, which
+    ``TestFracAbm.test_weights_match_decimal`` holds to decimal."""
     eval_g = _eval_g(field, delayed, grid)
     h, alpha, window = cfg.h, cfg.order, cfg.memory_window
-    k = np.arange(n + 1, dtype=float)
-    pow_a, pow_a1 = k**alpha, k ** (alpha + 1)
-    beta = np.diff(pow_a)
-    c = pow_a1[2:] + pow_a1[:-2] - 2.0 * pow_a1[1:-1]
-    a0 = pow_a1[:-1] - (k[:-1] - alpha) * pow_a[1:]
+    pow_a, beta, c, a0 = integrators._abm_weights(alpha, n)
     pred_scale = h**alpha / math.gamma(alpha + 1.0)
     corr_scale = h**alpha / math.gamma(alpha + 2.0)
     states = np.empty((n + 1, x0.size))
