@@ -1177,8 +1177,8 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
     added by :func:`_add_square` at each block start, so the run costs
     O(n log^2 n); the terms within the block are summed directly.  The
     corrector's left-endpoint weight a0 replaces c at j = 0, which
-    ``far[1]`` carries from the start as (a0[s] - c[s]) * g_0.  Of all
-    this, the run keeps only the states and slopes (:func:`_memory_tables`).
+    ``far[1]`` carries from the start as (a0[s] - c[s]) * g_0.  Only the
+    states and slopes outlive the loop (:func:`_memory_tables`).
     """
     h = cfg.h
     alpha = cfg.order

@@ -501,7 +501,8 @@ class TestFracAbm:
         # classical, order 0.82, h = 1e-3, N = 30 000: the run holds its
         # states and slopes, both far columns, the spectra of every square
         # width and one scratch for its largest square (16384 wide); 1.5 MB
-        # over their bytes leaves no room for another table of that square
+        # over their bytes leaves no room for a (L + 1, 2, dim) product or
+        # a (2L, 2, dim) transform of that square (1.57 MB each)
         field = models.classical_field(P321)
         cfg = FracConfig(order=0.82, h=1e-3)
         n, dim = 30_000, 3
