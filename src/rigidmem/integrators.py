@@ -1136,27 +1136,6 @@ def _abm_run(desc: FieldDescription, iters: int):
         add_square=_add_square, dot=np.dot)
 
 
-def _memory_tables(alpha: float, n: int, window: int | None, g0):
-    """What an n-step run's memory sums read (:func:`_frac_loop`): the
-    near weights by in-block offset, the spectra by square width L, each
-    (2, L + 1, 1), ``far`` with its g0 term, and pow_a if windowed, else
-    None.  The weight tables die on return."""
-    block = _MEMORY_BLOCK
-    pow_a, beta, c, a0 = _abm_weights(alpha, max(n, block))
-    lag_w = np.stack([beta, c])
-    g0_weight = a0[:n] - c[:n]
-    if window is not None:
-        lag_w[:, window:] = 0.0
-        g0_weight[window:] = 0.0
-    near_w = lag_w[:, block - 1:: -1].copy()
-    spectra = {w: np.fft.rfft(lag_w[:, : 2 * w], 2 * w)[:, :, None]
-               for w in (block << i for i in range(n.bit_length())) if w < n}
-    far = np.zeros((2, n, g0.size))
-    far[1] = g0_weight[:, None] * g0
-    return ([near_w[:, block - 1 - r:] for r in range(block)], spectra, far,
-            None if window is None else pow_a)
-
-
 def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
                delayed=None, grid: _RunningGrid | None = None):
     """PECE loop over nodes 0..n for D^alpha x = field(x), or with a
@@ -1177,8 +1156,11 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
     added by :func:`_add_square` at each block start, so the run costs
     O(n log^2 n); the terms within the block are summed directly.  The
     corrector's left-endpoint weight a0 replaces c at j = 0, which
-    ``far[1]`` carries from the start as (a0[s] - c[s]) * g_0.  Only the
-    states and slopes outlive the loop (:func:`_memory_tables`).
+    ``far[1]`` carries from the start as (a0[s] - c[s]) * g_0.  The loop
+    reads the near weights by in-block offset, the spectra by square width
+    L, each (2, L + 1, 1), and ``far``, (2, n, dim); the weight tables die
+    before it (a windowed run keeps pow_a for its truncation bound), and
+    only the states and slopes outlive it.
     """
     h = cfg.h
     alpha = cfg.order
@@ -1193,7 +1175,22 @@ def _frac_loop(cfg: FracConfig, x0: np.ndarray, n: int, field,
     if delayed is not None:
         grid.put(0, x0)
     gs[0] = field(x0) if delayed is None else field(x0, delayed(0))
-    near, spectra, far, pow_a = _memory_tables(alpha, n, window, gs[0])
+    block = _MEMORY_BLOCK
+    pow_a, beta, c, a0 = _abm_weights(alpha, max(n, block))
+    lag_w = np.stack([beta, c])
+    g0_weight = a0[:n] - c[:n]
+    if window is not None:
+        lag_w[:, window:] = 0.0
+        g0_weight[window:] = 0.0
+    near_w = lag_w[:, block - 1:: -1].copy()
+    near = [near_w[:, block - 1 - r:] for r in range(block)]
+    spectra = {w: np.fft.rfft(lag_w[:, : 2 * w], 2 * w)[:, :, None]
+               for w in (block << i for i in range(n.bit_length())) if w < n}
+    far = np.zeros((2, n, dim))
+    far[1] = g0_weight[:, None] * gs[0]
+    del beta, c, a0, lag_w, g0_weight
+    if window is None:
+        del pow_a
     _abm_run(desc, cfg.corrector_iters)(
         states.reshape(-1).data, gs.reshape(-1).data, gs, far, near, spectra,
         np.empty((3, max(spectra, default=0) + 1, dim), complex),

@@ -481,21 +481,33 @@ class TestFracAbm:
 
     @pytest.mark.parametrize("alpha", [0.001, 0.3, 0.5, 0.82, 0.97, 1.0])
     def test_weights_match_decimal(self, alpha):
-        # c[k] = (k+2)^p - 2 (k+1)^p + k^p and a0[k] = k^p - (k - alpha)
-        # (k+1)^alpha, p = alpha + 1, in 60-digit decimal: the differences
-        # cancel about 2 log10(k) digits, which 60 digits leave to spare
+        # beta[k] = (k+1)^alpha - k^alpha, c[k] = (k+2)^p - 2 (k+1)^p + k^p
+        # and a0[k] = k^p - (k - alpha) (k+1)^alpha, p = alpha + 1, in
+        # 60-digit decimal: the differences cancel about 2 log10(k) digits,
+        # which 60 digits leave to spare.  From k = 16 on, c and a0 (their
+        # series) are within 1e-15 relative; beta at every k and c and a0
+        # below 16 (the differences in floats) within 1e-15 of the sum of
+        # their terms' magnitudes, a few roundings of the terms
         n = 300_001
-        _, _, c, a0 = integrators._abm_weights(alpha, n)
-        ks = np.unique(np.geomspace(16, n - 1, 80).astype(int)).tolist()
-        with decimal.localcontext(prec=60):
+        _, beta, c, a0 = integrators._abm_weights(alpha, n)
+        ks = [*range(16),
+              *np.unique(np.geomspace(16, n - 1, 80).astype(int)).tolist()]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
             a = decimal.Decimal(alpha)
             p = a + 1
             for k in ks:
                 x = decimal.Decimal(k)
-                for got, want in [
-                        (c[k], (x + 2) ** p - 2 * (x + 1) ** p + x**p),
-                        (a0[k], x**p - (x - a) * (x + 1) ** a)]:
-                    assert abs(decimal.Decimal(got) / want - 1) <= 1e-15, k
+                terms = {
+                    "beta": (beta[k], [(x + 1) ** a, -(x**a)], False),
+                    "c": (c[k], [(x + 2) ** p, -2 * (x + 1) ** p, x**p],
+                          k >= 16),
+                    "a0": (a0[k], [x**p, -(x - a) * (x + 1) ** a], k >= 16)}
+                for name, (got, parts, series) in terms.items():
+                    want = sum(parts)
+                    scale = abs(want) if series else sum(map(abs, parts))
+                    assert abs(decimal.Decimal(got) - want) <= (
+                        decimal.Decimal("1e-15") * scale), (name, k)
 
     def test_footprint_is_the_run_arrays_and_one_square_scratch(self):
         # classical, order 0.82, h = 1e-3, N = 30 000: the run holds its
@@ -1809,23 +1821,22 @@ class TestAddSquare:
         # and the last one clipped at the end of the run
         n, block = 6000, integrators._MEMORY_BLOCK
         gs = np.random.default_rng(dim).standard_normal((n + 1, dim))
-        near, spectra, far, pow_a = integrators._memory_tables(
-            0.82, n, window, gs[0])
-        scratch = np.empty((3, max(spectra) + 1, dim), complex)
-        assert sorted(spectra) == [64 << i for i in range(7)]
-        assert (pow_a is None) == (window is None)
         _, beta, c, a0 = integrators._abm_weights(0.82, n)
         lag_w = np.stack([beta, c], axis=1)
         g0_weight = a0 - c
         if window is not None:
             lag_w[window:] = 0.0
             g0_weight[window:] = 0.0
+        widths = [64 << i for i in range(7)]
         old_spectra = {w: np.fft.rfft(lag_w[: 2 * w], 2 * w, axis=0)
-                       for w in spectra}
+                       for w in widths}
         old_far = np.zeros((n, 2, dim))
         old_far[:, 1] = g0_weight[:, None] * gs[0]
-        for r in range(block):
-            assert near[r].tobytes() == lag_w[r:: -1].T.tobytes()
+        # the run's layout: one contiguous (L + 1, 1) column per weight
+        spectra = {w: np.ascontiguousarray(old_spectra[w].T)[:, :, None]
+                   for w in widths}
+        far = old_far.transpose(1, 0, 2).copy()
+        scratch = np.empty((3, max(widths) + 1, dim), complex)
         clipped = []
         for s in range(block, n, block):
             integrators._add_square(far, gs, spectra, scratch, s)
