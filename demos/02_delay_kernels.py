@@ -1,25 +1,25 @@
-"""The four delay kernels, and the chain that stands for two of them.
+"""The delay kernels, and the chain that stands for the gamma ones.
 
-A delayed argument is the kernel-weighted average of the past state.
-Exponential and Erlang kernels admit an exact reduction to auxiliary ODE
-stages (the chain trick), which is how they are simulated: the last stage
-is the delayed argument.  Direct quadrature of the chain's own trajectory,
-spliced with the history before t = 0, must give that stage back.
+A delayed argument is the kernel-weighted average of the past state.  A
+gamma kernel of shape 1 (exponential) or 2 (Erlang) is its own exact
+reduction to ``shape`` auxiliary ODE stages (the chain trick), which is
+how it is simulated: the last stage is the delayed argument.  Direct
+quadrature of the chain's own trajectory, spliced with the history before
+t = 0, must give that stage back.
 """
 
 import math
 
 import numpy as np
 
-from rigidmem import (DiracKernel, ErlangKernel, ExponentialKernel,
-                      HistorySpec, RigidBodyParams, UniformKernel,
-                      chain_reduce, convolve_history, integrate_chain,
+from rigidmem import (DiracKernel, GammaKernel, HistorySpec, RigidBodyParams,
+                      UniformKernel, convolve_history, integrate_chain,
                       integrate_dde, laplace, rhs_delayed)
 
 kernels = {
     "uniform(offset=0.5, width=1.5)": UniformKernel(0.5, 1.5),
-    "exponential(rate=2)": ExponentialKernel(2.0),
-    "erlang(rate=2)": ErlangKernel(2.0),
+    "exponential(rate=2)": GammaKernel(2.0, 1),
+    "erlang(rate=2)": GammaKernel(2.0, 2),
     "dirac(lag=0.7)": DiracKernel(0.7),
 }
 
@@ -52,12 +52,12 @@ print("delayed rigid body, x0 = (0.3, 0.3, 0.3), t in [0, 10], h = 5e-3;")
 print("last stage against the Simpson average at t = 0, 0.25, ..., 10:")
 for name in ("exponential(rate=2)", "erlang(rate=2)"):
     kern = kernels[name]
-    chain = integrate_chain(pair, chain_reduce(kern), phi, 10.0, 5e-3)
+    chain = integrate_chain(pair, kern, phi, 10.0, 5e-3)
     history = spliced(chain)
     gap = max(np.max(np.abs(convolve_history(kern, history, chain.times[k],
                                              5e-3) - chain.states[k, -3:]))
               for k in range(0, chain.n_samples, 50))
-    print(f"  {name:24s} chain stages = {chain_reduce(kern).stages}, "
+    print(f"  {name:24s} chain stages = {kern.shape}, "
           f"max |stage - quadrature| = {gap:.2e}")
 print()
 

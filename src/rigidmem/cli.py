@@ -205,12 +205,14 @@ _KINDS = {
             *cfg.params, cfg.frac.order, cfg.kernel.lag)),
 }
 
-#: [kernel] kind -> (class, its keys as (name, default)); a key without a
-#: default is required
+#: [kernel] kind -> (constructor, its keys as (name, default)); a key
+#: without a default is required
 _KERNELS = {
     "uniform": (_kern.UniformKernel, (("offset", 0.0), ("width", None))),
-    "exponential": (_kern.ExponentialKernel, (("rate", None),)),
-    "erlang": (_kern.ErlangKernel, (("rate", None),)),
+    "exponential": (functools.partial(_kern.GammaKernel, shape=1),
+                    (("rate", None),)),
+    "erlang": (functools.partial(_kern.GammaKernel, shape=2),
+               (("rate", None),)),
     "dirac": (_kern.DiracKernel, (("lag", None),)),
 }
 
@@ -487,9 +489,8 @@ def _run_simulation(cfg: RunConfig):
     if kind.fractional:
         return integrate_frac_dde(pair, cfg.frac, cfg.kernel, phi, cfg.t_end,
                                   diagnostics=diag)
-    chain = _kern.chain_reduce(cfg.kernel)
-    if chain is not None:
-        return integrate_chain(pair, chain, phi, cfg.t_end, cfg.step,
+    if isinstance(cfg.kernel, _kern.GammaKernel):
+        return integrate_chain(pair, cfg.kernel, phi, cfg.t_end, cfg.step,
                                diagnostics=diag)
     return integrate_dde(pair, cfg.kernel, phi, cfg.t_end, cfg.step,
                          diagnostics=diag)
@@ -503,11 +504,11 @@ def _rel_drift(series: np.ndarray) -> float:
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     """Run the configured system and write the trajectory CSV."""
     if cfg.t_end == 0:
-        # chain_reduce(kernel) is None on every route but the chain's
-        chain = _kern.chain_reduce(cfg.kernel)
+        stages = (cfg.kernel.shape
+                  if isinstance(cfg.kernel, _kern.GammaKernel) else 0)
         dim = cfg.x0.size
         cols = trajectory_columns(dim, _KINDS[cfg.kind].diagnostics(
-            cfg.params), chain.stages * dim if chain else 0)
+            cfg.params), stages * dim)
         with open(out_path, "w", newline="") as fh:
             fh.write(",".join(cols) + "\n")
         print(f"kind = {cfg.kind}")

@@ -9,7 +9,7 @@ Four integration paths are provided:
   exact running integral of that interpolant, a Dirac lag as its sample,
   both in batches where they read finished nodes only and each value
   kept for a repeat of its lookup under one rule,
-* an exact ODE chain augmentation for exponential and Erlang kernels,
+* an exact ODE chain augmentation for gamma (weak and strong) kernels,
 * the fractional Adams-Bashforth-Moulton predictor-corrector for Caputo
   systems, with and without a delayed argument.
 
@@ -927,17 +927,15 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     that is not constant alone); a shorter one reads each stage alone on
     Python floats.  Every value is bitwise that of a lone lookup.  A zero
     lag is no delay: the pair at xd = x runs the undelayed loop, bitwise
-    the :func:`integrate_rk4` run of that field.  An exponential or Erlang
-    kernel goes to :func:`integrate_chain`, whose trajectory is returned
-    as it is: stage columns after the model state, ``core_dim`` marking
-    the model part.
+    the :func:`integrate_rk4` run of that field.  A gamma kernel goes to
+    :func:`integrate_chain`, whose trajectory is returned as it is: stage
+    columns after the model state, ``core_dim`` marking the model part.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.
     """
-    chain = _kern.chain_reduce(kernel)
-    if chain is not None:
-        return integrate_chain(rhs_pair, chain, phi, t_end, h,
+    if isinstance(kernel, _kern.GammaKernel):
+        return integrate_chain(rhs_pair, kernel, phi, t_end, h,
                                diagnostics=diagnostics)
     x0 = phi(0.0)
     n = _n_steps(t_end, h)
@@ -948,20 +946,21 @@ def integrate_dde(rhs_pair, kernel, phi: HistorySpec, t_end, h, *,
     return Trajectory(0.0, h, grid.states, grid.derivs, diag)
 
 
-def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
+def integrate_chain(rhs_pair, kernel: _kern.GammaKernel, phi: HistorySpec,
                     t_end, h, *, diagnostics=None) -> Trajectory:
-    """Exact chain augmentation for exponential/Erlang delayed systems.
+    """Exact chain augmentation for a system delayed by a gamma kernel.
 
-    Auxiliary stages obey eta1' = rate*(x - eta1), eta2' = rate*(eta1 -
-    eta2); the delayed argument is the last stage.  Initial stage values
-    are the kernel-weighted averages of phi: phi itself if constant, else
-    Simpson with step min(h, support/16) on each stage kernel's effective
-    support (support/h nodes, once per run, read in pieces by
-    :func:`~rigidmem.kernels.convolve_history`).  ``rhs_pair`` gets x and
-    the last stage as lists of floats and returns the derivative as any
-    length-dim sequence; the augmented field around it is one description
-    (:func:`_chain_description`), bound once per run, whose RK4 loop
-    inlines a bound model field's text and calls a plain callable.
+    The kernel's ``shape`` auxiliary stages obey eta1' = rate*(x - eta1),
+    eta2' = rate*(eta1 - eta2); the delayed argument is the last stage.
+    Stage j starts from the average of phi under GammaKernel(rate, j):
+    phi itself if constant, else Simpson with step min(h, support/16) on
+    that kernel's effective support (support/h nodes, once per run, read
+    in pieces by :func:`~rigidmem.kernels.convolve_history`).
+    ``rhs_pair`` gets x and the last stage as lists of floats and returns
+    the derivative as any length-dim sequence; the augmented field around
+    it is one description (:func:`_chain_description`), bound once per
+    run, whose RK4 loop inlines a bound model field's text and calls a
+    plain callable.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.  The table
@@ -970,22 +969,22 @@ def integrate_chain(rhs_pair, chain: _kern.ChainSpec, phi: HistorySpec,
     grow under RK4 whatever the field; a run that then diverges says so
     in its DivergenceError, which keeps its ``t_last``.
     """
-    if not isinstance(chain, _kern.ChainSpec):
-        raise TypeError("chain must come from chain_reduce()")
+    if not isinstance(kernel, _kern.GammaKernel):
+        raise TypeError(f"integrate_chain takes a GammaKernel, not {kernel}")
     x0 = phi(0.0)
     dim = x0.size
-    rate = chain.rate
+    rate, stages = kernel.rate, kernel.shape
     if phi.is_constant:
-        stage0 = [x0.copy() for _ in range(chain.stages)]
+        stage0 = [x0.copy() for _ in range(stages)]
     else:
-        stage_kernels = [_kern.ExponentialKernel(rate),
-                         _kern.ErlangKernel(rate)][:chain.stages]
+        stage_kernels = [_kern.GammaKernel(rate, j)
+                         for j in range(1, stages + 1)]
         stage0 = [_kern.convolve_history(
             kern, phi, 0.0, min(h, _kern.effective_support(kern)[1] / 16.0))
             for kern in stage_kernels]
     y0 = np.concatenate([x0] + stage0)
     pair, args = _binding(rhs_pair, dim, True)
-    field = _chain_description(pair, chain.stages).bind(*args, rate)
+    field = _chain_description(pair, stages).bind(*args, rate)
     try:
         return integrate_rk4(field, y0, t_end, h,
                              diagnostics=diagnostics, core_dim=dim)
@@ -1035,8 +1034,9 @@ def _abm_weights(alpha: float, n_steps: int):
     beta[k] and c[k] are the rectangle (predictor) and interior trapezoid
     (corrector) weights at lag k = 0..n_steps-1, a0[n] the left-endpoint
     corrector weight for step n = 0..n_steps-1, and pow_a[k] = k^alpha.
-    From k = 16 on, c and a0, differences of powers that cancel to about
-    k^(alpha-1), come from their binomial series in 1/(k+1), all positive.
+    From k = 16 on, beta, c and a0, differences of powers that cancel to
+    about k^(alpha-1), come from their binomial series in 1/(k+1), all
+    terms positive, times (k+1)^alpha/(k+1), which keeps beta 1 at order 1.
     """
     k = np.arange(n_steps + 2, dtype=float)
     pow_a = k**alpha
@@ -1046,7 +1046,10 @@ def _abm_weights(alpha: float, n_steps: int):
     a0 = pow_a1[:-2] - (k[:-2] - alpha) * pow_a[1:-1]
     binom = np.cumprod([alpha * (alpha + 1) / 2,
                         *((j - 1 - alpha) / (j + 1) for j in range(2, 24))])
+    series = np.cumprod([alpha,
+                         *((j - alpha) / (j + 1) for j in range(1, 12))])
     x = k[17:-1]
+    beta[16:] = pow_a[17:-1] / x * np.polyval(series[::-1], 1 / x)
     c[16:] = 2.0 * pow_a[17:-1] / x * np.polyval(binom[22::-2], 1 / (x * x))
     a0[16:] = pow_a[17:-1] / x * np.polyval(binom[11::-1], 1 / x)
     return pow_a, beta, c, a0
@@ -1259,14 +1262,14 @@ def integrate_frac_dde(rhs_pair, cfg: FracConfig, kernel, phi: HistorySpec,
     at O(1) per node.  The current step's provisional value participates
     so short-range kernels see a consistent sliver.  A zero lag is no
     delay: the pair at xd = x runs the undelayed loop, bitwise the
-    :func:`integrate_frac_abm` run of that field.  An exponential or
-    Erlang kernel raises ValueError: a Caputo state under integer-order
-    chain stages is a mixed-order system that this scheme does not solve.
+    :func:`integrate_frac_abm` run of that field.  A gamma kernel raises
+    ValueError: a Caputo state under integer-order chain stages is a
+    mixed-order system that this scheme does not solve.
     ``diagnostics`` maps names to functions called once on the whole run: a
     diagnostic maps the (dim, M) component-major state table to M values;
     ``x1, x2, x3 = x`` works for one state and for a table.
     """
-    if _kern.chain_reduce(kernel) is not None:
+    if isinstance(kernel, _kern.GammaKernel):
         raise ValueError(f"integrate_frac_dde takes no {kernel}: its chain "
                          "stages are of integer order")
     x0 = phi(0.0)

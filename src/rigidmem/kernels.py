@@ -1,10 +1,12 @@
 """Delay kernels: densities, Laplace transforms, and history convolution.
 
-Four weighting densities for the past state are supported: uniform on a
-shifted window, exponential, Erlang (stage-2 gamma), and Dirac (a sharp
-lag).  The Dirac kernel is always handled exactly as a sample extraction,
-never as a narrow bump, so its transform exp(-lag*lambda) holds to machine
-precision.
+Three kinds of weighting density for the past state are supported: uniform
+on a shifted window, gamma of shape 1 or 2 (the weak, or exponential, and
+the strong, or Erlang, kernel; MacDonald, Time Lags in Biological Models,
+1978), and Dirac (a sharp lag).  A gamma kernel is its own ODE chain of
+``shape`` stages relaxing at ``rate``.  The Dirac kernel is always handled
+exactly as a sample extraction, never as a narrow bump, so its transform
+exp(-lag*lambda) holds to machine precision.
 """
 
 from __future__ import annotations
@@ -18,14 +20,11 @@ import numpy as np
 
 __all__ = [
     "UniformKernel",
-    "ExponentialKernel",
-    "ErlangKernel",
+    "GammaKernel",
     "DiracKernel",
     "DelayKernel",
-    "ChainSpec",
     "density",
     "laplace",
-    "chain_reduce",
     "convolve_history",
     "effective_support",
 ]
@@ -55,25 +54,20 @@ class UniformKernel:
 
 
 @dataclass(frozen=True)
-class ExponentialKernel:
-    """Density rate * exp(-rate * s) on [0, inf)."""
+class GammaKernel:
+    """Gamma density rate^shape * s^(shape-1) * exp(-rate * s) on [0, inf),
+    shape 1 (exponential) or 2 (Erlang): the exact ODE chain of ``shape``
+    stages at ``rate``."""
 
     rate: float
+    shape: int
 
     def __post_init__(self):
+        if not (isinstance(self.shape, int) and self.shape in (1, 2)):
+            raise ValueError("gamma kernel shape must be the int 1 or 2")
         if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError("exponential kernel rate must be > 0")
-
-
-@dataclass(frozen=True)
-class ErlangKernel:
-    """Stage-2 gamma density rate^2 * s * exp(-rate * s) on [0, inf)."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError("Erlang kernel rate must be > 0")
+            name = "exponential" if self.shape == 1 else "Erlang"
+            raise ValueError(f"{name} kernel rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -87,21 +81,7 @@ class DiracKernel:
             raise ValueError("Dirac kernel lag must be >= 0")
 
 
-DelayKernel = Union[UniformKernel, ExponentialKernel, ErlangKernel, DiracKernel]
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Auxiliary-stage count and rate for the exact ODE chain reduction."""
-
-    stages: int
-    rate: float
-
-    def __post_init__(self):
-        if self.stages not in (1, 2):
-            raise ValueError("chain reduction supports 1 or 2 stages")
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError("chain rate must be > 0")
+DelayKernel = Union[UniformKernel, GammaKernel, DiracKernel]
 
 
 def density(kernel: DelayKernel, s):
@@ -119,11 +99,10 @@ def density(kernel: DelayKernel, s):
     if isinstance(kernel, UniformKernel):
         lo, hi = kernel.offset, kernel.offset + kernel.width
         out = np.where((arr >= lo) & (arr <= hi), 1.0 / kernel.width, 0.0)
-    elif isinstance(kernel, ExponentialKernel):
-        out = kernel.rate * np.exp(-kernel.rate * arr)
-    elif isinstance(kernel, ErlangKernel):
+    elif isinstance(kernel, GammaKernel):
         u = kernel.rate * arr  # rate * u exp(-u) stays finite at any rate
-        out = kernel.rate * (u * np.exp(-u))
+        out = kernel.rate * (np.exp(-u) if kernel.shape == 1
+                             else u * np.exp(-u))
     else:
         raise TypeError(f"unknown kernel type {type(kernel).__name__}")
     return out if out.ndim else float(out)
@@ -140,11 +119,11 @@ def laplace(kernel: DelayKernel, lam):
     """Transform k1(lambda) = integral of k(s) exp(-lambda s) over [0, inf).
 
     ``lam`` is a scalar (the result is a Python complex) or an array (the
-    result is a complex array of its shape).  For the exponential and
-    Erlang kernels the integral only converges for Re(lambda) > -rate; a
-    ValueError is raised if any lambda lies outside that half-plane.  The
-    uniform transform switches to a 4-term series near lambda = 0 to avoid
-    cancellation.
+    result is a complex array of its shape).  For a gamma kernel the
+    transform is (rate/(rate + lambda))^shape, and the integral only
+    converges for Re(lambda) > -rate; a ValueError is raised if any lambda
+    lies outside that half-plane.  The uniform transform switches to a
+    4-term series near lambda = 0 to avoid cancellation.
     """
     lam, scalar = _lambda_array(lam)
     if isinstance(kernel, DiracKernel):
@@ -156,26 +135,14 @@ def laplace(kernel: DelayKernel, lam):
         z = np.where(small, 1.0, z)
         base = np.where(small, series, (1.0 - np.exp(-z)) / z)
         out = np.exp(-kernel.offset * lam) * base
-    elif isinstance(kernel, (ExponentialKernel, ErlangKernel)):
+    elif isinstance(kernel, GammaKernel):
         if np.any(lam.real <= -kernel.rate):
             raise ValueError(
                 f"transform diverges for Re(lambda) <= -rate = {-kernel.rate}")
-        if isinstance(kernel, ExponentialKernel):
-            out = kernel.rate / (kernel.rate + lam)
-        else:
-            out = (kernel.rate / (kernel.rate + lam)) ** 2
+        out = (kernel.rate / (kernel.rate + lam)) ** kernel.shape
     else:
         raise TypeError(f"unknown kernel type {type(kernel).__name__}")
     return complex(out[0]) if scalar else out
-
-
-def chain_reduce(kernel: DelayKernel) -> ChainSpec | None:
-    """ODE chain equivalent of the kernel, or None when no finite chain exists."""
-    if isinstance(kernel, ExponentialKernel):
-        return ChainSpec(1, kernel.rate)
-    if isinstance(kernel, ErlangKernel):
-        return ChainSpec(2, kernel.rate)
-    return None
 
 
 def effective_support(kernel: DelayKernel) -> tuple[float, float]:
@@ -184,14 +151,13 @@ def effective_support(kernel: DelayKernel) -> tuple[float, float]:
         return kernel.offset, kernel.offset + kernel.width
     if isinstance(kernel, DiracKernel):
         return kernel.lag, kernel.lag
-    log_tail = -math.log(_TAIL_MASS)
-    if isinstance(kernel, ExponentialKernel):
-        return 0.0, log_tail / kernel.rate
-    if isinstance(kernel, ErlangKernel):
-        # tail mass (1 + u) exp(-u) = _TAIL_MASS, fixed point in u = rate * s
-        u = log_tail
-        for _ in range(8):
-            u = log_tail + math.log1p(u)
+    if isinstance(kernel, GammaKernel):
+        # tail mass exp(-u), or (1 + u) exp(-u) at shape 2, = _TAIL_MASS;
+        # the latter a fixed point in u = rate * s
+        u = log_tail = -math.log(_TAIL_MASS)
+        if kernel.shape == 2:
+            for _ in range(8):
+                u = log_tail + math.log1p(u)
         return 0.0, u / kernel.rate
     raise TypeError(f"unknown kernel type {type(kernel).__name__}")
 

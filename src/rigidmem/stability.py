@@ -5,8 +5,8 @@ axis equilibrium.  Covers the fractional rigid body's quadratics in
 w = lambda^order (sector condition), the delayed Euler-Poincare system's
 characteristic function with the paper's critical-delay formula,
 closed-form root counts from the exact imaginary-axis crossings for every
-sharp (Dirac) lag, the roots of the ODE-chain polynomial for exponential
-and Erlang kernels, and the eigenvalues of the collocated solution-operator
+sharp (Dirac) lag, the roots of the ODE-chain polynomial for gamma
+kernels, and the eigenvalues of the collocated solution-operator
 generator for uniform ones.  No verdict depends on a search box.
 """
 
@@ -401,19 +401,19 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
     roots of lambda^2 - q1 lambda + q2 - q0 at tau = 0, then the crossing
     families of :func:`_crossings` below tau.  At q2 = q0, or q2 > q0 with
     q1 = 0 (coupling 0 among them), roots lie on the imaginary axis at
-    tau = 0: the verdict is marginal and the count ``uncertain``.  An
-    exponential or Erlang kernel reports the roots of :func:`_chain_roots`
-    and the sector test at order 1; a margin within SECTOR_TOL of 0, or a
-    dropped root, makes the count ``uncertain`` and a stable verdict
-    marginal.  A uniform kernel takes :func:`_uniform_verdict`, from the
-    eigenvalues of the collocated generator, and reports no roots; with
-    coupling 0 and I1 the largest moment a pair lies on the imaginary
-    axis, marginal and ``uncertain``.  The structural lambda factor is one
-    zero root.  With nonzero coupling the report carries
-    :func:`critical_delay_scan` as ``critical_delay`` and
-    :func:`tau_c_formula`; a Dirac kernel adds ``kernel_lag``.  Blocks or
-    bracket coefficients that leave the float range raise OverflowError
-    (:func:`_finite`) rather than give a verdict on inf.
+    tau = 0: the verdict is marginal and the count ``uncertain``.  A gamma
+    kernel reports the roots of :func:`_chain_roots` and the sector test
+    at order 1; a margin within SECTOR_TOL of 0, or a dropped root, makes
+    the count ``uncertain`` and a stable verdict marginal.  A uniform
+    kernel takes :func:`_uniform_verdict`, from the eigenvalues of the
+    collocated generator, and reports no roots; with coupling 0 and I1
+    the largest moment a pair lies on the imaginary axis, marginal and
+    ``uncertain``.  The structural lambda factor is one zero root.  With
+    nonzero coupling the report carries :func:`critical_delay_scan` as
+    ``critical_delay`` and :func:`tau_c_formula`; a Dirac kernel adds
+    ``kernel_lag``.  Blocks or bracket coefficients that leave the float
+    range raise OverflowError (:func:`_finite`) rather than give a verdict
+    on inf.
     """
     a, b = _ep_blocks(s)
     q1, q2, q0 = q = _ep_bracket(a, b)
@@ -428,12 +428,12 @@ def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
         if q2 < q0 or (q2 > q0 and q1 != 0):
             rep.verdict, count = _crossing_verdict(
                 1 if q2 < q0 else 2 * (q1 > 0), crossings, kernel.lag)
-    elif (chain := _kern.chain_reduce(kernel)) is None:
+    elif not isinstance(kernel, _kern.GammaKernel):
         rep.verdict, count = _uniform_verdict(a, b, kernel)
     elif s.coupling != 0:
-        rep.roots = _chain_roots(q, chain)
+        rep.roots = _chain_roots(q, kernel)
         rep.margins, rep.verdict = _sector(rep.roots, 1.0)
-        if len(rep.roots) < 2 + 2 * chain.stages:  # some were dropped
+        if len(rep.roots) < 2 + 2 * kernel.shape:  # some were dropped
             rep.verdict = UNSTABLE if rep.verdict == UNSTABLE else MARGINAL
         elif min(map(abs, rep.margins)) > SECTOR_TOL:
             count = sum(m < 0.0 for m in rep.margins)
@@ -450,7 +450,7 @@ def _divisible(poly) -> np.ndarray:
     return poly
 
 
-def _chain_roots(q, chain: _kern.ChainSpec) -> list[complex]:
+def _chain_roots(q, kernel: _kern.GammaKernel) -> list[complex]:
     """Roots, sorted by (re, im), of the bracket ``q`` under (r/(lambda +
     r))^n times b^(2n), b = (lambda + r)/max(r, 1): the chain polynomial
     (MacDonald, Time Lags in Biological Models, 1978), finite at any rate.
@@ -466,7 +466,7 @@ def _chain_roots(q, chain: _kern.ChainSpec) -> list[complex]:
     polynomial too.
     """
     q1, q2, q0 = q
-    n, r = chain.stages, chain.rate
+    n, r = kernel.shape, kernel.rate
     g = (r / max(r, 1.0)) ** n
     b_n = functools.reduce(np.polymul, [np.array([1.0, r]) / max(r, 1.0)] * n)
     poly = np.polyadd(np.polymul([1.0, 0.0, -q0], np.polymul(b_n, b_n)),

@@ -102,10 +102,9 @@ def test_c04_kernel_oracle_equivalence():
     pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
     phi = HistorySpec.constant(0.3 * X111)
     diffs = {}
-    for name, kern in (("exp", kernels.ExponentialKernel(2.0)),
-                       ("erlang", kernels.ErlangKernel(2.0))):
-        chain = integrate_chain(pair, kernels.chain_reduce(kern), phi, 10.0,
-                                5e-3)
+    for name, kern in (("exp", kernels.GammaKernel(2.0, 1)),
+                       ("erlang", kernels.GammaKernel(2.0, 2))):
+        chain = integrate_chain(pair, kern, phi, 10.0, 5e-3)
         # t = 0, 0.25, ..., 10
         diffs[name] = _last_stage_gap(chain, kern, phi, 50)
     _report("C4 kernel oracle equivalence",
@@ -136,7 +135,7 @@ def test_c06_delayed_ep_consistency():
     A = models.jacobian(lambda u: models.rhs_ep_delayed(S321, u, w), w)
     B = models.jacobian(lambda u: models.rhs_ep_delayed(S321, w, u), w)
     rng = np.random.default_rng(42)
-    kern = kernels.ExponentialKernel(1.5)
+    kern = kernels.GammaKernel(1.5, 1)
     worst = 0.0
     for _ in range(100):
         lam = complex(rng.uniform(-1.0, 3.0), rng.uniform(-5.0, 5.0))

@@ -307,6 +307,29 @@ step = 0.01
         header = out.read_text().splitlines()[0]
         assert header.startswith("t,x1,x2,x3,h,c,eta1_1")
 
+    def test_kernel_kind_fixes_the_gamma_shape(self, tmp_path, capsys):
+        text = """\
+[system]
+kind = delayed
+a1 = 3
+a2 = 2
+a3 = 1
+
+[kernel]
+kind = erlang
+rate = 2.0
+shape = 3
+
+[run]
+x0 = 0.3, 0.3, 0.3
+t_end = 1
+step = 0.01
+"""
+        code, _ = run_cli(tmp_path, text, "simulate", "shape.csv")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 10: unknown key 'shape' in [kernel]\n")
+
     @pytest.mark.parametrize("kernel", ["exponential", "erlang"])
     def test_rational_kernel_csv_is_integrate_dde(self, kernel, tmp_path):
         # the CLI calls integrate_chain itself; integrate_dde hands the
@@ -330,8 +353,8 @@ step = 0.01
         code, out = run_cli(tmp_path, text, "simulate", "cli.csv")
         assert code == 0
         p = models.RigidBodyParams(3, 2, 1)
-        kern = (kernels.ExponentialKernel(2.5) if kernel == "exponential"
-                else kernels.ErlangKernel(2.5))
+        kern = (kernels.GammaKernel(2.5, 1) if kernel == "exponential"
+                else kernels.GammaKernel(2.5, 2))
         traj = integrate_dde(
             lambda x, xd: models.rhs_delayed(p, x, xd), kern,
             HistorySpec.constant([0.3, 0.2, 0.4]), 1.0, 0.01,

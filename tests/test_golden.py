@@ -883,13 +883,13 @@ GOLDEN = {
         'samples = 30001\n'
         'step = 0.001\n'
         'endpoint_t = 30\n'
-        'endpoint_x = 0.039483975982198549, -0.32959292196186629, 0.039483975982198549\n'
+        'endpoint_x = 0.039483975982198771, -0.32959292196186607, 0.039483975982198771\n'
         'h_drift_rel = 9.628e-01\n'
         'c_drift_rel = 9.628e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'c2948a879db5140426c3fb9ba5298ed3ed714b200a31991c7f97547774c22cce'}),
+        {'out': 'bf15cca4431a5f00a268947c3b0d5e121bdc137376fa1eb366680e54fdaa75e0'}),
     'frac_order_082.cfg-stability': (
         0,
         'kind = fractional\n'
@@ -933,7 +933,7 @@ GOLDEN = {
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'bdc311da6fc63837dcadbb2b02d773a1d5a4bda269894619e7ac63f86f99af90'}),
+        {'out': '7f810e852a61ead58da6d649477ca8d27d81c29b838d346ec15f1e89f0078705'}),
     'fractional-m1e-160-stability': (
         0,
         'kind = fractional\n'
@@ -998,13 +998,13 @@ GOLDEN = {
         'samples = 101\n'
         'step = 0.01\n'
         'endpoint_t = 1\n'
-        'endpoint_x = 1.0479004710974724, 0.047674094485514573, 0.01957945327245314\n'
+        'endpoint_x = 1.0479004710974724, 0.047674094485514573, 0.019579453272453112\n'
         'h_drift_rel = 6.802e-02\n'
         'c_drift_rel = 1.467e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '494ef47d220401269167ef8a767f9a3b3221b8b05e25841adbad3e694e1e8eb4'}),
+        {'out': '20c3a2392ec67c2eee7e84e7eecce2811c936ff1ddf13bbe0a954441e28daafe'}),
     'fractional-revised-stability': (
         0,
         'kind = fractional-revised\n'
@@ -1027,13 +1027,13 @@ GOLDEN = {
         'samples = 201\n'
         'step = 0.01\n'
         'endpoint_t = 2\n'
-        'endpoint_x = 1.0257973563770877, 0.083856571064271301, 0.034755332688177043\n'
+        'endpoint_x = 1.0257973563770877, 0.08385657106427119, 0.034755332688177099\n'
         'h_drift_rel = 1.060e-01\n'
         'c_drift_rel = 1.783e-01\n'
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'bc24caeef5ca8f2e906a132cf78169fe22334367c316165b028c1871f9973893'}),
+        {'out': 'b921f8eb500b5f68f7a568d1ca05bf1c4f58190dd2f41825c7895a1e3010078d'}),
     'fractional-scan-alpha': (
         0,
         'kind = fractional\n'
@@ -1070,7 +1070,7 @@ GOLDEN = {
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '2bad2d8b80fc211df2a809494e18a7a4bc6b57138a9ed31a200bd63881b81a66'}),
+        {'out': '98a6cd5dcfc1b1e61e7818c330a0f3d46e38a1c33f63562173f34bfe8dd214eb'}),
     'fractional-stability': (
         0,
         'kind = fractional\n'
@@ -1099,7 +1099,7 @@ GOLDEN = {
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'e27a76a2616b278f0b903ecc154a97ef0401d8cd17d5cdc78c8cd379c7268136'}),
+        {'out': '72dccd68ef9cf23bc2d210176f8b3e731b26b298077e24bfa3a6dfbca33751a3'}),
     'planar-19-dirac0-simulate': (
         0,
         'kind = planar-19\n'
@@ -1110,7 +1110,7 @@ GOLDEN = {
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '73c5b7f50936c2316298cc76c14ea6d9560e0c42e1e4ad006968af43d48e16c4'}),
+        {'out': 'e59d8d9a90f4832ddb1b9760e845877f61597586dcca7f13a9f1c65bfc1813b0'}),
     'planar-19-scan-alpha': (
         0,
         'kind = planar-19\n'
@@ -1137,7 +1137,7 @@ GOLDEN = {
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '9e860dba3a14fa0f6e5588479ff8724259e2dae5300e12428a82dbd41930f024'}),
+        {'out': '6a7f752c478d696a02f18bdcab0b9d9a82aa88c6f3d28f34c8b799b9ee766e2a'}),
     'planar-19-stability': (
         0,
         'kind = planar-19\n'
@@ -1274,7 +1274,7 @@ GOLDEN = {
         'runtime_s = *\n'
         'wrote = <out>/out\n',
         '',
-        {'out': '6ab8595de28b731145044542289af403957bb5e753d44254889b1a84e51ae682'}),
+        {'out': '585d0517c9e00312edfa405d342ab15e163862369e636fd1f6be626ab98bc205'}),
     'scalar-18-diverges': (
         3,
         '',

@@ -113,10 +113,10 @@ DIAG_RUNS = {
     "rk4": lambda d: integrate_rk4(lambda x: _ep_pair(x, x), X_EP, 1.0, 0.01,
                                    diagnostics=d),
     "chain-1": lambda d: integrate_chain(
-        _ep_pair, kernels.ChainSpec(1, 2.0), HistorySpec.constant(X_EP), 1.0,
+        _ep_pair, kernels.GammaKernel(2.0, 1), HistorySpec.constant(X_EP), 1.0,
         0.01, diagnostics=d),
     "chain-2": lambda d: integrate_chain(
-        _ep_pair, kernels.ChainSpec(2, 2.0), HistorySpec.constant(X_EP), 1.0,
+        _ep_pair, kernels.GammaKernel(2.0, 2), HistorySpec.constant(X_EP), 1.0,
         0.01, diagnostics=d),
     "dde": lambda d: integrate_dde(
         _ep_pair, kernels.DiracKernel(0.1), HistorySpec.constant(X_EP), 1.0,
@@ -298,14 +298,13 @@ class TestDde:
         assert traj.n_samples == 201
         assert np.all(np.isfinite(traj.states))
 
-    @pytest.mark.parametrize("kernel", [kernels.ExponentialKernel(4.0),
-                                        kernels.ErlangKernel(4.0)], ids=repr)
+    @pytest.mark.parametrize("kernel", [kernels.GammaKernel(4.0, 1),
+                                        kernels.GammaKernel(4.0, 2)], ids=repr)
     @pytest.mark.parametrize("phi", ["constant", "callable"])
     def test_rational_kernel_is_the_chain(self, kernel, phi):
         dde = integrate_dde(_rigid_pair, kernel, PHIS[phi], 0.5, H,
                             diagnostics=rigid_diag(P321))
-        chain = integrate_chain(_rigid_pair, kernels.chain_reduce(kernel),
-                                PHIS[phi], 0.5, H,
+        chain = integrate_chain(_rigid_pair, kernel, PHIS[phi], 0.5, H,
                                 diagnostics=rigid_diag(P321))
         # tobytes also tells signed zeros apart
         assert dde.states.tobytes() == chain.states.tobytes()
@@ -315,6 +314,13 @@ class TestDde:
             assert series.tobytes() == chain.diagnostics[name].tobytes()
         assert dde.core_dim == chain.core_dim == 3
         assert dde.meta == chain.meta
+
+    @pytest.mark.parametrize("kernel", [kernels.DiracKernel(0.5),
+                                        kernels.UniformKernel(0.1, 0.4)],
+                             ids=repr)
+    def test_chain_takes_a_gamma_kernel_only(self, kernel):
+        with pytest.raises(TypeError, match="takes a GammaKernel"):
+            integrate_chain(_rigid_pair, kernel, PHIS["constant"], 0.5, H)
 
     def test_unknown_kernel_type_rejected(self):
         grid = integrators._RunningGrid(PHIS["constant"], 0.0, H, 4, 3)
@@ -346,15 +352,14 @@ class TestChain:
         # at t = 0, 0.25, ..., 5
         pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
         phi = HistorySpec.constant(0.3 * X111)
-        kern = kernels.ExponentialKernel(2.0)
-        chain = integrate_chain(pair, kernels.chain_reduce(kern), phi, 5.0,
-                                5e-3)
+        kern = kernels.GammaKernel(2.0, 1)
+        chain = integrate_chain(pair, kern, phi, 5.0, 5e-3)
         assert _last_stage_gap(chain, kern, phi, 50) < 1e-6
 
     def test_constant_equilibrium_stages(self):
         eq = np.array([0.7, 0.0, 0.0])
         pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
-        traj = integrate_chain(pair, kernels.ChainSpec(2, 1.5),
+        traj = integrate_chain(pair, kernels.GammaKernel(1.5, 2),
                                HistorySpec.constant(eq), 2.0, 0.01)
         assert np.max(np.abs(traj.states - np.tile(eq, 3))) == 0.0
         assert traj.core_dim == 3
@@ -362,7 +367,7 @@ class TestChain:
     def test_large_rate_approaches_no_delay(self):
         x0 = 0.3 * X111
         pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
-        fast = integrate_chain(pair, kernels.ChainSpec(1, 1000.0),
+        fast = integrate_chain(pair, kernels.GammaKernel(1000.0, 1),
                                HistorySpec.constant(x0), 5.0, 1e-3)
         ode = integrate_rk4(lambda x: models.rhs_classical(P321, x), x0, 5.0,
                             1e-3)
@@ -373,9 +378,9 @@ class TestChain:
         rate = 2.0
         phi = _history_from_callable(lambda s: np.array([math.exp(0.5 * s)]))
         pair = lambda x, xd: -np.asarray(xd)
-        traj = integrate_chain(pair, kernels.ChainSpec(1, rate), phi, 0.5,
+        traj = integrate_chain(pair, kernels.GammaKernel(rate, 1), phi, 0.5,
                                0.01)
-        expected = kernels.laplace(kernels.ExponentialKernel(rate), 0.5).real
+        expected = kernels.laplace(kernels.GammaKernel(rate, 1), 0.5).real
         assert traj.states[0, 1] == pytest.approx(expected, abs=1e-7)
 
     def test_stage_start_memory_bounded(self):
@@ -388,11 +393,11 @@ class TestChain:
                                     0.2 - 0.05 * np.exp(0.01 * ss)])
 
         phi = HistorySpec(eval_many, 3)
-        stage_kernels = [kernels.ExponentialKernel(0.02),
-                         kernels.ErlangKernel(0.02)]
+        stage_kernels = [kernels.GammaKernel(0.02, 1),
+                         kernels.GammaKernel(0.02, 2)]
         tracemalloc.start()
         try:
-            traj = integrate_chain(_rigid_pair, kernels.ChainSpec(2, 0.02),
+            traj = integrate_chain(_rigid_pair, kernels.GammaKernel(0.02, 2),
                                    phi, 1e-3, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -415,7 +420,7 @@ class TestChain:
         phi = HistorySpec.constant([0.4, 0.3, 0.2])
         with pytest.raises(DivergenceError) as info:
             integrate_dde(models.ep_delayed_field(EP),
-                          kernels.ErlangKernel(rate), phi, 5.0, 0.01)
+                          kernels.GammaKernel(rate, 2), phi, 5.0, 0.01)
         msg = str(info.value)
         assert msg.startswith("state diverged; last valid time t = ")
         assert (f"step * rate = {0.01 * rate:g} is above 2.785" in msg
@@ -484,10 +489,10 @@ class TestFracAbm:
         # beta[k] = (k+1)^alpha - k^alpha, c[k] = (k+2)^p - 2 (k+1)^p + k^p
         # and a0[k] = k^p - (k - alpha) (k+1)^alpha, p = alpha + 1, in
         # 60-digit decimal: the differences cancel about 2 log10(k) digits,
-        # which 60 digits leave to spare.  From k = 16 on, c and a0 (their
-        # series) are within 1e-15 relative; beta at every k and c and a0
-        # below 16 (the differences in floats) within 1e-15 of the sum of
-        # their terms' magnitudes, a few roundings of the terms
+        # which 60 digits leave to spare.  From k = 16 on, beta, c and a0
+        # (their series) are within 1e-15 relative; below 16 (the
+        # differences in floats) within 1e-15 of the sum of their terms'
+        # magnitudes, a few roundings of the terms
         n = 300_001
         _, beta, c, a0 = integrators._abm_weights(alpha, n)
         ks = [*range(16),
@@ -499,7 +504,7 @@ class TestFracAbm:
             for k in ks:
                 x = decimal.Decimal(k)
                 terms = {
-                    "beta": (beta[k], [(x + 1) ** a, -(x**a)], False),
+                    "beta": (beta[k], [(x + 1) ** a, -(x**a)], k >= 16),
                     "c": (c[k], [(x + 2) ** p, -2 * (x + 1) ** p, x**p],
                           k >= 16),
                     "a0": (a0[k], [x**p, -(x - a) * (x + 1) ** a], k >= 16)}
@@ -577,8 +582,8 @@ class TestFracDde:
                                   HistorySpec.constant(eq), 2.0)
         assert np.max(np.abs(traj.states - eq)) == 0.0
 
-    @pytest.mark.parametrize("kernel", [kernels.ExponentialKernel(2.0),
-                                        kernels.ErlangKernel(2.0)], ids=repr)
+    @pytest.mark.parametrize("kernel", [kernels.GammaKernel(2.0, 1),
+                                        kernels.GammaKernel(2.0, 2)], ids=repr)
     def test_rational_kernel_rejected(self, kernel):
         # integer-order chain stages under a Caputo state: a mixed-order
         # system that the ABM does not solve
@@ -805,8 +810,8 @@ class TestBatchedLookups:
             pair, cfg, kernel, PHIS["callable"], 1.37), monkeypatch)
 
     @pytest.mark.parametrize("kernel", [
-        kernels.UniformKernel(0.1, 0.37), kernels.ExponentialKernel(12.0),
-        kernels.ErlangKernel(15.0)], ids=repr)
+        kernels.UniformKernel(0.1, 0.37), kernels.GammaKernel(12.0, 1),
+        kernels.GammaKernel(15.0, 2)], ids=repr)
     def test_convolve_history_unchanged(self, kernel):
         for phi in PHIS.values():
             for t in (-0.3, 0.0):
@@ -1442,7 +1447,7 @@ class TestTrajectoryCsv:
 
     def test_chain_columns(self, tmp_path):
         pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
-        traj = integrate_chain(pair, kernels.ChainSpec(2, 1.0),
+        traj = integrate_chain(pair, kernels.GammaKernel(1.0, 2),
                                HistorySpec.constant(0.3 * X111), 0.1, 0.05,
                                diagnostics=rigid_diag(P321))
         path = tmp_path / "chain.csv"
@@ -1516,7 +1521,7 @@ class TestTrajectoryCsv:
 def _chain_run(stages):
     """A chain run of two chunks and three rows of the CSV."""
     pair = lambda x, xd: models.rhs_delayed(P321, x, xd)
-    return integrate_chain(pair, kernels.ChainSpec(stages, 30.0),
+    return integrate_chain(pair, kernels.GammaKernel(30.0, stages),
                            HistorySpec.constant(0.3 * X111),
                            (2 * CHUNK + 2) * 0.01, 0.01,
                            diagnostics=rigid_diag(P321))
@@ -1702,13 +1707,11 @@ FLOAT_LOOP_RUNS = {
     "bound-revised": lambda: integrate_rk4(
         models.revised_field(P321), X111, 3.0, 1e-2),
     "bound-chain-exponential": lambda: integrate_chain(
-        models.delayed_field(P321),
-        kernels.chain_reduce(kernels.ExponentialKernel(2.0)),
+        models.delayed_field(P321), kernels.GammaKernel(2.0, 1),
         PHIS["callable"], 2.0, H),
     "bound-chain-erlang-constant": lambda: integrate_chain(
-        models.delayed_field(P321),
-        kernels.chain_reduce(kernels.ErlangKernel(3.0)), PHIS["constant"],
-        2.0, H),
+        models.delayed_field(P321), kernels.GammaKernel(3.0, 2),
+        PHIS["constant"], 2.0, H),
     "bound-dde-delayed": lambda: integrate_dde(
         models.delayed_field(P321), kernels.DiracKernel(50.5 * H),
         PHIS["callable"], 1.37, H),
@@ -1722,10 +1725,10 @@ FLOAT_LOOP_RUNS = {
         models.ep_delayed_field(EP), kernels.UniformKernel(0.0, 0.37),
         HistorySpec.constant(X_EP), 2.0, H),
     "chain-exponential": lambda: integrate_chain(
-        _rigid_pair, kernels.chain_reduce(kernels.ExponentialKernel(2.0)),
+        _rigid_pair, kernels.GammaKernel(2.0, 1),
         PHIS["callable"], 2.0, H),
     "chain-erlang": lambda: integrate_chain(
-        _rigid_pair, kernels.chain_reduce(kernels.ErlangKernel(3.0)),
+        _rigid_pair, kernels.GammaKernel(3.0, 2),
         PHIS["callable"], 2.0, H),
     "dirac-long": lambda: integrate_dde(
         _rigid_pair, kernels.DiracKernel(50.5 * H), PHIS["callable"], 1.37, H),
@@ -2477,8 +2480,7 @@ WRONG_WIDTH_RUNS = {
     "dde": lambda f: integrate_dde(f, kernels.DiracKernel(0.3 * H),
                                    PHIS["callable"], 0.1, H),
     "chain": lambda f: integrate_chain(
-        f, kernels.chain_reduce(kernels.ErlangKernel(3.0)), PHIS["callable"],
-        0.1, H),
+        f, kernels.GammaKernel(3.0, 2), PHIS["callable"], 0.1, H),
     "frac-abm": lambda f: integrate_frac_abm(
         lambda x: f(x, x), FracConfig(order=0.8, h=H), X111, 0.1),
     "frac-dde": lambda f: integrate_frac_dde(
@@ -2542,7 +2544,7 @@ class TestInlinedRun:
             assert (bound([1.0, 2.0, 3.0], [0.5, 0.4, 0.3])
                     == _clash_by_hand([1.0, 2.0, 3.0], [0.5, 0.4, 0.3]))
             kernel = (kernels.DiracKernel(0.3 * H) if route == "dde"
-                      else kernels.ErlangKernel(3.0))
+                      else kernels.GammaKernel(3.0, 2))
 
             def run(f):
                 return integrate_dde(f, kernel, PHIS["callable"], 1.0, H)
@@ -2566,7 +2568,7 @@ class TestInlinedRun:
         assert "<rk4 run: classical, 3>" in files
         with pytest.raises(DivergenceError) as info:
             integrate_chain(models.delayed_field(P321),
-                            kernels.chain_reduce(kernels.ErlangKernel(3.0)),
+                            kernels.GammaKernel(3.0, 2),
                             HistorySpec.constant([1e5, 1e5, 1e5]), 1.0, H)
         files = [f.filename for f in traceback.extract_tb(info.tb)]
         assert "<rk4 run: chain(delayed, 2), 9>" in files

@@ -13,8 +13,8 @@ from rigidmem.integrators import HistorySpec
 ALL_KERNELS = [
     kernels.UniformKernel(0.0, 2.0),
     kernels.UniformKernel(0.5, 1.5),
-    kernels.ExponentialKernel(2.0),
-    kernels.ErlangKernel(1.0),
+    kernels.GammaKernel(2.0, 1),
+    kernels.GammaKernel(1.0, 2),
     kernels.DiracKernel(0.7),
 ]
 POINTWISE = [k for k in ALL_KERNELS if not isinstance(k, kernels.DiracKernel)]
@@ -23,8 +23,8 @@ POINTWISE = [k for k in ALL_KERNELS if not isinstance(k, kernels.DiracKernel)]
 class TestDensity:
     def test_examples(self):
         assert kernels.density(kernels.UniformKernel(0.0, 2.0), 1.0) == 0.5
-        assert kernels.density(kernels.ExponentialKernel(2.0), 0.0) == 2.0
-        assert kernels.density(kernels.ErlangKernel(1.0), 0.0) == 0.0
+        assert kernels.density(kernels.GammaKernel(2.0, 1), 0.0) == 2.0
+        assert kernels.density(kernels.GammaKernel(1.0, 2), 0.0) == 0.0
 
     def test_dirac_rejects_pointwise(self):
         with pytest.raises(ValueError):
@@ -32,7 +32,7 @@ class TestDensity:
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
-            kernels.density(kernels.ExponentialKernel(1.0), -0.1)
+            kernels.density(kernels.GammaKernel(1.0, 1), -0.1)
 
     @pytest.mark.parametrize("kernel", POINTWISE, ids=str)
     def test_normalization_by_quadrature(self, kernel):
@@ -45,7 +45,7 @@ class TestDensity:
         # rate**2 overflows a Python float above a rate of about 1.34e154;
         # rate * (u exp(-u)), u = rate * s, never leaves the float range
         with np.errstate(over="raise", invalid="raise"):
-            dens = kernels.density(kernels.ErlangKernel(1e300),
+            dens = kernels.density(kernels.GammaKernel(1e300, 2),
                                    [0.0, 1e-300, 1.0])
         assert dens[0] == 0.0 and dens[2] == 0.0
         assert dens[1] == pytest.approx(1e300 / math.e, rel=1e-15)
@@ -56,7 +56,7 @@ class TestDensity:
         with pytest.raises(ValueError):
             kernels.UniformKernel(0.0, 0.0)
         with pytest.raises(ValueError):
-            kernels.ExponentialKernel(0.0)
+            kernels.GammaKernel(0.0, 1)
         with pytest.raises(ValueError):
             kernels.DiracKernel(-1.0)
 
@@ -67,8 +67,8 @@ class TestLaplace:
         assert abs(kernels.laplace(kernel, 0.0) - 1.0) < 1e-12
 
     def test_analytic_values(self):
-        assert kernels.laplace(kernels.ExponentialKernel(2.0), 2.0) == 0.5
-        assert kernels.laplace(kernels.ErlangKernel(1.0), 1.0) == 0.25
+        assert kernels.laplace(kernels.GammaKernel(2.0, 1), 2.0) == 0.5
+        assert kernels.laplace(kernels.GammaKernel(1.0, 2), 1.0) == 0.25
         got = kernels.laplace(kernels.UniformKernel(0.0, 1.0), 1.0)
         assert got == pytest.approx(1.0 - math.exp(-1.0), abs=1e-14)
         assert kernels.laplace(kernels.DiracKernel(0.5), 2.0) == \
@@ -98,16 +98,16 @@ class TestLaplace:
 
     def test_huge_erlang_rate(self):
         # this raised OverflowError at rate**2
-        kern = kernels.ErlangKernel(1e300)
+        kern = kernels.GammaKernel(1e300, 2)
         assert kernels.laplace(kern, 1.0) == 1.0
         assert kernels.laplace(kern, 1e300) == 0.25
         assert kernels.laplace(kern, 1e-300j) == 1.0
 
     def test_divergence_domain(self):
         with pytest.raises(ValueError):
-            kernels.laplace(kernels.ExponentialKernel(1.0), -1.0)
+            kernels.laplace(kernels.GammaKernel(1.0, 1), -1.0)
         with pytest.raises(ValueError):
-            kernels.laplace(kernels.ErlangKernel(2.0), complex(-2.5, 1.0))
+            kernels.laplace(kernels.GammaKernel(2.0, 2), complex(-2.5, 1.0))
 
     @given(st.floats(min_value=-60, max_value=60))
     @settings(max_examples=80)
@@ -139,22 +139,74 @@ class TestLaplaceArrays:
         assert got.tolist() == [kernels.laplace(kernel, z) for z in lam]
 
     def test_divergence_domain_any_element(self):
-        for kernel in (kernels.ExponentialKernel(1.0),
-                       kernels.ErlangKernel(2.0)):
+        for kernel in (kernels.GammaKernel(1.0, 1),
+                       kernels.GammaKernel(2.0, 2)):
             lam = np.array([1.0, 2.0j, complex(-kernel.rate, 3.0), 0.5])
             with pytest.raises(ValueError):
                 kernels.laplace(kernel, lam)
             assert kernels.laplace(kernel, lam[[0, 1, 3]]).shape == (3,)
 
 
-class TestChainReduce:
-    def test_examples(self):
-        assert kernels.chain_reduce(kernels.ExponentialKernel(3.0)) == \
-            kernels.ChainSpec(1, 3.0)
-        assert kernels.chain_reduce(kernels.ErlangKernel(3.0)) == \
-            kernels.ChainSpec(2, 3.0)
-        assert kernels.chain_reduce(kernels.DiracKernel(1.0)) is None
-        assert kernels.chain_reduce(kernels.UniformKernel(0.0, 1.0)) is None
+def _old_density(rate, shape, s):
+    """The density as the separate exponential and Erlang classes gave it."""
+    if shape == 1:
+        return rate * np.exp(-rate * s)
+    u = rate * s
+    return rate * (u * np.exp(-u))
+
+
+def _old_laplace(rate, shape, lam):
+    """The transform as the separate exponential and Erlang classes gave it."""
+    if shape == 1:
+        return rate / (rate + lam)
+    return (rate / (rate + lam)) ** 2
+
+
+def _old_support(rate, shape):
+    """The support as the separate exponential and Erlang classes gave it."""
+    log_tail = -math.log(kernels._TAIL_MASS)
+    if shape == 1:
+        return 0.0, log_tail / rate
+    u = log_tail
+    for _ in range(8):
+        u = log_tail + math.log1p(u)
+    return 0.0, u / rate
+
+
+class TestGammaKernel:
+    @pytest.mark.parametrize("shape", [0, 3, 2.5, 2.0])
+    def test_shape_is_1_or_2(self, shape):
+        # a float 2.0 would pass a comparison but not range(shape)
+        with pytest.raises(ValueError, match="shape must be the int 1 or 2"):
+            kernels.GammaKernel(1.0, shape)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_rate_error_names_the_kind(self, rate):
+        with pytest.raises(ValueError,
+                           match="^exponential kernel rate must be > 0$"):
+            kernels.GammaKernel(rate, 1)
+        with pytest.raises(ValueError,
+                           match="^Erlang kernel rate must be > 0$"):
+            kernels.GammaKernel(rate, 2)
+
+    @pytest.mark.parametrize("shape", [1, 2])
+    @pytest.mark.parametrize("rate", [1e-300, 2.0, 1e300])
+    def test_bits_of_the_separate_kernels(self, rate, shape):
+        # the merged branches keep each former class's arithmetic: the
+        # same bits of density, transform and support (from which the
+        # quadrature's node count follows)
+        kern = kernels.GammaKernel(rate, shape)
+        s = np.concatenate(([0.0, 5e-324], np.geomspace(1e-300, 1e300, 201),
+                            np.linspace(0.0, 40.0, 101) / rate))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(kernels.density(kern, s),
+                                          _old_density(rate, shape, s))
+        lam = np.concatenate((_lambda_samples(), rate * _lambda_samples()))
+        lam = lam[lam.real > -rate]
+        np.testing.assert_array_equal(
+            kernels.laplace(kern, lam),
+            _old_laplace(rate, shape, lam.astype(complex)))
+        assert kernels.effective_support(kern) == _old_support(rate, shape)
 
 
 class TestConvolveHistory:
@@ -202,5 +254,5 @@ class TestConvolveHistory:
 
     def test_bad_quad_step(self):
         with pytest.raises(ValueError):
-            kernels.convolve_history(kernels.ExponentialKernel(1.0),
+            kernels.convolve_history(kernels.GammaKernel(1.0, 1),
                                      lambda t: np.array([1.0]), 0.0, 0.0)

@@ -253,7 +253,7 @@ class TestCharEp:
     def test_matches_block_determinant(self):
         A, B = _ep_linearization(S321)
         rng = np.random.default_rng(42)
-        kern = kernels.ExponentialKernel(1.5)
+        kern = kernels.GammaKernel(1.5, 1)
         for _ in range(100):
             lam = complex(rng.uniform(-1.0, 3.0), rng.uniform(-5.0, 5.0))
             k1 = kernels.laplace(kern, lam)
@@ -276,8 +276,8 @@ class TestEpFloatRange:
     @pytest.mark.parametrize("kernel, m, message", [
         (kernels.DiracKernel(0.5), 1e78, "q2 = det B"),
         (kernels.DiracKernel(0.5), 1e100, "q2 = det B"),
-        (kernels.ErlangKernel(2.0), 1e78, "q2 = det B"),
-        (kernels.ExponentialKernel(2.0), 1e78, "q2 = det B"),
+        (kernels.GammaKernel(2.0, 2), 1e78, "q2 = det B"),
+        (kernels.GammaKernel(2.0, 1), 1e78, "q2 = det B"),
         (kernels.UniformKernel(0.1, 0.5), 1e78, "q2 = det B"),
         (kernels.UniformKernel(0.1, 0.5), 1e160, "transverse block B")],
         ids=repr)
@@ -299,7 +299,7 @@ class TestEpFloatRange:
 
     @pytest.mark.parametrize("kernel", [
         kernels.DiracKernel(0.5), kernels.UniformKernel(0.1, 0.5),
-        kernels.ErlangKernel(2.0)], ids=repr)
+        kernels.GammaKernel(2.0, 2)], ids=repr)
     @pytest.mark.parametrize("m", [1.0, 1e100, 1e160])
     def test_zero_coupling_b_is_zero(self, kernel, m):
         # at m = 1e160 the complex step multiplies the zero coupling by an
@@ -677,8 +677,8 @@ class TestClosedFormCounts:
             for lag in (0.0, 0.5, 2.0, 50.0):
                 stability.ep_delayed_check(s, kernels.DiracKernel(lag))
             for rate in (0.1, 2.0, 1e10):
-                stability.ep_delayed_check(s, kernels.ExponentialKernel(rate))
-                stability.ep_delayed_check(s, kernels.ErlangKernel(rate))
+                stability.ep_delayed_check(s, kernels.GammaKernel(rate, 1))
+                stability.ep_delayed_check(s, kernels.GammaKernel(rate, 2))
             for offset, width in ((0.0, 0.05), (0.1, 0.5)):
                 stability.ep_delayed_check(
                     s, kernels.UniformKernel(offset, width))
@@ -687,8 +687,8 @@ class TestClosedFormCounts:
         dirac, uniform = kernels.DiracKernel(0.7), kernels.UniformKernel(
             0.1, 0.5)
         for s in _crossing_setups()[:12]:
-            for kern in (dirac, uniform, kernels.ExponentialKernel(2.0),
-                         kernels.ErlangKernel(0.5)):
+            for kern in (dirac, uniform, kernels.GammaKernel(2.0, 1),
+                         kernels.GammaKernel(0.5, 2)):
                 rep = stability.ep_delayed_check(s, kern)
                 assert rep.critical_delay == stability.critical_delay_scan(s)
                 if s.coupling:
@@ -762,11 +762,10 @@ class TestClosedFormCounts:
         # every root of the chain polynomial, sorted by (re, im), with its
         # margin |arg lambda| - pi/2; the count is the negative margins
         for s in _crossing_setups()[2:14]:
-            for kern in (kernels.ExponentialKernel(2.0),
-                         kernels.ErlangKernel(0.5)):
+            for kern in (kernels.GammaKernel(2.0, 1),
+                         kernels.GammaKernel(0.5, 2)):
                 rep = stability.ep_delayed_check(s, kern)
-                stages = kernels.chain_reduce(kern).stages
-                assert len(rep.roots) == 2 + 2 * stages
+                assert len(rep.roots) == 2 + 2 * kern.shape
                 assert all(type(w) is complex for w in rep.roots)
                 assert rep.roots == sorted(rep.roots,
                                            key=lambda w: (w.real, w.imag))
@@ -780,17 +779,17 @@ class TestClosedFormCounts:
                     int(np.argmin(rep.margins))]
                 assert rep.alpha is None and rep.structural_zero_roots == 1
         text = stability.ep_delayed_check(
-            S321, kernels.ErlangKernel(2.0)).to_text()
+            S321, kernels.GammaKernel(2.0, 2)).to_text()
         assert "root6_im = " in text and "margin6 = " in text
         assert "rhp_root_count = 0\n" in text
 
     @pytest.mark.parametrize("setup, kern, count", [
         ((4.39734, 2.31139, 1.59861, -0.754625, 31.299),
-         kernels.ErlangKernel(0.262547), 2),
+         kernels.GammaKernel(0.262547, 2), 2),
         ((4.76546, 3.01903, 2.84783, -0.86384, 59.967),
-         kernels.ExponentialKernel(18.2484), 2),
+         kernels.GammaKernel(18.2484, 1), 2),
         ((3.73887, 2.54758, 0.755485, 1.98145, 53.5446),
-         kernels.ErlangKernel(18.3348), 4)])
+         kernels.GammaKernel(18.3348, 2), 4)])
     def test_ep_rational_regressions(self, setup, kern, count):
         # a fixed 50 x 50 contour called all three stable with count 0;
         # the first has its pair 0.734 +- 0.906i inside that box
@@ -810,8 +809,8 @@ class TestClosedFormCounts:
             m = float(rng.uniform(0.2, 6.0)) * (10.0 if i % 3 == 0 else 1.0)
             rate = float(rng.uniform(0.1, 20.0))
             s = models.InertiaSetup(*(float(v) for v in inertia), coupling, m)
-            kern = (kernels.ExponentialKernel(rate) if i % 2 == 0
-                    else kernels.ErlangKernel(rate))
+            kern = (kernels.GammaKernel(rate, 1) if i % 2 == 0
+                    else kernels.GammaKernel(rate, 2))
             roots = _chain_roots(*_fd_ep_blocks(s), kern)
             if np.abs(roots.real).min() < 1e-6:
                 continue
@@ -833,14 +832,16 @@ class TestClosedFormCounts:
         # and uncertain, never an error
         assert stability.ep_delayed_check(
             S321, kernels.DiracKernel(0.0)).verdict == stability.STABLE
-        for kind in (kernels.ExponentialKernel, kernels.ErlangKernel):
-            rep = stability.ep_delayed_check(S321, kind(1e10))
+        for shape in (1, 2):
+            rep = stability.ep_delayed_check(S321,
+                                             kernels.GammaKernel(1e10, shape))
             assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
                 stability.STABLE, 0)
             for rate in (1e300, 1e160, 1e155, 1e80, 1e77, 1e-200, 5e-324):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    rep = stability.ep_delayed_check(S321, kind(rate))
+                    rep = stability.ep_delayed_check(
+                        S321, kernels.GammaKernel(rate, shape))
                 assert (rep.verdict, rep.metadata["rhp_root_count"]) in (
                     (stability.STABLE, 0), (stability.MARGINAL, "uncertain"))
 
@@ -876,13 +877,14 @@ class TestClosedFormCounts:
             stability._ep_bracket(*stability._ep_blocks(S321)), rate)
         small = exact[np.abs(exact) < 1e3]
         assert small.size == 2
-        for kind in (kernels.ErlangKernel, kernels.ExponentialKernel):
-            rep = stability.ep_delayed_check(S321, kind(rate))
+        for shape in (2, 1):
+            rep = stability.ep_delayed_check(S321,
+                                             kernels.GammaKernel(rate, shape))
             got = np.array([w for w in rep.roots if abs(w) < 1e3])
             assert got.size == 2
             for root in small:
                 assert np.abs(got - root).min() <= 1e-12 * abs(root)
-        rep = stability.ep_delayed_check(S321, kernels.ErlangKernel(rate))
+        rep = stability.ep_delayed_check(S321, kernels.GammaKernel(rate, 2))
         if rate == 1e40:
             # the poles near -rate, four within 2e-8 of it, are found to
             # the accuracy a fourfold cluster allows
@@ -1028,8 +1030,8 @@ class TestRootOnContour:
         # imaginary axis, where a contour's phase steps add up to one turn
         for kern in (kernels.DiracKernel(0.5),
                      kernels.UniformKernel(0.2, 1.0),
-                     kernels.ExponentialKernel(2.0),
-                     kernels.ErlangKernel(2.0)):
+                     kernels.GammaKernel(2.0, 1),
+                     kernels.GammaKernel(2.0, 2)):
             rep = stability.ep_delayed_check(
                 models.InertiaSetup(3, 2, 1, 0.0, 1.0), kern)
             assert rep.verdict == stability.MARGINAL
@@ -1184,8 +1186,8 @@ def _random_kernel(rng, kind):
         return kernels.UniformKernel(rng.uniform(0.0, 1.0),
                                      rng.uniform(0.1, 2.0))
     if kind == "exponential":
-        return kernels.ExponentialKernel(rng.uniform(0.3, 5.0))
-    return kernels.ErlangKernel(rng.uniform(0.3, 5.0))
+        return kernels.GammaKernel(rng.uniform(0.3, 5.0), 1)
+    return kernels.GammaKernel(rng.uniform(0.3, 5.0), 2)
 
 
 def _assert_same_contour(f, f_array=None, **window):
@@ -1395,8 +1397,7 @@ def _chain_roots(a0, a1, kernel):
     eta_k' = r (eta_(k-1) - eta_k): the linear chain that an exponential
     (n = 1) or Erlang (n = 2) kernel of rate r reduces to, whose matrix is
     built here from the transverse Jacobian blocks."""
-    d, rate = a0.shape[0], kernel.rate
-    n = 1 if isinstance(kernel, kernels.ExponentialKernel) else 2
+    d, rate, n = a0.shape[0], kernel.rate, kernel.shape
     mat = np.zeros((d * (n + 1), d * (n + 1)))
     mat[:d, :d], mat[:d, -d:] = a0, a1
     for k in range(1, n + 1):
@@ -1514,7 +1515,7 @@ class TestArrayCharFunctions:
                            + 1j * np.random.default_rng(501)
                            .uniform(-50.0, 50.0, 200)))
     KERNELS = [kernels.DiracKernel(0.4), kernels.UniformKernel(0.1, 0.8),
-               kernels.ExponentialKernel(1.5), kernels.ErlangKernel(2.0)]
+               kernels.GammaKernel(1.5, 1), kernels.GammaKernel(2.0, 2)]
 
     @pytest.mark.parametrize("kern", KERNELS, ids=str)
     def test_char_ep_eval(self, kern):
@@ -1537,7 +1538,7 @@ class TestArrayCharFunctions:
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
     def test_divergence_domain_any_element(self):
-        kern = kernels.ExponentialKernel(1.5)
+        kern = kernels.GammaKernel(1.5, 1)
         lam = np.array([1.0, 2.0j, complex(-1.5, 0.5)])
         with pytest.raises(ValueError):
             stability.char_ep_eval(S321, kern, lam)
