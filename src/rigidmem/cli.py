@@ -8,8 +8,7 @@ blocks (full-line ``#`` comments allowed).  Sections:
     ``revised``, ``delayed``, ``revised-delayed``, ``fractional``,
     ``fractional-revised``) take ``a1 > a2 > a3 > 0``; ``ep-delayed``
     takes ``I1 > I2 > I3 > 0``, ``coupling`` and ``m``; ``scalar-18``
-    takes ``a``; ``planar-19`` takes ``k1`` and ``k2``.  Every parameter
-    must be finite.
+    takes ``a``; ``planar-19`` takes ``k1`` and ``k2``.
 ``[kernel]``
     Required for the delayed kinds: ``kind`` one of ``uniform`` (``offset``,
     ``width``), ``exponential`` (``rate``), ``erlang`` (``rate``), ``dirac``
@@ -26,15 +25,18 @@ blocks (full-line ``#`` comments allowed).  Sections:
     Optional ``path`` (the ``--out`` flag wins).
 ``[stability]``
     Optional ``equilibrium`` (``M1``/``M2``/``M3``) and ``m`` for the
-    fractional kinds without a delay; not allowed for any other kind.
+    rigid-body kinds without a delay (``classical`` and ``revised`` are
+    classified at order 1); not allowed for any other kind.
 ``[scan]``
-    ``axis`` (``tau``/``alpha``/``m``), ``min``, ``max``, ``steps``.
+    ``axis`` (``tau``/``alpha``/``m``), ``min``, ``max``, ``steps``; only
+    for a kind with a stability report.
 
-Values can be overridden with ``--set section.key=value``.  Summaries go
-to standard output; data goes only to files.  Exit codes: 0 success,
-2 validation error, 3 integrator divergence.  Every config message names
-where its value came from: ``line N``, or ``--set`` for an override
-(``config`` when the whole section is absent).
+Every number must be finite.  Values can be overridden with ``--set
+section.key=value``.  Summaries go to standard output; data goes only to
+files.  Exit codes: 0 success, 2 validation error, 3 integrator
+divergence.  Every config message names where its value came from:
+``line N``, or ``--set`` for an override (``config`` when the whole
+section is absent).
 
 A system kind is defined by its ``_KINDS`` entry alone: parse, simulate,
 stability and scan read everything they know about a kind from it.
@@ -100,9 +102,10 @@ class _Kind:
     of ``keys``.  A kind has either ``rhs(params)``, a field x -> dx/dt (or
     the Caputo derivative when ``fractional``), or ``pair(params)``, a
     delayed field (x, xd) -> dx/dt.  A kind with a ``pair`` needs a
-    ``[kernel]``, a dirac one if it is also fractional.  ``report(cfg)``
-    gives the stability report that scans also use, and ``set_m(cfg, m)``
-    moves the scan's m axis.  ``diagnostics(params)`` names the CSV's
+    ``[kernel]``, a dirac one if it is also fractional, and a kind with an
+    ``rhs`` reads ``[stability]``.  ``report(cfg)`` gives the stability
+    report, and a kind without one cannot scan; ``set_m(cfg, m)`` moves
+    the scan's m axis.  ``diagnostics(params)`` names the CSV's
     invariant columns: a diagnostic maps the (dim, M) component-major
     state table to M values; ``x1, x2, x3 = x`` works for one state and
     for a table.
@@ -161,7 +164,7 @@ def _lagged_cross_pair(k):
 def _sector_report(cfg: RunConfig, revised: bool) -> _stab.StabilityReport:
     q = _stab.char_frac_equilibrium(cfg.params, cfg.equilibrium, cfg.eq_m,
                                     revised=revised)
-    rep = _stab.matignon_classify(q, cfg.frac.order)
+    rep = _stab.matignon_classify(q, cfg.frac.order if cfg.frac else 1.0)
     rep.metadata["char_poly"] = f"w^2 + ({_fmt(q.c1)})*w + ({_fmt(q.c0)})"
     rep.metadata["equilibrium"] = cfg.equilibrium
     return rep
@@ -172,19 +175,21 @@ def _rigid(**fields) -> _Kind:
                  diagnostics=_rigid_diagnostics, **fields)
 
 
+def _sector_kind(rhs, revised: bool, fractional: bool) -> _Kind:
+    """An undelayed rigid-body kind: its report classifies the
+    ``[stability]`` equilibrium, whose m the scan's m axis moves."""
+    return _rigid(rhs=rhs, fractional=fractional,
+                  report=lambda cfg: _sector_report(cfg, revised),
+                  set_m=lambda cfg, m: dataclasses.replace(cfg, eq_m=m))
+
+
 _KINDS = {
-    "classical": _rigid(rhs=_models.classical_field),
-    "revised": _rigid(rhs=_models.revised_field),
+    "classical": _sector_kind(_models.classical_field, False, False),
+    "revised": _sector_kind(_models.revised_field, True, False),
     "delayed": _rigid(pair=_models.delayed_field),
     "revised-delayed": _rigid(pair=_models.revised_delayed_field),
-    "fractional": _rigid(
-        rhs=_models.classical_field, fractional=True,
-        report=lambda cfg: _sector_report(cfg, revised=False),
-        set_m=lambda cfg, m: dataclasses.replace(cfg, eq_m=m)),
-    "fractional-revised": _rigid(
-        rhs=_models.revised_field, fractional=True,
-        report=lambda cfg: _sector_report(cfg, revised=True),
-        set_m=lambda cfg, m: dataclasses.replace(cfg, eq_m=m)),
+    "fractional": _sector_kind(_models.classical_field, False, True),
+    "fractional-revised": _sector_kind(_models.revised_field, True, True),
     "ep-delayed": _Kind(
         keys=("I1", "I2", "I3", "coupling", "m"),
         params=_models.InertiaSetup,
@@ -282,7 +287,11 @@ class _Getter:
             return sec[key][1]
         return self.section_at[section]
 
-    def get(self, section, key, conv=float, required=False, default=None):
+    def get(self, section, key, conv=float, required=False, default=None,
+            lower=None):
+        """``key`` by ``conv``, ``default`` when absent or unconverted, and
+        None for a float (or float list component) that is not finite or
+        a number outside ``lower`` (``">= 0"``/``"> 0"``): an error."""
         self.consumed.add((section, key))
         sec = self.sections.get(section, {})
         if key not in sec:
@@ -292,11 +301,20 @@ class _Getter:
             return default
         value, loc = sec[key]
         try:
-            return conv(value)
+            out = conv(value)
         except (TypeError, ValueError):
             self.errors.append(f"{loc}: [{section}] {key} = {value!r}: "
                                f"cannot convert to {conv.__name__}")
             return default
+        if not (all(map(math.isfinite, out)) if isinstance(out, list) else
+                not isinstance(out, float) or math.isfinite(out)):
+            problem = "must be finite"
+        elif lower and not (out > 0 or out == 0 and lower == ">= 0"):
+            problem = f"must be {lower}"
+        else:
+            return out
+        self.errors.append(f"{loc}: [{section}] {key} {problem}")
+        return None
 
     def sweep_unknown(self, unchecked=()):
         """Report unknown sections, and the keys no ``get`` consumed in
@@ -331,17 +349,13 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     delayed = spec is not None and spec.pair is not None
     fractional = spec is not None and spec.fractional
     # [stability] picks the axis equilibrium of the sector kinds: the
-    # fractional kinds without a delay
-    sector = fractional and not delayed
+    # rigid-body kinds without a delay
+    sector = spec is not None and not delayed
 
     params = None
     if spec is not None:
         vals = [g.get("system", key, required=True) for key in spec.keys]
-        not_finite = [key for key, value in zip(spec.keys, vals)
-                      if value is not None and not math.isfinite(value)]
-        errors += [f"{g.at('system', key)}: [system] {key} must be finite"
-                   for key in not_finite]
-        if None not in vals and not not_finite:
+        if None not in vals:
             try:
                 params = spec.params(*vals)
             except ValueError as exc:
@@ -378,21 +392,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             errors.append(f"{kernel_at}: kind = {kind} requires a dirac "
                           f"kernel")
 
-    t_end = g.get("run", "t_end", required=True)
-    step = g.get("run", "step", required=True)
+    t_end = g.get("run", "t_end", required=True, lower=">= 0")
+    step = g.get("run", "step", required=True, lower="> 0")
     # no effect, but checked: bench/jobs.py's uniform jobs still write it
-    quad_step = g.get("run", "quad_step")
-    for key, value, zero_ok in (("t_end", t_end, True), ("step", step, False),
-                                ("quad_step", quad_step, False)):
-        if value is not None and not math.isfinite(value):
-            problem = "must be finite"
-        elif value is not None and (value < 0 or value == 0 and not zero_ok):
-            problem = "must be >= 0" if zero_ok else "must be > 0"
-        else:
-            continue
-        errors.append(f"{g.at('run', key)}: [run] {key} {problem}")
-    if (t_end is not None and step is not None and 0 < t_end < math.inf
-            and 0 < step < math.inf and _whole_steps(t_end, step) is None):
+    g.get("run", "quad_step", lower="> 0")
+    if t_end and step and _whole_steps(t_end, step) is None:
         errors.append(f"{g.at('run', 't_end')}: "
                       f"[run] t_end must be a whole number of steps")
 
@@ -409,7 +413,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             except ValueError:
                 errors.append(f"{g.at('fractional', 'memory')}: [fractional] "
                               f"memory must be 'full' or an integer window")
-        if order is not None and step is not None and 0 < step < math.inf:
+        if order is not None and step is not None:
             try:
                 frac = FracConfig(order=order, h=step,
                                   corrector_iters=iters,
@@ -422,8 +426,6 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if x0 is not None and spec is not None and len(x0) != spec.dim:
         errors.append(f"{g.at('run', 'x0')}: [run] x0 needs {spec.dim} "
                       f"components for kind = {kind}, got {len(x0)}")
-    if x0 is not None and not all(map(math.isfinite, x0)):
-        errors.append(f"{g.at('run', 'x0')}: [run] x0 must be finite")
 
     out = g.get("output", "path", conv=str)
     equilibrium, eq_m = "M1", 1.0
@@ -434,34 +436,33 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             errors.append(f"{g.at('stability', 'equilibrium')}: "
                           f"[stability] equilibrium must be M1, M2 or M3")
         eq_m = g.get("stability", "m", default=1.0)
-        if eq_m is not None and not math.isfinite(eq_m):
-            errors.append(f"{g.at('stability', 'm')}: [stability] m must be "
-                          f"finite")
 
     scan = None
     if "scan" in g.sections:
         axis = g.get("scan", "axis", conv=str, required=True)
         lo = g.get("scan", "min", required=True)
         hi = g.get("scan", "max", required=True)
-        steps = g.get("scan", "steps", conv=int, required=True)
+        steps = g.get("scan", "steps", conv=int, required=True,
+                      lower=">= 0")
         axis_at = g.at("scan", "axis")
         if axis is not None and axis not in ("tau", "alpha", "m"):
             errors.append(f"{axis_at}: [scan] axis must be tau, alpha or m")
-        elif spec is not None:
-            if axis == "tau" and not isinstance(kernel, _kern.DiracKernel):
+        elif spec is not None and axis is not None:
+            # a kind without a report scans no axis, nor m without set_m
+            if (spec.set_m if axis == "m" else spec.report) is None:
+                errors.append(f"{axis_at}: [scan] axis = {axis} is not "
+                              f"defined for kind = {kind}")
+            elif axis == "tau" and not isinstance(kernel, _kern.DiracKernel):
                 errors.append(f"{axis_at}: [scan] axis = tau requires "
                               f"a dirac kernel")
             elif axis == "alpha" and not fractional:
                 errors.append(f"{axis_at}: [scan] axis = alpha requires "
                               f"a fractional kind")
-            elif axis == "m" and spec.set_m is None:
-                errors.append(f"{axis_at}: [scan] axis = m is not "
-                              f"defined for kind = {kind}")
-        if steps is not None and steps < 0:
-            errors.append(f"{g.at('scan', 'steps')}: [scan] "
-                          f"steps must be >= 0")
+        if lo is not None and hi is not None and not math.isfinite(hi - lo):
+            errors.append(f"{g.at('scan', 'max')}: [scan] max - min must be "
+                          f"finite")
         if None not in (axis, lo, hi, steps):
-            scan = ScanSpec(axis, lo, hi, max(steps, 0))
+            scan = ScanSpec(axis, lo, hi, steps)
 
     # without a kind nothing says which keys these sections may hold, so
     # the kind's own error is the only one they give
@@ -565,12 +566,8 @@ def cmd_stability(cfg: RunConfig, out_path: str) -> int:
     text = f"kind = {cfg.kind}\n" + rep.to_text()
     with open(out_path, "w", newline="") as fh:
         fh.write(text)
-    if _KINDS[cfg.kind].fractional:
-        param = cfg.frac.order
-    elif isinstance(cfg.kernel, _kern.DiracKernel):
-        param = cfg.kernel.lag
-    else:
-        param = float("nan")
+    param = (cfg.frac.order if cfg.frac else cfg.kernel.lag
+             if isinstance(cfg.kernel, _kern.DiracKernel) else float("nan"))
     rows_path = out_path + ".rows.csv"
     with open(rows_path, "w", newline="") as fh:
         fh.write(_SCAN_HEADER + "\n")

@@ -183,15 +183,12 @@ def _componentwise(expr: str, dim: int):
 
 @functools.cache
 def _on_tables(expr: str):
-    """The template ``expr`` on whole (m, dim) tables: its one-component
-    :func:`_componentwise` kernel, each list argument one table and each
-    scalar a number or an (m, 1) column, returning the result table.
+    """The template ``expr`` (one of the module templates) as its own
+    lambda, run on whole (m, dim) tables: each list argument one table and
+    each scalar a number or an (m, 1) column, returning the result table.
     Every element keeps the template's order of operations, so it is
-    bitwise the value of the componentwise kernel on its row."""
-    kernel = _componentwise(expr, 1)
-    lists = [not p.startswith("s") for p in expr.split(": ")[0].split(", ")]
-    return lambda *args: kernel(*([v] if is_list else v
-                                  for is_list, v in zip(lists, args)))[0]
+    bitwise the value of the :func:`_componentwise` kernel on its row."""
+    return eval(f"lambda {expr}")
 
 
 @functools.cache

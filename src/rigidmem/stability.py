@@ -587,8 +587,10 @@ def scalar_frac_delay_check(a: float, order: float,
     omega tau = -order pi/2 (mod 2 pi) for a > 0, joining the real root
     a^(1/order), and pi - order pi/2 for a < 0; a = 0 leaves lambda = 0.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not math.isfinite(a):
+        raise ValueError("a must be finite")
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
     if not 0 < order <= 1:
         raise ValueError("order must lie in (0, 1]")
     verdict, count = MARGINAL, "uncertain"
@@ -616,12 +618,12 @@ def planar_frac_delay_check(k1: float, k2: float, order: float,
     at the one s = omega^order > 0 where that modulus, growing in s, is 1,
     at omega tau = -arg(left side) (mod 2 pi).
     """
-    if k1 < 0:
-        raise ValueError("k1 must be >= 0")
-    if not k2 > 0:
-        raise ValueError("k2 must be > 0")
-    if not tau >= 0:
-        raise ValueError("tau must be >= 0")
+    if not 0 <= k1 < math.inf:
+        raise ValueError("k1 must be finite and >= 0")
+    if not 0 < k2 < math.inf:
+        raise ValueError("k2 must be finite and > 0")
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
     if not 0 < order <= 1:
         raise ValueError("order must lie in (0, 1]")
     prod = k1 * (k1 + k2)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,46 @@ min = 0
 max = 3
 steps = 31
 """
+
+
+DELAYED = (CLASSICAL.replace("kind = classical", "kind = delayed")
+           + "\n[kernel]\nkind = dirac\nlag = 0.1\n")
+_SCAN = "\n[scan]\naxis = {}\nmin = 0\nmax = 3\nsteps = 4\n"
+_EP_M = EP_DELAYED.split("[scan]")[0] + _SCAN.format("m")
+_RUN = "\n[run]\nx0 = 1\nt_end = 2\nstep = 0.01\n"
+_SCALAR = ("[system]\nkind = scalar-18\na = -1\n\n[kernel]\nkind = dirac\n"
+           "lag = 0.5\n\n[fractional]\norder = 0.82\n" + _RUN)
+_PLANAR = ("[system]\nkind = planar-19\nk1 = 1\nk2 = 2\n\n[kernel]\n"
+           "kind = dirac\nlag = 0.5\n\n[fractional]\norder = 0.82\n"
+           + _RUN.replace("x0 = 1", "x0 = 1, 1"))
+_UNIFORM = _EP_M.replace("kind = dirac\nlag = 0.5",
+                         "kind = uniform\noffset = 0.1\nwidth = 0.5").replace(
+    "step = 0.01", "step = 0.01\nquad_step = 0.005")
+#: (config, section, key): every float key of every section, each in a
+#: config that is valid with it and holds the key on its first "key = " line
+FLOAT_KEYS = [pytest.param(text, section, key, id=f"{section}.{key}")
+              for text, section, key in [
+    *((FRACTIONAL + _SCAN.format("alpha"), section, key)
+      for section, key in (("system", "a1"), ("system", "a2"),
+                           ("system", "a3"), ("fractional", "order"),
+                           ("run", "x0"), ("run", "t_end"), ("run", "step"),
+                           ("stability", "m"), ("scan", "min"),
+                           ("scan", "max"))),
+    *((_EP_M, "system", key) for key in ("I1", "I2", "I3", "coupling", "m")),
+    (_EP_M, "kernel", "lag"),
+    *((_UNIFORM, section, key) for section, key in (
+        ("kernel", "offset"), ("kernel", "width"), ("run", "quad_step"))),
+    (_EP_M.replace("kind = dirac\nlag = 0.5", "kind = erlang\nrate = 1"),
+     "kernel", "rate"),
+    (_SCALAR, "system", "a"),
+    (_PLANAR, "system", "k1"), (_PLANAR, "system", "k2")]]
+
+
+def _line_of(text, prefix):
+    """The number of the first line of ``text`` that starts with
+    ``prefix``."""
+    return next(n for n, line in enumerate(text.splitlines(), start=1)
+                if line.startswith(prefix))
 
 
 def run_cli(tmp_path, config_text, command, out_name, overrides=()):
@@ -170,6 +211,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             cli.parse_config(text)
         assert any("x0" in msg for msg in info.value.messages)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("text, section, key", FLOAT_KEYS)
+    def test_non_finite_value_is_one_error_at_its_key(self, text, section,
+                                                      key, value):
+        at = _line_of(text, f"{key} = ")
+        bad = value if key != "x0" else f"1, {value}, 1"
+        lines = text.splitlines()
+        lines[at - 1] = f"{key} = {bad}"
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config("\n".join(lines) + "\n")
+        message = f"[{section}] {key} must be finite"
+        assert info.value.messages == [f"line {at}: {message}"]
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config(text, overrides=[f"{section}.{key}={bad}"])
+        assert info.value.messages == [f"--set: {message}"]
 
 
 class TestSimulate:
@@ -404,9 +461,35 @@ class TestStability:
             assert code == 0
             assert "verdict = unstable" in out.read_text()
 
-    def test_stability_not_defined_for_classical(self, tmp_path):
-        code, _ = run_cli(tmp_path, CLASSICAL, "stability", "no.txt")
+    def test_stability_not_defined_for_delayed(self, tmp_path):
+        code, out = run_cli(tmp_path, DELAYED, "stability", "no.txt")
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["classical", "revised"])
+    def test_undelayed_report_is_the_order_1_sector_report(self, kind, seed,
+                                                           tmp_path):
+        rng = np.random.default_rng(seed)
+        a1, a2, a3 = sorted(rng.uniform(0.1, 5.0, 3).tolist(), reverse=True)
+        text = (f"[system]\nkind = {kind}\na1 = {a1!r}\na2 = {a2!r}\n"
+                f"a3 = {a3!r}\n[run]\nx0 = 1, 1, 1\nt_end = 1\n"
+                f"step = 0.01\n[stability]\nequilibrium = "
+                f"M{rng.integers(1, 4)}\nm = {rng.uniform(0.1, 3.0)}\n")
+        sector = "fractional" if kind == "classical" else "fractional-revised"
+        frac = (text.replace(f"kind = {kind}", f"kind = {sector}")
+                + "[fractional]\norder = 1\n")
+        reports = {}
+        for name, config in ((kind, text), (sector, frac)):
+            code, out = run_cli(tmp_path, config, "stability", "rep.txt")
+            assert code == 0
+            head, body = out.read_text().split("\n", 1)
+            assert head == f"kind = {name}"
+            rows = Path(f"{out}.rows.csv").read_text().splitlines()
+            param, rest = rows[1].split(",", 1)
+            reports[name] = body, rest, param
+        assert reports[kind] == (*reports[sector][:2], "nan")
+        assert reports[sector][2] == "1"
 
     def test_underflowing_coefficient_is_an_error(self, tmp_path, capsys):
         # coupling^2 m^4 underflows to q2 = 0, where the crossing algebra
@@ -495,6 +578,27 @@ class TestScan:
     def test_scan_requires_section(self, tmp_path):
         code, _ = run_cli(tmp_path, FRACTIONAL, "scan", "no.csv")
         assert code == 2
+
+    def test_overflowing_span_is_an_error(self, tmp_path, capsys):
+        text = FRACTIONAL + ("\n[scan]\naxis = m\nmin = -1.7e308\n"
+                             "max = 1.7e308\nsteps = 3\n")
+        code, out = run_cli(tmp_path, text, "scan", "span.csv")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line {_line_of(text, 'max')}: [scan] max - min must be "
+            f"finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["delayed", "revised-delayed"])
+    def test_kind_without_report_scans_no_axis(self, kind, tmp_path, capsys):
+        text = (DELAYED.replace("kind = delayed", f"kind = {kind}")
+                + _SCAN.format("tau"))
+        code, out = run_cli(tmp_path, text, "scan", "tau.csv")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line {_line_of(text, 'axis')}: [scan] axis = tau is not "
+            f"defined for kind = {kind}\n")
+        assert not out.exists()
 
 
 class TestMain:

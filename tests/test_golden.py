@@ -58,8 +58,10 @@ KINDS = {
     + DIRAC.format(0.5) + FRAC.format(0.8) + RUN.format("1, 0.5", 1),
 }
 
-#: scan axes each kind accepts, and the (min, max, steps) swept on each
+#: scan axes each kind accepts (the delayed kinds have no report, so their
+#: tau scans are rejected at parse), and the (min, max, steps) swept on each
 AXES = {
+    "classical": ("m",), "revised": ("m",),
     "delayed": ("tau",), "revised-delayed": ("tau",),
     "fractional": ("alpha", "m"), "fractional-revised": ("alpha", "m"),
     "ep-delayed": ("tau", "m"), "scalar-18": ("tau", "alpha"),
@@ -228,7 +230,7 @@ def _invalid_cases():
         "bad-set-kernel-missing-kind": ("simulate", no_kernel,
                                         ("kernel.lag=1",)),
         "bad-scan-missing": ("scan", frac, ()),
-        "bad-scan-axis-m-classical": ("scan", KINDS["classical"],
+        "bad-scan-axis-m-scalar-18": ("scan", KINDS["scalar-18"],
                                       _scan("m", 0, 1, 3)),
         "bad-scan-axis-alpha-ep": ("scan", KINDS["ep-delayed"],
                                    _scan("alpha", 0.5, 1, 3)),
@@ -274,7 +276,7 @@ def test_golden(name, tmp_path):
 
 
 @pytest.mark.parametrize("kind", sorted(
-    set(KINDS) - {"fractional", "fractional-revised"}))
+    set(KINDS) - {"classical", "revised", "fractional", "fractional-revised"}))
 def test_stability_section_only_for_sector_kinds(kind):
     with pytest.raises(ConfigError, match=r"(?m)^line \d+: \[stability\] "
                        f"section is not allowed for kind = {kind}$"):
@@ -448,10 +450,10 @@ GOLDEN = {
         '',
         'error: --set: [scan] axis = alpha requires a fractional kind\n',
         {}),
-    'bad-scan-axis-m-classical': (
+    'bad-scan-axis-m-scalar-18': (
         2,
         '',
-        'error: --set: [scan] axis = m is not defined for kind = classical\n',
+        'error: --set: [scan] axis = m is not defined for kind = scalar-18\n',
         {}),
     'bad-scan-axis-tau-fractional': (
         2,
@@ -560,6 +562,14 @@ GOLDEN = {
         '',
         'error: line 7: [run] x0 must be finite\n',
         {}),
+    'classical-scan-m': (
+        0,
+        'kind = classical\n'
+        'axis = m\n'
+        'rows = 5\n'
+        'wrote = <out>/out\n',
+        '',
+        {'out': 'a311048d03374365c7c25d4e844d2b907d47635fcab0b3081334fc2234f274a4'}),
     'classical-simulate': (
         0,
         'kind = classical\n'
@@ -574,10 +584,14 @@ GOLDEN = {
         '',
         {'out': 'ad7f595cabcf30058ec655983aaf8d9ea916da0ad5f8394ca1d5a5af07898fa5'}),
     'classical-stability': (
-        2,
+        0,
+        'kind = classical\n'
+        'verdict = marginal\n'
+        'wrote = <out>/out\n'
+        'wrote = <out>/out.rows.csv\n',
         '',
-        'error: stability analysis is not defined for kind = classical\n',
-        {}),
+        {'out': '8b8bf9c0c4e7a840e1150ca1a8e5249293c36e6b69a51df85a0f2d315d5bfc07',
+         'out.rows.csv': '5925add8caa7a27dec55e7f434a65874930a42c6c3394204f575d20d35ca5150'}),
     'classical-t_end0': (
         0,
         'kind = classical\n'
@@ -639,13 +653,10 @@ GOLDEN = {
         '',
         {'out': '4da7c049b54f00030557b614d9d6c8284c49fe6b7ed820e03936e446c41f4576'}),
     'delayed-scan-tau': (
-        0,
-        'kind = delayed\n'
-        'axis = tau\n'
-        'rows = 7\n'
-        'wrote = <out>/out\n',
+        2,
         '',
-        {'out': '053477b440bf8440f72c1b084c4d8688f0b86c5f0ca756bf5b609a880dd1dc09'}),
+        'error: --set: [scan] axis = tau is not defined for kind = delayed\n',
+        {}),
     'delayed-simulate': (
         0,
         'kind = delayed\n'
@@ -1194,13 +1205,10 @@ GOLDEN = {
         '',
         {'out': '6dd2ea1b91e4e90f526fd1e6c80d80eb669b8e72bc49cb69e78122a5ce75ee3b'}),
     'revised-delayed-scan-tau': (
-        0,
-        'kind = revised-delayed\n'
-        'axis = tau\n'
-        'rows = 7\n'
-        'wrote = <out>/out\n',
+        2,
         '',
-        {'out': 'e4f0521c6edb8b0879a51b2cb37e24291ce8ca9630257e12dd99186589174596'}),
+        'error: --set: [scan] axis = tau is not defined for kind = revised-delayed\n',
+        {}),
     'revised-delayed-simulate': (
         0,
         'kind = revised-delayed\n'
@@ -1239,6 +1247,14 @@ GOLDEN = {
         'wrote = <out>/out\n',
         '',
         {'out': '33035f41f89ff2513e709fa950fb3821577c242169571b946d0f43ef91815212'}),
+    'revised-scan-m': (
+        0,
+        'kind = revised\n'
+        'axis = m\n'
+        'rows = 5\n'
+        'wrote = <out>/out\n',
+        '',
+        {'out': 'ad29bd4896f3ed33e0e5675fcce9eaf9f30a8f4444f93bcbdea7e42ed8da42a6'}),
     'revised-simulate': (
         0,
         'kind = revised\n'
@@ -1253,10 +1269,14 @@ GOLDEN = {
         '',
         {'out': '8156e09f8b7893401b06c69109007d067aacc8b51c97104a829f2374a52868c4'}),
     'revised-stability': (
-        2,
+        0,
+        'kind = revised\n'
+        'verdict = asymptotically-stable\n'
+        'wrote = <out>/out\n'
+        'wrote = <out>/out.rows.csv\n',
         '',
-        'error: stability analysis is not defined for kind = revised\n',
-        {}),
+        {'out': '6f37990e9495571eac8f92ee5c57eda474644c7698eeff9b8cf93c6bd1629274',
+         'out.rows.csv': '3ae76f697668c83653e8dd7e0dc49118ba939d1146425a068436f12b540d477c'}),
     'revised-t_end0': (
         0,
         'kind = revised\n'

@@ -468,6 +468,14 @@ class TestScalarCheck:
             with pytest.raises(ValueError, match=r"\(0, 1\]"):
                 stability.scalar_frac_delay_check(-1.0, order, 0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "tau"])
+    def test_non_finite_parameter(self, name, value):
+        # a nan a died converting to int, and a nan tau passed tau < 0
+        args = {"a": -1.0, "order": 0.7, "tau": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            stability.scalar_frac_delay_check(**args)
+
     def test_benchmark_stable(self):
         rep = stability.scalar_frac_delay_check(-1.0, 0.7, 0.5)
         assert rep.verdict == stability.STABLE
@@ -498,6 +506,14 @@ class TestPlanarCheck:
             stability.planar_frac_delay_check(1.0, 0.0, 0.5, 0.1)
         with pytest.raises(ValueError):
             stability.planar_frac_delay_check(1.0, 2.0, 0.5, -0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["k1", "k2", "tau"])
+    def test_non_finite_parameter(self, name, value):
+        # a nan k1 read marginal, an infinite k1 or k2 stable
+        args = {"k1": 1.0, "k2": 2.0, "order": 0.5, "tau": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            stability.planar_frac_delay_check(**args)
 
     def test_zero_lag_matches_eigenvalues(self):
         # at tau = 0 the system is x' = (A + B) x, eigenvalues -2 +- sqrt(2)
