@@ -23,12 +23,18 @@ this module nor builds its tables.  The bytes are those of
 NaN, ±inf, the other values outside that range (subnormals included),
 and values whose P lies within 1e-6 of a half-integer (every exact tie
 among them) are formatted by ``%`` one at a time.
+
+:func:`rewritten` opens the artifact, for the trajectory and for the
+header-only file of a run with no steps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -139,6 +145,27 @@ def _tables():
     first_row = np.array([17 * (e + 4 if -4 <= e < 17 else 21 + (abs(e) > 99))
                           - 1 for e in exps])
     return pow10, group_chars, group_last, exp_chars, layouts, first_row
+
+
+@contextlib.contextmanager
+def rewritten(path):
+    """The file ``path`` as a binary writer that rewrites it in place.
+
+    The file is opened without truncation (created with mode 0o666 less
+    the umask, as ``open(path, "wb")`` does) and written from its start;
+    on leaving the block, also by an exception, a regular file is cut at
+    the writer's position, so it holds exactly the bytes written.  An
+    existing file's blocks are overwritten rather than freed, which
+    spares the truncating open its wait on their write-back.  Any other
+    file (``/dev/null``, a pipe) cannot be cut and is left as it is.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 class RowFormatter:

@@ -33,7 +33,8 @@ blocks (full-line ``#`` comments allowed).  Sections:
 
 Every number must be finite.  Values can be overridden with ``--set
 section.key=value``.  Summaries go to standard output; data goes only to
-files.  Exit codes: 0 success, 2 validation error, 3 integrator
+files.  Exit codes: 0 success, 2 validation error or a config that
+cannot be read or an output that cannot be written, 3 integrator
 divergence.  Every config message names where its value came from:
 ``line N``, or ``--set`` for an override (``config`` when the whole
 section is absent).
@@ -510,8 +511,9 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
         dim = cfg.x0.size
         cols = trajectory_columns(dim, _KINDS[cfg.kind].diagnostics(
             cfg.params), stages * dim)
-        with open(out_path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
+        from ._csvformat import rewritten  # loaded by the first write
+        with rewritten(out_path) as fh:
+            fh.write((",".join(cols) + "\n").encode())
         print(f"kind = {cfg.kind}")
         print("samples = 0")
         print(f"wrote = {out_path}")
@@ -647,7 +649,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -668,6 +670,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the commands touch no file but their output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ Four integration paths are provided:
   argument is read from the stored trajectory (cubic Hermite dense
   output) and the initial function: a uniform kernel's average as the
   exact running integral of that interpolant, a Dirac lag as its sample,
-  both in batches where they read finished nodes only and each value
-  kept for a repeat of its lookup under one rule,
+  both in batches where they read finished nodes only, each batch kept
+  for the later lookups it covers,
 * an exact ODE chain augmentation for gamma (weak and strong) kernels,
 * the fractional Adams-Bashforth-Moulton predictor-corrector for Caputo
   systems, with and without a delayed argument.
@@ -271,12 +271,14 @@ def _field_lines(desc: FieldDescription, state, slope, at=None) -> list:
     """Lines that evaluate ``desc`` at the locals ``state`` into the locals
     ``slope``: its text inlined with its own names prefixed ``d_``, or one
     unpacked call for a starred component.  A delayed field first reads
-    the lookup ``delayed(at)`` into the locals ``w0 ..``, its xd."""
+    the lookup ``delayed(at)`` into the locals ``w0 ..``, its xd; with no
+    ``at`` it takes the ``w0 ..`` of the last lookup."""
     site = {f"x{i + 1}": v for i, v in enumerate(state)}
     w = _names("w", desc.dim) if desc.delayed else []
     site |= {f"xd{i + 1}": v for i, v in enumerate(w)}
     inlined = desc.renamed(site, "d_")
-    lines = [f"{_listed(w)} = delayed({at})"] if desc.delayed else []
+    read = desc.delayed and at is not None
+    lines = [f"{_listed(w)} = delayed({at})"] if read else []
     lines += inlined.lines
     out = inlined.out
     if any(e.startswith("*") for e in out):
@@ -312,8 +314,9 @@ def _rk4_run(desc: FieldDescription):
     is inlined at each of its four calls per step, as are the stage,
     combination and divergence templates: every value is the one the
     closure and the componentwise kernels give, bit for bit.  A delayed
-    field's call first reads ``delayed(i)`` as in :func:`_rk4_loop`, and
-    the grid's ``count`` and ``writes`` move with the k4 write of each
+    field's call first reads ``delayed(i)`` as in :func:`_rk4_loop`,
+    apart from k3's, which takes k2's value: nothing writes the grid
+    between them.  The grid's ``count`` moves with the k4 write of each
     node.
     """
     dim, lookup = desc.dim, desc.delayed
@@ -323,7 +326,7 @@ def _rk4_run(desc: FieldDescription):
             *_assign(y, _STAGE, s="half", a="x", b="k1_"),
             *_field_lines(desc, y, k2, "i"),
             *_assign(y, _STAGE, s="half", a="x", b="k2_"),
-            *_field_lines(desc, y, k3, "i"),
+            *_field_lines(desc, y, k3),
             *_assign(y, _STAGE, s="h", a="x", b="k3_"),
             *_field_lines(desc, y, k4, "i + 1"),
             *_assign(x, _COMBINE, s="sixth", a="x", b="k1_", c="k2_",
@@ -332,7 +335,7 @@ def _rk4_run(desc: FieldDescription):
             f"j += {dim}"]
     if lookup:
         step += [*_write("states", x), *_write("derivs", k4),
-                 "grid.count = k + 2", "grid.writes += 1",
+                 "grid.count = k + 2",
                  *_field_lines(desc, x, k1, "i + 1"), *_write("derivs", k1)]
     else:
         step += [*_field_lines(desc, x, k1), *_write("states", x),
@@ -472,20 +475,16 @@ class _RunningGrid:
         self.states = np.empty((n_steps + 1, dim))
         self.derivs = np.zeros((n_steps + 1, dim))
         self.count = 0
-        self.writes = 0
 
     def put(self, k: int, x, f=None) -> None:
         """Write node ``k``: the next node, or the newest node again.
 
         Without a slope ``f`` the slopes are finite differences: one-sided
         at node k and centred at node k - 1 (node 0 copies node 1's).
-        ``writes`` counts the calls, so that a lookup can tell whether the
-        grid changed since it last read it.
         """
         states, derivs = self.states, self.derivs
         states[k] = x
         self.count = k + 1
-        self.writes += 1
         if f is not None:
             derivs[k] = f
         elif k >= 1:
@@ -637,9 +636,10 @@ def _delayed_argument(kernel, grid: _RunningGrid, times, final):
     (:func:`_final_reads`), and every other lookup alone on Python floats.
 
     A route's ``values(i)`` gives the values of lookups i, i + 1, ... and
-    whether they read final nodes only.  They are kept for a repeat of
-    those lookups: for good if so, else until the next write to the grid
-    (RK4's k3 repeats k2's lookup with no write between them; the
+    whether they read final nodes only.  Those of a batch are kept for
+    the later lookups they cover.  A lone value is not: no loop reads a
+    lookup again before the grid changes (RK4's k3 takes k2's value, RK4
+    writes the new node before its k1 repeats k4's lookup, and the
     fractional loop writes before every lookup).
     """
     if isinstance(kernel, _kern.UniformKernel):
@@ -648,18 +648,17 @@ def _delayed_argument(kernel, grid: _RunningGrid, times, final):
         raise TypeError(f"no delayed-argument route for {type(kernel)}")
     else:
         values = _dirac_sample(kernel.lag, grid, times, final)
-    # kept[j] is lookup first + j's value while grid.writes is kept_writes,
-    # or for good when kept_writes is None
-    first, kept, kept_writes = 0, [], None
+    # kept[j] is the value of lookup first + j, from the last batch
+    first, kept = 0, []
 
     def lookup(i):
-        nonlocal first, kept, kept_writes
-        if 0 <= i - first < len(kept) and (kept_writes is None
-                                           or kept_writes == grid.writes):
+        nonlocal first, kept
+        if 0 <= i - first < len(kept):
             return kept[i - first]
-        kept, final_only = values(i)
-        first, kept_writes = i, None if final_only else grid.writes
-        return kept[0]
+        batch, final_only = values(i)
+        if final_only:
+            first, kept = i, batch
+        return batch[0]
 
     return lookup
 
@@ -1304,7 +1303,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``traj`` as CSV, each float exactly as ``"%.17g" % x`` gives it.
 
     Columns: t, the core state components, the diagnostics, then any
-    auxiliary chain stages.  Each chunk of rows is gathered from the
+    auxiliary chain stages.  An existing file is written over in place
+    and cut at the end (``rigidmem._csvformat.rewritten``).  Each chunk of rows is gathered from the
     column sources and formatted in array passes (``rigidmem._csvformat``,
     imported on the first call).  A value's 17 digits are the nearest
     integer to P = |x|·10^(16-e), which the formatter carries as
@@ -1318,7 +1318,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     exact ties among them, are formatted by ``%`` one at a time, as are
     NaN, ±inf and |x| outside [1e-250, 1e250] (subnormals included).
     """
-    from ._csvformat import RowFormatter
+    from ._csvformat import RowFormatter, rewritten
 
     core = traj.core_dim
     cols = trajectory_columns(core, traj.diagnostics,
@@ -1326,7 +1326,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     sources = [traj.states[:, :core], *traj.diagnostics.values(),
                traj.states[:, core:]]
     fmt = RowFormatter(len(cols), _CSV_CHUNK)
-    with open(path, "wb") as fh:
+    with rewritten(path) as fh:
         fh.write((",".join(cols) + "\n").encode())
         for lo in range(0, traj.n_samples, _CSV_CHUNK):
             hi = min(lo + _CSV_CHUNK, traj.n_samples)

@@ -1,5 +1,8 @@
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,8 @@ from rigidmem import cli, kernels, models
 from rigidmem.errors import ConfigError
 from rigidmem.integrators import (HistorySpec, integrate_dde,
                                   write_trajectory_csv)
+
+REPO = Path(__file__).resolve().parents[1]
 
 CLASSICAL = """\
 [system]
@@ -244,6 +249,38 @@ class TestSimulate:
                             overrides=["run.t_end=0"])
         assert code == 0
         assert out.read_text() == "t,x1,x2,x3,h,c\n"
+
+    @pytest.mark.parametrize("t_end", ["0.2", "0"])
+    def test_shorter_rewrite_leaves_only_new_bytes(self, tmp_path, t_end):
+        # an artifact is written over in place and cut at its end
+        _, out = run_cli(tmp_path, CLASSICAL, "simulate", "run.csv",
+                         ["run.t_end=6"])
+        longer = out.stat().st_size
+        run_cli(tmp_path, CLASSICAL, "simulate", "run.csv",
+                [f"run.t_end={t_end}"])
+        _, fresh = run_cli(tmp_path, CLASSICAL, "simulate", "fresh.csv",
+                           [f"run.t_end={t_end}"])
+        assert out.stat().st_size < longer
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("t_end", ["0.5", "0"])
+    def test_out_to_a_device(self, tmp_path, t_end):
+        # a target that is not a regular file is written and not cut;
+        # run_cli left the config at run.cfg
+        code, _ = run_cli(tmp_path, CLASSICAL, "simulate", "/dev/null",
+                          [f"run.t_end={t_end}"])
+        assert code == 0
+        _, fresh = run_cli(tmp_path, CLASSICAL, "simulate", "fresh.csv",
+                           [f"run.t_end={t_end}"])
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigidmem.cli", "simulate", "--config",
+             str(tmp_path / "run.cfg"), "--out", "/dev/stdout", "--set",
+             f"run.t_end={t_end}"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            check=False, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(fresh.read_bytes() + b"kind = ")
 
     def test_determinism_byte_identical(self, tmp_path):
         _, out1 = run_cli(tmp_path, FRACTIONAL, "simulate", "a.csv")
@@ -620,6 +657,28 @@ class TestMain:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", CLASSICAL), ("stability", FRACTIONAL),
+        ("scan", EP_DELAYED)])
+    def test_unwritable_output(self, tmp_path, capsys, command, text):
+        code, _ = run_cli(tmp_path, text, command, "missing/out.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: [Errno 2] ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "stability", "scan"])
+    def test_undecodable_config(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"# caf\xe9\n" + CLASSICAL.encode())
+        code = cli.main([command, "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
 
     def test_set_values_do_not_leak_between_calls(self, tmp_path,
                                                   monkeypatch):

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -1095,8 +1096,9 @@ class TestUniformRunningIntegral:
 
     def test_k3_repeats_k2_lookup(self, monkeypatch):
         # at uniform offset 0 and at Dirac lags below h every stage lookup
-        # reads the unfinished last piece; k3's is k2's, as nothing is
-        # written to the grid between them
+        # reads the unfinished last piece; k3 takes k2's value, as nothing
+        # is written to the grid between them, so a step reads three:
+        # k2's, k4's and, once the node is written, its slope's
         reads = []
         componentwise = integrators._componentwise
         eval_point = integrators._RunningGrid.eval_point
@@ -1119,33 +1121,17 @@ class TestUniformRunningIntegral:
         monkeypatch.setattr(integrators._RunningGrid, "eval_point",
                             counted_point)
         ep_pair = models.ep_delayed_field(EP)
-        # (pair, kernel, reads kept, reads when nothing is kept): node 0's
-        # uniform lookup is phi's constant, every other one a window; a
-        # Dirac lag below h samples phi in batches until its lagged time
-        # passes 0, and every lookup after that alone
-        cases = [(_rigid_pair, kernels.UniformKernel(0.0, 0.37), 3000, 4000),
-                 (ep_pair, kernels.DiracKernel(H / 2), 2999, 3998),
-                 (ep_pair, kernels.DiracKernel(0.3 * H), 3000, 4000)]
-        # a grid whose write count moves on every read keeps nothing that
-        # reads an unfinished node
-        ticks = itertools.count()
-        running = integrators._RunningGrid
-
-        class Uncached(running):
-            writes = property(lambda self: next(ticks),
-                              lambda self, value: None)
-
-        for pair, kernel, n_kept, n_fresh in cases:
-            runs = []
-            for grid, n_reads in ((running, n_kept), (Uncached, n_fresh)):
-                reads.clear()
-                monkeypatch.setattr(integrators, "_RunningGrid", grid)
-                runs.append(integrate_dde(pair, kernel, PHIS["constant"],
-                                          1000 * H, H))
-                assert len(reads) == n_reads, kernel
-            kept, fresh = runs
-            assert kept.states.tobytes() == fresh.states.tobytes()
-            assert kept.derivs.tobytes() == fresh.derivs.tobytes()
+        # (pair, kernel, reads): node 0's uniform lookup is phi's constant,
+        # every other one a window; a Dirac lag below h samples phi in
+        # batches until its lagged time passes 0, and every lookup after
+        # that alone
+        cases = [(_rigid_pair, kernels.UniformKernel(0.0, 0.37), 3000),
+                 (ep_pair, kernels.DiracKernel(H / 2), 2999),
+                 (ep_pair, kernels.DiracKernel(0.3 * H), 3000)]
+        for pair, kernel, n_reads in cases:
+            reads.clear()
+            integrate_dde(pair, kernel, PHIS["constant"], 1000 * H, H)
+            assert len(reads) == n_reads, kernel
 
     @pytest.mark.parametrize("kernel", [
         kernels.UniformKernel(0.1, 0.37), kernels.UniformKernel(0.0, 2.0)],
@@ -1499,6 +1485,38 @@ class TestTrajectoryCsv:
         write_trajectory_csv(traj, out)
         assert out.read_bytes() == _per_value_csv(traj)
         assert out.read_text().splitlines()[:2] == ["t", "0"]
+
+    def test_failed_write_leaves_its_prefix_alone(self, tmp_path,
+                                                  monkeypatch):
+        # an existing longer file is written over, and cut where the
+        # formatter raised: the header and the first chunk, no old tail
+        traj = _csv_trajectory("aux", 2 * CHUNK + 3)
+        whole = _per_value_csv(traj)
+        out = tmp_path / "failed.csv"
+        out.write_bytes(b"9" * (2 * len(whole)))
+        formatter = RowFormatter.__call__
+        calls = itertools.count()
+
+        def failing(self, block):
+            if next(calls):
+                raise RuntimeError("formatter failed")
+            return formatter(self, block)
+
+        monkeypatch.setattr(RowFormatter, "__call__", failing)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            write_trajectory_csv(traj, out)
+        lines = whole.splitlines(keepends=True)
+        assert out.read_bytes() == b"".join(lines[:1 + CHUNK])
+
+    def test_new_file_mode(self, tmp_path):
+        # created as open(path, "wb") creates it: 0o666 less the umask
+        traj = _csv_trajectory("aux", 3)
+        old = os.umask(0o027)
+        try:
+            write_trajectory_csv(traj, tmp_path / "new.csv")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
 
     def test_no_whole_run_table(self, tmp_path):
         rows = 40000
