@@ -25,11 +25,10 @@ blocks (full-line ``#`` comments allowed).  Sections:
     Optional ``path`` (the ``--out`` flag wins).
 ``[stability]``
     Optional ``equilibrium`` (``M1``/``M2``/``M3``) and ``m`` for the
-    rigid-body kinds without a delay (``classical`` and ``revised`` are
-    classified at order 1); not allowed for any other kind.
+    rigid-body kinds (``classical`` and ``revised`` are classified at
+    order 1); not allowed for any other kind.
 ``[scan]``
-    ``axis`` (``tau``/``alpha``/``m``), ``min``, ``max``, ``steps``; only
-    for a kind with a stability report.
+    ``axis`` (``tau``/``alpha``/``m``), ``min``, ``max``, ``steps``.
 
 Every number must be finite.  Values can be overridden with ``--set
 section.key=value``.  Summaries go to standard output; data goes only to
@@ -47,8 +46,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -103,10 +104,10 @@ class _Kind:
     of ``keys``.  A kind has either ``rhs(params)``, a field x -> dx/dt (or
     the Caputo derivative when ``fractional``), or ``pair(params)``, a
     delayed field (x, xd) -> dx/dt.  A kind with a ``pair`` needs a
-    ``[kernel]``, a dirac one if it is also fractional, and a kind with an
-    ``rhs`` reads ``[stability]``.  ``report(cfg)`` gives the stability
-    report, and a kind without one cannot scan; ``set_m(cfg, m)`` moves
-    the scan's m axis.  ``diagnostics(params)`` names the CSV's
+    ``[kernel]``, a dirac one if it is also fractional, and a rigid-body
+    kind reads ``[stability]``.  ``report(cfg)`` gives the stability
+    report; ``set_m(cfg, m)`` moves the scan's m axis, which a kind
+    without it cannot scan.  ``diagnostics(params)`` names the CSV's
     invariant columns: a diagnostic maps the (dim, M) component-major
     state table to M values; ``x1, x2, x3 = x`` works for one state and
     for a table.
@@ -114,12 +115,12 @@ class _Kind:
 
     keys: tuple[str, ...]
     params: Callable
+    report: Callable
     rhs: Callable | None = None
     pair: Callable | None = None
     fractional: bool = False
     dim: int = 3
     diagnostics: Callable = lambda params: {}
-    report: Callable | None = None
     set_m: Callable | None = None
 
 
@@ -162,35 +163,37 @@ def _lagged_cross_pair(k):
     return _PLANAR_19.bind(*k)
 
 
-def _sector_report(cfg: RunConfig, revised: bool) -> _stab.StabilityReport:
-    q = _stab.char_frac_equilibrium(cfg.params, cfg.equilibrium, cfg.eq_m,
-                                    revised=revised)
-    rep = _stab.matignon_classify(q, cfg.frac.order if cfg.frac else 1.0)
-    rep.metadata["char_poly"] = f"w^2 + ({_fmt(q.c1)})*w + ({_fmt(q.c0)})"
+def _rigid_report(cfg: RunConfig, revised: bool) -> _stab.StabilityReport:
+    """The verdict at the ``[stability]`` equilibrium, under the kernel."""
+    if cfg.kernel is None:
+        q = _stab.char_frac_equilibrium(cfg.params, cfg.equilibrium,
+                                        cfg.eq_m, revised=revised)
+        rep = _stab.matignon_classify(q, cfg.frac.order if cfg.frac else 1.0)
+        rep.metadata["char_poly"] = f"w^2 + ({_fmt(q.c1)})*w + ({_fmt(q.c0)})"
+    else:
+        rep = _stab.rigid_delay_check(cfg.params, cfg.equilibrium, cfg.eq_m,
+                                      cfg.kernel, revised)
     rep.metadata["equilibrium"] = cfg.equilibrium
     return rep
 
 
-def _rigid(**fields) -> _Kind:
+def _rigid(revised: bool, **fields) -> _Kind:
+    """A rigid-body kind: its scan's m axis moves the ``[stability]`` m."""
     return _Kind(keys=("a1", "a2", "a3"), params=_models.RigidBodyParams,
-                 diagnostics=_rigid_diagnostics, **fields)
-
-
-def _sector_kind(rhs, revised: bool, fractional: bool) -> _Kind:
-    """An undelayed rigid-body kind: its report classifies the
-    ``[stability]`` equilibrium, whose m the scan's m axis moves."""
-    return _rigid(rhs=rhs, fractional=fractional,
-                  report=lambda cfg: _sector_report(cfg, revised),
-                  set_m=lambda cfg, m: dataclasses.replace(cfg, eq_m=m))
+                 diagnostics=_rigid_diagnostics,
+                 report=lambda cfg: _rigid_report(cfg, revised),
+                 set_m=lambda cfg, m: dataclasses.replace(cfg, eq_m=m),
+                 **fields)
 
 
 _KINDS = {
-    "classical": _sector_kind(_models.classical_field, False, False),
-    "revised": _sector_kind(_models.revised_field, True, False),
-    "delayed": _rigid(pair=_models.delayed_field),
-    "revised-delayed": _rigid(pair=_models.revised_delayed_field),
-    "fractional": _sector_kind(_models.classical_field, False, True),
-    "fractional-revised": _sector_kind(_models.revised_field, True, True),
+    "classical": _rigid(False, rhs=_models.classical_field),
+    "revised": _rigid(True, rhs=_models.revised_field),
+    "delayed": _rigid(False, pair=_models.delayed_field),
+    "revised-delayed": _rigid(True, pair=_models.revised_delayed_field),
+    "fractional": _rigid(False, rhs=_models.classical_field, fractional=True),
+    "fractional-revised": _rigid(True, rhs=_models.revised_field,
+                                 fractional=True),
     "ep-delayed": _Kind(
         keys=("I1", "I2", "I3", "coupling", "m"),
         params=_models.InertiaSetup,
@@ -349,9 +352,8 @@ def parse_config(text: str, overrides=()) -> RunConfig:
                       f"must be one of {', '.join(_KINDS)}")
     delayed = spec is not None and spec.pair is not None
     fractional = spec is not None and spec.fractional
-    # [stability] picks the axis equilibrium of the sector kinds: the
-    # rigid-body kinds without a delay
-    sector = spec is not None and not delayed
+    # [stability] picks the axis equilibrium of the rigid-body kinds
+    rigid = spec is not None and spec.params is _models.RigidBodyParams
 
     params = None
     if spec is not None:
@@ -365,7 +367,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         for section, allowed, required in (
                 ("kernel", delayed, delayed),
                 ("fractional", fractional, fractional),
-                ("stability", sector, False)):
+                ("stability", rigid, False)):
             if required and section not in g.sections:
                 errors.append(f"{g.at('system', 'kind')}: kind = {kind} "
                               f"requires a [{section}] section")
@@ -430,7 +432,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
     out = g.get("output", "path", conv=str)
     equilibrium, eq_m = "M1", 1.0
-    if sector:
+    if rigid:
         equilibrium = g.get("stability", "equilibrium", conv=str,
                             default="M1")
         if equilibrium not in ("M1", "M2", "M3"):
@@ -449,10 +451,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         if axis is not None and axis not in ("tau", "alpha", "m"):
             errors.append(f"{axis_at}: [scan] axis must be tau, alpha or m")
         elif spec is not None and axis is not None:
-            # a kind without a report scans no axis, nor m without set_m
-            if (spec.set_m if axis == "m" else spec.report) is None:
-                errors.append(f"{axis_at}: [scan] axis = {axis} is not "
-                              f"defined for kind = {kind}")
+            if axis == "m" and spec.set_m is None:
+                errors.append(f"{axis_at}: [scan] axis = m is not defined "
+                              f"for kind = {kind}")
             elif axis == "tau" and not isinstance(kernel, _kern.DiracKernel):
                 errors.append(f"{axis_at}: [scan] axis = tau requires "
                               f"a dirac kernel")
@@ -504,7 +505,11 @@ def _rel_drift(series: np.ndarray) -> float:
 
 
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
-    """Run the configured system and write the trajectory CSV."""
+    """Run the configured system and write the trajectory CSV; a missing
+    output directory fails before the run, and creates no file."""
+    if not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                out_path)
     if cfg.t_end == 0:
         stages = (cfg.kernel.shape
                   if isinstance(cfg.kernel, _kern.GammaKernel) else 0)
@@ -535,14 +540,6 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     return 0
 
 
-def _report(cfg: RunConfig) -> _stab.StabilityReport:
-    report = _KINDS[cfg.kind].report
-    if report is None:
-        raise ConfigError([f"stability analysis is not defined for "
-                           f"kind = {cfg.kind}"])
-    return report(cfg)
-
-
 def _report_row(param: float, rep: _stab.StabilityReport) -> str:
     root = rep.dominant_root
     re = root.real if root is not None else float("nan")
@@ -555,14 +552,14 @@ def _report_row(param: float, rep: _stab.StabilityReport) -> str:
 _SCAN_HEADER = "param,root_re,root_im,margin,verdict"
 
 #: what an invalid stability input raises: a bad value, or arithmetic that
-#: leaves the float range (a bracket coefficient that underflows to 0)
+#: leaves the float range (a coefficient that overflows)
 _REPORT_ERRORS = (ValueError, ArithmeticError)
 
 
 def cmd_stability(cfg: RunConfig, out_path: str) -> int:
     """Analyze the configured equilibrium; write a text block plus CSV rows."""
     try:
-        rep = _report(cfg)
+        rep = _KINDS[cfg.kind].report(cfg)
     except _REPORT_ERRORS as exc:
         raise ConfigError([str(exc)]) from exc
     text = f"kind = {cfg.kind}\n" + rep.to_text()
@@ -603,7 +600,7 @@ def cmd_scan(cfg: RunConfig, out_path: str) -> int:
     for value in grid:
         try:
             point = _cfg_with_axis(cfg, sweep.axis, float(value))
-            rep = _report(point)
+            rep = _KINDS[cfg.kind].report(point)
             rows.append(_report_row(float(value), rep))
         except _REPORT_ERRORS as exc:  # an invalid point: record, continue
             msg = str(exc).replace(",", ";").replace("\n", " ")

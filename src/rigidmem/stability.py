@@ -2,12 +2,11 @@
 
 Linearizations are complex-step Jacobians of each kind's own field at an
 axis equilibrium.  Covers the fractional rigid body's quadratics in
-w = lambda^order (sector condition), the delayed Euler-Poincare system's
-characteristic function with the paper's critical-delay formula,
-closed-form root counts from the exact imaginary-axis crossings for every
+w = lambda^order (sector condition) and, for every delayed rigid kind,
+closed-form root counts from the exact imaginary-axis crossings at a
 sharp (Dirac) lag, the roots of the ODE-chain polynomial for gamma
-kernels, and the eigenvalues of the collocated solution-operator
-generator for uniform ones.  No verdict depends on a search box.
+kernels and the eigenvalues of the collocated solution-operator generator
+for uniform ones.  No verdict depends on a search box.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ __all__ = [
     "STABLE", "MARGINAL", "UNSTABLE", "CharQuadratic", "StabilityReport",
     "char_frac_equilibrium", "matignon_classify", "char_ep_eval",
     "tau_c_formula", "critical_delay_scan", "frac_delay_char_eval",
-    "count_rhp_roots", "ep_delayed_check", "scalar_frac_delay_check",
-    "planar_frac_delay_check",
+    "count_rhp_roots", "ep_delayed_check", "rigid_delay_check",
+    "scalar_frac_delay_check", "planar_frac_delay_check",
 ]
 
 STABLE = "asymptotically-stable"
@@ -74,9 +73,8 @@ class StabilityReport:
 
     ``margins`` holds |arg(w)| - order*pi/2 per root.  The delay checks
     record the right-half-plane root count in ``metadata`` (``uncertain``
-    when a root lies on the imaginary axis, or when a uniform kernel's
-    generator roots have not settled); only exponential and Erlang
-    kernels also fill the roots.
+    when a root lies on the imaginary axis or a uniform kernel's generator
+    roots have not settled); only gamma kernels also fill the roots.
     """
 
     verdict: str
@@ -93,9 +91,7 @@ class StabilityReport:
 
     @property
     def dominant_root(self) -> complex | None:
-        if not self.roots:
-            return None
-        return self.roots[int(np.argmin(self.margins))]
+        return self.roots[int(np.argmin(self.margins))] if self.roots else None
 
     def to_text(self) -> str:
         lines = [f"verdict = {self.verdict}"]
@@ -116,19 +112,42 @@ class StabilityReport:
         return "\n".join(lines) + "\n"
 
 
-def _trace_det(block: np.ndarray) -> tuple[float, float]:
-    """(trace, det) of the 2x2 ``block``, in Python floats: a product
-    that overflows is inf, with no warning."""
-    a, b, c, d = block.ravel().tolist()
-    return a + d, a * d - b * c
-
-
 def _finite(name: str, *values) -> None:
     """Raise OverflowError naming ``name`` when one of the real or complex
-    ``values`` is not finite: arithmetic that left the float range, on
-    which no verdict can rest."""
+    ``values`` left the float range: no verdict can rest on it."""
     if not all(map(cmath.isfinite, values)):
         raise OverflowError(f"{name} is not finite")
+
+
+def _blocks(field, params, which, m: float, delayed: bool = True):
+    """2x2 transverse blocks (A, B) of ``field``, (x, xd) -> dx/dt (x alone,
+    and B None, when not ``delayed``), at the axis equilibrium ``which`` (M1,
+    M2, M3 or 1, 2, 3) of magnitude ``m``: one complex-step Jacobian
+    [df/dx | df/dxd], whose axis row and columns vanish."""
+    try:
+        axis = ("M1", "M2", "M3", 1, 2, 3).index(which) % 3
+    except ValueError:
+        raise ValueError(f"equilibrium must be one of M1, M2, M3, "
+                         f"got {which!r}") from None
+    _finite(f"m = {m!r}", m)
+    x = _models.find_equilibria(params, m)[axis]
+    off = (slice(1, 3), slice(0, 3, 2), slice(0, 2))[axis]
+    if not delayed:
+        return _models.jacobian(field, x)[off, off], None
+    jac = _models.jacobian(lambda z: field(z[:3], z[3:]),
+                           np.concatenate((x, x))).reshape(3, 2, 3)
+    return jac[off, 0, off], jac[off, 1, off]
+
+
+def _bracket(a, b) -> tuple[float, float, float, float, float]:
+    """Python floats (tA, tB, dA, c, dB), traces t, determinants d and
+    c = tr(adj(A) B), of det(lambda I - A - z B) = lambda^2 - lambda (tA +
+    z tB) + dA + c z + dB z^2; a product that overflows is inf, silently."""
+    (a11, a12), (a21, a22) = a.tolist()
+    (b11, b12), (b21, b22) = b.tolist()
+    return (a11 + a22, b11 + b22, a11 * a22 - a12 * a21,
+            a22 * b11 - a12 * b21 - a21 * b12 + a11 * b22,
+            b11 * b22 - b12 * b21)
 
 
 def char_frac_equilibrium(p: _models.RigidBodyParams, which, m: float,
@@ -140,22 +159,12 @@ def char_frac_equilibrium(p: _models.RigidBodyParams, which, m: float,
     or determinant that is not finite, or a determinant whose products of
     nonzero entries underflow to 0, raises ArithmeticError.
     """
-    try:
-        axis = ("M1", "M2", "M3", 1, 2, 3).index(which) % 3
-    except ValueError:
-        raise ValueError(f"equilibrium must be one of M1, M2, M3, "
-                         f"got {which!r}") from None
     bind = _models.revised_field if revised else _models.classical_field
-    _finite(f"m = {m!r}", m)
-    x = _models.find_equilibria(p, m)[axis]
-    # at an axis equilibrium the axis row and column vanish (the neutral
-    # direction): the block off the axis is the transverse one
-    off = (slice(1, 3), slice(0, 3, 2), slice(0, 2))[axis]
-    block = _models.jacobian(bind(p), x)[off, off]
-    tr, det = _trace_det(block)
+    block, _ = _blocks(bind(p), p, which, m, delayed=False)
+    (a, b), (c, d) = block.tolist()
+    tr, det = a + d, a * d - b * c
     _finite(f"tr A = {tr!r}", tr)
     _finite(f"det A = {det!r}", det)
-    (a, b), (c, d) = block.tolist()
     if det == 0 and (a and d and not a * d or b and c and not b * c):
         raise ArithmeticError(f"det A underflows to 0 at m = {m!r}")
     # 0.0 - tr keeps the plain field's zero trace a +0.0
@@ -195,42 +204,21 @@ def _sector(roots, order: float) -> tuple[list, str]:
 
 
 def _ep_blocks(s: _models.InertiaSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Transverse blocks (A, B) at omega_1, 2x2 each: one Jacobian in
-    (omega, omegad) gives [df/domega | df/domegad], whose axis row and
-    columns vanish; A has a zero diagonal and B is diagonal.  B is the
-    coupling times the delayed torque's derivative, so at coupling 0 it
-    is zero, also where the complex step would multiply the zero coupling
-    by an overflowing term."""
-    w = _models.find_equilibria(s, s.m)[0]
-    field = _models.ep_delayed_field(s)
-    jac = _models.jacobian(lambda z: field(z[:3], z[3:]),
-                           np.concatenate((w, w)))
-    a = jac[1:, 1:3]
-    b = jac[1:, 4:] if s.coupling != 0 else np.zeros((2, 2))
-    _finite("transverse block A", *a.ravel().tolist())
-    _finite("transverse block B", *b.ravel().tolist())
-    return a, b
-
-
-def _ep_bracket(a, b) -> tuple[float, float, float]:
-    """(q1, q2, q0) = (tr B, det B, -det A) of the :func:`_ep_blocks`."""
-    _, det_a = _trace_det(a)
-    tr_b, det_b = _trace_det(b)
-    return tr_b, det_b, -det_a
+    """:func:`_blocks` at omega_1: A has a zero diagonal, B is diagonal and
+    zero at coupling 0 (where the complex step may multiply 0 by inf)."""
+    a, b = _blocks(_models.ep_delayed_field(s), s, 1, s.m)
+    return a, (b if s.coupling != 0 else np.zeros((2, 2)))
 
 
 def char_ep_eval(s: _models.InertiaSetup, kernel, lam):
-    """Characteristic function of the delayed Euler-Poincare equilibrium.
-
-    Evaluates the reduced (tangent-space) bracket det(lambda I - A - k1 B)
-    = lambda^2 - q1 lambda k1(lambda) + q2 k1(lambda)^2 - q0; the full
-    characteristic equation carries an extra structural lambda factor.
-    A scalar ``lam`` gives a Python complex, an array gives an array.
-    """
+    """Characteristic function of the delayed Euler-Poincare equilibrium:
+    the reduced (tangent-space) :func:`_bracket` at z = k1(lambda), without
+    the structural lambda factor.  A scalar ``lam`` gives a Python complex,
+    an array an array."""
     lam, scalar = _kern._lambda_array(lam)
     k1 = _kern.laplace(kernel, lam)
-    q1, q2, q0 = _ep_bracket(*_ep_blocks(s))
-    out = lam * lam - q1 * lam * k1 + q2 * k1 * k1 - q0
+    t_a, t_b, d_a, c, d_b = _bracket(*_ep_blocks(s))
+    out = lam * lam - lam * (t_a + t_b * k1) + d_a + (c + d_b * k1) * k1
     return complex(out[0]) if scalar else out
 
 
@@ -258,62 +246,80 @@ def critical_delay_scan(s: _models.InertiaSetup) -> float | None:
     """Smallest lag tau >= 0 placing a characteristic root on i*omega: the
     least phase / omega over :func:`_crossings` as a float, or None when
     there is no crossing (coupling 0 never produces one)."""
-    if s.coupling == 0:
-        return None
-    return _first_delay(_crossings(_ep_bracket(*_ep_blocks(s))))
+    return min((phase / omega for omega, phase, _ in
+                _crossings(*_ep_blocks(s))), default=None)
 
 
-def _first_delay(crossings) -> float | None:
-    """The least phase / omega over the ``crossings`` families, or None."""
-    return min((phase / omega for omega, phase, _ in crossings),
-               default=None)
+def _crossings(a, b) -> list[tuple[float, float, int]]:
+    """Every crossing family (omega, phase, direction) of the blocks: a
+    pair of roots on +-i*omega at every lag (phase + 2 pi k) / omega,
+    k >= 0, moving right (+1) or left (-1) as the lag grows past it.
 
-
-def _crossings(q) -> list[tuple[float, float, int]]:
-    """Every crossing family (omega, phase, direction) of the bracket ``q``.
-
-    Exact algebra on the bracket at lambda = i*omega.  With
-    z = exp(-i omega tau) = c - i*sn on the unit circle, multiplying
-    P(lambda, z) = lambda^2 - q1 lambda z + q2 z^2 - q0 by conj(z) leaves
-    (q2 - omega^2 - q0) c = 0 and sn (q2 + omega^2 + q0) = -q1 omega.  So a
-    crossing has either c = 0, sn = +-1 and omega > 0 a root of
-    omega^2 +- q1 omega + q2 + q0, or omega^2 = q2 - q0 > 0 with
-    sn = -q1 omega / (2 q2), |sn| <= 1 and c = +-sqrt(1 - sn^2) (Cooke &
-    van den Driessche, Funkcialaj Ekvacioj 29, 1986).  A pair of roots sits
-    on +-i*omega at every tau_k = (phase + 2 pi k) / omega, k >= 0, with
-    phase = -arg z in [0, 2 pi), and moves to the right (direction +1) or
-    the left (-1) as tau grows past it: the sign of Re dlambda/dtau, which
-    is that of Re[P_lambda / (lambda z P_z)] at every tau_k.  A
-    coefficient that is not finite raises OverflowError.
+    With z = exp(-i omega tau) = cs - i*sn, the :func:`_bracket` times
+    conj(z) at lambda = i*omega is linear in (cs, sn), of determinant
+    D = (dA - u)^2 - dB^2 + tA^2 u, u = omega^2: |z| = 1 is a quartic in u,
+    solved in units of a power of 4 near its coefficients.  With tA = 0 and
+    c = 0 or tB = 0, a root of D zeroes both of Cramer's numerators and
+    carries a line of z, split off in closed form with the rest (Cooke &
+    van den Driessche, Funkcialaj Ekvacioj 29, 1986).  direction is the sign
+    of Re[P_lambda conj(lambda z P_z)], that of Re dlambda/dtau.  A bracket
+    free of z has none; a coefficient not finite raises OverflowError.
     """
-    q1, q2, q0 = q
-    for name, value in zip(("q1 = tr B", "q2 = det B", "q0 = -det A"), q):
+    coeffs = t_a, t_b, d_a, c, d_b = _bracket(a, b)
+    if not (t_b or c or d_b):
+        return []
+    for name, value in zip(("tr A", "tr B", "det A", "tr(adj(A) B)",
+                            "det B"), coeffs):
         _finite(f"bracket coefficient {name}", value)
-    if q2 == 0:  # coupling^2 m^4 underflows
-        raise ZeroDivisionError("quadratic coefficient q2 underflows to 0")
-    crossings = []  # (omega, c, sn)
-    disc = q1 * q1 - 4.0 * (q2 + q0)
-    if disc >= 0.0:
+    points, k = [], 0  # (omega, cs, sn), omega in units of 2^k
+    if t_a == 0 and (c == 0 or t_b == 0):
+        # the line at alpha = dB (tB = 0) or -dB (c = 0)
+        u = d_a - d_b if c else d_a + d_b
+        if u > 0.0 and d_b:
+            omega = math.sqrt(u)
+            fixed = -(c or t_b * omega) / (2.0 * d_b)
+            if abs(fixed) <= 1.0:
+                free = math.sqrt((1.0 - fixed) * (1.0 + fixed))
+                points += [(omega, fixed, f) if c else (omega, f, fixed)
+                           for f in (free, -free)]
+        # the rest, z = sn (tB = 0) or -i sn (c = 0) at
+        # omega^2 + sn s omega - u2 - sn n = 0, without cancellation
+        u2, n, s = (d_a + d_b, c, 0.0) if c else (d_a - d_b, 0.0, t_b)
         for sn in (1.0, -1.0):
-            # roots of omega^2 + sn q1 omega + q2 + q0, without cancellation
-            big = -0.5 * (sn * q1 + math.copysign(math.sqrt(disc), sn * q1))
-            if big:
-                crossings += [(omega, 0.0, sn) for omega in
-                              (big, (q2 + q0) / big) if omega > 0.0]
-    if q2 > q0:
-        omega = math.sqrt(q2 - q0)
-        sn = -q1 * omega / (2.0 * q2)
-        if abs(sn) <= 1.0:
-            c = math.sqrt((1.0 - sn) * (1.0 + sn))
-            crossings += [(omega, c, sn), (omega, -c, sn)]
+            disc = s * s + 4.0 * (u2 + sn * n)
+            if disc >= 0.0:
+                big = -0.5 * (sn * s + math.copysign(math.sqrt(disc), sn * s))
+                if big:
+                    points += [(w, sn, 0.0) if c else (w, 0.0, sn) for w in
+                               (big, -(u2 + sn * n) / big) if w > 0.0]
+    else:
+        # u in units of 4^k, the traces in units of 2^k: exact, and the
+        # quartic's coefficients stay near 1
+        k = max(2 * math.frexp(t_a)[1], 2 * math.frexp(t_b)[1],
+                *(math.frexp(v)[1] for v in (d_a, c, d_b))) // 2
+        t_a, t_b = math.ldexp(t_a, -k), math.ldexp(t_b, -k)
+        d_a, c, d_b = (math.ldexp(v, -2 * k) for v in (d_a, c, d_b))
+        d1, d0 = t_a * t_a - 2.0 * d_a, (d_a - d_b) * (d_a + d_b)
+        n1, n0 = c - t_a * t_b, -c * (d_a - d_b)  # D cs = n1 u + n0
+        s1, s0 = -t_b, t_b * (d_a + d_b) - t_a * c  # D sn = omega (s1 u + s0)
+        quartic = [1.0, 2.0 * d1 - s1 * s1,
+                   d1 * d1 + 2.0 * d0 - n1 * n1 - 2.0 * s1 * s0,
+                   2.0 * (d1 * d0 - n1 * n0) - s0 * s0, d0 * d0 - n0 * n0]
+        for u in (r.real for r in np.roots(quartic) if not r.imag):
+            alpha = d_a - u
+            den = (alpha + d_b) * (alpha - d_b) + t_a * t_a * u
+            if u > 0.0 and den:
+                omega = math.sqrt(u)
+                points.append((omega, (n1 * u + n0) / den,
+                               omega * (s1 * u + s0) / den))
     families = []
-    for omega, c, sn in crossings:
-        lam, z = complex(0.0, omega), complex(c, -sn)
+    for omega, cs, sn in points:
+        lam, z = complex(0.0, omega), complex(cs, -sn)
         # Re(a / b) has the sign of Re(a conj(b)), which needs no division
-        re = ((2.0 * lam - q1 * z)
-              * (lam * z * (2.0 * q2 * z - q1 * lam)).conjugate()).real
-        families.append((omega, math.atan2(sn, c) % (2.0 * math.pi),
-                         (re > 0.0) - (re < 0.0)))
+        re = ((2.0 * lam - t_a - t_b * z)
+              * (lam * z * (c + 2.0 * d_b * z - t_b * lam)).conjugate()).real
+        families.append((math.ldexp(omega, k), math.atan2(sn, cs)
+                         % (2.0 * math.pi), (re > 0.0) - (re < 0.0)))
     return families
 
 
@@ -329,8 +335,7 @@ def frac_delay_char_eval(A, B, order: float, kernel, lam):
               & (np.abs(lam.imag) < 1e-12 * np.maximum(1.0, -lam.real))):
         warnings.warn("lambda is close to the principal branch cut; "
                       "the result is one-sided", RuntimeWarning, stacklevel=2)
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A and B must be square matrices of equal shape")
     w = lam**order
@@ -350,15 +355,11 @@ def count_rhp_roots(f, sigma_max: float = 50.0, omega_max: float = 50.0, *,
     Winding number over the counterclockwise boundary: one call for the
     4 * (samples_per_edge + 1) edge samples (corners twice), then one call
     per depth below ``max_depth`` for the midpoints of every segment whose
-    phase increment exceeds pi/2.  Returns (count, min_boundary_ratio)
-    where the second entry is the smallest |f| on the contour divided by
-    the contour median |f|; values near zero flag a root on the boundary
-    (a marginal case).  A zero sample gives (-1, 0.0).
-
-    Every phase step is the principal argument of a ratio of two samples,
-    and the steps run around a closed chain of samples, so for a
-    deterministic ``f`` they add up to whole turns up to rounding: the
-    rounded count needs no settling check.  A step above pi/2 left at
+    phase increment exceeds pi/2.  Returns (count, min_boundary_ratio),
+    the smallest |f| on the contour over its median |f| (near zero: a root
+    on the boundary).  A zero sample gives (-1, 0.0).  The phase steps, each
+    the argument of a ratio of two samples, run around a closed chain, so
+    they add up to whole turns up to rounding; a step above pi/2 left at
     ``max_depth`` can still make that whole number wrong.
     """
     corners = np.array([complex(0.0, -omega_max),
@@ -373,8 +374,7 @@ def count_rhp_roots(f, sigma_max: float = 50.0, omega_max: float = 50.0, *,
     all_abs = [np.abs(vals).ravel()]
     z1, z2 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     f1, f2 = vals[:, :-1].ravel(), vals[:, 1:].ravel()
-    total = 0.0
-    depth = 0
+    total, depth = 0.0, 0
     while True:
         dphi = np.angle(f2 / f1)
         split = (np.abs(dphi) > math.pi / 2.0) & (depth < max_depth)
@@ -395,43 +395,61 @@ def count_rhp_roots(f, sigma_max: float = 50.0, omega_max: float = 50.0, *,
 
 
 def ep_delayed_check(s: _models.InertiaSetup, kernel) -> StabilityReport:
-    """Verdict for the delayed Euler-Poincare equilibrium under ``kernel``.
-
-    A Dirac lag tau takes :func:`_crossing_verdict`: the n0 right-half-plane
-    roots of lambda^2 - q1 lambda + q2 - q0 at tau = 0, then the crossing
-    families of :func:`_crossings` below tau.  At q2 = q0, or q2 > q0 with
-    q1 = 0 (coupling 0 among them), roots lie on the imaginary axis at
-    tau = 0: the verdict is marginal and the count ``uncertain``.  A gamma
-    kernel reports the roots of :func:`_chain_roots` and the sector test
-    at order 1; a margin within SECTOR_TOL of 0, or a dropped root, makes
-    the count ``uncertain`` and a stable verdict marginal.  A uniform
-    kernel takes :func:`_uniform_verdict`, from the eigenvalues of the
-    collocated generator, and reports no roots; with coupling 0 and I1
-    the largest moment a pair lies on the imaginary axis, marginal and
-    ``uncertain``.  The structural lambda factor is one zero root.  With
-    nonzero coupling the report carries :func:`critical_delay_scan` as
-    ``critical_delay`` and :func:`tau_c_formula`; a Dirac kernel adds
-    ``kernel_lag``.  Blocks or bracket coefficients that leave the float
-    range raise OverflowError (:func:`_finite`) rather than give a verdict
-    on inf.
-    """
-    a, b = _ep_blocks(s)
-    q1, q2, q0 = q = _ep_bracket(a, b)
-    rep = StabilityReport(verdict=MARGINAL, structural_zero_roots=1)
-    crossings, count = [], "uncertain"
+    """:func:`_delay_report` of the delayed Euler-Poincare equilibrium, plus
+    :func:`tau_c_formula` at nonzero coupling (at coupling 0 a pair sits on
+    the imaginary axis at every lag)."""
+    rep = _delay_report(*_ep_blocks(s), kernel)
     if s.coupling != 0:
-        crossings = _crossings(q)
-        rep.critical_delay = _first_delay(crossings)
         rep.metadata["tau_c_formula"] = repr(tau_c_formula(s))
-    if isinstance(kernel, _kern.DiracKernel):
+    return rep
+
+
+def rigid_delay_check(p: _models.RigidBodyParams, which, m: float, kernel,
+                      revised: bool = False) -> StabilityReport:
+    """:func:`_delay_report` of the delayed rigid body (the revised delayed
+    field when ``revised``) under ``kernel`` at the axis equilibrium
+    ``which`` (M1, M2, M3 or 1, 2, 3) of magnitude ``m``."""
+    bind = _models.revised_delayed_field if revised else _models.delayed_field
+    return _delay_report(*_blocks(bind(p), p, which, m), kernel)
+
+
+def _delay_report(a, b, kernel) -> StabilityReport:
+    """Verdict for u' = A u + B (kernel * u) on the transverse blocks of an
+    axis equilibrium, whose neutral direction is one zero root.
+
+    A Dirac lag, and any kernel when the bracket is free of z, counts the
+    roots of det(lambda - A - B) right of the axis, then the
+    :func:`_crossings` by :func:`_crossing_verdict`.  A centre there is a
+    phase-0 family, counted right if it moves left: 2 roots past lag 0 if
+    it moves right, none if left; one no family moves, or lambda = 0 at
+    det(A + B) = 0, stays on the axis (direction 0).  A gamma kernel gives
+    the :func:`_chain_roots` and their sector test at order 1 (a margin
+    within SECTOR_TOL of 0 or a dropped root: ``uncertain``, not stable), a
+    uniform one :func:`_uniform_verdict`.  Blocks or coefficients that
+    leave the float range raise OverflowError.
+    """
+    _finite("transverse block A", *a.ravel().tolist())
+    _finite("transverse block B", *b.ravel().tolist())
+    t_a, t_b, d_a, c, d_b = coeffs = _bracket(a, b)
+    crossings = _crossings(a, b)
+    rep = StabilityReport(verdict=MARGINAL, structural_zero_roots=1,
+                          critical_delay=min((phase / omega for omega, phase,
+                                              _ in crossings), default=None))
+    dirac, count = isinstance(kernel, _kern.DiracKernel), "uncertain"
+    if dirac:
         rep.metadata["kernel_lag"] = repr(kernel.lag)
-        if q2 < q0 or (q2 > q0 and q1 != 0):
-            rep.verdict, count = _crossing_verdict(
-                1 if q2 < q0 else 2 * (q1 > 0), crossings, kernel.lag)
+    if dirac or not (t_b or c or d_b):
+        tr, det = t_a + t_b, d_a + c + d_b
+        moves = [direction for _, phase, direction in crossings if not phase]
+        if det == 0 or tr == 0 and det > 0 and not moves:
+            crossings.append((math.sqrt(det), 0.0, 0))
+        n0 = 1 if det < 0 else 2 * (tr > 0) if det > 0 else int(tr > 0)
+        rep.verdict, count = _crossing_verdict(
+            n0 + 2 * (-1 in moves), crossings, kernel.lag if dirac else 0.0)
     elif not isinstance(kernel, _kern.GammaKernel):
         rep.verdict, count = _uniform_verdict(a, b, kernel)
-    elif s.coupling != 0:
-        rep.roots = _chain_roots(q, kernel)
+    else:
+        rep.roots = _chain_roots(coeffs, kernel)
         rep.margins, rep.verdict = _sector(rep.roots, 1.0)
         if len(rep.roots) < 2 + 2 * kernel.shape:  # some were dropped
             rep.verdict = UNSTABLE if rep.verdict == UNSTABLE else MARGINAL
@@ -450,28 +468,24 @@ def _divisible(poly) -> np.ndarray:
     return poly
 
 
-def _chain_roots(q, kernel: _kern.GammaKernel) -> list[complex]:
-    """Roots, sorted by (re, im), of the bracket ``q`` under (r/(lambda +
-    r))^n times b^(2n), b = (lambda + r)/max(r, 1): the chain polynomial
-    (MacDonald, Time Lags in Biological Models, 1978), finite at any rate.
-
-    np.roots finds a polynomial's large roots to working accuracy, but its
-    small ones only to an absolute error of up to eps times the largest,
-    and the reversed polynomial, whose roots are the reciprocals, the
-    other way round: at a rate of 1e40 the first returns the lag-0 pair
-    as 0.  So the roots below eps times the largest are taken from the
-    reversed polynomial and the others from the polynomial itself; both
-    lists sorted by magnitude, the smallest roots the reversed polynomial
-    drops (as leading coefficients it cannot divide by) come from the
-    polynomial too.
+def _chain_roots(coeffs, kernel: _kern.GammaKernel) -> list[complex]:
+    """Roots, sorted by (re, im), of the :func:`_bracket` ``coeffs`` at
+    z = (r/(lambda + r))^n, times b^(2n), b = (lambda + r)/max(r, 1): the
+    chain polynomial (MacDonald, Time Lags in Biological Models, 1978),
+    finite at any rate.  np.roots finds large roots to working accuracy but
+    small ones only to eps times the largest, and the reversed polynomial
+    the other way round (at rate 1e40 the first gives the lag-0 pair as 0):
+    the roots below eps times the largest come from the reversed
+    polynomial, the others, and the smallest ones it drops with the leading
+    coefficients it cannot divide by, from the polynomial itself.
     """
-    q1, q2, q0 = q
+    t_a, t_b, d_a, c, d_b = coeffs
     n, r = kernel.shape, kernel.rate
     g = (r / max(r, 1.0)) ** n
     b_n = functools.reduce(np.polymul, [np.array([1.0, r]) / max(r, 1.0)] * n)
-    poly = np.polyadd(np.polymul([1.0, 0.0, -q0], np.polymul(b_n, b_n)),
-                      np.polymul([-q1 * g, 0.0], b_n))
-    poly[-1] += q2 * g * g
+    poly = np.polyadd(np.polymul([1.0, -t_a, d_a], np.polymul(b_n, b_n)),
+                      np.polymul([-t_b * g, c * g], b_n))
+    poly[-1] += d_b * g * g
     poly = _divisible(poly)
     big = sorted(np.roots(poly), key=abs)
     with np.errstate(all="ignore"):
@@ -518,16 +532,14 @@ def _uniform_generator(a, b, kernel: _kern.UniformKernel,
 
 def _uniform_verdict(a, b, kernel: _kern.UniformKernel):
     """(verdict, rhp_root_count) from the :func:`_uniform_generator` roots
-    at N = 24, 48 and 96 nodes.  A root more than _AXIS_BAND
-    max(1, |lambda|) right of the imaginary axis counts as right, one
-    within that band of it as on the axis.  The count is settled once the
-    right and on-axis counts agree between N and 2N and the rightmost real
-    part moved by less than its distance from the axis at 2N (or than its
-    band, on the axis), so that its sign holds; a root on the axis then
-    makes the count ``uncertain`` and the verdict marginal, unless others
-    surely lie right.  Unsettled at 96 nodes, the count is ``uncertain``
-    and the verdict unstable only if roots lie surely right at both 48 and
-    96."""
+    at N = 24, 48 and 96 nodes; a root more than _AXIS_BAND max(1, |lambda|)
+    right of the imaginary axis counts as right, one within that band as on
+    the axis.  The count settles once the right and on-axis counts agree
+    between N and 2N and the rightmost real part moved by less than its
+    distance from the axis (or its band, on it) at 2N; a root on the axis
+    then makes it ``uncertain``, marginal unless others surely lie right.
+    Unsettled at 96 nodes it is ``uncertain``, unstable only if roots lie
+    surely right at both 48 and 96."""
     seen = []  # (right, on the axis, rightmost real part) per node count
     for nodes in (24, 48, 96):
         lam = _uniform_generator(a, b, kernel, nodes)
@@ -547,12 +559,11 @@ def _crossing_verdict(n0: int, crossings, tau: float):
     """(verdict, rhp_root_count) at lag ``tau`` for an equation with ``n0``
     right-half-plane roots at tau = 0 whose roots reach the imaginary axis
     only in the ``crossings`` families (omega, phase, direction): a pair on
-    +-i*omega at omega*tau = phase (mod 2 pi), moving right each time for
-    direction +1 and left for -1, so n0 + 2 sum direction
-    #{k >= 0 : 0 < phase + 2 pi k < omega tau} of them.  A crossing within
-    8 eps (relative) of omega*tau puts a root on the axis: the count is
-    ``uncertain``, the verdict marginal unless roots surely lie to the
-    right."""
+    +-i*omega at omega*tau = phase (mod 2 pi), moving right for direction
+    +1, left for -1 (either way for 0), so n0 + 2 sum direction
+    #{k >= 0 : 0 < phase + 2 pi k < omega tau}.  A crossing within 8 eps
+    (relative) of omega*tau puts a root on the axis: ``uncertain``, and
+    marginal unless roots surely lie to the right."""
     turn = 2.0 * math.pi
     low = high = n0  # the fewest and the most roots to the right
     for omega, phase, direction in crossings:
@@ -563,8 +574,8 @@ def _crossing_verdict(n0: int, crossings, tau: float):
         lo, hi = (math.inf if wt == math.inf else
                   max(0, math.ceil((wt + d - phase) / turn))
                   for d in (-band, band))
-        low += 2 * direction * (lo if direction > 0 else hi)
-        high += 2 * direction * (hi if direction > 0 else lo)
+        low += 2 * (lo if direction > 0 else -hi if direction else 0)
+        high += 2 * (hi if direction >= 0 else -lo)
     return _bounds_verdict(low, high)
 
 

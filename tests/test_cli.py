@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rigidmem import cli, kernels, models
+from rigidmem import cli, kernels, models, stability
 from rigidmem.errors import ConfigError
 from rigidmem.integrators import (HistorySpec, integrate_dde,
                                   write_trajectory_csv)
@@ -498,10 +499,16 @@ class TestStability:
             assert code == 0
             assert "verdict = unstable" in out.read_text()
 
-    def test_stability_not_defined_for_delayed(self, tmp_path):
-        code, out = run_cli(tmp_path, DELAYED, "stability", "no.txt")
-        assert code == 2
-        assert not out.exists()
+    def test_delayed_report(self, tmp_path):
+        # at M1 (a = (3, 2, 1), m = 1) A + B has the centre +-i*sqrt(2),
+        # which every lag past 0 moves right: c + 2 det B = 3 - 2 > 0
+        code, out = run_cli(tmp_path, DELAYED + "\n[stability]\nm = 1\n",
+                            "stability", "rep.txt")
+        assert code == 0
+        assert out.read_text() == (
+            "kind = delayed\nverdict = unstable\ncritical_delay = 0.0\n"
+            "structural_zero_roots = 1\nequilibrium = M1\n"
+            "kernel_lag = 0.1\nrhp_root_count = 2\n")
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["classical", "revised"])
@@ -528,15 +535,19 @@ class TestStability:
         assert reports[kind] == (*reports[sector][:2], "nan")
         assert reports[sector][2] == "1"
 
-    def test_underflowing_coefficient_is_an_error(self, tmp_path, capsys):
-        # coupling^2 m^4 underflows to q2 = 0, where the crossing algebra
-        # divides by zero
+    def test_underflowing_coefficient(self, tmp_path, capsys):
+        # coupling^2 m^4 underflows to det B = 0, which gives a verdict:
+        # the roots sit 1e-200 left of +-i/3 and first cross at
+        # omega = 1/3, z = -i
         code, out = run_cli(tmp_path, EP_DELAYED, "stability", "rep.txt",
                             overrides=["system.coupling=1e-200"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: quadratic coefficient q2 underflows to 0\n")
-        assert not out.exists()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        assert "verdict = asymptotically-stable\n" in text
+        assert "rhp_root_count = 0\n" in text
+        delay = text.split("critical_delay = ")[1].split("\n")[0]
+        assert float(delay) == pytest.approx(1.5 * math.pi, rel=1e-15)
 
     def test_huge_erlang_rate(self, tmp_path, capsys):
         # rate**2 overflowed: "error: (34, 'Numerical result out of range')"
@@ -597,14 +608,13 @@ class TestScan:
         assert out.read_text().splitlines()[1:] == [
             "0,nan,nan,nan,error: bad point", "3,nan,nan,nan,error: bad point"]
 
-    def test_underflowing_coefficient_is_a_row(self, tmp_path):
+    def test_overflowing_coefficient_is_a_row(self, tmp_path):
         code, out = run_cli(tmp_path, EP_DELAYED, "scan", "scan.csv",
-                            overrides=["system.coupling=1e-200",
-                                       "scan.steps=2"])
+                            overrides=["system.m=1e78", "scan.steps=2"])
         assert code == 0
         assert out.read_text().splitlines()[1:] == [
-            f"{tau},nan,nan,nan,error: quadratic coefficient q2 underflows "
-            f"to 0" for tau in (0, 3)]
+            f"{tau},nan,nan,nan,error: bracket coefficient det B is not "
+            f"finite" for tau in (0, 3)]
 
     def test_programming_error_is_raised(self, tmp_path, monkeypatch):
         self._failing_points(monkeypatch, TypeError)
@@ -626,16 +636,26 @@ class TestScan:
             f"finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis", ["tau", "m"])
     @pytest.mark.parametrize("kind", ["delayed", "revised-delayed"])
-    def test_kind_without_report_scans_no_axis(self, kind, tmp_path, capsys):
+    def test_delayed_kinds_scan(self, kind, axis, tmp_path):
+        # each row is the library verdict at its grid point, at the
+        # [stability] equilibrium (M3 here); m = 0 is an error row
         text = (DELAYED.replace("kind = delayed", f"kind = {kind}")
-                + _SCAN.format("tau"))
-        code, out = run_cli(tmp_path, text, "scan", "tau.csv")
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: line {_line_of(text, 'axis')}: [scan] axis = tau is not "
-            f"defined for kind = {kind}\n")
-        assert not out.exists()
+                + "\n[stability]\nequilibrium = M3\n" + _SCAN.format(axis))
+        code, out = run_cli(tmp_path, text, "scan", "scan.csv")
+        assert code == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        p = models.RigidBodyParams(3, 2, 1)
+        for value, verdict in zip((0, 1, 2, 3), (row[-1] for row in rows)):
+            tau, m = (value, 1.0) if axis == "tau" else (0.1, value)
+            if m == 0:
+                assert verdict.startswith("error: ")
+                continue
+            assert verdict == stability.rigid_delay_check(
+                p, "M3", m, kernels.DiracKernel(tau),
+                revised=kind == "revised-delayed").verdict
+        assert len(rows) == 4
 
 
 class TestMain:
@@ -667,6 +687,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: [Errno 2] ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("t_end", ["0.5", "0"])
+    def test_missing_output_directory_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch, t_end):
+        def refuse(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "_run_simulation", refuse)
+        code, out = run_cli(tmp_path, CLASSICAL, "simulate", "missing/o.csv",
+                            overrides=[f"run.t_end={t_end}"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: [Errno 2] No such file or "
+            f"directory: '{out}'\n")
+        assert not out.parent.exists()
+        # no directory part: the working directory, and the run goes ahead
+        monkeypatch.undo()
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", str(tmp_path / "run.cfg"),
+                         "--out", "here.csv"]) == 0
+        assert (tmp_path / "here.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "stability", "scan"])
     def test_undecodable_config(self, tmp_path, capsys, command):

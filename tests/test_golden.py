@@ -10,17 +10,22 @@ and a zero-length run, each kernel kind, the fractional memory window and
 corrector iterations, the validation errors, and stability inputs at the
 edge of the float range.
 
+Running this file as a script prints the table for the current program;
+``--diff`` instead prints only the cases whose exit code, stdout, stderr
+or file hashes differ from the table, naming the fields that moved, and
+exits 1 if any did.
+
 The table was recorded with CPython 3.11.7 and numpy 2.4.6 linked against
 OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels) on x86_64.
 Another numpy or BLAS build may round the last bit of a float differently
-and so change a hash without any change to the program.  Running this file
-as a script prints the table for the current program.
+and so change a hash without any change to the program.
 """
 
 import contextlib
 import hashlib
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,11 +63,10 @@ KINDS = {
     + DIRAC.format(0.5) + FRAC.format(0.8) + RUN.format("1, 0.5", 1),
 }
 
-#: scan axes each kind accepts (the delayed kinds have no report, so their
-#: tau scans are rejected at parse), and the (min, max, steps) swept on each
+#: scan axes each kind accepts, and the (min, max, steps) swept on each
 AXES = {
     "classical": ("m",), "revised": ("m",),
-    "delayed": ("tau",), "revised-delayed": ("tau",),
+    "delayed": ("tau", "m"), "revised-delayed": ("tau", "m"),
     "fractional": ("alpha", "m"), "fractional-revised": ("alpha", "m"),
     "ep-delayed": ("tau", "m"), "scalar-18": ("tau", "alpha"),
     "planar-19": ("tau", "alpha"),
@@ -276,7 +280,8 @@ def test_golden(name, tmp_path):
 
 
 @pytest.mark.parametrize("kind", sorted(
-    set(KINDS) - {"classical", "revised", "fractional", "fractional-revised"}))
+    set(KINDS) - {"classical", "revised", "delayed", "revised-delayed",
+                  "fractional", "fractional-revised"}))
 def test_stability_section_only_for_sector_kinds(kind):
     with pytest.raises(ConfigError, match=r"(?m)^line \d+: \[stability\] "
                        f"section is not allowed for kind = {kind}$"):
@@ -298,13 +303,35 @@ def test_golden_stderr_has_no_made_up_location():
                 if "line 0" in err or "kind = None" in err]
 
 
-def _record():
-    """Print the GOLDEN table for the current program."""
+def _run_all():
+    """(name, result) of every case, in name order, each in a fresh
+    directory."""
     import tempfile
-    print("GOLDEN = {")
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            code, out, err, files = run_case(CASES[name], Path(tmp))
+            yield name, run_case(CASES[name], Path(tmp))
+
+
+def _diff() -> int:
+    """Print the cases whose result differs from GOLDEN, with the fields
+    that moved; 1 if any did, else 0."""
+    fields = ("exit code", "stdout", "stderr", "file hashes")
+    moved = [name for name in GOLDEN if name not in CASES]
+    for name in moved:
+        print(f"{name}: no such case")
+    for name, got in _run_all():
+        want = GOLDEN.get(name)
+        if got != want:
+            moved.append(name)
+            print(f"{name}: " + ("new case" if want is None else ", ".join(
+                f for f, g, w in zip(fields, got, want) if g != w)))
+    return 1 if moved else 0
+
+
+def _record():
+    """Print the GOLDEN table for the current program."""
+    print("GOLDEN = {")
+    for name, (code, out, err, files) in _run_all():
         print(f"    {name!r}: (\n        {code},")
         for text in (out, err):
             lines = text.splitlines(keepends=True) or [""]
@@ -652,11 +679,22 @@ GOLDEN = {
         'wrote = <out>/out\n',
         '',
         {'out': '4da7c049b54f00030557b614d9d6c8284c49fe6b7ed820e03936e446c41f4576'}),
-    'delayed-scan-tau': (
-        2,
+    'delayed-scan-m': (
+        0,
+        'kind = delayed\n'
+        'axis = m\n'
+        'rows = 5\n'
+        'wrote = <out>/out\n',
         '',
-        'error: --set: [scan] axis = tau is not defined for kind = delayed\n',
-        {}),
+        {'out': 'b7d11bca043535f68494ac831198a6219984d95ea79296188729927cc45e847e'}),
+    'delayed-scan-tau': (
+        0,
+        'kind = delayed\n'
+        'axis = tau\n'
+        'rows = 7\n'
+        'wrote = <out>/out\n',
+        '',
+        {'out': '0642f0e8d7581659a1a2b066ce21111c53d128b667747c5be7a7fe413fbf2f79'}),
     'delayed-simulate': (
         0,
         'kind = delayed\n'
@@ -671,10 +709,15 @@ GOLDEN = {
         '',
         {'out': 'f45669a30343209c65eaa3f803d62528763d2f81bf4ea9a1fe71e1bc201c777e'}),
     'delayed-stability': (
-        2,
+        0,
+        'kind = delayed\n'
+        'verdict = unstable\n'
+        'critical_delay = 0.0\n'
+        'wrote = <out>/out\n'
+        'wrote = <out>/out.rows.csv\n',
         '',
-        'error: stability analysis is not defined for kind = delayed\n',
-        {}),
+        {'out': '8ddc1d84e69f7782cef41d3d0597d09079a17f0e17c63eaa6808aa3b1d44eb26',
+         'out.rows.csv': '9f875a5a44537a6951f8693bee33403e7d48fa638105a555cb624b2577c7d544'}),
     'delayed-t_end0': (
         0,
         'kind = delayed\n'
@@ -730,7 +773,7 @@ GOLDEN = {
     'ep-delayed-dirac-m1e78-stability': (
         2,
         '',
-        'error: bracket coefficient q2 = det B is not finite\n',
+        'error: bracket coefficient det B is not finite\n',
         {}),
     'ep-delayed-dirac0-simulate': (
         0,
@@ -758,7 +801,7 @@ GOLDEN = {
     'ep-delayed-erlang-m1e78-stability': (
         2,
         '',
-        'error: bracket coefficient q2 = det B is not finite\n',
+        'error: bracket coefficient det B is not finite\n',
         {}),
     'ep-delayed-erlang-scan-m': (
         0,
@@ -1204,11 +1247,22 @@ GOLDEN = {
         'wrote = <out>/out\n',
         '',
         {'out': '6dd2ea1b91e4e90f526fd1e6c80d80eb669b8e72bc49cb69e78122a5ce75ee3b'}),
-    'revised-delayed-scan-tau': (
-        2,
+    'revised-delayed-scan-m': (
+        0,
+        'kind = revised-delayed\n'
+        'axis = m\n'
+        'rows = 5\n'
+        'wrote = <out>/out\n',
         '',
-        'error: --set: [scan] axis = tau is not defined for kind = revised-delayed\n',
-        {}),
+        {'out': 'a389c4ad81d42f57f300aab203866a68af9a50b19398c1379aca64472cdbb361'}),
+    'revised-delayed-scan-tau': (
+        0,
+        'kind = revised-delayed\n'
+        'axis = tau\n'
+        'rows = 7\n'
+        'wrote = <out>/out\n',
+        '',
+        {'out': '7990a889fcf7d62c92b25cceb5990b106ec5bde3f507a7bd42a5a7e5a8a8f18a'}),
     'revised-delayed-simulate': (
         0,
         'kind = revised-delayed\n'
@@ -1223,10 +1277,14 @@ GOLDEN = {
         '',
         {'out': '09dc9a1055e60e53f37092351668b6012f7287322a86fa9be86b4d187e0f9e9e'}),
     'revised-delayed-stability': (
-        2,
+        0,
+        'kind = revised-delayed\n'
+        'verdict = asymptotically-stable\n'
+        'wrote = <out>/out\n'
+        'wrote = <out>/out.rows.csv\n',
         '',
-        'error: stability analysis is not defined for kind = revised-delayed\n',
-        {}),
+        {'out': '9a027c21dd884390199fdb42020c69e8f3c512ef2f2bd9bd3936f96709327384',
+         'out.rows.csv': '8c36dea8861d57be664d1d22df89da4b33083f02e5757047fab964681988625e'}),
     'revised-delayed-t_end0': (
         0,
         'kind = revised-delayed\n'
@@ -1346,4 +1404,6 @@ GOLDEN = {
 }
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(_diff())
     _record()

@@ -475,6 +475,24 @@ class TestFracAbm:
         slope = math.log2(errs[0] / errs[2]) / 2.0
         assert abs(slope - (1 + order)) < 0.3
 
+    @pytest.mark.parametrize("order", [0.5, 0.82])
+    def test_mittag_leffler_at_the_paper_run_length(self, order):
+        # D^order y = -y to t = 30 (15k and 30k steps: the wide FFT
+        # squares and the series weights of the memory sum) against
+        # E_order(-t^order) at t = 1, 2, ..., 30
+        ts = np.arange(1, 31)
+        exact = np.array([mittag_leffler(order, -float(t) ** order)
+                          for t in ts])
+        errs = []
+        for h in (2e-3, 1e-3):
+            traj = integrate_frac_abm(lambda x: [-v for v in x],
+                                      FracConfig(order=order, h=h), [1.0],
+                                      30.0)
+            got = traj.states[np.rint(ts / h).astype(int), 0]
+            errs.append(float(np.max(np.abs(got - exact))))
+        assert errs[1] <= 2e-6
+        assert abs(math.log2(errs[0] / errs[1]) - (1 + order)) <= 0.25
+
     def test_memory_truncation_reports_bound(self):
         full = integrate_frac_abm(lambda x: [-v for v in x],
                                   FracConfig(order=0.6, h=5e-3), [1.0], 3.0)

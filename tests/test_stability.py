@@ -175,8 +175,10 @@ class TestJacobianAgreement:
         setups += [models.InertiaSetup(3, 2, 1, coupling=1.0, m=m)
                    for m in EXTREME_M]
         for s in setups:
-            _assert_rel(stability._ep_bracket(*stability._ep_blocks(s)),
-                        _hand_ep_coeffs(s))
+            # (tA, tB, dA, c, dB) = (0, q1, -q0, 0, q2), the zeros exact
+            q1, q2, q0 = _hand_ep_coeffs(s)
+            _assert_rel(stability._bracket(*stability._ep_blocks(s)),
+                        (0.0, q1, -q0, 0.0, q2))
             A, B = _ep_linearization(s)
             # the axis row and column vanish, A has a zero diagonal and
             # B is diagonal: the bracket needs only (tr B, det B, det A)
@@ -274,11 +276,11 @@ class TestEpFloatRange:
     rather than give a verdict on inf."""
 
     @pytest.mark.parametrize("kernel, m, message", [
-        (kernels.DiracKernel(0.5), 1e78, "q2 = det B"),
-        (kernels.DiracKernel(0.5), 1e100, "q2 = det B"),
-        (kernels.GammaKernel(2.0, 2), 1e78, "q2 = det B"),
-        (kernels.GammaKernel(2.0, 1), 1e78, "q2 = det B"),
-        (kernels.UniformKernel(0.1, 0.5), 1e78, "q2 = det B"),
+        (kernels.DiracKernel(0.5), 1e78, "coefficient det B"),
+        (kernels.DiracKernel(0.5), 1e100, "coefficient det B"),
+        (kernels.GammaKernel(2.0, 2), 1e78, "coefficient det B"),
+        (kernels.GammaKernel(2.0, 1), 1e78, "coefficient det B"),
+        (kernels.UniformKernel(0.1, 0.5), 1e78, "coefficient det B"),
         (kernels.UniformKernel(0.1, 0.5), 1e160, "transverse block B")],
         ids=repr)
     def test_overflow_raises(self, kernel, m, message):
@@ -756,9 +758,8 @@ class TestClosedFormCounts:
                 assert count == np.count_nonzero(roots.real > 0), (s, tau)
                 counted += 1
             checked += 1
-            q = stability._ep_bracket(*stability._ep_blocks(s))
             leftward += any(d < 0 and phase < omega * tau for omega, phase, d
-                            in stability._crossings(q))
+                            in stability._crossings(*stability._ep_blocks(s)))
         assert checked > 190 and counted > 150 and leftward > 10
 
     def test_mixed_directions(self):
@@ -889,8 +890,7 @@ class TestClosedFormCounts:
     def test_ep_rational_small_roots_at_extreme_rates(self, rate):
         # np.roots returned the pair near the origin as 0j, 0j at 1e40 and
         # as -0.8333, 0 at 1e300; the reversed polynomial finds it
-        exact = self._erlang_oracle(
-            stability._ep_bracket(*stability._ep_blocks(S321)), rate)
+        exact = self._erlang_oracle(_hand_ep_coeffs(S321), rate)
         small = exact[np.abs(exact) < 1e3]
         assert small.size == 2
         for shape in (2, 1):
@@ -947,7 +947,7 @@ class TestUniformGenerator:
         # the library's rightmost root is a zero of the bracket
         lam = stability._uniform_generator(*stability._ep_blocks(s), kern, 48)
         top = complex(lam[np.argmax(lam.real)])
-        q1, q2, q0 = stability._ep_bracket(*stability._ep_blocks(s))
+        q1, q2, q0 = _hand_ep_coeffs(s)
         k1 = kernels.laplace(kern, top)
         scale = abs(top) ** 2 + abs(q1 * top * k1) + abs(q2 * k1 * k1) \
             + abs(q0)
@@ -1446,7 +1446,7 @@ class TestArrayCrossingScan:
         for s in _crossing_setups()[2:]:
             tau = stability.critical_delay_scan(s)
             omega = _exact_crossings(s)[0][1]
-            q1, q2, q0 = stability._ep_bracket(*stability._ep_blocks(s))
+            q1, q2, q0 = _hand_ep_coeffs(s)
             val = stability.char_ep_eval(s, kernels.DiracKernel(tau),
                                          1j * omega)
             scale = omega * omega + abs(q1) * omega + abs(q2) + abs(q0)
@@ -1476,8 +1476,8 @@ class TestArrayCrossingScan:
         # the bracket of any inertia has q1^2 (q2 - q0) > 4 q2^2 wherever
         # q2 > q0, so its crossings all have c = 0; the algebra must hold
         # for any real coefficients
-        monkeypatch.setattr(stability, "_ep_bracket",
-                            lambda a, b: (q1, q2, q0))
+        monkeypatch.setattr(stability, "_bracket",
+                            lambda a, b: (0.0, q1, -q0, 0.0, q2))
         got = stability.critical_delay_scan(S321)
         assert got == pytest.approx(_unit_circle_crossings(q1, q2, q0)[0][0],
                                     rel=1e-12, abs=0.0)
@@ -1513,16 +1513,19 @@ class TestArrayCrossingScan:
                                         rel=1e-12, abs=0.0)
             assert got == pytest.approx(tau, rel=1e-9)
 
-    def test_underflowing_quadratic_coefficient_raises(self):
-        # coupling^2 m^4 underflows to q2 = 0; the scan must not turn the
-        # division by zero into a silent None
+    def test_underflowing_quadratic_coefficient(self):
+        # coupling^2 m^4 underflows to q2 = det B = 0, where the grid scan
+        # divides by zero; the crossings divide by det B only on
+        # the line omega^2 = q2 - q0, whose |sn| = |q1 omega / (2 q2)| is
+        # then far above 1, so the first crossing is the z = -i one of
+        # lambda^2 - q1 lambda z - q0 at omega = 1/3, tau = 3 pi / 2
         s = models.InertiaSetup(3, 2, 1, coupling=1e-170, m=1.0)
-        assert stability._ep_bracket(*stability._ep_blocks(s))[1] == 0.0
+        assert stability._bracket(*stability._ep_blocks(s))[4] == 0.0
         assert _hand_ep_coeffs(s)[1] == 0.0
         with pytest.raises(ZeroDivisionError):
             _scalar_critical_delay_scan(s)
-        with pytest.raises(ZeroDivisionError):
-            stability.critical_delay_scan(s)
+        assert stability.critical_delay_scan(s) == pytest.approx(
+            1.5 * math.pi, rel=1e-15)
 
 
 class TestArrayCharFunctions:
@@ -1567,3 +1570,214 @@ class TestArrayCharFunctions:
         with pytest.warns(RuntimeWarning, match="branch cut"):
             stability.frac_delay_char_eval(np.zeros((1, 1)), np.eye(1), 0.5,
                                            kernels.DiracKernel(0.1), lam)
+
+
+# --- the crossing core on every delayed rigid kind --------------------------
+
+def _closed_form_ep_crossings(q1, q2, q0):
+    """The ep-delayed crossing families in closed form on the bracket
+    lambda^2 - q1 lambda z + q2 z^2 - q0, (q1, q2, q0) = (tr B, det B,
+    -det A), as an oracle: c = 0, sn = +-1 at omega^2 + sn q1 omega + q2
+    + q0 = 0, or omega^2 = q2 - q0 with sn = -q1 omega / (2 q2) and
+    c = +-sqrt(1 - sn^2); direction the sign of Re[P_lambda conj(lambda z
+    P_z)]."""
+    found = []
+    disc = q1 * q1 - 4.0 * (q2 + q0)
+    if disc >= 0.0:
+        for sn in (1.0, -1.0):
+            big = -0.5 * (sn * q1 + math.copysign(math.sqrt(disc), sn * q1))
+            if big:
+                found += [(omega, 0.0, sn) for omega in
+                          (big, (q2 + q0) / big) if omega > 0.0]
+    if q2 > q0:
+        omega = math.sqrt(q2 - q0)
+        sn = -q1 * omega / (2.0 * q2)
+        if abs(sn) <= 1.0:
+            c = math.sqrt((1.0 - sn) * (1.0 + sn))
+            found += [(omega, c, sn), (omega, -c, sn)]
+    families = []
+    for omega, c, sn in found:
+        lam, z = complex(0.0, omega), complex(c, -sn)
+        re = ((2.0 * lam - q1 * z)
+              * (lam * z * (2.0 * q2 * z - q1 * lam)).conjugate()).real
+        families.append((omega, math.atan2(sn, c) % (2.0 * math.pi),
+                         (re > 0.0) - (re < 0.0)))
+    return sorted(families)
+
+
+def _fd_rigid_blocks(p, axis, m, revised):
+    """Transverse (A, B) of the delayed rigid body at m e_axis: central
+    differences of models.rhs_delayed or rhs_revised_delayed, exact up to
+    rounding at a unit step because each field is at most quadratic in
+    every component; independent of stability._blocks."""
+    rhs = models.rhs_revised_delayed if revised else models.rhs_delayed
+    x = np.zeros(3)
+    x[axis] = m
+    off = np.ix_(*[[j for j in range(3) if j != axis]] * 2)
+    a = _fd_jacobian(lambda u: rhs(p, u, x), x, 1.0)
+    b = _fd_jacobian(lambda u: rhs(p, x, u), x, 1.0)
+    return a[off], b[off]
+
+
+#: (revised, (a1, a2, a3), m, equilibrium, lag, verdict, rhp_root_count),
+#: each checked against a 96-node pseudospectral rightmost root
+RIGID_DELAY_REGRESSIONS = [
+    (False, (3, 2, 1), 1.3, "M2", 0.0, stability.UNSTABLE, 1),
+    (False, (3, 2, 1), 1.3, "M2", 0.2, stability.UNSTABLE, 1),
+    (False, (3, 2, 1), 1.3, "M1", 0.0, stability.MARGINAL, "uncertain"),
+    (False, (3, 2, 1), 1.3, "M3", 0.0, stability.MARGINAL, "uncertain"),
+    (False, (3, 2, 1), 1.3, "M1", 0.01, stability.UNSTABLE, 2),
+    (False, (3, 2, 1), 1.3, "M3", 0.01, stability.UNSTABLE, 2),
+    (True, (3, 2, 1), 1.3, "M1", 0.0, stability.STABLE, 0),
+    (True, (3, 2, 1), 1.3, "M1", 0.2, stability.STABLE, 0),
+    (True, (3, 2, 1), 1.3, "M1", 5.0, stability.STABLE, 0),
+    (True, (3, 2, 1), 1.3, "M2", 0.5, stability.UNSTABLE, 4),
+    (True, (3, 2, 1), 1.3, "M3", 0.2, stability.STABLE, 0),
+    (True, (3, 2, 1), 1.3, "M3", 0.23, stability.UNSTABLE, 2),
+    (False, (2.121, 2.109, 1.791), 3.422, "M1", 0.5, stability.STABLE, 0),
+    (False, (3.037, 2.955, 1.864), 12.963, "M1", 0.1, stability.STABLE, 0),
+    (False, (3.037, 2.955, 1.864), 12.963, "M1", 0.13, stability.UNSTABLE,
+     2),
+]
+
+
+class TestRigidDelay:
+    @pytest.mark.parametrize("revised, a, m, which, lag, verdict, count",
+                             RIGID_DELAY_REGRESSIONS)
+    def test_regressions(self, revised, a, m, which, lag, verdict, count):
+        p = models.RigidBodyParams(*a)
+        rep = stability.rigid_delay_check(p, which, m,
+                                          kernels.DiracKernel(lag), revised)
+        assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+            verdict, count)
+        assert rep.structural_zero_roots == 1
+        top = _dde_roots(*_fd_rigid_blocks(p, int(which[1]) - 1, m, revised),
+                         lag, 96).real.max()
+        if verdict == stability.MARGINAL:  # a centre at lag 0
+            assert abs(top) < 1e-12
+        else:
+            assert (top > 1e-3) == (verdict == stability.UNSTABLE)
+
+    def test_first_crossing(self):
+        # revised-delayed M3 at a = (3, 2, 1), m = 1.3: a pair crosses right
+        # at tau = 0.21852; the delayed kind's centres sit at lag 0
+        p = models.RigidBodyParams(3, 2, 1)
+        rep = stability.rigid_delay_check(p, "M3", 1.3,
+                                          kernels.DiracKernel(0.2), True)
+        assert rep.critical_delay == pytest.approx(0.21852, abs=1e-5)
+        for which in ("M1", "M3"):
+            assert stability.rigid_delay_check(
+                p, which, 1.3, kernels.DiracKernel(0.2)).critical_delay == 0.0
+
+    def test_bracket(self):
+        # delayed M1 has (tA, tB, dA, c, dB) = (0, 0, 0, 3 m^2, -m^2) at
+        # a = (3, 2, 1); revised-delayed M2 has all five nonzero
+        p = models.RigidBodyParams(3, 2, 1)
+        got = stability._bracket(*stability._blocks(
+            models.delayed_field(p), p, "M1", 1.3))
+        _assert_rel(got, (0.0, 0.0, 0.0, 5.07, -1.69))
+        got = stability._bracket(*stability._blocks(
+            models.revised_delayed_field(p), p, "M2", 1.3))
+        assert all(got)
+        for revised in (False, True):
+            for axis in range(3):
+                a, b = _fd_rigid_blocks(p, axis, 1.3, revised)
+                field = (models.revised_delayed_field if revised
+                         else models.delayed_field)(p)
+                ours = stability._blocks(field, p, axis + 1, 1.3)
+                assert np.allclose(ours[0], a, rtol=0, atol=1e-12)
+                assert np.allclose(ours[1], b, rtol=0, atol=1e-12)
+
+    def test_uniform_and_gamma_kernels(self):
+        # the generator and the chain roots of the same blocks, against the
+        # test-local generator at 96 nodes and the chain-augmented matrix
+        rng = np.random.default_rng(5151)
+        checked = 0
+        for i in range(40):
+            coef = np.sort(rng.uniform(0.3, 4.0, 3))[::-1]
+            p = models.RigidBodyParams(*(float(v) for v in coef))
+            revised, axis = bool(i % 2), int(rng.integers(3))
+            m = float(rng.uniform(0.2, 2.0))
+            kern = (kernels.UniformKernel(float(rng.uniform(0.0, 1.0)),
+                                          float(rng.uniform(0.1, 1.0)))
+                    if i % 4 < 2 else kernels.GammaKernel(
+                        float(rng.uniform(0.5, 5.0)), 1 + i % 4 // 3))
+            a0, a1 = _fd_rigid_blocks(p, axis, m, revised)
+            roots = (_uniform_roots(a0, a1, kern, 96)
+                     if isinstance(kern, kernels.UniformKernel)
+                     else _chain_roots(a0, a1, kern))
+            if np.abs(roots.real).min() < 1e-6:
+                continue
+            rep = stability.rigid_delay_check(p, axis + 1, m, kern, revised)
+            count = int(np.count_nonzero(roots.real > 0))
+            assert rep.verdict == (stability.UNSTABLE if count
+                                   else stability.STABLE), (p, axis, kern)
+            assert rep.metadata["rhp_root_count"] == count, (p, axis, kern)
+            assert len(rep.roots) == (0 if isinstance(
+                kern, kernels.UniformKernel) else 2 + 2 * kern.shape)
+            checked += 1
+        assert checked >= 30
+
+    def test_ep_families_match_the_closed_form(self):
+        rng = np.random.default_rng(3636)
+        setups = [_random_setup(rng) for _ in range(500)]
+        setups += [models.InertiaSetup(3, 2, 1, coupling=1.0, m=m)
+                   for m in (1e-60, 1.0, 30.0, 1e60, 1e77)]
+        moved = 0
+        for s in setups:
+            t_a, t_b, d_a, c, d_b = stability._bracket(
+                *stability._ep_blocks(s))
+            assert t_a == 0.0 and c == 0.0
+            got = sorted(stability._crossings(*stability._ep_blocks(s)))
+            want = _closed_form_ep_crossings(t_b, d_b, -d_a)
+            assert len(got) == len(want) > 0, s
+            for (w, ph, d), (w0, ph0, d0) in zip(got, want):
+                assert d == d0, s
+                assert w == pytest.approx(w0, rel=1e-12, abs=0.0), s
+                assert ph == pytest.approx(ph0, rel=1e-12, abs=0.0), s
+                moved += (w, ph) != (w0, ph0)
+        assert moved == 0
+
+    def test_sweep(self):
+        # every kind, axis and a range of lags against a 64-node
+        # pseudospectral rightmost root, where it lies off the axis
+        rng = np.random.default_rng(4242)
+        checked = counted = unstable = 0
+        for i in range(330):
+            kind = ("delayed", "revised-delayed", "ep-delayed")[i % 3]
+            if kind == "ep-delayed":
+                s = _random_setup(rng)
+                a0, a1 = _fd_ep_blocks(s)
+                first = stability.critical_delay_scan(s)
+            else:
+                coef = np.sort(rng.uniform(0.3, 4.0, 3))[::-1]
+                if min(np.diff(-coef)) < 1e-3:
+                    continue
+                p = models.RigidBodyParams(*(float(v) for v in coef))
+                axis = int(rng.integers(3))
+                m = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 4.0))
+                revised = kind == "revised-delayed"
+                a0, a1 = _fd_rigid_blocks(p, axis, m, revised)
+                first = stability.rigid_delay_check(
+                    p, axis + 1, m, kernels.DiracKernel(0.0),
+                    revised).critical_delay
+            tau = float(rng.uniform(0.0, 2.0)) * (first or 0.5)
+            if kind == "ep-delayed":
+                rep = stability.ep_delayed_check(s, kernels.DiracKernel(tau))
+            else:
+                rep = stability.rigid_delay_check(
+                    p, axis + 1, m, kernels.DiracKernel(tau), revised)
+            roots = _dde_roots(a0, a1, tau, 64)
+            top = float(roots.real.max())
+            if abs(top) <= 1e-3:
+                continue
+            checked += 1
+            unstable += top > 0
+            assert rep.verdict == (stability.UNSTABLE if top > 0
+                                   else stability.STABLE), (kind, tau)
+            count = rep.metadata["rhp_root_count"]
+            if count <= 12:
+                assert count == np.count_nonzero(roots.real > 0), (kind, tau)
+                counted += 1
+        assert checked >= 300 and counted >= 280
+        assert 60 < unstable < checked - 60
