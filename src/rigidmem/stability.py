@@ -4,15 +4,14 @@ Linearizations are complex-step Jacobians of each kind's own field at an
 axis equilibrium.  Covers the fractional rigid body's quadratics in
 w = lambda^order (sector condition) and, for every delayed rigid kind,
 closed-form root counts from the exact imaginary-axis crossings at a
-sharp (Dirac) lag, the roots of the ODE-chain polynomial for gamma
-kernels and the eigenvalues of the collocated solution-operator generator
-for uniform ones.  No verdict depends on a search box.
+sharp (Dirac) lag, the eigenvalues of the ODE chain's matrix for gamma
+kernels and those of the collocated solution-operator generator for
+uniform ones.  No verdict depends on a search box.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -424,13 +423,13 @@ def _delay_report(a, b, kernel) -> StabilityReport:
     it moves right, none if left; one no family moves, or lambda = 0 at
     det(A + B) = 0, stays on the axis (direction 0).  A gamma kernel gives
     the :func:`_chain_roots` and their sector test at order 1 (a margin
-    within SECTOR_TOL of 0 or a dropped root: ``uncertain``, not stable), a
-    uniform one :func:`_uniform_verdict`.  Blocks or coefficients that
-    leave the float range raise OverflowError.
+    within SECTOR_TOL of 0, or a list of other than 2 + 2n roots for shape
+    n: ``uncertain``, not stable), a uniform one :func:`_uniform_verdict`.
+    Blocks or coefficients that leave the float range raise OverflowError.
     """
     _finite("transverse block A", *a.ravel().tolist())
     _finite("transverse block B", *b.ravel().tolist())
-    t_a, t_b, d_a, c, d_b = coeffs = _bracket(a, b)
+    t_a, t_b, d_a, c, d_b = _bracket(a, b)
     crossings = _crossings(a, b)
     rep = StabilityReport(verdict=MARGINAL, structural_zero_roots=1,
                           critical_delay=min((phase / omega for omega, phase,
@@ -449,9 +448,9 @@ def _delay_report(a, b, kernel) -> StabilityReport:
     elif not isinstance(kernel, _kern.GammaKernel):
         rep.verdict, count = _uniform_verdict(a, b, kernel)
     else:
-        rep.roots = _chain_roots(coeffs, kernel)
+        rep.roots = _chain_roots(a, b, kernel)
         rep.margins, rep.verdict = _sector(rep.roots, 1.0)
-        if len(rep.roots) < 2 + 2 * kernel.shape:  # some were dropped
+        if len(rep.roots) != 2 + 2 * kernel.shape:  # not every root kept
             rep.verdict = UNSTABLE if rep.verdict == UNSTABLE else MARGINAL
         elif min(map(abs, rep.margins)) > SECTOR_TOL:
             count = sum(m < 0.0 for m in rep.margins)
@@ -459,42 +458,39 @@ def _delay_report(a, b, kernel) -> StabilityReport:
     return rep
 
 
-def _divisible(poly) -> np.ndarray:
-    """``poly`` without the leading coefficients np.roots cannot divide by,
-    which go with their roots."""
-    with np.errstate(all="ignore"):
-        while not np.isfinite(poly[1:] / poly[0]).all():
-            poly = poly[1:]
-    return poly
-
-
-def _chain_roots(coeffs, kernel: _kern.GammaKernel) -> list[complex]:
-    """Roots, sorted by (re, im), of the :func:`_bracket` ``coeffs`` at
-    z = (r/(lambda + r))^n, times b^(2n), b = (lambda + r)/max(r, 1): the
-    chain polynomial (MacDonald, Time Lags in Biological Models, 1978),
-    finite at any rate.  np.roots finds large roots to working accuracy but
-    small ones only to eps times the largest, and the reversed polynomial
-    the other way round (at rate 1e40 the first gives the lag-0 pair as 0):
-    the roots below eps times the largest come from the reversed
-    polynomial, the others, and the smallest ones it drops with the leading
-    coefficients it cannot divide by, from the polynomial itself.
+def _chain_roots(a, b, kernel: _kern.GammaKernel) -> list[complex]:
+    """Roots, sorted by (re, im), of det(lambda - A - z B) at z = (r/(lambda
+    + r))^n: the eigenvalues of the chain matrix M = [[A, 0, .., B], [r, -r,
+    0, ..], [0, r, -r, ..], ..] (MacDonald, Time Lags in Biological Models,
+    1978) in two scales that stay in the float range at any rate.  Those
+    on the rate's scale are max(r, 1) eig(M / max(r, 1)), kept above 1e3 eps
+    times the largest; the ones below are min(r, 1) / mu over the
+    eigenvalues mu of min(r, 1) M^-1 above 1e3 eps times the largest mu,
+    M^-1 written by blocks in C = (A + B)^-1: block (k, 0) is C, block
+    (k, j >= 1) is (C B - [j <= k]) / r.  At det(A + B) = 0 the ones below
+    are lambda = 0.
     """
-    t_a, t_b, d_a, c, d_b = coeffs
     n, r = kernel.shape, kernel.rate
-    g = (r / max(r, 1.0)) ** n
-    b_n = functools.reduce(np.polymul, [np.array([1.0, r]) / max(r, 1.0)] * n)
-    poly = np.polyadd(np.polymul([1.0, -t_a, d_a], np.polymul(b_n, b_n)),
-                      np.polymul([-t_b * g, c * g], b_n))
-    poly[-1] += d_b * g * g
-    poly = _divisible(poly)
-    big = sorted(np.roots(poly), key=abs)
-    with np.errstate(all="ignore"):
-        # a reciprocal that eig returns as 0 gives inf, never taken
-        small = sorted(1.0 / np.roots(_divisible(poly[::-1])), key=abs)
-    lost = len(big) - len(small)
-    k = sum(abs(w) < 2.0**-52 * abs(big[-1]) for w in small)
-    return sorted(map(complex, big[:lost] + small[:k] + big[lost + k:]),
-                  key=lambda w: (w.real, w.imag))
+    big, small, keep = max(r, 1.0), min(r, 1.0), 1e3 * 2.0**-52
+    mat = np.kron(np.eye(n + 1, k=-1) - np.eye(n + 1), np.eye(2)) * (r / big)
+    mat[:2, :2], mat[:2, -2:] = a / big, b / big
+    lam = big * np.linalg.eigvals(mat)
+    cut = keep * np.abs(lam).max()
+    roots = list(lam[np.abs(lam) > cut])
+    (p, q), (u, v) = (a + b).tolist()
+    det = p * v - q * u
+    if det == 0:
+        roots += [0j] * (len(lam) - len(roots))
+    else:
+        c = np.array([[v / det, -q / det], [-u / det, p / det]])
+        inv = (np.kron(np.ones((n + 1, n + 1)), c @ b)
+               - np.kron(np.tri(n + 1), np.eye(2))) * (small / r)
+        inv[:, :2] = np.tile(small * c, (n + 1, 1))
+        _finite("(A + B)^-1", *inv.ravel().tolist())
+        mu = np.linalg.eigvals(inv)
+        low = small / mu[np.abs(mu) > keep * np.abs(mu).max()]
+        roots += list(low[np.abs(low) <= cut])
+    return sorted(map(complex, roots), key=lambda w: (w.real, w.imag))
 
 
 def _uniform_generator(a, b, kernel: _kern.UniformKernel,

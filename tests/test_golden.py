@@ -810,7 +810,7 @@ GOLDEN = {
         'rows = 5\n'
         'wrote = <out>/out\n',
         '',
-        {'out': 'a93f735855f1530169e283e2396e016945db0c7438c59700d33939090f797d31'}),
+        {'out': 'ce21277b91172cfcc7ae62404f070f6b4d59f3996d91037e557ec4f6645f86a2'}),
     'ep-delayed-erlang-simulate': (
         0,
         'kind = ep-delayed\n'
@@ -832,8 +832,8 @@ GOLDEN = {
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'cc2c288e82d5833833b1de17fc5118392812a09900b0019292907308ab9d2326',
-         'out.rows.csv': 'b1bffdb50e3a5e06d490ab3d7253a68140f8ea5060e26aa071320bd19e57cd34'}),
+        {'out': 'fa5ceffd475c9dcb3433b1b57ecb40391d18b65f54cfef20f162200c642e7f96',
+         'out.rows.csv': '7ce7d4a40585702206ca1b77176f03d74232106a4b7382ba7ede032b368416b4'}),
     'ep-delayed-exponential-simulate': (
         0,
         'kind = ep-delayed\n'
@@ -855,8 +855,8 @@ GOLDEN = {
         'wrote = <out>/out\n'
         'wrote = <out>/out.rows.csv\n',
         '',
-        {'out': 'eeff254c3ea25e3f8e81f35ca2cc47521e5d8905f7d477137de2cf6cf66bbe25',
-         'out.rows.csv': 'fc1d2df63aa767f134087af02a4a2b34bbd31d2f6fb072ddac29f3ba6f61f428'}),
+        {'out': 'e9513a40dc041c31421ffe2a4161f7fba2851360a26ad928658833ed96b99477',
+         'out.rows.csv': '058d25c77bf1e07475c3786d2e7a820e8e479195e6be8d5f96c5eb87f9a24999'}),
     'ep-delayed-scan-m': (
         0,
         'kind = ep-delayed\n'

@@ -687,7 +687,7 @@ class TestClosedFormCounts:
 
     def test_ep_dirac_no_contour(self, monkeypatch):
         # the Dirac route is the crossing count, the exponential and
-        # Erlang routes the chain polynomial and the uniform route the
+        # Erlang routes the chain matrix and the uniform route the
         # collocated generator: no kernel calls the contour
         _refuse_contour(monkeypatch)
         for s in (S321, models.InertiaSetup(3, 2, 1, 0.0, 1.0),
@@ -776,7 +776,7 @@ class TestClosedFormCounts:
             stability.MARGINAL, "uncertain")
 
     def test_ep_rational_report(self):
-        # every root of the chain polynomial, sorted by (re, im), with its
+        # every root of the chain matrix, sorted by (re, im), with its
         # margin |arg lambda| - pi/2; the count is the negative margins
         for s in _crossing_setups()[2:14]:
             for kern in (kernels.GammaKernel(2.0, 1),
@@ -845,52 +845,54 @@ class TestClosedFormCounts:
 
     def test_ep_rational_extreme_rates(self):
         # at rate 1e10 the kernel is a lag 0 to within the float
-        # resolution; from about 1e77 leading coefficients drop: marginal
-        # and uncertain, never an error
+        # resolution; past it the chain matrix keeps every root, and at
+        # rates so slow that the lag-0 centre moves by less than SECTOR_TOL
+        # the verdict is marginal and uncertain, never an error
         assert stability.ep_delayed_check(
             S321, kernels.DiracKernel(0.0)).verdict == stability.STABLE
         for shape in (1, 2):
-            rep = stability.ep_delayed_check(S321,
-                                             kernels.GammaKernel(1e10, shape))
-            assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
-                stability.STABLE, 0)
-            for rate in (1e300, 1e160, 1e155, 1e80, 1e77, 1e-200, 5e-324):
+            for rate in (1e10, 1e300, 1e160, 1e155, 1e80, 1e77, 1e-200,
+                         5e-324):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     rep = stability.ep_delayed_check(
                         S321, kernels.GammaKernel(rate, shape))
-                assert (rep.verdict, rep.metadata["rhp_root_count"]) in (
-                    (stability.STABLE, 0), (stability.MARGINAL, "uncertain"))
+                assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+                    (stability.STABLE, 0) if rate > 1.0
+                    else (stability.MARGINAL, "uncertain"))
 
     @staticmethod
-    def _erlang_oracle(q, rate):
-        """Every root of the Erlang chain polynomial of the bracket ``q``,
-        (lambda + r)^4 (lambda^2 - q0) - q1 r^2 lambda (lambda + r)^2
-        + q2 r^4, by mpmath's Durand-Kerner iteration at 30 digits with
-        2100 extra bits (the coefficients span 1200 decades at 1e300),
-        started near the origin and around -r."""
+    def _gamma_oracle(q, rate, shape):
+        """Every root of the gamma chain polynomial of the bracket ``q``,
+        (lambda + r)^(2n) (lambda^2 - q0) - q1 r^n lambda (lambda + r)^n
+        + q2 r^(2n) at shape n, by mpmath's Durand-Kerner iteration at 30
+        digits with 2100 extra bits (the coefficients span 1200 decades at
+        1e300 for n = 2), started near the origin and around -r."""
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             q1, q2, q0 = map(mpmath.mpf, q)
             r = mpmath.mpf(rate)
-            b2 = [1, 2 * r, r * r]
-            b4 = [1, 4 * r, 6 * r**2, 4 * r**3, r**4]
-            poly = [b4[0], b4[1], b4[2] - q0 * b4[0], b4[3] - q0 * b4[1],
-                    b4[4] - q0 * b4[2], -q0 * b4[3], -q0 * b4[4]]
-            for i, c in enumerate(b2):
-                poly[3 + i] -= q1 * r * r * c
-            poly[-1] += q2 * r**4
+            chain = [mpmath.binomial(shape, k) * r**k
+                     for k in range(shape + 1)]  # (lambda + r)^n
+            poly = [mpmath.mpf(0)] * (2 * shape + 3)
+            for i, x in enumerate(chain):
+                poly[i + shape + 1] -= q1 * r**shape * x
+                for j, y in enumerate(chain):
+                    poly[i + j] += x * y
+                    poly[i + j + 2] -= q0 * x * y
+            poly[-1] += q2 * r**(2 * shape)
             init = [mpmath.mpc(0.4, 0.9), mpmath.mpc(-0.4, -0.9)] + [
-                -r * mpmath.mpc(1, 0.3 * (k + 1)) for k in range(4)]
+                -r * mpmath.mpc(1, 0.3 * (k + 1)) for k in range(2 * shape)]
             roots = mpmath.polyroots(poly, maxsteps=100, extraprec=2100,
                                      roots_init=init)
             return np.array([complex(z) for z in roots])
 
     @pytest.mark.parametrize("rate", [1e40, 1e300])
     def test_ep_rational_small_roots_at_extreme_rates(self, rate):
-        # np.roots returned the pair near the origin as 0j, 0j at 1e40 and
-        # as -0.8333, 0 at 1e300; the reversed polynomial finds it
-        exact = self._erlang_oracle(_hand_ep_coeffs(S321), rate)
+        # the chain polynomial's np.roots returned the pair near the origin
+        # as 0j, 0j at 1e40 and as -0.8333, 0 at 1e300, found the poles
+        # near -rate to about 4 digits at 1e40 and dropped some at 1e300
+        exact = self._gamma_oracle(_hand_ep_coeffs(S321), rate, 2)
         small = exact[np.abs(exact) < 1e3]
         assert small.size == 2
         for shape in (2, 1):
@@ -900,19 +902,114 @@ class TestClosedFormCounts:
             assert got.size == 2
             for root in small:
                 assert np.abs(got - root).min() <= 1e-12 * abs(root)
+        # the fourfold cluster near -rate, which 30 digits of the
+        # polynomial place only to about 1e-8, from the chain matrix
         rep = stability.ep_delayed_check(S321, kernels.GammaKernel(rate, 2))
-        if rate == 1e40:
-            # the poles near -rate, four within 2e-8 of it, are found to
-            # the accuracy a fourfold cluster allows
-            assert len(rep.roots) == 6
-            for root in rep.roots:
-                assert np.abs(exact - root).min() <= 1e-3 * abs(root)
-            assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
-                stability.STABLE, 0)
-        else:
-            # the leading coefficients underflow: roots dropped
-            assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
-                stability.MARGINAL, "uncertain")
+        exact = _chain_eig(*_fd_ep_blocks(S321), rate, 2)
+        assert len(rep.roots) == 6
+        for root in rep.roots:
+            assert np.abs(exact - root).min() <= 1e-12 * abs(root)
+        assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+            stability.STABLE, 0)
+
+    @pytest.mark.parametrize("shape, rate", [
+        (2, 1e78), (2, 1e155), (2, 1e300), (2, 1.7e308), (1, 1e155),
+        (1, 1e300), (2, 1e-200), (1, 1e-200)])
+    def test_gamma_roots_at_extreme_rates(self, shape, rate):
+        # the chain polynomial dropped 1 to 3 roots from Erlang 1e78 and
+        # exponential 1e155 on and read marginal; at 1e-200 the roots on
+        # the rate's scale, near 0, are the ones a single scale loses
+        rep = stability.ep_delayed_check(S321,
+                                         kernels.GammaKernel(rate, shape))
+        exact = _chain_eig(*_fd_ep_blocks(S321), rate, shape)
+        assert len(rep.roots) == 2 + 2 * shape
+        for root in rep.roots:
+            assert np.abs(exact - root).min() <= 1e-12 * abs(root)
+        assert sum(abs(w) < 1e-150 for w in rep.roots) == (
+            2 * shape if rate < 1.0 else 0)
+        assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+            (stability.STABLE, 0) if rate > 1.0
+            else (stability.MARGINAL, "uncertain"))
+
+    def test_gamma_roots_match_the_chain_polynomial(self):
+        # at ordinary rates, against the polynomial's roots at 30 digits
+        rng = np.random.default_rng(2222)
+        for i in range(8):
+            s, shape = _random_setup(rng), 1 + i % 2
+            rate = 10.0 ** float(rng.uniform(-1.0, 1.0))
+            exact = self._gamma_oracle(_hand_ep_coeffs(s), rate, shape)
+            rep = stability.ep_delayed_check(
+                s, kernels.GammaKernel(rate, shape))
+            assert len(rep.roots) == 2 + 2 * shape
+            for root in exact:
+                assert np.abs(np.array(rep.roots) - root).min() <= (
+                    1e-12 * abs(root)), (s, rate, shape)
+
+    def test_fast_gamma_kernel_is_lag_zero(self):
+        # at rate 1e8 the lag-0 roots move by about 1e-8 and the chain adds
+        # 2n poles near -1e8: where the lag-0 roots lie 1e-6 off the axis,
+        # the chain matrix gives the crossing route's verdict and count at
+        # a Dirac lag 0, which shares no code with it past the blocks
+        rng = np.random.default_rng(8080)
+        pairs = [stability._ep_blocks(_random_setup(rng)) for _ in range(150)]
+        p = models.RigidBodyParams(3, 2, 1)
+        for bind in (models.delayed_field, models.revised_delayed_field):
+            pairs += [stability._blocks(bind(p), p, which, 1.3)
+                      for which in ("M1", "M2", "M3")]
+        checked = rigid = 0
+        for i, (a, b) in enumerate(pairs):
+            if np.abs(np.linalg.eigvals(a + b).real).min() < 1e-6:
+                continue
+            want = stability._delay_report(a, b, kernels.DiracKernel(0.0))
+            for shape in (1, 2):
+                rep = stability._delay_report(
+                    a, b, kernels.GammaKernel(1e8, shape))
+                assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+                    want.verdict, want.metadata["rhp_root_count"]), (i, shape)
+            checked += 1
+            rigid += i >= 150
+        assert checked > 140 and rigid >= 2
+
+    @pytest.mark.parametrize("b", [[[0.0, -1.0], [1.0, 0.0]],
+                                   [[0.0, -1.0], [0.0, 0.0]]])
+    def test_gamma_singular_lag_zero(self, b):
+        # det(A + B) = 0 makes lambda = 0 an exact root (a double one at
+        # B = -A), listed as 0, not as an eigenvalue about eps from 0 whose
+        # margin has either sign; C = (A + B)^-1 does not exist
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = stability._delay_report(a, np.array(b),
+                                          kernels.GammaKernel(2.0, 1))
+        assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+            stability.MARGINAL, "uncertain")
+        assert len(rep.roots) == 4
+        assert rep.roots.count(0j) == (2 if b[1][0] else 1)
+        assert all(w == 0 or abs(w) > 0.5 for w in rep.roots)
+
+    def test_gamma_inverse_out_of_range(self):
+        # det(A + B) = 1e-321 is not 0, but (A + B)^-1 is not finite: an
+        # OverflowError, not numpy's error on an eigenvalue problem with inf
+        a = np.array([[1e-10, 0.0], [0.0, 0.0]])
+        b = np.array([[0.0, 0.0], [0.0, 1e-311]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(OverflowError, match=r"\(A \+ B\)\^-1"):
+                stability._delay_report(a, b, kernels.GammaKernel(2.0, 1))
+
+    @pytest.mark.parametrize("roots, verdict", [
+        ([-1.0 + 0j] * 5, stability.MARGINAL),
+        ([-1.0 + 0j] * 7, stability.MARGINAL),
+        ([-1.0 + 0j] * 4 + [1.0 + 0j], stability.UNSTABLE),
+        ([-1.0 + 0j] * 6 + [1.0 + 0j], stability.UNSTABLE)])
+    def test_gamma_root_count(self, monkeypatch, roots, verdict):
+        # an Erlang chain has 6 roots: a list of any other length is never
+        # stable and its count is uncertain
+        monkeypatch.setattr(stability, "_chain_roots",
+                            lambda a, b, kernel: list(roots))
+        rep = stability.ep_delayed_check(S321, kernels.GammaKernel(2.0, 2))
+        assert (rep.verdict, rep.metadata["rhp_root_count"]) == (
+            verdict, "uncertain")
 
 
 #: (setup, uniform kernel, rhp_root_count) that a fixed 50 x 50 contour
@@ -1421,6 +1518,25 @@ def _chain_roots(a0, a1, kernel):
         mat[rows, d * (k - 1):d * k] = rate * np.eye(d)
         mat[rows, rows] = -rate * np.eye(d)
     return np.linalg.eigvals(mat)
+
+
+def _chain_eig(a0, a1, rate, n):
+    """Eigenvalues of the matrix of :func:`_chain_roots` for a chain of n
+    stages by mpmath at 30 digits plus one per decade of the rate, which
+    resolves the roots near 0 against entries of size max(rate, 1) and the
+    roots near -rate against entries of size 1."""
+    mpmath = pytest.importorskip("mpmath")
+    d = a0.shape[0]
+    with mpmath.workdps(30 + int(abs(math.log10(rate)))):
+        r, mat = mpmath.mpf(rate), mpmath.zeros(d * (n + 1))
+        for i in range(d):
+            for j in range(d):
+                mat[i, j], mat[i, d * n + j] = a0[i, j], a1[i, j]
+            for k in range(1, n + 1):
+                mat[d * k + i, d * (k - 1) + i] = r
+                mat[d * k + i, d * k + i] = -r
+        return np.array([complex(z) for z in
+                         mpmath.eig(mat, left=False, right=False)])
 
 
 def _crossing_setups():
